@@ -35,10 +35,13 @@ from typing import TYPE_CHECKING
 from .errors import MalformedArtworkError, UnknownReferenceError
 from .ir import ENTRY, EXIT, Alloc, Program, build_call_graph
 from .ptg import (
+    FieldEdge,
     NullObject,
+    ObjectId,
     Placeholder,
     PointsToGraph,
     Site,
+    VarEdge,
     parse_edge_line,
     render_edges,
 )
@@ -135,6 +138,9 @@ class _Reader:
     def __init__(self, lines: list[str]):
         self.lines = lines
         self.i = 0
+        # Parsed edge lines; an artifact repeats most of its edges across
+        # entries, so each distinct line is parsed once.
+        self.edges: dict[str, tuple[str, VarEdge | FieldEdge]] = {}
 
     def peek(self) -> str | None:
         return self.lines[self.i] if self.i < len(self.lines) else None
@@ -146,24 +152,36 @@ class _Reader:
         self.i += 1
         return line
 
-    def read_block_edges(self) -> PointsToGraph:
-        var_edges = set()
-        field_edges = set()
-        while True:
-            line = self.peek()
-            if line is None:
-                raise MalformedArtworkError("unterminated graph block")
-            if line == "}":
-                self.take()
-                return PointsToGraph(frozenset(var_edges), frozenset(field_edges))
-            if not line.startswith("  "):
-                raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
-            self.take()
+    def edge(self, text: str) -> tuple[str, VarEdge | FieldEdge]:
+        parsed = self.edges.get(text)
+        if parsed is None:
             try:
-                kind, edge = parse_edge_line(line[2:])
+                parsed = parse_edge_line(text)
             except ValueError as exc:
                 raise MalformedArtworkError(str(exc)) from exc
+            self.edges[text] = parsed
+        return parsed
+
+    def read_edges(self) -> PointsToGraph:
+        """The graph of the edge lines from here up to the first line that
+        is not one."""
+        var_edges = set()
+        field_edges = set()
+        while (line := self.peek()) is not None and line.startswith("  "):
+            self.i += 1
+            kind, edge = self.edge(line[2:])
             (var_edges if kind == "var" else field_edges).add(edge)
+        return PointsToGraph(frozenset(var_edges), frozenset(field_edges))
+
+    def read_block_edges(self) -> PointsToGraph:
+        g = self.read_edges()
+        line = self.peek()
+        if line is None:
+            raise MalformedArtworkError("unterminated graph block")
+        if line != "}":
+            raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
+        self.take()
+        return g
 
 
 def _resolve_value(value: str, reader: _Reader, pool: list[PointsToGraph]) -> PointsToGraph:
@@ -196,15 +214,7 @@ def parse_artwork(data: bytes) -> Artwork:
             head = reader.take()
             if head != f"g{len(pool)}:":
                 raise MalformedArtworkError(f"bad pool graph header {head!r}")
-            var_edges = set()
-            field_edges = set()
-            while reader.peek() is not None and reader.peek().startswith("  "):
-                try:
-                    kind, edge = parse_edge_line(reader.take()[2:])
-                except ValueError as exc:
-                    raise MalformedArtworkError(str(exc)) from exc
-                (var_edges if kind == "var" else field_edges).add(edge)
-            pool.append(PointsToGraph(frozenset(var_edges), frozenset(field_edges)))
+            pool.append(reader.read_edges())
 
     if reader.take() != "[loop]":
         raise MalformedArtworkError("expected [loop] section")
@@ -243,34 +253,45 @@ def parse_artwork(data: bytes) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=tuple(pool) or None)
 
 
-def _validate_graph(g: PointsToGraph, p: Program, where: str) -> None:
-    methods = {m.name: m for m in p.methods}
-    alloc_labels = {
-        m.name: {s.label for s in m.body if isinstance(s.instr, Alloc)} for m in p.methods
-    }
+class _References:
+    """Checks the variables and objects an artifact mentions against a
+    program, each distinct one once per artifact."""
 
-    def check_object(o) -> None:
-        if isinstance(o, NullObject):
+    def __init__(self, p: Program):
+        self.methods = {m.name: m for m in p.methods}
+        self.alloc_labels = {
+            m.name: {s.label for s in m.body if isinstance(s.instr, Alloc)} for m in p.methods
+        }
+        self.known: set[object] = set()
+
+    def check_object(self, o: ObjectId, where: str) -> None:
+        if o in self.known or isinstance(o, NullObject):
             return
         if isinstance(o, Placeholder):
-            m = methods.get(o.method)
+            m = self.methods.get(o.method)
             if m is None or o.index >= len(m.params):
                 raise UnknownReferenceError(f"{where}: unknown placeholder {o.method}?{o.index}")
-            return
-        assert isinstance(o, Site)
-        if o.method not in methods or o.label not in alloc_labels[o.method]:
-            raise UnknownReferenceError(
-                f"{where}: object {o.method}:{o.label} is not an allocation site"
-            )
+        else:
+            assert isinstance(o, Site)
+            if o.method not in self.methods or o.label not in self.alloc_labels[o.method]:
+                raise UnknownReferenceError(
+                    f"{where}: object {o.method}:{o.label} is not an allocation site"
+                )
+        self.known.add(o)
 
-    for v, o in g.var_edges:
-        m = methods.get(v.method)
-        if m is None or v.slot > m.var_count:
-            raise UnknownReferenceError(f"{where}: unknown variable slot {v.method}/{v.slot}")
-        check_object(o)
-    for s, _, t in g.field_edges:
-        check_object(s)
-        check_object(t)
+    def check_graph(self, g: PointsToGraph, where: str) -> None:
+        for v, o in g.var_edges:
+            if v not in self.known:
+                m = self.methods.get(v.method)
+                if m is None or v.slot > m.var_count:
+                    raise UnknownReferenceError(
+                        f"{where}: unknown variable slot {v.method}/{v.slot}"
+                    )
+                self.known.add(v)
+            self.check_object(o, where)
+        for s, _, t in g.field_edges:
+            self.check_object(s, where)
+            self.check_object(t, where)
 
 
 def decode(data: bytes, p: Program) -> Artwork:
@@ -281,24 +302,25 @@ def decode(data: bytes, p: Program) -> Artwork:
     OUT-summary key must name a method on a call-graph cycle).
     """
     a = parse_artwork(data)
-    methods = {m.name: m for m in p.methods}
+    refs = _References(p)
+    methods = refs.methods
     cg = build_call_graph(p)
     for (name, label), g in a.i_loop.items():
         if name not in methods:
             raise UnknownReferenceError(f"[loop]: unknown method '{name}'")
         if label not in {s.label for s in methods[name].body}:
             raise UnknownReferenceError(f"[loop]: no statement {name}:{label}")
-        _validate_graph(g, p, f"[loop] {name}:{label}")
+        refs.check_graph(g, f"[loop] {name}:{label}")
     for name, g in a.i_in.items():
         if name not in methods:
             raise UnknownReferenceError(f"[in]: unknown method '{name}'")
-        _validate_graph(g, p, f"[in] {name}")
+        refs.check_graph(g, f"[in] {name}")
     for name, g in a.i_out.items():
         if name not in methods:
             raise UnknownReferenceError(f"[out]: unknown method '{name}'")
         if not cg.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
-        _validate_graph(g, p, f"[out] {name}")
+        refs.check_graph(g, f"[out] {name}")
     return a
 
 

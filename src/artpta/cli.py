@@ -3,8 +3,9 @@ gen-corpus.
 
 Exit codes are a contract: 0 for success or a SAFE verdict, 1 for an UNSAFE
 verdict (or differing results / undetected tamperings), 2 for usage, IO, and
-format errors.  Output files are written atomically (write then rename).
-ANSI color is used only on a terminal and is disabled by ART_COLOR=0.
+format errors and for any internal error.  Output files are written
+atomically (write then rename).  ANSI color is used only on a terminal and
+is disabled by ART_COLOR=0.
 """
 
 from __future__ import annotations
@@ -259,6 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means UNSAFE, never a crash
+        detail = str(exc).partition("\n")[0]
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

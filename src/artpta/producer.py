@@ -375,7 +375,7 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     from .artwork import encode  # local import to keep module layering simple
 
     ctx = _ProgramContext(program)
-    result = analyze_inter(program)
+    result: AnalysisResult | None = None  # computed on first need
 
     i_loop = dict(a.i_loop)
     for (name, header) in list(i_loop):
@@ -402,6 +402,8 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             continue
         if not any(caller not in scc for caller, _ in sites):
             continue
+        if result is None:
+            result = analyze_inter(program)
         projections = []
         for caller, label in sites:
             in_g = ctx.in_value(result.out, caller, label)

@@ -7,6 +7,23 @@ A graph holds variable edges ``(VarId, ObjectId)`` and heap edges
 object fields get weak updates (an abstract object may summarize many
 concrete ones).  All values are immutable and safe to share.
 
+A graph is stored as two index maps rather than as edge sets:
+
+* ``VarId -> frozenset[ObjectId]`` (the variable's points-to set), and
+* ``ObjectId -> {field -> frozenset[ObjectId]}`` (the heap).
+
+No empty set or empty field map is ever stored, so two graphs with the same
+edges have equal maps and ``==`` is plain map equality.  The maps are never
+mutated once a graph holds them, so graphs share them freely: a strong
+update copies the variable map and rebinds one key while sharing the heap
+map, a field store copies only the source objects it touches, and a meet
+whose second operand adds nothing returns the first operand itself.  A
+lookup (``pts``, ``field_targets``) is one or two dictionary probes, and
+the edge-set views ``var_edges`` / ``field_edges`` are built on first use.
+Because the heap is keyed by source object, the one structural rule -- no
+field edge leaves the null object -- is a single key test, checked on every
+construction.
+
 Canonical text rendering (also the artifact file's edge syntax)::
 
     main/0 -> main:4          # variable (method/slot) -> object
@@ -20,7 +37,7 @@ by the intra-procedural entry convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, TypeVar, Union
 
 from .errors import ArityMismatchError
 from .ir import (
@@ -68,63 +85,224 @@ NULL_OBJECT = NullObject()
 VarEdge = tuple[VarId, ObjectId]
 FieldEdge = tuple[ObjectId, str, ObjectId]
 
+# Index maps.  Values are never empty and a map is never mutated once a
+# graph holds it.
+Objects = frozenset[ObjectId]
+VarIndex = dict[VarId, Objects]
+FieldIndex = dict[str, Objects]
+HeapIndex = dict[ObjectId, FieldIndex]
 
-@dataclass(frozen=True)
+NO_OBJECTS: Objects = frozenset()
+_NULL_ONLY: Objects = frozenset((NULL_OBJECT,))
+
+
 class PointsToGraph:
-    var_edges: frozenset[VarEdge]
-    field_edges: frozenset[FieldEdge]
+    """An immutable points-to graph over shared index maps.
+
+    ``PointsToGraph(var_edges, field_edges)`` and ``PointsToGraph.of`` build
+    the index from edges; the lattice operations below build graphs directly
+    from maps.  Both paths run ``__post_init__``.
+    """
+
+    __slots__ = ("_vars", "_heap", "_var_edges", "_field_edges")
+
+    def __init__(self, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> None:
+        var_edges = frozenset(var_edges)
+        field_edges = frozenset(field_edges)
+        vars_: dict[VarId, set[ObjectId]] = {}
+        for v, o in var_edges:
+            vars_.setdefault(v, set()).add(o)
+        heap: dict[ObjectId, dict[str, set[ObjectId]]] = {}
+        for s, f, t in field_edges:
+            heap.setdefault(s, {}).setdefault(f, set()).add(t)
+        self._vars: VarIndex = {v: frozenset(objs) for v, objs in vars_.items()}
+        self._heap: HeapIndex = {
+            s: {f: frozenset(ts) for f, ts in fields.items()} for s, fields in heap.items()
+        }
+        self._var_edges: frozenset[VarEdge] | None = var_edges
+        self._field_edges: frozenset[FieldEdge] | None = field_edges
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        for src, _, _ in self.field_edges:
-            if isinstance(src, NullObject):
-                raise ValueError("field edge with null source")
+        """The structural check, run on every construction: no field edge
+        leaves the null object (one key test, as the heap is keyed by source
+        object)."""
+        if NULL_OBJECT in self._heap:
+            raise ValueError("field edge with null source")
 
     @staticmethod
     def of(
         var_edges: Iterable[VarEdge] = (), field_edges: Iterable[FieldEdge] = ()
     ) -> PointsToGraph:
-        return PointsToGraph(frozenset(var_edges), frozenset(field_edges))
+        return PointsToGraph(var_edges, field_edges)
+
+    @property
+    def var_edges(self) -> frozenset[VarEdge]:
+        if self._var_edges is None:
+            self._var_edges = frozenset(
+                (v, o) for v, objs in self._vars.items() for o in objs
+            )
+        return self._var_edges
+
+    @property
+    def field_edges(self) -> frozenset[FieldEdge]:
+        if self._field_edges is None:
+            self._field_edges = frozenset(_heap_edges(self._heap))
+        return self._field_edges
 
     def pts(self, v: VarId) -> frozenset[ObjectId]:
-        return frozenset(o for (w, o) in self.var_edges if w == v)
+        return self._vars.get(v, NO_OBJECTS)
 
     def field_targets(self, o: ObjectId, f: str) -> frozenset[ObjectId]:
-        return frozenset(t for (s, g, t) in self.field_edges if s == o and g == f)
+        fields = self._heap.get(o)
+        return NO_OBJECTS if fields is None else fields.get(f, NO_OBJECTS)
 
     def kill_var(self, v: VarId) -> frozenset[VarEdge]:
-        return frozenset(e for e in self.var_edges if e[0] != v)
+        return frozenset(
+            (w, o) for w, objs in self._vars.items() if w != v for o in objs
+        )
 
     def objects(self) -> frozenset[ObjectId]:
-        objs: set[ObjectId] = {o for (_, o) in self.var_edges}
-        for s, _, t in self.field_edges:
-            objs.add(s)
-            objs.add(t)
+        objs: set[ObjectId] = set(self._heap)
+        for targets in self._vars.values():
+            objs |= targets
+        for fields in self._heap.values():
+            for targets in fields.values():
+                objs |= targets
         return frozenset(objs)
 
     def is_empty(self) -> bool:
-        return not self.var_edges and not self.field_edges
+        return not self._vars and not self._heap
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, PointsToGraph):
+            return NotImplemented
+        return self._vars == other._vars and self._heap == other._heap
+
+    def __hash__(self) -> int:
+        return hash((self.var_edges, self.field_edges))  # frozensets cache theirs
+
+    def __repr__(self) -> str:
+        return f"PointsToGraph(var_edges={self.var_edges!r}, field_edges={self.field_edges!r})"
 
 
-EMPTY = PointsToGraph(frozenset(), frozenset())
+def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
+    """A graph over existing index maps (which it then shares)."""
+    g = object.__new__(PointsToGraph)
+    g._vars = vars_
+    g._heap = heap
+    g._var_edges = g._field_edges = None
+    g.__post_init__()
+    return g
+
+
+def _heap_edges(heap: HeapIndex) -> Iterable[FieldEdge]:
+    for s, fields in heap.items():
+        for f, targets in fields.items():
+            for t in targets:
+                yield (s, f, t)
+
+
+EMPTY = _graph({}, {})
+
+K = TypeVar("K")
+
+
+def _union_sets(a: dict[K, Objects], b: dict[K, Objects]) -> dict[K, Objects]:
+    """Key-wise union of two set-valued maps; ``a`` itself when ``b`` adds
+    nothing, ``b`` itself when ``a`` is empty."""
+    if not b or a is b:
+        return a
+    if not a:
+        return b
+    out = None
+    for k, objs in b.items():
+        have = a.get(k)
+        if have is None:
+            new = objs
+        elif have is objs or objs <= have:
+            continue
+        else:
+            new = have | objs
+        if out is None:
+            out = dict(a)
+        out[k] = new
+    return a if out is None else out
+
+
+def _union_heaps(a: HeapIndex, b: HeapIndex) -> HeapIndex:
+    if not b or a is b:
+        return a
+    if not a:
+        return b
+    out = None
+    for o, fields in b.items():
+        have = a.get(o)
+        new = fields if have is None else _union_sets(have, fields)
+        if new is have:
+            continue
+        if out is None:
+            out = dict(a)
+        out[o] = new
+    return a if out is None else out
+
+
+def _covers_sets(big: dict[K, Objects], small: dict[K, Objects]) -> bool:
+    if big is small:
+        return True
+    if len(small) > len(big):
+        return False
+    for k, objs in small.items():
+        have = big.get(k)
+        if have is None or (have is not objs and not objs <= have):
+            return False
+    return True
+
+
+def _covers_heaps(big: HeapIndex, small: HeapIndex) -> bool:
+    if big is small:
+        return True
+    if len(small) > len(big):
+        return False
+    for o, fields in small.items():
+        have = big.get(o)
+        if have is None or not _covers_sets(have, fields):
+            return False
+    return True
 
 
 def meet(g1: PointsToGraph, g2: PointsToGraph) -> PointsToGraph:
     """The analysis meet: componentwise set union."""
-    return PointsToGraph(g1.var_edges | g2.var_edges, g1.field_edges | g2.field_edges)
+    return _union_graphs((g1, g2))
 
 
 def meet_all(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
-    var_edges: set[VarEdge] = set()
-    field_edges: set[FieldEdge] = set()
-    for g in graphs:
-        var_edges |= g.var_edges
-        field_edges |= g.field_edges
-    return PointsToGraph(frozenset(var_edges), frozenset(field_edges))
+    return _union_graphs(graphs)
+
+
+def _union_graphs(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
+    """Meet of any number of graphs (EMPTY for none).  Returns the first
+    input itself when the others add nothing to it."""
+    it = iter(graphs)
+    result: PointsToGraph | None = next(it, EMPTY)
+    vars_, heap = result._vars, result._heap
+    for g in it:
+        new_vars = _union_sets(vars_, g._vars)
+        new_heap = _union_heaps(heap, g._heap)
+        if new_vars is vars_ and new_heap is heap:
+            continue  # g adds nothing
+        vars_, heap = new_vars, new_heap
+        result = g if new_vars is g._vars and new_heap is g._heap else None
+    return _graph(vars_, heap) if result is None else result
 
 
 def subsumes(g1: PointsToGraph, g2: PointsToGraph) -> bool:
     """True iff g2 is a subgraph of g1."""
-    return g2.var_edges <= g1.var_edges and g2.field_edges <= g1.field_edges
+    return g1 is g2 or (
+        _covers_sets(g1._vars, g2._vars) and _covers_heaps(g1._heap, g2._heap)
+    )
 
 
 def var_id(m: Method, name: str) -> VarId:
@@ -143,6 +321,24 @@ def entry_graph(m: Method) -> PointsToGraph:
     )
 
 
+def _with_heap(g: PointsToGraph, heap: HeapIndex) -> PointsToGraph:
+    return g if heap is g._heap else _graph(g._vars, heap)
+
+
+def _rebind(g: PointsToGraph, x: VarId, objs: Objects, heap: HeapIndex) -> PointsToGraph:
+    """Strong update: ``x`` points to exactly ``objs`` over ``heap``; shares
+    every other binding with ``g`` (and is ``g`` itself when nothing moves)."""
+    old = g._vars.get(x, NO_OBJECTS)
+    if old is objs or old == objs:
+        return _with_heap(g, heap)
+    vars_ = dict(g._vars)
+    if objs:
+        vars_[x] = objs
+    else:
+        del vars_[x]
+    return _graph(vars_, heap)
+
+
 def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     """Flow function of a non-call statement.
 
@@ -153,58 +349,62 @@ def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     """
     instr = s.instr
     if isinstance(instr, Alloc):
-        x = var_id(m, instr.x)
-        return PointsToGraph(g.kill_var(x) | {(x, Site(m.name, s.label))}, g.field_edges)
+        return _rebind(g, var_id(m, instr.x), frozenset((Site(m.name, s.label),)), g._heap)
     if isinstance(instr, Copy):
-        x, y = var_id(m, instr.x), var_id(m, instr.y)
-        added = {(x, o) for o in g.pts(y)}
-        return PointsToGraph(g.kill_var(x) | added, g.field_edges)
+        return _rebind(g, var_id(m, instr.x), g.pts(var_id(m, instr.y)), g._heap)
     if isinstance(instr, AssignNull):
-        x = var_id(m, instr.x)
-        return PointsToGraph(g.kill_var(x) | {(x, NULL_OBJECT)}, g.field_edges)
+        return _rebind(g, var_id(m, instr.x), _NULL_ONLY, g._heap)
     if isinstance(instr, FieldStore):
-        x, y = var_id(m, instr.x), var_id(m, instr.y)
-        added = {
-            (o, instr.f, t)
-            for o in g.pts(x)
-            if not isinstance(o, NullObject)
-            for t in g.pts(y)
-        }
-        return PointsToGraph(g.var_edges, g.field_edges | added)
+        targets = g.pts(var_id(m, instr.y))
+        if not targets:
+            return g
+        heap = g._heap
+        for o in g.pts(var_id(m, instr.x)):
+            if isinstance(o, NullObject):
+                continue
+            fields = heap.get(o)
+            new_fields = _union_sets(fields or {}, {instr.f: targets})
+            if new_fields is fields:
+                continue
+            if heap is g._heap:
+                heap = dict(heap)
+            heap[o] = new_fields
+        return _with_heap(g, heap)
     if isinstance(instr, FieldLoad):
-        x, y = var_id(m, instr.x), var_id(m, instr.y)
-        added = {
-            (x, t) for o in g.pts(y) for t in g.field_targets(o, instr.f)
-        }
-        return PointsToGraph(g.kill_var(x) | added, g.field_edges)
+        sources = [g.field_targets(o, instr.f) for o in g.pts(var_id(m, instr.y))]
+        loaded = sources[0] if len(sources) == 1 else NO_OBJECTS.union(*sources)
+        return _rebind(g, var_id(m, instr.x), loaded, g._heap)
     if isinstance(instr, Return):
         if instr.x is None:
             return g
-        r, y = ret_var(m), var_id(m, instr.x)
-        added = {(r, o) for o in g.pts(y)}
-        return PointsToGraph(g.kill_var(r) | added, g.field_edges)
+        return _rebind(g, ret_var(m), g.pts(var_id(m, instr.x)), g._heap)
     if isinstance(instr, Call):
         raise ValueError("call statements are handled by the analysis engines")
     return g  # Branch / Goto / Nop
 
 
-def reachable_field_edges(
-    g: PointsToGraph, roots: Iterable[ObjectId]
-) -> frozenset[FieldEdge]:
-    """Field edges of ``g`` transitively reachable from ``roots``."""
-    closure: set[ObjectId] = set(roots)
-    edges: set[FieldEdge] = set()
-    changed = True
-    while changed:
-        changed = False
-        for e in g.field_edges:
-            src, _, dst = e
-            if src in closure and e not in edges:
-                edges.add(e)
-                if dst not in closure:
-                    closure.add(dst)
-                changed = True
-    return frozenset(edges)
+def reachable_field_edges(g: PointsToGraph, roots: Iterable[ObjectId]) -> PointsToGraph:
+    """The field edges of ``g`` transitively reachable from ``roots``, as a
+    heap-only graph (a breadth-first search over the heap index; the result
+    shares ``g``'s per-object field maps)."""
+    heap = g._heap
+    seen: set[ObjectId] = set(roots)
+    frontier = list(seen)
+    reached: HeapIndex = {}
+    while frontier:
+        nxt: list[ObjectId] = []
+        for o in frontier:
+            fields = heap.get(o)
+            if fields is None:
+                continue
+            reached[o] = fields
+            for targets in fields.values():
+                for t in targets:
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+        frontier = nxt
+    return _graph({}, reached)
 
 
 def project_in(
@@ -219,16 +419,13 @@ def project_in(
             f"call at {caller.name}:{s.label} passes {len(call.args)} argument(s) "
             f"to '{callee.name}' which takes {len(callee.params)}"
         )
-    var_edges: set[VarEdge] = set()
-    roots: set[ObjectId] = set()
+    formals: VarIndex = {}
     for i, arg in enumerate(call.args):
-        formal = VarId(callee.name, i)
-        for o in g_at_callsite.pts(var_id(caller, arg)):
-            var_edges.add((formal, o))
-            roots.add(o)
-    return PointsToGraph(
-        frozenset(var_edges), reachable_field_edges(g_at_callsite, roots)
-    )
+        objs = g_at_callsite.pts(var_id(caller, arg))
+        if objs:
+            formals[VarId(callee.name, i)] = objs
+    reachable = reachable_field_edges(g_at_callsite, NO_OBJECTS.union(*formals.values()))
+    return _graph(formals, reachable._heap)
 
 
 def project_out(
@@ -242,23 +439,23 @@ def project_out(
     summary's return edges when the call binds one."""
     call = s.instr
     assert isinstance(call, Call)
-    field_edges = g_at_callsite.field_edges | summary.field_edges
+    heap = _union_heaps(g_at_callsite._heap, summary._heap)
     if call.bind is None:
-        return PointsToGraph(g_at_callsite.var_edges, field_edges)
-    x = var_id(caller, call.bind)
+        return _with_heap(g_at_callsite, heap)
     # A well-formed summary's variable edges are exactly its return edges.
-    added = {(x, o) for (_, o) in summary.var_edges}
-    return PointsToGraph(g_at_callsite.kill_var(x) | added, field_edges)
+    returned = NO_OBJECTS.union(*summary._vars.values())
+    return _rebind(g_at_callsite, var_id(caller, call.bind), returned, heap)
 
 
 def restrict_to_summary(exit_graph: PointsToGraph, m: Method) -> PointsToGraph:
     """OUT-summary of a method: drop every variable edge except the return
     carrier's, keep the whole heap."""
     r = ret_var(m)
-    return PointsToGraph(
-        frozenset(e for e in exit_graph.var_edges if e[0] == r),
-        exit_graph.field_edges,
-    )
+    returned = exit_graph._vars.get(r)
+    vars_ = {} if returned is None else {r: returned}
+    if len(vars_) == len(exit_graph._vars):
+        return exit_graph
+    return _graph(vars_, exit_graph._heap)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +474,12 @@ def render_object(o: ObjectId) -> str:
 def render_edges(g: PointsToGraph) -> list[str]:
     """One line per edge: sorted variable edges, then sorted field edges."""
     var_lines = sorted(
-        f"{v.method}/{v.slot} -> {render_object(o)}" for (v, o) in g.var_edges
+        f"{v.method}/{v.slot} -> {render_object(o)}"
+        for v, objs in g._vars.items()
+        for o in objs
     )
     field_lines = sorted(
-        f"{render_object(s)} .{f}-> {render_object(t)}" for (s, f, t) in g.field_edges
+        f"{render_object(s)} .{f}-> {render_object(t)}" for (s, f, t) in _heap_edges(g._heap)
     )
     return var_lines + field_lines
 

@@ -156,3 +156,34 @@ def test_recursion_prob_one_always_cyclic(tmp_path, capsys):
     for text in generated:
         cg = build_call_graph(parse_program(text))
         assert cg.recursive_call_sites
+
+
+def test_internal_error_exits_2_not_unsafe(tmp_path, rec_ir, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("artpta.cli._cmd_stats", broken)
+    assert main(["stats", rec_ir, str(tmp_path / "unused.art")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+    assert "Traceback" not in captured.err
+
+
+def test_deep_call_chain_is_never_unsafe(tmp_path, capsys):
+    # A valid artifact for a 1500-deep call chain must not read as UNSAFE,
+    # even where the consumer runs out of stack.
+    lines = ["method main() {", "  1: x = new A", "  2: call [m1](x)", "}"]
+    for i in range(1, 1501):
+        body = f"  1: call [m{i + 1}](p)" if i < 1500 else "  1: p.f = p"
+        lines += [f"method m{i}(p) {{", body, "}"]
+    prog = tmp_path / "chain.ir"
+    prog.write_text("\n".join(lines) + "\n")
+    art = str(tmp_path / "chain.art")
+    assert main(["analyze", str(prog), "-o", art]) == 0
+    capsys.readouterr()
+    rc = main(["regen", str(prog), art])
+    captured = capsys.readouterr()
+    assert rc in (0, 2)
+    if rc == 2:
+        assert captured.err.startswith("error: internal error: ")
+        assert captured.err.count("\n") == 1

@@ -293,6 +293,41 @@ method solo(p) {
     assert out.safe and out.result.same_values(analyze_inter(p))
 
 
+def test_optimize_analyzes_only_when_an_in_entry_may_drop(monkeypatch):
+    # The only call-site of a lone self-recursive method lies in its own SCC,
+    # so no IN entry can be dropped and the analysis result is never needed.
+    text = """\
+method main() {
+  1: a = new A
+  2: a.f = a
+  3: if goto 7
+  4: b = a.f
+  5: b.g = a
+  6: goto 3
+  7: if goto 9
+  8: c = call [main]()
+  9: return a
+}
+"""
+    p = parse_program(text)
+    a = emit_artwork(p, analyze_inter(p))
+    calls = []
+
+    def counted(program, *args, **kwargs):
+        calls.append(program)
+        return analyze_inter(program, *args, **kwargs)
+
+    monkeypatch.setattr("artpta.producer.analyze_inter", counted)
+    opt = optimize_artwork(p, a)
+    assert calls == []
+    assert encode(opt) == (
+        b"ART/1\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main/1 -> main:1\n"
+        b"  main:1 .f-> main:1\n  main:1 .g-> main:1\n}\n[in]\nm:main = {\n}\n"
+        b"[out]\nm:main = {\n  main/3 -> main:1\n  main:1 .f-> main:1\n"
+        b"  main:1 .g-> main:1\n}\n"
+    )
+
+
 def test_optimize_drops_out_equal_to_in():
     text = "method main() {\n  1: if goto 3\n  2: call [main]()\n  3: nop\n}\n"
     p = parse_program(text)

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from artpta import (
     EMPTY,
     NULL_OBJECT,
+    MalformedArtworkError,
     Placeholder,
     PointsToGraph,
     Site,
     VarId,
     analyze_inter,
+    decode,
     meet,
     meet_all,
     parse_program,
@@ -25,6 +27,7 @@ from artpta.ir import (
     Alloc,
     AssignNull,
     Branch,
+    Call,
     Copy,
     FieldLoad,
     FieldStore,
@@ -49,7 +52,7 @@ method m(a, b) {
 )
 M = CTX.method("m")
 
-VARS = [VarId("m", i) for i in range(4)]
+VARS = [VarId("m", i) for i in range(5)]  # a, b, c, d and the return carrier
 SITES = [Site("m", 1), Site("m", 2), Site("main", 9)]
 SOURCES = SITES + [Placeholder("m", 0)]
 OBJS = SOURCES + [NULL_OBJECT]
@@ -400,3 +403,188 @@ def test_field_edge_with_null_source_rejected():
 
 def test_meet_all_empty_is_empty():
     assert meet_all([]) == EMPTY
+
+
+# ---------------------------------------------------------------------------
+# The indexed representation against edge-scan oracles
+# ---------------------------------------------------------------------------
+#
+# Each oracle is the edge-set formulation of its operation: it reads only the
+# public edge views and returns (var_edges, field_edges).
+
+CALLS = parse_program(
+    """\
+method main() {
+  1: nop
+}
+method m(a, b) {
+  1: c = new A
+  2: d = new B
+  3: call [m](a, b)
+  4: c = call [m](d, c)
+  5: d = call [k]()
+}
+method k() {
+  1: return
+}
+"""
+)
+CALLER = CALLS.method("m")
+CALL_STMTS = [s for s in CALLER.body if isinstance(s.instr, Call)]
+calls = st.sampled_from(CALL_STMTS)
+
+
+def _scan_pts(var_edges, v):
+    return frozenset(o for (w, o) in var_edges if w == v)
+
+
+def _scan_kill(var_edges, v):
+    return frozenset(e for e in var_edges if e[0] != v)
+
+
+def _meet_oracle(g1, g2):
+    return g1.var_edges | g2.var_edges, g1.field_edges | g2.field_edges
+
+
+def _meet_all_oracle(graphs):
+    var_edges, field_edges = set(), set()
+    for graph in graphs:
+        var_edges |= graph.var_edges
+        field_edges |= graph.field_edges
+    return frozenset(var_edges), frozenset(field_edges)
+
+
+def _subsumes_oracle(g1, g2):
+    return g2.var_edges <= g1.var_edges and g2.field_edges <= g1.field_edges
+
+
+def _transfer_oracle(s, graph, m):
+    ve, fe = graph.var_edges, graph.field_edges
+    instr = s.instr
+    if isinstance(instr, Alloc):
+        x = var_id(m, instr.x)
+        return _scan_kill(ve, x) | {(x, Site(m.name, s.label))}, fe
+    if isinstance(instr, Copy):
+        x, y = var_id(m, instr.x), var_id(m, instr.y)
+        return _scan_kill(ve, x) | {(x, o) for o in _scan_pts(ve, y)}, fe
+    if isinstance(instr, AssignNull):
+        x = var_id(m, instr.x)
+        return _scan_kill(ve, x) | {(x, NULL_OBJECT)}, fe
+    if isinstance(instr, FieldStore):
+        x, y = var_id(m, instr.x), var_id(m, instr.y)
+        added = {
+            (o, instr.f, t)
+            for o in _scan_pts(ve, x)
+            if o != NULL_OBJECT
+            for t in _scan_pts(ve, y)
+        }
+        return ve, fe | added
+    if isinstance(instr, FieldLoad):
+        x, y = var_id(m, instr.x), var_id(m, instr.y)
+        sources = _scan_pts(ve, y)
+        added = {(x, t) for (o, f, t) in fe if o in sources and f == instr.f}
+        return _scan_kill(ve, x) | added, fe
+    if isinstance(instr, Return) and instr.x is not None:
+        r, y = ret_var(m), var_id(m, instr.x)
+        return _scan_kill(ve, r) | {(r, o) for o in _scan_pts(ve, y)}, fe
+    return ve, fe
+
+
+def _project_in_oracle(graph, caller, s, callee):
+    var_edges, roots = set(), set()
+    for i, arg in enumerate(s.instr.args):
+        for o in _scan_pts(graph.var_edges, var_id(caller, arg)):
+            var_edges.add((VarId(callee.name, i), o))
+            roots.add(o)
+    return frozenset(var_edges), _reachable_field_edges_oracle(graph, roots)
+
+
+def _project_out_oracle(summary, caller, s, graph):
+    field_edges = graph.field_edges | summary.field_edges
+    if s.instr.bind is None:
+        return graph.var_edges, field_edges
+    x = var_id(caller, s.instr.bind)
+    added = {(x, o) for (_, o) in summary.var_edges}
+    return _scan_kill(graph.var_edges, x) | added, field_edges
+
+
+def _restrict_oracle(exit_graph, m):
+    r = ret_var(m)
+    return frozenset(e for e in exit_graph.var_edges if e[0] == r), exit_graph.field_edges
+
+
+def _edge_sets(graph):
+    return graph.var_edges, graph.field_edges
+
+
+@settings(max_examples=300)
+@given(statements, graphs)
+def test_transfer_matches_oracle(s, a):
+    before = render_edges(a)  # read from the index, not the cached views
+    assert _edge_sets(transfer(s, a, M)) == _transfer_oracle(s, a, M)
+    assert render_edges(a) == before  # the input's shared maps are untouched
+
+
+@given(graphs, graphs, graphs)
+def test_meet_subsumes_restrict_match_oracles(a, b, c):
+    before = [render_edges(x) for x in (a, b, c)]
+    assert _edge_sets(meet(a, b)) == _meet_oracle(a, b)
+    for group in ([], [a], [a, b], [a, b, c], [c, a, c, b]):
+        assert _edge_sets(meet_all(group)) == _meet_all_oracle(group)
+    assert subsumes(a, b) == _subsumes_oracle(a, b)
+    assert subsumes(meet(a, b), b) and _subsumes_oracle(meet(a, b), b)
+    assert _edge_sets(restrict_to_summary(a, M)) == _restrict_oracle(a, M)
+    assert [render_edges(x) for x in (a, b, c)] == before
+
+
+@settings(max_examples=200)
+@given(calls, graphs, graphs)
+def test_projections_match_oracles(s, a, summary):
+    before = [render_edges(a), render_edges(summary)]
+    for callee in (CALLS.method(t) for t in s.instr.targets):
+        assert _edge_sets(project_in(a, CALLER, s, callee)) == _project_in_oracle(
+            a, CALLER, s, callee
+        )
+    assert _edge_sets(project_out(summary, CALLER, s, a)) == _project_out_oracle(
+        summary, CALLER, s, a
+    )
+    assert [render_edges(a), render_edges(summary)] == before
+
+
+@given(graphs, graphs, statements)
+def test_equal_edges_by_any_path_are_equal_and_hash_equal(a, b, s):
+    union_edges = _meet_oracle(a, b)
+    built = [
+        meet(a, b),
+        meet(b, a),
+        meet_all([a, b, a]),
+        PointsToGraph(*union_edges),
+        PointsToGraph.of(sorted(union_edges[0], key=repr), list(union_edges[1])),
+        parse_edges(render_edges(meet(a, b))),
+    ]
+    for graph in built:
+        assert graph == built[0]
+        assert hash(graph) == hash(built[0])
+    after = transfer(s, a, M)
+    rebuilt = PointsToGraph(after.var_edges, after.field_edges)
+    assert after == rebuilt and hash(after) == hash(rebuilt)
+    # A strong update to an empty points-to set leaves no trace behind.
+    no_d = PointsToGraph(a.kill_var(var_id(M, "d")), a.field_edges)
+    emptied = transfer(_stmt(Copy("c", "d")), no_d, M)
+    expected = PointsToGraph(no_d.kill_var(var_id(M, "c")), a.field_edges)
+    assert emptied == expected and hash(emptied) == hash(expected)
+
+
+@given(graphs, st.sampled_from(FIELDS), st.sampled_from(OBJS))
+def test_null_source_rejected_wherever_edges_enter(a, f, t):
+    bad = (NULL_OBJECT, f, t)
+    with pytest.raises(ValueError):
+        PointsToGraph(a.var_edges, a.field_edges | {bad})
+    with pytest.raises(ValueError):
+        PointsToGraph.of(a.var_edges, [*a.field_edges, bad])
+    with pytest.raises(ValueError):
+        parse_edges([*render_edges(a), f"null .{f}-> m:1"])
+    text = "\n".join(f"  {line}" for line in [*render_edges(a), f"null .{f}-> m:1"])
+    data = f"ART/1\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
+    with pytest.raises(MalformedArtworkError):
+        decode(data, CTX)
