@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import MalformedArtworkError, UnknownReferenceError
-from .ir import ENTRY, EXIT, Alloc, Program, build_call_graph
+from .ir import ENTRY, EXIT, Alloc, Program, ProgramIndex
 from .ptg import (
     FieldEdge,
     NullObject,
@@ -47,7 +47,7 @@ from .ptg import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from .producer import AnalysisResult
+    from .equations import AnalysisResult
 
 MAGIC = "ART/1"
 NAIVE_MAGIC = "NAIVE/1"
@@ -257,10 +257,11 @@ class _References:
     """Checks the variables and objects an artifact mentions against a
     program, each distinct one once per artifact."""
 
-    def __init__(self, p: Program):
-        self.methods = {m.name: m for m in p.methods}
+    def __init__(self, index: ProgramIndex):
+        self.methods = index.methods
         self.alloc_labels = {
-            m.name: {s.label for s in m.body if isinstance(s.instr, Alloc)} for m in p.methods
+            name: {s.label for s in m.body if isinstance(s.instr, Alloc)}
+            for name, m in index.methods.items()
         }
         self.known: set[object] = set()
 
@@ -302,13 +303,13 @@ def decode(data: bytes, p: Program) -> Artwork:
     OUT-summary key must name a method on a call-graph cycle).
     """
     a = parse_artwork(data)
-    refs = _References(p)
+    index = ProgramIndex.of(p)
+    refs = _References(index)
     methods = refs.methods
-    cg = build_call_graph(p)
     for (name, label), g in a.i_loop.items():
         if name not in methods:
             raise UnknownReferenceError(f"[loop]: unknown method '{name}'")
-        if label not in {s.label for s in methods[name].body}:
+        if label not in index.stmts[name]:
             raise UnknownReferenceError(f"[loop]: no statement {name}:{label}")
         refs.check_graph(g, f"[loop] {name}:{label}")
     for name, g in a.i_in.items():
@@ -318,7 +319,7 @@ def decode(data: bytes, p: Program) -> Artwork:
     for name, g in a.i_out.items():
         if name not in methods:
             raise UnknownReferenceError(f"[out]: unknown method '{name}'")
-        if not cg.is_recursive_method(name):
+        if not index.call_graph.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
         refs.check_graph(g, f"[out] {name}")
     return a

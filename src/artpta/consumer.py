@@ -28,18 +28,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .artwork import Artwork
-from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program
-from .producer import AnalysisResult, PointKey, _ProgramContext
+from .equations import AnalysisResult, PointKey, eval_statement, in_value
+from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex
 from .ptg import (
     EMPTY,
     PointsToGraph,
     entry_graph,
     meet_all,
     project_in,
-    project_out,
     restrict_to_summary,
     subsumes,
-    transfer,
 )
 
 
@@ -112,12 +110,12 @@ class _Abort(Exception):
 class _Regenerator:
     def __init__(
         self,
-        ctx: _ProgramContext,
+        index: ProgramIndex,
         artwork: Artwork,
         keep_going: bool = False,
         entry_override: dict[str, PointsToGraph] | None = None,
     ):
-        self.ctx = ctx
+        self.index = index
         self.artwork = artwork
         self.keep_going = keep_going
         self.out: dict[PointKey, PointsToGraph] = {}
@@ -149,7 +147,7 @@ class _Regenerator:
     def _summary_for_target(self, caller: str, target: str) -> PointsToGraph:
         if target in self.regen_out_summary:
             return self.regen_out_summary[target]
-        if self.ctx.call_graph.is_recursive_edge(caller, target):
+        if self.index.call_graph.is_recursive_edge(caller, target):
             return self._effective_out(target)
         self.regen_method(target)
         return self.regen_out_summary[target]
@@ -159,24 +157,23 @@ class _Regenerator:
     ) -> None:
         assert isinstance(s.instr, Call)
         for t in s.instr.targets:
-            projected = project_in(in_g, m, s, self.ctx.methods[t])
+            projected = project_in(in_g, m, s, self.index.methods[t])
             claimed = self._resolved_in(t, default=projected)
-            v = check_in_safety(s, m, self.ctx.methods[t], projected, claimed)
+            v = check_in_safety(s, m, self.index.methods[t], projected, claimed)
             if v is not None:
                 self._fail(v)
 
     def _eval(self, name: str, s: LabeledStatement, in_g: PointsToGraph) -> PointsToGraph:
-        m = self.ctx.methods[name]
+        g = eval_statement(
+            s, in_g, self.index.methods[name], lambda t: self._summary_for_target(name, t)
+        )
+        # Counted once evaluated: a callee regeneration that aborts leaves
+        # this call-site unevaluated.
         self.applications += 1
-        if isinstance(s.instr, Call):
-            summary = meet_all(
-                self._summary_for_target(name, t) for t in s.instr.targets
-            )
-            return project_out(summary, m, s, in_g)
-        return transfer(s, in_g, m)
+        return g
 
     def _forward_in(self, name: str, label: int) -> PointsToGraph:
-        cfg = self.ctx.cfgs[name]
+        cfg = self.index.cfgs[name]
         preds = [
             p
             for p in cfg.pred[label]
@@ -185,8 +182,8 @@ class _Regenerator:
         return meet_all(self.out.get((name, p), EMPTY) for p in preds)
 
     def regen_method(self, name: str) -> None:
-        m = self.ctx.methods[name]
-        cfg = self.ctx.cfgs[name]
+        m = self.index.methods[name]
+        cfg = self.index.cfgs[name]
         self.analyzed.add(name)
         self.out[(name, ENTRY)] = self._resolved_in(name, EMPTY)
         for block in cfg.topo_order:
@@ -201,15 +198,15 @@ class _Regenerator:
                         seeded = in_fwd  # deleted-entry default
                     self.out[(name, s.label)] = seeded
                 else:
-                    in_g = self.ctx.in_value(self.out, name, s.label)
+                    in_g = in_value(self.index, self.out, name, s.label)
                     if isinstance(s.instr, Call):
                         self._check_call_site(m, s, in_g)
                     self.out[(name, s.label)] = self._eval(name, s, in_g)
-        self.out[(name, EXIT)] = self.ctx.in_value(self.out, name, EXIT)
+        self.out[(name, EXIT)] = in_value(self.index, self.out, name, EXIT)
         self.regen_out_summary[name] = restrict_to_summary(self.out[(name, EXIT)], m)
         for header in sorted(cfg.loop_headers):
-            stmt = self.ctx.stmts[name][header]
-            in_all = self.ctx.in_value(self.out, name, header)
+            stmt = self.index.stmts[name][header]
+            in_all = in_value(self.index, self.out, name, header)
             if isinstance(stmt.instr, Call):
                 # The main pass could only project the forward predecessors
                 # into the callee; re-check against the full meet now that the
@@ -220,7 +217,7 @@ class _Regenerator:
             v = check_intra_safety(stmt, m, recomputed, self.out[(name, header)])
             if v is not None:
                 self._fail(v)
-        if self.ctx.call_graph.is_recursive_method(name):
+        if self.index.call_graph.is_recursive_method(name):
             v = check_out_safety(m, self.regen_out_summary[name], self._effective_out(name))
             if v is not None:
                 self._fail(v)
@@ -229,7 +226,7 @@ class _Regenerator:
         # Sweep leftovers callers-first so that a method whose IN entry was
         # optimized away is encountered at a call-site (which pins its
         # default) before its own turn comes up.
-        sweep = list(reversed(self.ctx.call_graph.bottom_up_order()))
+        sweep = list(reversed(self.index.call_graph.bottom_up_order()))
         try:
             self.regen_method(start)
             for name in sweep:
@@ -249,7 +246,7 @@ class _Regenerator:
             )
         result = AnalysisResult(
             out=self.out,
-            in_summary={m.name: self.effective_in[m.name] for m in self.ctx.program.methods},
+            in_summary={m.name: self.effective_in[m.name] for m in self.index.program.methods},
             out_summary=self.regen_out_summary,
             iteration_count=self.applications,
         )
@@ -267,8 +264,7 @@ class _Regenerator:
 def regen_inter(p: Program, a: Artwork, keep_going: bool = False) -> RegenOutcome:
     """Regenerate the whole program starting at the entry method, then any
     method not yet reached, each exactly once."""
-    ctx = _ProgramContext(p)
-    return _Regenerator(ctx, a, keep_going=keep_going).run(p.entry)
+    return _Regenerator(ProgramIndex.of(p), a, keep_going=keep_going).run(p.entry)
 
 
 def regen_intra(m: Method, a: Artwork, keep_going: bool = False) -> RegenOutcome:
@@ -276,8 +272,8 @@ def regen_intra(m: Method, a: Artwork, keep_going: bool = False) -> RegenOutcome
     to its placeholder object, mirroring the intra-procedural producer."""
     if any(isinstance(s.instr, Call) for s in m.body):
         raise ValueError(f"method '{m.name}' contains calls; use regen_inter")
-    ctx = _ProgramContext(Program(methods=(m,), entry=m.name))
+    index = ProgramIndex.of(Program(methods=(m,), entry=m.name))
     regen = _Regenerator(
-        ctx, a, keep_going=keep_going, entry_override={m.name: entry_graph(m)}
+        index, a, keep_going=keep_going, entry_override={m.name: entry_graph(m)}
     )
     return regen.run(m.name)

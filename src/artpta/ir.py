@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     DuplicateNameError,
@@ -509,12 +509,6 @@ class ControlFlowGraph:
     #: labels of natural-loop headers (back-edge targets)
     loop_headers: frozenset[int]
 
-    def statement(self, label: int) -> LabeledStatement:
-        for s in self.method.body:
-            if s.label == label:
-                return s
-        raise KeyError(label)
-
     def loop_body(self, header: int) -> frozenset[int]:
         """Labels of all statements in the natural loop of ``header``
         (union over its back-edges), header included."""
@@ -693,8 +687,11 @@ class CallGraph:
     nodes: tuple[str, ...]
     #: (call-site, caller, callee) for every target of every call statement
     edges: tuple[tuple[CallSite, str, str], ...]
+    #: strongly connected components, callees first (Tarjan emission order)
     sccs: tuple[frozenset[str], ...]
     recursive_call_sites: frozenset[CallSite]
+    #: methods on a call-graph cycle (a multi-method SCC or a self-call)
+    recursive_methods: frozenset[str]
 
     def scc_of(self, name: str) -> frozenset[str]:
         for scc in self.sccs:
@@ -703,24 +700,11 @@ class CallGraph:
         raise KeyError(name)
 
     def is_recursive_method(self, name: str) -> bool:
-        return name in self._cyclic_members()
-
-    def _cyclic_members(self) -> frozenset[str]:
-        cyclic: set[str] = set()
-        edge_pairs = {(c, t) for _, c, t in self.edges}
-        for scc in self.sccs:
-            if len(scc) > 1 or any((n, n) in edge_pairs for n in scc):
-                cyclic |= scc
-        return frozenset(cyclic)
+        return name in self.recursive_methods
 
     def is_recursive_edge(self, caller: str, callee: str) -> bool:
         """True when the call edge lies on a call-graph cycle."""
-        scc = self.scc_of(caller)
-        if callee not in scc:
-            return False
-        if len(scc) > 1:
-            return True
-        return any(c == caller and t == callee for _, c, t in self.edges)
+        return callee in self.scc_of(caller) and caller in self.recursive_methods
 
     def callers_of(self, name: str) -> tuple[str, ...]:
         seen: list[str] = []
@@ -737,29 +721,9 @@ class CallGraph:
         return tuple(seen)
 
     def bottom_up_order(self) -> tuple[str, ...]:
-        """Methods ordered callees-first (SCC condensation order)."""
-        index = {n: i for i, scc in enumerate(self.sccs) for n in scc}
-        succs: dict[int, set[int]] = {i: set() for i in range(len(self.sccs))}
-        for _, caller, callee in self.edges:
-            if index[caller] != index[callee]:
-                succs[index[caller]].add(index[callee])
-        order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(i: int) -> None:
-            if i in seen:
-                return
-            seen.add(i)
-            for j in sorted(succs[i]):
-                visit(j)
-            order.append(i)
-
-        for i in range(len(self.sccs)):
-            visit(i)
-        out: list[str] = []
-        for i in order:
-            out.extend(sorted(self.sccs[i]))
-        return tuple(out)
+        """Methods ordered callees-first: the SCCs in emission order, each
+        SCC's members sorted."""
+        return tuple(n for scc in self.sccs for n in sorted(scc))
 
 
 def build_call_graph(p: Program) -> CallGraph:
@@ -820,27 +784,58 @@ def build_call_graph(p: Program) -> CallGraph:
         if name not in index_of:
             strongconnect(name)
 
-    scc_index = {n: i for i, scc in enumerate(sccs) for n in scc}
     edge_pairs = {(c, t) for _, c, t in edges}
-    cyclic = {
-        i
-        for i, scc in enumerate(sccs)
-        if len(scc) > 1 or any((n, n) in edge_pairs for n in scc)
-    }
+    cyclic = frozenset(
+        n
+        for scc in sccs
+        if len(scc) > 1 or any((c, c) in edge_pairs for c in scc)
+        for n in scc
+    )
+    scc_index = {n: i for i, scc in enumerate(sccs) for n in scc}
     recursive = frozenset(
         site
         for site, caller, callee in edges
-        if scc_index[caller] == scc_index[callee] and scc_index[caller] in cyclic
+        if scc_index[caller] == scc_index[callee] and caller in cyclic
     )
     return CallGraph(
         nodes=tuple(m.name for m in p.methods),
         edges=tuple(edges),
         sccs=tuple(sccs),
         recursive_call_sites=recursive,
+        recursive_methods=cyclic,
     )
 
 
-def iter_statements(p: Program) -> Iterator[tuple[Method, LabeledStatement]]:
-    for m in p.methods:
-        for s in m.body:
-            yield m, s
+class ProgramIndex:
+    """What every engine derives from a parsed program: methods, CFGs and
+    statements by name, and the call graph.
+
+    This is the one place CFGs and call graphs are built.  Engines ask
+    ``ProgramIndex.of``, which remembers the index of the last program it was
+    given (by identity), so the phases of one produce or one verify run share
+    a single index without keeping one alive for every program ever seen.
+    Sharing is sound because a ``Program`` is immutable and no engine writes
+    to an index.
+    """
+
+    #: (program, index) from the latest ``of`` call
+    _last: tuple = (None, None)
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.methods: dict[str, Method] = {m.name: m for m in program.methods}
+        self.cfgs: dict[str, ControlFlowGraph] = {
+            m.name: build_cfg(m) for m in program.methods
+        }
+        self.stmts: dict[str, dict[int, LabeledStatement]] = {
+            m.name: {s.label: s for s in m.body} for m in program.methods
+        }
+        self.call_graph: CallGraph = build_call_graph(program)
+
+    @classmethod
+    def of(cls, p: Program) -> "ProgramIndex":
+        last, index = cls._last
+        if last is not p:
+            index = cls(p)
+            cls._last = (p, index)
+        return index

@@ -4,72 +4,43 @@ analysis, an independent chaotic-iteration oracle, and artifact emission.
 ``analyze_inter`` runs a statement-level worklist (reverse post-order) inside
 a method-level worklist (call-graph SCCs bottom-up).  ``chaotic_oracle``
 computes the same least fixed point by plain round-robin sweeps and exists
-only to cross-check the worklist engine.  Both use the same flow equations:
-per-statement transfer functions, ``OUT[call] = project_out(meet of target
-summaries, call, IN[call])``, ``in_summary[M] = meet of project_in over all
-call-sites of M`` (empty for the entry method), and ``out_summary[M]`` the
-return/heap restriction of M's Exit value.
+only to cross-check the worklist engine.  Both evaluate the same flow
+equations from ``equations``: per-statement transfer functions,
+``OUT[call] = project_out(meet of target summaries, call, IN[call])``,
+``in_summary[M] = meet of project_in over all call-sites of M`` (empty for
+the entry method), and ``out_summary[M]`` the return/heap restriction of M's
+Exit value.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
-from .artwork import Artwork
+from .artwork import Artwork, encode
+from .equations import AnalysisResult, PointKey, eval_statement, in_value
 from .errors import ArtError
 from .ir import (
     ENTRY,
     EXIT,
     REF_INSTRS,
     Call,
-    CallGraph,
-    ControlFlowGraph,
     LabeledStatement,
     Method,
-    Node,
     Program,
-    build_call_graph,
-    build_cfg,
+    ProgramIndex,
 )
 from .ptg import (
     EMPTY,
     PointsToGraph,
     entry_graph,
     meet,
-    meet_all,
     project_in,
-    project_out,
     restrict_to_summary,
     subsumes,
     transfer,
 )
-
-PointKey = tuple[str, Node]
-
-
-@dataclass
-class AnalysisResult:
-    """Per-statement OUT graphs plus per-method IN/OUT summaries.
-
-    ``out`` is keyed by (method, label) with the synthetic points keyed by
-    (method, "entry") and (method, "exit").  ``iteration_count`` is the total
-    number of statement evaluations performed.
-    """
-
-    out: dict[PointKey, PointsToGraph]
-    in_summary: dict[str, PointsToGraph]
-    out_summary: dict[str, PointsToGraph]
-    iteration_count: int = 0
-
-    def same_values(self, other: "AnalysisResult") -> bool:
-        """Value equality of the three maps (iteration counts may differ)."""
-        return (
-            self.out == other.out
-            and self.in_summary == other.in_summary
-            and self.out_summary == other.out_summary
-        )
 
 
 @dataclass
@@ -77,29 +48,8 @@ class _Counter:
     n: int = 0
 
 
-class _ProgramContext:
-    """Parsed-program derivatives shared by the engines."""
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.methods: dict[str, Method] = {m.name: m for m in program.methods}
-        self.cfgs: dict[str, ControlFlowGraph] = {
-            m.name: build_cfg(m) for m in program.methods
-        }
-        self.stmts: dict[str, dict[int, LabeledStatement]] = {
-            m.name: {s.label: s for s in m.body} for m in program.methods
-        }
-        self.call_graph: CallGraph = build_call_graph(program)
-
-    def in_value(
-        self, out: Mapping[PointKey, PointsToGraph], name: str, node: Node
-    ) -> PointsToGraph:
-        preds = self.cfgs[name].pred.get(node, ())
-        return meet_all(out.get((name, p), EMPTY) for p in preds)
-
-
 def _method_pass(
-    ctx: _ProgramContext,
+    index: ProgramIndex,
     name: str,
     entry_out: PointsToGraph,
     eval_stmt: Callable[[LabeledStatement, PointsToGraph], PointsToGraph],
@@ -108,8 +58,8 @@ def _method_pass(
 ) -> None:
     """Run one method's statements to a local fixed point (worklist in
     reverse post-order), then refresh its Exit value."""
-    cfg = ctx.cfgs[name]
-    stmts = ctx.stmts[name]
+    cfg = index.cfgs[name]
+    stmts = index.stmts[name]
     out[(name, ENTRY)] = entry_out
     order = [s.label for b in cfg.topo_order for s in b.statements]
     rank = {label: i for i, label in enumerate(order)}
@@ -121,7 +71,7 @@ def _method_pass(
         if label not in queued:
             continue
         queued.discard(label)
-        in_g = ctx.in_value(out, name, label)
+        in_g = in_value(index, out, name, label)
         counter.n += 1
         new = eval_stmt(stmts[label], in_g)
         if new != out.get((name, label)):
@@ -130,7 +80,7 @@ def _method_pass(
                 if v != EXIT and v not in queued:
                     queued.add(v)
                     heapq.heappush(heap, rank[v])
-    out[(name, EXIT)] = ctx.in_value(out, name, EXIT)
+    out[(name, EXIT)] = in_value(index, out, name, EXIT)
 
 
 def analyze_intra(m: Method) -> AnalysisResult:
@@ -140,11 +90,11 @@ def analyze_intra(m: Method) -> AnalysisResult:
     """
     if any(isinstance(s.instr, Call) for s in m.body):
         raise ValueError(f"method '{m.name}' contains calls; use analyze_inter")
-    ctx = _ProgramContext(Program(methods=(m,), entry=m.name))
+    index = ProgramIndex.of(Program(methods=(m,), entry=m.name))
     counter = _Counter()
     out: dict[PointKey, PointsToGraph] = {}
     seed = entry_graph(m)
-    _method_pass(ctx, m.name, seed, lambda s, g: transfer(s, g, m), out, counter)
+    _method_pass(index, m.name, seed, lambda s, g: transfer(s, g, m), out, counter)
     return AnalysisResult(
         out=out,
         in_summary={m.name: seed},
@@ -164,18 +114,18 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
     least fixed point above those seeds; it exists for conservative artifact
     mutation and is not part of the analysis proper.
     """
-    ctx = _ProgramContext(program)
+    index = ProgramIndex.of(program)
     inj = _inject or {}
     inj_loop: dict[tuple[str, int], PointsToGraph] = dict(inj.get("loop", {}))
     inj_in: dict[str, PointsToGraph] = dict(inj.get("in", {}))
     inj_out: dict[str, PointsToGraph] = dict(inj.get("out", {}))
 
-    in_summary = {n: inj_in.get(n, EMPTY) for n in ctx.methods}
-    out_summary = {n: inj_out.get(n, EMPTY) for n in ctx.methods}
+    in_summary = {n: inj_in.get(n, EMPTY) for n in index.methods}
+    out_summary = {n: inj_out.get(n, EMPTY) for n in index.methods}
     out: dict[PointKey, PointsToGraph] = {}
     counter = _Counter()
 
-    order = ctx.call_graph.bottom_up_order()
+    order = index.call_graph.bottom_up_order()
     rank = {n: i for i, n in enumerate(order)}
     heap: list[int] = list(range(len(order)))
     heapq.heapify(heap)
@@ -191,31 +141,27 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
         if name not in queued:
             continue
         queued.discard(name)
-        m = ctx.methods[name]
+        m = index.methods[name]
 
         def eval_stmt(s: LabeledStatement, in_g: PointsToGraph) -> PointsToGraph:
-            if isinstance(s.instr, Call):
-                summary = meet_all(out_summary[t] for t in s.instr.targets)
-                g = project_out(summary, m, s, in_g)
-            else:
-                g = transfer(s, in_g, m)
+            g = eval_statement(s, in_g, m, out_summary.__getitem__)
             extra = inj_loop.get((name, s.label))
             return meet(g, extra) if extra is not None else g
 
-        _method_pass(ctx, name, in_summary[name], eval_stmt, out, counter)
+        _method_pass(index, name, in_summary[name], eval_stmt, out, counter)
 
         new_sum = restrict_to_summary(out[(name, EXIT)], m)
         if not subsumes(out_summary[name], new_sum):
             out_summary[name] = meet(out_summary[name], new_sum)
-            for caller in ctx.call_graph.callers_of(name):
+            for caller in index.call_graph.callers_of(name):
                 push(caller)
 
         for s in m.body:
             if not isinstance(s.instr, Call):
                 continue
-            in_g = ctx.in_value(out, name, s.label)
+            in_g = in_value(index, out, name, s.label)
             for t in s.instr.targets:
-                contrib = project_in(in_g, m, s, ctx.methods[t])
+                contrib = project_in(in_g, m, s, index.methods[t])
                 if not subsumes(in_summary[t], contrib):
                     in_summary[t] = meet(in_summary[t], contrib)
                     push(t)
@@ -232,15 +178,15 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
     """Independent oracle: evaluate every flow equation of every method
     round-robin until a full sweep changes nothing.  No worklist, no
     ordering cleverness; must agree exactly with ``analyze_inter``."""
-    ctx = _ProgramContext(program)
+    index = ProgramIndex.of(program)
     out: dict[PointKey, PointsToGraph] = {}
     for m in program.methods:
         out[(m.name, ENTRY)] = EMPTY
         out[(m.name, EXIT)] = EMPTY
         for s in m.body:
             out[(m.name, s.label)] = EMPTY
-    in_summary = {n: EMPTY for n in ctx.methods}
-    out_summary = {n: EMPTY for n in ctx.methods}
+    in_summary = {n: EMPTY for n in index.methods}
+    out_summary = {n: EMPTY for n in index.methods}
     counter = _Counter()
 
     changed = True
@@ -252,17 +198,13 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
                 out[(name, ENTRY)] = in_summary[name]
                 changed = True
             for s in m.body:
-                in_g = ctx.in_value(out, name, s.label)
+                in_g = in_value(index, out, name, s.label)
                 counter.n += 1
-                if isinstance(s.instr, Call):
-                    summary = meet_all(out_summary[t] for t in s.instr.targets)
-                    new = project_out(summary, m, s, in_g)
-                else:
-                    new = transfer(s, in_g, m)
+                new = eval_statement(s, in_g, m, out_summary.__getitem__)
                 if new != out[(name, s.label)]:
                     out[(name, s.label)] = new
                     changed = True
-            exit_g = ctx.in_value(out, name, EXIT)
+            exit_g = in_value(index, out, name, EXIT)
             if out[(name, EXIT)] != exit_g:
                 out[(name, EXIT)] = exit_g
                 changed = True
@@ -270,16 +212,16 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
             if out_summary[name] != new_sum:
                 out_summary[name] = new_sum
                 changed = True
-        new_in = {n: EMPTY for n in ctx.methods}
+        new_in = {n: EMPTY for n in index.methods}
         for m in program.methods:
             for s in m.body:
                 if not isinstance(s.instr, Call):
                     continue
-                in_g = ctx.in_value(out, m.name, s.label)
+                in_g = in_value(index, out, m.name, s.label)
                 for t in s.instr.targets:
-                    contrib = project_in(in_g, m, s, ctx.methods[t])
+                    contrib = project_in(in_g, m, s, index.methods[t])
                     new_in[t] = meet(new_in[t], contrib)
-        for name in ctx.methods:
+        for name in index.methods:
             if in_summary[name] != new_in[name]:
                 in_summary[name] = new_in[name]
                 changed = True
@@ -302,34 +244,33 @@ def validate_result(
     the meet of their call-site projections (a conservative fixed point);
     everything else must hold exactly.
     """
-    ctx = _ProgramContext(program)
+    index = ProgramIndex.of(program)
     problems: list[str] = []
-    joined_in = {n: EMPTY for n in ctx.methods}
+    joined_in = {n: EMPTY for n in index.methods}
+
+    def summary_of(t: str) -> PointsToGraph:
+        return result.out_summary.get(t, EMPTY)
+
     for m in program.methods:
         name = m.name
         if result.out.get((name, ENTRY)) != result.in_summary.get(name):
             problems.append(f"{name}: entry value differs from IN summary")
         for s in m.body:
-            in_g = ctx.in_value(result.out, name, s.label)
+            in_g = in_value(index, result.out, name, s.label)
             if isinstance(s.instr, Call):
-                summary = meet_all(
-                    result.out_summary.get(t, EMPTY) for t in s.instr.targets
-                )
-                expect = project_out(summary, m, s, in_g)
                 for t in s.instr.targets:
                     joined_in[t] = meet(
-                        joined_in[t], project_in(in_g, m, s, ctx.methods[t])
+                        joined_in[t], project_in(in_g, m, s, index.methods[t])
                     )
-            else:
-                expect = transfer(s, in_g, m)
+            expect = eval_statement(s, in_g, m, summary_of)
             if result.out.get((name, s.label)) != expect:
                 problems.append(f"{name}:{s.label}: OUT does not satisfy its equation")
-        exit_g = ctx.in_value(result.out, name, EXIT)
+        exit_g = in_value(index, result.out, name, EXIT)
         if result.out.get((name, EXIT)) != exit_g:
             problems.append(f"{name}: exit value differs from meet of predecessors")
         if result.out_summary.get(name) != restrict_to_summary(exit_g, m):
             problems.append(f"{name}: OUT summary differs from restricted exit value")
-    for name in ctx.methods:
+    for name in index.methods:
         have = result.in_summary.get(name, EMPTY)
         if exact_in:
             if have != joined_in[name]:
@@ -351,17 +292,17 @@ def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     problems = validate_result(program, result, exact_in=False)
     if problems:
         raise ArtError("result does not satisfy the flow equations: " + problems[0])
-    ctx = _ProgramContext(program)
+    index = ProgramIndex.of(program)
     i_loop = {
         (m.name, h): result.out[(m.name, h)]
         for m in program.methods
-        for h in sorted(ctx.cfgs[m.name].loop_headers)
+        for h in sorted(index.cfgs[m.name].loop_headers)
     }
     i_in = {m.name: result.in_summary[m.name] for m in program.methods}
     i_out = {
         m.name: result.out_summary[m.name]
         for m in program.methods
-        if ctx.call_graph.is_recursive_method(m.name)
+        if index.call_graph.is_recursive_method(m.name)
     }
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
 
@@ -372,21 +313,18 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     call-site projections are all identical (or absent), OUT entries equal to
     the IN entry, then share duplicated graphs through an indexed pool when
     that makes the encoding smaller."""
-    from .artwork import encode  # local import to keep module layering simple
-
-    ctx = _ProgramContext(program)
+    index = ProgramIndex.of(program)
     result: AnalysisResult | None = None  # computed on first need
 
     i_loop = dict(a.i_loop)
     for (name, header) in list(i_loop):
-        cfg = ctx.cfgs[name]
-        body = cfg.loop_body(header)
-        if not any(isinstance(ctx.stmts[name][l].instr, REF_INSTRS) for l in body):
+        body = index.cfgs[name].loop_body(header)
+        if not any(isinstance(index.stmts[name][l].instr, REF_INSTRS) for l in body):
             del i_loop[(name, header)]
 
     i_in = dict(a.i_in)
     for name in list(i_in):
-        sites = ctx.call_graph.call_sites_of(name)
+        sites = index.call_graph.call_sites_of(name)
         if not sites:
             if i_in[name].is_empty():
                 del i_in[name]
@@ -397,8 +335,8 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
         # (checked against forward predecessors only), and at least one must
         # lie outside the method's own SCC (a purely self-feeding IN summary
         # cannot be bootstrapped without the stored value).
-        scc = ctx.call_graph.scc_of(name)
-        if any(label in ctx.cfgs[caller].loop_headers for caller, label in sites):
+        scc = index.call_graph.scc_of(name)
+        if any(label in index.cfgs[caller].loop_headers for caller, label in sites):
             continue
         if not any(caller not in scc for caller, _ in sites):
             continue
@@ -406,9 +344,11 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             result = analyze_inter(program)
         projections = []
         for caller, label in sites:
-            in_g = ctx.in_value(result.out, caller, label)
+            in_g = in_value(index, result.out, caller, label)
             projections.append(
-                project_in(in_g, ctx.methods[caller], ctx.stmts[caller][label], ctx.methods[name])
+                project_in(
+                    in_g, index.methods[caller], index.stmts[caller][label], index.methods[name]
+                )
             )
         if all(p == projections[0] for p in projections) and projections[0] == i_in[name]:
             del i_in[name]

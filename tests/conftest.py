@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from artpta import (
@@ -53,3 +56,28 @@ def small_corpus():
     runs the full 50-program one)."""
     files = generate_corpus(CorpusConfig(program_count=10, seed=ACCEPTANCE_SEED))
     return [(name, parse_program(text)) for name, text in files]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, *names)`` wraps every binding of each named
+    function of ``module`` in every loaded ``artpta`` module and returns the
+    live per-name call counts."""
+
+    def install(module, *names):
+        counts: Counter = Counter()
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name == "artpta" or mod_name.startswith("artpta."):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, counted)
+        return counts
+
+    return install

@@ -40,7 +40,7 @@ from artpta import (
     transfer,
 )
 from artpta.ir import REF_INSTRS, LabeledStatement, Alloc, AssignNull, Copy, FieldLoad, FieldStore, Nop, Return
-from artpta.producer import _ProgramContext
+from artpta.ir import ProgramIndex
 from artpta.ptg import var_id
 
 SEED = 2024
@@ -210,7 +210,7 @@ def test_criterion_7_sizes(corpus):
         if opt_bytes > art_bytes:
             ok, detail = False, f"{name}: optimization grew the artwork"
             break
-        ctx = _ProgramContext(p)
+        ctx = ProgramIndex(p)
         has_arith_loop = any(
             not any(isinstance(ctx.stmts[m.name][l].instr, REF_INSTRS) for l in cfg.loop_body(h))
             for m in p.methods

@@ -400,3 +400,20 @@ method island() {
     out = regen_inter(p, emit_artwork(p, r))
     assert out.safe and out.result.same_values(r)
     assert out.result.in_summary["island"] == EMPTY
+
+
+def test_aborted_regen_counts_only_finished_evaluations(rec_pipeline, count_calls):
+    # Drop one edge of foo's stored OUT summary: the check fails inside foo,
+    # which main's call-site is still waiting on, so that call-site's own
+    # evaluation never finishes and must not be counted.
+    from artpta import ptg
+
+    p, _, a = rec_pipeline
+    edge = next(iter(a.i_out["foo"].field_edges))
+    tampered = replace(a, i_out={"foo": _drop_field_edge(a.i_out["foo"], edge)})
+    calls = count_calls(ptg, "transfer", "project_out")
+    out = regen_inter(p, tampered)
+    assert not out.safe
+    assert (out.violation.kind, out.violation.method) == ("OutSummary", "foo")
+    assert calls["project_out"] > 0
+    assert out.transfer_applications == calls["transfer"] + calls["project_out"]

@@ -272,3 +272,14 @@ def test_print_preserves_method_order():
     text = "method main() {\n  1: call [zeta]()\n}\nmethod zeta() {\n  1: nop\n}\n"
     p = parse_program(text)
     assert print_program(p).index("main") < print_program(p).index("zeta")
+
+
+def test_bottom_up_order_puts_callees_first(small_corpus):
+    for name, program in small_corpus:
+        cg = build_call_graph(program)
+        order = cg.bottom_up_order()
+        assert sorted(order) == sorted(program.method_names), name
+        pos = {n: i for i, n in enumerate(order)}
+        for _, caller, callee in cg.edges:
+            if callee not in cg.scc_of(caller):
+                assert pos[callee] < pos[caller], (name, caller, callee)
