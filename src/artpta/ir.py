@@ -18,6 +18,18 @@ tokens is insignificant)::
               | "goto" INT                                        # Goto
               | "nop"
 
+Parsing is two passes.  The scanner splits the text with ``str.splitlines``,
+drops each line's ``#`` comment and runs one compiled regular expression over
+the rest: a match is either a token (a name, an integer or a punctuation
+mark) or, through a catch-all alternative, a character no token starts with,
+which is reported with its line and column.  Tokens are kept as plain
+strings in a list, with a parallel list of their line numbers.  The
+recursive-descent parser then indexes those lists directly and reads a
+token's kind off its first character.  Only the end-of-line check after each
+statement looks at line numbers, so a statement may span lines.  Columns
+appear only in error messages, so the parser finds a token's column by
+scanning its line again when it reports an error there.
+
 Branch conditions are nondeterministic: ``if goto L`` has both the fall
 through statement and ``L`` as successors.  Call statements carry an explicit
 resolved target list, standing in for devirtualization.  The entry method is
@@ -31,9 +43,11 @@ back-edges are rejected as irreducible.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Union
 
 from .errors import (
@@ -252,185 +266,175 @@ def validate_program(p: Program) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lexer / parser
+# Scanner / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(){}\[\],:.=]")
+#: One token (the group: a name, an integer or a punctuation mark) or, where
+#: no token starts, the offending character (the catch-all, which leaves the
+#: group empty).  Matching skips the whitespace between tokens.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(){}\[\],:.=])|\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+#: Stands for the token past the last one: it equals no expected text and
+#: starts no name or integer, so lookahead needs no bounds check.
+_END = " "
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "int" | "punct"
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            tok = m.group(0)
-            if tok[0].isdigit():
-                kind = "int"
-            elif tok[0].isalpha() or tok[0] == "_":
-                kind = "name"
-            else:
-                kind = "punct"
-            tokens.append(_Token(kind, tok, lineno, pos + 1))
-            pos = m.end()
-    return tokens
+def _scan(text: str) -> tuple[list[str], list[int], list[str]]:
+    """The tokens of ``text``, the 1-based line of each, and the text of
+    every line with its comment cut off (columns are recomputed from it when
+    an error needs one)."""
+    toks: list[str] = []
+    lines: list[int] = []
+    texts: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        texts.append(line)
+        found = _TOKEN_RE.findall(line)
+        if "" in found:
+            bad = next(m for m in _TOKEN_RE.finditer(line) if m[1] is None)
+            raise ParseError(f"unexpected character {bad[0]!r}", lineno, bad.start() + 1)
+        toks += found
+        lines += repeat(lineno, len(found))
+    return toks, lines, texts
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    """Recursive descent over the scanned token arrays.  Each rule takes the
+    index of its first token and returns what it parsed with the index after
+    it; a token's kind is read off its first character."""
 
-    def _err(self, message: str) -> ParseError:
-        if self.i < len(self.tokens):
-            t = self.tokens[self.i]
-            return ParseError(f"{message}, found {t.text!r}", t.line, t.col)
-        last = self.tokens[-1] if self.tokens else None
-        return ParseError(
-            f"{message}, found end of input",
-            last.line if last else 0,
-            last.col if last else 0,
-        )
+    def __init__(self, toks: list[str], lines: list[int], texts: list[str]):
+        self.n = len(toks)
+        self.toks = toks + [_END]
+        self.lines = lines + [0]
+        self.texts = texts
 
-    def peek(self, offset: int = 0) -> _Token | None:
-        j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else None
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and column of token ``i``: the column is found by scanning
+        the token's line again."""
+        line = self.lines[i]
+        nth = i - bisect.bisect_left(self.lines, line, 0, self.n)
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.texts[line - 1])]
+        return line, starts[nth] + 1
 
-    def at(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.text == text
+    def error(self, message: str, i: int) -> ParseError:
+        if i < self.n:
+            return ParseError(f"{message}, found {self.toks[i]!r}", *self.position(i))
+        if not self.n:
+            return ParseError(f"{message}, found end of input", 0, 0)
+        return ParseError(f"{message}, found end of input", *self.position(self.n - 1))
 
-    def expect(self, text: str) -> _Token:
-        if not self.at(text):
-            raise self._err(f"expected {text!r}")
-        t = self.tokens[self.i]
-        self.i += 1
+    def expect(self, text: str, i: int) -> int:
+        if self.toks[i] != text:
+            raise self.error(f"expected {text!r}", i)
+        return i + 1
+
+    def name(self, i: int) -> str:
+        t = self.toks[i]
+        if t[0] not in _NAME_START or t in KEYWORDS:
+            raise self.error("expected identifier", i)
         return t
 
-    def ident(self) -> str:
-        t = self.peek()
-        if t is None or t.kind != "name" or t.text in KEYWORDS:
-            raise self._err("expected identifier")
-        self.i += 1
-        return t.text
+    def integer(self, i: int) -> int:
+        t = self.toks[i]
+        if t[0] not in _DIGITS:
+            raise self.error("expected integer", i)
+        return int(t)
 
-    def integer(self) -> int:
-        t = self.peek()
-        if t is None or t.kind != "int":
-            raise self._err("expected integer")
-        self.i += 1
-        return int(t.text)
+    def names(self, i: int) -> tuple[tuple[str, ...], int]:
+        """``NAME ("," NAME)*``"""
+        toks = self.toks
+        found = [self.name(i)]
+        i += 1
+        while toks[i] == ",":
+            found.append(self.name(i + 1))
+            i += 2
+        return tuple(found), i
 
-    def parse_program(self) -> Program:
+    def program(self) -> Program:
         methods = []
-        while self.peek() is not None:
-            methods.append(self.parse_method())
+        i = 0
+        while i < self.n:
+            m, i = self.method(i)
+            methods.append(m)
         if not methods:
             raise ParseError("expected at least one method")
         return Program(methods=tuple(methods), entry="main")
 
-    def parse_method(self) -> Method:
-        self.expect("method")
-        name = self.ident()
-        self.expect("(")
-        params: list[str] = []
-        if not self.at(")"):
-            params.append(self.ident())
-            while self.at(","):
-                self.expect(",")
-                params.append(self.ident())
-        self.expect(")")
-        self.expect("{")
+    def method(self, i: int) -> tuple[Method, int]:
+        toks = self.toks
+        lines = self.lines
+        i = self.expect("method", i)
+        name = self.name(i)
+        i = self.expect("(", i + 1)
+        params: tuple[str, ...] = ()
+        if toks[i] != ")":
+            params, i = self.names(i)
+        i = self.expect("{", self.expect(")", i))
         body: list[LabeledStatement] = []
-        while not self.at("}"):
-            body.append(self.parse_statement())
-        self.expect("}")
-        slots = _build_slots(name, tuple(params), tuple(body))
-        return Method(name=name, params=tuple(params), body=tuple(body), slot_of=slots)
+        while toks[i] != "}":
+            # stmt := INT ":" instr, and the next statement starts a new line
+            if toks[i][0] not in _DIGITS:
+                raise self.error("expected statement label", i)
+            if toks[i + 1] != ":":
+                raise self.error("expected ':'", i + 1)
+            label = int(toks[i])
+            line = lines[i]
+            instr, i = self.instr(i + 2)
+            if toks[i] != "}" and lines[i] == line:
+                raise ParseError("expected end of line after statement", *self.position(i))
+            body.append(LabeledStatement(label, instr))
+        body_t = tuple(body)
+        slots = _build_slots(name, params, body_t)
+        return Method(name=name, params=params, body=body_t, slot_of=slots), i + 1
 
-    def parse_statement(self) -> LabeledStatement:
-        first = self.peek()
-        if first is None or first.kind != "int":
-            raise self._err("expected statement label")
-        label = self.integer()
-        self.expect(":")
-        instr = self.parse_instr()
-        nxt = self.peek()
-        if nxt is not None and nxt.text != "}" and nxt.line == first.line:
-            raise ParseError("expected end of line after statement", nxt.line, nxt.col)
-        return LabeledStatement(label=label, instr=instr)
+    def instr(self, i: int) -> tuple[Instr, int]:
+        toks = self.toks
+        t = toks[i]
+        if t == "nop":
+            return Nop(), i + 1
+        if t == "goto":
+            return Goto(self.integer(i + 1)), i + 2
+        if t == "if":
+            i = self.expect("goto", i + 1)
+            return Branch(self.integer(i)), i + 1
+        if t == "return":
+            x = toks[i + 1]
+            if x[0] in _NAME_START and x not in KEYWORDS:
+                return Return(x), i + 2
+            return Return(None), i + 1
+        if t == "call":
+            return self.call(None, i)
+        x = self.name(i)
+        if toks[i + 1] == ".":
+            f = self.name(i + 2)
+            i = self.expect("=", i + 3)
+            return FieldStore(x, f, self.name(i)), i + 1
+        i = self.expect("=", i + 1)
+        t = toks[i]
+        if t == "new":
+            return Alloc(x, self.name(i + 1)), i + 2
+        if t == "null":
+            return AssignNull(x), i + 1
+        if t == "call":
+            return self.call(x, i)
+        y = self.name(i)
+        if toks[i + 1] == ".":
+            return FieldLoad(x, y, self.name(i + 2)), i + 3
+        return Copy(x, y), i + 1
 
-    def parse_instr(self) -> Instr:
-        if self.at("nop"):
-            self.expect("nop")
-            return Nop()
-        if self.at("goto"):
-            self.expect("goto")
-            return Goto(self.integer())
-        if self.at("if"):
-            self.expect("if")
-            self.expect("goto")
-            return Branch(self.integer())
-        if self.at("return"):
-            self.expect("return")
-            t = self.peek()
-            if t is not None and t.kind == "name" and t.text not in KEYWORDS:
-                return Return(self.ident())
-            return Return(None)
-        if self.at("call"):
-            return self.parse_call(bind=None)
-        x = self.ident()
-        if self.at("."):
-            self.expect(".")
-            f = self.ident()
-            self.expect("=")
-            return FieldStore(x, f, self.ident())
-        self.expect("=")
-        if self.at("new"):
-            self.expect("new")
-            return Alloc(x, self.ident())
-        if self.at("null"):
-            self.expect("null")
-            return AssignNull(x)
-        if self.at("call"):
-            return self.parse_call(bind=x)
-        y = self.ident()
-        if self.at("."):
-            self.expect(".")
-            return FieldLoad(x, y, self.ident())
-        return Copy(x, y)
-
-    def parse_call(self, bind: str | None) -> Call:
-        self.expect("call")
-        self.expect("[")
-        targets = [self.ident()]
-        while self.at(","):
-            self.expect(",")
-            targets.append(self.ident())
-        self.expect("]")
-        self.expect("(")
-        args: list[str] = []
-        if not self.at(")"):
-            args.append(self.ident())
-            while self.at(","):
-                self.expect(",")
-                args.append(self.ident())
-        self.expect(")")
-        return Call(bind=bind, targets=tuple(targets), args=tuple(args))
+    def call(self, bind: str | None, i: int) -> tuple[Call, int]:
+        """``"call" "[" NAME ("," NAME)* "]" "(" [NAME ("," NAME)*] ")"``, from
+        the ``call`` keyword on."""
+        targets, i = self.names(self.expect("[", i + 1))
+        i = self.expect("(", self.expect("]", i))
+        args: tuple[str, ...] = ()
+        if self.toks[i] != ")":
+            args, i = self.names(i)
+        return Call(bind=bind, targets=targets, args=args), self.expect(")", i)
 
 
 def parse_program(text: str) -> Program:
@@ -439,7 +443,7 @@ def parse_program(text: str) -> Program:
     Deterministic: identical text yields a structurally identical Program.
     Raises ParseError, ResolutionError, or DuplicateNameError.
     """
-    program = _Parser(_lex(text)).parse_program()
+    program = _Parser(*_scan(text)).program()
     validate_program(program)
     return program
 
@@ -692,33 +696,38 @@ class CallGraph:
     recursive_call_sites: frozenset[CallSite]
     #: methods on a call-graph cycle (a multi-method SCC or a self-call)
     recursive_methods: frozenset[str]
+    # Lookups derived from ``edges`` and ``sccs`` once, when the graph is
+    # built: method -> its SCC, callee -> callers, callee -> call-sites (each
+    # in first-edge order).
+    _scc: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _callers: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _sites: dict[str, tuple[CallSite, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        callers: dict[str, dict[str, None]] = {}
+        sites: dict[str, dict[CallSite, None]] = {}
+        for site, caller, callee in self.edges:
+            callers.setdefault(callee, {})[caller] = None
+            sites.setdefault(callee, {})[site] = None
+        object.__setattr__(self, "_scc", {n: scc for scc in self.sccs for n in scc})
+        object.__setattr__(self, "_callers", {n: tuple(cs) for n, cs in callers.items()})
+        object.__setattr__(self, "_sites", {n: tuple(ss) for n, ss in sites.items()})
 
     def scc_of(self, name: str) -> frozenset[str]:
-        for scc in self.sccs:
-            if name in scc:
-                return scc
-        raise KeyError(name)
+        return self._scc[name]
 
     def is_recursive_method(self, name: str) -> bool:
         return name in self.recursive_methods
 
     def is_recursive_edge(self, caller: str, callee: str) -> bool:
         """True when the call edge lies on a call-graph cycle."""
-        return callee in self.scc_of(caller) and caller in self.recursive_methods
+        return callee in self._scc[caller] and caller in self.recursive_methods
 
     def callers_of(self, name: str) -> tuple[str, ...]:
-        seen: list[str] = []
-        for _, caller, callee in self.edges:
-            if callee == name and caller not in seen:
-                seen.append(caller)
-        return tuple(seen)
+        return self._callers.get(name, ())
 
     def call_sites_of(self, name: str) -> tuple[CallSite, ...]:
-        seen: list[CallSite] = []
-        for site, _, callee in self.edges:
-            if callee == name and site not in seen:
-                seen.append(site)
-        return tuple(seen)
+        return self._sites.get(name, ())
 
     def bottom_up_order(self) -> tuple[str, ...]:
         """Methods ordered callees-first: the SCCs in emission order, each

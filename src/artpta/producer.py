@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from .artwork import Artwork, encode
+from .artwork import Artwork
 from .equations import AnalysisResult, PointKey, eval_statement, in_value
 from .errors import ArtError
 from .ir import (
@@ -37,6 +37,7 @@ from .ptg import (
     entry_graph,
     meet,
     project_in,
+    render_edges,
     restrict_to_summary,
     subsumes,
     transfer,
@@ -358,21 +359,27 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
         if i_out[name] == a.i_in.get(name):
             del i_out[name]
 
-    plain = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
-
     ordered: list[PointsToGraph] = [g for _, g in sorted(i_loop.items())]
     ordered += [g for _, g in sorted(i_in.items())]
     ordered += [g for _, g in sorted(i_out.items())]
-    counts: list[tuple[PointsToGraph, int]] = []
+    counts: dict[PointsToGraph, int] = {}  # first-seen order
     for g in ordered:
-        for i, (seen, n) in enumerate(counts):
-            if seen == g:
-                counts[i] = (seen, n + 1)
-                break
-        else:
-            counts.append((g, 1))
-    pool = tuple(g for g, n in counts if n >= 2 and not g.is_empty())
-    if not pool:
-        return plain
-    pooled = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
-    return pooled if len(encode(pooled)) < len(encode(plain)) else plain
+        counts[g] = counts.get(g, 0) + 1
+    pool = tuple(g for g, n in counts.items() if n >= 2 and not g.is_empty())
+    if pool and _pool_saving(pool, counts) > 0:
+        return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
+
+
+def _pool_saving(pool: tuple[PointsToGraph, ...], uses: dict[PointsToGraph, int]) -> int:
+    """Bytes the ``encode`` of an artifact loses by writing each graph of
+    ``pool`` once, as ``gK:`` plus its edge lines under a ``[pool]`` header,
+    and each of its ``uses[g]`` entries as ``= gK`` instead of as a
+    ``= {`` ... ``}`` block of the same edge lines."""
+    saving = -len("[pool]\n")
+    for k, g in enumerate(pool):
+        edge_bytes = len("".join(f"  {e}\n" for e in render_edges(g)).encode("utf-8"))
+        ref = len(f"g{k}")
+        inline = len("{") + edge_bytes + len("}\n")
+        saving += uses[g] * (inline - ref) - (ref + len(":\n") + edge_bytes)
+    return saving

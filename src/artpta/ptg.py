@@ -24,6 +24,17 @@ Because the heap is keyed by source object, the one structural rule -- no
 field edge leaves the null object -- is a single key test, checked on every
 construction.
 
+Variables and objects are small values that hash and compare in C:
+``VarId``, ``Site`` and ``Placeholder`` are named tuples whose last field is
+a constant kind tag, so ``VarId("m", 1)``, ``Site("m", 1)`` and
+``Placeholder("m", 1)`` differ while each keeps its ``method`` /
+``slot`` / ``label`` / ``index`` attributes; the tag is never rendered.
+``NULL_OBJECT`` is the one ``NullObject`` and hashes by identity.  Equal
+identifiers built anywhere (parsed, by a transfer function, by ``tamper``)
+are equal values, so there is no intern table: a process-wide table would
+let untrusted artifacts grow memory without bound, and the tuples are
+already cheap to hash.
+
 Canonical text rendering (also the artifact file's edge syntax)::
 
     main/0 -> main:4          # variable (method/slot) -> object
@@ -36,8 +47,7 @@ by the intra-procedural entry convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, TypeVar, Union
+from typing import Iterable, NamedTuple, TypeVar, Union
 
 from .errors import ArityMismatchError
 from .ir import (
@@ -53,34 +63,57 @@ from .ir import (
 )
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(NamedTuple):
+    """Stack slot ``slot`` of ``method`` (the parameters, then the locals,
+    then the return carrier)."""
+
     method: str
     slot: int
+    kind: str = "var"  # constant tag: never pass it
+
+    def __repr__(self) -> str:
+        return f"VarId(method={self.method!r}, slot={self.slot!r})"
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
+    """The abstract object allocated at ``method:label``."""
+
     method: str
     label: int
+    kind: str = "site"  # constant tag: never pass it
+
+    def __repr__(self) -> str:
+        return f"Site(method={self.method!r}, label={self.label!r})"
 
 
-@dataclass(frozen=True)
-class NullObject:
-    """The single abstract object all null references point to."""
-
-
-@dataclass(frozen=True)
-class Placeholder:
+class Placeholder(NamedTuple):
     """Stand-in object for reference parameter ``index`` of ``method`` in
     intra-procedural analysis, where no caller heap is available."""
 
     method: str
     index: int
+    kind: str = "placeholder"  # constant tag: never pass it
 
+    def __repr__(self) -> str:
+        return f"Placeholder(method={self.method!r}, index={self.index!r})"
+
+
+class NullObject:
+    """The single abstract object all null references point to: one
+    instance, so it compares and hashes by identity."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "NullObject":
+        return NULL_OBJECT
+
+    def __repr__(self) -> str:
+        return "NullObject()"
+
+
+NULL_OBJECT: NullObject = object.__new__(NullObject)
 
 ObjectId = Union[Site, NullObject, Placeholder]
-NULL_OBJECT = NullObject()
 
 VarEdge = tuple[VarId, ObjectId]
 FieldEdge = tuple[ObjectId, str, ObjectId]

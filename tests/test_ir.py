@@ -283,3 +283,149 @@ def test_bottom_up_order_puts_callees_first(small_corpus):
         for _, caller, callee in cg.edges:
             if callee not in cg.scc_of(caller):
                 assert pos[callee] < pos[caller], (name, caller, callee)
+
+
+# ---------------------------------------------------------------------------
+# Scanner and parser: exact error positions and messages, line handling
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        # a character no token can start with
+        ("method main() {\n  1: x ~ y\n}", "unexpected character '~'", 2, 8),
+        ("method main() {\n\t1: a = new A\n\t2: b @ a\n}", "unexpected character '@'", 3, 7),
+        ("method main() {\n  1: x = y \xe9\n}", "unexpected character '\xe9'", 2, 12),
+        # the whole text is scanned before parsing starts
+        ("method 1() {\n  1: ~\n}", "unexpected character '~'", 2, 6),
+        # expected identifier / integer / a given token
+        ("method 1() {\n}", "expected identifier, found '1'", 1, 8),
+        ("method main() {\n  1: 2\n}", "expected identifier, found '2'", 2, 6),
+        ("method main() {\n  1: call [](a)\n}", "expected identifier, found ']'", 2, 12),
+        ("method main() {\n  1: goto x\n}", "expected integer, found 'x'", 2, 11),
+        ("method main() {\n  1: if goto x\n}", "expected integer, found 'x'", 2, 14),
+        ("method main() {\n  x: nop\n}", "expected statement label, found 'x'", 2, 3),
+        ("method main() {\n  1 nop\n}", "expected ':', found 'nop'", 2, 5),
+        ("method main() {\n  1: a = new A\n  2: a.f a\n}", "expected '=', found 'a'", 3, 10),
+        ("method main() {\n  1: if 3\n}", "expected 'goto', found '3'", 2, 9),
+        ("method main() {\n  1: call (a)\n}", "expected '[', found '('", 2, 11),
+        ("method main() {\n  1: call [main]\n}", "expected '(', found '}'", 3, 1),
+        ("main() {}", "expected 'method', found 'main'", 1, 1),
+        ("method main() {\n  1: nop\n}\n}", "expected 'method', found '}'", 4, 1),
+        # end of input: reported at the last token
+        ("method main() {\n  1: nop\n", "expected statement label, found end of input", 2, 6),
+        ("method main() {\n  1: a = \n", "expected identifier, found end of input", 2, 8),
+        ("method", "expected identifier, found end of input", 1, 1),
+        # two statements on one line
+        ("method main() {\n  1: nop\n  2: nop 3: nop\n}", "expected end of line after statement", 3, 10),
+        (
+            "method main() {\n  1: a = new A\n  2: return a 3: nop\n}",
+            "expected end of line after statement",
+            3,
+            15,
+        ),
+        # a keyword used as an identifier (after `return`, it is no operand)
+        ("method main() {\n  1: return new\n}", "expected end of line after statement", 2, 13),
+        ("method main() {\n  1: new = new A\n}", "expected identifier, found 'new'", 2, 6),
+        ("method main() {\n  1: a = new if\n}", "expected identifier, found 'if'", 2, 14),
+        ("method main(null) {\n}", "expected identifier, found 'null'", 1, 13),
+        (
+            "method main() {\n  1: nop\n}\nmethod f(a, new) {\n  1: nop\n}",
+            "expected identifier, found 'new'",
+            4,
+            13,
+        ),
+        # splitlines line endings count lines
+        ("method main() {\r\n  1: a = new A\r\n  2: b $ a\r\n}", "unexpected character '$'", 3, 8),
+        ("method main() {\r  1: a = new A\r  2: b $ a\r}", "unexpected character '$'", 3, 8),
+        (
+            "method main() {\x0c  1: nop\x0b  2: nop 3: nop }",
+            "expected end of line after statement",
+            3,
+            10,
+        ),
+    ],
+)
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  \t\n# x ~ y\n"])
+def test_no_method_error_has_no_position(text):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (info.value.line, info.value.col) == (0, 0)
+    assert str(info.value) == "expected at least one method"
+
+
+_PLAIN = "method main() {\n  1: a = new A\n  2: a.f = a\n  3: b = a.f\n  4: return b\n}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _PLAIN.replace("\n", "\r\n"),
+        _PLAIN.replace("\n", "\r"),
+        _PLAIN.replace("  ", "\t"),
+        _PLAIN.replace("  ", " \xa0"),  # any str.isspace() character separates
+        "# leading\nmethod main() {#c\n  1: a = new A#c ~ $\n  2: a.f = a # c\n"
+        "# between\n  3: b = a.f\n  4: return b\n}# trailing",
+        # a statement split across lines
+        "method main() {\n  1: a =\n new\n A\n  2: a\n.f = a\n  3: b = a .\nf\n  4: return\n b\n}",
+    ],
+)
+def test_layout_does_not_change_the_program(text):
+    assert parse_program(text) == parse_program(_PLAIN)
+
+
+def test_return_operand_is_optional_before_close_and_next_label():
+    p = parse_program("method main() {\n  1: a = new A\n  2: return a }\nmethod f() {\n  1: return }")
+    assert p.method("main").body[1].instr == Return("a")
+    assert p.method("f").body[0].instr == Return(None)
+    p = parse_program("method main() {\n  1: return\n  2: nop\n}")
+    assert [s.instr for s in p.method("main").body] == [Return(None), Nop()]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0},
+    ],
+    ids=["default", "roundtrip-large"],
+)
+def test_print_parse_round_trip_over_generated_corpus(shape):
+    files = generate_corpus(CorpusConfig(program_count=12, seed=3, **shape))
+    for name, text in files:
+        p = parse_program(text)
+        printed = print_program(p)
+        assert parse_program(printed) == p, name
+        assert print_program(parse_program(printed)) == printed, name
+
+
+def test_call_graph_lookups_match_edge_scans(small_corpus, rec, loopy):
+    programs = [p for _, p in small_corpus] + [rec, loopy]
+    for program in programs:
+        cg = build_call_graph(program)
+        for name in [*program.method_names, "no_such_method"]:
+            callers, sites = [], []
+            for site, caller, callee in cg.edges:
+                if callee == name:
+                    callers += [caller] if caller not in callers else []
+                    sites += [site] if site not in sites else []
+            assert cg.callers_of(name) == tuple(callers)
+            assert cg.call_sites_of(name) == tuple(sites)
+            if name == "no_such_method":
+                with pytest.raises(KeyError):
+                    cg.scc_of(name)
+                continue
+            (scc,) = [c for c in cg.sccs if name in c]
+            assert cg.scc_of(name) == scc
+            for other in program.method_names:
+                assert cg.is_recursive_edge(name, other) == (
+                    other in scc and name in cg.recursive_methods
+                )

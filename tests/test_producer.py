@@ -2,6 +2,8 @@ import pytest
 
 from artpta import (
     EMPTY,
+    Artwork,
+    CorpusConfig,
     NULL_OBJECT,
     PointsToGraph,
     Program,
@@ -13,12 +15,15 @@ from artpta import (
     decode,
     emit_artwork,
     encode,
+    generate_corpus,
     optimize_artwork,
     parse_program,
     regen_inter,
     validate_result,
 )
+from artpta import artwork
 from artpta.ir import ENTRY
+from artpta.producer import _pool_saving
 
 LOOPY_HEADER = PointsToGraph.of(
     var_edges=[
@@ -378,3 +383,44 @@ method main() {
         data = encode(opt)
         assert b"[pool]" in data and b"= g0" in data
         assert decode(data, p) == opt
+
+
+def _candidate_pool(a: Artwork) -> tuple[tuple[PointsToGraph, ...], dict]:
+    counts: dict = {}
+    for section in (a.i_loop, a.i_in, a.i_out):
+        for _, graph in sorted(section.items()):
+            counts[graph] = counts.get(graph, 0) + 1
+    return tuple(g for g, n in counts.items() if n >= 2 and not g.is_empty()), counts
+
+
+def test_optimize_keeps_the_smaller_encoding_without_encoding(small_corpus, count_calls):
+    large = generate_corpus(
+        CorpusConfig(program_count=4, seed=2, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+    )
+    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    pooled_seen = 0
+    for p in programs:
+        a = emit_artwork(p, analyze_inter(p))
+        calls = count_calls(artwork, "encode")
+        opt = optimize_artwork(p, a)
+        assert calls["encode"] == 0
+        plain = Artwork(i_loop=opt.i_loop, i_in=opt.i_in, i_out=opt.i_out, dedup_pool=None)
+        pool, counts = _candidate_pool(plain)
+        expected = plain
+        if pool:
+            pooled = Artwork(i_loop=opt.i_loop, i_in=opt.i_in, i_out=opt.i_out, dedup_pool=pool)
+            saving = len(encode(plain)) - len(encode(pooled))
+            assert _pool_saving(pool, counts) == saving
+            if saving > 0:
+                expected = pooled
+                pooled_seen += 1
+        assert opt == expected and encode(opt) == encode(expected)
+    assert pooled_seen >= 3
+
+
+def test_pool_saving_counts_utf8_bytes():
+    shared = PointsToGraph.of(field_edges=[(Site("m", 1), "\xe9t\xe9", Site("m", 2))])
+    uses = {shared: 2}
+    plain = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={}, dedup_pool=None)
+    pooled = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={}, dedup_pool=(shared,))
+    assert _pool_saving((shared,), uses) == len(encode(plain)) - len(encode(pooled))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from artpta import (
     EMPTY,
     NULL_OBJECT,
+    Artwork,
     MalformedArtworkError,
     Placeholder,
     PointsToGraph,
@@ -12,6 +13,7 @@ from artpta import (
     VarId,
     analyze_inter,
     decode,
+    encode,
     meet,
     meet_all,
     parse_program,
@@ -21,6 +23,8 @@ from artpta import (
     render_graph,
     restrict_to_summary,
     subsumes,
+    TamperKind,
+    tamper,
     transfer,
 )
 from artpta.ir import (
@@ -36,7 +40,7 @@ from artpta.ir import (
     Nop,
     Return,
 )
-from artpta.ptg import parse_edges, ret_var, var_id
+from artpta.ptg import NullObject, parse_edge_line, parse_edges, parse_object, ret_var, var_id
 
 CTX = parse_program(
     """\
@@ -588,3 +592,119 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     data = f"ART/1\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
         decode(data, CTX)
+
+
+# ---------------------------------------------------------------------------
+# Identifiers: value semantics across kinds and construction paths
+# ---------------------------------------------------------------------------
+
+
+def test_same_field_identifiers_of_different_kinds_are_distinct():
+    ids = [VarId("m", 1), Site("m", 1), Placeholder("m", 1), NULL_OBJECT]
+    for i, x in enumerate(ids):
+        for y in ids[i + 1 :]:
+            assert x != y and y != x
+            assert not (x == y)
+    assert len(set(ids)) == 4
+    table = {x: k for k, x in enumerate(ids)}
+    assert [table[x] for x in ids] == [0, 1, 2, 3]
+    assert len({VarId("m", 1), VarId("m", 1), Site("m", 1), Site("m", 1)}) == 2
+    # as graph keys: a variable and an object of the same fields never merge
+    a = g([(VarId("m", 1), Site("m", 1)), (VarId("m", 1), Placeholder("m", 1))])
+    assert len(a.var_edges) == 2 and a.pts(VarId("m", 1)) == {Site("m", 1), Placeholder("m", 1)}
+
+
+def test_identifier_fields_and_repr():
+    v, s, ph = VarId("m", 3), Site("main", 9), Placeholder("f", 0)
+    assert (v.method, v.slot) == ("m", 3)
+    assert (s.method, s.label) == ("main", 9)
+    assert (ph.method, ph.index) == ("f", 0)
+    assert repr(v) == "VarId(method='m', slot=3)"
+    assert repr(s) == "Site(method='main', label=9)"
+    assert repr(ph) == "Placeholder(method='f', index=0)"
+    assert repr(NULL_OBJECT) == "NullObject()"
+    assert NullObject() == NULL_OBJECT and hash(NullObject()) == hash(NULL_OBJECT)
+
+
+def test_identifiers_built_by_different_paths_are_equal_and_hash_equal():
+    pairs = [
+        (parse_object("m:1"), Site("m", 1)),
+        (parse_object("m?0"), Placeholder("m", 0)),
+        (parse_object("null"), NULL_OBJECT),
+        (parse_edge_line("m/2 -> m:1")[1][0], var_id(M, "c")),
+        (parse_edge_line("m/4 -> m?1")[1], (ret_var(M), Placeholder("m", 1))),
+        (parse_edge_line("m:2 .f-> null")[1], (Site("m", 2), "f", NULL_OBJECT)),
+        (transfer(_stmt(Alloc("d", "T")), EMPTY, M).var_edges, frozenset({(var_id(M, "d"), Site("m", 7))})),
+    ]
+    for built, direct in pairs:
+        assert built == direct and hash(built) == hash(direct)
+
+
+def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
+    p, _, a = rec_pipeline
+    artifacts = [a] + [tamper(a, TamperKind.ADD_EDGE, seed, p)[0] for seed in range(4)]
+    for art in artifacts:
+        for graph in [*art.i_loop.values(), *art.i_in.values(), *art.i_out.values()]:
+            parsed_vars, parsed_fields = set(), set()
+            for line in render_edges(graph):
+                kind, edge = parse_edge_line(line)
+                (parsed_vars if kind == "var" else parsed_fields).add(edge)
+            # set equality looks every edge up by hash, then compares it
+            assert parsed_vars == graph.var_edges
+            assert parsed_fields == graph.field_edges
+            assert parse_edges(render_edges(graph)) == graph
+
+
+# The rendered lines and ART/1 bytes of the fixture artifacts, written out.
+_FIXTURE_ART = {
+    "loopy": (
+        "ART/1\n[loop]\nm:main l:5 = {\n"
+        "  main/0 -> main:1\n  main/0 -> main:6\n  main/1 -> main:11\n  main/1 -> main:3\n"
+        "  main/1 -> main:9\n  main:1 .f-> main:3\n  main:6 .f-> main:11\n  main:6 .f-> main:3\n"
+        "  main:6 .f-> main:9\n}\n[in]\nm:main = {\n}\n[out]\n"
+    ),
+    "rec": (
+        "ART/1\n[loop]\n[in]\nm:foo = {\n  foo/0 -> foo:4\n  foo/0 -> null\n  foo:4 .f-> null\n}\n"
+        "m:main = {\n}\n[out]\nm:foo = {\n  foo:4 .f-> null\n  foo:5 .f-> foo:4\n}\n"
+    ),
+    "arith": (
+        "ART/1\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main:1 .f-> main:1\n}\n"
+        "[in]\nm:main = {\n}\n[out]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_FIXTURE_ART))
+def test_fixture_artifact_rendering_and_bytes(fixture, request):
+    p, _, a = request.getfixturevalue(f"{fixture}_pipeline")
+    expected = _FIXTURE_ART[fixture]
+    assert encode(a) == expected.encode()
+    for graph in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]:
+        block = "".join(f"  {line}\n" for line in render_edges(graph))
+        assert block in expected
+        assert decode(encode(a), p) == a
+
+
+def test_pooled_artifact_bytes_with_every_object_form():
+    shared = g(
+        [(VarId("m", 0), Placeholder("m", 0)), (VarId("m", 1), NULL_OBJECT), (VarId("m", 1), Site("m", 2))],
+        [(Site("m", 1), "g", Site("m", 2)), (Placeholder("m", 1), "f", NULL_OBJECT)],
+    )
+    assert render_edges(shared) == [
+        "m/0 -> m?0",
+        "m/1 -> m:2",
+        "m/1 -> null",
+        "m:1 .g-> m:2",
+        "m?1 .f-> null",
+    ]
+    art = Artwork(
+        i_loop={("m", 3): shared},
+        i_in={"m": shared, "main": EMPTY},
+        i_out={"m": g([(VarId("m", 4), Site("m", 1))])},
+        dedup_pool=(shared,),
+    )
+    assert encode(art) == (
+        b"ART/1\n[pool]\ng0:\n  m/0 -> m?0\n  m/1 -> m:2\n  m/1 -> null\n  m:1 .g-> m:2\n"
+        b"  m?1 .f-> null\n[loop]\nm:m l:3 = g0\n[in]\nm:m = g0\nm:main = {\n}\n[out]\n"
+        b"m:m = {\n  m/4 -> m:1\n}\n"
+    )
