@@ -20,12 +20,24 @@ multiple back-edges; the asserted condition is identical.
 
 The first violation aborts regeneration; ``keep_going`` collects the rest for
 diagnostics without changing the verdict.
+
+Regeneration is iterative.  Each method's pass is a generator that, right
+before it evaluates a call, yields the plain (non-recursive) callees whose
+OUT summary it still needs, in target order; a driver regenerates each of
+them on an explicit stack before resuming the caller.  The visit order is
+that of a depth-first descent, and call-chain depth costs no Python stack.
+
+``regenerate`` works on a ``ProgramIndex``; ``regen_inter`` is the verifier's
+entry point over ``ProgramIndex.of(p)``, and the producer's
+``optimize_artwork`` calls ``regenerate`` to read the fixed point an artifact
+encodes.  This module never imports the producer.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .artwork import Artwork
 from .equations import AnalysisResult, PointKey, eval_statement, in_value
@@ -144,13 +156,21 @@ class _Regenerator:
             claimed = self._resolved_in(name, EMPTY)
         return claimed
 
-    def _summary_for_target(self, caller: str, target: str) -> PointsToGraph:
+    def _summary_of(self, target: str) -> PointsToGraph:
         if target in self.regen_out_summary:
             return self.regen_out_summary[target]
-        if self.index.call_graph.is_recursive_edge(caller, target):
-            return self._effective_out(target)
-        self.regen_method(target)
-        return self.regen_out_summary[target]
+        return self._effective_out(target)
+
+    def _pending_callees(self, caller: str, s: LabeledStatement) -> Iterator[str]:
+        """The plain (non-recursive) targets of ``s`` not yet regenerated, in
+        target order.  A plain callee is never on the driver's stack: that
+        would put it in the caller's SCC."""
+        assert isinstance(s.instr, Call)
+        for t in s.instr.targets:
+            if t not in self.regen_out_summary and not self.index.call_graph.is_recursive_edge(
+                caller, t
+            ):
+                yield t
 
     def _check_call_site(
         self, m: Method, s: LabeledStatement, in_g: PointsToGraph
@@ -164,11 +184,9 @@ class _Regenerator:
                 self._fail(v)
 
     def _eval(self, name: str, s: LabeledStatement, in_g: PointsToGraph) -> PointsToGraph:
-        g = eval_statement(
-            s, in_g, self.index.methods[name], lambda t: self._summary_for_target(name, t)
-        )
+        g = eval_statement(s, in_g, self.index.methods[name], self._summary_of)
         # Counted once evaluated: a callee regeneration that aborts leaves
-        # this call-site unevaluated.
+        # this call-site unevaluated (its generator is never resumed).
         self.applications += 1
         return g
 
@@ -181,7 +199,10 @@ class _Regenerator:
         ]
         return meet_all(self.out.get((name, p), EMPTY) for p in preds)
 
-    def regen_method(self, name: str) -> None:
+    def regen_method(self, name: str) -> Iterator[str]:
+        """Regenerate one method.  Before each call is evaluated, yield the
+        callees whose OUT summary it still needs; ``_regen`` regenerates each
+        one before resuming."""
         m = self.index.methods[name]
         cfg = self.index.cfgs[name]
         self.analyzed.add(name)
@@ -201,6 +222,7 @@ class _Regenerator:
                     in_g = in_value(self.index, self.out, name, s.label)
                     if isinstance(s.instr, Call):
                         self._check_call_site(m, s, in_g)
+                        yield from self._pending_callees(name, s)
                     self.out[(name, s.label)] = self._eval(name, s, in_g)
         self.out[(name, EXIT)] = in_value(self.index, self.out, name, EXIT)
         self.regen_out_summary[name] = restrict_to_summary(self.out[(name, EXIT)], m)
@@ -213,6 +235,7 @@ class _Regenerator:
                 # back-edge values exist, or a reduction whose extra objects
                 # arrive only around the loop would slip through.
                 self._check_call_site(m, stmt, in_all)
+                yield from self._pending_callees(name, stmt)
             recomputed = self._eval(name, stmt, in_all)
             v = check_intra_safety(stmt, m, recomputed, self.out[(name, header)])
             if v is not None:
@@ -222,16 +245,27 @@ class _Regenerator:
             if v is not None:
                 self._fail(v)
 
+    def _regen(self, name: str) -> None:
+        """Run ``regen_method(name)`` and every callee regeneration it asks
+        for on an explicit stack, so call-chain depth costs no Python stack."""
+        stack = [self.regen_method(name)]
+        while stack:
+            callee = next(stack[-1], None)
+            if callee is None:
+                stack.pop()
+            else:
+                stack.append(self.regen_method(callee))
+
     def run(self, start: str) -> RegenOutcome:
         # Sweep leftovers callers-first so that a method whose IN entry was
         # optimized away is encountered at a call-site (which pins its
         # default) before its own turn comes up.
         sweep = list(reversed(self.index.call_graph.bottom_up_order()))
         try:
-            self.regen_method(start)
+            self._regen(start)
             for name in sweep:
                 if name not in self.analyzed:
-                    self.regen_method(name)
+                    self._regen(name)
         except _Abort:
             pass
         if self.violations:
@@ -261,10 +295,15 @@ class _Regenerator:
         )
 
 
-def regen_inter(p: Program, a: Artwork, keep_going: bool = False) -> RegenOutcome:
-    """Regenerate the whole program starting at the entry method, then any
+def regenerate(index: ProgramIndex, a: Artwork, keep_going: bool = False) -> RegenOutcome:
+    """Regenerate the indexed program starting at its entry method, then any
     method not yet reached, each exactly once."""
-    return _Regenerator(ProgramIndex.of(p), a, keep_going=keep_going).run(p.entry)
+    return _Regenerator(index, a, keep_going=keep_going).run(index.program.entry)
+
+
+def regen_inter(p: Program, a: Artwork, keep_going: bool = False) -> RegenOutcome:
+    """``regenerate`` over the program's index: the verifier's entry point."""
+    return regenerate(ProgramIndex.of(p), a, keep_going=keep_going)
 
 
 def regen_intra(m: Method, a: Artwork, keep_going: bool = False) -> RegenOutcome:

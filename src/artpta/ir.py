@@ -46,6 +46,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Union
@@ -245,11 +246,11 @@ def _validate_method(m: Method) -> None:
 
 def validate_program(p: Program) -> None:
     """Establish the Program invariants, raising on the first violation."""
-    names = [m.name for m in p.methods]
-    for n in names:
-        if names.count(n) > 1:
-            raise DuplicateNameError(f"duplicate method name '{n}'")
     by_name = {m.name: m for m in p.methods}
+    if len(by_name) < len(p.methods):
+        counts = Counter(m.name for m in p.methods)
+        n = next(m.name for m in p.methods if counts[m.name] > 1)
+        raise DuplicateNameError(f"duplicate method name '{n}'")
     if p.entry not in by_name:
         raise ResolutionError(f"program has no entry method '{p.entry}'")
     if by_name[p.entry].params:

@@ -10,6 +10,11 @@ equations from ``equations``: per-statement transfer functions,
 ``in_summary[M] = meet of project_in over all call-sites of M`` (empty for
 the entry method), and ``out_summary[M]`` the return/heap restriction of M's
 Exit value.
+
+A produce runs one fixed-point analysis: ``optimize_artwork`` reads the
+call-site values it needs off the consumer's single-pass regeneration of the
+artifact it shrinks (``consumer.regenerate``).  The producer depends on the
+consumer, never the reverse.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .artwork import Artwork
+from .consumer import regenerate
 from .equations import AnalysisResult, PointKey, eval_statement, in_value
 from .errors import ArtError
 from .ir import (
@@ -313,9 +319,15 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
     call-site projections are all identical (or absent), OUT entries equal to
     the IN entry, then share duplicated graphs through an indexed pool when
-    that makes the encoding smaller."""
+    that makes the encoding smaller.
+
+    The call-site projections are read off the consumer's regeneration of
+    ``a``, which is exactly the fixed point ``a`` encodes, so no analysis is
+    re-run.  The regeneration happens only when some IN entry passes the
+    loop-header and SCC filters below; an artifact it rejects raises
+    ``ArtError``."""
     index = ProgramIndex.of(program)
-    result: AnalysisResult | None = None  # computed on first need
+    regenerated: AnalysisResult | None = None  # computed on first need
 
     i_loop = dict(a.i_loop)
     for (name, header) in list(i_loop):
@@ -341,11 +353,14 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             continue
         if not any(caller not in scc for caller, _ in sites):
             continue
-        if result is None:
-            result = analyze_inter(program)
+        if regenerated is None:
+            outcome = regenerate(index, a)
+            if not outcome.safe:
+                raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
+            regenerated = outcome.result
         projections = []
         for caller, label in sites:
-            in_g = in_value(index, result.out, caller, label)
+            in_g = in_value(index, regenerated.out, caller, label)
             projections.append(
                 project_in(
                     in_g, index.methods[caller], index.stmts[caller][label], index.methods[name]

@@ -58,6 +58,22 @@ def small_corpus():
     return [(name, parse_program(text)) for name, text in files]
 
 
+def _call_chain(n: int) -> str:
+    lines = ["method main() {", "  1: x = new A", "  2: call [m1](x)", "}"]
+    for i in range(1, n + 1):
+        body = f"  1: call [m{i + 1}](p)" if i < n else "  1: p.f = p"
+        lines += [f"method m{i}(p) {{", body, "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def call_chain():
+    """``call_chain(n)`` is the IR text of an ``n``-deep call chain: ``main``
+    calls ``m1``, each ``mi`` calls ``m(i+1)``, and ``mn`` stores into its
+    parameter."""
+    return _call_chain
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(module, *names)`` wraps every binding of each named

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -187,3 +188,38 @@ def test_deep_call_chain_is_never_unsafe(tmp_path, capsys):
     if rc == 2:
         assert captured.err.startswith("error: internal error: ")
         assert captured.err.count("\n") == 1
+
+
+def test_deep_call_chain_regen_is_safe(tmp_path, capsys, call_chain):
+    prog = tmp_path / "chain.ir"
+    prog.write_text(call_chain(1500))
+    art = str(tmp_path / "chain.art")
+    assert main(["analyze", str(prog), "-o", art]) == 0
+    capsys.readouterr()
+    assert main(["regen", str(prog), art]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "SAFE\n" and captured.err == ""
+
+
+def test_deep_call_chain_optimizes_to_an_empty_artifact(tmp_path, capsys, call_chain):
+    # Every IN entry has one call-site outside its own SCC, and the consumer
+    # re-derives it there.
+    prog = tmp_path / "chain.ir"
+    prog.write_text(call_chain(1500))
+    art = tmp_path / "chain.art"
+    assert main(["analyze", str(prog), "-O", "-o", str(art)]) == 0
+    assert art.read_bytes() == b"ART/1\n[loop]\n[in]\n[out]\n"
+    capsys.readouterr()
+    assert main(["regen", str(prog), str(art)]) == 0
+    assert capsys.readouterr().out == "SAFE\n"
+
+
+def test_ten_thousand_deep_chain_regenerates_within_the_default_stack(call_chain):
+    from artpta import analyze_inter, emit_artwork, parse_program, regen_inter
+
+    limit = sys.getrecursionlimit()
+    p = parse_program(call_chain(10_000))
+    out = regen_inter(p, emit_artwork(p, analyze_inter(p)))
+    assert out.safe
+    assert len(out.methods_analyzed) == 10_001
+    assert sys.getrecursionlimit() == limit

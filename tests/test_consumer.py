@@ -3,6 +3,7 @@ import pytest
 from artpta import (
     EMPTY,
     NULL_OBJECT,
+    REC,
     Artwork,
     IrreducibleCfgError,
     PointsToGraph,
@@ -417,3 +418,219 @@ def test_aborted_regen_counts_only_finished_evaluations(rec_pipeline, count_call
     assert (out.violation.kind, out.violation.method) == ("OutSummary", "foo")
     assert calls["project_out"] > 0
     assert out.transfer_applications == calls["transfer"] + calls["project_out"]
+
+
+# ---------------------------------------------------------------------------
+# Regeneration order, pinned
+# ---------------------------------------------------------------------------
+
+MIXED = """\
+method main() {
+  1: a = new A
+  2: if goto 4
+  3: call [main, h]()
+  4: nop
+}
+method h() {
+  1: b = new B
+  2: b.f = b
+}
+"""
+
+# A loop-body call with two targets, one of them self-recursive; a callee
+# that calls further down; and a second call-site of one target.
+NEST = """\
+method main() {
+  1: x = new A
+  2: x.f = x
+  3: if goto 6
+  4: y = call [left, right](x)
+  5: goto 3
+  6: z = call [left](y)
+}
+method left(p) {
+  1: q = p.f
+  2: r = call [leaf](q)
+  3: return r
+}
+method right(p) {
+  1: if goto 4
+  2: s = call [right](p)
+  3: p.g = s
+  4: return p
+}
+method leaf(p) {
+  1: t = new T
+  2: t.h = p
+  3: return t
+}
+"""
+
+HEADER_CALL = """\
+method main() {
+  1: a = new A
+  2: x = call [h](a)
+  3: a.f = x
+  4: if goto 6
+  5: goto 2
+  6: nop
+}
+method h(p) {
+  1: r = new B
+  2: return r
+}
+"""
+
+NEST_VISITS = [
+    ("main", 1), ("main", 2), ("main", 3), ("main", 4),
+    ("left", 1), ("left", 2), ("leaf", 1), ("leaf", 2), ("leaf", 3), ("left", 3),
+    ("right", 1), ("right", 2), ("right", 3), ("right", 4),
+    ("main", 5), ("main", 6),
+]
+REC_VISITS = [("main", 1), ("main", 2)] + [("foo", i) for i in range(1, 10)]
+
+
+def _drop_first_edge(g: PointsToGraph) -> PointsToGraph:
+    if g.field_edges:
+        return _drop_field_edge(g, min(g.field_edges, key=repr))
+    if g.var_edges:
+        return _drop_var_edge(g, min(g.var_edges, key=repr))
+    return g
+
+
+def _reduced(a: Artwork) -> Artwork:
+    """Every entry of ``a`` with one edge dropped."""
+    return Artwork(
+        i_loop={k: _drop_first_edge(g) for k, g in a.i_loop.items()},
+        i_in={k: _drop_first_edge(g) for k, g in a.i_in.items()},
+        i_out={k: _drop_first_edge(g) for k, g in a.i_out.items()},
+        dedup_pool=None,
+    )
+
+
+def _trace(out) -> tuple:
+    return (
+        list(out.visits),
+        [(v.kind, v.method, v.location) for v in out.violations],
+        out.transfer_applications,
+        out.methods_analyzed,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, prepare, keep_going, expected",
+    [
+        (REC, None, False, (REC_VISITS, [], 11, {"main", "foo"})),
+        (REC, _reduced, True, (
+            REC_VISITS, [("InSummary", "foo", "foo:7"), ("OutSummary", "foo", "foo")],
+            11, {"main", "foo"})),
+        (REC, _reduced, False, (
+            REC_VISITS[:9], [("InSummary", "foo", "foo:7")], 7, {"main", "foo"})),
+        (MIXED, None, False, (
+            [("main", 1), ("main", 2), ("main", 3), ("h", 1), ("h", 2), ("main", 4)],
+            [], 6, {"main", "h"})),
+        (NEST, None, False, (NEST_VISITS, [], 16, {"main", "left", "right", "leaf"})),
+        (NEST, "optimize", False, (NEST_VISITS, [], 16, {"main", "left", "right", "leaf"})),
+        (NEST, _reduced, True, (
+            NEST_VISITS,
+            [("InSummary", "right", "main:4"), ("InSummary", "leaf", "left:2"),
+             ("LoopInvariant", "main", 3)],
+            16, {"main", "left", "right", "leaf"})),
+        (NEST, _reduced, False, (
+            NEST_VISITS[:4], [("InSummary", "right", "main:4")], 2, {"main"})),
+        (HEADER_CALL, None, False, (
+            [("main", i) for i in range(1, 7)] + [("h", 1), ("h", 2)], [], 8, {"main", "h"})),
+    ],
+    ids=[
+        "rec", "rec-reduced-keep-going", "rec-reduced", "mixed", "nest", "nest-optimized",
+        "nest-reduced-keep-going", "nest-reduced", "header-call",
+    ],
+)
+def test_regeneration_order_is_pinned(text, prepare, keep_going, expected):
+    from artpta import optimize_artwork
+
+    p = parse_program(text)
+    a = emit_artwork(p, analyze_inter(p))
+    if prepare == "optimize":
+        a = optimize_artwork(p, a)
+        assert "right" not in a.i_in  # pinned at its first call-site, main:4
+    elif prepare is not None:
+        a = prepare(a)
+    assert _trace(regen_inter(p, a, keep_going=keep_going)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Acceptance theorem: an accepted artifact regenerates a fixed point that
+# subsumes the least one
+# ---------------------------------------------------------------------------
+
+
+def _objects_and_fields(p):
+    from artpta.ir import Alloc, FieldLoad, FieldStore
+
+    sites = [Site(m.name, s.label) for m in p.methods for s in m.body if isinstance(s.instr, Alloc)]
+    fields = sorted(
+        {s.instr.f for m in p.methods for s in m.body if isinstance(s.instr, (FieldStore, FieldLoad))}
+    )
+    return sites, sites + [NULL_OBJECT], fields
+
+
+def _mutate(p, a: Artwork, rng) -> Artwork:
+    """One seeded edit of ``a`` that is not re-closed over the program: delete
+    a whole entry, remove one edge from it, or add one edge to it."""
+    sections = {"loop": dict(a.i_loop), "in": dict(a.i_in), "out": dict(a.i_out)}
+    keys = [(s, k) for s in sections for k in sorted(sections[s], key=repr)]
+    if not keys:
+        return a
+    section, key = rng.choice(keys)
+    entries = sections[section]
+    g = entries[key]
+    roll = rng.random()
+    if roll < 0.2:
+        del entries[key]
+    elif roll < 0.55:
+        edges = sorted(g.var_edges, key=repr) + sorted(g.field_edges, key=repr)
+        if edges:
+            e = rng.choice(edges)
+            entries[key] = _drop_var_edge(g, e) if len(e) == 2 else _drop_field_edge(g, e)
+    else:
+        sites, objects, fields = _objects_and_fields(p)
+        m = p.method(key[0] if section == "loop" else key)
+        if fields and sites and rng.random() < 0.5:
+            edge = (rng.choice(sites), rng.choice(fields), rng.choice(objects))
+            entries[key] = PointsToGraph(g.var_edges, g.field_edges | {edge})
+        elif m.var_count:
+            entries[key] = _add_var_edge(
+                g, (VarId(m.name, rng.randrange(m.var_count)), rng.choice(objects))
+            )
+    return Artwork(
+        i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"], dedup_pool=None
+    )
+
+
+def test_accepted_artifacts_are_fixed_points_above_the_least(small_corpus):
+    import random
+
+    from artpta import optimize_artwork, validate_result
+
+    programs = [p for _, p in small_corpus]
+    programs += [parse_program(t) for t in (MIXED, NEST, HEADER_CALL)]
+    rng = random.Random(20061)
+    accepted = strictly_above = 0
+    for p in programs:
+        oracle = chaotic_oracle(p)
+        plain = emit_artwork(p, oracle)
+        for a in (plain, optimize_artwork(p, plain)):
+            for _ in range(100):
+                mutated = a
+                for _ in range(rng.randint(1, 3)):
+                    mutated = _mutate(p, mutated, rng)
+                out = regen_inter(p, mutated)
+                if not out.safe:
+                    continue
+                accepted += 1
+                assert validate_result(p, out.result, exact_in=False) == [], mutated
+                assert all(subsumes(out.result.out[k], oracle.out[k]) for k in oracle.out)
+                strictly_above += out.result.out != oracle.out
+    # The trial set must exercise the theorem, not just the detector.
+    assert accepted >= 400 and strictly_above >= 150, (accepted, strictly_above)

@@ -79,3 +79,19 @@ def test_consumer_does_not_import_the_producer():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert "producer" not in imported
+
+
+def test_consumer_imports_only_the_verifier_side_modules():
+    with open(consumer.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("artpta")):
+            if node.module and node.module != "artpta":
+                package.add(node.module.split(".")[-1])
+            else:  # ``from . import x`` or ``from artpta import x``
+                package.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            package.update(a.name.split(".")[-1] for a in node.names if a.name.startswith("artpta"))
+    assert package <= {"ir", "ptg", "equations", "artwork", "errors"}, package
+    assert {"ir", "ptg", "equations", "artwork"} <= package

@@ -129,6 +129,12 @@ def test_parse_errors(text, exc):
         parse_program(text)
 
 
+def test_duplicate_method_error_names_the_first_repeated_name():
+    text = "".join(f"method {n}() {{\n  1: nop\n}}\n" for n in ("main", "b", "a", "b", "a"))
+    with pytest.raises(DuplicateNameError, match="^duplicate method name 'b'$"):
+        parse_program(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_program("method main() {\n  1: a = new A\n  2: b ~ c\n}")

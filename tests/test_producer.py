@@ -424,3 +424,128 @@ def test_pool_saving_counts_utf8_bytes():
     plain = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={}, dedup_pool=None)
     pooled = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={}, dedup_pool=(shared,))
     assert _pool_saving((shared,), uses) == len(encode(plain)) - len(encode(pooled))
+
+
+def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:
+    """Reference optimizer: the rules of ``optimize_artwork`` with the
+    call-site values taken from ``analyze_inter``'s least fixed point."""
+    from artpta.equations import in_value
+    from artpta.ir import REF_INSTRS, ProgramIndex
+    from artpta.ptg import project_in
+
+    index = ProgramIndex(p)
+    result = analyze_inter(p)
+    i_loop = {
+        (name, h): g
+        for (name, h), g in a.i_loop.items()
+        if any(
+            isinstance(index.stmts[name][l].instr, REF_INSTRS)
+            for l in index.cfgs[name].loop_body(h)
+        )
+    }
+    i_in = {}
+    for name, g in a.i_in.items():
+        sites = index.call_graph.call_sites_of(name)
+        if not sites:
+            if not g.is_empty():
+                i_in[name] = g
+            continue
+        scc = index.call_graph.scc_of(name)
+        projections = {
+            project_in(
+                in_value(index, result.out, caller, label),
+                index.methods[caller],
+                index.stmts[caller][label],
+                index.methods[name],
+            )
+            for caller, label in sites
+        }
+        if (
+            any(label in index.cfgs[caller].loop_headers for caller, label in sites)
+            or all(caller in scc for caller, _ in sites)
+            or projections != {g}
+        ):
+            i_in[name] = g
+    i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
+    plain = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
+    pool, _ = _candidate_pool(plain)
+    if pool:
+        pooled = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
+        if len(encode(pooled)) < len(encode(plain)):
+            return pooled
+    return plain
+
+
+# f's first listed call-site (in g) sees the meet of both projections, but
+# the consumer reaches the smaller one (in h) first: the IN entry must stay.
+FIRST_SITE_IS_THE_MEET = """\
+method main() {
+  1: x = new A
+  2: y = new B
+  3: call [h](x)
+  4: call [g](x, y)
+}
+method g(p, q) {
+  1: p.f = q
+  2: call [f](p)
+}
+method h(p) {
+  1: call [f](p)
+}
+method f(p) {
+  1: nop
+}
+"""
+
+
+def test_optimize_reads_the_regeneration_not_a_second_analysis(
+    small_corpus, call_chain, count_calls
+):
+    from artpta import producer
+
+    large = generate_corpus(
+        CorpusConfig(program_count=4, seed=2, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+    )
+    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    programs += [parse_program(call_chain(1500)), parse_program(FIRST_SITE_IS_THE_MEET)]
+    dropped = 0
+    for p in programs:
+        a = emit_artwork(p, analyze_inter(p))
+        expected = encode(_optimize_from_analysis(p, a))
+        calls = count_calls(producer, "analyze_inter")
+        opt = optimize_artwork(p, a)
+        assert calls["analyze_inter"] == 0
+        assert encode(opt) == expected
+        dropped += len(a.i_in) - len(opt.i_in)
+    assert dropped >= 1500
+
+
+def test_optimize_regenerates_once_and_only_on_first_need(count_calls):
+    from artpta import consumer
+
+    self_only = parse_program(
+        "method main() {\n  1: nop\n}\n"
+        "method solo(p) {\n  1: x = new A\n  2: if goto 4\n  3: call [solo](x)\n  4: return\n}\n"
+    )
+    calls = count_calls(consumer, "regenerate")
+    optimize_artwork(self_only, emit_artwork(self_only, analyze_inter(self_only)))
+    assert calls["regenerate"] == 0
+    two_sites = parse_program(
+        "method main() {\n  1: a = new A\n  2: call [f](a)\n  3: call [g](a)\n  4: call [f](a)\n}\n"
+        "method f(p) {\n  1: nop\n}\nmethod g(p) {\n  1: nop\n}\n"
+    )
+    opt = optimize_artwork(two_sites, emit_artwork(two_sites, analyze_inter(two_sites)))
+    assert calls["regenerate"] == 1
+    assert set(opt.i_in) == set()
+
+
+def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
+    from artpta import ArtError, tamper
+    from artpta.tamper import REDUCTIVE_KINDS
+
+    p, _, a = rec_pipeline
+    for seed in range(8):
+        for kind in REDUCTIVE_KINDS:
+            mutated, _ = tamper(a, kind, seed)
+            with pytest.raises(ArtError, match="^artifact does not regenerate: "):
+                optimize_artwork(p, mutated)
