@@ -23,6 +23,15 @@ Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
 but wrong values) is deliberately not detectable here and is the consumer's
 job.
+
+The decoder is one walk over the file's lines.  Each distinct edge line is
+parsed, and checked against the program, once per artifact (an artifact
+repeats most lines across entries); each block's graph is then built straight
+into the two index maps from those parsed lines, with no edge sets
+(``ptg.graph_of_set_edges``).  Errors are reported deterministically: a
+syntax error anywhere wins, at its first line; otherwise the first entry at
+fault in [loop], [in], [out] order, its key before its graph, and within a
+graph the first bad edge line in file order, its left side before its right.
 """
 
 from __future__ import annotations
@@ -35,13 +44,15 @@ from typing import TYPE_CHECKING
 from .errors import MalformedArtworkError, UnknownReferenceError
 from .ir import ENTRY, EXIT, Alloc, Program, ProgramIndex
 from .ptg import (
+    NULL_OBJECT,
     FieldEdge,
-    NullObject,
     ObjectId,
     Placeholder,
     PointsToGraph,
+    SetEdge,
     Site,
     VarEdge,
+    graph_of_set_edges,
     parse_edge_line,
     render_edges,
 )
@@ -98,7 +109,7 @@ def _graph_block(g: PointsToGraph, head: str) -> list[str]:
 
 
 def _entry_lines(head: str, g: PointsToGraph, pool_index: dict[PointsToGraph, int]) -> list[str]:
-    idx = pool_index.get(g)
+    idx = pool_index.get(g) if pool_index else None
     if idx is not None:
         return [f"{head} = g{idx}"]
     return _graph_block(g, f"{head} =")
@@ -132,167 +143,186 @@ def encode(a: Artwork) -> bytes:
 
 _LOOP_KEY_RE = re.compile(r"^m:([A-Za-z_][A-Za-z0-9_]*) l:([0-9]+) = (.+)$")
 _METHOD_KEY_RE = re.compile(r"^m:([A-Za-z_][A-Za-z0-9_]*) = (.+)$")
+_POOL_REF_RE = re.compile(r"g[0-9]+")
+
+# (section, entry key pattern, the line that ends the section)
+_SECTIONS = (
+    ("loop", _LOOP_KEY_RE, "[in]"),
+    ("in", _METHOD_KEY_RE, "[out]"),
+    ("out", _METHOD_KEY_RE, None),
+)
 
 
-class _Reader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.i = 0
-        # Parsed edge lines; an artifact repeats most of its edges across
-        # entries, so each distinct line is parsed once.
-        self.edges: dict[str, tuple[str, VarEdge | FieldEdge]] = {}
-
-    def peek(self) -> str | None:
-        return self.lines[self.i] if self.i < len(self.lines) else None
-
-    def take(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise MalformedArtworkError("unexpected end of file")
-        self.i += 1
-        return line
-
-    def edge(self, text: str) -> tuple[str, VarEdge | FieldEdge]:
-        parsed = self.edges.get(text)
-        if parsed is None:
-            try:
-                parsed = parse_edge_line(text)
-            except ValueError as exc:
-                raise MalformedArtworkError(str(exc)) from exc
-            self.edges[text] = parsed
-        return parsed
-
-    def read_edges(self) -> PointsToGraph:
-        """The graph of the edge lines from here up to the first line that
-        is not one."""
-        var_edges = set()
-        field_edges = set()
-        while (line := self.peek()) is not None and line.startswith("  "):
-            self.i += 1
-            kind, edge = self.edge(line[2:])
-            (var_edges if kind == "var" else field_edges).add(edge)
-        return PointsToGraph(frozenset(var_edges), frozenset(field_edges))
-
-    def read_block_edges(self) -> PointsToGraph:
-        g = self.read_edges()
-        line = self.peek()
-        if line is None:
-            raise MalformedArtworkError("unterminated graph block")
-        if line != "}":
-            raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
-        self.take()
-        return g
-
-
-def _resolve_value(value: str, reader: _Reader, pool: list[PointsToGraph]) -> PointsToGraph:
-    if value == "{":
-        return reader.read_block_edges()
-    if re.fullmatch(r"g[0-9]+", value):
-        idx = int(value[1:])
-        if idx >= len(pool):
-            raise MalformedArtworkError(f"reference to undefined pool graph g{idx}")
-        return pool[idx]
-    raise MalformedArtworkError(f"expected graph block or pool reference, got {value!r}")
-
-
-def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/1 file (no program to validate against)."""
+def _lines(data: bytes, magic: str) -> list[str]:
+    """The lines of a UTF-8, newline-terminated file whose first line is
+    ``magic``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedArtworkError("not valid UTF-8") from exc
     if not text.endswith("\n"):
         raise MalformedArtworkError("missing trailing newline")
-    reader = _Reader(text.split("\n")[:-1])
-    if reader.take() != MAGIC:
-        raise MalformedArtworkError(f"missing {MAGIC} header")
-
-    pool: list[PointsToGraph] = []
-    if reader.peek() == "[pool]":
-        reader.take()
-        while reader.peek() is not None and reader.peek().startswith("g"):
-            head = reader.take()
-            if head != f"g{len(pool)}:":
-                raise MalformedArtworkError(f"bad pool graph header {head!r}")
-            pool.append(reader.read_edges())
-
-    if reader.take() != "[loop]":
-        raise MalformedArtworkError("expected [loop] section")
-    i_loop: dict[tuple[str, int], PointsToGraph] = {}
-    while reader.peek() is not None and reader.peek() != "[in]":
-        m = _LOOP_KEY_RE.match(reader.take())
-        if m is None:
-            raise MalformedArtworkError("bad [loop] entry")
-        key = (m.group(1), int(m.group(2)))
-        if key in i_loop:
-            raise MalformedArtworkError(f"duplicate loop entry {key}")
-        i_loop[key] = _resolve_value(m.group(3), reader, pool)
-
-    if reader.take() != "[in]":
-        raise MalformedArtworkError("expected [in] section")
-    i_in: dict[str, PointsToGraph] = {}
-    while reader.peek() is not None and reader.peek() != "[out]":
-        m = _METHOD_KEY_RE.match(reader.take())
-        if m is None:
-            raise MalformedArtworkError("bad [in] entry")
-        if m.group(1) in i_in:
-            raise MalformedArtworkError(f"duplicate in entry {m.group(1)}")
-        i_in[m.group(1)] = _resolve_value(m.group(2), reader, pool)
-
-    if reader.take() != "[out]":
-        raise MalformedArtworkError("expected [out] section")
-    i_out: dict[str, PointsToGraph] = {}
-    while reader.peek() is not None:
-        m = _METHOD_KEY_RE.match(reader.take())
-        if m is None:
-            raise MalformedArtworkError("bad [out] entry")
-        if m.group(1) in i_out:
-            raise MalformedArtworkError(f"duplicate out entry {m.group(1)}")
-        i_out[m.group(1)] = _resolve_value(m.group(2), reader, pool)
-
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=tuple(pool) or None)
+    lines = text.split("\n")
+    lines.pop()
+    if lines[0] != magic:
+        raise MalformedArtworkError(f"missing {magic} header")
+    return lines
 
 
 class _References:
     """Checks the variables and objects an artifact mentions against a
-    program, each distinct one once per artifact."""
+    program; each distinct object once per artifact."""
 
-    def __init__(self, index: ProgramIndex):
-        self.methods = index.methods
+    def __init__(self, p: Program):
+        self.methods = {m.name: m for m in p.methods}
         self.alloc_labels = {
-            name: {s.label for s in m.body if isinstance(s.instr, Alloc)}
-            for name, m in index.methods.items()
+            m.name: {s.label for s in m.body if isinstance(s.instr, Alloc)} for m in p.methods
         }
-        self.known: set[object] = set()
+        self.objects: dict[ObjectId, str | None] = {NULL_OBJECT: None}
 
-    def check_object(self, o: ObjectId, where: str) -> None:
-        if o in self.known or isinstance(o, NullObject):
-            return
+    def object(self, o: ObjectId) -> str | None:
+        """Why ``o`` does not exist in the program, or None when it does."""
+        if o in self.objects:
+            return self.objects[o]
+        bad = None
         if isinstance(o, Placeholder):
             m = self.methods.get(o.method)
             if m is None or o.index >= len(m.params):
-                raise UnknownReferenceError(f"{where}: unknown placeholder {o.method}?{o.index}")
+                bad = f"unknown placeholder {o.method}?{o.index}"
         else:
             assert isinstance(o, Site)
-            if o.method not in self.methods or o.label not in self.alloc_labels[o.method]:
-                raise UnknownReferenceError(
-                    f"{where}: object {o.method}:{o.label} is not an allocation site"
-                )
-        self.known.add(o)
+            labels = self.alloc_labels.get(o.method)
+            if labels is None or o.label not in labels:
+                bad = f"object {o.method}:{o.label} is not an allocation site"
+        self.objects[o] = bad
+        return bad
 
-    def check_graph(self, g: PointsToGraph, where: str) -> None:
-        for v, o in g.var_edges:
-            if v not in self.known:
-                m = self.methods.get(v.method)
-                if m is None or v.slot > m.var_count:
-                    raise UnknownReferenceError(
-                        f"{where}: unknown variable slot {v.method}/{v.slot}"
-                    )
-                self.known.add(v)
-            self.check_object(o, where)
-        for s, _, t in g.field_edges:
-            self.check_object(s, where)
-            self.check_object(t, where)
+    def edge(self, kind: str, edge: VarEdge | FieldEdge) -> str | None:
+        """Why an edge names something the program lacks (its left side
+        first), or None."""
+        if kind == "var":
+            v = edge[0]
+            m = self.methods.get(v.method)
+            if m is None or v.slot > m.var_count:
+                return f"unknown variable slot {v.method}/{v.slot}"
+        else:
+            bad = self.object(edge[0])
+            if bad is not None:
+                return bad
+        return self.object(edge[-1])
+
+
+class _EdgeLines(dict):
+    """The edge lines of one artifact, parsed: each whole line maps to its
+    edge with a singleton target set (see ``ptg.graph_of_set_edges``).  An
+    artifact repeats most of its edges across entries, so each distinct line
+    is parsed, and checked against the program when there is one, once; a
+    line that names something the program lacks is kept in ``bad`` with the
+    reason."""
+
+    def __init__(self, refs: _References | None):
+        super().__init__()
+        self.refs = refs
+        self.bad: dict[str, str] = {}
+
+    def __missing__(self, line: str) -> SetEdge:
+        if not line.startswith("  "):
+            raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
+        try:
+            kind, edge = parse_edge_line(line[2:])
+        except ValueError as exc:
+            raise MalformedArtworkError(str(exc)) from exc
+        if self.refs is not None:
+            bad = self.refs.edge(kind, edge)
+            if bad is not None:
+                self.bad[line] = bad
+        parsed = self[line] = (*edge[:-1], frozenset(edge[-1:]))  # (v, {o}) or (s, f, {t})
+        return parsed
+
+    def graph(self, lines: list[str]) -> tuple[PointsToGraph, str | None]:
+        """The graph of ``lines`` and why its first bad line is bad (None
+        when no line is)."""
+        g = graph_of_set_edges(map(self.__getitem__, lines))
+        bad = self.bad
+        if bad and not bad.keys().isdisjoint(lines):
+            return g, next(bad[line] for line in lines if line in bad)
+        return g, None
+
+
+_Value = tuple[PointsToGraph, str | None]
+
+
+def _entry_value(
+    lines: list[str], i: int, text: str, edges: _EdgeLines, pool: list[_Value]
+) -> tuple[_Value, int]:
+    """The graph an entry's ``= text`` denotes, and the index of the line
+    after the entry."""
+    if text == "{":
+        try:
+            end = lines.index("}", i)
+        except ValueError:
+            end = len(lines)
+        value = edges.graph(lines[i:end])  # rejects the first line that is no edge
+        if end == len(lines):
+            raise MalformedArtworkError("unterminated graph block")
+        return value, end + 1
+    if _POOL_REF_RE.fullmatch(text):
+        k = int(text[1:])
+        if k >= len(pool):
+            raise MalformedArtworkError(f"reference to undefined pool graph g{k}")
+        return pool[k], i
+    raise MalformedArtworkError(f"expected graph block or pool reference, got {text!r}")
+
+
+def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[tuple, str]]:
+    """Parse an ART/1 file in one walk over its lines.  Returns the artwork
+    and, for each entry whose graph has a line ``refs`` rejects, why its
+    first such line is bad, keyed by ``(section, entry key)``."""
+    lines = _lines(data, MAGIC)
+    n = len(lines)
+    edges = _EdgeLines(refs)
+    i = 1
+    pool: list[_Value] = []
+    if i < n and lines[i] == "[pool]":
+        i += 1
+        while i < n and lines[i].startswith("g"):
+            if lines[i] != f"g{len(pool)}:":
+                raise MalformedArtworkError(f"bad pool graph header {lines[i]!r}")
+            i = end = i + 1
+            while end < n and lines[end].startswith("  "):
+                end += 1
+            pool.append(edges.graph(lines[i:end]))
+            i = end
+
+    sections: list[dict] = []
+    bad: dict[tuple, str] = {}
+    for name, key_re, next_header in _SECTIONS:
+        if i == n:
+            raise MalformedArtworkError("unexpected end of file")
+        if lines[i] != f"[{name}]":
+            raise MalformedArtworkError(f"expected [{name}] section")
+        i += 1
+        entries: dict = {}
+        while i < n and lines[i] != next_header:
+            m = key_re.match(lines[i])
+            if m is None:
+                raise MalformedArtworkError(f"bad [{name}] entry")
+            key = (m.group(1), int(m.group(2))) if name == "loop" else m.group(1)
+            if key in entries:
+                raise MalformedArtworkError(f"duplicate {name} entry {key}")
+            value, i = _entry_value(lines, i + 1, m.group(m.lastindex), edges, pool)
+            entries[key], why = value
+            if why is not None:
+                bad[(name, key)] = why
+        sections.append(entries)
+    i_loop, i_in, i_out = sections
+    a = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=tuple(g for g, _ in pool) or None)
+    return a, bad
+
+
+def parse_artwork(data: bytes) -> Artwork:
+    """Syntax-only parse of an ART/1 file (no program to validate against)."""
+    return _read_artwork(data, None)[0]
 
 
 def decode(data: bytes, p: Program) -> Artwork:
@@ -300,28 +330,35 @@ def decode(data: bytes, p: Program) -> Artwork:
 
     Raises MalformedArtworkError on syntax breakage and UnknownReferenceError
     when a method, slot, label, or summary key does not exist in ``p`` (an
-    OUT-summary key must name a method on a call-graph cycle).
+    OUT-summary key must name a method on a call-graph cycle).  A syntax
+    error anywhere wins; otherwise the first entry at fault is reported, in
+    [loop], [in], [out] order, its key before its graph.
     """
-    a = parse_artwork(data)
+    a, bad = _read_artwork(data, _References(p))
     index = ProgramIndex.of(p)
-    refs = _References(index)
-    methods = refs.methods
-    for (name, label), g in a.i_loop.items():
+    methods = index.methods
+
+    def check_graph(section: str, key: object, where: str) -> None:
+        why = bad.get((section, key))
+        if why is not None:
+            raise UnknownReferenceError(f"{where}: {why}")
+
+    for name, label in a.i_loop:
         if name not in methods:
             raise UnknownReferenceError(f"[loop]: unknown method '{name}'")
         if label not in index.stmts[name]:
             raise UnknownReferenceError(f"[loop]: no statement {name}:{label}")
-        refs.check_graph(g, f"[loop] {name}:{label}")
-    for name, g in a.i_in.items():
+        check_graph("loop", (name, label), f"[loop] {name}:{label}")
+    for name in a.i_in:
         if name not in methods:
             raise UnknownReferenceError(f"[in]: unknown method '{name}'")
-        refs.check_graph(g, f"[in] {name}")
-    for name, g in a.i_out.items():
+        check_graph("in", name, f"[in] {name}")
+    for name in a.i_out:
         if name not in methods:
             raise UnknownReferenceError(f"[out]: unknown method '{name}'")
         if not index.call_graph.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
-        refs.check_graph(g, f"[out] {name}")
+        check_graph("out", name, f"[out] {name}")
     return a
 
 
@@ -349,38 +386,37 @@ def naive_encode(result: "AnalysisResult") -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_DUMP_METHOD_RE = re.compile(r"\[method ([A-Za-z_][A-Za-z0-9_]*)\]")
+_DUMP_POINT_RE = re.compile(r"(entry|exit|l:[0-9]+) = \{")
+
+
 def parse_naive(data: bytes) -> dict[tuple[str, str], tuple[str, ...]]:
     """Parse a naive dump into {(method, point): sorted edge lines}; used by
     the structural diff."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedArtworkError("not valid UTF-8") from exc
-    if not text.endswith("\n"):
-        raise MalformedArtworkError("missing trailing newline")
-    reader = _Reader(text.split("\n")[:-1])
-    if reader.take() != NAIVE_MAGIC:
-        raise MalformedArtworkError(f"missing {NAIVE_MAGIC} header")
+    lines = _lines(data, NAIVE_MAGIC)
+    n = len(lines)
     out: dict[tuple[str, str], tuple[str, ...]] = {}
     method = None
-    while reader.peek() is not None:
-        line = reader.take()
-        m = re.fullmatch(r"\[method ([A-Za-z_][A-Za-z0-9_]*)\]", line)
+    i = 1
+    while i < n:
+        line = lines[i]
+        i += 1
+        m = _DUMP_METHOD_RE.fullmatch(line)
         if m:
             method = m.group(1)
             continue
-        m = re.fullmatch(r"(entry|exit|l:[0-9]+) = \{", line)
+        m = _DUMP_POINT_RE.fullmatch(line)
         if m is None or method is None:
             raise MalformedArtworkError(f"bad dump line {line!r}")
-        edges = []
-        while True:
-            inner = reader.take()
-            if inner == "}":
-                break
-            if not inner.startswith("  "):
-                raise MalformedArtworkError(f"bad dump edge line {inner!r}")
-            edges.append(inner[2:])
-        out[(method, m.group(1))] = tuple(sorted(edges))
+        end = i
+        while end < n and lines[end] != "}":
+            if not lines[end].startswith("  "):
+                raise MalformedArtworkError(f"bad dump edge line {lines[end]!r}")
+            end += 1
+        if end == n:
+            raise MalformedArtworkError("unexpected end of file")
+        out[(method, m.group(1))] = tuple(sorted(line[2:] for line in lines[i:end]))
+        i = end + 1
     return out
 
 

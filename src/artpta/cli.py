@@ -2,7 +2,8 @@
 gen-corpus.
 
 Exit codes are a contract: 0 for success or a SAFE verdict, 1 for an UNSAFE
-verdict (or differing results / undetected tamperings), 2 for usage, IO, and
+verdict (from ``regen``, or from ``stats``, which sizes only artifacts that
+regenerate; or differing results / undetected tamperings), 2 for usage, IO, and
 format errors and for any internal error.  Output files are written
 atomically (write then rename).  ANSI color is used only on a terminal and
 is disabled by ART_COLOR=0.
@@ -16,7 +17,7 @@ import sys
 import tempfile
 
 from .artwork import decode, encode, naive_encode, parse_artwork, parse_naive, stats
-from .consumer import regen_inter
+from .consumer import RegenOutcome, regen_inter
 from .corpus import CorpusConfig, generate_corpus
 from .errors import ArtError
 from .ir import parse_program
@@ -80,11 +81,15 @@ def _cmd_regen(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     artwork = decode(_read(args.artwork), program)
     outcome = regen_inter(program, artwork, keep_going=args.keep_going)
-    if outcome.safe:
-        print(_style("SAFE", "32"))
-        if args.dump_results:
-            _write_atomic(args.dump_results, naive_encode(outcome.result))
-        return 0
+    if not outcome.safe:
+        return _report_unsafe(outcome)
+    print(_style("SAFE", "32"))
+    if args.dump_results:
+        _write_atomic(args.dump_results, naive_encode(outcome.result))
+    return 0
+
+
+def _report_unsafe(outcome: RegenOutcome) -> int:
     print(_style("UNSAFE", "31"))
     for v in outcome.violations:
         print(v.describe(), file=sys.stderr)
@@ -149,8 +154,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     artwork = decode(_read(args.artwork), program)
-    result = analyze_inter(program)
-    st = stats(program, artwork, result)
+    # The naive dump is sized from the results the artifact encodes; an
+    # artifact that does not regenerate has none to size.
+    outcome = regen_inter(program, artwork)
+    if not outcome.safe:
+        return _report_unsafe(outcome)
+    st = stats(program, artwork, outcome.result)
     print(f"artwork bytes:        {st.bytes_art}")
     print(f"naive bytes:          {st.bytes_naive}")
     ratio = st.bytes_art / st.bytes_naive if st.bytes_naive else 0.0

@@ -20,9 +20,16 @@ map, a field store copies only the source objects it touches, and a meet
 whose second operand adds nothing returns the first operand itself.  A
 lookup (``pts``, ``field_targets``) is one or two dictionary probes, and
 the edge-set views ``var_edges`` / ``field_edges`` are built on first use.
-Because the heap is keyed by source object, the one structural rule -- no
-field edge leaves the null object -- is a single key test, checked on every
+The hash is taken over the two maps (each value set caches its own hash) and
+kept in the graph, so hashing never builds the edge views either.  Because
+the heap is keyed by source object, the one structural rule -- no field edge
+leaves the null object -- is a single key test, checked on every
 construction.
+
+``graph_of_set_edges`` builds the maps straight from parsed edge lines,
+``(v, {o})`` for a variable edge and ``(s, f, {t})`` for a field edge,
+sharing each line's singleton set: the artifact decoder's path, which never
+builds edge sets.
 
 Variables and objects are small values that hash and compare in C:
 ``VarId``, ``Site`` and ``Placeholder`` are named tuples whose last field is
@@ -137,7 +144,7 @@ class PointsToGraph:
     from maps.  Both paths run ``__post_init__``.
     """
 
-    __slots__ = ("_vars", "_heap", "_var_edges", "_field_edges")
+    __slots__ = ("_vars", "_heap", "_var_edges", "_field_edges", "_hash")
 
     def __init__(self, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> None:
         var_edges = frozenset(var_edges)
@@ -154,6 +161,7 @@ class PointsToGraph:
         }
         self._var_edges: frozenset[VarEdge] | None = var_edges
         self._field_edges: frozenset[FieldEdge] | None = field_edges
+        self._hash: int | None = None
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -215,7 +223,13 @@ class PointsToGraph:
         return self._vars == other._vars and self._heap == other._heap
 
     def __hash__(self) -> int:
-        return hash((self.var_edges, self.field_edges))  # frozensets cache theirs
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((
+                frozenset(self._vars.items()),
+                frozenset((o, frozenset(fields.items())) for o, fields in self._heap.items()),
+            ))
+        return h
 
     def __repr__(self) -> str:
         return f"PointsToGraph(var_edges={self.var_edges!r}, field_edges={self.field_edges!r})"
@@ -226,9 +240,46 @@ def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
     g = object.__new__(PointsToGraph)
     g._vars = vars_
     g._heap = heap
-    g._var_edges = g._field_edges = None
+    g._var_edges = g._field_edges = g._hash = None
     g.__post_init__()
     return g
+
+
+# An edge to a set of objects: ``(v, objs)`` or ``(s, f, objs)`` with
+# ``objs`` a non-empty frozenset; one parsed edge line is one with a
+# singleton set.
+SetEdge = Union[tuple[VarId, Objects], tuple[ObjectId, str, Objects]]
+
+
+def graph_of_set_edges(edges: Iterable[SetEdge]) -> PointsToGraph:
+    """The graph of ``edges``, in any order and with repeats, built straight
+    into the index maps (no edge sets).  The given sets are shared where a
+    variable or an (object, field) pair occurs once; repeats are unioned in
+    one growing set, so the cost stays linear in the edges."""
+    vars_: VarIndex = {}
+    heap: HeapIndex = {}
+    grown: list[tuple[dict, object]] = []  # (map, key) holding a growing set
+    for edge in edges:
+        if len(edge) == 2:
+            key, objs = edge
+            index = vars_
+        else:
+            s, key, objs = edge
+            index = heap.get(s)
+            if index is None:
+                heap[s] = {key: objs}
+                continue
+        have = index.get(key)
+        if have is None:
+            index[key] = objs
+        elif have.__class__ is set:
+            have |= objs
+        else:
+            index[key] = set(have) | objs
+            grown.append((index, key))
+    for index, key in grown:
+        index[key] = frozenset(index[key])
+    return _graph(vars_, heap)
 
 
 def _heap_edges(heap: HeapIndex) -> Iterable[FieldEdge]:

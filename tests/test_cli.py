@@ -223,3 +223,36 @@ def test_ten_thousand_deep_chain_regenerates_within_the_default_stack(call_chain
     assert out.safe
     assert len(out.methods_analyzed) == 10_001
     assert sys.getrecursionlimit() == limit
+
+
+def test_stats_sizes_the_regenerated_result_without_reanalysing(
+    tmp_path, loopy_ir, capsys, count_calls
+):
+    import artpta.producer
+    from artpta import analyze_inter, decode, naive_encode, parse_program
+
+    art = tmp_path / "loopy.art"
+    assert main(["analyze", loopy_ir, "-O", "-o", str(art)]) == 0
+    p = parse_program(LOOPY)
+    naive = len(naive_encode(analyze_inter(p)))
+    capsys.readouterr()
+    counts = count_calls(artpta.producer, "analyze_inter")
+    assert main(["stats", loopy_ir, str(art)]) == 0
+    assert counts["analyze_inter"] == 0
+    out = capsys.readouterr().out
+    assert f"naive bytes:          {naive}\n" in out
+    assert f"artwork bytes:        {len(art.read_bytes())}\n" in out
+    assert decode(art.read_bytes(), p).i_loop  # the loop entry survives -O
+
+
+def test_stats_reports_an_unsafe_artifact_instead_of_sizing_it(tmp_path, loopy_ir, capsys):
+    art = str(tmp_path / "loopy.art")
+    bad = str(tmp_path / "bad.art")
+    main(["analyze", loopy_ir, "-o", art])
+    main(["tamper", art, "--kind", "remove-edge", "--seed", "7", "-o", bad])
+    capsys.readouterr()
+    assert main(["stats", loopy_ir, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "UNSAFE\n"
+    assert "LoopInvariant" in captured.err and "expected:" in captured.err
+    assert "bytes" not in captured.err
