@@ -182,6 +182,28 @@ def test_stats_empty_program():
     assert st.dedup_savings == 0
 
 
+def test_stats_dedup_savings_of_a_pooled_optimized_artifact(small_corpus):
+    from artpta import optimize_artwork
+    from artpta.producer import _pool_saving
+
+    pooled_seen = 0
+    for _, p in small_corpus:
+        result = analyze_inter(p)
+        a = optimize_artwork(p, emit_artwork(p, result))
+        if not a.dedup_pool:
+            continue
+        pooled_seen += 1
+        unpooled = Artwork(i_loop=a.i_loop, i_in=a.i_in, i_out=a.i_out, dedup_pool=None)
+        saving = len(encode(unpooled)) - len(encode(a))
+        uses: dict = {}
+        for section in (a.i_loop, a.i_in, a.i_out):
+            for g in section.values():
+                uses[g] = uses.get(g, 0) + 1
+        assert stats(p, a, result).dedup_savings == saving == _pool_saving(a.dedup_pool, uses)
+        assert saving > 0
+    assert pooled_seen >= 3
+
+
 def test_pool_reference_to_missing_graph_rejected():
     data = b"ART/1\n[loop]\n[in]\nm:foo = g3\n[out]\n"
     with pytest.raises(MalformedArtworkError):
