@@ -30,8 +30,9 @@ repeats most lines across entries); each block's graph is then built straight
 into the two index maps from those parsed lines, with no edge sets
 (``ptg.graph_of_set_edges``).  Errors are reported deterministically: a
 syntax error anywhere wins, at its first line; otherwise the first entry at
-fault in [loop], [in], [out] order, its key before its graph, and within a
-graph the first bad edge line in file order, its left side before its right.
+fault in [loop], [in], [out] order, its key before its graph, then the first
+[pool] graph at fault that no entry reports, and within a graph the first bad
+edge line in file order, its left side before its right.
 """
 
 from __future__ import annotations
@@ -135,6 +136,20 @@ def encode(a: Artwork) -> bytes:
     for method in sorted(a.i_out):
         lines.extend(_entry_lines(f"m:{method}", a.i_out[method], pool_index))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _pool_saving(pool: tuple[PointsToGraph, ...], uses: dict[PointsToGraph, int]) -> int:
+    """Bytes ``encode`` saves by writing each graph of ``pool`` once, as
+    ``gK:`` plus its edge lines under a ``[pool]`` header, and each of its
+    ``uses[g]`` entries as ``= gK`` instead of as a ``= {`` ... ``}`` block
+    of the same edge lines; computed without encoding."""
+    saving = -len("[pool]\n")
+    for k, g in enumerate(pool):
+        edge_bytes = len("".join(f"  {e}\n" for e in render_edges(g)).encode("utf-8"))
+        ref = len(f"g{k}")
+        inline = len("{") + edge_bytes + len("}\n")
+        saving += uses[g] * (inline - ref) - (ref + len(":\n") + edge_bytes)
+    return saving
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +291,9 @@ def _entry_value(
 
 def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[tuple, str]]:
     """Parse an ART/1 file in one walk over its lines.  Returns the artwork
-    and, for each entry whose graph has a line ``refs`` rejects, why its
-    first such line is bad, keyed by ``(section, entry key)``."""
+    and, for each entry or pool graph with a line ``refs`` rejects, why its
+    first such line is bad, keyed by ``(section, entry key)`` or
+    ``("pool", K)``."""
     lines = _lines(data, MAGIC)
     n = len(lines)
     edges = _EdgeLines(refs)
@@ -315,6 +331,9 @@ def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[
             if why is not None:
                 bad[(name, key)] = why
         sections.append(entries)
+    for k, (_, why) in enumerate(pool):
+        if why is not None:
+            bad[("pool", k)] = why
     i_loop, i_in, i_out = sections
     a = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=tuple(g for g, _ in pool) or None)
     return a, bad
@@ -330,9 +349,14 @@ def decode(data: bytes, p: Program) -> Artwork:
 
     Raises MalformedArtworkError on syntax breakage and UnknownReferenceError
     when a method, slot, label, or summary key does not exist in ``p`` (an
-    OUT-summary key must name a method on a call-graph cycle).  A syntax
-    error anywhere wins; otherwise the first entry at fault is reported, in
-    [loop], [in], [out] order, its key before its graph.
+    OUT-summary key must name a method on a call-graph cycle).  A [loop] key
+    must name a statement of its method, not necessarily a loop header; the
+    consumer reads only header keys and ignores the rest.  Pool graphs are
+    checked too, whether or not an entry references them.  A syntax error
+    anywhere wins; otherwise the first entry at fault is reported, in [loop],
+    [in], [out] order, its key before its graph (a bad pool graph an entry
+    references is reported through that entry), then the first bad pool
+    graph as ``[pool] gK``.
     """
     a, bad = _read_artwork(data, _References(p))
     index = ProgramIndex.of(p)
@@ -359,6 +383,8 @@ def decode(data: bytes, p: Program) -> Artwork:
         if not index.call_graph.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
         check_graph("out", name, f"[out] {name}")
+    for k in range(len(a.dedup_pool or ())):
+        check_graph("pool", k, f"[pool] g{k}")
     return a
 
 

@@ -36,12 +36,15 @@ encodes.  This module never imports the producer.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .artwork import Artwork
-from .equations import AnalysisResult, PointKey, eval_statement, in_value
+from .equations import AnalysisResult, PointKey, callee_in, eval_statement, in_value
 from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex
+
+# ``project_in`` is not called here (``callee_in`` is); it stays bound
+# because the benchmark's tracer self-test patches ``consumer.project_in``.
 from .ptg import (
     EMPTY,
     PointsToGraph,
@@ -120,13 +123,7 @@ class _Abort(Exception):
 
 
 class _Regenerator:
-    def __init__(
-        self,
-        index: ProgramIndex,
-        artwork: Artwork,
-        keep_going: bool = False,
-        entry_override: dict[str, PointsToGraph] | None = None,
-    ):
+    def __init__(self, index: ProgramIndex, artwork: Artwork, keep_going: bool = False):
         self.index = index
         self.artwork = artwork
         self.keep_going = keep_going
@@ -134,8 +131,6 @@ class _Regenerator:
         self.visits: dict[tuple[str, int], int] = defaultdict(int)
         self.analyzed: set[str] = set()
         self.effective_in: dict[str, PointsToGraph] = dict(artwork.i_in)
-        if entry_override:
-            self.effective_in.update(entry_override)
         self.regen_out_summary: dict[str, PointsToGraph] = {}
         self.violations: list[Violation] = []
         self.applications = 0
@@ -177,7 +172,7 @@ class _Regenerator:
     ) -> None:
         assert isinstance(s.instr, Call)
         for t in s.instr.targets:
-            projected = project_in(in_g, m, s, self.index.methods[t])
+            projected = callee_in(self.index, m.name, s, in_g, t)
             claimed = self._resolved_in(t, default=projected)
             v = check_in_safety(s, m, self.index.methods[t], projected, claimed)
             if v is not None:
@@ -268,27 +263,19 @@ class _Regenerator:
                     self._regen(name)
         except _Abort:
             pass
-        if self.violations:
-            return RegenOutcome(
-                safe=False,
-                result=None,
-                violation=self.violations[0],
-                violations=tuple(self.violations),
-                visits=dict(self.visits),
-                methods_analyzed=frozenset(self.analyzed),
-                transfer_applications=self.applications,
+        result = None
+        if not self.violations:
+            result = AnalysisResult(
+                out=self.out,
+                in_summary={m.name: self.effective_in[m.name] for m in self.index.program.methods},
+                out_summary=self.regen_out_summary,
+                iteration_count=self.applications,
             )
-        result = AnalysisResult(
-            out=self.out,
-            in_summary={m.name: self.effective_in[m.name] for m in self.index.program.methods},
-            out_summary=self.regen_out_summary,
-            iteration_count=self.applications,
-        )
         return RegenOutcome(
-            safe=True,
+            safe=result is not None,
             result=result,
-            violation=None,
-            violations=(),
+            violation=self.violations[0] if self.violations else None,
+            violations=tuple(self.violations),
             visits=dict(self.visits),
             methods_analyzed=frozenset(self.analyzed),
             transfer_applications=self.applications,
@@ -311,8 +298,5 @@ def regen_intra(m: Method, a: Artwork, keep_going: bool = False) -> RegenOutcome
     to its placeholder object, mirroring the intra-procedural producer."""
     if any(isinstance(s.instr, Call) for s in m.body):
         raise ValueError(f"method '{m.name}' contains calls; use regen_inter")
-    index = ProgramIndex.of(Program(methods=(m,), entry=m.name))
-    regen = _Regenerator(
-        index, a, keep_going=keep_going, entry_override={m.name: entry_graph(m)}
-    )
-    return regen.run(m.name)
+    a = replace(a, i_in={**a.i_in, m.name: entry_graph(m)})
+    return regen_inter(Program((m,), m.name), a, keep_going=keep_going)

@@ -1,9 +1,11 @@
 """The flow equations every engine evaluates.
 
-The producer's worklist, the round-robin oracle, the equation check and the
-consumer all evaluate a statement with ``eval_statement`` and the value
-flowing into a program point with ``in_value``; they differ only in where
-callee OUT summaries come from and in how often they evaluate.
+The producer's worklist, the round-robin oracle, the equation check, the
+artifact optimizer and the consumer all evaluate a statement with
+``eval_statement``, the value flowing into a program point with ``in_value``
+and a call-site's contribution to a callee's IN summary with ``callee_in``;
+they differ only in where callee OUT summaries come from and in how often
+they evaluate.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .ir import Call, LabeledStatement, Method, Node, ProgramIndex
-from .ptg import EMPTY, PointsToGraph, meet_all, project_out, transfer
+from .ptg import EMPTY, PointsToGraph, meet_all, project_in, project_out, transfer
 
 PointKey = tuple[str, Node]
 
@@ -61,3 +63,12 @@ def eval_statement(
         summary = meet_all(summary_of(t) for t in s.instr.targets)
         return project_out(summary, m, s, in_g)
     return transfer(s, in_g, m)
+
+
+def callee_in(
+    index: ProgramIndex, caller: str, s: LabeledStatement, in_g: PointsToGraph, target: str
+) -> PointsToGraph:
+    """The term call-site ``s`` contributes to ``target``'s IN summary: the
+    caller's state before the call, ``in_g``, projected into the target.  An
+    IN summary is the meet of these terms over all call-sites of its method."""
+    return project_in(in_g, index.methods[caller], s, index.methods[target])

@@ -20,53 +20,41 @@ consumer, never the reverse.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable
 
-from .artwork import Artwork
+from .artwork import Artwork, _pool_saving
 from .consumer import regenerate
-from .equations import AnalysisResult, PointKey, eval_statement, in_value
+from .equations import AnalysisResult, PointKey, callee_in, eval_statement, in_value
 from .errors import ArtError
-from .ir import (
-    ENTRY,
-    EXIT,
-    REF_INSTRS,
-    Call,
-    LabeledStatement,
-    Method,
-    Program,
-    ProgramIndex,
-)
+from .ir import ENTRY, EXIT, REF_INSTRS, Call, Method, Program, ProgramIndex
+
+# ``transfer`` is not called here; it stays bound because the benchmark's
+# tracer self-test patches ``producer.transfer``.
 from .ptg import (
     EMPTY,
     PointsToGraph,
     entry_graph,
     meet,
-    project_in,
-    render_edges,
     restrict_to_summary,
     subsumes,
     transfer,
 )
 
 
-@dataclass
-class _Counter:
-    n: int = 0
-
-
 def _method_pass(
     index: ProgramIndex,
     name: str,
     entry_out: PointsToGraph,
-    eval_stmt: Callable[[LabeledStatement, PointsToGraph], PointsToGraph],
+    out_summary: dict[str, PointsToGraph],
+    inj_loop: dict[tuple[str, int], PointsToGraph],
     out: dict[PointKey, PointsToGraph],
-    counter: _Counter,
-) -> None:
+) -> int:
     """Run one method's statements to a local fixed point (worklist in
-    reverse post-order), then refresh its Exit value."""
+    reverse post-order), then refresh its Exit value.  A statement's OUT
+    also holds its ``inj_loop`` seed.  Returns the evaluation count."""
+    m = index.methods[name]
     cfg = index.cfgs[name]
     stmts = index.stmts[name]
+    evals = 0
     out[(name, ENTRY)] = entry_out
     order = [s.label for b in cfg.topo_order for s in b.statements]
     rank = {label: i for i, label in enumerate(order)}
@@ -79,8 +67,11 @@ def _method_pass(
             continue
         queued.discard(label)
         in_g = in_value(index, out, name, label)
-        counter.n += 1
-        new = eval_stmt(stmts[label], in_g)
+        evals += 1
+        new = eval_statement(stmts[label], in_g, m, out_summary.__getitem__)
+        extra = inj_loop.get((name, label))
+        if extra is not None:
+            new = meet(new, extra)
         if new != out.get((name, label)):
             out[(name, label)] = new
             for v in cfg.succ[label]:
@@ -88,6 +79,7 @@ def _method_pass(
                     queued.add(v)
                     heapq.heappush(heap, rank[v])
     out[(name, EXIT)] = in_value(index, out, name, EXIT)
+    return evals
 
 
 def analyze_intra(m: Method) -> AnalysisResult:
@@ -97,17 +89,7 @@ def analyze_intra(m: Method) -> AnalysisResult:
     """
     if any(isinstance(s.instr, Call) for s in m.body):
         raise ValueError(f"method '{m.name}' contains calls; use analyze_inter")
-    index = ProgramIndex.of(Program(methods=(m,), entry=m.name))
-    counter = _Counter()
-    out: dict[PointKey, PointsToGraph] = {}
-    seed = entry_graph(m)
-    _method_pass(index, m.name, seed, lambda s, g: transfer(s, g, m), out, counter)
-    return AnalysisResult(
-        out=out,
-        in_summary={m.name: seed},
-        out_summary={m.name: restrict_to_summary(out[(m.name, EXIT)], m)},
-        iteration_count=counter.n,
-    )
+    return analyze_inter(Program((m,), m.name), _inject={"in": {m.name: entry_graph(m)}})
 
 
 Injection = dict[str, dict]
@@ -119,7 +101,8 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
     ``_inject`` seeds extra graph content at specific result locations
     ({"loop": {(m, label): g}, "in": {m: g}, "out": {m: g}}) and computes the
     least fixed point above those seeds; it exists for conservative artifact
-    mutation and is not part of the analysis proper.
+    mutation and for ``analyze_intra``'s placeholder Entry value, and is not
+    part of the analysis proper.
     """
     index = ProgramIndex.of(program)
     inj = _inject or {}
@@ -130,7 +113,7 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
     in_summary = {n: inj_in.get(n, EMPTY) for n in index.methods}
     out_summary = {n: inj_out.get(n, EMPTY) for n in index.methods}
     out: dict[PointKey, PointsToGraph] = {}
-    counter = _Counter()
+    evals = 0
 
     order = index.call_graph.bottom_up_order()
     rank = {n: i for i, n in enumerate(order)}
@@ -149,13 +132,7 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
             continue
         queued.discard(name)
         m = index.methods[name]
-
-        def eval_stmt(s: LabeledStatement, in_g: PointsToGraph) -> PointsToGraph:
-            g = eval_statement(s, in_g, m, out_summary.__getitem__)
-            extra = inj_loop.get((name, s.label))
-            return meet(g, extra) if extra is not None else g
-
-        _method_pass(index, name, in_summary[name], eval_stmt, out, counter)
+        evals += _method_pass(index, name, in_summary[name], out_summary, inj_loop, out)
 
         new_sum = restrict_to_summary(out[(name, EXIT)], m)
         if not subsumes(out_summary[name], new_sum):
@@ -168,7 +145,7 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
                 continue
             in_g = in_value(index, out, name, s.label)
             for t in s.instr.targets:
-                contrib = project_in(in_g, m, s, index.methods[t])
+                contrib = callee_in(index, name, s, in_g, t)
                 if not subsumes(in_summary[t], contrib):
                     in_summary[t] = meet(in_summary[t], contrib)
                     push(t)
@@ -177,7 +154,7 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
         out=out,
         in_summary=in_summary,
         out_summary=out_summary,
-        iteration_count=counter.n,
+        iteration_count=evals,
     )
 
 
@@ -194,7 +171,7 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
             out[(m.name, s.label)] = EMPTY
     in_summary = {n: EMPTY for n in index.methods}
     out_summary = {n: EMPTY for n in index.methods}
-    counter = _Counter()
+    evals = 0
 
     changed = True
     while changed:
@@ -206,7 +183,7 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
                 changed = True
             for s in m.body:
                 in_g = in_value(index, out, name, s.label)
-                counter.n += 1
+                evals += 1
                 new = eval_statement(s, in_g, m, out_summary.__getitem__)
                 if new != out[(name, s.label)]:
                     out[(name, s.label)] = new
@@ -226,8 +203,7 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
                     continue
                 in_g = in_value(index, out, m.name, s.label)
                 for t in s.instr.targets:
-                    contrib = project_in(in_g, m, s, index.methods[t])
-                    new_in[t] = meet(new_in[t], contrib)
+                    new_in[t] = meet(new_in[t], callee_in(index, m.name, s, in_g, t))
         for name in index.methods:
             if in_summary[name] != new_in[name]:
                 in_summary[name] = new_in[name]
@@ -237,7 +213,7 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
         out=out,
         in_summary=in_summary,
         out_summary=out_summary,
-        iteration_count=counter.n,
+        iteration_count=evals,
     )
 
 
@@ -266,9 +242,7 @@ def validate_result(
             in_g = in_value(index, result.out, name, s.label)
             if isinstance(s.instr, Call):
                 for t in s.instr.targets:
-                    joined_in[t] = meet(
-                        joined_in[t], project_in(in_g, m, s, index.methods[t])
-                    )
+                    joined_in[t] = meet(joined_in[t], callee_in(index, name, s, in_g, t))
             expect = eval_statement(s, in_g, m, summary_of)
             if result.out.get((name, s.label)) != expect:
                 problems.append(f"{name}:{s.label}: OUT does not satisfy its equation")
@@ -358,14 +332,16 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             if not outcome.safe:
                 raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
             regenerated = outcome.result
-        projections = []
-        for caller, label in sites:
-            in_g = in_value(index, regenerated.out, caller, label)
-            projections.append(
-                project_in(
-                    in_g, index.methods[caller], index.stmts[caller][label], index.methods[name]
-                )
+        projections = [
+            callee_in(
+                index,
+                caller,
+                index.stmts[caller][label],
+                in_value(index, regenerated.out, caller, label),
+                name,
             )
+            for caller, label in sites
+        ]
         if all(p == projections[0] for p in projections) and projections[0] == i_in[name]:
             del i_in[name]
 
@@ -384,17 +360,3 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     if pool and _pool_saving(pool, counts) > 0:
         return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
-
-
-def _pool_saving(pool: tuple[PointsToGraph, ...], uses: dict[PointsToGraph, int]) -> int:
-    """Bytes the ``encode`` of an artifact loses by writing each graph of
-    ``pool`` once, as ``gK:`` plus its edge lines under a ``[pool]`` header,
-    and each of its ``uses[g]`` entries as ``= gK`` instead of as a
-    ``= {`` ... ``}`` block of the same edge lines."""
-    saving = -len("[pool]\n")
-    for k, g in enumerate(pool):
-        edge_bytes = len("".join(f"  {e}\n" for e in render_edges(g)).encode("utf-8"))
-        ref = len(f"g{k}")
-        inline = len("{") + edge_bytes + len("}\n")
-        saving += uses[g] * (inline - ref) - (ref + len(":\n") + edge_bytes)
-    return saving

@@ -555,6 +555,15 @@ def render_object(o: ObjectId) -> str:
     return "null"
 
 
+def render_edge(edge: VarEdge | FieldEdge) -> str:
+    """The text of one edge, as ``render_edges`` writes it."""
+    if len(edge) == 2:
+        v, o = edge
+        return f"{v.method}/{v.slot} -> {render_object(o)}"
+    s, f, t = edge
+    return f"{render_object(s)} .{f}-> {render_object(t)}"
+
+
 def render_edges(g: PointsToGraph) -> list[str]:
     """One line per edge: sorted variable edges, then sorted field edges."""
     var_lines = sorted(
@@ -609,12 +618,5 @@ def parse_edge_line(line: str) -> tuple[str, VarEdge | FieldEdge]:
 
 
 def parse_edges(lines: Iterable[str]) -> PointsToGraph:
-    var_edges: set[VarEdge] = set()
-    field_edges: set[FieldEdge] = set()
-    for line in lines:
-        kind, edge = parse_edge_line(line)
-        if kind == "var":
-            var_edges.add(edge)  # type: ignore[arg-type]
-        else:
-            field_edges.add(edge)  # type: ignore[arg-type]
-    return PointsToGraph(frozenset(var_edges), frozenset(field_edges))
+    """The graph of rendered edge lines, in any order."""
+    return graph_of_set_edges((*e[:-1], frozenset(e[-1:])) for _, e in map(parse_edge_line, lines))

@@ -34,6 +34,7 @@ from .ptg import (
     Site,
     VarEdge,
     VarId,
+    render_edge,
     render_object,
 )
 from .producer import analyze_inter, emit_artwork, validate_result
@@ -93,16 +94,8 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=a.dedup_pool)
 
 
-def _edge_line(edge: VarEdge | FieldEdge) -> str:
-    if len(edge) == 2:
-        v, o = edge
-        return f"{v.method}/{v.slot} -> {render_object(o)}"
-    s, f, t = edge
-    return f"{render_object(s)} .{f}-> {render_object(t)}"
-
-
 def _sorted_edges(g: PointsToGraph) -> list[VarEdge | FieldEdge]:
-    return sorted(g.var_edges, key=_edge_line) + sorted(g.field_edges, key=_edge_line)
+    return sorted(g.var_edges, key=render_edge) + sorted(g.field_edges, key=render_edge)
 
 
 def _all_objects(a: Artwork) -> list[ObjectId]:
@@ -123,7 +116,7 @@ def _remove_edge(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
         mutated = PointsToGraph(g.var_edges - {e}, g.field_edges)
     else:
         mutated = PointsToGraph(g.var_edges, g.field_edges - {e})
-    return _with_entry(a, key, mutated), f"{_entry_name(key)} edge '{_edge_line(e)}'"
+    return _with_entry(a, key, mutated), f"{_entry_name(key)} edge '{render_edge(e)}'"
 
 
 def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
@@ -165,7 +158,7 @@ def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
         mutated = PointsToGraph(g.var_edges, g.field_edges - {e} | {(e[0], e[1], new)})
     return (
         _with_entry(a, key, mutated),
-        f"{_entry_name(key)} edge '{_edge_line(e)}' target -> {render_object(new)}",
+        f"{_entry_name(key)} edge '{render_edge(e)}' target -> {render_object(new)}",
     )
 
 
@@ -269,7 +262,7 @@ def _add_edge(
             continue  # the addition does not belong to any fixed point; retry
         return (
             emit_artwork(program, closed),
-            f"{_entry_name(key)} edge '{_edge_line(edge)}'",
+            f"{_entry_name(key)} edge '{render_edge(edge)}'",
         )
     raise NothingToTamperError("no conservative edge addition found")
 

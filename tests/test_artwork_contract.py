@@ -154,6 +154,14 @@ UNKNOWN = {
         _art(in_="m:r = g0\n", pool="g0:\n  r/0 -> r:1\n"),
         "[in] r: object r:1 is not an allocation site",
     ),
+    "unreferenced-pool-graph": (
+        _art(pool="g0:\n  ghost/0 -> ghost:1\n"),
+        "[pool] g0: unknown variable slot ghost/0",
+    ),
+    "unreferenced-pool-graph-object": (
+        _art(in_="m:main = g0\n", pool="g0:\n  main/0 -> main:1\ng1:\n  main:1 .f-> main:3\n"),
+        "[pool] g1: object main:3 is not an allocation site",
+    ),
 }
 
 PRECEDENCE = {
@@ -202,6 +210,27 @@ PRECEDENCE = {
         _art(out=_block("m:main", "main/2 -> main:1")),
         UnknownReferenceError,
         "[out]: method 'main' is not recursive",
+    ),
+    # Every entry before an unreferenced pool graph, and pool graphs in order.
+    "entries-before-pool": (
+        _art(out="m:main = {\n}\n", pool="g0:\n  ghost/0 -> ghost:1\n"),
+        UnknownReferenceError,
+        "[out]: method 'main' is not recursive",
+    ),
+    "entry-graph-before-pool": (
+        _art(loop=_block("m:main l:2", "main/7 -> null"), pool="g0:\n  ghost/0 -> null\n"),
+        UnknownReferenceError,
+        "[loop] main:2: unknown variable slot main/7",
+    ),
+    "first-bad-pool-graph": (
+        _art(pool="g0:\n  main/0 -> main:1\ng1:\n  r/0 -> r:9\ng2:\n  ghost/0 -> null\n"),
+        UnknownReferenceError,
+        "[pool] g1: object r:9 is not an allocation site",
+    ),
+    "referenced-pool-graph-reports-through-its-entry": (
+        _art(out="m:r = g1\n", pool="g0:\n  main/5 -> null\ng1:\n  r/0 -> r:9\n"),
+        UnknownReferenceError,
+        "[out] r: object r:9 is not an allocation site",
     ),
     # Within a line, the left side before the right.
     "variable-before-object": (
@@ -299,6 +328,12 @@ def test_regen_exits_2_with_the_message(tmp_path, capsys, monkeypatch, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_an_unreferenced_valid_pool_graph_is_kept(program):
+    data = _art(in_="m:r = g1\n", pool="g0:\n  main/0 -> main:1\ng1:\n  r/0 -> main:1\n")
+    a = decode(data.encode(), program)
+    assert len(a.dedup_pool) == 2 and a.i_in["r"] == a.dedup_pool[1]
 
 
 def test_a_shared_bad_line_is_reported_for_its_first_entry(program):

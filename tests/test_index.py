@@ -95,3 +95,21 @@ def test_consumer_imports_only_the_verifier_side_modules():
             package.update(a.name.split(".")[-1] for a in node.names if a.name.startswith("artpta"))
     assert package <= {"ir", "ptg", "equations", "artwork", "errors"}, package
     assert {"ir", "ptg", "equations", "artwork"} <= package
+
+
+def test_project_in_is_called_only_from_equations():
+    # The IN-summary term is written once, as ``equations.callee_in``; every
+    # engine reaches ``ptg.project_in`` through it.
+    import pathlib
+
+    import artpta
+
+    callers = set()
+    for path in sorted(pathlib.Path(artpta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "project_in":
+                    callers.add(path.stem)
+    assert callers == {"equations"}

@@ -549,3 +549,18 @@ def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
             mutated, _ = tamper(a, kind, seed)
             with pytest.raises(ArtError, match="^artifact does not regenerate: "):
                 optimize_artwork(p, mutated)
+
+
+def test_a_loop_seed_stays_in_its_statement_and_flows_on(loopy):
+    # ``_inject`` seeds at a loop header: the seed is met into the header's
+    # OUT on every evaluation, so it survives re-evaluation and reaches the
+    # exit.  A field the program never touches makes it a fixed point.
+    from artpta import subsumes
+
+    edge = (Site("main", 6), "zz", Site("main", 6))
+    r = analyze_inter(loopy, _inject={"loop": {("main", 5): PointsToGraph.of(field_edges=[edge])}})
+    assert edge in r.out[("main", 5)].field_edges
+    assert edge in r.out[("main", 13)].field_edges
+    assert validate_result(loopy, r, exact_in=False) == []
+    least = analyze_inter(loopy)
+    assert all(subsumes(r.out[k], least.out[k]) for k in least.out)
