@@ -330,12 +330,6 @@ def test_regen_exits_2_with_the_message(tmp_path, capsys, monkeypatch, name):
     assert captured.err == f"error: {message}\n"
 
 
-def test_an_unreferenced_valid_pool_graph_is_kept(program):
-    data = _art(in_="m:r = g1\n", pool="g0:\n  main/0 -> main:1\ng1:\n  r/0 -> main:1\n")
-    a = decode(data.encode(), program)
-    assert len(a.dedup_pool) == 2 and a.i_in["r"] == a.dedup_pool[1]
-
-
 def test_a_shared_bad_line_is_reported_for_its_first_entry(program):
     line = "r/0 -> r:1"
     data = _art(in_=_block("m:r", "r/0 -> main:1", line), out=_block("m:r", line)).encode()

@@ -8,8 +8,6 @@ import hashlib
 import pytest
 
 from artpta import (
-    ARITH,
-    LOOPY,
     Artwork,
     PointsToGraph,
     Program,
@@ -18,7 +16,6 @@ from artpta import (
     emit_artwork,
     encode,
     naive_encode,
-    parse_program,
     regen_intra,
 )
 from artpta.errors import NothingToTamperError
@@ -34,29 +31,6 @@ def _digest(r) -> str:
 
 def _once_each(m) -> dict:
     return {(m.name, s.label): 1 for s in m.body}
-
-
-# (program text, iteration_count, value digest, regen transfer_applications)
-FIXTURES = {
-    "LOOPY": (LOOPY, 24, "3f8e8052ded02dc4", 13),
-    "ARITH": (ARITH, 7, "495349dea4653115", 6),
-}
-
-
-@pytest.mark.parametrize("name", list(FIXTURES))
-def test_fixture_main_analyze_and_regen(name):
-    text, evals, digest, applications = FIXTURES[name]
-    p = parse_program(text)
-    m = p.method("main")
-    r = analyze_intra(m)
-    assert (r.iteration_count, _digest(r)) == (evals, digest)
-    out = regen_intra(m, emit_artwork(p, r))
-    assert out.safe and out.violation is None and out.violations == ()
-    assert out.visits == _once_each(m)
-    assert out.transfer_applications == applications
-    assert out.methods_analyzed == frozenset({"main"})
-    assert out.result.same_values(r)
-    assert out.result.iteration_count == applications
 
 
 def test_loopy_main_empty_artwork_is_unsafe(loopy):
@@ -113,7 +87,8 @@ def test_a_stored_in_entry_is_replaced_by_the_placeholder_entry(small_corpus):
         assert out.transfer_applications == 32
 
 
-# Call-free methods of ``small_corpus``, keyed (program, method):
+# Call-free methods of ``small_corpus`` (``loopy.ir`` and ``arith.ir`` are
+# LOOPY and ARITH), keyed (program, method):
 # (param count, iteration_count, value digest, regen transfer_applications
 #  on the clean artifact, then per reductive kind with seed 7 either None
 #  (nothing to tamper) or (violated loop header, transfer_applications)).
@@ -157,8 +132,10 @@ def test_corpus_method_analyze_and_regen(call_free, key):
     assert (r.iteration_count, _digest(r)) == (evals, digest)
     a = emit_artwork(Program(methods=(m,), entry=m.name), r)
     out = regen_intra(m, a)
-    assert out.safe and out.visits == _once_each(m)
-    assert out.transfer_applications == applications
+    assert out.safe and out.violation is None and out.violations == ()
+    assert out.visits == _once_each(m)
+    assert out.transfer_applications == out.result.iteration_count == applications
+    assert out.methods_analyzed == frozenset({m.name})
     assert out.result.same_values(r)
     for kind, expect in zip(REDUCTIVE_KINDS, tampered):
         if expect is None:
