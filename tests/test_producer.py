@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from artpta import (
@@ -16,9 +18,11 @@ from artpta import (
     emit_artwork,
     encode,
     generate_corpus,
+    naive_encode,
     optimize_artwork,
     parse_program,
     regen_inter,
+    render_edges,
     validate_result,
 )
 from artpta import artwork
@@ -564,3 +568,127 @@ def test_a_loop_seed_stays_in_its_statement_and_flows_on(loopy):
     assert validate_result(loopy, r, exact_in=False) == []
     least = analyze_inter(loopy)
     assert all(subsumes(r.out[k], least.out[k]) for k in least.out)
+
+
+# ---------------------------------------------------------------------------
+# Pinned values: the worklist engine's least fixed point on the shapes whose
+# method re-visits dominate its cost, recorded as digests so that any change
+# to how the engine schedules its evaluations must leave every value as it is.
+# ---------------------------------------------------------------------------
+
+# one self-recursive method of 300 statements (the benchmark's large shape)
+LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+# 3-6 methods, every one of them on a call-graph cycle
+RECURSIVE_SHAPE = dict(methods_min=3, methods_max=6, recursion_prob=1.0)
+
+
+def _values_digest(r) -> str:
+    """sha256 prefix of every value of ``r``: each point's OUT (the
+    ``--dump-results`` bytes), then each IN and OUT summary."""
+    h = hashlib.sha256(naive_encode(r))
+    for kind, summaries in (("in", r.in_summary), ("out", r.out_summary)):
+        for name in sorted(summaries):
+            h.update(f"[{kind} {name}]\n".encode())
+            h.update("\n".join(render_edges(summaries[name])).encode())
+    return h.hexdigest()[:16]
+
+
+def _generated(shape: dict, seed: int) -> list[tuple[str, Program]]:
+    files = generate_corpus(CorpusConfig(program_count=4, seed=seed, **shape))
+    return [(name, parse_program(text)) for name, text in files if name.startswith("gen")]
+
+
+def _seed_graph(p: Program, scope: str) -> PointsToGraph:
+    """A deterministic extra edge pair for an entry of method ``scope``: its
+    first variable to the last allocation site, and the program's first field
+    of the first site to the last site."""
+    from artpta.ir import Alloc, FieldLoad, FieldStore
+
+    sites = [Site(m.name, s.label) for m in p.methods for s in m.body if isinstance(s.instr, Alloc)]
+    fields = sorted(
+        {s.instr.f for m in p.methods for s in m.body if isinstance(s.instr, (FieldStore, FieldLoad))}
+    )
+    var_edges = [(VarId(scope, 0), sites[-1])] if sites and p.method(scope).var_count else []
+    field_edges = [(sites[0], fields[0], sites[-1])] if sites and fields else []
+    return PointsToGraph.of(var_edges=var_edges, field_edges=field_edges)
+
+
+def _inject_cases(corpus) -> list[tuple[str, Program, dict]]:
+    """``_inject`` seeds of each kind, one at the first entry of each section
+    of each program's artifact, as add-edge tampering builds them."""
+    cases = []
+    for name, p in corpus:
+        a = emit_artwork(p, analyze_inter(p))
+        for kind, section in (("loop", a.i_loop), ("in", a.i_in), ("out", a.i_out)):
+            if section:
+                key = min(section)
+                scope = key[0] if kind == "loop" else key
+                cases.append((f"{name}:{kind}", p, {kind: {key: _seed_graph(p, scope)}}))
+    return cases
+
+
+# recorded with the engine that re-evaluated every statement on each method re-visit
+PINNED_VALUES = {
+    "large": {
+        "gen000.ir": "306c8a23e6df6375",
+        "gen001.ir": "90e9be8f46caabf6",
+        "gen002.ir": "b307c422e43d5c45",
+        "gen003.ir": "9430e0a28df8f755",
+    },
+    "recursive": {
+        "gen000.ir": "7cacd0046823d870",
+        "gen001.ir": "c67a27ca07f11cb7",
+        "gen002.ir": "0e1a7be953f6f1d3",
+        "gen003.ir": "fc9fe25bbeda402f",
+    },
+    "inject": {
+        "loopy.ir:loop": "b278c5459ee14280",
+        "loopy.ir:in": "ea10bfec9d1ca607",
+        "rec.ir:in": "d4259094fe5da171",
+        "rec.ir:out": "64c70b11fee604f9",
+        "arith.ir:loop": "ddc937706756ecd7",
+        "arith.ir:in": "4cc9b1eb43ebfb6f",
+        "gen000.ir:loop": "190c771cb710c87b",
+        "gen000.ir:in": "0c0bbbe8614b21a0",
+        "gen000.ir:out": "88c05bbea32487b1",
+        "gen001.ir:loop": "7cd4051f55da3179",
+        "gen001.ir:in": "bd8b988fcaef301e",
+        "gen001.ir:out": "5e74f615d7a38b33",
+        "gen002.ir:loop": "ba4f215e15cdad2e",
+        "gen002.ir:in": "45de7c069e3df2c5",
+        "gen003.ir:loop": "b078891ab60a01a7",
+        "gen003.ir:in": "3dca7fb13e7efb69",
+        "gen003.ir:out": "d72545478b09f4d4",
+        "gen004.ir:loop": "2ee449ffe1686f8a",
+        "gen004.ir:in": "7650590498fb17f2",
+        "gen005.ir:loop": "7b996e1143e3d2e8",
+        "gen005.ir:in": "f90ea85c3d5f3366",
+        "gen005.ir:out": "541c37017ce75b04",
+        "gen006.ir:loop": "cf853783c4d0b13a",
+        "gen006.ir:in": "807f7b0397cb06ae",
+        "gen006.ir:out": "e50b3cdd1857977b",
+        "gen007.ir:loop": "a1c8e8f6623efd4d",
+        "gen007.ir:in": "72eea1ba14ecc665",
+        "gen007.ir:out": "5496437002cc5850",
+        "gen008.ir:loop": "ef4995c552aa2dcc",
+        "gen008.ir:in": "36d1e46a84cbb96a",
+        "gen008.ir:out": "866b1a2184efc8ab",
+        "gen009.ir:loop": "67682c777dc5b305",
+        "gen009.ir:in": "9dc2a3e9af97393d",
+    },
+}
+
+
+@pytest.mark.parametrize("group", list(PINNED_VALUES))
+def test_pinned_values_and_oracle_agreement(group, small_corpus):
+    if group == "inject":
+        # the oracle takes no seeds: these are pinned by digest alone
+        got = {case: _values_digest(analyze_inter(p, _inject=inj)) for case, p, inj in _inject_cases(small_corpus)}
+    else:
+        programs = _generated(LARGE_SHAPE if group == "large" else RECURSIVE_SHAPE, seed=1)
+        got = {}
+        for name, p in programs:
+            r = analyze_inter(p)
+            assert r.same_values(chaotic_oracle(p)), name
+            got[name] = _values_digest(r)
+    assert got == PINNED_VALUES[group]
