@@ -2,7 +2,13 @@
 analysis, an independent chaotic-iteration oracle, and artifact emission.
 
 ``analyze_inter`` runs a statement-level worklist (reverse post-order) inside
-a method-level worklist (call-graph SCCs bottom-up).  ``chaotic_oracle``
+a method-level worklist (call-graph SCCs bottom-up).  A method's first pass
+evaluates every statement.  A re-visit is difference-driven (Pearce, Kelly &
+Hankin, SCAM 2003): it evaluates only what a changed input reaches, starting
+from Entry's successors when the method's IN summary grew and from the call
+statements whose target's OUT summary grew, and afterwards re-projects into
+callees only the call-sites whose state before the call changed.
+``chaotic_oracle``
 computes the same least fixed point by plain round-robin sweeps and exists
 only to cross-check the worklist engine.  Both evaluate the same flow
 equations from ``equations``: per-statement transfer functions,
@@ -25,7 +31,7 @@ from .artwork import Artwork, _pool_saving
 from .consumer import regenerate
 from .equations import AnalysisResult, PointKey, callee_in, eval_statement, in_value
 from .errors import ArtError
-from .ir import ENTRY, EXIT, REF_INSTRS, Call, Method, Program, ProgramIndex
+from .ir import ENTRY, EXIT, REF_INSTRS, Call, Method, Node, Program, ProgramIndex
 
 # ``transfer`` is not called here; it stays bound because the benchmark's
 # tracer self-test patches ``producer.transfer``.
@@ -43,24 +49,43 @@ from .ptg import (
 def _method_pass(
     index: ProgramIndex,
     name: str,
+    plan: tuple[list[int], dict[int, int]],
+    seeds: set[int] | None,
     entry_out: PointsToGraph,
     out_summary: dict[str, PointsToGraph],
     inj_loop: dict[tuple[str, int], PointsToGraph],
     out: dict[PointKey, PointsToGraph],
-) -> int:
-    """Run one method's statements to a local fixed point (worklist in
-    reverse post-order), then refresh its Exit value.  A statement's OUT
-    also holds its ``inj_loop`` seed.  Returns the evaluation count."""
+) -> tuple[int, set[Node]]:
+    """Run one method's statements to a local fixed point with a worklist in
+    reverse post-order (``plan`` is that order and each label's rank in it).
+    A statement's OUT also holds its ``inj_loop`` seed.
+
+    The first visit (``seeds`` is None) evaluates every statement.  A
+    re-visit starts from the previous pass's values and evaluates only what
+    changed inputs reach: ``seeds`` (call statements whose target's OUT
+    summary grew), Entry's successors when ``entry_out`` differs from the
+    Entry value of the last pass, and then the successors of every OUT that
+    changes.  Values only grow, so a statement none of whose inputs changed
+    would recompute its OUT unchanged.  Exit is refreshed when one of its
+    predecessors changed.  Returns the evaluation count and the points whose
+    OUT changed, Entry and Exit included."""
     m = index.methods[name]
     cfg = index.cfgs[name]
     stmts = index.stmts[name]
+    order, rank = plan
     evals = 0
-    out[(name, ENTRY)] = entry_out
-    order = [s.label for b in cfg.topo_order for s in b.statements]
-    rank = {label: i for i, label in enumerate(order)}
-    heap = list(range(len(order)))
+    changed: set[Node] = set()
+    if out.get((name, ENTRY)) is not entry_out:  # IN summaries grow by replacement
+        out[(name, ENTRY)] = entry_out
+        changed.add(ENTRY)
+    if seeds is None:
+        queued = set(order)
+    else:
+        queued = seeds
+        if changed:
+            queued.update(v for v in cfg.succ[ENTRY] if v != EXIT)
+    heap = [rank[label] for label in queued]
     heapq.heapify(heap)
-    queued = set(order)
     while heap:
         label = order[heapq.heappop(heap)]
         if label not in queued:
@@ -74,12 +99,15 @@ def _method_pass(
             new = meet(new, extra)
         if new != out.get((name, label)):
             out[(name, label)] = new
+            changed.add(label)
             for v in cfg.succ[label]:
                 if v != EXIT and v not in queued:
                     queued.add(v)
                     heapq.heappush(heap, rank[v])
-    out[(name, EXIT)] = in_value(index, out, name, EXIT)
-    return evals
+    if seeds is None or not changed.isdisjoint(cfg.pred[EXIT]):
+        out[(name, EXIT)] = in_value(index, out, name, EXIT)
+        changed.add(EXIT)
+    return evals, changed
 
 
 def analyze_intra(m: Method) -> AnalysisResult:
@@ -126,23 +154,42 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
             queued.add(name)
             heapq.heappush(heap, rank[name])
 
+    # each method's statement order and rank, built on its first visit
+    plans: dict[str, tuple[list[int], dict[int, int]]] = {}
+    # per method, the call statements whose target's OUT summary grew since
+    # the method's last pass
+    dirty: dict[str, set[int]] = {}
+
     while heap:
         name = order[heapq.heappop(heap)]
         if name not in queued:
             continue
         queued.discard(name)
         m = index.methods[name]
-        evals += _method_pass(index, name, in_summary[name], out_summary, inj_loop, out)
+        cfg = index.cfgs[name]
+        first = name not in plans
+        if first:
+            labels = [s.label for b in cfg.topo_order for s in b.statements]
+            plans[name] = (labels, {label: i for i, label in enumerate(labels)})
+        seeds = dirty.pop(name, set())
+        n, changed = _method_pass(
+            index, name, plans[name], None if first else seeds, in_summary[name], out_summary, inj_loop, out
+        )
+        evals += n
 
-        new_sum = restrict_to_summary(out[(name, EXIT)], m)
-        if not subsumes(out_summary[name], new_sum):
-            out_summary[name] = meet(out_summary[name], new_sum)
-            for caller in index.call_graph.callers_of(name):
-                push(caller)
+        if EXIT in changed:
+            new_sum = restrict_to_summary(out[(name, EXIT)], m)
+            if not subsumes(out_summary[name], new_sum):
+                out_summary[name] = meet(out_summary[name], new_sum)
+                for caller, label in index.call_graph.call_sites_of(name):
+                    dirty.setdefault(caller, set()).add(label)
+                    push(caller)
 
         for s in m.body:
             if not isinstance(s.instr, Call):
                 continue
+            if not first and changed.isdisjoint(cfg.pred[s.label]):
+                continue  # the state before the call is as last projected
             in_g = in_value(index, out, name, s.label)
             for t in s.instr.targets:
                 contrib = callee_in(index, name, s, in_g, t)

@@ -329,7 +329,9 @@ class CampaignReport:
 def rq2_campaign(p: Program, a: Artwork, n: int, seed: int) -> CampaignReport:
     """Run ``n`` independent reductive tamperings against the consumer and
     report per-trial verdicts; every trial must be detected for a least
-    fixed-point artifact."""
+    fixed-point artifact.  A negative ``n`` raises ``ValueError``."""
+    if n < 0:
+        raise ValueError("trial count must be non-negative")
     rng = random.Random(seed)
     trials: list[CampaignTrial] = []
     for i in range(n):

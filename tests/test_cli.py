@@ -90,6 +90,16 @@ def test_rq2_full_detection(tmp_path, rec_ir, capsys):
     assert len(lines) == 11
 
 
+def test_rq2_rejects_a_negative_trial_count(tmp_path, loopy_ir, capsys):
+    art = str(tmp_path / "loopy.art")
+    main(["analyze", loopy_ir, "-o", art])
+    capsys.readouterr()
+    assert main(["rq2", loopy_ir, art, "-n", "-3", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trial count must be non-negative" in captured.err
+
+
 def test_diff_reports_structural_difference(tmp_path, loopy_ir, rec_ir, capsys):
     d1 = str(tmp_path / "one.dump")
     d2 = str(tmp_path / "two.dump")

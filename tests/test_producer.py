@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -692,3 +693,50 @@ def test_pinned_values_and_oracle_agreement(group, small_corpus):
             assert r.same_values(chaotic_oracle(p)), name
             got[name] = _values_digest(r)
     assert got == PINNED_VALUES[group]
+
+
+# rec's recursive call follows a straight-line prefix (1-6).  rec takes no
+# parameters, so its IN summary stays empty; only its OUT summary grows, twice.
+REVISITED_AFTER_A_PREFIX = """\
+method main() {
+  1: a = new A
+  2: r = call [rec]()
+}
+method rec() {
+  1: x = new B
+  2: y = new C
+  3: x.f = y
+  4: z = x.f
+  5: w = z
+  6: if goto 9
+  7: r = call [rec]()
+  8: r.g = x
+  9: return x
+}
+"""
+
+
+def test_a_revisit_evaluates_only_what_a_grown_summary_reaches(monkeypatch):
+    from artpta import producer
+
+    p = parse_program(REVISITED_AFTER_A_PREFIX)
+    evaluated: Counter = Counter()
+    original = producer.eval_statement
+
+    def counted(s, in_g, m, summary_of):
+        evaluated[(m.name, s.label)] += 1
+        return original(s, in_g, m, summary_of)
+
+    monkeypatch.setattr(producer, "eval_statement", counted)
+    r = analyze_inter(p)
+    monkeypatch.undo()
+    assert r.same_values(chaotic_oracle(p))
+    assert [evaluated[("rec", label)] for label in range(1, 7)] == [1] * 6
+    assert r.iteration_count == sum(evaluated.values()) == 16
+
+
+def test_large_shape_iteration_count():
+    # 308 statements: a first pass over all of them, then the re-visits
+    # evaluate only what the grown OUT summary reaches.
+    name, p = _generated(LARGE_SHAPE, seed=1)[0]
+    assert analyze_inter(p).iteration_count == 437, name
