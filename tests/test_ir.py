@@ -1,4 +1,7 @@
+import heapq
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +27,8 @@ from artpta.ir import (
     FieldLoad,
     FieldStore,
     Goto,
+    LabeledStatement,
+    Method,
     Nop,
     Return,
 )
@@ -435,3 +440,167 @@ def test_call_graph_lookups_match_edge_scans(small_corpus, rec, loopy):
                 assert cg.is_recursive_edge(name, other) == (
                     other in scc and name in cg.recursive_methods
                 )
+
+
+# ---------------------------------------------------------------------------
+# build_cfg against the dominator-set construction
+# ---------------------------------------------------------------------------
+
+
+def _dominator_cfg(m):
+    """The CFG facts ``build_cfg`` must produce, found the slow way: block
+    dominators as frozenset intersections iterated to a fixed point,
+    back-edges as the block edges whose target dominates their source, and
+    Kahn's order (smallest leader first) over the other edges.  Returns
+    ``(succ, pred, back_edges, loop_headers, topo_leaders)``; raises
+    IrreducibleCfgError when the edges left after removing the back-edges
+    still close a cycle."""
+    body = m.body
+    labels = [s.label for s in body]
+    succ = {"entry": (labels[0],) if labels else ("exit",)}
+    leaders = set(labels[:1])
+    for i, s in enumerate(body):
+        fall = labels[i + 1] if i + 1 < len(labels) else "exit"
+        if isinstance(s.instr, Goto):
+            succ[s.label] = (s.instr.target,)
+        elif isinstance(s.instr, Branch):
+            succ[s.label] = (fall,) if s.instr.target == fall else (fall, s.instr.target)
+        elif isinstance(s.instr, Return):
+            succ[s.label] = ("exit",)
+        else:
+            succ[s.label] = (fall,)
+        if isinstance(s.instr, (Goto, Branch)):
+            leaders.add(s.instr.target)
+        if isinstance(s.instr, (Goto, Branch, Return)) and i + 1 < len(labels):
+            leaders.add(fall)
+    pred = {"entry": [], "exit": [], **{n: [] for n in labels}}
+    for u, vs in succ.items():
+        for v in vs:
+            pred[v].append(u)
+
+    blocks = []
+    for n in labels:
+        if n in leaders or not blocks:
+            blocks.append([])
+        blocks[-1].append(n)
+    block_of = {n: bi for bi, b in enumerate(blocks) for n in b}
+    bsucc = {bi: {block_of[v] for v in succ[b[-1]] if v != "exit"} for bi, b in enumerate(blocks)}
+    bpred = {bi: {u for u in bsucc if bi in bsucc[u]} for bi in bsucc}
+
+    back = set()
+    if blocks:
+        reachable, stack = set(), [0]
+        while stack:
+            n = stack.pop()
+            if n not in reachable:
+                reachable.add(n)
+                stack.extend(bsucc[n])
+        dom = {bi: frozenset(reachable) for bi in reachable}
+        dom[0] = frozenset({0})
+        changed = True
+        while changed:
+            changed = False
+            for bi in sorted(reachable - {0}):
+                new = frozenset(reachable)
+                for p in bpred[bi] & reachable:
+                    new &= dom[p]
+                new |= {bi}
+                if new != dom[bi]:
+                    dom[bi], changed = new, True
+        back = {(u, v) for u in reachable for v in bsucc[u] if v in dom[u]}
+
+    indeg = {bi: 0 for bi in bsucc}
+    for u, vs in bsucc.items():
+        for v in vs - {v for (x, v) in back if x == u}:
+            indeg[v] += 1
+    heap = [(blocks[bi][0], bi) for bi in indeg if indeg[bi] == 0]
+    heapq.heapify(heap)
+    topo = []
+    while heap:
+        _, u = heapq.heappop(heap)
+        topo.append(blocks[u][0])
+        for v in sorted(bsucc[u]):
+            if (u, v) not in back:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(heap, (blocks[v][0], v))
+    if len(topo) != len(blocks):
+        raise IrreducibleCfgError(f"method '{m.name}' has a cycle that is not a natural loop")
+    back_edges = frozenset((blocks[u][-1], blocks[v][0]) for u, v in back)
+    return (
+        succ,
+        {n: tuple(ps) for n, ps in pred.items()},
+        back_edges,
+        frozenset(h for _, h in back_edges),
+        tuple(topo),
+    )
+
+
+def _matches_dominator_cfg(m) -> bool:
+    """Check ``build_cfg(m)`` against the dominator-set construction; true
+    when the method is reducible."""
+    try:
+        expected = _dominator_cfg(m)
+    except IrreducibleCfgError as oracle_error:
+        with pytest.raises(IrreducibleCfgError) as info:
+            build_cfg(m)
+        assert str(info.value) == str(oracle_error)
+        return False
+    cfg = build_cfg(m)
+    found = (
+        cfg.succ,
+        cfg.pred,
+        cfg.back_edges,
+        cfg.loop_headers,
+        tuple(b.leader for b in cfg.topo_order),
+    )
+    assert found == expected, print_program(Program(methods=(m,), entry=m.name))
+    return True
+
+
+def _method(instrs):
+    return Method(
+        name="main",
+        params=(),
+        body=tuple(LabeledStatement(i, instr) for i, instr in enumerate(instrs, start=1)),
+    )
+
+
+def _control_instrs(n):
+    """Every control instruction a method of ``n`` statements can hold."""
+    return [Nop(), Return(None)] + [k(t) for t in range(1, n + 1) for k in (Goto, Branch)]
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@pytest.mark.parametrize(
+    "shape, count",
+    [
+        ({}, 200),
+        ({"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}, 20),
+    ],
+    ids=["default", "roundtrip-large"],
+)
+def test_cfg_matches_dominator_sets_over_generated_corpus(shape, count, seed):
+    files = generate_corpus(CorpusConfig(program_count=count, seed=seed, **shape))
+    for _, text in files:
+        for m in parse_program(text).methods:
+            assert _matches_dominator_cfg(m)
+
+
+def test_cfg_matches_dominator_sets_on_every_small_method():
+    outcomes = Counter()
+    for n in range(5):
+        for instrs in itertools.product(_control_instrs(n), repeat=n):
+            outcomes[_matches_dominator_cfg(_method(instrs))] += 1
+    assert sum(outcomes.values()) == 1 + 4 + 6**2 + 8**3 + 10**4
+    assert outcomes[True] and outcomes[False]
+
+
+def test_cfg_matches_dominator_sets_on_random_methods():
+    rng = random.Random(90917)
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(5, 9)
+        kinds = _control_instrs(n) + [Alloc("a", "A")] * 4
+        outcomes[_matches_dominator_cfg(_method(rng.choice(kinds) for _ in range(n)))] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
