@@ -101,13 +101,16 @@ def _report_unsafe(outcome: RegenOutcome) -> int:
 
 
 def _cmd_tamper(args: argparse.Namespace) -> int:
-    artwork = parse_artwork(_read(args.artwork))
+    data = _read(args.artwork)
     kind = TamperKind(args.kind)
     program = None
-    if kind is TamperKind.ADD_EDGE:
-        if args.program is None:
-            raise ArtError("--kind add-edge requires --program <prog.ir>")
+    if args.program is not None:
         program = _load_program(args.program)
+        artwork = decode(data, program)
+    elif kind is TamperKind.ADD_EDGE:
+        raise ArtError("--kind add-edge requires --program <prog.ir>")
+    else:
+        artwork = parse_artwork(data)
     mutated, spec = tamper(artwork, kind, args.seed, program=program)
     _write_atomic(args.output, encode(mutated))
     print(f"{spec.kind.value} {spec.target}")
@@ -218,7 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[k.value for k in TamperKind])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--program", help="required for --kind add-edge")
+    p.add_argument(
+        "--program", help="check the artifact against this program (required for --kind add-edge)"
+    )
     p.set_defaults(func=_cmd_tamper)
 
     p = sub.add_parser("rq2", help="run a seeded reductive-tampering campaign")

@@ -36,9 +36,12 @@ resolved target list, standing in for devirtualization.  The entry method is
 the method named ``main``; it must take no parameters.
 
 Control-flow graphs are built over maximal basic blocks with synthetic Entry
-and Exit nodes.  Back-edges are dominator based (edge ``u -> v`` with ``v``
-dominating ``u``); graphs whose cycles are not all captured by such
-back-edges are rejected as irreducible.
+and Exit nodes.  Back-edges are the edges a depth-first search from the
+entry block finds retreating; in a reducible graph these are exactly the
+dominator back-edges (edge ``u -> v`` with ``v`` dominating ``u``).  A graph
+is rejected as irreducible when a back-edge's natural loop reaches the entry
+without passing its header, or when the graph minus its back-edges keeps a
+cycle among unreachable blocks.
 """
 
 from __future__ import annotations
@@ -530,154 +533,105 @@ class ControlFlowGraph:
         return frozenset(members)
 
 
-def _stmt_successors(m: Method) -> dict[Node, tuple[Node, ...]]:
-    labels = [s.label for s in m.body]
-    nxt = {labels[i]: labels[i + 1] for i in range(len(labels) - 1)}
-    succ: dict[Node, tuple[Node, ...]] = {}
-    if not labels:
-        succ[ENTRY] = (EXIT,)
-        return succ
-    succ[ENTRY] = (labels[0],)
-    for s in m.body:
-        fall: Node = nxt.get(s.label, EXIT)
-        if isinstance(s.instr, Goto):
-            succ[s.label] = (s.instr.target,)
-        elif isinstance(s.instr, Branch):
-            targets = [fall]
-            if s.instr.target != fall:
-                targets.append(s.instr.target)
-            succ[s.label] = tuple(targets)
-        elif isinstance(s.instr, Return):
-            succ[s.label] = (EXIT,)
-        else:
-            succ[s.label] = (fall,)
-    return succ
-
-
 def build_cfg(m: Method) -> ControlFlowGraph:
-    """Build the CFG: maximal basic blocks, dominator back-edges, and a
-    deterministic topological block order.  Raises IrreducibleCfgError when
-    removing the dominator back-edges leaves a cycle (equivalently, a
-    retreating edge that is not a dominator back-edge)."""
-    succ = _stmt_successors(m)
-    pred: dict[Node, list[Node]] = {ENTRY: [], EXIT: []}
-    for s in m.body:
-        pred.setdefault(s.label, [])
-    for u, vs in succ.items():
-        for v in vs:
-            pred.setdefault(v, []).append(u)
-    pred_t = {n: tuple(ps) for n, ps in pred.items()}
+    """Build the CFG: maximal basic blocks, back-edges and a deterministic
+    topological block order.
 
-    # Leaders: first statement, every jump target, every statement after a
-    # control transfer.
-    leaders: set[int] = set()
+    One scan over the body finds every statement's successors and the block
+    leaders.  One depth-first search from the entry block finds the
+    back-edges: the edges into a block on the current search path.  In a
+    reducible graph these are exactly the edges whose target dominates their
+    source, whatever order the search takes.  Raises IrreducibleCfgError
+    when a back-edge's natural loop reaches the first statement without
+    passing its header (the header does not dominate the source), or when
+    the graph minus its back-edges keeps a cycle among unreachable blocks."""
     body = m.body
-    if body:
-        leaders.add(body[0].label)
-        for i, s in enumerate(body):
-            if isinstance(s.instr, (Branch, Goto)):
-                leaders.add(s.instr.target)
-                if i + 1 < len(body):
-                    leaders.add(body[i + 1].label)
-            elif isinstance(s.instr, Return) and i + 1 < len(body):
-                leaders.add(body[i + 1].label)
+    first: Node = body[0].label if body else EXIT
+    succ: dict[Node, tuple[Node, ...]] = {ENTRY: (first,)}
+    pred: dict[Node, list[Node]] = {n: [] for n in (ENTRY, EXIT, *(s.label for s in body))}
+    pred[first].append(ENTRY)
+    # Leaders: the first statement, every jump target and every statement
+    # after a control transfer.
+    leaders: set[Node] = {first}
+    for i, s in enumerate(body):
+        fall: Node = body[i + 1].label if i + 1 < len(body) else EXIT
+        instr = s.instr
+        if isinstance(instr, Branch):
+            out: tuple[Node, ...] = (fall,) if instr.target == fall else (fall, instr.target)
+        elif isinstance(instr, Goto):
+            out = (instr.target,)
+        elif isinstance(instr, Return):
+            out = (EXIT,)
+        else:
+            out = (fall,)
+        if isinstance(instr, (Branch, Goto, Return)):
+            leaders.update(out)
+            leaders.add(fall)
+        succ[s.label] = out
+        for v in out:
+            pred[v].append(s.label)
 
-    blocks: list[BasicBlock] = []
-    current: list[LabeledStatement] = []
-    for s in body:
-        if s.label in leaders and current:
-            blocks.append(BasicBlock(tuple(current)))
-            current = []
-        current.append(s)
-    if current:
-        blocks.append(BasicBlock(tuple(current)))
+    starts = [i for i, s in enumerate(body) if s.label in leaders]
+    blocks = [BasicBlock(body[a:b]) for a, b in zip(starts, starts[1:] + [len(body)])]
+    # A block's last statement has only leaders as successors.
+    block_of = {b.leader: bi for bi, b in enumerate(blocks)}
+    bsucc = [[block_of[v] for v in succ[b.statements[-1].label] if v != EXIT] for b in blocks]
 
-    block_of: dict[int, int] = {}
-    for bi, b in enumerate(blocks):
-        for s in b.statements:
-            block_of[s.label] = bi
-
-    # Block-level edges (last statement's successors are always leaders).
-    bsucc: dict[int, set[int]] = {bi: set() for bi in range(len(blocks))}
-    for bi, b in enumerate(blocks):
-        for v in succ[b.statements[-1].label]:
-            if v != EXIT:
-                bsucc[bi].add(block_of[v])
-    bpred: dict[int, set[int]] = {bi: set() for bi in range(len(blocks))}
-    for u, vs in bsucc.items():
-        for v in vs:
-            bpred[v].add(u)
-
-    # Dominators over blocks reachable from the entry block.
-    back_block_edges: set[tuple[int, int]] = set()
+    # Iterative depth-first search; state 1 marks the blocks on the path.
+    back: set[tuple[int, int]] = set()
+    state = [0] * len(blocks)
+    stack = []
     if blocks:
-        root = block_of[body[0].label]
-        reachable: set[int] = set()
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            if n in reachable:
-                continue
-            reachable.add(n)
-            stack.extend(bsucc[n])
-        full = frozenset(reachable)
-        dom: dict[int, frozenset[int]] = {bi: full for bi in reachable}
-        dom[root] = frozenset({root})
-        changed = True
-        while changed:
-            changed = False
-            for bi in sorted(reachable):
-                if bi == root:
-                    continue
-                preds = [p for p in bpred[bi] if p in reachable]
-                new = full
-                for p in preds:
-                    new = new & dom[p]
-                new = new | {bi}
-                if new != dom[bi]:
-                    dom[bi] = new
-                    changed = True
-        for u in sorted(reachable):
-            for v in bsucc[u]:
-                if v in reachable and v in dom[u]:
-                    back_block_edges.add((u, v))
+        state[0] = 1
+        stack.append((0, iter(bsucc[0])))
+    while stack:
+        u, edges = stack[-1]
+        for v in edges:
+            if state[v] == 0:
+                state[v] = 1
+                stack.append((v, iter(bsucc[v])))
+                break
+            if state[v] == 1:
+                back.add((u, v))
+        else:
+            state[u] = 2
+            stack.pop()
 
-    # Kahn's algorithm over the back-edge-free block graph; a stall means
-    # some cycle is not a natural loop.
-    indeg = {bi: 0 for bi in range(len(blocks))}
-    fwd: dict[int, list[int]] = {bi: [] for bi in range(len(blocks))}
-    for u, vs in bsucc.items():
+    # Kahn's algorithm over the block graph minus its back-edges, smallest
+    # leader first.
+    indeg = [0] * len(blocks)
+    fwd = [[v for v in vs if (u, v) not in back] for u, vs in enumerate(bsucc)]
+    for vs in fwd:
         for v in vs:
-            if (u, v) not in back_block_edges:
-                fwd[u].append(v)
-                indeg[v] += 1
-    heap = [(blocks[bi].leader, bi) for bi in indeg if indeg[bi] == 0]
+            indeg[v] += 1
+    heap = [(b.leader, bi) for bi, b in enumerate(blocks) if indeg[bi] == 0]
     heapq.heapify(heap)
-    topo: list[int] = []
+    topo: list[BasicBlock] = []
     while heap:
         _, u = heapq.heappop(heap)
-        topo.append(u)
-        for v in sorted(fwd[u]):
+        topo.append(blocks[u])
+        for v in fwd[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, (blocks[v].leader, v))
-    if len(topo) != len(blocks):
+
+    back_edges = frozenset((blocks[u].statements[-1].label, blocks[v].leader) for u, v in back)
+    cfg = ControlFlowGraph(
+        method=m,
+        blocks=tuple(blocks),
+        succ=succ,
+        pred={n: tuple(ps) for n, ps in pred.items()},
+        back_edges=back_edges,
+        topo_order=tuple(topo),
+        loop_headers=frozenset(h for _, h in back_edges),
+    )
+    if len(topo) != len(blocks) or any(
+        h != first and first in cfg.loop_body(h) for h in cfg.loop_headers
+    ):
         raise IrreducibleCfgError(
             f"method '{m.name}' has a cycle that is not a natural loop"
         )
-
-    back_edges = frozenset(
-        (blocks[u].statements[-1].label, blocks[v].leader) for u, v in back_block_edges
-    )
-    return ControlFlowGraph(
-        method=m,
-        blocks=tuple(blocks),
-        succ={n: tuple(vs) for n, vs in succ.items()},
-        pred=pred_t,
-        back_edges=back_edges,
-        topo_order=tuple(blocks[bi] for bi in topo),
-        loop_headers=frozenset(h for _, h in back_edges),
-    )
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +643,6 @@ CallSite = tuple[str, int]  # (caller method, statement label)
 
 @dataclass(frozen=True)
 class CallGraph:
-    nodes: tuple[str, ...]
     #: (call-site, caller, callee) for every target of every call statement
     edges: tuple[tuple[CallSite, str, str], ...]
     #: strongly connected components, callees first (Tarjan emission order)
@@ -698,20 +651,15 @@ class CallGraph:
     #: methods on a call-graph cycle (a multi-method SCC or a self-call)
     recursive_methods: frozenset[str]
     # Lookups derived from ``edges`` and ``sccs`` once, when the graph is
-    # built: method -> its SCC, callee -> callers, callee -> call-sites (each
-    # in first-edge order).
+    # built: method -> its SCC, callee -> call-sites (in first-edge order).
     _scc: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    _callers: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _sites: dict[str, tuple[CallSite, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        callers: dict[str, dict[str, None]] = {}
         sites: dict[str, dict[CallSite, None]] = {}
-        for site, caller, callee in self.edges:
-            callers.setdefault(callee, {})[caller] = None
+        for site, _, callee in self.edges:
             sites.setdefault(callee, {})[site] = None
         object.__setattr__(self, "_scc", {n: scc for scc in self.sccs for n in scc})
-        object.__setattr__(self, "_callers", {n: tuple(cs) for n, cs in callers.items()})
         object.__setattr__(self, "_sites", {n: tuple(ss) for n, ss in sites.items()})
 
     def scc_of(self, name: str) -> frozenset[str]:
@@ -723,9 +671,6 @@ class CallGraph:
     def is_recursive_edge(self, caller: str, callee: str) -> bool:
         """True when the call edge lies on a call-graph cycle."""
         return callee in self._scc[caller] and caller in self.recursive_methods
-
-    def callers_of(self, name: str) -> tuple[str, ...]:
-        return self._callers.get(name, ())
 
     def call_sites_of(self, name: str) -> tuple[CallSite, ...]:
         return self._sites.get(name, ())
@@ -739,15 +684,16 @@ class CallGraph:
 def build_call_graph(p: Program) -> CallGraph:
     """Enumerate call edges and classify recursive call-sites via SCCs."""
     edges: list[tuple[CallSite, str, str]] = []
-    adjacency: dict[str, list[str]] = {m.name: [] for m in p.methods}
+    callees: dict[str, set[str]] = {m.name: set() for m in p.methods}
     for m in p.methods:
         for s in m.body:
             if isinstance(s.instr, Call):
                 for t in s.instr.targets:
                     edges.append(((m.name, s.label), m.name, t))
-                    adjacency[m.name].append(t)
+                    callees[m.name].add(t)
 
     # Tarjan's algorithm, iterative, with sorted adjacency for determinism.
+    adjacency = {n: sorted(ts) for n, ts in callees.items()}
     index_of: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -765,7 +711,7 @@ def build_call_graph(p: Program) -> CallGraph:
                 stack.append(node)
                 on_stack.add(node)
             recurse = False
-            children = sorted(set(adjacency[node]))
+            children = adjacency[node]
             for j in range(pi, len(children)):
                 w = children[j]
                 if w not in index_of:
@@ -794,11 +740,10 @@ def build_call_graph(p: Program) -> CallGraph:
         if name not in index_of:
             strongconnect(name)
 
-    edge_pairs = {(c, t) for _, c, t in edges}
     cyclic = frozenset(
         n
         for scc in sccs
-        if len(scc) > 1 or any((c, c) in edge_pairs for c in scc)
+        if len(scc) > 1 or any(c in callees[c] for c in scc)
         for n in scc
     )
     scc_index = {n: i for i, scc in enumerate(sccs) for n in scc}
@@ -808,7 +753,6 @@ def build_call_graph(p: Program) -> CallGraph:
         if scc_index[caller] == scc_index[callee] and caller in cyclic
     )
     return CallGraph(
-        nodes=tuple(m.name for m in p.methods),
         edges=tuple(edges),
         sccs=tuple(sccs),
         recursive_call_sites=recursive,

@@ -80,6 +80,45 @@ def test_add_edge_needs_program_flag(tmp_path, rec_ir, capsys):
     assert main(["regen", rec_ir, str(tmp_path / "x.art")]) == 0
 
 
+def test_tamper_checks_the_artifact_against_the_given_program(tmp_path, loopy_ir, rec_ir, capsys):
+    art = str(tmp_path / "rec.art")
+    out = tmp_path / "x.art"
+    main(["analyze", rec_ir, "-o", art])
+    capsys.readouterr()
+    for kind in ("add-edge", "remove-edge"):
+        rc = main(["tamper", art, "--kind", kind, "--seed", "1", "-o", str(out), "--program", loopy_ir])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [in]: unknown method 'foo'\n"
+    assert not out.exists()
+
+
+TWO_HEADER_LOOP = """\
+method main() {
+  1: if goto 4
+  2: nop
+  3: goto 4
+  4: nop
+  5: if goto 2
+  6: nop
+}
+"""
+
+
+def test_irreducible_program_is_an_input_error_not_unsafe(tmp_path, capsys):
+    ir = tmp_path / "two-headers.ir"
+    ir.write_text(TWO_HEADER_LOOP)
+    plain = tmp_path / "plain.ir"
+    plain.write_text("method main() {\n  1: nop\n}\n")
+    art = str(tmp_path / "plain.art")
+    assert main(["analyze", str(plain), "-o", art]) == 0
+    capsys.readouterr()
+    for argv in (["analyze", str(ir), "-o", str(tmp_path / "x.art")], ["regen", str(ir), art]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: method 'main' has a cycle that is not a natural loop\n"
+
+
 def test_rq2_full_detection(tmp_path, rec_ir, capsys):
     art = str(tmp_path / "rec.art")
     main(["analyze", rec_ir, "-o", art])
