@@ -103,14 +103,10 @@ def _report_unsafe(outcome: RegenOutcome) -> int:
 def _cmd_tamper(args: argparse.Namespace) -> int:
     data = _read(args.artwork)
     kind = TamperKind(args.kind)
-    program = None
-    if args.program is not None:
-        program = _load_program(args.program)
-        artwork = decode(data, program)
-    elif kind is TamperKind.ADD_EDGE:
+    program = None if args.program is None else _load_program(args.program)
+    if program is None and kind is TamperKind.ADD_EDGE:
         raise ArtError("--kind add-edge requires --program <prog.ir>")
-    else:
-        artwork = parse_artwork(data)
+    artwork = parse_artwork(data) if program is None else decode(data, program)
     mutated, spec = tamper(artwork, kind, args.seed, program=program)
     _write_atomic(args.output, encode(mutated))
     print(f"{spec.kind.value} {spec.target}")

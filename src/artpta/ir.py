@@ -577,7 +577,8 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     block_of = {b.leader: bi for bi, b in enumerate(blocks)}
     bsucc = [[block_of[v] for v in succ[b.statements[-1].label] if v != EXIT] for b in blocks]
 
-    # Iterative depth-first search; state 1 marks the blocks on the path.
+    # Iterative depth-first search.  State: 0 unseen, 1 on the current
+    # path, 2 finished.
     back: set[tuple[int, int]] = set()
     state = [0] * len(blocks)
     stack = []
