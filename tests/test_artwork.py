@@ -214,3 +214,29 @@ def test_duplicate_entry_rejected():
     data = b"ART/1\n[loop]\n[in]\nm:foo = {\n}\nm:foo = {\n}\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
+
+
+def _optimized_corpus_bytes(small_corpus) -> list[bytes]:
+    """``encode(optimize_artwork(...))`` for the small corpus plus four
+    programs of the benchmark's large shape (one self-recursive method of
+    300 statements)."""
+    from artpta import CorpusConfig, generate_corpus, optimize_artwork, parse_program
+
+    large = generate_corpus(
+        CorpusConfig(program_count=4, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+    )
+    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    return [encode(optimize_artwork(p, emit_artwork(p, analyze_inter(p)))) for p in programs]
+
+
+OPTIMIZED_CORPUS_SHA256 = "5c9421a1760a1ed963350f6ef8ecc902bd655bc8ccc6c81e08ca3297474b575c"
+
+
+def test_optimized_artifact_bytes_are_pinned(small_corpus):
+    import hashlib
+
+    h = hashlib.sha256()
+    for data in _optimized_corpus_bytes(small_corpus):
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    assert h.hexdigest() == OPTIMIZED_CORPUS_SHA256
