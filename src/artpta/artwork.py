@@ -5,7 +5,7 @@ File layout (UTF-8, LF line endings, all sections always present except the
 optional pool, entries and edges sorted)::
 
     ART/1
-    [pool]            # only when duplicated graphs are shared
+    [pool]            # only when sharing duplicated graphs is smaller
     g0:
       main/0 -> main:4
     [loop]
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,19 +71,19 @@ class Artwork:
     """Three invariant maps: loop-header OUT values keyed by (method, label),
     IN summaries keyed by method, and OUT summaries of recursive methods.
 
-    Maps always hold graphs; ``dedup_pool`` lists graphs that the encoder
-    writes once and references by index.  A decoded artwork may violate
-    program-level expectations only through values, never structure.
+    The maps are the whole value: whether a graph is written once in a
+    ``[pool]`` and referenced by index is ``encode``'s choice, so equal maps
+    always have the same bytes.  A decoded artwork may violate program-level
+    expectations only through values, never structure.
     """
 
     i_loop: dict[tuple[str, int], PointsToGraph]
     i_in: dict[str, PointsToGraph]
     i_out: dict[str, PointsToGraph]
-    dedup_pool: tuple[PointsToGraph, ...] | None = None
 
     @staticmethod
     def empty() -> "Artwork":
-        return Artwork(i_loop={}, i_in={}, i_out={}, dedup_pool=None)
+        return Artwork(i_loop={}, i_in={}, i_out={})
 
 
 @dataclass(frozen=True)
@@ -109,47 +110,49 @@ def _graph_block(g: PointsToGraph, head: str) -> list[str]:
     return lines
 
 
-def _entry_lines(head: str, g: PointsToGraph, pool_index: dict[PointsToGraph, int]) -> list[str]:
-    idx = pool_index.get(g) if pool_index else None
-    if idx is not None:
-        return [f"{head} = g{idx}"]
-    return _graph_block(g, f"{head} =")
+def _encode(a: Artwork) -> tuple[bytes, int]:
+    """The ART/1 bytes of ``a`` and what their pool saves over inlining every
+    graph (0 when there is no pool).  The candidates are the non-empty graphs
+    two or more entries hold, in first-use order over the sorted [loop], [in]
+    and [out] entries; all are pooled when that saves bytes, none otherwise.
+    A pooled graph costs ``gK:`` and its edge lines once, and saves a
+    ``{`` ... ``}`` block of those lines per entry that reads ``= gK``."""
+    sections = (
+        ("[loop]", [(f"m:{m} l:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
+        ("[in]", [(f"m:{m}", g) for m, g in sorted(a.i_in.items())]),
+        ("[out]", [(f"m:{m}", g) for m, g in sorted(a.i_out.items())]),
+    )
+    uses = Counter(g for _, entries in sections for _, g in entries)  # first-use order
+    refs: dict[PointsToGraph, str] = {}
+    pool = ["[pool]"]
+    saving = -len("[pool]\n")
+    for g, n in uses.items():
+        if n < 2 or g.is_empty():
+            continue
+        ref = refs[g] = f"g{len(refs)}"
+        edge_lines = ["  " + e for e in render_edges(g)]
+        pool += [f"{ref}:", *edge_lines]
+        edge_bytes = len("".join(e + "\n" for e in edge_lines).encode("utf-8"))
+        inline = len("{") + edge_bytes + len("}\n")
+        saving += n * (inline - len(ref)) - (len(ref) + len(":\n") + edge_bytes)
+    if saving <= 0:
+        refs, pool = {}, []
+    lines = [MAGIC, *pool]
+    for header, entries in sections:
+        lines.append(header)
+        for head, g in entries:
+            if g in refs:
+                lines.append(f"{head} = {refs[g]}")
+            else:
+                lines.extend(_graph_block(g, f"{head} ="))
+    return ("\n".join(lines) + "\n").encode("utf-8"), max(saving, 0)
 
 
 def encode(a: Artwork) -> bytes:
-    """Canonical, deterministic encoding; ``decode(encode(a), p) == a``."""
-    pool_index: dict[PointsToGraph, int] = {}
-    lines = [MAGIC]
-    if a.dedup_pool:
-        lines.append("[pool]")
-        for k, g in enumerate(a.dedup_pool):
-            pool_index[g] = k
-            lines.append(f"g{k}:")
-            lines.extend("  " + e for e in render_edges(g))
-    lines.append("[loop]")
-    for (method, label) in sorted(a.i_loop):
-        lines.extend(_entry_lines(f"m:{method} l:{label}", a.i_loop[(method, label)], pool_index))
-    lines.append("[in]")
-    for method in sorted(a.i_in):
-        lines.extend(_entry_lines(f"m:{method}", a.i_in[method], pool_index))
-    lines.append("[out]")
-    for method in sorted(a.i_out):
-        lines.extend(_entry_lines(f"m:{method}", a.i_out[method], pool_index))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _pool_saving(pool: tuple[PointsToGraph, ...], uses: dict[PointsToGraph, int]) -> int:
-    """Bytes ``encode`` saves by writing each graph of ``pool`` once, as
-    ``gK:`` plus its edge lines under a ``[pool]`` header, and each of its
-    ``uses[g]`` entries as ``= gK`` instead of as a ``= {`` ... ``}`` block
-    of the same edge lines; computed without encoding."""
-    saving = -len("[pool]\n")
-    for k, g in enumerate(pool):
-        edge_bytes = len("".join(f"  {e}\n" for e in render_edges(g)).encode("utf-8"))
-        ref = len(f"g{k}")
-        inline = len("{") + edge_bytes + len("}\n")
-        saving += uses[g] * (inline - ref) - (ref + len(":\n") + edge_bytes)
-    return saving
+    """Canonical, deterministic encoding: the bytes are a function of the
+    three maps alone, and ``decode(encode(a), p) == a``.  Duplicated graphs
+    go to a ``[pool]`` when that makes the file smaller."""
+    return _encode(a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,7 @@ def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[
     n = len(lines)
     edges = _EdgeLines(refs)
     i = 1
-    pool: list[_Value] = []
+    pool: list[_Value] = []  # parsed and checked, referenced or not
     if i < n and lines[i] == "[pool]":
         i += 1
         while i < n and lines[i].startswith("g"):
@@ -335,8 +338,7 @@ def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[
         if why is not None:
             bad[("pool", k)] = why
     i_loop, i_in, i_out = sections
-    a = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=tuple(g for g, _ in pool) or None)
-    return a, bad
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out), bad
 
 
 def parse_artwork(data: bytes) -> Artwork:
@@ -383,8 +385,9 @@ def decode(data: bytes, p: Program) -> Artwork:
         if not index.call_graph.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
         check_graph("out", name, f"[out] {name}")
-    for k in range(len(a.dedup_pool or ())):
-        check_graph("pool", k, f"[pool] g{k}")
+    for (section, k), why in bad.items():
+        if section == "pool":  # every entry at fault was reported above
+            raise UnknownReferenceError(f"[pool] g{k}: {why}")
     return a
 
 
@@ -447,14 +450,10 @@ def parse_naive(data: bytes) -> dict[tuple[str, str], tuple[str, ...]]:
 
 
 def stats(p: Program, a: Artwork, result: "AnalysisResult") -> ArtworkStats:
-    """Sizes and entry counts; ``dedup_savings`` is the byte reduction the
-    pool achieves over inlining every graph."""
-    art_bytes = encode(a)
+    """Sizes and entry counts; ``dedup_savings`` is the byte reduction of
+    the pool ``encode`` picks over inlining every graph."""
+    art_bytes, savings = _encode(a)
     naive_bytes = naive_encode(result)
-    savings = 0
-    if a.dedup_pool:
-        unpooled = Artwork(i_loop=a.i_loop, i_in=a.i_in, i_out=a.i_out, dedup_pool=None)
-        savings = len(encode(unpooled)) - len(art_bytes)
     return ArtworkStats(
         bytes_art=len(art_bytes),
         bytes_naive=len(naive_bytes),

@@ -516,12 +516,20 @@ class ControlFlowGraph:
     topo_order: tuple[BasicBlock, ...]
     #: labels of natural-loop headers (back-edge targets)
     loop_headers: frozenset[int]
+    # header -> the sources of its back-edges, derived once with the CFG
+    _latches: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        latches: dict[int, list[int]] = {}
+        for u, h in self.back_edges:
+            latches.setdefault(h, []).append(u)
+        object.__setattr__(self, "_latches", latches)
 
     def loop_body(self, header: int) -> frozenset[int]:
         """Labels of all statements in the natural loop of ``header``
         (union over its back-edges), header included."""
         members: set[int] = {header}
-        stack = [u for (u, h) in self.back_edges if h == header]
+        stack = list(self._latches.get(header, ()))
         while stack:
             n = stack.pop()
             if n in members:

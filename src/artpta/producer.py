@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 
-from .artwork import Artwork, _pool_saving
+from .artwork import Artwork
 from .consumer import regenerate
 from .equations import AnalysisResult, PointKey, callee_in, eval_statement, in_value
 from .errors import ArtError
@@ -332,15 +332,15 @@ def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
         for m in program.methods
         if index.call_graph.is_recursive_method(m.name)
     }
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
 def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
-    call-site projections are all identical (or absent), OUT entries equal to
-    the IN entry, then share duplicated graphs through an indexed pool when
-    that makes the encoding smaller.
+    call-site projections are all identical (or absent), and OUT entries
+    equal to the IN entry: every entry the consumer re-derives.  (Sharing
+    duplicated graphs is ``encode``'s choice, for every artifact.)
 
     The call-site projections are read off the consumer's regeneration of
     ``a``, which is exactly the fixed point ``a`` encodes, so no analysis is
@@ -396,14 +396,4 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     for name in list(i_out):
         if i_out[name] == a.i_in.get(name):
             del i_out[name]
-
-    ordered: list[PointsToGraph] = [g for _, g in sorted(i_loop.items())]
-    ordered += [g for _, g in sorted(i_in.items())]
-    ordered += [g for _, g in sorted(i_out.items())]
-    counts: dict[PointsToGraph, int] = {}  # first-seen order
-    for g in ordered:
-        counts[g] = counts.get(g, 0) + 1
-    pool = tuple(g for g, n in counts.items() if n >= 2 and not g.is_empty())
-    if pool and _pool_saving(pool, counts) > 0:
-        return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)

@@ -91,7 +91,7 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
         del target[k]
     else:
         target[k] = g
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=a.dedup_pool)
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
 def _sorted_edges(g: PointsToGraph) -> list[VarEdge | FieldEdge]:

@@ -53,10 +53,7 @@ def _random_artwork(rng: random.Random) -> Artwork:
     i_out = {}
     if rng.random() < 0.6:
         i_out["foo"] = _random_graph(rng)
-    pool = None
-    if rng.random() < 0.3:
-        pool = tuple({_random_graph(rng) for _ in range(rng.randrange(1, 3))})
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
 def test_empty_artwork_encoding():
@@ -182,24 +179,25 @@ def test_stats_empty_program():
     assert st.dedup_savings == 0
 
 
-def test_stats_dedup_savings_of_a_pooled_optimized_artifact(small_corpus):
-    from artpta import optimize_artwork
-    from artpta.producer import _pool_saving
+def test_stats_dedup_savings_of_a_pooled_optimized_artifact(
+    small_corpus, reference_encode, count_calls
+):
+    from artpta import artwork, optimize_artwork
 
     pooled_seen = 0
     for _, p in small_corpus:
         result = analyze_inter(p)
         a = optimize_artwork(p, emit_artwork(p, result))
-        if not a.dedup_pool:
+        data = encode(a)
+        calls = count_calls(artwork, "_encode")
+        savings = stats(p, a, result).dedup_savings
+        assert calls["_encode"] == 1
+        if b"[pool]\n" not in data:
+            assert savings == 0 and data == reference_encode(a)
             continue
         pooled_seen += 1
-        unpooled = Artwork(i_loop=a.i_loop, i_in=a.i_in, i_out=a.i_out, dedup_pool=None)
-        saving = len(encode(unpooled)) - len(encode(a))
-        uses: dict = {}
-        for section in (a.i_loop, a.i_in, a.i_out):
-            for g in section.values():
-                uses[g] = uses.get(g, 0) + 1
-        assert stats(p, a, result).dedup_savings == saving == _pool_saving(a.dedup_pool, uses)
+        saving = len(reference_encode(a)) - len(data)
+        assert savings == saving
         assert saving > 0
     assert pooled_seen >= 3
 

@@ -39,7 +39,6 @@ def replace(a: Artwork, *, i_loop=None, i_in=None, i_out=None) -> Artwork:
         i_loop=dict(a.i_loop) if i_loop is None else i_loop,
         i_in=dict(a.i_in) if i_in is None else i_in,
         i_out=dict(a.i_out) if i_out is None else i_out,
-        dedup_pool=a.dedup_pool,
     )
 
 
@@ -504,7 +503,6 @@ def _reduced(a: Artwork) -> Artwork:
         i_loop={k: _drop_first_edge(g) for k, g in a.i_loop.items()},
         i_in={k: _drop_first_edge(g) for k, g in a.i_in.items()},
         i_out={k: _drop_first_edge(g) for k, g in a.i_out.items()},
-        dedup_pool=None,
     )
 
 
@@ -603,9 +601,7 @@ def _mutate(p, a: Artwork, rng) -> Artwork:
             entries[key] = _add_var_edge(
                 g, (VarId(m.name, rng.randrange(m.var_count)), rng.choice(objects))
             )
-    return Artwork(
-        i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"], dedup_pool=None
-    )
+    return Artwork(i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"])
 
 
 def test_accepted_artifacts_are_fixed_points_above_the_least(small_corpus):

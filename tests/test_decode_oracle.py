@@ -64,10 +64,7 @@ def _oracle_decode(text: str) -> Artwork:
             i = j + 1  # the closing brace
         else:
             sections[section][key] = pool[int(m.group(4))]
-    return Artwork(
-        i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"],
-        dedup_pool=tuple(pool) or None,
-    )
+    return Artwork(i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"])
 
 
 def _scramble(text: str, rng: random.Random) -> str:
@@ -89,7 +86,7 @@ def _scramble(text: str, rng: random.Random) -> str:
 
 
 def _graphs(a: Artwork) -> list[PointsToGraph]:
-    return [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values(), *(a.dedup_pool or ())]
+    return [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]
 
 
 def _assert_canonical_maps(g: PointsToGraph) -> None:

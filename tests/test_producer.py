@@ -28,7 +28,6 @@ from artpta import (
 )
 from artpta import artwork
 from artpta.ir import ENTRY
-from artpta.producer import _pool_saving
 
 LOOPY_HEADER = PointsToGraph.of(
     var_edges=[
@@ -362,7 +361,7 @@ def test_optimize_smaller_or_equal_and_regen_identical(small_corpus):
         assert plain.result.same_values(opted.result), name
 
 
-def test_dedup_pool_referenced_by_index():
+def test_duplicated_graphs_are_referenced_by_index():
     # Two methods with identical IN summaries (same shapes) rarely dedup; use
     # a handcrafted duplicate: a recursive method whose in and out summary
     # coincide with a loop invariant is overkill, so force duplicates by
@@ -383,22 +382,23 @@ method main() {
     p = parse_program(text)
     a = emit_artwork(p, analyze_inter(p))
     assert a.i_loop[("main", 3)] == a.i_loop[("main", 6)]
-    opt = optimize_artwork(p, a)
-    if opt.dedup_pool:
-        data = encode(opt)
-        assert b"[pool]" in data and b"= g0" in data
-        assert decode(data, p) == opt
+    for art in (a, optimize_artwork(p, a)):
+        data = encode(art)
+        assert b"[pool]\ng0:\n" in data and data.count(b" = g0\n") == 2
+        assert decode(data, p) == art
 
 
-def _candidate_pool(a: Artwork) -> tuple[tuple[PointsToGraph, ...], dict]:
+def _candidate_pool(a: Artwork) -> tuple[PointsToGraph, ...]:
     counts: dict = {}
     for section in (a.i_loop, a.i_in, a.i_out):
         for _, graph in sorted(section.items()):
             counts[graph] = counts.get(graph, 0) + 1
-    return tuple(g for g, n in counts.items() if n >= 2 and not g.is_empty()), counts
+    return tuple(g for g, n in counts.items() if n >= 2 and not g.is_empty())
 
 
-def test_optimize_keeps_the_smaller_encoding_without_encoding(small_corpus, count_calls):
+def test_optimize_keeps_the_smaller_encoding_without_encoding(
+    small_corpus, count_calls, reference_encode
+):
     large = generate_corpus(
         CorpusConfig(program_count=4, seed=2, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
@@ -406,29 +406,29 @@ def test_optimize_keeps_the_smaller_encoding_without_encoding(small_corpus, coun
     pooled_seen = 0
     for p in programs:
         a = emit_artwork(p, analyze_inter(p))
-        calls = count_calls(artwork, "encode")
+        calls = count_calls(artwork, "encode", "_encode")
         opt = optimize_artwork(p, a)
-        assert calls["encode"] == 0
-        plain = Artwork(i_loop=opt.i_loop, i_in=opt.i_in, i_out=opt.i_out, dedup_pool=None)
-        pool, counts = _candidate_pool(plain)
-        expected = plain
-        if pool:
-            pooled = Artwork(i_loop=opt.i_loop, i_in=opt.i_in, i_out=opt.i_out, dedup_pool=pool)
-            saving = len(encode(plain)) - len(encode(pooled))
-            assert _pool_saving(pool, counts) == saving
-            if saving > 0:
-                expected = pooled
+        assert calls["encode"] == calls["_encode"] == 0
+        for art in (a, opt):
+            expected = plain = reference_encode(art)
+            pool = _candidate_pool(art)
+            if pool and len(reference_encode(art, pool)) < len(plain):
+                expected = reference_encode(art, pool)
                 pooled_seen += 1
-        assert opt == expected and encode(opt) == encode(expected)
-    assert pooled_seen >= 3
+            assert encode(art) == expected
+    assert pooled_seen >= 6
 
 
-def test_pool_saving_counts_utf8_bytes():
+def test_pool_saving_counts_utf8_bytes(reference_encode):
+    from artpta import chaotic_oracle, stats
+
     shared = PointsToGraph.of(field_edges=[(Site("m", 1), "\xe9t\xe9", Site("m", 2))])
-    uses = {shared: 2}
-    plain = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={}, dedup_pool=None)
-    pooled = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={}, dedup_pool=(shared,))
-    assert _pool_saving((shared,), uses) == len(encode(plain)) - len(encode(pooled))
+    a = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={})
+    empty = Program(methods=(), entry="")
+    data = encode(a)
+    assert data == reference_encode(a, (shared,))
+    saving = stats(empty, a, chaotic_oracle(empty)).dedup_savings
+    assert saving == len(reference_encode(a)) - len(data) > 0
 
 
 def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:
@@ -472,13 +472,7 @@ def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:
         ):
             i_in[name] = g
     i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
-    plain = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=None)
-    pool, _ = _candidate_pool(plain)
-    if pool:
-        pooled = Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out, dedup_pool=pool)
-        if len(encode(pooled)) < len(encode(plain)):
-            return pooled
-    return plain
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
 # f's first listed call-site (in g) sees the meet of both projections, but

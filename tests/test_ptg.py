@@ -701,7 +701,6 @@ def test_pooled_artifact_bytes_with_every_object_form():
         i_loop={("m", 3): shared},
         i_in={"m": shared, "main": EMPTY},
         i_out={"m": g([(VarId("m", 4), Site("m", 1))])},
-        dedup_pool=(shared,),
     )
     assert encode(art) == (
         b"ART/1\n[pool]\ng0:\n  m/0 -> m?0\n  m/1 -> m:2\n  m/1 -> null\n  m:1 .g-> m:2\n"

@@ -1,19 +1,26 @@
+import re
+
 import pytest
 
 from artpta import (
     Artwork,
+    CorpusConfig,
     NothingToTamperError,
     TamperKind,
     analyze_inter,
     chaotic_oracle,
+    decode,
     emit_artwork,
     encode,
+    generate_corpus,
+    optimize_artwork,
     parse_program,
     regen_inter,
     rq2_campaign,
     subsumes,
     tamper,
 )
+from artpta import ir
 from artpta.tamper import REDUCTIVE_KINDS
 
 
@@ -170,3 +177,48 @@ def test_campaign_requires_nontrivial_element():
     a = emit_artwork(p, analyze_inter(p))  # single empty IN entry
     with pytest.raises(NothingToTamperError):
         rq2_campaign(p, a, 1, seed=0)
+
+
+def test_campaign_on_an_indexed_program_builds_no_cfg(loopy_pipeline, rec_pipeline, count_calls):
+    for p, _, a in (loopy_pipeline, rec_pipeline):
+        ir.ProgramIndex.of(p)
+        calls = count_calls(ir, "build_cfg")
+        report = rq2_campaign(p, a, 20, seed=5)
+        assert report.detected == report.n == 20
+        assert calls["build_cfg"] == 0
+
+
+_POOL_HEADER_RE = re.compile(rb"^(g[0-9]+):$", re.M)
+_POOL_REF_RE = re.compile(rb" = (g[0-9]+)$", re.M)
+
+
+def test_tampered_pooled_artifacts_encode_canonically(small_corpus):
+    """Every pool graph ``encode`` writes for a mutated ``-O`` artifact is
+    referenced at least twice, and decoding any artifact ``encode`` wrote and
+    encoding it again gives the same bytes."""
+    large = generate_corpus(
+        CorpusConfig(program_count=2, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+    )
+    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    pooled = mutated_pooled = 0
+    for p in programs:
+        a = optimize_artwork(p, emit_artwork(p, analyze_inter(p)))
+        data = encode(a)
+        if b"[pool]\n" not in data:
+            continue
+        pooled += 1
+        for kind in TamperKind:
+            for seed in range(3):
+                try:
+                    mutated, spec = tamper(a, kind, seed, program=p)
+                except NothingToTamperError:
+                    continue
+                out = encode(mutated)
+                refs = _POOL_REF_RE.findall(out)
+                for g in _POOL_HEADER_RE.findall(out):
+                    assert refs.count(g) >= 2, (spec, g)
+                mutated_pooled += b"[pool]\n" in out
+                assert decode(out, p) == mutated
+                assert encode(decode(out, p)) == out
+        assert decode(data, p) == a and encode(decode(data, p)) == data
+    assert pooled >= 6 and mutated_pooled >= 6 * len(TamperKind)
