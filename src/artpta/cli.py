@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the analysis and emit an artifact")
     p.add_argument("program")
-    p.add_argument("-O", "--optimize", action="store_true", help="apply size optimizations")
+    p.add_argument("-O", "--optimize", action="store_true", help="drop entries the consumer re-derives")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--dump-results")
     p.set_defaults(func=_cmd_analyze)
