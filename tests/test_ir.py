@@ -146,6 +146,104 @@ def test_parse_error_carries_position():
     assert info.value.line == 3 and info.value.col == 8
 
 
+@pytest.mark.parametrize(
+    "text,exc,message",
+    [
+        # a syntax error anywhere beats every other fault
+        (
+            "method main() {\n  1: x = y\n}\nmethod f() {\n  1: goto x\n}\n",
+            ParseError,
+            "5:11: expected integer, found 'x'",
+        ),
+        (
+            "method main() {\n  1: x = y\n}\nmethod f() {\n  1: x ~ y\n}\n",
+            ParseError,
+            "5:8: unexpected character '~'",
+        ),
+        # a duplicate parameter is reported at the end of its method: after
+        # a syntax error in its own body, before one in a later method
+        (
+            "method main() {\n  1: nop\n}\nmethod f(a, b, a) {\n  1: x = y\n}\n"
+            "method g() {\n  1: goto x\n}\n",
+            DuplicateNameError,
+            "duplicate parameter 'a' in method 'f'",
+        ),
+        (
+            "method main() {\n  1: nop\n}\nmethod f(a, a) {\n  1: goto x\n}\n",
+            ParseError,
+            "5:11: expected integer, found 'x'",
+        ),
+        ("method main() {\n}\nmethod f(a, b, b, a) {\n}\n", DuplicateNameError, "duplicate parameter 'b' in method 'f'"),
+        # then a duplicate method name, the missing entry, entry parameters
+        (
+            "method main() {\n  0: call [ghost]()\n}\nmethod main() {\n  1: nop\n}\n",
+            DuplicateNameError,
+            "duplicate method name 'main'",
+        ),
+        (
+            "method f() {\n  0: x = y\n  2: call [ghost]()\n}\n",
+            ResolutionError,
+            "program has no entry method 'main'",
+        ),
+        (
+            "method main(a) {\n  1: x = y\n  2: call [ghost]()\n}\n",
+            ResolutionError,
+            "entry method 'main' must take no parameters",
+        ),
+        # within a method, the earliest statement at fault; within one
+        # statement its label, then its operands, then its jump target
+        ("method main() {\n  1: goto 9\n  2: x = y\n}\n", ResolutionError, "unknown branch label 9 at main:1"),
+        (
+            "method main() {\n  1: x = y\n  2: goto 9\n}\n",
+            ResolutionError,
+            "variable 'y' used at main:1 before any assignment",
+        ),
+        (
+            "method main() {\n  1: if goto 3\n  2: x = y\n  3: nop\n}\n",
+            ResolutionError,
+            "variable 'y' used at main:2 before any assignment",
+        ),
+        ("method main() {\n  1: goto 9\n  1: nop\n}\n", ResolutionError, "unknown branch label 9 at main:1"),
+        ("method main() {\n  0: goto 9\n}\n", ParseError, "label 0 in method 'main' must be positive"),
+        ("method main() {\n  1: nop\n  1: goto 9\n}\n", DuplicateNameError, "duplicate label 1 in method 'main'"),
+        ("method main() {\n  1: goto 0\n  0: nop\n}\n", ParseError, "label 0 in method 'main' must be positive"),
+        (
+            "method main() {\n  1: x = new A\n  2: y.f = z\n}\n",
+            ResolutionError,
+            "variable 'y' used at main:2 before any assignment",
+        ),
+        ("method main() {\n  1: x = x\n}\n", ResolutionError, "variable 'x' used at main:1 before any assignment"),
+        # a statement fault anywhere in a method beats its unknown call
+        # targets, which beat the faults of later methods
+        (
+            "method main() {\n  1: call [ghost]()\n  2: x = y\n}\n",
+            ResolutionError,
+            "variable 'y' used at main:2 before any assignment",
+        ),
+        (
+            "method main() {\n  1: call [ghost]()\n}\nmethod f() {\n  1: x = y\n}\n",
+            ResolutionError,
+            "unknown call target 'ghost' at main:1",
+        ),
+        (
+            "method main() {\n  1: call [f, ghost, phantom]()\n}\nmethod f() {\n}\n",
+            ResolutionError,
+            "unknown call target 'ghost' at main:1",
+        ),
+    ],
+)
+def test_front_end_error_precedence(text, exc, message):
+    with pytest.raises(exc) as info:
+        parse_program(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_a_call_binding_defines_its_variable():
+    p = parse_program("method main() {\n  1: x = call [main]()\n  2: return x\n}\n")
+    assert p.method("main").slot_of == {"x": 0}
+
+
 def test_straight_line_cfg():
     p = parse_program("method main() {\n  1: a = new A\n  2: b = a\n  3: b.f = a\n}")
     cfg = build_cfg(p.method("main"))
@@ -645,3 +743,29 @@ def test_loop_body_matches_a_walk_back_from_the_oracle_latches():
             assert cfg.loop_body(h) == body, (m.name, h)
             headers += 1
     assert headers > 10_000
+
+
+def test_build_cfg_scales_linearly_in_fan_in():
+    """Half the statements of the method jump to its first statement and
+    half return, so statement 1 and Exit each get a predecessor per jump:
+    four times the statements must cost well under sixteen times the time
+    (best of three, to ride out a loaded machine)."""
+    import time
+
+    def method(n):
+        return _method([Nop()] + [Goto(1) if k % 2 else Return(None) for k in range(n)])
+
+    def best(m):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            cfg = build_cfg(m)
+            times.append(time.perf_counter() - t0)
+        return min(times), cfg
+
+    n = 4000
+    small, cfg = best(method(n))
+    assert len(cfg.pred[1]) == n // 2 + 1 and len(cfg.pred["exit"]) == n // 2
+    large, cfg = best(method(4 * n))
+    assert len(cfg.pred[1]) == 2 * n + 1 and len(cfg.pred["exit"]) == 2 * n
+    assert large < 10 * small
