@@ -52,11 +52,11 @@ from .ptg import (
     Placeholder,
     PointsToGraph,
     SetEdge,
+    EdgeRenderer,
     Site,
     VarEdge,
     graph_of_set_edges,
     parse_edge_line,
-    render_edges,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -103,49 +103,47 @@ class ArtworkStats:
 # ---------------------------------------------------------------------------
 
 
-def _graph_block(g: PointsToGraph, head: str) -> list[str]:
-    lines = [head + " {"]
-    lines.extend("  " + e for e in render_edges(g))
-    lines.append("}")
-    return lines
-
-
 def _encode(a: Artwork) -> tuple[bytes, int]:
     """The ART/1 bytes of ``a`` and what their pool saves over inlining every
     graph (0 when there is no pool).  The candidates are the non-empty graphs
     two or more entries hold, in first-use order over the sorted [loop], [in]
     and [out] entries; all are pooled when that saves bytes, none otherwise.
     A pooled graph costs ``gK:`` and its edge lines once, and saves a
-    ``{`` ... ``}`` block of those lines per entry that reads ``= gK``."""
+    ``{`` ... ``}`` block of those lines per entry that reads ``= gK``.
+
+    Each distinct graph is rendered once, by one ``EdgeRenderer`` that lives
+    as long as this call: the mirror of the decoder, which parses each
+    distinct edge line once."""
     sections = (
         ("[loop]", [(f"m:{m} l:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
         ("[in]", [(f"m:{m}", g) for m, g in sorted(a.i_in.items())]),
         ("[out]", [(f"m:{m}", g) for m, g in sorted(a.i_out.items())]),
     )
     uses = Counter(g for _, entries in sections for _, g in entries)  # first-use order
+    renderer = EdgeRenderer()
+    edges = {g: renderer.block(g) for g in uses}
     refs: dict[PointsToGraph, str] = {}
-    pool = ["[pool]"]
+    pool = ["[pool]\n"]
     saving = -len("[pool]\n")
     for g, n in uses.items():
         if n < 2 or g.is_empty():
             continue
         ref = refs[g] = f"g{len(refs)}"
-        edge_lines = ["  " + e for e in render_edges(g)]
-        pool += [f"{ref}:", *edge_lines]
-        edge_bytes = len("".join(e + "\n" for e in edge_lines).encode("utf-8"))
+        pool.append(f"{ref}:\n{edges[g]}")
+        edge_bytes = len(edges[g].encode("utf-8"))
         inline = len("{") + edge_bytes + len("}\n")
         saving += n * (inline - len(ref)) - (len(ref) + len(":\n") + edge_bytes)
     if saving <= 0:
         refs, pool = {}, []
-    lines = [MAGIC, *pool]
+    chunks = [MAGIC + "\n", *pool]
     for header, entries in sections:
-        lines.append(header)
+        chunks.append(header + "\n")
         for head, g in entries:
             if g in refs:
-                lines.append(f"{head} = {refs[g]}")
+                chunks.append(f"{head} = {refs[g]}\n")
             else:
-                lines.extend(_graph_block(g, f"{head} ="))
-    return ("\n".join(lines) + "\n").encode("utf-8"), max(saving, 0)
+                chunks.append(f"{head} = {{\n{edges[g]}}}\n")
+    return "".join(chunks).encode("utf-8"), max(saving, 0)
 
 
 def encode(a: Artwork) -> bytes:
@@ -402,17 +400,18 @@ def naive_encode(result: "AnalysisResult") -> bytes:
     by_method: dict[str, dict] = {}
     for (name, node), g in result.out.items():
         by_method.setdefault(name, {})[node] = g
-    lines = [NAIVE_MAGIC]
+    renderer = EdgeRenderer()
+    chunks = [NAIVE_MAGIC + "\n"]
     for name in sorted(by_method):
         points = by_method[name]
-        lines.append(f"[method {name}]")
-        if ENTRY in points:
-            lines.extend(_graph_block(points[ENTRY], "entry ="))
-        for label in sorted(k for k in points if isinstance(k, int)):
-            lines.extend(_graph_block(points[label], f"l:{label} ="))
-        if EXIT in points:
-            lines.extend(_graph_block(points[EXIT], "exit ="))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        chunks.append(f"[method {name}]\n")
+        heads = [ENTRY] if ENTRY in points else []
+        heads += sorted(k for k in points if isinstance(k, int))
+        heads += [EXIT] if EXIT in points else []
+        for k in heads:
+            head = f"l:{k}" if isinstance(k, int) else k
+            chunks.append(f"{head} = {{\n{renderer.block(points[k])}}}\n")
+    return "".join(chunks).encode("utf-8")
 
 
 _DUMP_METHOD_RE = re.compile(r"\[method ([A-Za-z_][A-Za-z0-9_]*)\]")

@@ -65,7 +65,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     result = analyze_inter(program)
     artwork = emit_artwork(program, result)
     if args.optimize:
-        artwork = optimize_artwork(program, artwork)
+        artwork = optimize_artwork(program, artwork, result=result)
     data = encode(artwork)
     _write_atomic(args.output, data)
     if args.dump_results:
@@ -89,14 +89,22 @@ def _cmd_regen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_difference(left, right, left_tag: str, right_tag: str) -> None:
+    """Print, sorted and one per line to stderr, the edge lines only
+    ``left`` holds, then those only ``right`` holds."""
+    left, right = set(left), set(right)
+    for tag, lines in ((left_tag, left - right), (right_tag, right - left)):
+        for line in sorted(lines):
+            print(f"  {tag} {line}", file=sys.stderr)
+
+
 def _report_unsafe(outcome: RegenOutcome) -> int:
+    """Each violation, then the edges its check found that the artifact's
+    value lacks (missing) and those the value holds beyond them (extra)."""
     print(_style("UNSAFE", "31"))
     for v in outcome.violations:
         print(v.describe(), file=sys.stderr)
-        for line in render_edges(v.expected):
-            print(f"  expected: {line}", file=sys.stderr)
-        for line in render_edges(v.found):
-            print(f"  found:    {line}", file=sys.stderr)
+        _print_difference(render_edges(v.found), render_edges(v.expected), "missing:", "extra:")
     return 1
 
 
@@ -143,10 +151,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             continue
         method, point = key
         print(f"{method} {point}:", file=sys.stderr)
-        for e in sorted(l_edges - r_edges):
-            print(f"  - {e}", file=sys.stderr)
-        for e in sorted(r_edges - l_edges):
-            print(f"  + {e}", file=sys.stderr)
+        _print_difference(l_edges, r_edges, "-", "+")
     return 1
 
 

@@ -45,8 +45,12 @@ class AnalysisResult:
 def in_value(
     index: ProgramIndex, out: Mapping[PointKey, PointsToGraph], name: str, node: Node
 ) -> PointsToGraph:
-    """Meet of the OUT values of every CFG predecessor of ``node``."""
+    """Meet of the OUT values of every CFG predecessor of ``node``: the
+    predecessor's OUT itself when there is one (as ``meet_all`` would
+    return it)."""
     preds = index.cfgs[name].pred.get(node, ())
+    if len(preds) == 1:
+        return out.get((name, preds[0]), EMPTY)
     return meet_all(out.get((name, p), EMPTY) for p in preds)
 
 

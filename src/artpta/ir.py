@@ -55,6 +55,7 @@ from itertools import repeat
 from typing import Union
 
 from .errors import (
+    ArtError,
     DuplicateNameError,
     IrreducibleCfgError,
     ParseError,
@@ -145,28 +146,6 @@ class LabeledStatement:
     instr: Instr
 
 
-def _uses(instr: Instr) -> tuple[str, ...]:
-    if isinstance(instr, Copy):
-        return (instr.y,)
-    if isinstance(instr, FieldStore):
-        return (instr.x, instr.y)
-    if isinstance(instr, FieldLoad):
-        return (instr.y,)
-    if isinstance(instr, Call):
-        return instr.args
-    if isinstance(instr, Return) and instr.x is not None:
-        return (instr.x,)
-    return ()
-
-
-def _defs(instr: Instr) -> str | None:
-    if isinstance(instr, (Alloc, Copy, AssignNull, FieldLoad)):
-        return instr.x
-    if isinstance(instr, Call):
-        return instr.bind
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Program structure
 # ---------------------------------------------------------------------------
@@ -208,65 +187,6 @@ class Program:
     @property
     def method_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.methods)
-
-
-def _build_slots(m_name: str, params: tuple[str, ...], body: tuple[LabeledStatement, ...]) -> dict[str, int]:
-    slots: dict[str, int] = {}
-    for p in params:
-        if p in slots:
-            raise DuplicateNameError(f"duplicate parameter '{p}' in method '{m_name}'")
-        slots[p] = len(slots)
-    for s in body:
-        d = _defs(s.instr)
-        if d is not None and d not in slots:
-            slots[d] = len(slots)
-    return slots
-
-
-def _validate_method(m: Method) -> None:
-    seen: set[int] = set()
-    labels = set(m.labels())
-    defined = set(m.params)
-    for s in m.body:
-        if s.label <= 0:
-            raise ParseError(f"label {s.label} in method '{m.name}' must be positive")
-        if s.label in seen:
-            raise DuplicateNameError(f"duplicate label {s.label} in method '{m.name}'")
-        seen.add(s.label)
-        for u in _uses(s.instr):
-            if u not in defined:
-                raise ResolutionError(
-                    f"variable '{u}' used at {m.name}:{s.label} before any assignment"
-                )
-        d = _defs(s.instr)
-        if d is not None:
-            defined.add(d)
-        if isinstance(s.instr, (Branch, Goto)) and s.instr.target not in labels:
-            raise ResolutionError(
-                f"unknown branch label {s.instr.target} at {m.name}:{s.label}"
-            )
-
-
-def validate_program(p: Program) -> None:
-    """Establish the Program invariants, raising on the first violation."""
-    by_name = {m.name: m for m in p.methods}
-    if len(by_name) < len(p.methods):
-        counts = Counter(m.name for m in p.methods)
-        n = next(m.name for m in p.methods if counts[m.name] > 1)
-        raise DuplicateNameError(f"duplicate method name '{n}'")
-    if p.entry not in by_name:
-        raise ResolutionError(f"program has no entry method '{p.entry}'")
-    if by_name[p.entry].params:
-        raise ResolutionError(f"entry method '{p.entry}' must take no parameters")
-    for m in p.methods:
-        _validate_method(m)
-        for s in m.body:
-            if isinstance(s.instr, Call):
-                for t in s.instr.targets:
-                    if t not in by_name:
-                        raise ResolutionError(
-                            f"unknown call target '{t}' at {m.name}:{s.label}"
-                        )
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +235,9 @@ class _Parser:
         self.toks = toks + [_END]
         self.lines = lines + [0]
         self.texts = texts
+        #: per method parsed, in order: its first statement at fault (or
+        #: None) and its call statements, checked once every method is known
+        self.deferred: list[tuple[ArtError | None, list[LabeledStatement]]] = []
 
     def position(self, i: int) -> tuple[int, int]:
         """Line and column of token ``i``: the column is found by scanning
@@ -378,7 +301,17 @@ class _Parser:
         if toks[i] != ")":
             params, i = self.names(i)
         i = self.expect("{", self.expect(")", i))
+        slots: dict[str, int] = {}  # the variables assigned so far
+        duplicate = None
+        for p in params:
+            if p in slots and duplicate is None:
+                duplicate = p
+            slots.setdefault(p, len(slots))
         body: list[LabeledStatement] = []
+        calls: list[LabeledStatement] = []
+        labels: set[int] = set()
+        fault: ArtError | None = None  # the first statement at fault
+        jumps: list[tuple[int, int]] = []  # (target, label) before that statement
         while toks[i] != "}":
             # stmt := INT ":" instr, and the next statement starts a new line
             if toks[i][0] not in _DIGITS:
@@ -390,10 +323,49 @@ class _Parser:
             instr, i = self.instr(i + 2)
             if toks[i] != "}" and lines[i] == line:
                 raise ParseError("expected end of line after statement", *self.position(i))
-            body.append(LabeledStatement(label, instr))
-        body_t = tuple(body)
-        slots = _build_slots(name, params, body_t)
-        return Method(name=name, params=params, body=body_t, slot_of=slots), i + 1
+            s = LabeledStatement(label, instr)
+            body.append(s)
+            # Its label, then the variables it reads, then its jump target.
+            if fault is None:
+                if label <= 0:
+                    fault = ParseError(f"label {label} in method '{name}' must be positive")
+                elif label in labels:
+                    fault = DuplicateNameError(f"duplicate label {label} in method '{name}'")
+            labels.add(label)
+            kind = instr.__class__
+            if kind is Copy or kind is FieldLoad:
+                reads: tuple[str, ...] = (instr.y,)
+                x = instr.x
+            elif kind is Alloc or kind is AssignNull:
+                reads, x = (), instr.x
+            elif kind is FieldStore:
+                reads, x = (instr.x, instr.y), None
+            elif kind is Call:
+                reads, x = instr.args, instr.bind
+                calls.append(s)
+            elif kind is Return:
+                reads, x = (() if instr.x is None else (instr.x,)), None
+            else:
+                reads, x = (), None
+                if kind is not Nop and fault is None:
+                    jumps.append((instr.target, label))
+            if fault is None:
+                for u in reads:
+                    if u not in slots:
+                        fault = ResolutionError(f"variable '{u}' used at {name}:{label} before any assignment")
+                        break
+            if x is not None and x not in slots:
+                slots[x] = len(slots)
+        if duplicate is not None:
+            raise DuplicateNameError(f"duplicate parameter '{duplicate}' in method '{name}'")
+        # A jump is checked once every label is known; only jumps before the
+        # first statement at fault can come first.
+        for target, label in jumps:
+            if target not in labels:
+                fault = ResolutionError(f"unknown branch label {target} at {name}:{label}")
+                break
+        self.deferred.append((fault, calls))
+        return Method(name=name, params=params, body=tuple(body), slot_of=slots), i + 1
 
     def instr(self, i: int) -> tuple[Instr, int]:
         toks = self.toks
@@ -445,10 +417,27 @@ def parse_program(text: str) -> Program:
     """Parse IR text into a Program with all invariants established.
 
     Deterministic: identical text yields a structurally identical Program.
-    Raises ParseError, ResolutionError, or DuplicateNameError.
+    Raises ParseError, ResolutionError, or DuplicateNameError, in the order
+    the module docstring gives.
     """
-    program = _Parser(*_scan(text)).program()
-    validate_program(program)
+    parser = _Parser(*_scan(text))
+    program = parser.program()
+    names = {m.name for m in program.methods}
+    if len(names) < len(program.methods):
+        counts = Counter(m.name for m in program.methods)
+        n = next(m.name for m in program.methods if counts[m.name] > 1)
+        raise DuplicateNameError(f"duplicate method name '{n}'")
+    if program.entry not in names:
+        raise ResolutionError(f"program has no entry method '{program.entry}'")
+    if program.method(program.entry).params:
+        raise ResolutionError(f"entry method '{program.entry}' must take no parameters")
+    for m, (fault, calls) in zip(program.methods, parser.deferred):
+        if fault is not None:
+            raise fault
+        for s in calls:
+            for t in s.instr.targets:
+                if t not in names:
+                    raise ResolutionError(f"unknown call target '{t}' at {m.name}:{s.label}")
     return program
 
 
@@ -554,30 +543,40 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     passing its header (the header does not dominate the source), or when
     the graph minus its back-edges keeps a cycle among unreachable blocks."""
     body = m.body
-    first: Node = body[0].label if body else EXIT
+    labels = [s.label for s in body]
+    first: Node = labels[0] if labels else EXIT
     succ: dict[Node, tuple[Node, ...]] = {ENTRY: (first,)}
-    pred: dict[Node, list[Node]] = {n: [] for n in (ENTRY, EXIT, *(s.label for s in body))}
-    pred[first].append(ENTRY)
+    pred: dict[Node, tuple[Node, ...]] = dict.fromkeys((ENTRY, EXIT, *labels), ())
+    pred[first] = (ENTRY,)
+    fan_in: dict[Node, list[Node]] = {}  # every predecessor of a join point
     # Leaders: the first statement, every jump target and every statement
     # after a control transfer.
     leaders: set[Node] = {first}
-    for i, s in enumerate(body):
-        fall: Node = body[i + 1].label if i + 1 < len(body) else EXIT
+    for s, fall in zip(body, labels[1:] + [EXIT]):
         instr = s.instr
-        if isinstance(instr, Branch):
-            out: tuple[Node, ...] = (fall,) if instr.target == fall else (fall, instr.target)
-        elif isinstance(instr, Goto):
-            out = (instr.target,)
-        elif isinstance(instr, Return):
+        kind = instr.__class__
+        if kind is Goto:
+            out: tuple[Node, ...] = (instr.target,)
+        elif kind is Branch:
+            out = (fall,) if instr.target == fall else (fall, instr.target)
+        elif kind is Return:
             out = (EXIT,)
         else:
             out = (fall,)
-        if isinstance(instr, (Branch, Goto, Return)):
+        if kind is Goto or kind is Branch or kind is Return:
             leaders.update(out)
             leaders.add(fall)
-        succ[s.label] = out
+        u = s.label
+        succ[u] = out
         for v in out:
-            pred[v].append(s.label)
+            if not pred[v]:
+                pred[v] = (u,)
+            elif v in fan_in:
+                fan_in[v].append(u)
+            else:
+                fan_in[v] = [*pred[v], u]
+    for v, ps in fan_in.items():
+        pred[v] = tuple(ps)
 
     starts = [i for i, s in enumerate(body) if s.label in leaders]
     blocks = [BasicBlock(body[a:b]) for a, b in zip(starts, starts[1:] + [len(body)])]
@@ -629,7 +628,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
         method=m,
         blocks=tuple(blocks),
         succ=succ,
-        pred={n: tuple(ps) for n, ps in pred.items()},
+        pred=pred,
         back_edges=back_edges,
         topo_order=tuple(topo),
         loop_headers=frozenset(h for _, h in back_edges),

@@ -18,9 +18,10 @@ the entry method), and ``out_summary[M]`` the return/heap restriction of M's
 Exit value.
 
 A produce runs one fixed-point analysis: ``optimize_artwork`` reads the
-call-site values it needs off the consumer's single-pass regeneration of the
-artifact it shrinks (``consumer.regenerate``).  The producer depends on the
-consumer, never the reverse.
+call-site values it needs off the result it is given (``artpta analyze -O``
+passes the one it emitted), or else off the consumer's single-pass
+regeneration of the artifact it shrinks (``consumer.regenerate``).  The
+producer depends on the consumer, never the reverse.
 """
 
 from __future__ import annotations
@@ -335,20 +336,33 @@ def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
-def optimize_artwork(program: Program, a: Artwork) -> Artwork:
+def optimize_artwork(
+    program: Program, a: Artwork, result: AnalysisResult | None = None
+) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
     call-site projections are all identical (or absent), and OUT entries
     equal to the IN entry: every entry the consumer re-derives.  (Sharing
     duplicated graphs is ``encode``'s choice, for every artifact.)
 
-    The call-site projections are read off the consumer's regeneration of
-    ``a``, which is exactly the fixed point ``a`` encodes, so no analysis is
-    re-run.  The regeneration happens only when some IN entry passes the
-    loop-header and SCC filters below; an artifact it rejects raises
-    ``ArtError``."""
+    The call-site projections are read off the fixed point ``a`` encodes.
+    ``result`` is that fixed point when the caller holds it (``emit_artwork``
+    wrote ``a`` from it): every entry of ``a`` must equal its value there, or
+    ``ArtError`` is raised.  Without ``result`` they are read off the
+    consumer's regeneration of ``a``, so no analysis is re-run; that happens
+    only when some IN entry passes the loop-header and SCC filters below, and
+    an artifact it rejects raises ``ArtError``."""
     index = ProgramIndex.of(program)
-    regenerated: AnalysisResult | None = None  # computed on first need
+    regenerated = result  # regenerated on first need when not given
+    if result is not None:
+        for where, entries, values in (
+            ("[loop]", a.i_loop, result.out),
+            ("[in]", a.i_in, result.in_summary),
+            ("[out]", a.i_out, result.out_summary),
+        ):
+            for key, g in entries.items():
+                if values.get(key) != g:
+                    raise ArtError(f"artifact entry {where} {key} differs from the given result")
 
     i_loop = dict(a.i_loop)
     for (name, header) in list(i_loop):

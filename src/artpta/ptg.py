@@ -581,6 +581,63 @@ def render_graph(g: PointsToGraph) -> str:
     return "\n".join(render_edges(g))
 
 
+class EdgeRenderer:
+    """Renders graphs as ``render_edges`` does, each object, each distinct
+    (variable, target set) binding and each per-object field map once.
+
+    Graphs at nearby program points share most target sets and field maps,
+    so a renderer that sees many of them formats little twice.  Bindings are
+    keyed by value; a field map is keyed by its source object and its
+    identity, and the renderer holds a reference to it so the identity stays
+    unique.  A renderer keeps everything it rendered: make one per artifact
+    (or dump), never one per process, as artifacts are untrusted input.
+
+    A graph's lines are its bindings' sorted lines, bindings in order of
+    their first line, then its field maps' lines likewise.  That is
+    ``render_edges``' order whenever no name holds whitespace (then every
+    line starts with a space-terminated key, ``m/s ->`` or ``src .f->``, so
+    one key's lines sort together)."""
+
+    def __init__(self) -> None:
+        self._objects: dict[ObjectId, str] = {}
+        self._bindings: dict[tuple[VarId, Objects], str] = {}
+        self._fields: dict[tuple[ObjectId, int], tuple[FieldIndex, str]] = {}
+
+    def _object(self, o: ObjectId) -> str:
+        text = self._objects.get(o)
+        if text is None:
+            text = self._objects[o] = render_object(o)
+        return text
+
+    def block(self, g: PointsToGraph) -> str:
+        """The lines of ``render_edges(g)``, each indented by two spaces and
+        ended by a newline."""
+        obj = self._object
+        bindings = self._bindings
+        var_texts = []
+        for binding in g._vars.items():
+            text = bindings.get(binding)
+            if text is None:
+                v, objs = binding
+                head = f"{v.method}/{v.slot} -> "
+                lines = sorted([head + obj(o) for o in objs])
+                text = bindings[binding] = "".join([f"  {line}\n" for line in lines])
+            var_texts.append(text)
+        var_texts.sort()
+        field_maps = self._fields
+        heap_texts = []
+        for s, fields in g._heap.items():
+            key = (s, id(fields))
+            cached = field_maps.get(key)
+            if cached is None:
+                head = obj(s) + " ."
+                lines = sorted([f"{head}{f}-> {obj(t)}" for f, ts in fields.items() for t in ts])
+                cached = field_maps[key] = (fields, "".join([f"  {line}\n" for line in lines]))
+            heap_texts.append(cached[1])
+        heap_texts.sort()
+        return "".join(var_texts) + "".join(heap_texts)
+
+
 def parse_object(text: str) -> ObjectId:
     if text == "null":
         return NULL_OBJECT

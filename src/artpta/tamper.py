@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .artwork import Artwork
 from .consumer import regen_inter
-from .errors import NothingToTamperError
+from .errors import ArtError, NothingToTamperError
 from .ir import Alloc, FieldLoad, FieldStore, Program
 from .ptg import (
     NULL_OBJECT,
@@ -37,7 +37,7 @@ from .ptg import (
     render_edge,
     render_object,
 )
-from .producer import analyze_inter, emit_artwork, validate_result
+from .producer import analyze_inter, emit_artwork, optimize_artwork
 
 
 class TamperKind(enum.Enum):
@@ -258,13 +258,27 @@ def _add_edge(
         section = key[0]
         inject = {section: {key[1]: extra}}
         closed = analyze_inter(program, _inject=inject)
-        if validate_result(program, closed, exact_in=False):
+        try:
+            mutated = emit_artwork(program, closed)
+        except ArtError:
             continue  # the addition does not belong to any fixed point; retry
-        return (
-            emit_artwork(program, closed),
-            f"{_entry_name(key)} edge '{render_edge(edge)}'",
-        )
+        if _has_more_entries(mutated, a):
+            # The source was optimized: shrink the same way, and keep that
+            # only if the consumer still accepts it.
+            shrunk = optimize_artwork(program, mutated, result=closed)
+            if regen_inter(program, shrunk).safe:
+                mutated = shrunk
+        return mutated, f"{_entry_name(key)} edge '{render_edge(edge)}'"
     raise NothingToTamperError("no conservative edge addition found")
+
+
+def _has_more_entries(a: Artwork, b: Artwork) -> bool:
+    """True when ``a`` holds an entry key that ``b`` lacks."""
+    return not (
+        a.i_loop.keys() <= b.i_loop.keys()
+        and a.i_in.keys() <= b.i_in.keys()
+        and a.i_out.keys() <= b.i_out.keys()
+    )
 
 
 def tamper(

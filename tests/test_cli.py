@@ -54,6 +54,32 @@ def test_tamper_then_regen_detects(tmp_path, loopy_ir, capsys):
     assert "LoopInvariant" in captured.err
 
 
+@pytest.mark.parametrize(
+    "kind, seed, report",
+    [
+        ("remove-edge", 7, ["  missing: main:1 .f-> main:3"]),
+        (
+            "replace-object",
+            1,
+            ["  missing: main/1 -> main:11", "  missing: main:6 .f-> main:1", "  extra: main/1 -> main:1"],
+        ),
+    ],
+)
+def test_unsafe_report_shows_the_edge_difference(tmp_path, loopy_ir, capsys, kind, seed, report):
+    """An UNSAFE verdict names the check that failed, then lists only the
+    edges it found that the stored value lacks and those the value holds
+    beyond them, not both whole graphs."""
+    art = str(tmp_path / "loopy.art")
+    bad = str(tmp_path / "bad.art")
+    main(["analyze", loopy_ir, "-o", art])
+    main(["tamper", art, "--kind", kind, "--seed", str(seed), "-o", bad])
+    capsys.readouterr()
+    assert main(["regen", loopy_ir, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "UNSAFE\n"
+    assert captured.err.splitlines() == ["LoopInvariant violation in 'main' at 5", *report]
+
+
 def test_tamper_deterministic_bytes(tmp_path, loopy_ir):
     art = str(tmp_path / "loopy.art")
     main(["analyze", loopy_ir, "-o", art])
@@ -303,5 +329,5 @@ def test_stats_reports_an_unsafe_artifact_instead_of_sizing_it(tmp_path, loopy_i
     assert main(["stats", loopy_ir, bad]) == 1
     captured = capsys.readouterr()
     assert captured.out == "UNSAFE\n"
-    assert "LoopInvariant" in captured.err and "expected:" in captured.err
+    assert "LoopInvariant" in captured.err and "  missing: main:1 .f-> main:3" in captured.err
     assert "bytes" not in captured.err

@@ -550,6 +550,42 @@ def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
                 optimize_artwork(p, mutated)
 
 
+@pytest.mark.parametrize(
+    "shape, count",
+    [
+        ({}, 60),
+        ({"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}, 6),
+    ],
+    ids=["default", "roundtrip-large"],
+)
+def test_optimize_with_the_result_equals_optimize_by_regeneration(shape, count, count_calls):
+    from artpta import consumer
+
+    calls = count_calls(consumer, "regenerate")
+    regenerated = 0
+    for _, text in generate_corpus(CorpusConfig(program_count=count, seed=1, **shape)):
+        p = parse_program(text)
+        result = analyze_inter(p)
+        a = emit_artwork(p, result)
+        expected = optimize_artwork(p, a)
+        regenerated = calls["regenerate"]
+        assert optimize_artwork(p, a, result=result) == expected
+        assert calls["regenerate"] == regenerated
+    assert regenerated >= 1  # the regeneration path ran, and the result path did not
+
+
+def test_optimize_rejects_a_result_the_artifact_does_not_hold(rec_pipeline):
+    from artpta import ArtError, tamper
+    from artpta.tamper import REDUCTIVE_KINDS
+
+    p, result, a = rec_pipeline
+    for seed in range(8):
+        for kind in REDUCTIVE_KINDS:
+            mutated, _ = tamper(a, kind, seed)
+            with pytest.raises(ArtError, match="differs from the given result$"):
+                optimize_artwork(p, mutated, result=result)
+
+
 def test_a_loop_seed_stays_in_its_statement_and_flows_on(loopy):
     # ``_inject`` seeds at a loop header: the seed is met into the header's
     # OUT on every evaluation, so it survives re-evaluation and reaches the

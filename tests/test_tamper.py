@@ -99,6 +99,32 @@ def test_add_edge_strictly_grows_somewhere(rec_pipeline):
     assert out.safe and not out.result.same_values(r)
 
 
+def _keys(a: Artwork):
+    return set(a.i_loop), set(a.i_in), set(a.i_out)
+
+
+def test_add_edge_on_optimized_artifacts_keeps_their_entries():
+    """On ``-O`` artifacts add-edge shrinks the re-closed artifact the way
+    ``optimize_artwork`` does, so the mutation keeps the source's entry keys;
+    the consumer accepts it and regenerates a cover of the least fixed
+    point."""
+    kept = 0
+    for name, text in generate_corpus(CorpusConfig(program_count=10, seed=1)):
+        p = parse_program(text)
+        r = analyze_inter(p)
+        a = optimize_artwork(p, emit_artwork(p, r))
+        try:
+            mutated, _ = tamper(a, TamperKind.ADD_EDGE, seed=3, program=p)
+        except NothingToTamperError:
+            continue
+        assert _keys(mutated) == _keys(a), name
+        out = regen_inter(p, mutated)
+        assert out.safe, name
+        assert all(subsumes(out.result.out[k], g) for k, g in r.out.items()), name
+        kept += 1
+    assert kept >= 9
+
+
 def test_delete_entry_classifications(arith_pipeline, loopy_pipeline, rec_pipeline):
     # deleting the arithmetic loop's entry is harmless: the default (the
     # header's IN) is already the fixed point
