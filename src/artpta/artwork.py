@@ -24,10 +24,14 @@ allocation site exists in the program; semantic tampering (structurally valid
 but wrong values) is deliberately not detectable here and is the consumer's
 job.
 
-The decoder is one walk over the file's lines.  Each distinct edge line is
-parsed, and checked against the program, once per artifact (an artifact
-repeats most lines across entries); each block's graph is then built straight
-into the two index maps from those parsed lines, with no edge sets
+The encoder and the decoder each handle a distinct thing once per artifact,
+because an artifact repeats most edge lines across entries.  The encoder
+renders each distinct graph once, through one ``ptg.EdgeRenderer`` per call,
+which formats each object, each (variable, target set) binding and each
+per-object field map once; nothing outlives the call.  The decoder is one
+walk over the file's lines.  Each distinct edge line is parsed, and checked
+against the program, once per artifact; each block's graph is then built
+straight into the two index maps from those parsed lines, with no edge sets
 (``ptg.graph_of_set_edges``).  Errors are reported deterministically: a
 syntax error anywhere wins, at its first line; otherwise the first entry at
 fault in [loop], [in], [out] order, its key before its graph, then the first
@@ -47,12 +51,12 @@ from .errors import MalformedArtworkError, UnknownReferenceError
 from .ir import ENTRY, EXIT, Alloc, Program, ProgramIndex
 from .ptg import (
     NULL_OBJECT,
+    EdgeRenderer,
     FieldEdge,
     ObjectId,
     Placeholder,
     PointsToGraph,
     SetEdge,
-    EdgeRenderer,
     Site,
     VarEdge,
     graph_of_set_edges,

@@ -18,17 +18,28 @@ tokens is insignificant)::
               | "goto" INT                                        # Goto
               | "nop"
 
-Parsing is two passes.  The scanner splits the text with ``str.splitlines``,
-drops each line's ``#`` comment and runs one compiled regular expression over
-the rest: a match is either a token (a name, an integer or a punctuation
-mark) or, through a catch-all alternative, a character no token starts with,
-which is reported with its line and column.  Tokens are kept as plain
-strings in a list, with a parallel list of their line numbers.  The
-recursive-descent parser then indexes those lists directly and reads a
-token's kind off its first character.  Only the end-of-line check after each
-statement looks at line numbers, so a statement may span lines.  Columns
-appear only in error messages, so the parser finds a token's column by
-scanning its line again when it reports an error there.
+The scanner splits the text with ``str.splitlines``, drops each line's ``#``
+comment and runs one compiled regular expression over the rest: a match is
+either a token (a name, an integer or a punctuation mark) or, through a
+catch-all alternative, a character no token starts with, which is reported
+with its line and column.  Tokens are kept as plain strings in a list, with a
+parallel list of their line numbers.  The recursive-descent parser then
+indexes those lists directly and reads a token's kind off its first
+character.  Only the end-of-line check after each statement looks at line
+numbers, so a statement may span lines.  Columns appear only in error
+messages, so the parser finds a token's column by scanning its line again
+when it reports an error there.
+
+The parser is the one pass over the program: as it reads a statement it
+assigns slots (parameters first, then locals in order of first assignment)
+and checks the statement, keeping each method's first statement at fault.
+The faults are raised once the whole text has parsed, in this order: a
+syntax error (the scanner's, then the parser's); a duplicate parameter, at
+the end of its method; a duplicate method name; a missing entry method; an
+entry method with parameters; then per method, its first statement at fault
+(a label that is not positive or repeats, a variable read before any
+assignment, an unknown jump target: by statement, and in that order within
+one) and then its first unknown call target.
 
 Branch conditions are nondeterministic: ``if goto L`` has both the fall
 through statement and ``L`` as successors.  Call statements carry an explicit
@@ -160,9 +171,6 @@ class Method:
     #: in order of first assignment.  Derived deterministically from the body.
     slot_of: dict[str, int] = field(default_factory=dict, compare=False)
 
-    def labels(self) -> tuple[int, ...]:
-        return tuple(s.label for s in self.body)
-
     @property
     def var_count(self) -> int:
         return len(self.slot_of)
@@ -235,8 +243,7 @@ class _Parser:
         self.toks = toks + [_END]
         self.lines = lines + [0]
         self.texts = texts
-        #: per method parsed, in order: its first statement at fault (or
-        #: None) and its call statements, checked once every method is known
+        #: per method: its first statement at fault (or None) and its calls
         self.deferred: list[tuple[ArtError | None, list[LabeledStatement]]] = []
 
     def position(self, i: int) -> tuple[int, int]:
@@ -301,12 +308,7 @@ class _Parser:
         if toks[i] != ")":
             params, i = self.names(i)
         i = self.expect("{", self.expect(")", i))
-        slots: dict[str, int] = {}  # the variables assigned so far
-        duplicate = None
-        for p in params:
-            if p in slots and duplicate is None:
-                duplicate = p
-            slots.setdefault(p, len(slots))
+        slots = {p: k for k, p in enumerate(params)}  # then each local as assigned
         body: list[LabeledStatement] = []
         calls: list[LabeledStatement] = []
         labels: set[int] = set()
@@ -334,8 +336,7 @@ class _Parser:
             labels.add(label)
             kind = instr.__class__
             if kind is Copy or kind is FieldLoad:
-                reads: tuple[str, ...] = (instr.y,)
-                x = instr.x
+                reads, x = (instr.y,), instr.x
             elif kind is Alloc or kind is AssignNull:
                 reads, x = (), instr.x
             elif kind is FieldStore:
@@ -356,8 +357,9 @@ class _Parser:
                         break
             if x is not None and x not in slots:
                 slots[x] = len(slots)
-        if duplicate is not None:
-            raise DuplicateNameError(f"duplicate parameter '{duplicate}' in method '{name}'")
+        for k, p in enumerate(params):
+            if p in params[:k]:
+                raise DuplicateNameError(f"duplicate parameter '{p}' in method '{name}'")
         # A jump is checked once every label is known; only jumps before the
         # first statement at fault can come first.
         for target, label in jumps:
@@ -566,15 +568,12 @@ def build_cfg(m: Method) -> ControlFlowGraph:
         if kind is Goto or kind is Branch or kind is Return:
             leaders.update(out)
             leaders.add(fall)
-        u = s.label
-        succ[u] = out
+        succ[s.label] = out
         for v in out:
-            if not pred[v]:
-                pred[v] = (u,)
-            elif v in fan_in:
-                fan_in[v].append(u)
+            if pred[v]:  # its first predecessor, until the scan ends
+                fan_in.setdefault(v, [*pred[v]]).append(s.label)
             else:
-                fan_in[v] = [*pred[v], u]
+                pred[v] = (s.label,)
     for v, ps in fan_in.items():
         pred[v] = tuple(ps)
 
