@@ -308,7 +308,7 @@ class _Parser:
         if toks[i] != ")":
             params, i = self.names(i)
         i = self.expect("{", self.expect(")", i))
-        slots = {p: k for k, p in enumerate(params)}  # then each local as assigned
+        slots = {p: k for k, p in enumerate(params)}  # then locals, as first assigned
         body: list[LabeledStatement] = []
         calls: list[LabeledStatement] = []
         labels: set[int] = set()
@@ -424,11 +424,10 @@ def parse_program(text: str) -> Program:
     """
     parser = _Parser(*_scan(text))
     program = parser.program()
-    names = {m.name for m in program.methods}
-    if len(names) < len(program.methods):
-        counts = Counter(m.name for m in program.methods)
-        n = next(m.name for m in program.methods if counts[m.name] > 1)
-        raise DuplicateNameError(f"duplicate method name '{n}'")
+    names = Counter(m.name for m in program.methods)
+    for m in program.methods:
+        if names[m.name] > 1:
+            raise DuplicateNameError(f"duplicate method name '{m.name}'")
     if program.entry not in names:
         raise ResolutionError(f"program has no entry method '{program.entry}'")
     if program.method(program.entry).params:
@@ -536,21 +535,22 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     """Build the CFG: maximal basic blocks, back-edges and a deterministic
     topological block order.
 
-    One scan over the body finds every statement's successors and the block
-    leaders.  One depth-first search from the entry block finds the
-    back-edges: the edges into a block on the current search path.  In a
-    reducible graph these are exactly the edges whose target dominates their
-    source, whatever order the search takes.  Raises IrreducibleCfgError
-    when a back-edge's natural loop reaches the first statement without
-    passing its header (the header does not dominate the source), or when
-    the graph minus its back-edges keeps a cycle among unreachable blocks."""
+    One scan over the body finds every statement's successors and
+    predecessors and the block leaders.  One depth-first search from the
+    entry block finds the back-edges: the edges into a block on the current
+    search path.  In a reducible graph these are exactly the edges whose
+    target dominates their source, whatever order the search takes.  Raises
+    IrreducibleCfgError when a back-edge's natural loop reaches the first
+    statement without passing its header (the header does not dominate the
+    source), or when the graph minus its back-edges keeps a cycle among
+    unreachable blocks."""
     body = m.body
     labels = [s.label for s in body]
     first: Node = labels[0] if labels else EXIT
     succ: dict[Node, tuple[Node, ...]] = {ENTRY: (first,)}
     pred: dict[Node, tuple[Node, ...]] = dict.fromkeys((ENTRY, EXIT, *labels), ())
     pred[first] = (ENTRY,)
-    fan_in: dict[Node, list[Node]] = {}  # every predecessor of a join point
+    fan_in: dict[Node, list[Node]] = {}
     # Leaders: the first statement, every jump target and every statement
     # after a control transfer.
     leaders: set[Node] = {first}
@@ -570,7 +570,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
             leaders.add(fall)
         succ[s.label] = out
         for v in out:
-            if pred[v]:  # its first predecessor, until the scan ends
+            if pred[v]:  # a join point: pred[v] keeps its first predecessor
                 fan_in.setdefault(v, [*pred[v]]).append(s.label)
             else:
                 pred[v] = (s.label,)

@@ -353,7 +353,7 @@ def optimize_artwork(
     only when some IN entry passes the loop-header and SCC filters below, and
     an artifact it rejects raises ``ArtError``."""
     index = ProgramIndex.of(program)
-    regenerated = result  # regenerated on first need when not given
+    regenerated = result  # the fixed point; when not given, regenerated on first need
     if result is not None:
         for where, entries, values in (
             ("[loop]", a.i_loop, result.out),

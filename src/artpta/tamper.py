@@ -13,7 +13,10 @@ this kind injects the edge at its entry and re-closes the flow equations over
 the whole program, emitting the resulting non-least fixed point.  That is a
 genuinely conservative mutation: the consumer must accept it and regenerate a
 sound over-approximation.  It consequently needs the program, not just the
-artifact, and assumes the source artifact was producer-emitted.
+artifact, and assumes the source artifact was producer-emitted.  When the
+source lacks entries that emission writes (it was optimized), the emitted
+artifact is shrunk by ``optimize_artwork`` too, if the consumer accepts the
+shrunk one, so the mutation keeps its source's shape.
 """
 
 from __future__ import annotations
