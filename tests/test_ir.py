@@ -746,26 +746,33 @@ def test_loop_body_matches_a_walk_back_from_the_oracle_latches():
 
 
 def test_build_cfg_scales_linearly_in_fan_in():
-    """Half the statements of the method jump to its first statement and
-    half return, so statement 1 and Exit each get a predecessor per jump:
-    four times the statements must cost well under sixteen times the time
-    (best of three, to ride out a loaded machine)."""
+    """Three in four statements of the method jump to its first statement
+    and the rest return, so statement 1 and Exit get a predecessor per
+    jump: four times the statements must cost well under sixteen times the
+    time (best of five with the collector off, to ride out a loaded
+    machine; building each predecessor tuple by concatenation costs more
+    than ten times)."""
+    import gc
     import time
 
     def method(n):
-        return _method([Nop()] + [Goto(1) if k % 2 else Return(None) for k in range(n)])
+        return _method([Nop()] + [Goto(1) if k % 4 else Return(None) for k in range(n)])
 
     def best(m):
         times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            cfg = build_cfg(m)
-            times.append(time.perf_counter() - t0)
+        gc.disable()
+        try:
+            for _ in range(5):
+                t0 = time.perf_counter()
+                cfg = build_cfg(m)
+                times.append(time.perf_counter() - t0)
+        finally:
+            gc.enable()
         return min(times), cfg
 
-    n = 4000
+    n = 6000
     small, cfg = best(method(n))
-    assert len(cfg.pred[1]) == n // 2 + 1 and len(cfg.pred["exit"]) == n // 2
+    assert len(cfg.pred[1]) == 1 + 3 * n // 4 and len(cfg.pred["exit"]) == n // 4
     large, cfg = best(method(4 * n))
-    assert len(cfg.pred[1]) == 2 * n + 1 and len(cfg.pred["exit"]) == 2 * n
-    assert large < 10 * small
+    assert len(cfg.pred[1]) == 1 + 3 * n and len(cfg.pred["exit"]) == n
+    assert large < 8 * small
