@@ -287,7 +287,10 @@ def _entry_value(
             raise MalformedArtworkError("unterminated graph block")
         return value, end + 1
     if _POOL_REF_RE.fullmatch(text):
-        k = int(text[1:])
+        try:
+            k = int(text[1:])
+        except ValueError:  # past the interpreter's digit limit
+            raise MalformedArtworkError(f"pool reference too long ({len(text) - 1} digits)") from None
         if k >= len(pool):
             raise MalformedArtworkError(f"reference to undefined pool graph g{k}")
         return pool[k], i
@@ -328,7 +331,10 @@ def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[
             m = key_re.match(lines[i])
             if m is None:
                 raise MalformedArtworkError(f"bad [{name}] entry")
-            key = (m.group(1), int(m.group(2))) if name == "loop" else m.group(1)
+            try:
+                key = (m.group(1), int(m.group(2))) if name == "loop" else m.group(1)
+            except ValueError:  # past the interpreter's digit limit
+                raise MalformedArtworkError(f"[loop] label too long ({len(m.group(2))} digits)") from None
             if key in entries:
                 raise MalformedArtworkError(f"duplicate {name} entry {key}")
             value, i = _entry_value(lines, i + 1, m.group(m.lastindex), edges, pool)
@@ -355,12 +361,12 @@ def decode(data: bytes, p: Program) -> Artwork:
     when a method, slot, label, or summary key does not exist in ``p`` (an
     OUT-summary key must name a method on a call-graph cycle).  A [loop] key
     must name a statement of its method, not necessarily a loop header; the
-    consumer reads only header keys and ignores the rest.  Pool graphs are
-    checked too, whether or not an entry references them.  A syntax error
-    anywhere wins; otherwise the first entry at fault is reported, in [loop],
-    [in], [out] order, its key before its graph (a bad pool graph an entry
-    references is reported through that entry), then the first bad pool
-    graph as ``[pool] gK``.
+    consumer reads only header keys and reports the rest as ignored.  Pool
+    graphs are checked too, whether or not an entry references them.  A
+    syntax error anywhere wins; otherwise the first entry at fault is
+    reported, in [loop], [in], [out] order, its key before its graph (a bad
+    pool graph an entry references is reported through that entry), then the
+    first bad pool graph as ``[pool] gK``.
     """
     a, bad = _read_artwork(data, _References(p))
     index = ProgramIndex.of(p)

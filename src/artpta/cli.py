@@ -81,6 +81,8 @@ def _cmd_regen(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     artwork = decode(_read(args.artwork), program)
     outcome = regen_inter(program, artwork, keep_going=args.keep_going)
+    for name, label in outcome.ignored_loop_keys:
+        print(f"warning: [loop] {name}:{label} is not a loop header; ignored", file=sys.stderr)
     if not outcome.safe:
         return _report_unsafe(outcome)
     print(_style("SAFE", "32"))

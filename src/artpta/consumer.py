@@ -77,6 +77,9 @@ class RegenOutcome:
     visits: dict[tuple[str, int], int]
     methods_analyzed: frozenset[str]
     transfer_applications: int
+    #: sorted ``[loop]`` keys at statements that head no loop: decode accepts
+    #: them, and regeneration reads no value from them
+    ignored_loop_keys: tuple[tuple[str, int], ...]
 
 
 def check_intra_safety(
@@ -271,6 +274,12 @@ class _Regenerator:
                 out_summary=self.regen_out_summary,
                 iteration_count=self.applications,
             )
+        cfgs = self.index.cfgs
+        ignored = sorted(
+            (name, label)
+            for name, label in self.artwork.i_loop
+            if name not in cfgs or label not in cfgs[name].loop_headers
+        )
         return RegenOutcome(
             safe=result is not None,
             result=result,
@@ -279,6 +288,7 @@ class _Regenerator:
             visits=dict(self.visits),
             methods_analyzed=frozenset(self.analyzed),
             transfer_applications=self.applications,
+            ignored_loop_keys=tuple(ignored),
         )
 
 

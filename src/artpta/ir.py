@@ -18,28 +18,40 @@ tokens is insignificant)::
               | "goto" INT                                        # Goto
               | "nop"
 
-The scanner splits the text with ``str.splitlines``, drops each line's ``#``
-comment and runs one compiled regular expression over the rest: a match is
-either a token (a name, an integer or a punctuation mark) or, through a
-catch-all alternative, a character no token starts with, which is reported
-with its line and column.  Tokens are kept as plain strings in a list, with a
-parallel list of their line numbers.  The recursive-descent parser then
-indexes those lists directly and reads a token's kind off its first
-character.  Only the end-of-line check after each statement looks at line
-numbers, so a statement may span lines.  Columns appear only in error
+Two readers feed one builder.  The line reader takes the common case, a text
+of canonical lines, as ``print_program`` and ``generate_corpus`` write them:
+a method header, a lone ``}``, a blank line, or one whole statement with
+spaces only between its tokens, read by one ``fullmatch`` of a compiled
+regular expression whose ``lastgroup`` names the instruction kind.  At the
+first line that is none of these (a statement spanning lines, a ``}`` after
+a statement, a comment, a tab, a keyword where a name goes, an integer
+``int`` rejects, any syntax error) it gives up, and the token reader parses
+the whole text again, so every error message, position and precedence is
+the token reader's.  The token reader is also the reference the line reader
+is tested against.
+
+The token reader's scanner splits the text with ``str.splitlines``, drops
+each line's ``#`` comment and runs one compiled regular expression over the
+rest: a match is either a token (a name, an integer or a punctuation mark)
+or, through a catch-all alternative, a character no token starts with, which
+is reported with its line and column.  Tokens are kept as plain strings in a
+list, with a parallel list of their line numbers.  The recursive-descent
+parser then indexes those lists directly and reads a token's kind off its
+first character.  Only the end-of-line check after each statement looks at
+line numbers, so a statement may span lines.  Columns appear only in error
 messages, so the parser finds a token's column by scanning its line again
 when it reports an error there.
 
-The parser is the one pass over the program: as it reads a statement it
-assigns slots (parameters first, then locals in order of first assignment)
-and checks the statement, keeping each method's first statement at fault.
-The faults are raised once the whole text has parsed, in this order: a
-syntax error (the scanner's, then the parser's); a duplicate parameter, at
-the end of its method; a duplicate method name; a missing entry method; an
-entry method with parameters; then per method, its first statement at fault
-(a label that is not positive or repeats, a variable read before any
-assignment, an unknown jump target: by statement, and in that order within
-one) and then its first unknown call target.
+The builder is where the rules live, so both readers share them: as each
+statement arrives it assigns slots (parameters first, then locals in order
+of first assignment) and checks the statement, keeping each method's first
+statement at fault.  The faults are raised once the whole text has been
+read, in this order: a syntax error (the scanner's, then the parser's); a
+duplicate parameter, at the end of its method; a duplicate method name; a
+missing entry method; an entry method with parameters; then per method, its
+first statement at fault (a label that is not positive or repeats, a
+variable read before any assignment, an unknown jump target: by statement,
+and in that order within one) and then its first unknown call target.
 
 Branch conditions are nondeterministic: ``if goto L`` has both the fall
 through statement and ``L`` as successors.  Call statements carry an explicit
@@ -198,8 +210,197 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Scanner / parser
+# Builder, line reader, scanner / parser
 # ---------------------------------------------------------------------------
+
+
+class _Builder:
+    """Takes a program's methods and statements in text order from either
+    reader.  It assigns slots and checks each statement as it arrives,
+    keeping each method's first statement at fault, and raises the faults in
+    the order the module docstring gives."""
+
+    def __init__(self) -> None:
+        self.methods: list[Method] = []
+        #: per method: its first statement at fault (or None) and its calls
+        self.deferred: list[tuple[ArtError | None, list[LabeledStatement]]] = []
+
+    def begin(self, name: str, params: tuple[str, ...]) -> None:
+        """Start a method; its statements follow through ``add``."""
+        self.name = name
+        self.params = params
+        self.slots = {p: k for k, p in enumerate(params)}  # then locals, as first assigned
+        self.body: list[LabeledStatement] = []
+        self.calls: list[LabeledStatement] = []
+        self.labels: set[int] = set()
+        self.fault: ArtError | None = None  # the first statement at fault
+        self.jumps: list[tuple[int, int]] = []  # (target, label) before that statement
+
+    def add(self, label: int, instr: Instr) -> None:
+        s = LabeledStatement(label, instr)
+        self.body.append(s)
+        name = self.name
+        slots = self.slots
+        fault = self.fault
+        # Its label, then the variables it reads, then its jump target.
+        if fault is None:
+            if label <= 0:
+                fault = ParseError(f"label {label} in method '{name}' must be positive")
+            elif label in self.labels:
+                fault = DuplicateNameError(f"duplicate label {label} in method '{name}'")
+        self.labels.add(label)
+        kind = instr.__class__
+        if kind is Copy or kind is FieldLoad:
+            reads, x = (instr.y,), instr.x
+        elif kind is Alloc or kind is AssignNull:
+            reads, x = (), instr.x
+        elif kind is FieldStore:
+            reads, x = (instr.x, instr.y), None
+        elif kind is Call:
+            reads, x = instr.args, instr.bind
+            self.calls.append(s)
+        elif kind is Return:
+            reads, x = (() if instr.x is None else (instr.x,)), None
+        else:
+            reads, x = (), None
+            if kind is not Nop and fault is None:
+                self.jumps.append((instr.target, label))
+        if fault is None:
+            for u in reads:
+                if u not in slots:
+                    fault = ResolutionError(f"variable '{u}' used at {name}:{label} before any assignment")
+                    break
+        self.fault = fault
+        if x is not None and x not in slots:
+            slots[x] = len(slots)
+
+    def end(self) -> None:
+        """Close the method: a duplicate parameter is raised here, at the
+        end of its method."""
+        name, params = self.name, self.params
+        for k, p in enumerate(params):
+            if p in params[:k]:
+                raise DuplicateNameError(f"duplicate parameter '{p}' in method '{name}'")
+        # A jump is checked once every label is known; only jumps before the
+        # first statement at fault can come first.
+        fault = self.fault
+        for target, label in self.jumps:
+            if target not in self.labels:
+                fault = ResolutionError(f"unknown branch label {target} at {name}:{label}")
+                break
+        self.deferred.append((fault, self.calls))
+        self.methods.append(Method(name=name, params=params, body=tuple(self.body), slot_of=self.slots))
+
+    def program(self) -> Program:
+        """The program, once the whole text has been read; raises the
+        program's faults first, then each method's."""
+        if not self.methods:
+            raise ParseError("expected at least one method")
+        program = Program(methods=tuple(self.methods), entry="main")
+        names = Counter(m.name for m in program.methods)
+        for m in program.methods:
+            if names[m.name] > 1:
+                raise DuplicateNameError(f"duplicate method name '{m.name}'")
+        if program.entry not in names:
+            raise ResolutionError(f"program has no entry method '{program.entry}'")
+        if program.method(program.entry).params:
+            raise ResolutionError(f"entry method '{program.entry}' must take no parameters")
+        for m, (fault, calls) in zip(program.methods, self.deferred):
+            if fault is not None:
+                raise fault
+            for s in calls:
+                for t in s.instr.targets:
+                    if t not in names:
+                        raise ResolutionError(f"unknown call target '{t}' at {m.name}:{s.label}")
+        return program
+
+
+#: A name that is no keyword, and a comma-separated list of them.  Only
+#: spaces may separate the tokens of a canonical line.
+_NAME = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*"
+_NAMES = rf"{_NAME}(?: *, *{_NAME})*"
+_HEADER_RE = re.compile(rf" *method +({_NAME}) *\( *((?:{_NAMES})?) *\) *\{{ *")
+#: One whole statement line.  Each instruction kind's alternative ends in an
+#: empty group named after the kind, so the kind is the match's ``lastgroup``.
+_STMT_RE = re.compile(
+    rf" *(?P<label>[0-9]+) *: *(?:"
+    # x = new T, x = y.f, x = y, x = null, x.f = y
+    rf"(?P<x>{_NAME}) *(?:= *(?:new +(?P<tag>{_NAME})(?P<alloc>)"
+    rf"|(?P<y>{_NAME})(?: *\. *(?P<f>{_NAME})(?P<load>)|(?P<copy>))"
+    rf"|null(?P<null>))"
+    rf"|\. *(?P<sf>{_NAME}) *= *(?P<sy>{_NAME})(?P<store>))"
+    rf"|nop(?P<nop>)"
+    rf"|if +goto +(?P<bt>[0-9]+)(?P<branch>)"
+    rf"|goto +(?P<gt>[0-9]+)(?P<goto>)"
+    rf"|(?:(?P<bind>{_NAME}) *= *)?call *\[ *(?P<targets>{_NAMES}) *\]"
+    rf" *\( *(?P<args>(?:{_NAMES})?) *\)(?P<call>)"
+    rf"|return(?: +(?P<rx>{_NAME}))?(?P<ret>)"
+    rf") *"
+)
+
+
+def _split_names(text: str) -> tuple[str, ...]:
+    """The names of a matched ``_NAMES`` list (names hold no spaces)."""
+    return tuple(text.replace(" ", "").split(",")) if text else ()
+
+
+def _read_lines(text: str) -> Program | None:
+    """The program of ``text`` read line by line, or None when a line is not
+    canonical: a method header, a statement, a lone ``}`` or a blank line,
+    each whole (a label or jump target ``int`` rejects counts as not
+    canonical).  Every canonical line is read exactly as the token parser
+    reads it, so a None leaves every message and position to that parser."""
+    b = _Builder()
+    add = b.add
+    statement = _STMT_RE.fullmatch
+    open_method = False
+    try:
+        for line in text.splitlines():
+            m = statement(line)
+            if m is None:
+                rest = line.strip()
+                if not rest:
+                    continue
+                if rest == "}" and open_method:
+                    b.end()
+                    open_method = False
+                    continue
+                h = _HEADER_RE.fullmatch(line)
+                if h is None or open_method:
+                    return None
+                b.begin(h[1], _split_names(h[2]))
+                open_method = True
+                continue
+            if not open_method:
+                return None
+            kind = m.lastgroup
+            if kind == "alloc":
+                instr: Instr = Alloc(m["x"], m["tag"])
+            elif kind == "store":
+                instr = FieldStore(m["x"], m["sf"], m["sy"])
+            elif kind == "nop":
+                instr = Nop()
+            elif kind == "branch":
+                instr = Branch(int(m["bt"]))
+            elif kind == "goto":
+                instr = Goto(int(m["gt"]))
+            elif kind == "call":
+                instr = Call(m["bind"], _split_names(m["targets"]), _split_names(m["args"]))
+            elif kind == "load":
+                instr = FieldLoad(m["x"], m["y"], m["f"])
+            elif kind == "ret":
+                instr = Return(m["rx"])
+            elif kind == "copy":
+                instr = Copy(m["x"], m["y"])
+            else:
+                instr = AssignNull(m["x"])
+            add(int(m["label"]), instr)
+    except ValueError:  # an integer past the interpreter's digit limit
+        return None
+    if open_method:
+        return None
+    return b.program()
+
 
 #: One token (the group: a name, an integer or a punctuation mark) or, where
 #: no token starts, the offending character (the catch-all, which leaves the
@@ -234,17 +435,17 @@ def _scan(text: str) -> tuple[list[str], list[int], list[str]]:
 
 
 class _Parser:
-    """Recursive descent over the scanned token arrays.  Each rule takes the
-    index of its first token and returns what it parsed with the index after
-    it; a token's kind is read off its first character."""
+    """Recursive descent over the scanned token arrays, handing each method
+    and statement to a builder.  Each rule takes the index of its first token
+    and returns what it parsed with the index after it; a token's kind is
+    read off its first character."""
 
-    def __init__(self, toks: list[str], lines: list[int], texts: list[str]):
+    def __init__(self, toks: list[str], lines: list[int], texts: list[str], builder: _Builder):
         self.n = len(toks)
         self.toks = toks + [_END]
         self.lines = lines + [0]
         self.texts = texts
-        #: per method: its first statement at fault (or None) and its calls
-        self.deferred: list[tuple[ArtError | None, list[LabeledStatement]]] = []
+        self.builder = builder
 
     def position(self, i: int) -> tuple[int, int]:
         """Line and column of token ``i``: the column is found by scanning
@@ -276,7 +477,10 @@ class _Parser:
         t = self.toks[i]
         if t[0] not in _DIGITS:
             raise self.error("expected integer", i)
-        return int(t)
+        try:
+            return int(t)
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError(f"integer too long ({len(t)} digits)", *self.position(i)) from None
 
     def names(self, i: int) -> tuple[tuple[str, ...], int]:
         """``NAME ("," NAME)*``"""
@@ -288,17 +492,12 @@ class _Parser:
             i += 2
         return tuple(found), i
 
-    def program(self) -> Program:
-        methods = []
+    def program(self) -> None:
         i = 0
         while i < self.n:
-            m, i = self.method(i)
-            methods.append(m)
-        if not methods:
-            raise ParseError("expected at least one method")
-        return Program(methods=tuple(methods), entry="main")
+            i = self.method(i)
 
-    def method(self, i: int) -> tuple[Method, int]:
+    def method(self, i: int) -> int:
         toks = self.toks
         lines = self.lines
         i = self.expect("method", i)
@@ -308,66 +507,22 @@ class _Parser:
         if toks[i] != ")":
             params, i = self.names(i)
         i = self.expect("{", self.expect(")", i))
-        slots = {p: k for k, p in enumerate(params)}  # then locals, as first assigned
-        body: list[LabeledStatement] = []
-        calls: list[LabeledStatement] = []
-        labels: set[int] = set()
-        fault: ArtError | None = None  # the first statement at fault
-        jumps: list[tuple[int, int]] = []  # (target, label) before that statement
+        self.builder.begin(name, params)
+        add = self.builder.add
         while toks[i] != "}":
             # stmt := INT ":" instr, and the next statement starts a new line
             if toks[i][0] not in _DIGITS:
                 raise self.error("expected statement label", i)
             if toks[i + 1] != ":":
                 raise self.error("expected ':'", i + 1)
-            label = int(toks[i])
+            label = self.integer(i)
             line = lines[i]
             instr, i = self.instr(i + 2)
             if toks[i] != "}" and lines[i] == line:
                 raise ParseError("expected end of line after statement", *self.position(i))
-            s = LabeledStatement(label, instr)
-            body.append(s)
-            # Its label, then the variables it reads, then its jump target.
-            if fault is None:
-                if label <= 0:
-                    fault = ParseError(f"label {label} in method '{name}' must be positive")
-                elif label in labels:
-                    fault = DuplicateNameError(f"duplicate label {label} in method '{name}'")
-            labels.add(label)
-            kind = instr.__class__
-            if kind is Copy or kind is FieldLoad:
-                reads, x = (instr.y,), instr.x
-            elif kind is Alloc or kind is AssignNull:
-                reads, x = (), instr.x
-            elif kind is FieldStore:
-                reads, x = (instr.x, instr.y), None
-            elif kind is Call:
-                reads, x = instr.args, instr.bind
-                calls.append(s)
-            elif kind is Return:
-                reads, x = (() if instr.x is None else (instr.x,)), None
-            else:
-                reads, x = (), None
-                if kind is not Nop and fault is None:
-                    jumps.append((instr.target, label))
-            if fault is None:
-                for u in reads:
-                    if u not in slots:
-                        fault = ResolutionError(f"variable '{u}' used at {name}:{label} before any assignment")
-                        break
-            if x is not None and x not in slots:
-                slots[x] = len(slots)
-        for k, p in enumerate(params):
-            if p in params[:k]:
-                raise DuplicateNameError(f"duplicate parameter '{p}' in method '{name}'")
-        # A jump is checked once every label is known; only jumps before the
-        # first statement at fault can come first.
-        for target, label in jumps:
-            if target not in labels:
-                fault = ResolutionError(f"unknown branch label {target} at {name}:{label}")
-                break
-        self.deferred.append((fault, calls))
-        return Method(name=name, params=params, body=tuple(body), slot_of=slots), i + 1
+            add(label, instr)
+        self.builder.end()
+        return i + 1
 
     def instr(self, i: int) -> tuple[Instr, int]:
         toks = self.toks
@@ -422,23 +577,11 @@ def parse_program(text: str) -> Program:
     Raises ParseError, ResolutionError, or DuplicateNameError, in the order
     the module docstring gives.
     """
-    parser = _Parser(*_scan(text))
-    program = parser.program()
-    names = Counter(m.name for m in program.methods)
-    for m in program.methods:
-        if names[m.name] > 1:
-            raise DuplicateNameError(f"duplicate method name '{m.name}'")
-    if program.entry not in names:
-        raise ResolutionError(f"program has no entry method '{program.entry}'")
-    if program.method(program.entry).params:
-        raise ResolutionError(f"entry method '{program.entry}' must take no parameters")
-    for m, (fault, calls) in zip(program.methods, parser.deferred):
-        if fault is not None:
-            raise fault
-        for s in calls:
-            for t in s.instr.targets:
-                if t not in names:
-                    raise ResolutionError(f"unknown call target '{t}' at {m.name}:{s.label}")
+    program = _read_lines(text)
+    if program is None:
+        builder = _Builder()
+        _Parser(*_scan(text), builder).program()
+        program = builder.program()
     return program
 
 

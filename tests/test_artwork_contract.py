@@ -4,7 +4,7 @@ the exit code ``artpta regen`` turns each into."""
 
 import pytest
 
-from artpta import MalformedArtworkError, UnknownReferenceError, decode, parse_program
+from artpta import MalformedArtworkError, UnknownReferenceError, decode, parse_program, regen_inter
 from artpta.cli import main
 
 # ``main:2`` heads a loop; ``r`` is self-recursive and ``main`` is not.  Slot
@@ -110,6 +110,15 @@ MALFORMED = {
     ),
     "duplicate-in-entry": (_art(in_="m:main = {\n}\nm:main = {\n}\n"), "duplicate in entry main"),
     "duplicate-out-entry": (_art(out="m:r = {\n}\nm:r = {\n}\n"), "duplicate out entry r"),
+    # past CPython's default limit of 4,300 digits for int()
+    "huge-loop-label": (
+        _art(loop="m:main l:" + "9" * 5000 + " = {\n}\n"),
+        "[loop] label too long (5000 digits)",
+    ),
+    "huge-pool-reference": (
+        _art(in_="m:main = g" + "9" * 5000 + "\n", pool="g0:\n"),
+        "pool reference too long (5000 digits)",
+    ),
 }
 
 UNKNOWN = {
@@ -328,6 +337,24 @@ def test_regen_exits_2_with_the_message(tmp_path, capsys, monkeypatch, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_loop_key_off_a_loop_header_is_reported_and_ignored(tmp_path, capsys, monkeypatch, program):
+    # main:3 is a statement of the loop, not its header
+    data = VALID.replace("[in]\n", _block("m:main l:3", "main/0 -> main:1") + "[in]\n", 1)
+    outcome = regen_inter(program, decode(data.encode(), program))
+    assert outcome.safe
+    assert outcome.ignored_loop_keys == (("main", 3),)
+    assert regen_inter(program, decode(VALID.encode(), program)).ignored_loop_keys == ()
+    monkeypatch.setenv("ART_COLOR", "0")
+    prog = tmp_path / "p.ir"
+    prog.write_text(PROGRAM)
+    art = tmp_path / "a.art"
+    art.write_text(data)
+    assert main(["regen", str(prog), str(art)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "SAFE\n"
+    assert captured.err == "warning: [loop] main:3 is not a loop header; ignored\n"
 
 
 def test_a_shared_bad_line_is_reported_for_its_first_entry(program):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from artpta import (
+    ArtError,
     CorpusConfig,
     DuplicateNameError,
     IrreducibleCfgError,
@@ -18,6 +19,7 @@ from artpta import (
     parse_program,
     print_program,
 )
+from artpta import ir
 from artpta.ir import (
     Alloc,
     AssignNull,
@@ -463,6 +465,24 @@ def test_parse_error_message_and_position(text, message, line, col):
     assert str(info.value) == f"{line}:{col}: {message}"
 
 
+_HUGE = "9" * 5000  # past CPython's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "text,col",
+    [
+        (f"method main() {{\n  {_HUGE}: nop\n}}\n", 3),
+        (f"method main() {{\n  1: goto {_HUGE}\n}}\n", 11),
+        (f"method main() {{\n  1: if goto {_HUGE}\n}}\n", 14),
+    ],
+    ids=["label", "goto-target", "branch-target"],
+)
+def test_an_integer_past_the_digit_limit_is_a_parse_error(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert str(info.value) == f"2:{col}: integer too long (5000 digits)"
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  \t\n# x ~ y\n"])
 def test_no_method_error_has_no_position(text):
     with pytest.raises(ParseError) as info:
@@ -472,6 +492,8 @@ def test_no_method_error_has_no_position(text):
 
 
 _PLAIN = "method main() {\n  1: a = new A\n  2: a.f = a\n  3: b = a.f\n  4: return b\n}\n"
+#: _PLAIN with statements split across lines
+_SPLIT = "method main() {\n  1: a =\n new\n A\n  2: a\n.f = a\n  3: b = a .\nf\n  4: return\n b\n}"
 
 
 @pytest.mark.parametrize(
@@ -483,8 +505,7 @@ _PLAIN = "method main() {\n  1: a = new A\n  2: a.f = a\n  3: b = a.f\n  4: retu
         _PLAIN.replace("  ", " \xa0"),  # any str.isspace() character separates
         "# leading\nmethod main() {#c\n  1: a = new A#c ~ $\n  2: a.f = a # c\n"
         "# between\n  3: b = a.f\n  4: return b\n}# trailing",
-        # a statement split across lines
-        "method main() {\n  1: a =\n new\n A\n  2: a\n.f = a\n  3: b = a .\nf\n  4: return\n b\n}",
+        _SPLIT,
     ],
 )
 def test_layout_does_not_change_the_program(text):
@@ -499,14 +520,15 @@ def test_return_operand_is_optional_before_close_and_next_label():
     assert [s.instr for s in p.method("main").body] == [Return(None), Nop()]
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        {},
-        {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0},
-    ],
-    ids=["default", "roundtrip-large"],
-)
+#: The benchmark's two corpus shapes: its roundtrip-small and tamper-verify
+#: workloads use the default one.
+_WORKLOAD_SHAPES = [
+    {},
+    {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0},
+]
+
+
+@pytest.mark.parametrize("shape", _WORKLOAD_SHAPES, ids=["default", "roundtrip-large"])
 def test_print_parse_round_trip_over_generated_corpus(shape):
     files = generate_corpus(CorpusConfig(program_count=12, seed=3, **shape))
     for name, text in files:
@@ -514,6 +536,126 @@ def test_print_parse_round_trip_over_generated_corpus(shape):
         printed = print_program(p)
         assert parse_program(printed) == p, name
         assert print_program(parse_program(printed)) == printed, name
+
+
+# ---------------------------------------------------------------------------
+# The line reader against the token parser
+# ---------------------------------------------------------------------------
+
+
+def _token_parse(text):
+    """The token parser alone: the reference the line reader must match."""
+    builder = ir._Builder()
+    ir._Parser(*ir._scan(text), builder).program()
+    return builder.program()
+
+
+def _outcome(parse, text):
+    """``(program, slots)``, ``(error type, message)``, or None when
+    ``parse`` returns None."""
+    try:
+        p = parse(text)
+    except ArtError as exc:
+        return type(exc), str(exc)
+    return p and (p, [m.slot_of for m in p.methods])
+
+
+def _check_readers_agree(text):
+    """Whenever the line reader returns a program or raises, it agrees with
+    the token parser, slots included; whenever the token parser raises,
+    ``parse_program`` raises the same.  Returns whether the line reader
+    read the text."""
+    expected = _outcome(_token_parse, text)
+    assert _outcome(parse_program, text) == expected
+    read = _outcome(ir._read_lines, text)
+    assert read in (None, expected)
+    return read is not None
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@pytest.mark.parametrize("shape", _WORKLOAD_SHAPES, ids=["default", "roundtrip-large"])
+def test_line_reader_reads_every_corpus_program(shape, seed):
+    for name, text in generate_corpus(CorpusConfig(program_count=8, seed=seed, **shape)):
+        assert _check_readers_agree(text), name
+        assert _check_readers_agree(print_program(parse_program(text))), name
+
+
+_KEYWORDISH = ["newx", "nullx", "gotox", "callx", "new", "null", "goto", "call"]
+
+
+def _mutate(text, rng):
+    """``text`` with a few random layout, naming, label and syntax changes."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        kind = rng.randrange(12)
+        if kind == 0:  # other whitespace for some spaces, or none
+            other = ["\t", "\xa0", "  ", ""]
+            lines[i] = "".join(rng.choice(other) if c == " " and rng.random() < 0.3 else c for c in line)
+        elif kind == 1:  # split after a token
+            cuts = [j for j, c in enumerate(line) if c in " :=.,(["]
+            if cuts:
+                j = rng.choice(cuts) + 1
+                lines[i : i + 1] = [line[:j], line[j:]]
+        elif kind == 2 and line.strip() == "}" and i:  # close on a statement line
+            lines[i - 1 : i + 1] = [lines[i - 1] + " }"]
+        elif kind == 3:  # a name that starts with a keyword or is one; a repeated parameter
+            old, word = rng.choice([("p1", "p0"), ("q", "p")] + [("v1", w) for w in _KEYWORDISH])
+            lines = [s.replace(old, word) for s in lines]
+        elif kind == 4:  # comments
+            lines[i] = line + rng.choice(["# c", " # x ~ y", "#"])
+            if rng.random() < 0.5:
+                lines.insert(i, "# a comment line")
+        elif kind in (5, 6):  # labels 0, 007, a repeated one, a huge one
+            head, sep, rest = line.partition(":")
+            if sep and head.strip().isdigit():
+                label = rng.choice(["0", "007", "1", "2", "9" * 5000])
+                lines[i] = f"  {label}:{rest}"
+        elif kind == 7:  # a missing, an extra or a respaced comma
+            old, new = rng.choice([(",", ""), ("(", "(,"), (")", ", )"), (", ", ","), (", ", " ,  ")])
+            lines[i] = line.replace(old, new, 1)
+        elif kind == 8:  # jump targets: leading zeros, unknown
+            lines[i] = line.replace("goto ", rng.choice(["goto 0", "goto 999", "goto"]), 1)
+        elif kind == 9:  # a blank line, spaces only or not
+            lines.insert(i, rng.choice(["", "   ", "\t"]))
+        elif kind == 10:  # drop a line
+            del lines[i]
+        elif kind == 11:  # a keyword joined to the next token
+            word = rng.choice(["method", "new", "if", "goto", "return", "call"])
+            lines = [s.replace(f"{word} ", word, 1) for s in lines]
+    if not lines:
+        return ""
+    sep = rng.choice(["\n", "\n", "\r", "\r\n", "\x0b"])
+    return sep.join(lines) + rng.choice([sep, ""])
+
+
+_CALLS = (
+    "method main() {\n  1: a = new A\n  2: b = call [f, g](a, a)\n  3: call [g](b, a)\n  4: return b\n}\n"
+    "method f(p, q) {\n  1: return p\n}\nmethod g(p, q) {\n  1: p.f = q\n  2: q = null\n  3: return\n}\n"
+)
+
+
+def test_line_reader_agrees_with_the_token_parser_on_mutated_programs():
+    rng = random.Random(12)
+    bases = [text for _, text in generate_corpus(CorpusConfig(program_count=12, seed=5))]
+    bases += [_PLAIN, _CALLS] * 6
+    read = 0
+    for _ in range(1500):
+        read += _check_readers_agree(_mutate(rng.choice(bases), rng))
+    # both paths are exercised: a share of the mutants stays canonical
+    assert 100 < read < 1400
+
+
+def test_canonical_text_is_never_scanned(monkeypatch):
+    calls = []
+    scan = ir._scan
+    monkeypatch.setattr(ir, "_scan", lambda text: calls.append(text) or scan(text))
+    for _, text in generate_corpus(CorpusConfig(program_count=20, seed=1)):
+        parse_program(text)
+    assert calls == []
+    assert parse_program(_SPLIT) == parse_program(_PLAIN)
+    assert calls == [_SPLIT]
 
 
 def test_call_graph_lookups_match_edge_scans(small_corpus, rec, loopy):
