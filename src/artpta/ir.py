@@ -42,16 +42,33 @@ line numbers, so a statement may span lines.  Columns appear only in error
 messages, so the parser finds a token's column by scanning its line again
 when it reports an error there.
 
-The builder is where the rules live, so both readers share them: as each
-statement arrives it assigns slots (parameters first, then locals in order
-of first assignment) and checks the statement, keeping each method's first
-statement at fault.  The faults are raised once the whole text has been
-read, in this order: a syntax error (the scanner's, then the parser's); a
-duplicate parameter, at the end of its method; a duplicate method name; a
-missing entry method; an entry method with parameters; then per method, its
-first statement at fault (a label that is not positive or repeats, a
-variable read before any assignment, an unknown jump target: by statement,
-and in that order within one) and then its first unknown call target.
+The builder is where the rules live, so both readers share them.  It
+checks each statement's label as it arrives.  At the end of each method it
+resolves the statements' operands in one pass, which assigns the slots
+(parameters first, then locals in order of first assignment) and finds a
+variable read before any assignment, and then checks the jump targets; it
+keeps each method's first statement at fault.  The faults are raised once
+the whole text has been read, in this order: a syntax error (the
+scanner's, then the parser's); a duplicate parameter, at the end of its
+method; a duplicate method name; a missing entry method; an entry method
+with parameters; then per method, its first statement at fault (a label
+that is not positive or repeats, a variable read before any assignment, an
+unknown jump target: by statement, and in that order within one) and then
+its first unknown call target.
+
+Variables and abstract objects are identified by ``VarId`` (method, slot)
+and ``Site`` (method, allocation label), tagged named tuples defined here
+so that the builder can make them; ``ptg`` and the package re-export them.
+A parsed method's operand table (``operands`` and ``operands_at``) holds
+every body statement's resolved operands (see ``Operands``): the variables
+it writes and reads, one ``VarId`` per variable, made when its slot is
+assigned; its field name; an allocation site's singleton object set, which
+every evaluation shares; a call's arguments and receiver; and a return's
+carrier, filled in once the method's slots are all known.  The flow functions in ``ptg`` read these
+instead of looking each name up on every evaluation.  A statement that is
+not one of the method's own goes through the same resolver by name
+(``operands_by_name``).  The table is derived from the method, so it takes
+no part in equality, hashing or ``repr``.
 
 Branch conditions are nondeterministic: ``if goto L`` has both the fall
 through statement and ``L`` as successors.  Call statements carry an explicit
@@ -75,7 +92,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import (
     ArtError,
@@ -170,6 +187,64 @@ class LabeledStatement:
 
 
 # ---------------------------------------------------------------------------
+# Identifiers
+# ---------------------------------------------------------------------------
+
+
+class VarId(NamedTuple):
+    """Stack slot ``slot`` of ``method`` (the parameters, then the locals,
+    then the return carrier)."""
+
+    method: str
+    slot: int
+    kind: str = "var"  # constant tag: never pass it
+
+    def __repr__(self) -> str:
+        return f"VarId(method={self.method!r}, slot={self.slot!r})"
+
+
+class Site(NamedTuple):
+    """The abstract object allocated at ``method:label``."""
+
+    method: str
+    label: int
+    kind: str = "site"  # constant tag: never pass it
+
+    def __repr__(self) -> str:
+        return f"Site(method={self.method!r}, label={self.label!r})"
+
+
+# The builder (and the codec in ``ptg``) make identifiers straight from
+# their field tuple, the kind tag last, which skips the named tuples'
+# Python-level constructor: one ``VarId`` per variable and one ``Site`` per
+# allocation site here, one or two per distinct edge line in decode.
+_tuple_new = tuple.__new__
+
+
+#: A statement's resolved operands, five items ``statement, kind, a, b, c``:
+#: the statement itself, its instruction's class, and by kind
+#:
+#: ============  =========================  ==================  =====
+#: kind          a                          b                   c
+#: ============  =========================  ==================  =====
+#: Alloc         x                          ``{Site}``          None
+#: Copy          x                          y                   None
+#: AssignNull    x                          None                None
+#: FieldStore    x                          y                   f
+#: FieldLoad     x                          y                   f
+#: Return        x, or None                 the return carrier  None
+#: Call          the receiver, or None      the arguments       None
+#: otherwise     None                       None                None
+#: ============  =========================  ==================  =====
+#:
+#: with every variable a ``VarId`` and ``{Site}`` the allocation site's
+#: singleton object set.  ``Method.operands`` holds its statements' operands
+#: in one tuple rather than a tuple per statement, so that the table adds
+#: few objects for the garbage collector to track.
+Operands = tuple
+
+
+# ---------------------------------------------------------------------------
 # Program structure
 # ---------------------------------------------------------------------------
 
@@ -182,6 +257,16 @@ class Method:
     #: variable name -> dense 0-based stack slot; params first, then locals
     #: in order of first assignment.  Derived deterministically from the body.
     slot_of: dict[str, int] = field(default_factory=dict, compare=False)
+    #: The resolved operands of the body's statements, one ``Operands``
+    #: after another in one tuple, and label -> the index in that tuple of
+    #: the statement's first item.  The builder records both at the end of
+    #: the method; they are empty for a method built by hand.  They are
+    #: derived from the fields above, so they take no part in equality,
+    #: hashing or ``repr``, and ``dataclasses.replace`` drops them.
+    operands: tuple = field(default=(), init=False, repr=False, compare=False)
+    operands_at: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def var_count(self) -> int:
@@ -191,6 +276,68 @@ class Method:
     def ret_slot(self) -> int:
         """Slot of the per-method return-value carrier (one past the locals)."""
         return len(self.slot_of)
+
+
+def _resolve(
+    body: Iterable[LabeledStatement],
+    method: str,
+    vars_: dict[str, VarId],
+    new_var: Callable[[str], VarId],
+    items: list,
+    at: dict[int, int],
+) -> None:
+    """Append the operands of each statement of ``body`` to ``items``, in
+    order, and record where each starts in ``at``, by label.  ``method`` is
+    the statements' method and ``vars_`` maps each of its variables to its
+    identifier; ``new_var(name)`` is called for a variable a statement
+    assigns that ``vars_`` lacks (and is to add it).  A statement's reads
+    are looked up first, in the order it names them, then the variable it
+    assigns; a read ``vars_`` lacks raises KeyError, leaving the statements
+    before resolved.  The return carrier is the slot one past ``vars_``'
+    variables once the whole body is resolved, which is when Return
+    statements get it."""
+    returns = []
+    for s in body:
+        instr = s.instr
+        kind = instr.__class__
+        at[s.label] = len(items)
+        if kind is Alloc:
+            x = vars_.get(instr.x) or new_var(instr.x)
+            site = _tuple_new(Site, (method, s.label, "site"))
+            items += (s, kind, x, frozenset((site,)), None)
+        elif kind is FieldStore:
+            items += (s, kind, vars_[instr.x], vars_[instr.y], instr.f)
+        elif kind is FieldLoad:
+            y = vars_[instr.y]
+            items += (s, kind, vars_.get(instr.x) or new_var(instr.x), y, instr.f)
+        elif kind is Copy:
+            y = vars_[instr.y]
+            items += (s, kind, vars_.get(instr.x) or new_var(instr.x), y, None)
+        elif kind is AssignNull:
+            items += (s, kind, vars_.get(instr.x) or new_var(instr.x), None, None)
+        elif kind is Call:
+            args = tuple([vars_[a] for a in instr.args])
+            bind = instr.bind
+            items += (s, kind, None if bind is None else vars_.get(bind) or new_var(bind), args, None)
+        elif kind is Return:
+            returns.append(len(items))
+            items += (s, kind, None if instr.x is None else vars_[instr.x], None, None)
+        else:
+            items += (s, kind, None, None, None)
+    if returns:
+        ret = _tuple_new(VarId, (method, len(vars_), "var"))
+        for i in returns:
+            items[i + 3] = ret
+
+
+def operands_by_name(s: LabeledStatement, m: Method) -> Operands:
+    """The operands of ``s`` resolved through ``m.slot_of``, for a statement
+    that is not one of ``m``'s own (``m.operands`` holds theirs).  A name
+    ``m`` has no slot for raises KeyError."""
+    vars_ = {v: VarId(m.name, k) for v, k in m.slot_of.items()}
+    items: list = []
+    _resolve((s,), m.name, vars_, vars_.__getitem__, items, {})
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -216,9 +363,11 @@ class Program:
 
 class _Builder:
     """Takes a program's methods and statements in text order from either
-    reader.  It assigns slots and checks each statement as it arrives,
-    keeping each method's first statement at fault, and raises the faults in
-    the order the module docstring gives."""
+    reader.  It checks each statement's label as it arrives; at the end of
+    each method it resolves the statements' operands, which assigns the
+    slots and finds the variables read before any assignment, and checks the
+    jump targets.  It keeps each method's first statement at fault and
+    raises the faults in the order the module docstring gives."""
 
     def __init__(self) -> None:
         self.methods: list[Method] = []
@@ -229,50 +378,21 @@ class _Builder:
         """Start a method; its statements follow through ``add``."""
         self.name = name
         self.params = params
-        self.slots = {p: k for k, p in enumerate(params)}  # then locals, as first assigned
         self.body: list[LabeledStatement] = []
-        self.calls: list[LabeledStatement] = []
         self.labels: set[int] = set()
-        self.fault: ArtError | None = None  # the first statement at fault
-        self.jumps: list[tuple[int, int]] = []  # (target, label) before that statement
+        #: the first statement whose label is at fault: its index and fault
+        self.bad_label: tuple[int, ArtError] | None = None
 
     def add(self, label: int, instr: Instr) -> None:
-        s = LabeledStatement(label, instr)
-        self.body.append(s)
-        name = self.name
-        slots = self.slots
-        fault = self.fault
-        # Its label, then the variables it reads, then its jump target.
-        if fault is None:
+        if self.bad_label is None:
             if label <= 0:
-                fault = ParseError(f"label {label} in method '{name}' must be positive")
+                fault = ParseError(f"label {label} in method '{self.name}' must be positive")
+                self.bad_label = (len(self.body), fault)
             elif label in self.labels:
-                fault = DuplicateNameError(f"duplicate label {label} in method '{name}'")
+                fault = DuplicateNameError(f"duplicate label {label} in method '{self.name}'")
+                self.bad_label = (len(self.body), fault)
         self.labels.add(label)
-        kind = instr.__class__
-        if kind is Copy or kind is FieldLoad:
-            reads, x = (instr.y,), instr.x
-        elif kind is Alloc or kind is AssignNull:
-            reads, x = (), instr.x
-        elif kind is FieldStore:
-            reads, x = (instr.x, instr.y), None
-        elif kind is Call:
-            reads, x = instr.args, instr.bind
-            self.calls.append(s)
-        elif kind is Return:
-            reads, x = (() if instr.x is None else (instr.x,)), None
-        else:
-            reads, x = (), None
-            if kind is not Nop and fault is None:
-                self.jumps.append((instr.target, label))
-        if fault is None:
-            for u in reads:
-                if u not in slots:
-                    fault = ResolutionError(f"variable '{u}' used at {name}:{label} before any assignment")
-                    break
-        self.fault = fault
-        if x is not None and x not in slots:
-            slots[x] = len(slots)
+        self.body.append(LabeledStatement(label, instr))
 
     def end(self) -> None:
         """Close the method: a duplicate parameter is raised here, at the
@@ -281,15 +401,45 @@ class _Builder:
         for k, p in enumerate(params):
             if p in params[:k]:
                 raise DuplicateNameError(f"duplicate parameter '{p}' in method '{name}'")
-        # A jump is checked once every label is known; only jumps before the
-        # first statement at fault can come first.
-        fault = self.fault
-        for target, label in self.jumps:
-            if target not in self.labels:
-                fault = ResolutionError(f"unknown branch label {target} at {name}:{label}")
-                break
-        self.deferred.append((fault, self.calls))
-        self.methods.append(Method(name=name, params=params, body=tuple(self.body), slot_of=self.slots))
+        body = self.body
+        # Resolve the statements before the first bad label: a read of a
+        # variable no earlier statement assigns is at fault too.
+        end, fault = self.bad_label or (len(body), None)
+        # variable name -> identifier, in slot order: the parameters, then
+        # the locals in order of first assignment
+        vars_ = {p: _tuple_new(VarId, (name, k, "var")) for k, p in enumerate(params)}
+
+        def new_var(x: str) -> VarId:
+            v = vars_[x] = _tuple_new(VarId, (name, len(vars_), "var"))
+            return v
+
+        items: list = []
+        at: dict[int, int] = {}
+        try:
+            _resolve(body[:end], name, vars_, new_var, items, at)
+        except KeyError as exc:
+            label = body[len(at) - 1].label
+            fault = ResolutionError(
+                f"variable '{exc.args[0]}' used at {name}:{label} before any assignment"
+            )
+        # The jumps before the first statement at fault, checked against
+        # every label, and its calls.
+        calls = []
+        for s, kind in zip(items[::5], items[1::5]):
+            if kind is Call:
+                calls.append(s)
+            elif kind is Branch or kind is Goto:
+                target = s.instr.target
+                if target not in self.labels:
+                    fault = ResolutionError(f"unknown branch label {target} at {name}:{s.label}")
+                    break
+        self.deferred.append((fault, calls))
+        slot_of = dict(zip(vars_, range(len(vars_))))
+        m = Method(name=name, params=params, body=tuple(body), slot_of=slot_of)
+        if fault is None:
+            object.__setattr__(m, "operands", tuple(items))
+            object.__setattr__(m, "operands_at", at)
+        self.methods.append(m)
 
     def program(self) -> Program:
         """The program, once the whole text has been read; raises the

@@ -36,11 +36,19 @@ Variables and objects are small values that hash and compare in C:
 a constant kind tag, so ``VarId("m", 1)``, ``Site("m", 1)`` and
 ``Placeholder("m", 1)`` differ while each keeps its ``method`` /
 ``slot`` / ``label`` / ``index`` attributes; the tag is never rendered.
-``NULL_OBJECT`` is the one ``NullObject`` and hashes by identity.  Equal
-identifiers built anywhere (parsed, by a transfer function, by ``tamper``)
-are equal values, so there is no intern table: a process-wide table would
-let untrusted artifacts grow memory without bound, and the tuples are
-already cheap to hash.
+``VarId`` and ``Site`` are defined in ``ir``, whose builder makes them, and
+re-exported here.  ``NULL_OBJECT`` is the one ``NullObject`` and hashes by
+identity.  Equal identifiers built anywhere (by the builder, parsed from an
+artifact, by ``tamper``) are equal values, so there is no intern table: a
+process-wide table would let untrusted artifacts grow memory without bound,
+and the tuples are already cheap to hash.
+
+The flow functions (``transfer``, ``project_in``, ``project_out``) take a
+method's own statement's operands from the table the builder resolved
+(``Method.operands``): its variables' ``VarId``s, its field name and an
+allocation site's object set, shared by every evaluation of that site.  Any
+other statement is resolved by name first, through ``ir.operands_by_name``,
+so a name the method has no slot for raises KeyError there.
 
 Canonical text rendering (also the artifact file's edge syntax)::
 
@@ -66,31 +74,13 @@ from .ir import (
     FieldStore,
     LabeledStatement,
     Method,
+    Operands,
     Return,
+    Site,
+    VarId,
+    _tuple_new,
+    operands_by_name,
 )
-
-
-class VarId(NamedTuple):
-    """Stack slot ``slot`` of ``method`` (the parameters, then the locals,
-    then the return carrier)."""
-
-    method: str
-    slot: int
-    kind: str = "var"  # constant tag: never pass it
-
-    def __repr__(self) -> str:
-        return f"VarId(method={self.method!r}, slot={self.slot!r})"
-
-
-class Site(NamedTuple):
-    """The abstract object allocated at ``method:label``."""
-
-    method: str
-    label: int
-    kind: str = "site"  # constant tag: never pass it
-
-    def __repr__(self) -> str:
-        return f"Site(method={self.method!r}, label={self.label!r})"
 
 
 class Placeholder(NamedTuple):
@@ -423,6 +413,19 @@ def _rebind(g: PointsToGraph, x: VarId, objs: Objects, heap: HeapIndex) -> Point
     return _graph(vars_, heap)
 
 
+_NO_CALL_TRANSFER = "call statements are handled by the analysis engines"
+
+
+def _operands(s: LabeledStatement, m: Method) -> Operands:
+    """The resolved operands of ``s``: ``m``'s when ``s`` is one of its
+    statements, else resolved by name."""
+    at = m.operands_at.get(s.label)
+    items = m.operands
+    if at is None or items[at] is not s:
+        return operands_by_name(s, m)
+    return items[at : at + 5]
+
+
 def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     """Flow function of a non-call statement.
 
@@ -431,39 +434,47 @@ def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     return carrier; Branch/Goto/Nop/void-Return are the identity.
     Dereferencing null or an empty points-to set contributes nothing.
     """
-    instr = s.instr
-    if isinstance(instr, Alloc):
-        return _rebind(g, var_id(m, instr.x), frozenset((Site(m.name, s.label),)), g._heap)
-    if isinstance(instr, Copy):
-        return _rebind(g, var_id(m, instr.x), g.pts(var_id(m, instr.y)), g._heap)
-    if isinstance(instr, AssignNull):
-        return _rebind(g, var_id(m, instr.x), _NULL_ONLY, g._heap)
-    if isinstance(instr, FieldStore):
-        targets = g.pts(var_id(m, instr.y))
+    # ``_operands``, inlined: this is the engines' most frequent call
+    at = m.operands_at.get(s.label)
+    items = m.operands
+    if at is None or items[at] is not s:
+        if s.instr.__class__ is Call:
+            raise ValueError(_NO_CALL_TRANSFER)
+        items, at = operands_by_name(s, m), 0
+    _, kind, x, y, f = items[at : at + 5]
+    vars_ = g._vars
+    if kind is Alloc:
+        return _rebind(g, x, y, g._heap)
+    if kind is FieldStore:
+        targets = vars_.get(y, NO_OBJECTS)
         if not targets:
             return g
         heap = g._heap
-        for o in g.pts(var_id(m, instr.x)):
-            if isinstance(o, NullObject):
+        for o in vars_.get(x, NO_OBJECTS):
+            if o is NULL_OBJECT:
                 continue
             fields = heap.get(o)
-            new_fields = _union_sets(fields or {}, {instr.f: targets})
+            new_fields = _union_sets(fields or {}, {f: targets})
             if new_fields is fields:
                 continue
             if heap is g._heap:
                 heap = dict(heap)
             heap[o] = new_fields
         return _with_heap(g, heap)
-    if isinstance(instr, FieldLoad):
-        sources = [g.field_targets(o, instr.f) for o in g.pts(var_id(m, instr.y))]
+    if kind is FieldLoad:
+        sources = [g.field_targets(o, f) for o in vars_.get(y, NO_OBJECTS)]
         loaded = sources[0] if len(sources) == 1 else NO_OBJECTS.union(*sources)
-        return _rebind(g, var_id(m, instr.x), loaded, g._heap)
-    if isinstance(instr, Return):
-        if instr.x is None:
+        return _rebind(g, x, loaded, g._heap)
+    if kind is Copy:
+        return _rebind(g, x, vars_.get(y, NO_OBJECTS), g._heap)
+    if kind is AssignNull:
+        return _rebind(g, x, _NULL_ONLY, g._heap)
+    if kind is Return:
+        if x is None:
             return g
-        return _rebind(g, ret_var(m), g.pts(var_id(m, instr.x)), g._heap)
-    if isinstance(instr, Call):
-        raise ValueError("call statements are handled by the analysis engines")
+        return _rebind(g, y, vars_.get(x, NO_OBJECTS), g._heap)
+    if kind is Call:
+        raise ValueError(_NO_CALL_TRANSFER)
     return g  # Branch / Goto / Nop
 
 
@@ -504,8 +515,8 @@ def project_in(
             f"to '{callee.name}' which takes {len(callee.params)}"
         )
     formals: VarIndex = {}
-    for i, arg in enumerate(call.args):
-        objs = g_at_callsite.pts(var_id(caller, arg))
+    for i, arg in enumerate(_operands(s, caller)[3]):
+        objs = g_at_callsite.pts(arg)
         if objs:
             formals[VarId(callee.name, i)] = objs
     reachable = reachable_field_edges(g_at_callsite, NO_OBJECTS.union(*formals.values()))
@@ -521,14 +532,14 @@ def project_out(
     """Fold a callee OUT-summary back into the call-site state: union the
     summary's heap (weak), and strongly rebind the receiver variable from the
     summary's return edges when the call binds one."""
-    call = s.instr
-    assert isinstance(call, Call)
+    assert isinstance(s.instr, Call)
+    bind = _operands(s, caller)[2]
     heap = _union_heaps(g_at_callsite._heap, summary._heap)
-    if call.bind is None:
+    if bind is None:
         return _with_heap(g_at_callsite, heap)
     # A well-formed summary's variable edges are exactly its return edges.
     returned = NO_OBJECTS.union(*summary._vars.values())
-    return _rebind(g_at_callsite, var_id(caller, call.bind), returned, heap)
+    return _rebind(g_at_callsite, bind, returned, heap)
 
 
 def restrict_to_summary(exit_graph: PointsToGraph, m: Method) -> PointsToGraph:
@@ -638,31 +649,50 @@ class EdgeRenderer:
         return "".join(var_texts) + "".join(heap_texts)
 
 
+def _too_long(digits: str, part: str) -> ValueError:
+    """The error for an integer of more digits than ``int`` converts."""
+    return ValueError(f"{part} too long ({len(digits)} digits)")
+
+
 def parse_object(text: str) -> ObjectId:
+    """One rendered object.  Its integer is ``[0-9]+``: ``str.isdigit``
+    alone also takes other scripts' digits and superscripts, hence
+    ``isascii`` first."""
     if text == "null":
         return NULL_OBJECT
     if "?" in text:
         method, _, idx = text.partition("?")
-        if not method or not idx.isdigit():
+        if not method or not (idx.isascii() and idx.isdigit()):
             raise ValueError(f"bad object {text!r}")
-        return Placeholder(method, int(idx))
+        try:
+            return _tuple_new(Placeholder, (method, int(idx), "placeholder"))
+        except ValueError:
+            raise _too_long(idx, "placeholder index") from None
     method, sep, label = text.partition(":")
-    if not sep or not method or not label.isdigit():
+    if not sep or not method or not (label.isascii() and label.isdigit()):
         raise ValueError(f"bad object {text!r}")
-    return Site(method, int(label))
+    try:
+        return _tuple_new(Site, (method, int(label), "site"))
+    except ValueError:
+        raise _too_long(label, "allocation site label") from None
 
 
 def parse_edge_line(line: str) -> tuple[str, VarEdge | FieldEdge]:
-    """Parse one rendered edge line; returns ('var', edge) or ('field', edge)."""
+    """Parse one rendered edge line; returns ('var', edge) or ('field', edge).
+    A variable's slot is ``[0-9]+``, as an object's integer is."""
     parts = line.split()
     if len(parts) != 3:
         raise ValueError(f"bad edge line {line!r}")
     lhs, op, rhs = parts
     if op == "->":
         method, sep, slot = lhs.partition("/")
-        if not sep or not method or not slot.isdigit():
+        if not sep or not method or not (slot.isascii() and slot.isdigit()):
             raise ValueError(f"bad variable {lhs!r}")
-        return "var", (VarId(method, int(slot)), parse_object(rhs))
+        try:
+            v = _tuple_new(VarId, (method, int(slot), "var"))
+        except ValueError:
+            raise _too_long(slot, "variable slot") from None
+        return "var", (v, parse_object(rhs))
     if op.startswith(".") and op.endswith("->"):
         fname = op[1:-2]
         if not fname:

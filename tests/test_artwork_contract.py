@@ -119,6 +119,39 @@ MALFORMED = {
         _art(in_="m:main = g" + "9" * 5000 + "\n", pool="g0:\n"),
         "pool reference too long (5000 digits)",
     ),
+    "huge-variable-slot": (
+        _art(in_=_block("m:main", "main/" + "9" * 5000 + " -> main:1")),
+        "variable slot too long (5000 digits)",
+    ),
+    "huge-site-label": (
+        _art(in_=_block("m:main", "main/0 -> main:" + "9" * 5000)),
+        "allocation site label too long (5000 digits)",
+    ),
+    "huge-placeholder-index": (
+        _art(in_=_block("m:r", "r/0 -> r?" + "9" * 5000)),
+        "placeholder index too long (5000 digits)",
+    ),
+    # Integers are ASCII digits only: no other script's digits, no superscripts.
+    "arabic-indic-site-label": (
+        _art(in_=_block("m:main", "main/0 -> main:\u0661")),
+        "bad object 'main:\u0661'",
+    ),
+    "superscript-site-label": (
+        _art(in_=_block("m:main", "main/0 -> main:\u00b2")),
+        "bad object 'main:\u00b2'",
+    ),
+    "arabic-indic-placeholder-index": (
+        _art(in_=_block("m:r", "r/0 -> r?\u0661")),
+        "bad object 'r?\u0661'",
+    ),
+    "arabic-indic-variable-slot": (
+        _art(in_=_block("m:main", "main/\u0661 -> main:1")),
+        "bad variable 'main/\u0661'",
+    ),
+    "superscript-field-source": (
+        _art(out=_block("m:r", "r:\u00b2 .g-> r:2")),
+        "bad object 'r:\u00b2'",
+    ),
 }
 
 UNKNOWN = {

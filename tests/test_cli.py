@@ -200,6 +200,22 @@ def test_operational_errors_exit_2(tmp_path, loopy_ir, capsys):
     capsys.readouterr()
 
 
+def test_an_output_error_names_the_output_path(tmp_path, loopy_ir, capsys, monkeypatch):
+    monkeypatch.setenv("ART_COLOR", "0")
+    missing = tmp_path / "no-such-dir" / "x.art"
+    assert main(["analyze", loopy_ir, "-o", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    # a directory in the way: the rename fails, and no temporary file is left
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "f").write_text("")
+    assert main(["analyze", loopy_ir, "-o", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{taken}'\n")
+    assert ".tmp-art-" not in err
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-art-")]
+
+
 def test_optimized_analyze_is_smaller_and_safe(tmp_path, loopy_ir, capsys):
     plain = str(tmp_path / "plain.art")
     opt = str(tmp_path / "opt.art")

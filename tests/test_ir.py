@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import random
@@ -536,6 +537,63 @@ def test_print_parse_round_trip_over_generated_corpus(shape):
         printed = print_program(p)
         assert parse_program(printed) == p, name
         assert print_program(parse_program(printed)) == printed, name
+
+
+# ---------------------------------------------------------------------------
+# Resolved operands
+# ---------------------------------------------------------------------------
+
+
+def _by_hand(p):
+    """``p`` rebuilt from its fields, as by hand: the same statements and
+    slots, and no resolved operands."""
+    methods = tuple(Method(m.name, m.params, m.body, slot_of=dict(m.slot_of)) for m in p.methods)
+    return Program(methods=methods, entry=p.entry)
+
+
+@pytest.mark.parametrize("shape", _WORKLOAD_SHAPES, ids=["default", "roundtrip-large"])
+def test_resolved_operands_leave_equality_hashing_printing_alone(shape):
+    for name, text in generate_corpus(CorpusConfig(program_count=6, seed=5, **shape)):
+        p = parse_program(text)
+        plain = _by_hand(p)
+        assert all(len(m.operands) == 5 * len(m.body) for m in p.methods), name
+        assert all(list(m.operands_at) == [s.label for s in m.body] for m in p.methods), name
+        assert not any(m.operands or m.operands_at for m in plain.methods)
+        assert p == plain and hash(p) == hash(plain), name
+        assert repr(p) == repr(plain) and "operands" not in repr(p), name
+        assert print_program(p) == print_program(plain) == text, name
+        again = parse_program(print_program(plain))
+        assert again == p and hash(again) == hash(p) and repr(again) == repr(p), name
+        for m in p.methods:
+            copy = dataclasses.replace(m)  # the table is derived: replace drops it
+            assert copy == m and copy.operands == () and copy.operands_at == {}
+
+
+def _variables(ops):
+    """The ``VarId`` operands of one resolved statement."""
+    _, kind, a, b, _ = ops
+    found = [v for v in (a, b) if isinstance(v, ir.VarId)]
+    if kind is Call:
+        found += b
+    return found
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@pytest.mark.parametrize("shape", _WORKLOAD_SHAPES, ids=["default", "roundtrip-large"])
+def test_the_builder_resolves_each_statement_as_by_name(shape, seed):
+    for name, text in generate_corpus(CorpusConfig(program_count=6, seed=seed, **shape)):
+        for m in parse_program(text).methods:
+            made: dict = {}
+            for s in m.body:
+                at = m.operands_at[s.label]
+                ops = m.operands[at : at + 5]
+                assert ops[0] is s and ops[1] is s.instr.__class__
+                assert ops == ir.operands_by_name(s, m), (name, m.name, s.label)
+                for v in _variables(ops):
+                    # one identifier per variable, the carrier included
+                    assert made.setdefault(v.slot, v) is v
+                    assert v.method == m.name
+            assert set(made) <= set(range(m.var_count + 1))
 
 
 # ---------------------------------------------------------------------------

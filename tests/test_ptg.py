@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from artpta import (
     EMPTY,
     NULL_OBJECT,
+    ArityMismatchError,
     Artwork,
+    CorpusConfig,
     MalformedArtworkError,
     Placeholder,
     PointsToGraph,
@@ -13,12 +15,16 @@ from artpta import (
     VarId,
     analyze_inter,
     decode,
+    emit_artwork,
     encode,
+    generate_corpus,
     meet,
     meet_all,
+    optimize_artwork,
     parse_program,
     project_in,
     project_out,
+    regen_inter,
     render_edges,
     render_graph,
     restrict_to_summary,
@@ -37,6 +43,7 @@ from artpta.ir import (
     FieldStore,
     Goto,
     LabeledStatement,
+    Method,
     Nop,
     Return,
 )
@@ -707,3 +714,114 @@ def test_pooled_artifact_bytes_with_every_object_form():
         b"  m?1 .f-> null\n[loop]\nm:m l:3 = g0\n[in]\nm:m = g0\nm:main = {\n}\n[out]\n"
         b"m:m = {\n  m/4 -> m:1\n}\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# Resolved operands: what the builder records and the by-name path
+# ---------------------------------------------------------------------------
+
+_SHAPES = [
+    ({}, 12),
+    ({"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}, 3),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@pytest.mark.parametrize("shape, count", _SHAPES, ids=["default", "roundtrip-large"])
+def test_no_engine_resolves_a_statement_by_name(monkeypatch, shape, count, seed):
+    import artpta.ptg
+
+    resolved = []
+    by_name = artpta.ptg.operands_by_name
+
+    def counting(s, m):
+        resolved.append((m.name, s.label))
+        return by_name(s, m)
+
+    monkeypatch.setattr(artpta.ptg, "operands_by_name", counting)
+    for _, text in generate_corpus(CorpusConfig(program_count=count, seed=seed, **shape)):
+        p = parse_program(text)
+        result = analyze_inter(p)
+        artwork = emit_artwork(p, result)
+        for a in (artwork, optimize_artwork(p, artwork)):
+            assert regen_inter(p, decode(encode(a), p)).safe
+    assert resolved == []
+    # The counter does see a statement from outside the method's body.
+    transfer(LabeledStatement(9, Alloc("c", "A")), EMPTY, M)
+    assert resolved == [("m", 9)]
+
+
+def _unresolved(m):
+    """``m`` as built by hand: the same statements and slots, no operands
+    resolved, so every statement goes through the by-name path."""
+    return Method(m.name, m.params, m.body, slot_of=m.slot_of)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([s.label for s in M.body]), statements, graphs)
+def test_a_statement_outside_the_body_with_a_body_label_transfers_by_name(label, s, a):
+    s = LabeledStatement(label, s.instr)  # its label is a body statement's
+    got = transfer(s, a, M)
+    assert got == transfer(s, a, _unresolved(M))
+    assert _edge_sets(got) == _transfer_oracle(s, a, M)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(CALL_STMTS), st.sampled_from(CALL_STMTS), graphs, graphs)
+def test_a_call_outside_the_body_with_a_body_label_projects_by_name(home, s, a, summary):
+    s = LabeledStatement(home.label, s.instr)  # another call's instruction
+    fresh = _unresolved(CALLER)
+    for callee in (CALLS.method(t) for t in s.instr.targets):
+        got = project_in(a, CALLER, s, callee)
+        assert got == project_in(a, fresh, s, callee)
+        assert _edge_sets(got) == _project_in_oracle(a, CALLER, s, callee)
+    got = project_out(summary, CALLER, s, a)
+    assert got == project_out(summary, fresh, s, a)
+    assert _edge_sets(got) == _project_out_oracle(summary, CALLER, s, a)
+
+
+def test_every_evaluation_of_an_allocation_site_yields_one_object_set():
+    p = parse_program(generate_corpus(CorpusConfig(program_count=1, seed=1))[-1][1])
+    result = analyze_inter(p)
+    regen = regen_inter(p, emit_artwork(p, result)).result
+    others = [EMPTY, g([(VARS[0], SITES[0])]), *result.out.values()]
+    sites = 0
+    for m in p.methods:
+        for s in m.body:
+            if not isinstance(s.instr, Alloc):
+                continue
+            sites += 1
+            x = var_id(m, s.instr.x)
+            objs = transfer(s, EMPTY, m).pts(x)
+            assert objs == {Site(m.name, s.label)}
+            assert all(transfer(s, other, m).pts(x) is objs for other in others)
+            # the engines' own evaluations bind the same set
+            assert result.out[(m.name, s.label)].pts(x) is objs
+            assert regen.out[(m.name, s.label)].pts(x) is objs
+    assert sites
+
+
+def test_a_method_built_by_hand_without_slots_raises_where_it_did():
+    m = Method("m", ("a", "b"), body=())  # no slot_of: every name lookup fails
+    reads = [
+        Alloc("c", "A"),
+        Copy("c", "a"),
+        AssignNull("c"),
+        FieldStore("a", "f", "b"),
+        FieldLoad("c", "a", "f"),
+        Return("a"),
+    ]
+    for instr in reads:
+        with pytest.raises(KeyError):
+            transfer(LabeledStatement(1, instr), EMPTY, m)
+    for instr in (Nop(), Branch(1), Goto(1), Return(None)):
+        assert transfer(LabeledStatement(1, instr), EMPTY, m) is EMPTY
+    call = LabeledStatement(1, Call("c", ("m",), ("a", "b")))
+    with pytest.raises(ValueError):
+        transfer(call, EMPTY, m)
+    with pytest.raises(KeyError):
+        project_in(EMPTY, m, call, m)
+    with pytest.raises(KeyError):
+        project_out(EMPTY, m, call, EMPTY)
+    with pytest.raises(ArityMismatchError):  # the arity is checked first
+        project_in(EMPTY, m, LabeledStatement(1, Call(None, ("m",), ("a",))), m)
