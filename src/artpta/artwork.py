@@ -29,9 +29,13 @@ because an artifact repeats most edge lines across entries.  The encoder
 renders each distinct graph once, through one ``ptg.EdgeRenderer`` per call,
 which formats each object, each (variable, target set) binding and each
 per-object field map once; nothing outlives the call.  The decoder is one
-walk over the file's lines.  Each distinct edge line is parsed, and checked
-against the program, once per artifact; each block's graph is then built
-straight into the two index maps from those parsed lines, with no edge sets
+walk over the file's lines.  Each distinct edge line is parsed once per
+artifact, and both its sides are looked up in the program's table of
+identifiers (``ir.identifiers``, built once per ``decode`` call): a side the
+table lacks is a reference the program does not have, and a side it holds is
+replaced by the table's own object, so a decoded artifact holds one object
+per identifier.  Each block's graph is then built straight into the two
+index maps from those parsed lines, with no edge sets
 (``ptg.graph_of_set_edges``).  Errors are reported deterministically: a
 syntax error anywhere wins, at its first line; otherwise the first entry at
 fault in [loop], [in], [out] order, its key before its graph, then the first
@@ -48,17 +52,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import MalformedArtworkError, UnknownReferenceError
-from .ir import ENTRY, EXIT, Alloc, Program, ProgramIndex
+from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifiers
 from .ptg import (
     NULL_OBJECT,
     EdgeRenderer,
-    FieldEdge,
-    ObjectId,
-    Placeholder,
     PointsToGraph,
     SetEdge,
-    Site,
-    VarEdge,
     graph_of_set_edges,
     parse_edge_line,
 )
@@ -189,73 +188,45 @@ def _lines(data: bytes, magic: str) -> list[str]:
     return lines
 
 
-class _References:
-    """Checks the variables and objects an artifact mentions against a
-    program; each distinct object once per artifact."""
-
-    def __init__(self, p: Program):
-        self.methods = {m.name: m for m in p.methods}
-        self.alloc_labels = {
-            m.name: {s.label for s in m.body if isinstance(s.instr, Alloc)} for m in p.methods
-        }
-        self.objects: dict[ObjectId, str | None] = {NULL_OBJECT: None}
-
-    def object(self, o: ObjectId) -> str | None:
-        """Why ``o`` does not exist in the program, or None when it does."""
-        if o in self.objects:
-            return self.objects[o]
-        bad = None
-        if isinstance(o, Placeholder):
-            m = self.methods.get(o.method)
-            if m is None or o.index >= len(m.params):
-                bad = f"unknown placeholder {o.method}?{o.index}"
-        else:
-            assert isinstance(o, Site)
-            labels = self.alloc_labels.get(o.method)
-            if labels is None or o.label not in labels:
-                bad = f"object {o.method}:{o.label} is not an allocation site"
-        self.objects[o] = bad
-        return bad
-
-    def edge(self, kind: str, edge: VarEdge | FieldEdge) -> str | None:
-        """Why an edge names something the program lacks (its left side
-        first), or None."""
-        if kind == "var":
-            v = edge[0]
-            m = self.methods.get(v.method)
-            if m is None or v.slot > m.var_count:
-                return f"unknown variable slot {v.method}/{v.slot}"
-        else:
-            bad = self.object(edge[0])
-            if bad is not None:
-                return bad
-        return self.object(edge[-1])
+def _unknown(o: Identifier) -> str:
+    """Why an identifier the program lacks is bad, by its type."""
+    if isinstance(o, VarId):
+        return f"unknown variable slot {o.method}/{o.slot}"
+    if isinstance(o, Placeholder):
+        return f"unknown placeholder {o.method}?{o.index}"
+    return f"object {o.method}:{o.label} is not an allocation site"
 
 
 class _EdgeLines(dict):
     """The edge lines of one artifact, parsed: each whole line maps to its
     edge with a singleton target set (see ``ptg.graph_of_set_edges``).  An
     artifact repeats most of its edges across entries, so each distinct line
-    is parsed, and checked against the program when there is one, once; a
-    line that names something the program lacks is kept in ``bad`` with the
-    reason."""
+    is parsed once.  When there is a program, both sides of the line are
+    replaced by their entries in the program's table (``ir.identifiers``),
+    so equal identifiers are one object; a line with a side the table lacks
+    is kept in ``bad`` with the reason, its left side first."""
 
-    def __init__(self, refs: _References | None):
+    def __init__(self, ids: dict | None):
         super().__init__()
-        self.refs = refs
+        self.ids = ids
         self.bad: dict[str, str] = {}
 
     def __missing__(self, line: str) -> SetEdge:
         if not line.startswith("  "):
             raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
         try:
-            kind, edge = parse_edge_line(line[2:])
+            _, edge = parse_edge_line(line[2:])
         except ValueError as exc:
             raise MalformedArtworkError(str(exc)) from exc
-        if self.refs is not None:
-            bad = self.refs.edge(kind, edge)
-            if bad is not None:
-                self.bad[line] = bad
+        ids = self.ids
+        if ids is not None:
+            left, right = ids.get(edge[0]), ids.get(edge[-1])
+            if left is None:
+                self.bad[line] = _unknown(edge[0])
+            elif right is None:
+                self.bad[line] = _unknown(edge[-1])
+            else:
+                edge = (left, *edge[1:-1], right)
         parsed = self[line] = (*edge[:-1], frozenset(edge[-1:]))  # (v, {o}) or (s, f, {t})
         return parsed
 
@@ -297,14 +268,14 @@ def _entry_value(
     raise MalformedArtworkError(f"expected graph block or pool reference, got {text!r}")
 
 
-def _read_artwork(data: bytes, refs: _References | None) -> tuple[Artwork, dict[tuple, str]]:
+def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, str]]:
     """Parse an ART/1 file in one walk over its lines.  Returns the artwork
-    and, for each entry or pool graph with a line ``refs`` rejects, why its
-    first such line is bad, keyed by ``(section, entry key)`` or
-    ``("pool", K)``."""
+    and, for each entry or pool graph with a line naming an identifier that
+    ``ids`` (when given) lacks, why its first such line is bad, keyed by
+    ``(section, entry key)`` or ``("pool", K)``."""
     lines = _lines(data, MAGIC)
     n = len(lines)
-    edges = _EdgeLines(refs)
+    edges = _EdgeLines(ids)
     i = 1
     pool: list[_Value] = []  # parsed and checked, referenced or not
     if i < n and lines[i] == "[pool]":
@@ -359,16 +330,21 @@ def decode(data: bytes, p: Program) -> Artwork:
 
     Raises MalformedArtworkError on syntax breakage and UnknownReferenceError
     when a method, slot, label, or summary key does not exist in ``p`` (an
-    OUT-summary key must name a method on a call-graph cycle).  A [loop] key
-    must name a statement of its method, not necessarily a loop header; the
-    consumer reads only header keys and reports the rest as ignored.  Pool
-    graphs are checked too, whether or not an entry references them.  A
-    syntax error anywhere wins; otherwise the first entry at fault is
-    reported, in [loop], [in], [out] order, its key before its graph (a bad
-    pool graph an entry references is reported through that entry), then the
-    first bad pool graph as ``[pool] gK``.
+    OUT-summary key must name a method on a call-graph cycle).  Edge lines
+    are mapped through ``ir.identifiers(p)``, which this call builds once,
+    plus the null object, which belongs to every program; the decoded graphs
+    hold the table's objects.  A [loop] key must name a statement of its
+    method, not necessarily a loop header; the consumer reads only header
+    keys and reports the rest as ignored.  Pool graphs are checked too,
+    whether or not an entry references them.  A syntax error anywhere wins;
+    otherwise the first entry at fault is reported, in [loop], [in], [out]
+    order, its key before its graph (a bad pool graph an entry references is
+    reported through that entry), then the first bad pool graph as
+    ``[pool] gK``.
     """
-    a, bad = _read_artwork(data, _References(p))
+    ids: dict = identifiers(p)
+    ids[NULL_OBJECT] = NULL_OBJECT
+    a, bad = _read_artwork(data, ids)
     index = ProgramIndex.of(p)
     methods = index.methods
 

@@ -56,9 +56,13 @@ that is not positive or repeats, a variable read before any assignment, an
 unknown jump target: by statement, and in that order within one) and then
 its first unknown call target.
 
-Variables and abstract objects are identified by ``VarId`` (method, slot)
-and ``Site`` (method, allocation label), tagged named tuples defined here
-so that the builder can make them; ``ptg`` and the package re-export them.
+Variables and abstract objects are identified by ``VarId`` (method, slot),
+``Site`` (method, allocation label) and ``Placeholder`` (method, parameter
+index), tagged named tuples defined here so that the builder can make them;
+``ptg`` and the package re-export them.  ``identifiers(p)`` is the one
+place that says which of them a program has: a table, built from the
+program on each call, that maps each to itself.  Decode looks every artifact
+edge line up in it, and ``tamper`` draws its sites from it.
 A parsed method's operand table (``operands`` and ``operands_at``) holds
 every body statement's resolved operands (see ``Operands``): the variables
 it writes and reads, one ``VarId`` per variable, made when its slot is
@@ -214,10 +218,21 @@ class Site(NamedTuple):
         return f"Site(method={self.method!r}, label={self.label!r})"
 
 
-# The builder (and the codec in ``ptg``) make identifiers straight from
-# their field tuple, the kind tag last, which skips the named tuples'
-# Python-level constructor: one ``VarId`` per variable and one ``Site`` per
-# allocation site here, one or two per distinct edge line in decode.
+class Placeholder(NamedTuple):
+    """Stand-in object for reference parameter ``index`` of ``method`` in
+    intra-procedural analysis, where no caller heap is available."""
+
+    method: str
+    index: int
+    kind: str = "placeholder"  # constant tag: never pass it
+
+    def __repr__(self) -> str:
+        return f"Placeholder(method={self.method!r}, index={self.index!r})"
+
+
+# The builder, ``identifiers`` and the codec in ``ptg`` make identifiers
+# straight from their field tuple, the kind tag last, which skips the named
+# tuples' Python-level constructor.
 _tuple_new = tuple.__new__
 
 
@@ -354,6 +369,29 @@ class Program:
     @property
     def method_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.methods)
+
+
+Identifier = Union[VarId, Placeholder, Site]
+
+
+def identifiers(p: Program) -> dict[Identifier, Identifier]:
+    """Every variable and object of ``p``, each mapped to itself, in program
+    order: per method, its slots 0 to ``var_count`` (the last is the return
+    carrier), a ``Placeholder`` per parameter and a ``Site`` per allocation
+    statement.  The null object belongs to every program and is not here.
+
+    This is the one place that says which identifiers a program has.  The
+    table is made from ``p`` alone, on each call, and nothing else adds to
+    it."""
+    ids: list = []
+    for m in p.methods:
+        name = m.name
+        ids += [_tuple_new(VarId, (name, k, "var")) for k in range(m.var_count + 1)]
+        ids += [_tuple_new(Placeholder, (name, k, "placeholder")) for k in range(len(m.params))]
+        ids += [
+            _tuple_new(Site, (name, s.label, "site")) for s in m.body if isinstance(s.instr, Alloc)
+        ]
+    return dict(zip(ids, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +985,6 @@ class CallGraph:
     edges: tuple[tuple[CallSite, str, str], ...]
     #: strongly connected components, callees first (Tarjan emission order)
     sccs: tuple[frozenset[str], ...]
-    recursive_call_sites: frozenset[CallSite]
     #: methods on a call-graph cycle (a multi-method SCC or a self-call)
     recursive_methods: frozenset[str]
     # Lookups derived from ``edges`` and ``sccs`` once, when the graph is
@@ -982,7 +1019,8 @@ class CallGraph:
 
 
 def build_call_graph(p: Program) -> CallGraph:
-    """Enumerate call edges and classify recursive call-sites via SCCs."""
+    """Enumerate call edges and find the methods on a call-graph cycle via
+    SCCs."""
     edges: list[tuple[CallSite, str, str]] = []
     callees: dict[str, set[str]] = {m.name: set() for m in p.methods}
     for m in p.methods:
@@ -1046,18 +1084,7 @@ def build_call_graph(p: Program) -> CallGraph:
         if len(scc) > 1 or any(c in callees[c] for c in scc)
         for n in scc
     )
-    scc_index = {n: i for i, scc in enumerate(sccs) for n in scc}
-    recursive = frozenset(
-        site
-        for site, caller, callee in edges
-        if scc_index[caller] == scc_index[callee] and caller in cyclic
-    )
-    return CallGraph(
-        edges=tuple(edges),
-        sccs=tuple(sccs),
-        recursive_call_sites=recursive,
-        recursive_methods=cyclic,
-    )
+    return CallGraph(edges=tuple(edges), sccs=tuple(sccs), recursive_methods=cyclic)
 
 
 class ProgramIndex:

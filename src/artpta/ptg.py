@@ -36,12 +36,15 @@ Variables and objects are small values that hash and compare in C:
 a constant kind tag, so ``VarId("m", 1)``, ``Site("m", 1)`` and
 ``Placeholder("m", 1)`` differ while each keeps its ``method`` /
 ``slot`` / ``label`` / ``index`` attributes; the tag is never rendered.
-``VarId`` and ``Site`` are defined in ``ir``, whose builder makes them, and
-re-exported here.  ``NULL_OBJECT`` is the one ``NullObject`` and hashes by
-identity.  Equal identifiers built anywhere (by the builder, parsed from an
-artifact, by ``tamper``) are equal values, so there is no intern table: a
-process-wide table would let untrusted artifacts grow memory without bound,
-and the tuples are already cheap to hash.
+``VarId``, ``Site`` and ``Placeholder`` are defined in ``ir``, whose builder
+makes them, and re-exported here.  ``NULL_OBJECT`` is the one ``NullObject``
+and hashes by identity.  Equal identifiers built anywhere (by the builder,
+parsed from an artifact, by ``tamper``) are equal values, so there is no
+intern table: a process-wide table would let untrusted artifacts grow memory
+without bound, and the tuples are already cheap to hash.  ``ir.identifiers``
+is no such table: decode builds it from the program on each call and looks
+edge lines up in it, so no artifact text ever adds to it and it dies with
+the call.
 
 The flow functions (``transfer``, ``project_in``, ``project_out``) take a
 method's own statement's operands from the table the builder resolved
@@ -62,7 +65,7 @@ by the intra-procedural entry convention).
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, TypeVar, Union
+from typing import Iterable, TypeVar, Union
 
 from .errors import ArityMismatchError
 from .ir import (
@@ -75,24 +78,13 @@ from .ir import (
     LabeledStatement,
     Method,
     Operands,
+    Placeholder,
     Return,
     Site,
     VarId,
     _tuple_new,
     operands_by_name,
 )
-
-
-class Placeholder(NamedTuple):
-    """Stand-in object for reference parameter ``index`` of ``method`` in
-    intra-procedural analysis, where no caller heap is available."""
-
-    method: str
-    index: int
-    kind: str = "placeholder"  # constant tag: never pass it
-
-    def __repr__(self) -> str:
-        return f"Placeholder(method={self.method!r}, index={self.index!r})"
 
 
 class NullObject:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .artwork import Artwork
 from .consumer import regen_inter
 from .errors import ArtError, NothingToTamperError
-from .ir import Alloc, FieldLoad, FieldStore, Program
+from .ir import FieldLoad, FieldStore, Program, identifiers
 from .ptg import (
     NULL_OBJECT,
     FieldEdge,
@@ -222,12 +222,7 @@ def _add_edge(
     if not entries:
         raise NothingToTamperError("no entries to extend")
     methods = {m.name: m for m in program.methods}
-    sites: list[ObjectId] = [
-        Site(m.name, s.label)
-        for m in program.methods
-        for s in m.body
-        if isinstance(s.instr, Alloc)
-    ]
+    sites: list[ObjectId] = [o for o in identifiers(program) if isinstance(o, Site)]
     objects: list[ObjectId] = sites + [NULL_OBJECT]
     fields = sorted(
         {

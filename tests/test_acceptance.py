@@ -176,7 +176,7 @@ def test_criterion_6_single_pass(corpus):
         if len(outcome.visits) != stmt_count:
             ok = False
             break
-        has_cycle = bool(build_call_graph(p).recursive_call_sites) or any(
+        has_cycle = bool(build_call_graph(p).recursive_methods) or any(
             build_cfg(m).back_edges for m in p.methods
         )
         if has_cycle and outcome.transfer_applications > r.iteration_count:

@@ -247,7 +247,7 @@ def test_recursion_prob_one_always_cyclic(tmp_path, capsys):
     generated = [t for n, t in files if n.startswith("gen")]
     for text in generated:
         cg = build_call_graph(parse_program(text))
-        assert cg.recursive_call_sites
+        assert cg.recursive_methods
 
 
 def test_internal_error_exits_2_not_unsafe(tmp_path, rec_ir, monkeypatch, capsys):

@@ -10,7 +10,9 @@ that label.  Null belongs to every program.
 Valid artifacts of both corpus shapes get seeded edge lines inserted that
 name known and unknown variables and objects on either side, and every
 decode outcome (the exception's type and message, or the decoded maps) must
-equal what the reference predicts."""
+equal what the reference predicts.  ``ir.identifiers`` must accept exactly
+what the rules accept, and a decoded artifact must hold one object per
+identifier."""
 
 import random
 import re
@@ -30,7 +32,8 @@ from artpta import (
     parse_artwork,
     parse_program,
 )
-from artpta.ir import Alloc, Program
+from artpta.ir import Alloc, Program, identifiers
+from artpta.ptg import NULL_OBJECT, Site, parse_edge_line, parse_object, render_object
 
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
 SEEDS = (1, 90917)
@@ -223,8 +226,82 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
             want = _reference_outcome(p, mutated, memo)
             got = _outcome(p, mutated)
             assert _same(got, want), (new, got, want)
-            kinds.add(re.sub(r" \S*[0-9].*", "", str(want).split(": ")[-1]) if isinstance(want, Exception) else "ok")
+            if isinstance(want, Exception):  # the reason, without the names
+                kinds.add(re.sub(r" \S*[0-9].*", "", str(want).split(": ")[-1]))
+            else:
+                kinds.add("ok")
     # every verdict the rules can give came up
     assert kinds == {
         "ok", "unknown variable slot", "unknown placeholder", "object", "field edge with null source"
     }
+
+
+def _parse_name(text: str):
+    if "/" in text:
+        return parse_edge_line(f"{text} -> null")[1][0]
+    return parse_object(text)
+
+
+def test_the_table_accepts_exactly_what_the_rules_accept(artifacts):
+    rng = random.Random(3)
+    for p, _ in artifacts:
+        ids = identifiers(p)
+        assert all(k is v for k, v in ids.items())
+        assert NULL_OBJECT not in ids
+        assert len(ids) == sum(
+            m.var_count + 1 + len(m.params) + sum(isinstance(s.instr, Alloc) for s in m.body)
+            for m in p.methods
+        )
+        variables, objects = _names(p, rng)
+        for text in variables:
+            assert (_parse_name(text) in ids) == (_why_var(p, text) is None), text
+        for text in objects:
+            if text != "null":
+                assert (_parse_name(text) in ids) == (_why_object(p, text) is None), text
+        for o in ids:  # every entry is one the rules accept
+            text = f"{o.method}/{o.slot}" if o.kind == "var" else render_object(o)
+            assert (_why_var if o.kind == "var" else _why_object)(p, text) is None
+
+
+def test_the_table_lists_sites_in_the_order_tamper_draws_them(artifacts):
+    for p, _ in artifacts:
+        sites = [o for o in identifiers(p) if isinstance(o, Site)]
+        assert sites == [
+            Site(m.name, s.label) for m in p.methods for s in m.body if isinstance(s.instr, Alloc)
+        ]
+
+
+def _identifiers_held(a) -> list:
+    """Every variable and object the graphs of ``a`` hold, with repeats."""
+    out = []
+    for g in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]:
+        for v, objs in g._vars.items():
+            out += [v, *objs]
+        for src, fields in g._heap.items():
+            out.append(src)
+            for targets in fields.values():
+                out += targets
+    return out
+
+
+def _assert_one_object_per_identifier(a) -> None:
+    first: dict = {}
+    for o in _identifiers_held(a):
+        assert first.setdefault(o, o) is o, o
+
+
+def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
+    for p, text in artifacts:
+        _assert_one_object_per_identifier(decode(text.encode(), p))
+    p = parse_program(
+        "method main() {\n  1: x = new C\n  2: x = new D\n  3: call [foo](x)\n}\n"
+        "method foo(p) {\n  1: return\n}\n"
+    )
+    text = (
+        "ART/1\n[pool]\ng0:\n  main/0 -> main:1\n  main:1 .f-> main:2\n"
+        "[loop]\n[in]\nm:foo = {\n  foo/0 -> main:2\n  main/0 -> main:2\n  main:2 .f-> main:1\n}\n"
+        "m:main = g0\n[out]\n"
+    )
+    a = decode(text.encode(), p)
+    _assert_one_object_per_identifier(a)
+    assert len(_identifiers_held(a)) > len(set(_identifiers_held(a)))
