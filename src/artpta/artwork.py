@@ -215,7 +215,7 @@ class _EdgeLines(dict):
         if not line.startswith("  "):
             raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
         try:
-            _, edge = parse_edge_line(line[2:])
+            edge = parse_edge_line(line[2:])
         except ValueError as exc:
             raise MalformedArtworkError(str(exc)) from exc
         ids = self.ids

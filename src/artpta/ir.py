@@ -43,11 +43,12 @@ messages, so the parser finds a token's column by scanning its line again
 when it reports an error there.
 
 The builder is where the rules live, so both readers share them.  It
-checks each statement's label as it arrives.  At the end of each method it
-resolves the statements' operands in one pass, which assigns the slots
+takes each statement as it arrives: it checks the label, then resolves the
+operands, the reads first and then the assignment, which assigns the slots
 (parameters first, then locals in order of first assignment) and finds a
-variable read before any assignment, and then checks the jump targets; it
-keeps each method's first statement at fault.  The faults are raised once
+variable read before any assignment.  At the end of each method it checks
+the jumps it resolved against every label; it keeps each method's first
+statement at fault and resolves nothing after it.  The faults are raised once
 the whole text has been read, in this order: a syntax error (the
 scanner's, then the parser's); a duplicate parameter, at the end of its
 method; a duplicate method name; a missing entry method; an entry method
@@ -68,11 +69,11 @@ every body statement's resolved operands (see ``Operands``): the variables
 it writes and reads, one ``VarId`` per variable, made when its slot is
 assigned; its field name; an allocation site's singleton object set, which
 every evaluation shares; a call's arguments and receiver; and a return's
-carrier, filled in once the method's slots are all known.  The flow functions in ``ptg`` read these
-instead of looking each name up on every evaluation.  A statement that is
-not one of the method's own goes through the same resolver by name
-(``operands_by_name``).  The table is derived from the method, so it takes
-no part in equality, hashing or ``repr``.
+carrier, filled in once the method's slots are all known.  The flow
+functions in ``ptg`` read these instead of looking each name up on every
+evaluation, and reject a statement that is not one of the method's own.  A
+method built by hand has no table.  The table is derived from the method,
+so it takes no part in equality, hashing or ``repr``.
 
 Branch conditions are nondeterministic: ``if goto L`` has both the fall
 through statement and ``L`` as successors.  Call statements carry an explicit
@@ -96,7 +97,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import (
     ArtError,
@@ -274,7 +275,7 @@ class Method:
     slot_of: dict[str, int] = field(default_factory=dict, compare=False)
     #: The resolved operands of the body's statements, one ``Operands``
     #: after another in one tuple, and label -> the index in that tuple of
-    #: the statement's first item.  The builder records both at the end of
+    #: the statement's first item.  The builder records both as it reads
     #: the method; they are empty for a method built by hand.  They are
     #: derived from the fields above, so they take no part in equality,
     #: hashing or ``repr``, and ``dataclasses.replace`` drops them.
@@ -291,68 +292,6 @@ class Method:
     def ret_slot(self) -> int:
         """Slot of the per-method return-value carrier (one past the locals)."""
         return len(self.slot_of)
-
-
-def _resolve(
-    body: Iterable[LabeledStatement],
-    method: str,
-    vars_: dict[str, VarId],
-    new_var: Callable[[str], VarId],
-    items: list,
-    at: dict[int, int],
-) -> None:
-    """Append the operands of each statement of ``body`` to ``items``, in
-    order, and record where each starts in ``at``, by label.  ``method`` is
-    the statements' method and ``vars_`` maps each of its variables to its
-    identifier; ``new_var(name)`` is called for a variable a statement
-    assigns that ``vars_`` lacks (and is to add it).  A statement's reads
-    are looked up first, in the order it names them, then the variable it
-    assigns; a read ``vars_`` lacks raises KeyError, leaving the statements
-    before resolved.  The return carrier is the slot one past ``vars_``'
-    variables once the whole body is resolved, which is when Return
-    statements get it."""
-    returns = []
-    for s in body:
-        instr = s.instr
-        kind = instr.__class__
-        at[s.label] = len(items)
-        if kind is Alloc:
-            x = vars_.get(instr.x) or new_var(instr.x)
-            site = _tuple_new(Site, (method, s.label, "site"))
-            items += (s, kind, x, frozenset((site,)), None)
-        elif kind is FieldStore:
-            items += (s, kind, vars_[instr.x], vars_[instr.y], instr.f)
-        elif kind is FieldLoad:
-            y = vars_[instr.y]
-            items += (s, kind, vars_.get(instr.x) or new_var(instr.x), y, instr.f)
-        elif kind is Copy:
-            y = vars_[instr.y]
-            items += (s, kind, vars_.get(instr.x) or new_var(instr.x), y, None)
-        elif kind is AssignNull:
-            items += (s, kind, vars_.get(instr.x) or new_var(instr.x), None, None)
-        elif kind is Call:
-            args = tuple([vars_[a] for a in instr.args])
-            bind = instr.bind
-            items += (s, kind, None if bind is None else vars_.get(bind) or new_var(bind), args, None)
-        elif kind is Return:
-            returns.append(len(items))
-            items += (s, kind, None if instr.x is None else vars_[instr.x], None, None)
-        else:
-            items += (s, kind, None, None, None)
-    if returns:
-        ret = _tuple_new(VarId, (method, len(vars_), "var"))
-        for i in returns:
-            items[i + 3] = ret
-
-
-def operands_by_name(s: LabeledStatement, m: Method) -> Operands:
-    """The operands of ``s`` resolved through ``m.slot_of``, for a statement
-    that is not one of ``m``'s own (``m.operands`` holds theirs).  A name
-    ``m`` has no slot for raises KeyError."""
-    vars_ = {v: VarId(m.name, k) for v, k in m.slot_of.items()}
-    items: list = []
-    _resolve((s,), m.name, vars_, vars_.__getitem__, items, {})
-    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -401,11 +340,11 @@ def identifiers(p: Program) -> dict[Identifier, Identifier]:
 
 class _Builder:
     """Takes a program's methods and statements in text order from either
-    reader.  It checks each statement's label as it arrives; at the end of
-    each method it resolves the statements' operands, which assigns the
-    slots and finds the variables read before any assignment, and checks the
-    jump targets.  It keeps each method's first statement at fault and
-    raises the faults in the order the module docstring gives."""
+    reader.  It resolves each statement's operands as the statement arrives,
+    which assigns the slots, and keeps each method's first statement at
+    fault; it checks the jump targets at the end of the method, once every
+    label is known.  It raises the faults in the order the module docstring
+    gives."""
 
     def __init__(self) -> None:
         self.methods: list[Method] = []
@@ -417,20 +356,79 @@ class _Builder:
         self.name = name
         self.params = params
         self.body: list[LabeledStatement] = []
-        self.labels: set[int] = set()
-        #: the first statement whose label is at fault: its index and fault
-        self.bad_label: tuple[int, ArtError] | None = None
+        #: variable name -> identifier, in slot order: the parameters, then
+        #: the locals in order of first assignment
+        self.vars = {p: _tuple_new(VarId, (name, k, "var")) for k, p in enumerate(params)}
+        #: the resolved statements' operands, one ``Operands`` after another,
+        #: and every statement's label -> where its operands start
+        self.items: list = []
+        self.at: dict[int, int] = {}
+        #: the resolved jumps and calls, and where each resolved return's
+        #: ``Operands`` start: its carrier is known only at the end
+        self.jumps: list[LabeledStatement] = []
+        self.calls: list[LabeledStatement] = []
+        self.returns: list[int] = []
+        #: the first statement at fault: a bad label or a read before any
+        #: assignment; nothing after it is resolved
+        self.fault: ArtError | None = None
+
+    def assign(self, x: str) -> VarId:
+        """The identifier of the variable ``x`` a statement assigns; a new
+        variable gets the next slot."""
+        v = self.vars.get(x)
+        if v is None:
+            v = self.vars[x] = _tuple_new(VarId, (self.name, len(self.vars), "var"))
+        return v
 
     def add(self, label: int, instr: Instr) -> None:
-        if self.bad_label is None:
+        """Take the method's next statement.  Unless an earlier statement is
+        at fault, check its label, then resolve its operands: the variables
+        it reads, in the order it names them, then the one it assigns.  A
+        read of a variable no earlier statement assigns is a fault."""
+        s = LabeledStatement(label, instr)
+        self.body.append(s)
+        items, at = self.items, self.at
+        start = len(items)
+        if self.fault is None:
             if label <= 0:
-                fault = ParseError(f"label {label} in method '{self.name}' must be positive")
-                self.bad_label = (len(self.body), fault)
-            elif label in self.labels:
-                fault = DuplicateNameError(f"duplicate label {label} in method '{self.name}'")
-                self.bad_label = (len(self.body), fault)
-        self.labels.add(label)
-        self.body.append(LabeledStatement(label, instr))
+                self.fault = ParseError(f"label {label} in method '{self.name}' must be positive")
+            elif label in at:
+                self.fault = DuplicateNameError(f"duplicate label {label} in method '{self.name}'")
+            else:
+                vars_ = self.vars
+                kind = instr.__class__
+                try:
+                    if kind is Alloc:
+                        site = _tuple_new(Site, (self.name, label, "site"))
+                        items += (s, kind, self.assign(instr.x), frozenset((site,)), None)
+                    elif kind is FieldStore:
+                        items += (s, kind, vars_[instr.x], vars_[instr.y], instr.f)
+                    elif kind is FieldLoad:
+                        y = vars_[instr.y]
+                        items += (s, kind, self.assign(instr.x), y, instr.f)
+                    elif kind is Copy:
+                        y = vars_[instr.y]
+                        items += (s, kind, self.assign(instr.x), y, None)
+                    elif kind is AssignNull:
+                        items += (s, kind, self.assign(instr.x), None, None)
+                    elif kind is Call:
+                        args = tuple([vars_[a] for a in instr.args])
+                        bind = instr.bind
+                        items += (s, kind, None if bind is None else self.assign(bind), args, None)
+                        self.calls.append(s)
+                    elif kind is Return:
+                        x = None if instr.x is None else vars_[instr.x]
+                        self.returns.append(start)
+                        items += (s, kind, x, None, None)
+                    else:
+                        if kind is Branch or kind is Goto:
+                            self.jumps.append(s)
+                        items += (s, kind, None, None, None)
+                except KeyError as exc:
+                    self.fault = ResolutionError(
+                        f"variable '{exc.args[0]}' used at {self.name}:{label} before any assignment"
+                    )
+        at[label] = start
 
     def end(self) -> None:
         """Close the method: a duplicate parameter is raised here, at the
@@ -439,42 +437,23 @@ class _Builder:
         for k, p in enumerate(params):
             if p in params[:k]:
                 raise DuplicateNameError(f"duplicate parameter '{p}' in method '{name}'")
-        body = self.body
-        # Resolve the statements before the first bad label: a read of a
-        # variable no earlier statement assigns is at fault too.
-        end, fault = self.bad_label or (len(body), None)
-        # variable name -> identifier, in slot order: the parameters, then
-        # the locals in order of first assignment
-        vars_ = {p: _tuple_new(VarId, (name, k, "var")) for k, p in enumerate(params)}
-
-        def new_var(x: str) -> VarId:
-            v = vars_[x] = _tuple_new(VarId, (name, len(vars_), "var"))
-            return v
-
-        items: list = []
-        at: dict[int, int] = {}
-        try:
-            _resolve(body[:end], name, vars_, new_var, items, at)
-        except KeyError as exc:
-            label = body[len(at) - 1].label
-            fault = ResolutionError(
-                f"variable '{exc.args[0]}' used at {name}:{label} before any assignment"
-            )
         # The jumps before the first statement at fault, checked against
-        # every label, and its calls.
-        calls = []
-        for s, kind in zip(items[::5], items[1::5]):
-            if kind is Call:
-                calls.append(s)
-            elif kind is Branch or kind is Goto:
-                target = s.instr.target
-                if target not in self.labels:
-                    fault = ResolutionError(f"unknown branch label {target} at {name}:{s.label}")
-                    break
-        self.deferred.append((fault, calls))
+        # every label.
+        fault, at = self.fault, self.at
+        for s in self.jumps:
+            target = s.instr.target
+            if target not in at:
+                fault = ResolutionError(f"unknown branch label {target} at {name}:{s.label}")
+                break
+        self.deferred.append((fault, self.calls))
+        vars_ = self.vars
         slot_of = dict(zip(vars_, range(len(vars_))))
-        m = Method(name=name, params=params, body=tuple(body), slot_of=slot_of)
+        m = Method(name=name, params=params, body=tuple(self.body), slot_of=slot_of)
         if fault is None:
+            items = self.items
+            ret = _tuple_new(VarId, (name, len(vars_), "var"))
+            for i in self.returns:
+                items[i + 3] = ret
             object.__setattr__(m, "operands", tuple(items))
             object.__setattr__(m, "operands_at", at)
         self.methods.append(m)

@@ -47,11 +47,12 @@ edge lines up in it, so no artifact text ever adds to it and it dies with
 the call.
 
 The flow functions (``transfer``, ``project_in``, ``project_out``) take a
-method's own statement's operands from the table the builder resolved
+statement's operands from the table the builder resolved for its method
 (``Method.operands``): its variables' ``VarId``s, its field name and an
-allocation site's object set, shared by every evaluation of that site.  Any
-other statement is resolved by name first, through ``ir.operands_by_name``,
-so a name the method has no slot for raises KeyError there.
+allocation site's object set, shared by every evaluation of that site.  They
+reject, with ValueError, a statement that is not one of the method's own,
+which is every statement of a method built by hand: such a method has no
+table.
 
 Canonical text rendering (also the artifact file's edge syntax)::
 
@@ -83,7 +84,6 @@ from .ir import (
     Site,
     VarId,
     _tuple_new,
-    operands_by_name,
 )
 
 
@@ -408,18 +408,21 @@ def _rebind(g: PointsToGraph, x: VarId, objs: Objects, heap: HeapIndex) -> Point
 _NO_CALL_TRANSFER = "call statements are handled by the analysis engines"
 
 
+def _not_own(s: LabeledStatement, m: Method) -> ValueError:
+    return ValueError(f"not a statement of method '{m.name}': {s!r}")
+
+
 def _operands(s: LabeledStatement, m: Method) -> Operands:
-    """The resolved operands of ``s``: ``m``'s when ``s`` is one of its
-    statements, else resolved by name."""
+    """The resolved operands of ``s``, one of ``m``'s statements."""
     at = m.operands_at.get(s.label)
     items = m.operands
     if at is None or items[at] is not s:
-        return operands_by_name(s, m)
+        raise _not_own(s, m)
     return items[at : at + 5]
 
 
 def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
-    """Flow function of a non-call statement.
+    """Flow function of a non-call statement of ``m``.
 
     Alloc, Copy, AssignNull, and FieldLoad strongly update their target
     variable; FieldStore weakly updates the heap; Return feeds the method's
@@ -430,9 +433,7 @@ def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     at = m.operands_at.get(s.label)
     items = m.operands
     if at is None or items[at] is not s:
-        if s.instr.__class__ is Call:
-            raise ValueError(_NO_CALL_TRANSFER)
-        items, at = operands_by_name(s, m), 0
+        raise _not_own(s, m)
     _, kind, x, y, f = items[at : at + 5]
     vars_ = g._vars
     if kind is Alloc:
@@ -499,15 +500,15 @@ def project_in(
 ) -> PointsToGraph:
     """Map the caller's state into the callee: formal_i points to whatever
     actual_i points to, plus the heap reachable from the actuals."""
-    call = s.instr
-    assert isinstance(call, Call)
-    if len(call.args) != len(callee.params):
+    assert isinstance(s.instr, Call)
+    args = _operands(s, caller)[3]
+    if len(args) != len(callee.params):
         raise ArityMismatchError(
-            f"call at {caller.name}:{s.label} passes {len(call.args)} argument(s) "
+            f"call at {caller.name}:{s.label} passes {len(args)} argument(s) "
             f"to '{callee.name}' which takes {len(callee.params)}"
         )
     formals: VarIndex = {}
-    for i, arg in enumerate(_operands(s, caller)[3]):
+    for i, arg in enumerate(args):
         objs = g_at_callsite.pts(arg)
         if objs:
             formals[VarId(callee.name, i)] = objs
@@ -669,9 +670,10 @@ def parse_object(text: str) -> ObjectId:
         raise _too_long(label, "allocation site label") from None
 
 
-def parse_edge_line(line: str) -> tuple[str, VarEdge | FieldEdge]:
-    """Parse one rendered edge line; returns ('var', edge) or ('field', edge).
-    A variable's slot is ``[0-9]+``, as an object's integer is."""
+def parse_edge_line(line: str) -> VarEdge | FieldEdge:
+    """Parse one rendered edge line: a variable edge ``(v, o)`` or a field
+    edge ``(s, f, t)``.  A variable's slot is ``[0-9]+``, as an object's
+    integer is."""
     parts = line.split()
     if len(parts) != 3:
         raise ValueError(f"bad edge line {line!r}")
@@ -684,7 +686,7 @@ def parse_edge_line(line: str) -> tuple[str, VarEdge | FieldEdge]:
             v = _tuple_new(VarId, (method, int(slot), "var"))
         except ValueError:
             raise _too_long(slot, "variable slot") from None
-        return "var", (v, parse_object(rhs))
+        return v, parse_object(rhs)
     if op.startswith(".") and op.endswith("->"):
         fname = op[1:-2]
         if not fname:
@@ -692,10 +694,10 @@ def parse_edge_line(line: str) -> tuple[str, VarEdge | FieldEdge]:
         src = parse_object(lhs)
         if isinstance(src, NullObject):
             raise ValueError("field edge with null source")
-        return "field", (src, fname, parse_object(rhs))
+        return src, fname, parse_object(rhs)
     raise ValueError(f"bad edge line {line!r}")
 
 
 def parse_edges(lines: Iterable[str]) -> PointsToGraph:
     """The graph of rendered edge lines, in any order."""
-    return graph_of_set_edges((*e[:-1], frozenset(e[-1:])) for _, e in map(parse_edge_line, lines))
+    return graph_of_set_edges((*e[:-1], frozenset(e[-1:])) for e in map(parse_edge_line, lines))

@@ -33,6 +33,7 @@ from artpta import (
     naive_encode,
     optimize_artwork,
     parse_program,
+    print_program,
     regen_inter,
     rq2_campaign,
     subsumes,
@@ -40,7 +41,7 @@ from artpta import (
     transfer,
 )
 from artpta.ir import REF_INSTRS, LabeledStatement, Alloc, AssignNull, Copy, FieldLoad, FieldStore, Nop, Return
-from artpta.ir import ProgramIndex
+from artpta.ir import Method, Program, ProgramIndex
 from artpta.ptg import var_id
 
 SEED = 2024
@@ -301,10 +302,19 @@ def _random_graph(rng, vars_, sources, objects, fields):
 
 
 def test_criterion_9_property_suite():
-    ctx = parse_program(
-        "method main() {\n  1: nop\n}\nmethod m(a, b) {\n  1: c = new A\n  2: d = new B\n}"
-    )
-    m = ctx.method("m")
+    main = parse_program("method main() {\n  1: nop\n}").method("main")
+    # c and d are assigned at labels that no drawn statement uses
+    assign_c_d = (LabeledStatement(8, Alloc("c", "A")), LabeledStatement(9, Alloc("d", "B")))
+
+    def placed(s):
+        """``s`` placed through ``parse_program`` after the assignments to
+        ``c`` and ``d``, so that its method's slots are a-d = 0-3 and the
+        carrier 4: the parsed statement and its method."""
+        m = Method("m", ("a", "b"), assign_c_d + (s,))
+        m = parse_program(print_program(Program((main, m), "main"))).method("m")
+        assert m.slot_of == {"a": 0, "b": 1, "c": 2, "d": 3}
+        return m.body[-1], m
+
     vars_ = [VarId("m", i) for i in range(4)]
     sources = [Site("m", 1), Site("m", 2), Placeholder("m", 0)]
     objects = sources + [NULL_OBJECT]
@@ -354,6 +364,7 @@ def test_criterion_9_property_suite():
             break
     for _ in range(1000):  # transfer monotonicity
         s, g1, extra = rand_stmt(), rand_graph(), rand_graph()
+        s, m = placed(s)
         if not subsumes(transfer(s, meet(g1, extra), m), transfer(s, g1, m)):
             ok = False
             break

@@ -29,8 +29,8 @@ LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, r
 def _oracle_graph(lines: list[str]) -> PointsToGraph:
     var_edges, field_edges = set(), set()
     for line in lines:
-        kind, edge = parse_edge_line(line[2:])
-        (var_edges if kind == "var" else field_edges).add(edge)
+        edge = parse_edge_line(line[2:])
+        (var_edges if len(edge) == 2 else field_edges).add(edge)
     return PointsToGraph(var_edges, field_edges)
 
 

@@ -238,7 +238,7 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
 
 def _parse_name(text: str):
     if "/" in text:
-        return parse_edge_line(f"{text} -> null")[1][0]
+        return parse_edge_line(f"{text} -> null")[0]
     return parse_object(text)
 
 

@@ -2,6 +2,7 @@
 ships without the producer."""
 
 import ast
+import pathlib
 
 import pytest
 
@@ -18,6 +19,7 @@ from artpta import (
     rq2_campaign,
     tamper,
 )
+import artpta
 from artpta import consumer, ir
 from artpta.ir import ProgramIndex
 
@@ -81,11 +83,12 @@ def test_consumer_does_not_import_the_producer():
     assert "producer" not in imported
 
 
-def test_consumer_imports_only_the_verifier_side_modules():
-    with open(consumer.__file__, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
+def _package_imports(name):
+    """The package modules that the source of ``artpta.<name>`` imports,
+    wherever in the file (a ``TYPE_CHECKING`` import counts)."""
+    path = pathlib.Path(artpta.__file__).parent / f"{name}.py"
     package = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("artpta")):
             if node.module and node.module != "artpta":
                 package.add(node.module.split(".")[-1])
@@ -93,17 +96,30 @@ def test_consumer_imports_only_the_verifier_side_modules():
                 package.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             package.update(a.name.split(".")[-1] for a in node.names if a.name.startswith("artpta"))
+    return package
+
+
+def test_consumer_imports_only_the_verifier_side_modules():
+    package = _package_imports("consumer")
     assert package <= {"ir", "ptg", "equations", "artwork", "errors"}, package
     assert {"ir", "ptg", "equations", "artwork"} <= package
+
+
+def test_the_verifier_import_closure_is_the_checker_alone():
+    # What ships with the verifier: the consumer and the codec, and every
+    # package module they import, transitively.
+    closure, todo = set(), ["consumer", "artwork"]
+    while todo:
+        name = todo.pop()
+        if name not in closure:
+            closure.add(name)
+            todo += _package_imports(name)
+    assert closure == {"consumer", "artwork", "equations", "ir", "ptg", "errors"}
 
 
 def test_project_in_is_called_only_from_equations():
     # The IN-summary term is written once, as ``equations.callee_in``; every
     # engine reaches ``ptg.project_in`` through it.
-    import pathlib
-
-    import artpta
-
     callers = set()
     for path in sorted(pathlib.Path(artpta.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

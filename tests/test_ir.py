@@ -221,6 +221,11 @@ def test_parse_error_carries_position():
             "variable 'y' used at main:2 before any assignment",
         ),
         ("method main() {\n  1: x = x\n}\n", ResolutionError, "variable 'x' used at main:1 before any assignment"),
+        (
+            "method main() {\n  1: return y\n  2: goto 9\n}\n",
+            ResolutionError,
+            "variable 'y' used at main:1 before any assignment",
+        ),
         # a statement fault anywhere in a method beats its unknown call
         # targets, which beat the faults of later methods
         (
@@ -583,17 +588,55 @@ def _variables(ops):
     return found
 
 
+def _slots(m):
+    """The slots of ``m`` worked out from its text: the parameters, then the
+    locals in order of first assignment."""
+    slots = {p: k for k, p in enumerate(m.params)}
+    for s in m.body:
+        instr = s.instr
+        x = instr.bind if isinstance(instr, Call) else getattr(instr, "x", None)
+        if x is not None and not isinstance(instr, (FieldStore, Return)):
+            slots.setdefault(x, len(slots))
+    return slots
+
+
+def _by_name(s, m):
+    """The operands of ``s`` looked up by name, through ``m.slot_of``."""
+
+    def var(x):
+        return ir.VarId(m.name, m.slot_of[x])
+
+    instr = s.instr
+    kind = instr.__class__
+    if kind is Alloc:
+        return s, kind, var(instr.x), frozenset({ir.Site(m.name, s.label)}), None
+    if kind is Copy:
+        return s, kind, var(instr.x), var(instr.y), None
+    if kind is AssignNull:
+        return s, kind, var(instr.x), None, None
+    if kind is FieldStore or kind is FieldLoad:
+        return s, kind, var(instr.x), var(instr.y), instr.f
+    if kind is Return:
+        x = None if instr.x is None else var(instr.x)
+        return s, kind, x, ir.VarId(m.name, m.ret_slot), None
+    if kind is Call:
+        bind = None if instr.bind is None else var(instr.bind)
+        return s, kind, bind, tuple(map(var, instr.args)), None
+    return s, kind, None, None, None
+
+
 @pytest.mark.parametrize("seed", [1, 90917])
 @pytest.mark.parametrize("shape", _WORKLOAD_SHAPES, ids=["default", "roundtrip-large"])
 def test_the_builder_resolves_each_statement_as_by_name(shape, seed):
     for name, text in generate_corpus(CorpusConfig(program_count=6, seed=seed, **shape)):
         for m in parse_program(text).methods:
+            assert m.slot_of == _slots(m), (name, m.name)
             made: dict = {}
             for s in m.body:
                 at = m.operands_at[s.label]
                 ops = m.operands[at : at + 5]
                 assert ops[0] is s and ops[1] is s.instr.__class__
-                assert ops == ir.operands_by_name(s, m), (name, m.name, s.label)
+                assert ops == _by_name(s, m), (name, m.name, s.label)
                 for v in _variables(ops):
                     # one identifier per variable, the carrier included
                     assert made.setdefault(v.slot, v) is v

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from artpta import (
     meet_all,
     optimize_artwork,
     parse_program,
+    print_program,
     project_in,
     project_out,
     regen_inter,
@@ -45,6 +48,7 @@ from artpta.ir import (
     LabeledStatement,
     Method,
     Nop,
+    Program,
     Return,
 )
 from artpta.ptg import NullObject, parse_edge_line, parse_edges, parse_object, ret_var, var_id
@@ -82,6 +86,24 @@ graphs = st.builds(
 
 def _stmt(instr) -> LabeledStatement:
     return LabeledStatement(label=7, instr=instr)
+
+
+@functools.lru_cache(maxsize=None)
+def _placed(s: LabeledStatement) -> tuple[LabeledStatement, Method]:
+    """``s`` placed through ``parse_program`` after M's assignments to ``c``
+    and ``d``, so that its method has M's slots (a-d = 0-3, carrier 4):
+    the parsed statement and its method.  The flow functions take only a
+    method's own statements."""
+    m = Method(M.name, M.params, M.body[:2] + (s,))
+    placed = parse_program(print_program(Program((CTX.method("main"), m), "main"))).method("m")
+    assert placed.slot_of == M.slot_of
+    return placed.body[-1], placed
+
+
+def _transfer(s: LabeledStatement, graph: PointsToGraph) -> PointsToGraph:
+    """``transfer`` of ``s`` placed as ``_placed`` does."""
+    s, m = _placed(s)
+    return transfer(s, graph, m)
 
 
 statements = st.one_of(
@@ -165,12 +187,12 @@ def test_equality_is_mutual_subsumption(a, b):
 
 def test_transfer_nop_identity():
     a = g([(VARS[0], SITES[0])])
-    assert transfer(_stmt(Nop()), a, M) == a
+    assert _transfer(_stmt(Nop()), a) == a
 
 
 def test_transfer_alloc_strong_update():
     before = g([(var_id(M, "a"), Site("m", 2))])
-    after = transfer(LabeledStatement(5, Alloc("a", "T")), before, M)
+    after = _transfer(LabeledStatement(5, Alloc("a", "T")), before)
     assert after == g([(var_id(M, "a"), Site("m", 5))])
 
 
@@ -179,7 +201,7 @@ def test_transfer_store_is_weak_and_skips_null():
         [(var_id(M, "a"), SITES[0]), (var_id(M, "a"), NULL_OBJECT), (var_id(M, "b"), SITES[1])],
         [(SITES[0], "f", SITES[2])],
     )
-    after = transfer(_stmt(FieldStore("a", "f", "b")), before, M)
+    after = _transfer(_stmt(FieldStore("a", "f", "b")), before)
     assert after.field_edges == frozenset(
         {(SITES[0], "f", SITES[2]), (SITES[0], "f", SITES[1])}
     )
@@ -188,15 +210,15 @@ def test_transfer_store_is_weak_and_skips_null():
 
 def test_transfer_load_through_null_contributes_nothing():
     before = g([(var_id(M, "a"), NULL_OBJECT)])
-    after = transfer(_stmt(FieldLoad("b", "a", "f")), before, M)
+    after = _transfer(_stmt(FieldLoad("b", "a", "f")), before)
     assert after.pts(var_id(M, "b")) == frozenset()
 
 
 def test_transfer_return_feeds_ret_slot():
     before = g([(var_id(M, "a"), SITES[0])])
-    after = transfer(_stmt(Return("a")), before, M)
+    after = _transfer(_stmt(Return("a")), before)
     assert after.pts(ret_var(M)) == {SITES[0]}
-    assert transfer(_stmt(Return(None)), before, M) == before
+    assert _transfer(_stmt(Return(None)), before) == before
 
 
 def test_loopy_one_body_pass_grows_header(loopy):
@@ -224,12 +246,12 @@ def test_loopy_one_body_pass_grows_header(loopy):
 @given(statements, graphs, graphs)
 def test_transfer_monotone(s, g1, extra):
     g2 = meet(g1, extra)
-    assert subsumes(transfer(s, g2, M), transfer(s, g1, M))
+    assert subsumes(_transfer(s, g2), _transfer(s, g1))
 
 
 @given(statements, graphs)
 def test_transfer_never_adds_null_source_edges(s, g1):
-    out = transfer(s, g1, M)
+    out = _transfer(s, g1)
     assert not any(isinstance(src, type(NULL_OBJECT)) for src, _, _ in out.field_edges)
 
 
@@ -532,7 +554,8 @@ def _edge_sets(graph):
 @given(statements, graphs)
 def test_transfer_matches_oracle(s, a):
     before = render_edges(a)  # read from the index, not the cached views
-    assert _edge_sets(transfer(s, a, M)) == _transfer_oracle(s, a, M)
+    s, m = _placed(s)
+    assert _edge_sets(transfer(s, a, m)) == _transfer_oracle(s, a, m)
     assert render_edges(a) == before  # the input's shared maps are untouched
 
 
@@ -576,12 +599,12 @@ def test_equal_edges_by_any_path_are_equal_and_hash_equal(a, b, s):
     for graph in built:
         assert graph == built[0]
         assert hash(graph) == hash(built[0])
-    after = transfer(s, a, M)
+    after = _transfer(s, a)
     rebuilt = PointsToGraph(after.var_edges, after.field_edges)
     assert after == rebuilt and hash(after) == hash(rebuilt)
     # A strong update to an empty points-to set leaves no trace behind.
     no_d = PointsToGraph(a.kill_var(var_id(M, "d")), a.field_edges)
-    emptied = transfer(_stmt(Copy("c", "d")), no_d, M)
+    emptied = _transfer(_stmt(Copy("c", "d")), no_d)
     expected = PointsToGraph(no_d.kill_var(var_id(M, "c")), a.field_edges)
     assert emptied == expected and hash(emptied) == hash(expected)
 
@@ -638,10 +661,10 @@ def test_identifiers_built_by_different_paths_are_equal_and_hash_equal():
         (parse_object("m:1"), Site("m", 1)),
         (parse_object("m?0"), Placeholder("m", 0)),
         (parse_object("null"), NULL_OBJECT),
-        (parse_edge_line("m/2 -> m:1")[1][0], var_id(M, "c")),
-        (parse_edge_line("m/4 -> m?1")[1], (ret_var(M), Placeholder("m", 1))),
-        (parse_edge_line("m:2 .f-> null")[1], (Site("m", 2), "f", NULL_OBJECT)),
-        (transfer(_stmt(Alloc("d", "T")), EMPTY, M).var_edges, frozenset({(var_id(M, "d"), Site("m", 7))})),
+        (parse_edge_line("m/2 -> m:1")[0], var_id(M, "c")),
+        (parse_edge_line("m/4 -> m?1"), (ret_var(M), Placeholder("m", 1))),
+        (parse_edge_line("m:2 .f-> null"), (Site("m", 2), "f", NULL_OBJECT)),
+        (_transfer(_stmt(Alloc("d", "T")), EMPTY).var_edges, frozenset({(var_id(M, "d"), Site("m", 7))})),
     ]
     for built, direct in pairs:
         assert built == direct and hash(built) == hash(direct)
@@ -654,8 +677,8 @@ def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
         for graph in [*art.i_loop.values(), *art.i_in.values(), *art.i_out.values()]:
             parsed_vars, parsed_fields = set(), set()
             for line in render_edges(graph):
-                kind, edge = parse_edge_line(line)
-                (parsed_vars if kind == "var" else parsed_fields).add(edge)
+                edge = parse_edge_line(line)
+                (parsed_vars if len(edge) == 2 else parsed_fields).add(edge)
             # set equality looks every edge up by hash, then compares it
             assert parsed_vars == graph.var_edges
             assert parsed_fields == graph.field_edges
@@ -717,67 +740,8 @@ def test_pooled_artifact_bytes_with_every_object_form():
 
 
 # ---------------------------------------------------------------------------
-# Resolved operands: what the builder records and the by-name path
+# Resolved operands: what the builder records, and only a method's own
 # ---------------------------------------------------------------------------
-
-_SHAPES = [
-    ({}, 12),
-    ({"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}, 3),
-]
-
-
-@pytest.mark.parametrize("seed", [1, 90917])
-@pytest.mark.parametrize("shape, count", _SHAPES, ids=["default", "roundtrip-large"])
-def test_no_engine_resolves_a_statement_by_name(monkeypatch, shape, count, seed):
-    import artpta.ptg
-
-    resolved = []
-    by_name = artpta.ptg.operands_by_name
-
-    def counting(s, m):
-        resolved.append((m.name, s.label))
-        return by_name(s, m)
-
-    monkeypatch.setattr(artpta.ptg, "operands_by_name", counting)
-    for _, text in generate_corpus(CorpusConfig(program_count=count, seed=seed, **shape)):
-        p = parse_program(text)
-        result = analyze_inter(p)
-        artwork = emit_artwork(p, result)
-        for a in (artwork, optimize_artwork(p, artwork)):
-            assert regen_inter(p, decode(encode(a), p)).safe
-    assert resolved == []
-    # The counter does see a statement from outside the method's body.
-    transfer(LabeledStatement(9, Alloc("c", "A")), EMPTY, M)
-    assert resolved == [("m", 9)]
-
-
-def _unresolved(m):
-    """``m`` as built by hand: the same statements and slots, no operands
-    resolved, so every statement goes through the by-name path."""
-    return Method(m.name, m.params, m.body, slot_of=m.slot_of)
-
-
-@settings(max_examples=300)
-@given(st.sampled_from([s.label for s in M.body]), statements, graphs)
-def test_a_statement_outside_the_body_with_a_body_label_transfers_by_name(label, s, a):
-    s = LabeledStatement(label, s.instr)  # its label is a body statement's
-    got = transfer(s, a, M)
-    assert got == transfer(s, a, _unresolved(M))
-    assert _edge_sets(got) == _transfer_oracle(s, a, M)
-
-
-@settings(max_examples=100)
-@given(st.sampled_from(CALL_STMTS), st.sampled_from(CALL_STMTS), graphs, graphs)
-def test_a_call_outside_the_body_with_a_body_label_projects_by_name(home, s, a, summary):
-    s = LabeledStatement(home.label, s.instr)  # another call's instruction
-    fresh = _unresolved(CALLER)
-    for callee in (CALLS.method(t) for t in s.instr.targets):
-        got = project_in(a, CALLER, s, callee)
-        assert got == project_in(a, fresh, s, callee)
-        assert _edge_sets(got) == _project_in_oracle(a, CALLER, s, callee)
-    got = project_out(summary, CALLER, s, a)
-    assert got == project_out(summary, fresh, s, a)
-    assert _edge_sets(got) == _project_out_oracle(summary, CALLER, s, a)
 
 
 def test_every_evaluation_of_an_allocation_site_yields_one_object_set():
@@ -801,27 +765,29 @@ def test_every_evaluation_of_an_allocation_site_yields_one_object_set():
     assert sites
 
 
-def test_a_method_built_by_hand_without_slots_raises_where_it_did():
-    m = Method("m", ("a", "b"), body=())  # no slot_of: every name lookup fails
-    reads = [
-        Alloc("c", "A"),
-        Copy("c", "a"),
-        AssignNull("c"),
-        FieldStore("a", "f", "b"),
-        FieldLoad("c", "a", "f"),
-        Return("a"),
-    ]
-    for instr in reads:
-        with pytest.raises(KeyError):
-            transfer(LabeledStatement(1, instr), EMPTY, m)
-    for instr in (Nop(), Branch(1), Goto(1), Return(None)):
-        assert transfer(LabeledStatement(1, instr), EMPTY, m) is EMPTY
-    call = LabeledStatement(1, Call("c", ("m",), ("a", "b")))
-    with pytest.raises(ValueError):
-        transfer(call, EMPTY, m)
-    with pytest.raises(KeyError):
-        project_in(EMPTY, m, call, m)
-    with pytest.raises(KeyError):
-        project_out(EMPTY, m, call, EMPTY)
-    with pytest.raises(ArityMismatchError):  # the arity is checked first
-        project_in(EMPTY, m, LabeledStatement(1, Call(None, ("m",), ("a",))), m)
+def test_flow_functions_take_only_a_methods_own_statements():
+    not_own = "not a statement of method 'm'"
+    # A statement that carries a body label but is not the body's statement:
+    # an equal copy of it, or another instruction.
+    for own in M.body:
+        for s in (LabeledStatement(own.label, own.instr), LabeledStatement(own.label, Copy("c", "a"))):
+            with pytest.raises(ValueError, match=not_own):
+                transfer(s, EMPTY, M)
+    k = CALLS.method("k")
+    for own in CALL_STMTS:
+        # the second passes ``k`` an argument: ownership is checked first
+        for s in (LabeledStatement(own.label, own.instr), LabeledStatement(own.label, Call(None, ("k",), ("a",)))):
+            with pytest.raises(ValueError, match=not_own):
+                project_in(EMPTY, CALLER, s, k)
+            with pytest.raises(ValueError, match=not_own):
+                project_out(EMPTY, CALLER, s, EMPTY)
+    # A method built by hand has no operand table: no statement is its own.
+    by_hand = Method(CALLER.name, CALLER.params, CALLER.body, slot_of=CALLER.slot_of)
+    for s in CALLER.body:
+        with pytest.raises(ValueError, match=not_own):
+            transfer(s, EMPTY, by_hand)
+    for s in CALL_STMTS:
+        with pytest.raises(ValueError, match=not_own):
+            project_in(EMPTY, by_hand, s, CALLS.method(s.instr.targets[0]))
+        with pytest.raises(ValueError, match=not_own):
+            project_out(EMPTY, by_hand, s, EMPTY)
