@@ -1,23 +1,24 @@
 """The compact analysis artifact and its bit-exact text codec (format ART/1),
 plus the naive whole-dump baseline encoding and size statistics.
 
-File layout (UTF-8, LF line endings, all sections always present except the
-optional pool, entries and edges sorted)::
+File layout (UTF-8, LF line endings, all sections always present, entries
+and edges sorted)::
 
     ART/1
-    [pool]            # only when sharing duplicated graphs is smaller
-    g0:
-      main/0 -> main:4
     [loop]
-    m:main l:5 = g0
-    m:main l:9 = {
-      main:1 .f-> main:3
+    m:main l:5 = {
+      main/0 -> main:4
     }
+    m:main l:9 = ^
     [in]
     m:foo = {
+      main:1 .f-> main:3
     }
     [out]
-    m:foo = g0
+    m:foo = ^
+
+An entry written ``= ^`` holds the same graph as the entry before it in file
+order, across section headers; the first entry of a file cannot be one.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
@@ -26,28 +27,27 @@ job.
 
 The encoder and the decoder each handle a distinct thing once per artifact,
 because an artifact repeats most edge lines across entries.  The encoder
-renders each distinct graph once, through one ``ptg.EdgeRenderer`` per call,
-which formats each object, each (variable, target set) binding and each
-per-object field map once; nothing outlives the call.  The decoder is one
-walk over the file's lines.  Each distinct edge line is parsed once per
-artifact, and both its sides are looked up in the program's table of
-identifiers (``ir.identifiers``, built once per ``decode`` call): a side the
-table lacks is a reference the program does not have, and a side it holds is
-replaced by the table's own object, so a decoded artifact holds one object
-per identifier.  Each block's graph is then built straight into the two
-index maps from those parsed lines, with no edge sets
-(``ptg.graph_of_set_edges``).  Errors are reported deterministically: a
-syntax error anywhere wins, at its first line; otherwise the first entry at
-fault in [loop], [in], [out] order, its key before its graph, then the first
-[pool] graph at fault that no entry reports, and within a graph the first bad
-edge line in file order, its left side before its right.
+renders graphs through one ``ptg.EdgeRenderer`` per call, which formats each
+object, each (variable, target set) binding and each per-object field map
+once; nothing outlives the call.  The decoder is one walk over the file's
+lines.  Each distinct edge line is parsed once per artifact, and both its
+sides are looked up in the program's table of identifiers
+(``ir.identifiers``, built once per ``decode`` call): a side the table lacks
+is a reference the program does not have, and a side it holds is replaced by
+the table's own object, so a decoded artifact holds one object per
+identifier.  Each block's graph is then built straight into the two index
+maps from those parsed lines, with no edge sets (``ptg.graph_of_set_edges``).
+Errors are reported deterministically: a syntax error anywhere wins, at its
+first line; otherwise the first entry at fault in [loop], [in], [out] order,
+its key before its graph, and within a graph the first bad edge line in file
+order, its left side before its right.  File order is the check order, so a
+bad graph is reported at the first entry that holds it, never at a ``^``.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -74,10 +74,10 @@ class Artwork:
     """Three invariant maps: loop-header OUT values keyed by (method, label),
     IN summaries keyed by method, and OUT summaries of recursive methods.
 
-    The maps are the whole value: whether a graph is written once in a
-    ``[pool]`` and referenced by index is ``encode``'s choice, so equal maps
-    always have the same bytes.  A decoded artwork may violate program-level
-    expectations only through values, never structure.
+    The maps are the whole value: which entries are written ``= ^`` is
+    ``encode``'s rule, so equal maps always have the same bytes.  A decoded
+    artwork may violate program-level expectations only through values,
+    never structure.
     """
 
     i_loop: dict[tuple[str, int], PointsToGraph]
@@ -96,7 +96,6 @@ class ArtworkStats:
     loop_entries: int
     in_entries: int
     out_entries: int
-    dedup_savings: int
     bytes_art_compressed: int
     bytes_naive_compressed: int
 
@@ -106,54 +105,29 @@ class ArtworkStats:
 # ---------------------------------------------------------------------------
 
 
-def _encode(a: Artwork) -> tuple[bytes, int]:
-    """The ART/1 bytes of ``a`` and what their pool saves over inlining every
-    graph (0 when there is no pool).  The candidates are the non-empty graphs
-    two or more entries hold, in first-use order over the sorted [loop], [in]
-    and [out] entries; all are pooled when that saves bytes, none otherwise.
-    A pooled graph costs ``gK:`` and its edge lines once, and saves a
-    ``{`` ... ``}`` block of those lines per entry that reads ``= gK``.
-
-    Each distinct graph is rendered once, by one ``EdgeRenderer`` that lives
-    as long as this call: the mirror of the decoder, which parses each
-    distinct edge line once."""
-    sections = (
+def encode(a: Artwork) -> bytes:
+    """Canonical, deterministic encoding: the bytes are a function of the
+    three maps alone, and ``decode(encode(a), p) == a``.  An entry whose
+    graph equals the previous entry's, in file order across sections, is
+    written ``= ^``; every other entry is written as its block.  Graphs are
+    rendered by one ``EdgeRenderer`` that lives as long as this call: the
+    mirror of the decoder, which parses each distinct edge line once."""
+    renderer = EdgeRenderer()
+    chunks = [MAGIC + "\n"]
+    prev = None
+    for header, entries in (
         ("[loop]", [(f"m:{m} l:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
         ("[in]", [(f"m:{m}", g) for m, g in sorted(a.i_in.items())]),
         ("[out]", [(f"m:{m}", g) for m, g in sorted(a.i_out.items())]),
-    )
-    uses = Counter(g for _, entries in sections for _, g in entries)  # first-use order
-    renderer = EdgeRenderer()
-    edges = {g: renderer.block(g) for g in uses}
-    refs: dict[PointsToGraph, str] = {}
-    pool = ["[pool]\n"]
-    saving = -len("[pool]\n")
-    for g, n in uses.items():
-        if n < 2 or g.is_empty():
-            continue
-        ref = refs[g] = f"g{len(refs)}"
-        pool.append(f"{ref}:\n{edges[g]}")
-        edge_bytes = len(edges[g].encode("utf-8"))
-        inline = len("{") + edge_bytes + len("}\n")
-        saving += n * (inline - len(ref)) - (len(ref) + len(":\n") + edge_bytes)
-    if saving <= 0:
-        refs, pool = {}, []
-    chunks = [MAGIC + "\n", *pool]
-    for header, entries in sections:
+    ):
         chunks.append(header + "\n")
         for head, g in entries:
-            if g in refs:
-                chunks.append(f"{head} = {refs[g]}\n")
+            if g == prev:
+                chunks.append(f"{head} = ^\n")
             else:
-                chunks.append(f"{head} = {{\n{edges[g]}}}\n")
-    return "".join(chunks).encode("utf-8"), max(saving, 0)
-
-
-def encode(a: Artwork) -> bytes:
-    """Canonical, deterministic encoding: the bytes are a function of the
-    three maps alone, and ``decode(encode(a), p) == a``.  Duplicated graphs
-    go to a ``[pool]`` when that makes the file smaller."""
-    return _encode(a)[0]
+                chunks.append(f"{head} = {{\n{renderer.block(g)}}}\n")
+            prev = g
+    return "".join(chunks).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +136,6 @@ def encode(a: Artwork) -> bytes:
 
 _LOOP_KEY_RE = re.compile(r"^m:([A-Za-z_][A-Za-z0-9_]*) l:([0-9]+) = (.+)$")
 _METHOD_KEY_RE = re.compile(r"^m:([A-Za-z_][A-Za-z0-9_]*) = (.+)$")
-_POOL_REF_RE = re.compile(r"g[0-9]+")
 
 # (section, entry key pattern, the line that ends the section)
 _SECTIONS = (
@@ -240,55 +213,17 @@ class _EdgeLines(dict):
         return g, None
 
 
-_Value = tuple[PointsToGraph, str | None]
-
-
-def _entry_value(
-    lines: list[str], i: int, text: str, edges: _EdgeLines, pool: list[_Value]
-) -> tuple[_Value, int]:
-    """The graph an entry's ``= text`` denotes, and the index of the line
-    after the entry."""
-    if text == "{":
-        try:
-            end = lines.index("}", i)
-        except ValueError:
-            end = len(lines)
-        value = edges.graph(lines[i:end])  # rejects the first line that is no edge
-        if end == len(lines):
-            raise MalformedArtworkError("unterminated graph block")
-        return value, end + 1
-    if _POOL_REF_RE.fullmatch(text):
-        try:
-            k = int(text[1:])
-        except ValueError:  # past the interpreter's digit limit
-            raise MalformedArtworkError(f"pool reference too long ({len(text) - 1} digits)") from None
-        if k >= len(pool):
-            raise MalformedArtworkError(f"reference to undefined pool graph g{k}")
-        return pool[k], i
-    raise MalformedArtworkError(f"expected graph block or pool reference, got {text!r}")
-
-
 def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, str]]:
     """Parse an ART/1 file in one walk over its lines.  Returns the artwork
-    and, for each entry or pool graph with a line naming an identifier that
-    ``ids`` (when given) lacks, why its first such line is bad, keyed by
-    ``(section, entry key)`` or ``("pool", K)``."""
+    and, for each entry with a line naming an identifier that ``ids`` (when
+    given) lacks, why its first such line is bad, keyed by ``(section, entry
+    key)``.  A ``^`` entry takes the previous entry's graph object and
+    verdict."""
     lines = _lines(data, MAGIC)
     n = len(lines)
     edges = _EdgeLines(ids)
     i = 1
-    pool: list[_Value] = []  # parsed and checked, referenced or not
-    if i < n and lines[i] == "[pool]":
-        i += 1
-        while i < n and lines[i].startswith("g"):
-            if lines[i] != f"g{len(pool)}:":
-                raise MalformedArtworkError(f"bad pool graph header {lines[i]!r}")
-            i = end = i + 1
-            while end < n and lines[end].startswith("  "):
-                end += 1
-            pool.append(edges.graph(lines[i:end]))
-            i = end
-
+    value: tuple[PointsToGraph, str | None] | None = None  # the previous entry's
     sections: list[dict] = []
     bad: dict[tuple, str] = {}
     for name, key_re, next_header in _SECTIONS:
@@ -308,14 +243,25 @@ def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, s
                 raise MalformedArtworkError(f"[loop] label too long ({len(m.group(2))} digits)") from None
             if key in entries:
                 raise MalformedArtworkError(f"duplicate {name} entry {key}")
-            value, i = _entry_value(lines, i + 1, m.group(m.lastindex), edges, pool)
+            i += 1
+            text = m.group(m.lastindex)
+            if text == "{":
+                try:
+                    end = lines.index("}", i)
+                except ValueError:
+                    end = n
+                value = edges.graph(lines[i:end])  # rejects the first line that is no edge
+                if end == n:
+                    raise MalformedArtworkError("unterminated graph block")
+                i = end + 1
+            elif text != "^":
+                raise MalformedArtworkError(f"expected graph block or '^', got {text!r}")
+            elif value is None:
+                raise MalformedArtworkError("'^' in the first entry")
             entries[key], why = value
             if why is not None:
                 bad[(name, key)] = why
         sections.append(entries)
-    for k, (_, why) in enumerate(pool):
-        if why is not None:
-            bad[("pool", k)] = why
     i_loop, i_in, i_out = sections
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out), bad
 
@@ -335,12 +281,10 @@ def decode(data: bytes, p: Program) -> Artwork:
     plus the null object, which belongs to every program; the decoded graphs
     hold the table's objects.  A [loop] key must name a statement of its
     method, not necessarily a loop header; the consumer reads only header
-    keys and reports the rest as ignored.  Pool graphs are checked too,
-    whether or not an entry references them.  A syntax error anywhere wins;
+    keys and reports the rest as ignored.  A syntax error anywhere wins;
     otherwise the first entry at fault is reported, in [loop], [in], [out]
-    order, its key before its graph (a bad pool graph an entry references is
-    reported through that entry), then the first bad pool graph as
-    ``[pool] gK``.
+    order, its key before its graph (so a bad graph is reported at the first
+    entry that holds it, not at a ``^`` entry after it).
     """
     ids: dict = identifiers(p)
     ids[NULL_OBJECT] = NULL_OBJECT
@@ -369,9 +313,6 @@ def decode(data: bytes, p: Program) -> Artwork:
         if not index.call_graph.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
         check_graph("out", name, f"[out] {name}")
-    for (section, k), why in bad.items():
-        if section == "pool":  # every entry at fault was reported above
-            raise UnknownReferenceError(f"[pool] g{k}: {why}")
     return a
 
 
@@ -435,9 +376,8 @@ def parse_naive(data: bytes) -> dict[tuple[str, str], tuple[str, ...]]:
 
 
 def stats(p: Program, a: Artwork, result: "AnalysisResult") -> ArtworkStats:
-    """Sizes and entry counts; ``dedup_savings`` is the byte reduction of
-    the pool ``encode`` picks over inlining every graph."""
-    art_bytes, savings = _encode(a)
+    """Sizes and entry counts."""
+    art_bytes = encode(a)
     naive_bytes = naive_encode(result)
     return ArtworkStats(
         bytes_art=len(art_bytes),
@@ -445,7 +385,6 @@ def stats(p: Program, a: Artwork, result: "AnalysisResult") -> ArtworkStats:
         loop_entries=len(a.i_loop),
         in_entries=len(a.i_in),
         out_entries=len(a.i_out),
-        dedup_savings=savings,
         bytes_art_compressed=len(zlib.compress(art_bytes, 9)),
         bytes_naive_compressed=len(zlib.compress(naive_bytes, 9)),
     )

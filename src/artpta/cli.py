@@ -178,7 +178,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"loop entries:         {st.loop_entries}")
     print(f"in entries:           {st.in_entries}")
     print(f"out entries:          {st.out_entries}")
-    print(f"dedup savings:        {st.dedup_savings}")
     print(f"compressed artwork:   {st.bytes_art_compressed}")
     print(f"compressed naive:     {st.bytes_naive_compressed}")
     return 0

@@ -342,8 +342,9 @@ def optimize_artwork(
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
     call-site projections are all identical (or absent), and OUT entries
-    equal to the IN entry: every entry the consumer re-derives.  (Sharing
-    duplicated graphs is ``encode``'s choice, for every artifact.)
+    equal to the IN entry: every entry the consumer re-derives.  (Writing an
+    entry equal to the one before it as ``= ^`` is ``encode``'s rule, for
+    every artifact.)
 
     The call-site projections are read off the fixed point ``a`` encodes.
     ``result`` is that fixed point when the caller holds it (``emit_artwork``

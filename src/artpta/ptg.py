@@ -696,8 +696,3 @@ def parse_edge_line(line: str) -> VarEdge | FieldEdge:
             raise ValueError("field edge with null source")
         return src, fname, parse_object(rhs)
     raise ValueError(f"bad edge line {line!r}")
-
-
-def parse_edges(lines: Iterable[str]) -> PointsToGraph:
-    """The graph of rendered edge lines, in any order."""
-    return graph_of_set_edges((*e[:-1], frozenset(e[-1:])) for e in map(parse_edge_line, lines))

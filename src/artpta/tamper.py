@@ -144,17 +144,17 @@ def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
 
 
 def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    pool = _all_objects(a)
+    objects = _all_objects(a)
     candidates = []
     for key, g in _entries(a):
         for e in _sorted_edges(g):
             old = e[1] if len(e) == 2 else e[2]
-            if any(o != old for o in pool):
+            if any(o != old for o in objects):
                 candidates.append((key, g, e, old))
     if not candidates:
         raise NothingToTamperError("no points-to targets to replace")
     key, g, e, old = rng.choice(candidates)
-    new = rng.choice([o for o in pool if o != old])
+    new = rng.choice([o for o in objects if o != old])
     if len(e) == 2:
         mutated = PointsToGraph(g.var_edges - {e} | {(e[0], new)}, g.field_edges)
     else:

@@ -75,33 +75,31 @@ def call_chain():
     return _call_chain
 
 
-def _reference_encode(a, pool=()) -> bytes:
+def _reference_encode(a) -> bytes:
     lines = ["ART/1"]
-    refs = {g: f"g{k}" for k, g in enumerate(pool)}
-    if refs:
-        lines.append("[pool]")
-        for g, ref in refs.items():
-            lines += [f"{ref}:", *("  " + e for e in render_edges(g))]
     sections = (
         ("[loop]", {f"m:{m} l:{l}": g for (m, l), g in sorted(a.i_loop.items())}),
         ("[in]", {f"m:{m}": g for m, g in sorted(a.i_in.items())}),
         ("[out]", {f"m:{m}": g for m, g in sorted(a.i_out.items())}),
     )
+    previous = None
     for header, entries in sections:
         lines.append(header)
         for key, g in entries.items():
-            if g in refs:
-                lines.append(f"{key} = {refs[g]}")
+            if previous is not None and render_edges(g) == render_edges(previous):
+                lines.append(f"{key} = ^")
             else:
                 lines += [f"{key} = {{", *("  " + e for e in render_edges(g)), "}"]
+            previous = g
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @pytest.fixture(scope="session")
 def reference_encode():
-    """``reference_encode(a, pool=())`` writes the ART/1 bytes of artwork
-    ``a`` line by line: the graphs of ``pool`` under ``[pool]``, each entry
-    that holds one of them as ``= gK``, and every other entry inline."""
+    """``reference_encode(a)`` writes the ART/1 bytes of artwork ``a`` line
+    by line: each entry whose edge lines are those of the entry before it,
+    in file order across sections, as ``= ^``, and every other entry
+    inline."""
     return _reference_encode
 
 

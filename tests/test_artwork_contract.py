@@ -4,7 +4,7 @@ the exit code ``artpta regen`` turns each into."""
 
 import pytest
 
-from artpta import MalformedArtworkError, UnknownReferenceError, decode, parse_program, regen_inter
+from artpta import MalformedArtworkError, UnknownReferenceError, decode, encode, parse_program, regen_inter
 from artpta.cli import main
 
 # ``main:2`` heads a loop; ``r`` is self-recursive and ``main`` is not.  Slot
@@ -46,9 +46,8 @@ m:r = {
 """
 
 
-def _art(loop: str = "", in_: str = "", out: str = "", pool: str | None = None) -> str:
-    head = "ART/1\n" + ("" if pool is None else "[pool]\n" + pool)
-    return head + "[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
+def _art(loop: str = "", in_: str = "", out: str = "") -> str:
+    return "ART/1\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
 
 
 def _block(head: str, *edges: str) -> str:
@@ -69,7 +68,7 @@ MALFORMED = {
     "bad-loop-entry": (_art(loop="m:main l:x = {\n}\n"), "bad [loop] entry"),
     "bad-in-entry": (_art(in_="main = {\n}\n"), "bad [in] entry"),
     "bad-out-entry": (_art(out="m:r={\n}\n"), "bad [out] entry"),
-    "bad-value": (_art(in_="m:main = []\n"), "expected graph block or pool reference, got '[]'"),
+    "bad-value": (_art(in_="m:main = []\n"), "expected graph block or '^', got '[]'"),
     "unterminated-block": (_art(out="m:r = {\n  r/0 -> null\n"), "unterminated graph block"),
     "unterminated-empty-block": (_art(out="m:r = {\n"), "unterminated graph block"),
     "header-inside-block": (
@@ -93,17 +92,13 @@ MALFORMED = {
         _art(in_=_block("m:main", "main/0 -> main:1", "main/0 -> ", "main/0 -> null")),
         "bad edge line 'main/0 -> '",
     ),
-    "undefined-pool-graph": (_art(in_="m:main = g3\n"), "reference to undefined pool graph g3"),
-    "pool-reference-past-the-pool": (
-        _art(in_="m:main = g1\n", pool="g0:\n"),
-        "reference to undefined pool graph g1",
+    # ``^`` is the graph of the entry before, in the file, not in the section
+    "repeat-in-first-entry": (_art(loop="m:main l:2 = ^\n"), "'^' in the first entry"),
+    "repeat-first-in-a-later-section": (_art(in_="m:main = ^\n"), "'^' in the first entry"),
+    "repeat-with-trailing-text": (
+        _art(in_="m:main = {\n}\nm:r = ^ \n"),
+        "expected graph block or '^', got '^ '",
     ),
-    "misnumbered-pool-graph": (
-        _art(pool="g1:\n  main/0 -> main:1\n"),
-        "bad pool graph header 'g1:'",
-    ),
-    "bad-pool-edge": (_art(pool="g0:\n  main/0 -> nil\n"), "bad object 'nil'"),
-    "pool-graph-block": (_art(pool="g0: {\n}\n"), "bad pool graph header 'g0: {'"),
     "duplicate-loop-entry": (
         _art(loop="m:main l:2 = {\n}\nm:main l:2 = {\n}\n"),
         "duplicate loop entry ('main', 2)",
@@ -114,10 +109,6 @@ MALFORMED = {
     "huge-loop-label": (
         _art(loop="m:main l:" + "9" * 5000 + " = {\n}\n"),
         "[loop] label too long (5000 digits)",
-    ),
-    "huge-pool-reference": (
-        _art(in_="m:main = g" + "9" * 5000 + "\n", pool="g0:\n"),
-        "pool reference too long (5000 digits)",
     ),
     "huge-variable-slot": (
         _art(in_=_block("m:main", "main/" + "9" * 5000 + " -> main:1")),
@@ -192,17 +183,10 @@ UNKNOWN = {
         _art(loop=_block("m:main l:2", "main:1 .f-> r:3")),
         "[loop] main:2: object r:3 is not an allocation site",
     ),
-    "pool-graph-names-its-user": (
-        _art(in_="m:r = g0\n", pool="g0:\n  r/0 -> r:1\n"),
-        "[in] r: object r:1 is not an allocation site",
-    ),
-    "unreferenced-pool-graph": (
-        _art(pool="g0:\n  ghost/0 -> ghost:1\n"),
-        "[pool] g0: unknown variable slot ghost/0",
-    ),
-    "unreferenced-pool-graph-object": (
-        _art(in_="m:main = g0\n", pool="g0:\n  main/0 -> main:1\ng1:\n  main:1 .f-> main:3\n"),
-        "[pool] g1: object main:3 is not an allocation site",
+    # a bad graph is reported at the entry that writes it out, not at a repeat
+    "repeat-of-a-graph-with-a-missing-slot": (
+        _art(in_=_block("m:main", "main/2 -> main:1") + "m:r = ^\n"),
+        "[in] main: unknown variable slot main/2",
     ),
 }
 
@@ -217,10 +201,10 @@ PRECEDENCE = {
         MalformedArtworkError,
         "unterminated graph block",
     ),
-    "syntax-after-bad-pool-reference": (
-        _art(in_="m:r = g0\n", out="m:r = g1\n", pool="g0:\n  r/0 -> r:1\n"),
+    "repeat-in-first-entry-before-its-key": (
+        _art(loop="m:ghost l:1 = ^\n"),
         MalformedArtworkError,
-        "reference to undefined pool graph g1",
+        "'^' in the first entry",
     ),
     # [loop] before [in] before [out]: the sections, not the lines.
     "loop-first": (
@@ -253,26 +237,11 @@ PRECEDENCE = {
         UnknownReferenceError,
         "[out]: method 'main' is not recursive",
     ),
-    # Every entry before an unreferenced pool graph, and pool graphs in order.
-    "entries-before-pool": (
-        _art(out="m:main = {\n}\n", pool="g0:\n  ghost/0 -> ghost:1\n"),
-        UnknownReferenceError,
-        "[out]: method 'main' is not recursive",
-    ),
-    "entry-graph-before-pool": (
-        _art(loop=_block("m:main l:2", "main/7 -> null"), pool="g0:\n  ghost/0 -> null\n"),
+    # A repeat's key is checked after the entry it repeats.
+    "graph-before-the-key-of-its-repeat": (
+        _art(loop=_block("m:main l:2", "main/7 -> null"), in_="m:ghost = ^\n"),
         UnknownReferenceError,
         "[loop] main:2: unknown variable slot main/7",
-    ),
-    "first-bad-pool-graph": (
-        _art(pool="g0:\n  main/0 -> main:1\ng1:\n  r/0 -> r:9\ng2:\n  ghost/0 -> null\n"),
-        UnknownReferenceError,
-        "[pool] g1: object r:9 is not an allocation site",
-    ),
-    "referenced-pool-graph-reports-through-its-entry": (
-        _art(out="m:r = g1\n", pool="g0:\n  main/5 -> null\ng1:\n  r/0 -> r:9\n"),
-        UnknownReferenceError,
-        "[out] r: object r:9 is not an allocation site",
     ),
     # Within a line, the left side before the right.
     "variable-before-object": (
@@ -303,9 +272,17 @@ def _bytes(data) -> bytes:
     return data if isinstance(data, bytes) else data.encode()
 
 
+# The same artwork twice: a block equal to the entry before it, and ``^``.
+INLINE_REPEAT = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out=_block("m:r", "r/0 -> main:1"))
+REPEAT = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out="m:r = ^\n")
+
+
 def test_the_valid_artifact_decodes(program):
     a = decode(VALID.encode(), program)
     assert (len(a.i_loop), len(a.i_in), len(a.i_out)) == (1, 2, 1)
+    inline, repeat = (decode(data.encode(), program) for data in (INLINE_REPEAT, REPEAT))
+    assert inline == repeat and repeat.i_out["r"] is repeat.i_in["r"]
+    assert encode(inline) == REPEAT.encode()
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -37,33 +37,26 @@ def _oracle_graph(lines: list[str]) -> PointsToGraph:
 def _oracle_decode(text: str) -> Artwork:
     """A well-formed ART/1 text read line by line into edge-set graphs."""
     lines = text.split("\n")[:-1]
-    pool: list[PointsToGraph] = []
     sections: dict[str, dict] = {}
-    section = None
+    section = graph = None
     i = 1
     while i < len(lines):
         line = lines[i]
         i += 1
-        if line in ("[pool]", "[loop]", "[in]", "[out]"):
+        if line in ("[loop]", "[in]", "[out]"):
             section = line[1:-1]
             sections[section] = {}
             continue
-        j = i
-        while j < len(lines) and lines[j].startswith("  "):
-            j += 1
-        graph = _oracle_graph(lines[i:j])
-        if section == "pool":
-            pool.append(graph)
-            i = j
-            continue
-        m = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|g(\d+))", line)
+        m = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
         assert m is not None, line
         key = (m.group(1), int(m.group(2))) if section == "loop" else m.group(1)
         if m.group(3) == "{":
-            sections[section][key] = graph
+            j = i
+            while lines[j].startswith("  "):
+                j += 1
+            graph = _oracle_graph(lines[i:j])
             i = j + 1  # the closing brace
-        else:
-            sections[section][key] = pool[int(m.group(4))]
+        sections[section][key] = graph  # "^": the graph of the entry before
     return Artwork(i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"])
 
 
@@ -116,8 +109,13 @@ def artifacts(small_corpus):
     return out
 
 
-def test_the_corpus_includes_pooled_and_large_artifacts(artifacts):
-    assert any(b"[pool]\n" in data for _, data in artifacts)
+def test_the_corpus_includes_repeated_and_large_artifacts(artifacts):
+    for large in (False, True):
+        assert any(
+            b" = ^\n" in data
+            for p, data in artifacts
+            if (len(p.methods) == 1 and len(p.methods[0].body) > 200) == large
+        )
     assert max(data.count(b"\n  ") for _, data in artifacts) > 1000
 
 
@@ -130,6 +128,12 @@ def test_decoded_graphs_equal_the_edge_set_oracle(artifacts):
         for g, want in zip(_graphs(decoded), _graphs(expected)):
             _assert_canonical_maps(g)
             assert hash(g) == hash(want)
+        # a "^" entry holds the graph object of the entry before it
+        graphs = _graphs(decoded)
+        heads = [line for line in data.decode().split("\n") if line.startswith("m:")]
+        for k, head in enumerate(heads):
+            if head.endswith(" = ^"):
+                assert graphs[k] is graphs[k - 1]
 
 
 def test_shuffled_and_repeated_edge_lines_decode_to_the_same_graphs(artifacts):

@@ -89,43 +89,33 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
     lines = text.split("\n")[:-1]
     if any(line.startswith("  null .") for line in lines):
         return MalformedArtworkError("field edge with null source")
-    pool_why: list[str | None] = []
     entries: list[tuple[str, str | None]] = []  # (where, why), in file order
-    section = None
+    section = why = None
     i = 1
     while i < len(lines):
         line = lines[i]
         i += 1
-        if line in ("[pool]", "[loop]", "[in]", "[out]"):
+        if line in ("[loop]", "[in]", "[out]"):
             section = line[1:-1]
             continue
-        j = i
-        while j < len(lines) and lines[j].startswith("  "):
-            j += 1
-        why = None
-        for e in lines[i:j]:
-            if e not in memo:
-                memo[e] = _why_line(p, e)
-            if memo[e] is not None:
-                why = memo[e]
-                break
-        if section == "pool":
-            pool_why.append(why)
-            i = j
-            continue
-        found = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|g(\d+))", line)
+        found = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
         where = f"[{section}] {found[1]}" + ("" if found[2] is None else f":{found[2]}")
         if found[3] == "{":
-            entries.append((where, why))
+            j = i
+            while lines[j].startswith("  "):
+                j += 1
+            why = None
+            for e in lines[i:j]:
+                if e not in memo:
+                    memo[e] = _why_line(p, e)
+                if memo[e] is not None:
+                    why = memo[e]
+                    break
             i = j + 1  # the closing brace
-        else:
-            entries.append((where, pool_why[int(found[4])]))
+        entries.append((where, why))  # "^": the verdict of the entry before
     for where, why in entries:
         if why is not None:
             return UnknownReferenceError(f"{where}: {why}")
-    for k, why in enumerate(pool_why):
-        if why is not None:
-            return UnknownReferenceError(f"[pool] g{k}: {why}")
     return parse_artwork(text.encode())
 
 
@@ -164,14 +154,10 @@ def _edge_line(variables: list[str], objects: list[str], rng: random.Random) -> 
 
 def _insert(text: str, new_lines: list[str], rng: random.Random) -> str:
     """``text`` with each of ``new_lines`` inserted into a graph picked at
-    random: a pool graph or an entry's block, at any position in it."""
+    random: an entry's block, at any position in it."""
     lines = text.split("\n")
     for new in new_lines:
-        heads = [
-            k for k, line in enumerate(lines)
-            if line.endswith(" = {") or re.fullmatch(r"g[0-9]+:", line)
-        ]
-        head = rng.choice(heads)
+        head = rng.choice([k for k, line in enumerate(lines) if line.endswith(" = {")])
         end = head + 1
         while lines[end].startswith("  "):
             end += 1
@@ -191,7 +177,7 @@ def artifacts():
             p = parse_program(text)
             a = emit_artwork(p, analyze_inter(p))
             for data in (encode(a), encode(optimize_artwork(p, a))):
-                if b" = {\n" in data or b"[pool]\n" in data:  # a graph to insert into
+                if b" = {\n" in data:  # a graph to insert into
                     out.append((p, data.decode()))
     return out
 
@@ -209,9 +195,13 @@ def _same(got, want) -> bool:
     return not isinstance(got, Exception) and got == want
 
 
-def test_the_artifacts_cover_pools_and_both_shapes(artifacts):
-    assert any("[pool]\n" in text for _, text in artifacts)
-    assert any(len(p.methods) == 1 and len(p.methods[0].body) > 200 for p, _ in artifacts)
+def test_the_artifacts_cover_repeats_in_both_shapes(artifacts):
+    for large in (False, True):
+        assert any(
+            " = ^\n" in text
+            for p, text in artifacts
+            if (len(p.methods) == 1 and len(p.methods[0].body) > 200) == large
+        )
 
 
 def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts):
@@ -298,9 +288,9 @@ def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
         "method foo(p) {\n  1: return\n}\n"
     )
     text = (
-        "ART/1\n[pool]\ng0:\n  main/0 -> main:1\n  main:1 .f-> main:2\n"
-        "[loop]\n[in]\nm:foo = {\n  foo/0 -> main:2\n  main/0 -> main:2\n  main:2 .f-> main:1\n}\n"
-        "m:main = g0\n[out]\n"
+        "ART/1\n[loop]\nm:main l:1 = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n"
+        "m:main l:2 = ^\n[in]\nm:foo = {\n  foo/0 -> main:2\n  main/0 -> main:2\n  main:2 .f-> main:1\n}\n"
+        "m:main = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n[out]\n"
     )
     a = decode(text.encode(), p)
     _assert_one_object_per_identifier(a)

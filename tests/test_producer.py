@@ -361,11 +361,8 @@ def test_optimize_smaller_or_equal_and_regen_identical(small_corpus):
         assert plain.result.same_values(opted.result), name
 
 
-def test_duplicated_graphs_are_referenced_by_index():
-    # Two methods with identical IN summaries (same shapes) rarely dedup; use
-    # a handcrafted duplicate: a recursive method whose in and out summary
-    # coincide with a loop invariant is overkill, so force duplicates by
-    # giving two loops the same fixed point.
+def test_a_graph_equal_to_the_previous_entry_s_is_written_as_a_repeat():
+    # Force adjacent duplicates by giving two loops the same fixed point.
     text = """\
 method main() {
   1: a = new A
@@ -384,16 +381,10 @@ method main() {
     assert a.i_loop[("main", 3)] == a.i_loop[("main", 6)]
     for art in (a, optimize_artwork(p, a)):
         data = encode(art)
-        assert b"[pool]\ng0:\n" in data and data.count(b" = g0\n") == 2
-        assert decode(data, p) == art
-
-
-def _candidate_pool(a: Artwork) -> tuple[PointsToGraph, ...]:
-    counts: dict = {}
-    for section in (a.i_loop, a.i_in, a.i_out):
-        for _, graph in sorted(section.items()):
-            counts[graph] = counts.get(graph, 0) + 1
-    return tuple(g for g, n in counts.items() if n >= 2 and not g.is_empty())
+        assert b"\nm:main l:6 = ^\n" in data and data.count(b" = ^\n") == 1
+        decoded = decode(data, p)
+        assert decoded == art
+        assert decoded.i_loop[("main", 6)] is decoded.i_loop[("main", 3)]
 
 
 def test_optimize_keeps_the_smaller_encoding_without_encoding(
@@ -403,32 +394,17 @@ def test_optimize_keeps_the_smaller_encoding_without_encoding(
         CorpusConfig(program_count=4, seed=2, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
     programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
-    pooled_seen = 0
+    repeated_seen = 0
     for p in programs:
         a = emit_artwork(p, analyze_inter(p))
-        calls = count_calls(artwork, "encode", "_encode")
+        calls = count_calls(artwork, "encode")
         opt = optimize_artwork(p, a)
-        assert calls["encode"] == calls["_encode"] == 0
+        assert calls["encode"] == 0
         for art in (a, opt):
-            expected = plain = reference_encode(art)
-            pool = _candidate_pool(art)
-            if pool and len(reference_encode(art, pool)) < len(plain):
-                expected = reference_encode(art, pool)
-                pooled_seen += 1
+            expected = reference_encode(art)
+            repeated_seen += b" = ^\n" in expected
             assert encode(art) == expected
-    assert pooled_seen >= 6
-
-
-def test_pool_saving_counts_utf8_bytes(reference_encode):
-    from artpta import chaotic_oracle, stats
-
-    shared = PointsToGraph.of(field_edges=[(Site("m", 1), "\xe9t\xe9", Site("m", 2))])
-    a = Artwork(i_loop={}, i_in={"a": shared, "b": shared}, i_out={})
-    empty = Program(methods=(), entry="")
-    data = encode(a)
-    assert data == reference_encode(a, (shared,))
-    saving = stats(empty, a, chaotic_oracle(empty)).dedup_savings
-    assert saving == len(reference_encode(a)) - len(data) > 0
+    assert repeated_seen >= 6
 
 
 def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:

@@ -23,6 +23,7 @@ from artpta import (
     meet,
     meet_all,
     optimize_artwork,
+    parse_artwork,
     parse_program,
     print_program,
     project_in,
@@ -51,7 +52,14 @@ from artpta.ir import (
     Program,
     Return,
 )
-from artpta.ptg import NullObject, parse_edge_line, parse_edges, parse_object, ret_var, var_id
+from artpta.ptg import (
+    NullObject,
+    graph_of_set_edges,
+    parse_edge_line,
+    parse_object,
+    ret_var,
+    var_id,
+)
 
 CTX = parse_program(
     """\
@@ -66,6 +74,11 @@ method m(a, b) {
 """
 )
 M = CTX.method("m")
+
+
+def _graph_of_lines(lines) -> PointsToGraph:
+    """The graph of rendered edge lines, in any order."""
+    return graph_of_set_edges((*e[:-1], frozenset(e[-1:])) for e in map(parse_edge_line, lines))
 
 VARS = [VarId("m", i) for i in range(5)]  # a, b, c, d and the return carrier
 SITES = [Site("m", 1), Site("m", 2), Site("main", 9)]
@@ -413,7 +426,7 @@ def test_render_sections_sorted_and_parseable():
     n_vars = len(a.var_edges)
     assert lines[:n_vars] == sorted(lines[:n_vars])
     assert lines[n_vars:] == sorted(lines[n_vars:])
-    assert parse_edges(lines) == a
+    assert _graph_of_lines(lines) == a
 
 
 def test_render_object_forms():
@@ -426,7 +439,7 @@ def test_render_object_forms():
 
 @given(graphs)
 def test_render_parse_round_trip(a):
-    assert parse_edges(render_edges(a)) == a
+    assert _graph_of_lines(render_edges(a)) == a
 
 
 def test_field_edge_with_null_source_rejected():
@@ -594,7 +607,7 @@ def test_equal_edges_by_any_path_are_equal_and_hash_equal(a, b, s):
         meet_all([a, b, a]),
         PointsToGraph(*union_edges),
         PointsToGraph.of(sorted(union_edges[0], key=repr), list(union_edges[1])),
-        parse_edges(render_edges(meet(a, b))),
+        _graph_of_lines(render_edges(meet(a, b))),
     ]
     for graph in built:
         assert graph == built[0]
@@ -617,7 +630,7 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     with pytest.raises(ValueError):
         PointsToGraph.of(a.var_edges, [*a.field_edges, bad])
     with pytest.raises(ValueError):
-        parse_edges([*render_edges(a), f"null .{f}-> m:1"])
+        _graph_of_lines([*render_edges(a), f"null .{f}-> m:1"])
     text = "\n".join(f"  {line}" for line in [*render_edges(a), f"null .{f}-> m:1"])
     data = f"ART/1\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
@@ -682,7 +695,7 @@ def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
             # set equality looks every edge up by hash, then compares it
             assert parsed_vars == graph.var_edges
             assert parsed_fields == graph.field_edges
-            assert parse_edges(render_edges(graph)) == graph
+            assert _graph_of_lines(render_edges(graph)) == graph
 
 
 # The rendered lines and ART/1 bytes of the fixture artifacts, written out.
@@ -715,7 +728,7 @@ def test_fixture_artifact_rendering_and_bytes(fixture, request):
         assert decode(encode(a), p) == a
 
 
-def test_pooled_artifact_bytes_with_every_object_form():
+def test_repeated_graph_bytes_with_every_object_form():
     shared = g(
         [(VarId("m", 0), Placeholder("m", 0)), (VarId("m", 1), NULL_OBJECT), (VarId("m", 1), Site("m", 2))],
         [(Site("m", 1), "g", Site("m", 2)), (Placeholder("m", 1), "f", NULL_OBJECT)],
@@ -730,13 +743,15 @@ def test_pooled_artifact_bytes_with_every_object_form():
     art = Artwork(
         i_loop={("m", 3): shared},
         i_in={"m": shared, "main": EMPTY},
-        i_out={"m": g([(VarId("m", 4), Site("m", 1))])},
+        i_out={"m": EMPTY, "n": g([(VarId("m", 4), Site("m", 1))])},
     )
+    # a repeat crosses section headers, and an empty graph repeats too
     assert encode(art) == (
-        b"ART/1\n[pool]\ng0:\n  m/0 -> m?0\n  m/1 -> m:2\n  m/1 -> null\n  m:1 .g-> m:2\n"
-        b"  m?1 .f-> null\n[loop]\nm:m l:3 = g0\n[in]\nm:m = g0\nm:main = {\n}\n[out]\n"
-        b"m:m = {\n  m/4 -> m:1\n}\n"
+        b"ART/1\n[loop]\nm:m l:3 = {\n  m/0 -> m?0\n  m/1 -> m:2\n  m/1 -> null\n"
+        b"  m:1 .g-> m:2\n  m?1 .f-> null\n}\n[in]\nm:m = ^\nm:main = {\n}\n[out]\nm:m = ^\n"
+        b"m:n = {\n  m/4 -> m:1\n}\n"
     )
+    assert parse_artwork(encode(art)) == art
 
 
 # ---------------------------------------------------------------------------
