@@ -8,8 +8,11 @@ and edges sorted)::
     [loop]
     m:main l:5 = {
       main/0 -> main:4
+      main/1 -> main:4
     }
     m:main l:9 = ^
+    - main/1 -> main:4
+    + main/1 -> null
     [in]
     m:foo = {
       main:1 .f-> main:3
@@ -17,13 +20,18 @@ and edges sorted)::
     [out]
     m:foo = ^
 
-An entry written ``= ^`` holds the same graph as the entry before it in file
-order, across section headers; the first entry of a file cannot be one.
+An entry written ``= ^`` holds the value of the entry before it in file
+order, across section headers, with the edges of the ``- `` lines after it
+removed and those of the ``+ `` lines added; with no such lines it is the
+same graph.  The first entry of a file cannot be one.  ``encode`` writes
+each group of edit lines in ``render_edges`` order, removals first.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
 but wrong values) is deliberately not detectable here and is the consumer's
-job.
+job.  An edit that removes an edge its entry's value lacks, or adds one it
+has, is a syntax error: decode applies the edit lines in order, and each
+must change the value.
 
 The encoder and the decoder each handle a distinct thing once per artifact,
 because an artifact repeats most edge lines across entries.  The encoder
@@ -32,16 +40,23 @@ object, each (variable, target set) binding and each per-object field map
 once; nothing outlives the call.  The decoder is one walk over the file's
 lines.  Each distinct edge line is parsed once per artifact, and both its
 sides are looked up in the program's table of identifiers
-(``ir.identifiers``, built once per ``decode`` call): a side the table lacks
-is a reference the program does not have, and a side it holds is replaced by
-the table's own object, so a decoded artifact holds one object per
-identifier.  Each block's graph is then built straight into the two index
-maps from those parsed lines, with no edge sets (``ptg.graph_of_set_edges``).
-Errors are reported deterministically: a syntax error anywhere wins, at its
-first line; otherwise the first entry at fault in [loop], [in], [out] order,
-its key before its graph, and within a graph the first bad edge line in file
-order, its left side before its right.  File order is the check order, so a
-bad graph is reported at the first entry that holds it, never at a ``^``.
+(``ir.identifiers``, built once per ``decode`` call; a line written as the
+table renders its sides is looked up by its text, unparsed): a side the
+table lacks is a reference the program does not have, and a side it holds
+is replaced by the table's own object, so a decoded artifact holds one
+object per identifier.  Each block's graph is then built straight into the
+two index maps from those parsed lines, with no edge sets
+(``ptg.graph_of_set_edges``), and each edit entry's over shallow copies of
+the previous entry's maps, so what it does not edit stays shared.  Edit
+lines are checked against one running set of the previous entry's parsed
+edges.  Once an entry is at fault, no more graphs are built, so the work
+stays linear in the file however many entries it holds.  Errors are reported
+deterministically: a syntax error anywhere wins, at its first line;
+otherwise the first entry at fault in [loop], [in], [out] order, its key
+before its graph, and within a graph the first bad edge line in file order,
+its left side before its right.  File order is the check order, so a bad
+line is reported at the first entry that holds it, never at a ``^`` after
+it.
 """
 
 from __future__ import annotations
@@ -49,15 +64,17 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import MalformedArtworkError, UnknownReferenceError
 from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifiers
 from .ptg import (
+    NO_OBJECTS,
     NULL_OBJECT,
     EdgeRenderer,
     PointsToGraph,
     SetEdge,
+    _graph,
     graph_of_set_edges,
     parse_edge_line,
 )
@@ -74,8 +91,9 @@ class Artwork:
     """Three invariant maps: loop-header OUT values keyed by (method, label),
     IN summaries keyed by method, and OUT summaries of recursive methods.
 
-    The maps are the whole value: which entries are written ``= ^`` is
-    ``encode``'s rule, so equal maps always have the same bytes.  A decoded
+    The maps are the whole value: which entries are written ``= ^``, with
+    or without edits, is ``encode``'s rule, so equal maps always have the
+    same bytes.  A decoded
     artwork may violate program-level expectations only through values,
     never structure.
     """
@@ -107,11 +125,14 @@ class ArtworkStats:
 
 def encode(a: Artwork) -> bytes:
     """Canonical, deterministic encoding: the bytes are a function of the
-    three maps alone, and ``decode(encode(a), p) == a``.  An entry whose
-    graph equals the previous entry's, in file order across sections, is
-    written ``= ^``; every other entry is written as its block.  Graphs are
-    rendered by one ``EdgeRenderer`` that lives as long as this call: the
-    mirror of the decoder, which parses each distinct edge line once."""
+    three maps alone, and ``decode(encode(a), p) == a``.  Each entry after
+    the first is written ``= ^`` followed by its edits from the previous
+    entry, in file order across sections, when those are no more lines than
+    the entry has edges (so at least one line fewer than its block); every
+    other entry is written as its block.  An entry equal to the previous
+    one is a bare ``= ^``.  Graphs are rendered by one ``EdgeRenderer`` that
+    lives as long as this call: the mirror of the decoder, which parses each
+    distinct edge line once."""
     renderer = EdgeRenderer()
     chunks = [MAGIC + "\n"]
     prev = None
@@ -122,10 +143,11 @@ def encode(a: Artwork) -> bytes:
     ):
         chunks.append(header + "\n")
         for head, g in entries:
-            if g == prev:
-                chunks.append(f"{head} = ^\n")
-            else:
+            edits = None if prev is None else renderer.edits(prev, g)
+            if edits is None:
                 chunks.append(f"{head} = {{\n{renderer.block(g)}}}\n")
+            else:
+                chunks.append(f"{head} = ^\n{edits}")
             prev = g
     return "".join(chunks).encode("utf-8")
 
@@ -171,13 +193,16 @@ def _unknown(o: Identifier) -> str:
 
 
 class _EdgeLines(dict):
-    """The edge lines of one artifact, parsed: each whole line maps to its
-    edge with a singleton target set (see ``ptg.graph_of_set_edges``).  An
-    artifact repeats most of its edges across entries, so each distinct line
-    is parsed once.  When there is a program, both sides of the line are
-    replaced by their entries in the program's table (``ir.identifiers``),
-    so equal identifiers are one object; a line with a side the table lacks
-    is kept in ``bad`` with the reason, its left side first."""
+    """The edge lines of one artifact, parsed: each whole line, with its
+    two-space indent, maps to its edge with a singleton target set (see
+    ``ptg.graph_of_set_edges``).  An artifact repeats most of its edges
+    across entries, so each distinct line is parsed once.  When there is a
+    program, both sides of the line are replaced by their entries in the
+    program's table (``ir.identifiers``), so equal identifiers are one
+    object: a line written as the table renders its two sides is looked up
+    by text, any other is parsed and looked up by value.  A line with a side
+    the table lacks is kept in ``bad`` with the reason, its left side
+    first."""
 
     def __init__(self, ids: dict | None):
         super().__init__()
@@ -185,13 +210,27 @@ class _EdgeLines(dict):
         self.bad: dict[str, str] = {}
 
     def __missing__(self, line: str) -> SetEdge:
+        ids = self.ids
+        if ids is not None:
+            parts = line[2:].split(" ")
+            if len(parts) == 3 and line.startswith("  "):
+                left, op, right = ids.get(parts[0]), parts[1], ids.get(parts[2])
+                if left is not None and right is not None and right.__class__ is not VarId:
+                    if op == "->" and left.__class__ is VarId:
+                        parsed = self[line] = (left, frozenset((right,)))
+                        return parsed
+                    if (
+                        len(op) > 3 and op[0] == "." and op.endswith("->") and op.isprintable()
+                        and left.__class__ is not VarId and left is not NULL_OBJECT
+                    ):
+                        parsed = self[line] = (left, op[1:-2], frozenset((right,)))
+                        return parsed
         if not line.startswith("  "):
             raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
         try:
             edge = parse_edge_line(line[2:])
         except ValueError as exc:
             raise MalformedArtworkError(str(exc)) from exc
-        ids = self.ids
         if ids is not None:
             left, right = ids.get(edge[0]), ids.get(edge[-1])
             if left is None:
@@ -203,29 +242,76 @@ class _EdgeLines(dict):
         parsed = self[line] = (*edge[:-1], frozenset(edge[-1:]))  # (v, {o}) or (s, f, {t})
         return parsed
 
-    def graph(self, lines: list[str]) -> tuple[PointsToGraph, str | None]:
-        """The graph of ``lines`` and why its first bad line is bad (None
-        when no line is)."""
-        g = graph_of_set_edges(map(self.__getitem__, lines))
+    def why(self, lines: list[str]) -> str | None:
+        """Why the first bad line of ``lines`` is bad (None when no line
+        is)."""
         bad = self.bad
         if bad and not bad.keys().isdisjoint(lines):
-            return g, next(bad[line] for line in lines if line in bad)
-        return g, None
+            return next(bad[line] for line in lines if line in bad)
+        return None
 
 
-def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, str]]:
-    """Parse an ART/1 file in one walk over its lines.  Returns the artwork
-    and, for each entry with a line naming an identifier that ``ids`` (when
-    given) lacks, why its first such line is bad, keyed by ``(section, entry
-    key)``.  A ``^`` entry takes the previous entry's graph object and
-    verdict."""
+def _edited(g: PointsToGraph, edits: list[tuple[str, SetEdge]]) -> PointsToGraph:
+    """``g`` with ``edits`` applied in order, each ``('-', edge)`` or
+    ``('+', edge)`` and each valid there.  The maps are shallow copies of
+    ``g``'s, so every target set and field map an edit does not touch is
+    shared; a touched set is rebuilt once, and a set or field map left
+    empty is dropped only after every edit, so one entry may empty and
+    refill it."""
+    vars_ = dict(g._vars)
+    heap = dict(g._heap)
+    copied: dict = {}  # source object -> its field map, copied for this graph
+    grown: list[tuple[dict, object]] = []  # (map, key) holding a mutable set
+    for sign, edge in edits:
+        if len(edge) == 2:
+            key, objs = edge
+            index = vars_
+        else:
+            src, key, objs = edge
+            index = copied.get(src)
+            if index is None:
+                index = copied[src] = heap[src] = dict(heap.get(src, ()))
+        have = index.get(key, NO_OBJECTS)
+        if have.__class__ is not set:
+            have = index[key] = set(have)
+            grown.append((index, key))
+        if sign == "-":
+            have -= objs
+        else:
+            have |= objs
+    for index, key in grown:
+        if index[key]:
+            index[key] = frozenset(index[key])
+        else:
+            del index[key]
+    for src, fields in copied.items():
+        if not fields:
+            del heap[src]
+    return _graph(vars_, heap)
+
+
+def _read_artwork(
+    data: bytes, ids: dict | None, check: Callable[[str, Any], str | None] | None = None
+) -> tuple[Artwork, str | None]:
+    """Parse an ART/1 file in one walk over its lines.
+
+    Returns the artwork and why its first entry at fault is, or None.  An
+    entry is at fault when ``check(section, key)`` (when given) says why its
+    key is bad, or when one of its own lines names an identifier ``ids``
+    (when given) lacks.  From the first such entry on, no graph is built:
+    the artwork holds the entries before it, and that entry too when only
+    its graph is at fault.  The rest of the file is still read, for its
+    syntax and its edits, against one running set of the previous entry's
+    edges, so the walk stays linear in the lines whatever the entries
+    are."""
     lines = _lines(data, MAGIC)
     n = len(lines)
     edges = _EdgeLines(ids)
     i = 1
-    value: tuple[PointsToGraph, str | None] | None = None  # the previous entry's
+    live: set | None = None  # the edges of the previous entry's value
+    g = None  # the previous entry's graph, while graphs are built
+    fault: str | None = None
     sections: list[dict] = []
-    bad: dict[tuple, str] = {}
     for name, key_re, next_header in _SECTIONS:
         if i == n:
             raise MalformedArtworkError("unexpected end of file")
@@ -233,6 +319,7 @@ def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, s
             raise MalformedArtworkError(f"expected [{name}] section")
         i += 1
         entries: dict = {}
+        later: set = set()  # the keys of entries after the first at fault
         while i < n and lines[i] != next_header:
             m = key_re.match(lines[i])
             if m is None:
@@ -241,7 +328,7 @@ def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, s
                 key = (m.group(1), int(m.group(2))) if name == "loop" else m.group(1)
             except ValueError:  # past the interpreter's digit limit
                 raise MalformedArtworkError(f"[loop] label too long ({len(m.group(2))} digits)") from None
-            if key in entries:
+            if key in entries or key in later:
                 raise MalformedArtworkError(f"duplicate {name} entry {key}")
             i += 1
             text = m.group(m.lastindex)
@@ -250,69 +337,99 @@ def _read_artwork(data: bytes, ids: dict | None) -> tuple[Artwork, dict[tuple, s
                     end = lines.index("}", i)
                 except ValueError:
                     end = n
-                value = edges.graph(lines[i:end])  # rejects the first line that is no edge
+                own = lines[i:end]
+                block = list(map(edges.__getitem__, own))  # rejects the first line that is no edge
                 if end == n:
                     raise MalformedArtworkError("unterminated graph block")
                 i = end + 1
+                live = set(block)
             elif text != "^":
                 raise MalformedArtworkError(f"expected graph block or '^', got {text!r}")
-            elif value is None:
+            elif live is None:
                 raise MalformedArtworkError("'^' in the first entry")
-            entries[key], why = value
+            else:
+                own = []  # each edit's edge line, indented as in a block
+                edits = []
+                while i < n and lines[i].startswith(("- ", "+ ")):
+                    sign, line = lines[i][0], "  " + lines[i][2:]
+                    edge = edges[line]
+                    if (edge in live) == (sign == "+"):
+                        verb = "adds a present" if sign == "+" else "removes an absent"
+                        raise MalformedArtworkError(f"edit {verb} edge {line[2:]!r}")
+                    if sign == "+":
+                        live.add(edge)
+                    else:
+                        live.remove(edge)
+                    own.append(line)
+                    edits.append((sign, edge))
+                    i += 1
+            if fault is not None or (check is not None and (fault := check(name, key))):
+                later.add(key)
+                continue
+            if text == "{":
+                g = graph_of_set_edges(block)
+            elif edits:
+                g = _edited(g, edits)
+            entries[key] = g
+            why = edges.why(own)
             if why is not None:
-                bad[(name, key)] = why
+                where = f"{key[0]}:{key[1]}" if name == "loop" else key
+                fault = f"[{name}] {where}: {why}"
         sections.append(entries)
     i_loop, i_in, i_out = sections
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out), bad
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out), fault
 
 
 def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/1 file (no program to validate against)."""
+    """Syntax-only parse of an ART/1 file (no program to validate against).
+    Every entry's graph is built, an edit entry's over shallow copies of
+    the previous entry's maps, so the cost is linear in the artwork it
+    returns, which may be much larger than the file."""
     return _read_artwork(data, None)[0]
 
 
 def decode(data: bytes, p: Program) -> Artwork:
     """Parse and validate an artifact against a program.
 
-    Raises MalformedArtworkError on syntax breakage and UnknownReferenceError
-    when a method, slot, label, or summary key does not exist in ``p`` (an
-    OUT-summary key must name a method on a call-graph cycle).  Edge lines
-    are mapped through ``ir.identifiers(p)``, which this call builds once,
-    plus the null object, which belongs to every program; the decoded graphs
-    hold the table's objects.  A [loop] key must name a statement of its
-    method, not necessarily a loop header; the consumer reads only header
-    keys and reports the rest as ignored.  A syntax error anywhere wins;
-    otherwise the first entry at fault is reported, in [loop], [in], [out]
-    order, its key before its graph (so a bad graph is reported at the first
-    entry that holds it, not at a ``^`` entry after it).
+    Raises MalformedArtworkError on syntax breakage, including an edit that
+    removes an edge its entry's value lacks or adds one it has, and
+    UnknownReferenceError when a method, slot, label, or summary key does
+    not exist in ``p`` (an OUT-summary key must name a method on a
+    call-graph cycle).  Edge lines are mapped through ``ir.identifiers(p)``,
+    which this call builds once, plus the null object, which belongs to
+    every program; the decoded graphs hold the table's objects.  A [loop]
+    key must name a statement of its method, not necessarily a loop header;
+    the consumer reads only header keys and reports the rest as ignored.  A
+    syntax error anywhere wins; otherwise the first entry at fault is
+    reported, in [loop], [in], [out] order, its key before its graph (so a
+    bad line is reported at the first entry that holds it, not at a ``^``
+    entry after it).
+
+    The cost is linear in the file's lines plus, for each entry the program
+    has, a shallow copy of its two maps and a rebuild of each target set
+    its edit lines touch, all within one graph over the program's
+    identifiers: graphs are built only until the first entry at fault (see
+    ``_read_artwork``), and the program has each key at most once.
     """
     ids: dict = identifiers(p)
-    ids[NULL_OBJECT] = NULL_OBJECT
-    a, bad = _read_artwork(data, ids)
-    index = ProgramIndex.of(p)
-    methods = index.methods
+    ids[NULL_OBJECT] = ids["null"] = NULL_OBJECT
+    labels = {m.name: {s.label for s in m.body} for m in p.methods}
 
-    def check_graph(section: str, key: object, where: str) -> None:
-        why = bad.get((section, key))
-        if why is not None:
-            raise UnknownReferenceError(f"{where}: {why}")
+    def check(section: str, key) -> str | None:
+        name, label = key if section == "loop" else (key, None)
+        if name not in labels:
+            return f"[{section}]: unknown method '{name}'"
+        if section == "loop" and label not in labels[name]:
+            return f"[loop]: no statement {name}:{label}"
+        return None
 
-    for name, label in a.i_loop:
-        if name not in methods:
-            raise UnknownReferenceError(f"[loop]: unknown method '{name}'")
-        if label not in index.stmts[name]:
-            raise UnknownReferenceError(f"[loop]: no statement {name}:{label}")
-        check_graph("loop", (name, label), f"[loop] {name}:{label}")
-    for name in a.i_in:
-        if name not in methods:
-            raise UnknownReferenceError(f"[in]: unknown method '{name}'")
-        check_graph("in", name, f"[in] {name}")
+    a, fault = _read_artwork(data, ids, check)
+    call_graph = ProgramIndex.of(p).call_graph
     for name in a.i_out:
-        if name not in methods:
-            raise UnknownReferenceError(f"[out]: unknown method '{name}'")
-        if not index.call_graph.is_recursive_method(name):
+        if not call_graph.is_recursive_method(name):
             raise UnknownReferenceError(f"[out]: method '{name}' is not recursive")
-        check_graph("out", name, f"[out] {name}")
+    if fault is not None:
+        raise UnknownReferenceError(fault)
     return a
 
 

@@ -62,8 +62,9 @@ Variables and abstract objects are identified by ``VarId`` (method, slot),
 index), tagged named tuples defined here so that the builder can make them;
 ``ptg`` and the package re-export them.  ``identifiers(p)`` is the one
 place that says which of them a program has: a table, built from the
-program on each call, that maps each to itself.  Decode looks every artifact
-edge line up in it, and ``tamper`` draws its sites from it.
+program on each call, that maps each to itself and its rendered text to it.
+Decode looks every artifact edge line up in it, and ``tamper`` draws its
+sites from it.
 A parsed method's operand table (``operands`` and ``operands_at``) holds
 every body statement's resolved operands (see ``Operands``): the variables
 it writes and reads, one ``VarId`` per variable, made when its slot is
@@ -313,24 +314,33 @@ class Program:
 Identifier = Union[VarId, Placeholder, Site]
 
 
-def identifiers(p: Program) -> dict[Identifier, Identifier]:
+def identifiers(p: Program) -> dict[Identifier | str, Identifier]:
     """Every variable and object of ``p``, each mapped to itself, in program
     order: per method, its slots 0 to ``var_count`` (the last is the return
     carrier), a ``Placeholder`` per parameter and a ``Site`` per allocation
-    statement.  The null object belongs to every program and is not here.
+    statement.  Each is also keyed by its text as an edge line writes it
+    (``main/0``, ``main?0``, ``main:3``), all the texts after all the
+    identifiers.  The null object belongs to every program and is not here.
 
     This is the one place that says which identifiers a program has.  The
     table is made from ``p`` alone, on each call, and nothing else adds to
     it."""
     ids: list = []
+    texts: list[str] = []
     for m in p.methods:
         name = m.name
-        ids += [_tuple_new(VarId, (name, k, "var")) for k in range(m.var_count + 1)]
-        ids += [_tuple_new(Placeholder, (name, k, "placeholder")) for k in range(len(m.params))]
-        ids += [
-            _tuple_new(Site, (name, s.label, "site")) for s in m.body if isinstance(s.instr, Alloc)
-        ]
-    return dict(zip(ids, ids))
+        slots = range(m.var_count + 1)
+        params = range(len(m.params))
+        labels = [s.label for s in m.body if isinstance(s.instr, Alloc)]
+        ids += [_tuple_new(VarId, (name, k, "var")) for k in slots]
+        ids += [_tuple_new(Placeholder, (name, k, "placeholder")) for k in params]
+        ids += [_tuple_new(Site, (name, k, "site")) for k in labels]
+        texts += [f"{name}/{k}" for k in slots]
+        texts += [f"{name}?{k}" for k in params]
+        texts += [f"{name}:{k}" for k in labels]
+    table: dict = dict(zip(ids, ids))
+    table.update(zip(texts, ids))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -343,8 +343,8 @@ def optimize_artwork(
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
     call-site projections are all identical (or absent), and OUT entries
     equal to the IN entry: every entry the consumer re-derives.  (Writing an
-    entry equal to the one before it as ``= ^`` is ``encode``'s rule, for
-    every artifact.)
+    entry as ``= ^`` and its edits from the one before it is ``encode``'s
+    rule, for every artifact.)
 
     The call-site projections are read off the fixed point ``a`` encodes.
     ``result`` is that fixed point when the caller holds it (``emit_artwork``

@@ -587,7 +587,8 @@ def render_graph(g: PointsToGraph) -> str:
 
 class EdgeRenderer:
     """Renders graphs as ``render_edges`` does, each object, each distinct
-    (variable, target set) binding and each per-object field map once.
+    (variable, target set) binding and each per-object field map once, and
+    the edit lines that turn one graph into another.
 
     Graphs at nearby program points share most target sets and field maps,
     so a renderer that sees many of them formats little twice.  Bindings are
@@ -640,6 +641,65 @@ class EdgeRenderer:
             heap_texts.append(cached[1])
         heap_texts.sort()
         return "".join(var_texts) + "".join(heap_texts)
+
+    def edits(self, old: PointsToGraph, new: PointsToGraph) -> str | None:
+        """The lines that turn ``old`` into ``new``: ``- <edge>`` for each
+        edge only ``old`` has, then ``+ <edge>`` for each only ``new`` has,
+        each group sorted as ``render_edges`` sorts and each line ended by a
+        newline.  None when there would be more lines than ``new`` has
+        edges; that is decided by counting on the maps, before anything is
+        rendered.  A field map the two graphs share is passed over unread."""
+        if old == new:
+            return ""
+        old_vars, new_vars, old_heap, new_heap = old._vars, new._vars, old._heap, new._heap
+        # No variable in common: every old variable edge is a "- " line.
+        if old_vars and old_vars.keys().isdisjoint(new_vars):
+            if sum(map(len, old_vars.values())) > _heap_size(new_heap):
+                return None
+        var_gone, var_came, heap_gone, heap_came = [], [], [], []
+        # each binding only one side has, once: a variable both sides bind
+        # to different sets comes up twice, once from each side
+        for v, objs in old_vars.items() ^ new_vars.items():
+            if old_vars.get(v) is objs:
+                for o in objs - new_vars.get(v, NO_OBJECTS):
+                    var_gone.append((v, o))
+            else:
+                for o in objs - old_vars.get(v, NO_OBJECTS):
+                    var_came.append((v, o))
+        for src, fields in new_heap.items():
+            had_fields = old_heap.get(src)
+            if had_fields is fields or had_fields == fields:
+                continue
+            had_fields = had_fields or {}
+            for f, objs in had_fields.items() ^ fields.items():
+                if had_fields.get(f) is objs:
+                    for t in objs - fields.get(f, NO_OBJECTS):
+                        heap_gone.append((src, f, t))
+                else:
+                    for t in objs - had_fields.get(f, NO_OBJECTS):
+                        heap_came.append((src, f, t))
+        for src in old_heap.keys() - new_heap.keys():
+            for f, ts in old_heap[src].items():
+                for t in ts:
+                    heap_gone.append((src, f, t))
+        count = len(var_gone) + len(var_came) + len(heap_gone) + len(heap_came)
+        # every stored set holds an edge, so a count this low needs no sum
+        if count > len(new_vars) + len(new_heap):
+            if count > sum(map(len, new_vars.values())) + _heap_size(new_heap):
+                return None
+        obj = self._object
+        lines = []
+        for sign, var_edges, heap_edges in (("- ", var_gone, heap_gone), ("+ ", var_came, heap_came)):
+            if var_edges:
+                lines += sorted([f"{sign}{v.method}/{v.slot} -> {obj(o)}\n" for v, o in var_edges])
+            if heap_edges:
+                lines += sorted([f"{sign}{obj(s)} .{f}-> {obj(t)}\n" for s, f, t in heap_edges])
+        return "".join(lines)
+
+
+def _heap_size(heap: HeapIndex) -> int:
+    """The number of field edges of ``heap``."""
+    return sum([len(ts) for fields in heap.values() for ts in fields.values()])
 
 
 def _too_long(digits: str, part: str) -> ValueError:

@@ -86,10 +86,16 @@ def _reference_encode(a) -> bytes:
     for header, entries in sections:
         lines.append(header)
         for key, g in entries.items():
-            if previous is not None and render_edges(g) == render_edges(previous):
-                lines.append(f"{key} = ^")
+            new = render_edges(g)
+            old = None if previous is None else render_edges(previous)
+            if old is not None:
+                new_set, old_set = set(new), set(old)
+                removed = [e for e in old if e not in new_set]
+                added = [e for e in new if e not in old_set]
+            if old is not None and len(removed) + len(added) <= len(new):
+                lines += [f"{key} = ^", *("- " + e for e in removed), *("+ " + e for e in added)]
             else:
-                lines += [f"{key} = {{", *("  " + e for e in render_edges(g)), "}"]
+                lines += [f"{key} = {{", *("  " + e for e in new), "}"]
             previous = g
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -97,9 +103,12 @@ def _reference_encode(a) -> bytes:
 @pytest.fixture(scope="session")
 def reference_encode():
     """``reference_encode(a)`` writes the ART/1 bytes of artwork ``a`` line
-    by line: each entry whose edge lines are those of the entry before it,
-    in file order across sections, as ``= ^``, and every other entry
-    inline."""
+    by line.  Each entry after the first whose edge lines differ from those
+    of the entry before it, in file order across sections, in no more lines
+    than it has is written ``= ^`` followed by the differences: ``- `` the
+    lines it lacks, then ``+ `` the lines it adds, each group in
+    ``render_edges`` order (so an equal entry is a bare ``= ^``).  Every
+    other entry is written inline."""
     return _reference_encode
 
 

@@ -202,7 +202,7 @@ def _optimized_corpus(small_corpus) -> list[Artwork]:
     return [optimize_artwork(p, emit_artwork(p, analyze_inter(p))) for p in programs]
 
 
-OPTIMIZED_CORPUS_SHA256 = "8ec0c08eb37c2de04661f9ec74667ce999500ca516c35e30efd47b558a5f8a30"
+OPTIMIZED_CORPUS_SHA256 = "27fe7bfa8daef3705d776974d5697cc75b2602e25dc358d9fb6aedaa36933f14"
 
 
 def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):

@@ -4,7 +4,15 @@ the exit code ``artpta regen`` turns each into."""
 
 import pytest
 
-from artpta import MalformedArtworkError, UnknownReferenceError, decode, encode, parse_program, regen_inter
+from artpta import (
+    MalformedArtworkError,
+    Site,
+    UnknownReferenceError,
+    decode,
+    encode,
+    parse_program,
+    regen_inter,
+)
 from artpta.cli import main
 
 # ``main:2`` heads a loop; ``r`` is self-recursive and ``main`` is not.  Slot
@@ -99,6 +107,52 @@ MALFORMED = {
         _art(in_="m:main = {\n}\nm:r = ^ \n"),
         "expected graph block or '^', got '^ '",
     ),
+    # An entry "= ^" with edit lines: the entry before's value, the "- "
+    # edges removed and the "+ " edges added, one line after another.
+    "edit-removes-an-absent-edge": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "m:r = ^\n- main/0 -> null\n"),
+        "edit removes an absent edge 'main/0 -> null'",
+    ),
+    "edit-adds-a-present-edge": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "m:r = ^\n+ main/0 -> main:1\n"),
+        "edit adds a present edge 'main/0 -> main:1'",
+    ),
+    "removal-written-twice": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "m:r = ^\n- main/0 -> main:1\n- main/0 -> main:1\n"),
+        "edit removes an absent edge 'main/0 -> main:1'",
+    ),
+    "addition-written-twice": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> main:1\n+ r/0 -> main:1\n"),
+        "edit adds a present edge 'r/0 -> main:1'",
+    ),
+    "edits-in-first-entry": (
+        _art(loop="m:main l:2 = ^\n+ main/0 -> main:1\n"),
+        "'^' in the first entry",
+    ),
+    "edit-line-after-a-block": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "+ main/0 -> null\n"),
+        "bad [in] entry",
+    ),
+    "edit-line-after-a-section-header": (
+        _art(loop=_block("m:main l:2", "main/0 -> main:1"), in_="- main/0 -> main:1\nm:main = ^\n"),
+        "bad [in] entry",
+    ),
+    "edit-line-in-a-block": (
+        _art(in_=_block("m:main", "main/0 -> main:1", "- main/0 -> main:1").replace("  - ", "- ")),
+        "expected edge line or '}', got '- main/0 -> main:1'",
+    ),
+    "absent-removal-before-a-bad-edit-line": (
+        _art(in_=_block("m:main") + "m:r = ^\n- r/0 -> main:1\n+ main/0 => main:1\n"),
+        "edit removes an absent edge 'r/0 -> main:1'",
+    ),
+    "bad-edit-line": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ main/0 => main:1\n"),
+        "bad edge line 'main/0 => main:1'",
+    ),
+    "edit-with-a-null-source": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ null .f-> main:1\n"),
+        "field edge with null source",
+    ),
     "duplicate-loop-entry": (
         _art(loop="m:main l:2 = {\n}\nm:main l:2 = {\n}\n"),
         "duplicate loop entry ('main', 2)",
@@ -188,6 +242,19 @@ UNKNOWN = {
         _art(in_=_block("m:main", "main/2 -> main:1") + "m:r = ^\n"),
         "[in] main: unknown variable slot main/2",
     ),
+    # an edit line is checked at the entry that holds it
+    "unknown-slot-in-an-edit": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "m:r = ^\n+ main/2 -> main:1\n"),
+        "[in] r: unknown variable slot main/2",
+    ),
+    "unknown-object-in-an-edit-across-a-section-header": (
+        _art(in_=_block("m:r", "r/0 -> main:1"), out="m:r = ^\n- r/0 -> main:1\n+ r/0 -> r:1\n"),
+        "[out] r: object r:1 is not an allocation site",
+    ),
+    "edit-removing-a-bad-line": (
+        _art(in_=_block("m:main", "main/2 -> main:1") + "m:r = ^\n- main/2 -> main:1\n"),
+        "[in] main: unknown variable slot main/2",
+    ),
 }
 
 PRECEDENCE = {
@@ -205,6 +272,26 @@ PRECEDENCE = {
         _art(loop="m:ghost l:1 = ^\n"),
         MalformedArtworkError,
         "'^' in the first entry",
+    ),
+    # After the first entry at fault, edits are still checked, against the
+    # running value: the first edit is valid, the second is not.
+    "edit-error-after-a-reference-error": (
+        _art(
+            loop=_block("m:ghost l:1", "main/0 -> main:1"),
+            in_="m:main = ^\n- main/0 -> main:1\nm:r = ^\n- main/0 -> main:1\n",
+        ),
+        MalformedArtworkError,
+        "edit removes an absent edge 'main/0 -> main:1'",
+    ),
+    "edit-key-before-its-lines": (
+        _art(in_=_block("m:main") + "m:ghost = ^\n+ main/2 -> main:1\n"),
+        UnknownReferenceError,
+        "[in]: unknown method 'ghost'",
+    ),
+    "recursion-before-an-edit-s-lines": (
+        _art(in_=_block("m:main"), out="m:main = ^\n+ main/2 -> main:1\n"),
+        UnknownReferenceError,
+        "[out]: method 'main' is not recursive",
     ),
     # [loop] before [in] before [out]: the sections, not the lines.
     "loop-first": (
@@ -272,17 +359,77 @@ def _bytes(data) -> bytes:
     return data if isinstance(data, bytes) else data.encode()
 
 
-# The same artwork twice: a block equal to the entry before it, and ``^``.
-INLINE_REPEAT = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out=_block("m:r", "r/0 -> main:1"))
+# The same artwork three times: every entry inline, a repeat, and an edit.
+INLINE = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out=_block("m:r", "r/0 -> main:1"))
 REPEAT = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out="m:r = ^\n")
+EDITED = _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> main:1\n", out="m:r = ^\n")
 
 
 def test_the_valid_artifact_decodes(program):
     a = decode(VALID.encode(), program)
     assert (len(a.i_loop), len(a.i_in), len(a.i_out)) == (1, 2, 1)
-    inline, repeat = (decode(data.encode(), program) for data in (INLINE_REPEAT, REPEAT))
-    assert inline == repeat and repeat.i_out["r"] is repeat.i_in["r"]
-    assert encode(inline) == REPEAT.encode()
+    inline, repeat, edited = (decode(data.encode(), program) for data in (INLINE, REPEAT, EDITED))
+    assert inline == repeat == edited
+    assert repeat.i_out["r"] is repeat.i_in["r"] and edited.i_out["r"] is edited.i_in["r"]
+    assert encode(inline) == EDITED.encode()
+
+
+def _maps_are_canonical(a) -> bool:
+    """No empty target set or field map is stored."""
+    return all(
+        all(g._vars.values()) and all(fields and all(fields.values()) for fields in g._heap.values())
+        for g in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]
+    )
+
+
+def test_an_entry_may_empty_a_map_and_refill_it(program):
+    # r/0's target set and main:1's field map are emptied by the removals,
+    # then refilled by the additions; r:2's untouched field map is shared.
+    kept = ("main/0 -> main:1", "r:2 .f-> main:1", "r:2 .g-> r:2")
+    before = ("main/0 -> main:1", "r/0 -> main:1", "main:1 .f-> main:1", *kept[1:])  # sorted
+    after = ("r/0 -> null", "main:1 .f-> r:2", *kept)
+    data = _art(
+        in_=_block("m:r", *before),
+        out="m:r = ^\n- r/0 -> main:1\n- main:1 .f-> main:1\n+ r/0 -> null\n+ main:1 .f-> r:2\n",
+    ).encode()
+    a = decode(data, program)
+    assert a == decode(_art(in_=_block("m:r", *before), out=_block("m:r", *after)).encode(), program)
+    assert _maps_are_canonical(a)
+    assert a.i_out["r"]._heap[Site("r", 2)] is a.i_in["r"]._heap[Site("r", 2)]
+    assert encode(a) == data
+    # emptied and not refilled: nothing empty is kept
+    data = _art(in_=_block("m:r", *before), out="m:r = ^\n- r/0 -> main:1\n- main:1 .f-> main:1\n")
+    a = decode(data.encode(), program)
+    assert _maps_are_canonical(a)
+    assert a.i_out["r"] == decode(_art(in_=_block("m:r", *kept)).encode(), program).i_in["r"]
+
+
+def test_edits_apply_to_the_entry_before_across_section_headers(program):
+    data = _art(
+        loop=_block("m:main l:2", "main/0 -> main:1", "main:1 .f-> main:1"),
+        in_="m:main = ^\n- main/0 -> main:1\n- main:1 .f-> main:1\n" + _block("m:r", "r/0 -> main:1"),
+        out="m:r = ^\n+ main:1 .f-> main:1\n",
+    )
+    a = decode(data.encode(), program)
+    assert a.i_in["main"] == decode(_art(in_=_block("m:main")).encode(), program).i_in["main"]
+    assert a == decode(
+        _art(
+            loop=_block("m:main l:2", "main/0 -> main:1", "main:1 .f-> main:1"),
+            in_=_block("m:main") + _block("m:r", "r/0 -> main:1"),
+            out=_block("m:r", "r/0 -> main:1", "main:1 .f-> main:1"),
+        ).encode(),
+        program,
+    )
+
+
+def test_edit_lines_apply_in_order(program):
+    # an edge added and removed again, and removed and added again, leaves
+    # the value as it was; encode never writes either
+    base = _block("m:main", "main/0 -> main:1")
+    for edits in ("+ main/0 -> null\n- main/0 -> null\n", "- main/0 -> main:1\n+ main/0 -> main:1\n"):
+        a = decode(_art(in_=base + "m:r = ^\n" + edits).encode(), program)
+        assert a.i_in["r"] == a.i_in["main"]
+        assert encode(a) == _art(in_=base + "m:r = ^\n").encode()
 
 
 @pytest.mark.parametrize("name", list(CASES))

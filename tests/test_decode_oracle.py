@@ -26,19 +26,21 @@ from artpta.ptg import parse_edge_line
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
 
 
+def _oracle_edges(lines: list[str]) -> set:
+    return {parse_edge_line(line[2:]) for line in lines}
+
+
 def _oracle_graph(lines: list[str]) -> PointsToGraph:
-    var_edges, field_edges = set(), set()
-    for line in lines:
-        edge = parse_edge_line(line[2:])
-        (var_edges if len(edge) == 2 else field_edges).add(edge)
-    return PointsToGraph(var_edges, field_edges)
+    edges = _oracle_edges(lines)
+    return PointsToGraph({e for e in edges if len(e) == 2}, {e for e in edges if len(e) == 3})
 
 
 def _oracle_decode(text: str) -> Artwork:
     """A well-formed ART/1 text read line by line into edge-set graphs."""
     lines = text.split("\n")[:-1]
     sections: dict[str, dict] = {}
-    section = graph = None
+    section = None
+    edges: set = set()  # the entry before's
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -50,27 +52,36 @@ def _oracle_decode(text: str) -> Artwork:
         m = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
         assert m is not None, line
         key = (m.group(1), int(m.group(2))) if section == "loop" else m.group(1)
+        j = i
+        while j < len(lines) and lines[j][:2] in ("  ", "- ", "+ "):
+            j += 1
         if m.group(3) == "{":
-            j = i
-            while lines[j].startswith("  "):
-                j += 1
-            graph = _oracle_graph(lines[i:j])
+            edges = _oracle_edges(lines[i:j])
             i = j + 1  # the closing brace
-        sections[section][key] = graph  # "^": the graph of the entry before
+        else:  # "^": the entry before's edges, less the "- " lines, with the "+ " lines
+            edges = (edges - _oracle_edges([e for e in lines[i:j] if e[0] == "-"])) | _oracle_edges(
+                [e for e in lines[i:j] if e[0] == "+"]
+            )
+            i = j
+        sections[section][key] = PointsToGraph(
+            {e for e in edges if len(e) == 2}, {e for e in edges if len(e) == 3}
+        )
     return Artwork(i_loop=sections["loop"], i_in=sections["in"], i_out=sections["out"])
 
 
 def _scramble(text: str, rng: random.Random) -> str:
     """``text`` with the edge lines of every graph shuffled, and some of them
-    written twice."""
+    written twice, and the edit lines of every entry shuffled (``- `` and
+    ``+ `` lines mixed: an entry never removes and adds one edge)."""
     out: list[str] = []
     run: list[str] = []
     for line in text.split("\n"):
-        if line.startswith("  "):
+        if line[:2] in ("  ", "- ", "+ "):
             run.append(line)
             continue
         if run:
-            run += rng.sample(run, rng.randrange(len(run) + 1))
+            if run[0].startswith("  "):
+                run += rng.sample(run, rng.randrange(len(run) + 1))
             rng.shuffle(run)
             out += run
             run = []
@@ -111,12 +122,17 @@ def artifacts(small_corpus):
 
 def test_the_corpus_includes_repeated_and_large_artifacts(artifacts):
     for large in (False, True):
-        assert any(
-            b" = ^\n" in data
-            for p, data in artifacts
-            if (len(p.methods) == 1 and len(p.methods[0].body) > 200) == large
-        )
-    assert max(data.count(b"\n  ") for _, data in artifacts) > 1000
+        for form in (b" = ^\n", b"\n- ", b"\n+ "):
+            assert any(
+                form in data
+                for p, data in artifacts
+                if (len(p.methods) == 1 and len(p.methods[0].body) > 200) == large
+            )
+    # one artifact's graphs hold more than 1,000 edges between them
+    assert max(
+        sum(len(g.var_edges) + len(g.field_edges) for g in _graphs(parse_artwork(data)))
+        for _, data in artifacts
+    ) > 1000
 
 
 def test_decoded_graphs_equal_the_edge_set_oracle(artifacts):
@@ -128,12 +144,24 @@ def test_decoded_graphs_equal_the_edge_set_oracle(artifacts):
         for g, want in zip(_graphs(decoded), _graphs(expected)):
             _assert_canonical_maps(g)
             assert hash(g) == hash(want)
-        # a "^" entry holds the graph object of the entry before it
+        # a "^" entry with no edits holds the graph object of the entry
+        # before it; one with edits shares every map it does not edit
         graphs = _graphs(decoded)
-        heads = [line for line in data.decode().split("\n") if line.startswith("m:")]
-        for k, head in enumerate(heads):
-            if head.endswith(" = ^"):
+        lines = data.decode().split("\n")
+        heads = [k for k, line in enumerate(lines) if line.startswith("m:")]
+        for k, at in enumerate(heads):
+            if not lines[at].endswith(" = ^"):
+                continue
+            if not lines[at + 1].startswith(("- ", "+ ")):
                 assert graphs[k] is graphs[k - 1]
+                continue
+            old, new = graphs[k - 1], graphs[k]
+            end = heads[k + 1] if k + 1 < len(heads) else len(lines)
+            edited = {parse_edge_line(e[2:])[0] for e in lines[at + 1 : end] if e[:2] in ("- ", "+ ")}
+            for v, objs in new._vars.items():
+                assert (objs is old._vars.get(v)) == (v not in edited and v in old._vars)
+            for src, fields in new._heap.items():
+                assert (fields is old._heap.get(src)) == (src not in edited and src in old._heap)
 
 
 def test_shuffled_and_repeated_edge_lines_decode_to_the_same_graphs(artifacts):

@@ -1,10 +1,12 @@
 """Encoded bytes against test-local oracles: ``encode`` equals conftest's
-line-by-line ``reference_encode`` (``= ^`` for an entry whose edge lines
-are those of the entry before it) and ``naive_encode`` equals a dump
+line-by-line ``reference_encode`` (``= ^`` and the lines it removes and
+adds for an entry that differs from the entry before it in no more lines
+than it has) and ``naive_encode`` equals a dump
 written with ``render_edges``, on seeded random graphs whose names collide on
 prefixes and which share index maps the way the analysis's graphs do."""
 
 import random
+from collections import Counter
 
 from artpta import (
     NULL_OBJECT,
@@ -17,6 +19,7 @@ from artpta import (
     encode,
     meet,
     naive_encode,
+    parse_artwork,
     render_edges,
 )
 from artpta.ir import ENTRY, EXIT
@@ -73,16 +76,21 @@ def _random_artwork(rng: random.Random) -> Artwork:
 
 def test_encode_matches_the_line_by_line_reference(reference_encode):
     rng = random.Random(2024)
-    repeated = unrepeated = 0
+    seen = Counter()
     for _ in range(1500):
         a = _random_artwork(rng)
         expected = reference_encode(a)
-        if b" = ^\n" in expected:
-            repeated += 1
-        else:
-            unrepeated += 1
+        lines = expected.decode().split("\n")
+        seen["bare repeat"] += any(
+            line.endswith(" = ^") and not after.startswith(("- ", "+ "))
+            for line, after in zip(lines, lines[1:])
+        )
+        seen["removal"] += "\n- " in expected.decode()
+        seen["addition"] += "\n+ " in expected.decode()
+        seen["blocks only"] += b" = ^\n" not in expected
         assert encode(a) == expected
-    assert repeated > 100 and unrepeated > 100
+        assert parse_artwork(expected) == a
+    assert min(seen.values()) > 50, seen
 
 
 def _reference_naive(result: AnalysisResult) -> bytes:

@@ -84,13 +84,13 @@ def _why_line(p: Program, line: str) -> str | None:
 def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
     """What decoding ``text`` against ``p`` must give: the exception it
     raises, or the artwork.  ``text`` is a valid artifact with edge lines
-    inserted into its graphs, and a field edge out of null is its only
-    possible syntax error.  ``memo`` keeps each line's verdict."""
+    inserted into its blocks, so its only possible syntax errors are a
+    field edge out of null and an edit that adds an edge an inserted line
+    put in the entry before.  ``memo`` keeps each line's verdict."""
     lines = text.split("\n")[:-1]
-    if any(line.startswith("  null .") for line in lines):
-        return MalformedArtworkError("field edge with null source")
     entries: list[tuple[str, str | None]] = []  # (where, why), in file order
     section = why = None
+    edges: set = set()  # the entry before's
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -100,19 +100,31 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
             continue
         found = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
         where = f"[{section}] {found[1]}" + ("" if found[2] is None else f":{found[2]}")
+        j = i
+        while j < len(lines) and lines[j][:2] in ("  ", "- ", "+ "):
+            j += 1
+        own = lines[i:j]
         if found[3] == "{":
-            j = i
-            while lines[j].startswith("  "):
-                j += 1
+            if any(e.startswith("  null .") for e in own):
+                return MalformedArtworkError("field edge with null source")
+            edges = {parse_edge_line(e[2:]) for e in own}
             why = None
-            for e in lines[i:j]:
-                if e not in memo:
-                    memo[e] = _why_line(p, e)
-                if memo[e] is not None:
-                    why = memo[e]
-                    break
             i = j + 1  # the closing brace
-        entries.append((where, why))  # "^": the verdict of the entry before
+        else:  # "^": the edges and the verdict of the entry before, then the edits
+            for e in own:
+                edge = parse_edge_line(e[2:])
+                if (edge in edges) == (e[0] == "+"):
+                    verb = "adds a present" if e[0] == "+" else "removes an absent"
+                    return MalformedArtworkError(f"edit {verb} edge {e[2:]!r}")
+                edges ^= {edge}
+            i = j
+        for e in own:
+            if why is not None:
+                break
+            if e[2:] not in memo:
+                memo[e[2:]] = _why_line(p, e[2:])
+            why = memo[e[2:]]
+        entries.append((where, why))
     for where, why in entries:
         if why is not None:
             return UnknownReferenceError(f"{where}: {why}")
@@ -222,7 +234,8 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
                 kinds.add("ok")
     # every verdict the rules can give came up
     assert kinds == {
-        "ok", "unknown variable slot", "unknown placeholder", "object", "field edge with null source"
+        "ok", "unknown variable slot", "unknown placeholder", "object", "field edge with null source",
+        "edit adds a present edge",
     }
 
 
@@ -235,13 +248,20 @@ def _parse_name(text: str):
 def test_the_table_accepts_exactly_what_the_rules_accept(artifacts):
     rng = random.Random(3)
     for p, _ in artifacts:
-        ids = identifiers(p)
-        assert all(k is v for k, v in ids.items())
-        assert NULL_OBJECT not in ids
+        table = identifiers(p)
+        ids = {k: o for k, o in table.items() if not isinstance(k, str)}
+        assert all(k is o for k, o in ids.items())
+        assert NULL_OBJECT not in ids and "null" not in table
         assert len(ids) == sum(
             m.var_count + 1 + len(m.params) + sum(isinstance(s.instr, Alloc) for s in m.body)
             for m in p.methods
         )
+        # each identifier is keyed by its rendered text too, and only so
+        texts = {
+            (f"{o.method}/{o.slot}" if o.kind == "var" else render_object(o)): o for o in ids
+        }
+        assert {k: o for k, o in table.items() if isinstance(k, str)} == texts
+        assert all(table[k] is o for k, o in texts.items())
         variables, objects = _names(p, rng)
         for text in variables:
             assert (_parse_name(text) in ids) == (_why_var(p, text) is None), text

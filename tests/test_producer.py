@@ -332,8 +332,8 @@ method main() {
     assert encode(opt) == (
         b"ART/1\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main/1 -> main:1\n"
         b"  main:1 .f-> main:1\n  main:1 .g-> main:1\n}\n[in]\nm:main = {\n}\n"
-        b"[out]\nm:main = {\n  main/3 -> main:1\n  main:1 .f-> main:1\n"
-        b"  main:1 .g-> main:1\n}\n"
+        b"[out]\nm:main = ^\n+ main/3 -> main:1\n+ main:1 .f-> main:1\n"
+        b"+ main:1 .g-> main:1\n"
     )
 
 
@@ -394,7 +394,7 @@ def test_optimize_keeps_the_smaller_encoding_without_encoding(
         CorpusConfig(program_count=4, seed=2, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
     programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
-    repeated_seen = 0
+    repeated_seen = edited_seen = 0
     for p in programs:
         a = emit_artwork(p, analyze_inter(p))
         calls = count_calls(artwork, "encode")
@@ -403,8 +403,9 @@ def test_optimize_keeps_the_smaller_encoding_without_encoding(
         for art in (a, opt):
             expected = reference_encode(art)
             repeated_seen += b" = ^\n" in expected
+            edited_seen += b"\n- " in expected and b"\n+ " in expected
             assert encode(art) == expected
-    assert repeated_seen >= 6
+    assert repeated_seen >= 6 and edited_seen >= 6
 
 
 def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:
