@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import MalformedArtworkError, UnknownReferenceError
@@ -96,11 +96,17 @@ class Artwork:
     same bytes.  A decoded
     artwork may violate program-level expectations only through values,
     never structure.
+
+    ``fixed_point``, set only by ``producer.emit_artwork``, is the validated
+    result the maps were written from, and it keeps every value of that
+    result alive.  It is not part of the value: equality and ``repr`` skip
+    it and ``dataclasses.replace`` drops it.
     """
 
     i_loop: dict[tuple[str, int], PointsToGraph]
     i_in: dict[str, PointsToGraph]
     i_out: dict[str, PointsToGraph]
+    fixed_point: AnalysisResult | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def empty() -> "Artwork":

@@ -70,7 +70,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     result = analyze_inter(program)
     artwork = emit_artwork(program, result)
     if args.optimize:
-        artwork = optimize_artwork(program, artwork, result=result)
+        artwork = optimize_artwork(program, artwork)
     data = encode(artwork)
     _write_atomic(args.output, data)
     if args.dump_results:

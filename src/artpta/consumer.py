@@ -29,8 +29,8 @@ that of a depth-first descent, and call-chain depth costs no Python stack.
 
 ``regenerate`` works on a ``ProgramIndex``; ``regen_inter`` is the verifier's
 entry point over ``ProgramIndex.of(p)``, and the producer's
-``optimize_artwork`` calls ``regenerate`` to read the fixed point an artifact
-encodes.  This module never imports the producer.
+``optimize_artwork`` calls ``regenerate`` to read the fixed point of an
+artifact that does not carry it.  This module never imports the producer.
 """
 
 from __future__ import annotations

@@ -17,11 +17,11 @@ equations from ``equations``: per-statement transfer functions,
 the entry method), and ``out_summary[M]`` the return/heap restriction of M's
 Exit value.
 
-A produce runs one fixed-point analysis: ``optimize_artwork`` reads the
-call-site values it needs off the result it is given (``artpta analyze -O``
-passes the one it emitted), or else off the consumer's single-pass
-regeneration of the artifact it shrinks (``consumer.regenerate``).  The
-producer depends on the consumer, never the reverse.
+A produce runs one fixed-point analysis and no regeneration: the artwork
+``emit_artwork`` returns carries its result, off which ``optimize_artwork``
+reads the call-site values it needs; it regenerates (``consumer.regenerate``)
+only an artwork that carries none.  The producer depends on the consumer,
+never the reverse.
 """
 
 from __future__ import annotations
@@ -314,31 +314,31 @@ def validate_result(
 # ---------------------------------------------------------------------------
 
 
+def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict]:
+    """The three maps ``emit_artwork`` writes for ``result``."""
+    index = ProgramIndex.of(program)
+    ms, cfgs = program.methods, index.cfgs
+    return (
+        {(m.name, h): result.out[(m.name, h)] for m in ms for h in sorted(cfgs[m.name].loop_headers)},
+        {m.name: result.in_summary[m.name] for m in ms},
+        {m.name: result.out_summary[m.name] for m in ms if index.call_graph.is_recursive_method(m.name)},
+    )
+
+
 def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     """Encode the compact artifact: fixed-point OUT of every natural-loop
     header, the IN summary of every method, and the OUT summary of every
-    method on a call-graph cycle."""
+    method on a call-graph cycle.  It carries ``result`` as its
+    ``fixed_point`` and keeps it alive; do not change ``result`` afterwards."""
     problems = validate_result(program, result, exact_in=False)
     if problems:
         raise ArtError("result does not satisfy the flow equations: " + problems[0])
-    index = ProgramIndex.of(program)
-    i_loop = {
-        (m.name, h): result.out[(m.name, h)]
-        for m in program.methods
-        for h in sorted(index.cfgs[m.name].loop_headers)
-    }
-    i_in = {m.name: result.in_summary[m.name] for m in program.methods}
-    i_out = {
-        m.name: result.out_summary[m.name]
-        for m in program.methods
-        if index.call_graph.is_recursive_method(m.name)
-    }
-    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
+    a = Artwork(*_entries(program, result))
+    object.__setattr__(a, "fixed_point", result)
+    return a
 
 
-def optimize_artwork(
-    program: Program, a: Artwork, result: AnalysisResult | None = None
-) -> Artwork:
+def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
     call-site projections are all identical (or absent), and OUT entries
@@ -346,24 +346,17 @@ def optimize_artwork(
     entry as ``= ^`` and its edits from the one before it is ``encode``'s
     rule, for every artifact.)
 
-    The call-site projections are read off the fixed point ``a`` encodes.
-    ``result`` is that fixed point when the caller holds it (``emit_artwork``
-    wrote ``a`` from it): every entry of ``a`` must equal its value there, or
-    ``ArtError`` is raised.  Without ``result`` they are read off the
-    consumer's regeneration of ``a``, so no analysis is re-run; that happens
-    only when some IN entry passes the loop-header and SCC filters below, and
-    an artifact it rejects raises ``ArtError``."""
+    The call-site projections are read off the fixed point ``a`` encodes:
+    the one it carries (``a.fixed_point``, set by ``emit_artwork``) while
+    its maps still hold what emission wrote from it, which is one identity
+    test per entry when they are unchanged; else the consumer's
+    regeneration of ``a``, so no analysis is re-run.  Regeneration happens
+    only when some IN entry passes the loop-header and SCC filters below,
+    and an artifact the consumer rejects raises ``ArtError``."""
     index = ProgramIndex.of(program)
-    regenerated = result  # the fixed point; when not given, regenerated on first need
-    if result is not None:
-        for where, entries, values in (
-            ("[loop]", a.i_loop, result.out),
-            ("[in]", a.i_in, result.in_summary),
-            ("[out]", a.i_out, result.out_summary),
-        ):
-            for key, g in entries.items():
-                if values.get(key) != g:
-                    raise ArtError(f"artifact entry {where} {key} differs from the given result")
+    fixed = a.fixed_point  # when None, regenerated on first need
+    if fixed is not None and (a.i_loop, a.i_in, a.i_out) != _entries(program, fixed):
+        fixed = None  # the maps were changed after emission
 
     i_loop = dict(a.i_loop)
     for (name, header) in list(i_loop):
@@ -389,17 +382,17 @@ def optimize_artwork(
             continue
         if not any(caller not in scc for caller, _ in sites):
             continue
-        if regenerated is None:
+        if fixed is None:
             outcome = regenerate(index, a)
             if not outcome.safe:
                 raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
-            regenerated = outcome.result
+            fixed = outcome.result
         projections = [
             callee_in(
                 index,
                 caller,
                 index.stmts[caller][label],
-                in_value(index, regenerated.out, caller, label),
+                in_value(index, fixed.out, caller, label),
                 name,
             )
             for caller, label in sites

@@ -647,54 +647,69 @@ class EdgeRenderer:
         edge only ``old`` has, then ``+ <edge>`` for each only ``new`` has,
         each group sorted as ``render_edges`` sorts and each line ended by a
         newline.  None when there would be more lines than ``new`` has
-        edges; that is decided by counting on the maps, before anything is
-        rendered.  A field map the two graphs share is passed over unread."""
-        if old == new:
-            return ""
+        edges.  A target set or field map the two graphs share is passed
+        over unread, and each line is written as the diff finds it, so the
+        work follows the keys of ``new`` and the edges that differ, with no
+        pass over either graph's items as a whole."""
         old_vars, new_vars, old_heap, new_heap = old._vars, new._vars, old._heap, new._heap
+        same_vars = old_vars == new_vars
+        if same_vars and old_heap == new_heap:
+            return ""
         # No variable in common: every old variable edge is a "- " line.
         if old_vars and old_vars.keys().isdisjoint(new_vars):
             if sum(map(len, old_vars.values())) > _heap_size(new_heap):
                 return None
         var_gone, var_came, heap_gone, heap_came = [], [], [], []
-        # each binding only one side has, once: a variable both sides bind
-        # to different sets comes up twice, once from each side
-        for v, objs in old_vars.items() ^ new_vars.items():
-            if old_vars.get(v) is objs:
-                for o in objs - new_vars.get(v, NO_OBJECTS):
-                    var_gone.append((v, o))
-            else:
-                for o in objs - old_vars.get(v, NO_OBJECTS):
-                    var_came.append((v, o))
+        if not same_vars:
+            self._map_edits(old_vars, new_vars, None, var_gone, var_came)
+        shared = 0
         for src, fields in new_heap.items():
-            had_fields = old_heap.get(src)
-            if had_fields is fields or had_fields == fields:
-                continue
-            had_fields = had_fields or {}
-            for f, objs in had_fields.items() ^ fields.items():
-                if had_fields.get(f) is objs:
-                    for t in objs - fields.get(f, NO_OBJECTS):
-                        heap_gone.append((src, f, t))
-                else:
-                    for t in objs - had_fields.get(f, NO_OBJECTS):
-                        heap_came.append((src, f, t))
-        for src in old_heap.keys() - new_heap.keys():
-            for f, ts in old_heap[src].items():
-                for t in ts:
-                    heap_gone.append((src, f, t))
+            had = old_heap.get(src)
+            if had is not None:
+                shared += 1
+            if had is not fields:
+                self._map_edits(had or {}, fields, self._object(src) + " .", heap_gone, heap_came)
+        if shared < len(old_heap):
+            for src in old_heap.keys() - new_heap.keys():
+                self._map_edits(old_heap[src], {}, self._object(src) + " .", heap_gone, heap_came)
         count = len(var_gone) + len(var_came) + len(heap_gone) + len(heap_came)
         # every stored set holds an edge, so a count this low needs no sum
         if count > len(new_vars) + len(new_heap):
             if count > sum(map(len, new_vars.values())) + _heap_size(new_heap):
                 return None
+        for lines in (var_gone, heap_gone, var_came, heap_came):
+            lines.sort()
+        return "".join(var_gone) + "".join(heap_gone) + "".join(var_came) + "".join(heap_came)
+
+    def _map_edits(
+        self, had: dict, has: dict, src_head: str | None, gone: list[str], came: list[str]
+    ) -> None:
+        """Append to ``gone`` the edit line of each edge of the map ``had``
+        (key -> target set) that ``has`` lacks, and to ``came`` the reverse.
+        The keys are variables when ``src_head`` is None, and else the field
+        names of the source object it renders."""
         obj = self._object
-        lines = []
-        for sign, var_edges, heap_edges in (("- ", var_gone, heap_gone), ("+ ", var_came, heap_came)):
-            if var_edges:
-                lines += sorted([f"{sign}{v.method}/{v.slot} -> {obj(o)}\n" for v, o in var_edges])
-            if heap_edges:
-                lines += sorted([f"{sign}{obj(s)} .{f}-> {obj(t)}\n" for s, f, t in heap_edges])
-        return "".join(lines)
+        shared = 0
+        for key, objs in has.items():
+            was = had.get(key)
+            if was is objs:
+                shared += 1
+                continue
+            head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
+            if was is None:
+                for o in objs:
+                    came.append(f"+ {head}{obj(o)}\n")
+                continue
+            shared += 1
+            for o in was - objs:
+                gone.append(f"- {head}{obj(o)}\n")
+            for o in objs - was:
+                came.append(f"+ {head}{obj(o)}\n")
+        if shared < len(had):
+            for key in had.keys() - has.keys():
+                head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
+                for o in had[key]:
+                    gone.append(f"- {head}{obj(o)}\n")
 
 
 def _heap_size(heap: HeapIndex) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .artwork import Artwork
 from .consumer import regen_inter
@@ -263,10 +263,10 @@ def _add_edge(
         if _has_more_entries(mutated, a):
             # The source was optimized: shrink the same way, and keep that
             # only if the consumer still accepts it.
-            shrunk = optimize_artwork(program, mutated, result=closed)
+            shrunk = optimize_artwork(program, mutated)
             if regen_inter(program, shrunk).safe:
                 mutated = shrunk
-        return mutated, f"{_entry_name(key)} edge '{render_edge(edge)}'"
+        return replace(mutated), f"{_entry_name(key)} edge '{render_edge(edge)}'"  # drops the fixed point
     raise NothingToTamperError("no conservative edge addition found")
 
 

@@ -189,17 +189,22 @@ def test_duplicate_entry_rejected():
         parse_artwork(data)
 
 
-def _optimized_corpus(small_corpus) -> list[Artwork]:
+def _optimized_corpus(small_corpus, decoded: bool) -> list[Artwork]:
     """``optimize_artwork(...)`` for the small corpus plus four programs of
     the benchmark's large shape (one self-recursive method of 300
-    statements)."""
+    statements): of each emitted artwork, which carries its fixed point, or
+    with ``decoded`` of its decoded copy, which is regenerated."""
     from artpta import CorpusConfig, generate_corpus, optimize_artwork, parse_program
 
     large = generate_corpus(
         CorpusConfig(program_count=4, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
     programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
-    return [optimize_artwork(p, emit_artwork(p, analyze_inter(p))) for p in programs]
+    optimized = []
+    for p in programs:
+        a = emit_artwork(p, analyze_inter(p))
+        optimized.append(optimize_artwork(p, decode(encode(a), p) if decoded else a))
+    return optimized
 
 
 OPTIMIZED_CORPUS_SHA256 = "27fe7bfa8daef3705d776974d5697cc75b2602e25dc358d9fb6aedaa36933f14"
@@ -208,10 +213,11 @@ OPTIMIZED_CORPUS_SHA256 = "27fe7bfa8daef3705d776974d5697cc75b2602e25dc358d9fb6ae
 def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
     import hashlib
 
-    h = hashlib.sha256()
-    for a in _optimized_corpus(small_corpus):
-        data = encode(a)
-        assert data == reference_encode(a)
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    assert h.hexdigest() == OPTIMIZED_CORPUS_SHA256
+    for decoded in (False, True):
+        h = hashlib.sha256()
+        for a in _optimized_corpus(small_corpus, decoded):
+            data = encode(a)
+            assert data == reference_encode(a)
+            h.update(len(data).to_bytes(8, "little"))
+            h.update(data)
+        assert h.hexdigest() == OPTIMIZED_CORPUS_SHA256, decoded

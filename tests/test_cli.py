@@ -226,6 +226,24 @@ def test_optimized_analyze_is_smaller_and_safe(tmp_path, loopy_ir, capsys):
     assert main(["regen", loopy_ir, opt]) == 0
 
 
+def test_optimized_analyze_never_regenerates(tmp_path, capsys, count_calls):
+    # Both IN entries of f and g are dropped, which reads the call-site
+    # values off the fixed point the emitted artwork carries.
+    import artpta.consumer
+
+    ir = tmp_path / "two-sites.ir"
+    ir.write_text(
+        "method main() {\n  1: a = new A\n  2: call [f](a)\n  3: call [g](a)\n  4: call [f](a)\n}\n"
+        "method f(p) {\n  1: nop\n}\nmethod g(p) {\n  1: nop\n}\n"
+    )
+    art = str(tmp_path / "two-sites.art")
+    calls = count_calls(artpta.consumer, "regenerate")
+    assert main(["analyze", str(ir), "-O", "-o", art]) == 0
+    assert calls["regenerate"] == 0
+    assert "(loop=0 in=0 out=0)" in capsys.readouterr().out
+    assert main(["regen", str(ir), art]) == 0
+
+
 def test_gen_corpus_deterministic(tmp_path, capsys):
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"

@@ -497,6 +497,9 @@ def test_optimize_reads_the_regeneration_not_a_second_analysis(
 
 
 def test_optimize_regenerates_once_and_only_on_first_need(count_calls):
+    # An emitted artwork carries its fixed point, so it regenerates never; a
+    # decoded copy carries none and regenerates once, at its first IN entry
+    # that passes the loop-header and SCC filters.
     from artpta import consumer
 
     self_only = parse_program(
@@ -504,15 +507,19 @@ def test_optimize_regenerates_once_and_only_on_first_need(count_calls):
         "method solo(p) {\n  1: x = new A\n  2: if goto 4\n  3: call [solo](x)\n  4: return\n}\n"
     )
     calls = count_calls(consumer, "regenerate")
-    optimize_artwork(self_only, emit_artwork(self_only, analyze_inter(self_only)))
-    assert calls["regenerate"] == 0
+    a = emit_artwork(self_only, analyze_inter(self_only))
+    optimize_artwork(self_only, a)
+    optimize_artwork(self_only, decode(encode(a), self_only))
+    assert calls["regenerate"] == 0  # solo's one call-site is its own
     two_sites = parse_program(
         "method main() {\n  1: a = new A\n  2: call [f](a)\n  3: call [g](a)\n  4: call [f](a)\n}\n"
         "method f(p) {\n  1: nop\n}\nmethod g(p) {\n  1: nop\n}\n"
     )
-    opt = optimize_artwork(two_sites, emit_artwork(two_sites, analyze_inter(two_sites)))
+    a = emit_artwork(two_sites, analyze_inter(two_sites))
+    assert set(optimize_artwork(two_sites, a).i_in) == set()
+    assert calls["regenerate"] == 0
+    assert set(optimize_artwork(two_sites, decode(encode(a), two_sites)).i_in) == set()
     assert calls["regenerate"] == 1
-    assert set(opt.i_in) == set()
 
 
 def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
@@ -536,31 +543,68 @@ def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
     ids=["default", "roundtrip-large"],
 )
 def test_optimize_with_the_result_equals_optimize_by_regeneration(shape, count, count_calls):
+    # The emitted artwork is optimized with the fixed point it carries, its
+    # decoded copy with the consumer's regeneration: the two agree.
     from artpta import consumer
 
     calls = count_calls(consumer, "regenerate")
     regenerated = 0
     for _, text in generate_corpus(CorpusConfig(program_count=count, seed=1, **shape)):
         p = parse_program(text)
-        result = analyze_inter(p)
-        a = emit_artwork(p, result)
-        expected = optimize_artwork(p, a)
-        regenerated = calls["regenerate"]
-        assert optimize_artwork(p, a, result=result) == expected
+        a = emit_artwork(p, analyze_inter(p))
+        opt = optimize_artwork(p, a)
         assert calls["regenerate"] == regenerated
-    assert regenerated >= 1  # the regeneration path ran, and the result path did not
+        assert optimize_artwork(p, decode(encode(a), p)) == opt
+        regenerated = calls["regenerate"]
+    assert regenerated >= 1  # the regeneration path ran, on the decoded copies only
 
 
 def test_optimize_rejects_a_result_the_artifact_does_not_hold(rec_pipeline):
+    # One entry of an emitted artwork replaced by a reduced graph after
+    # emission: the artwork no longer holds the fixed point it carries, so
+    # it is regenerated, and the consumer rejects it.
     from artpta import ArtError, tamper
     from artpta.tamper import REDUCTIVE_KINDS
 
-    p, result, a = rec_pipeline
+    p, result, _ = rec_pipeline
+    sections = ("i_loop", "i_in", "i_out")
     for seed in range(8):
         for kind in REDUCTIVE_KINDS:
+            a = emit_artwork(p, result)
             mutated, _ = tamper(a, kind, seed)
-            with pytest.raises(ArtError, match="differs from the given result$"):
-                optimize_artwork(p, mutated, result=result)
+            [(entries, key, g)] = [
+                (getattr(a, s), key, g)
+                for s in sections
+                for key, g in getattr(mutated, s).items()
+                if g != getattr(a, s)[key]
+            ]
+            entries[key] = g
+            assert a.fixed_point is result
+            with pytest.raises(ArtError, match="^artifact does not regenerate: "):
+                optimize_artwork(p, a)
+
+
+def test_the_carried_fixed_point_is_not_part_of_the_value(rec_pipeline):
+    import dataclasses
+
+    from artpta import TamperKind, tamper
+
+    p, result, a = rec_pipeline
+    assert a.fixed_point is result
+    copy = decode(encode(a), p)
+    assert copy.fixed_point is None
+    assert copy == a and encode(copy) == encode(a)
+    # decode keeps file order and emission program order, so the reprs to
+    # compare are of the same maps
+    bare = dataclasses.replace(a)
+    assert bare.fixed_point is None
+    assert repr(bare) == repr(a) and "fixed_point" not in repr(a)
+    opt = optimize_artwork(p, a)
+    assert opt.fixed_point is None
+    for source in (a, opt):
+        for kind in TamperKind:
+            mutated, _ = tamper(source, kind, 3, program=p)
+            assert mutated.fixed_point is None, kind
 
 
 def test_a_loop_seed_stays_in_its_statement_and_flows_on(loopy):
