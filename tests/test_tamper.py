@@ -1,3 +1,4 @@
+import hashlib
 
 import pytest
 
@@ -242,3 +243,35 @@ def test_tampered_pooled_artifacts_encode_canonically(small_corpus, reference_en
                 assert encode(decode(out, p)) == out
         assert decode(data, p) == a and encode(decode(data, p)) == data
     assert repeated >= 6 and mutated_repeated >= 6 * len(TamperKind)
+
+
+# The digest of every tamper output below: each spec's target string and its
+# mutated artwork's bytes, or the NothingToTamperError message, in order.
+TAMPER_OUTPUTS_SHA256 = "293383834180df8f8b093d664d91e861e3a3a4a94f6eba720f7ddebd9de0384d"
+
+
+def test_tamper_outputs_are_pinned(small_corpus):
+    """Every kind, seeds 0-5, on the plain and ``-O`` artworks of the small
+    corpus and of two programs of the roundtrip-large shape (one
+    self-recursive method of 300 statements): the targets, the bytes and
+    the refusals are fixed."""
+    large = generate_corpus(
+        CorpusConfig(program_count=2, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+    )
+    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    digest = hashlib.sha256()
+    outputs = 0
+    for p in programs:
+        plain = emit_artwork(p, analyze_inter(p))
+        for a in (plain, optimize_artwork(p, plain)):
+            for kind in TamperKind:
+                for seed in range(6):
+                    try:
+                        mutated, spec = tamper(a, kind, seed, program=p)
+                    except NothingToTamperError as exc:
+                        digest.update(f"refused {exc}\n".encode())
+                        continue
+                    digest.update(f"{spec.target}\n".encode() + encode(mutated))
+                    outputs += 1
+    assert (len(programs), outputs) == (18, 1176)
+    assert digest.hexdigest() == TAMPER_OUTPUTS_SHA256
