@@ -44,12 +44,11 @@ sides are looked up in the program's table of identifiers
 table renders its sides is looked up by its text, unparsed): a side the
 table lacks is a reference the program does not have, and a side it holds
 is replaced by the table's own object, so a decoded artifact holds one
-object per identifier.  Each block's graph is then built straight into the
-two index maps from those parsed lines, with no edge sets
-(``ptg.graph_of_set_edges``), and each edit entry's over shallow copies of
-the previous entry's maps, so what it does not edit stays shared.  Edit
-lines are checked against one running set of the previous entry's parsed
-edges.  Once an entry is at fault, no more graphs are built, so the work
+object per identifier.  Every graph is then built by ``ptg.edited``: a
+block's as the empty graph with its lines added, an edit entry's as the
+previous entry's graph with its lines applied in order, so what it does not
+edit stays shared.  Edit lines are checked against one running set of the
+previous entry's parsed edges.  Once an entry is at fault, no more graphs are built, so the work
 stays linear in the file however many entries it holds.  Errors are reported
 deterministically: a syntax error anywhere wins, at its first line;
 otherwise the first entry at fault in [loop], [in], [out] order, its key
@@ -68,16 +67,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import MalformedArtworkError, UnknownReferenceError
 from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifiers
-from .ptg import (
-    NO_OBJECTS,
-    NULL_OBJECT,
-    EdgeRenderer,
-    PointsToGraph,
-    SetEdge,
-    _graph,
-    graph_of_set_edges,
-    parse_edge_line,
-)
+from .ptg import EMPTY, NULL_OBJECT, EdgeRenderer, PointsToGraph, SetEdge, edited, parse_edge_line
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
@@ -200,8 +190,8 @@ def _unknown(o: Identifier) -> str:
 
 class _EdgeLines(dict):
     """The edge lines of one artifact, parsed: each whole line, with its
-    two-space indent, maps to its edge with a singleton target set (see
-    ``ptg.graph_of_set_edges``).  An artifact repeats most of its edges
+    two-space indent, maps to its edge with a singleton target set, as
+    ``ptg.edited`` takes it.  An artifact repeats most of its edges
     across entries, so each distinct line is parsed once.  When there is a
     program, both sides of the line are replaced by their entries in the
     program's table (``ir.identifiers``), so equal identifiers are one
@@ -255,45 +245,6 @@ class _EdgeLines(dict):
         if bad and not bad.keys().isdisjoint(lines):
             return next(bad[line] for line in lines if line in bad)
         return None
-
-
-def _edited(g: PointsToGraph, edits: list[tuple[str, SetEdge]]) -> PointsToGraph:
-    """``g`` with ``edits`` applied in order, each ``('-', edge)`` or
-    ``('+', edge)`` and each valid there.  The maps are shallow copies of
-    ``g``'s, so every target set and field map an edit does not touch is
-    shared; a touched set is rebuilt once, and a set or field map left
-    empty is dropped only after every edit, so one entry may empty and
-    refill it."""
-    vars_ = dict(g._vars)
-    heap = dict(g._heap)
-    copied: dict = {}  # source object -> its field map, copied for this graph
-    grown: list[tuple[dict, object]] = []  # (map, key) holding a mutable set
-    for sign, edge in edits:
-        if len(edge) == 2:
-            key, objs = edge
-            index = vars_
-        else:
-            src, key, objs = edge
-            index = copied.get(src)
-            if index is None:
-                index = copied[src] = heap[src] = dict(heap.get(src, ()))
-        have = index.get(key, NO_OBJECTS)
-        if have.__class__ is not set:
-            have = index[key] = set(have)
-            grown.append((index, key))
-        if sign == "-":
-            have -= objs
-        else:
-            have |= objs
-    for index, key in grown:
-        if index[key]:
-            index[key] = frozenset(index[key])
-        else:
-            del index[key]
-    for src, fields in copied.items():
-        if not fields:
-            del heap[src]
-    return _graph(vars_, heap)
 
 
 def _read_artwork(
@@ -373,9 +324,9 @@ def _read_artwork(
                 later.add(key)
                 continue
             if text == "{":
-                g = graph_of_set_edges(block)
+                g = edited(EMPTY, [("+", edge) for edge in block])
             elif edits:
-                g = _edited(g, edits)
+                g = edited(g, edits)
             entries[key] = g
             why = edges.why(own)
             if why is not None:

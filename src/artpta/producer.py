@@ -315,13 +315,14 @@ def validate_result(
 
 
 def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict]:
-    """The three maps ``emit_artwork`` writes for ``result``."""
+    """The three maps ``emit_artwork`` writes for ``result``, each filled in
+    key order as decode fills them, so the two print alike."""
     index = ProgramIndex.of(program)
-    ms, cfgs = program.methods, index.cfgs
+    names, cfgs = sorted(m.name for m in program.methods), index.cfgs
     return (
-        {(m.name, h): result.out[(m.name, h)] for m in ms for h in sorted(cfgs[m.name].loop_headers)},
-        {m.name: result.in_summary[m.name] for m in ms},
-        {m.name: result.out_summary[m.name] for m in ms if index.call_graph.is_recursive_method(m.name)},
+        {(n, h): result.out[(n, h)] for n in names for h in sorted(cfgs[n].loop_headers)},
+        {n: result.in_summary[n] for n in names},
+        {n: result.out_summary[n] for n in names if index.call_graph.is_recursive_method(n)},
     )
 
 

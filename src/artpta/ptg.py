@@ -19,17 +19,20 @@ update copies the variable map and rebinds one key while sharing the heap
 map, a field store copies only the source objects it touches, and a meet
 whose second operand adds nothing returns the first operand itself.  A
 lookup (``pts``, ``field_targets``) is one or two dictionary probes, and
-the edge-set views ``var_edges`` / ``field_edges`` are built on first use.
-The hash is taken over the two maps (each value set caches its own hash) and
-kept in the graph, so hashing never builds the edge views either.  Because
-the heap is keyed by source object, the one structural rule -- no field edge
-leaves the null object -- is a single key test, checked on every
-construction.
+the edge-set views ``var_edges`` / ``field_edges`` are built anew on each
+read and kept by no graph.  The hash is taken over the two maps (each value
+set caches its own hash) and kept in the graph, so hashing never builds the
+edge views.  Because the heap is keyed by source object, the one structural
+rule -- no field edge leaves the null object -- is a single key test,
+checked on every construction.
 
-``graph_of_set_edges`` builds the maps straight from parsed edge lines,
-``(v, {o})`` for a variable edge and ``(s, f, {t})`` for a field edge,
-sharing each line's singleton set: the artifact decoder's path, which never
-builds edge sets.
+``edited`` is the one code that fills maps from edges: it applies ordered
+``('-', edge)`` / ``('+', edge)`` edits, each edge ``(v, objs)`` or
+``(s, f, objs)``, to shallow copies of a graph's maps.  The edge
+constructor adds its edges to the empty maps with it, the artifact decoder
+builds a block as ``edited(EMPTY, +lines)`` and an edit entry as
+``edited(previous, edits)``, and ``tamper`` writes each reductive mutation
+as one call.
 
 Variables and objects are small values that hash and compare in C:
 ``VarId``, ``Site`` and ``Placeholder`` are named tuples whose last field is
@@ -121,28 +124,17 @@ _NULL_ONLY: Objects = frozenset((NULL_OBJECT,))
 class PointsToGraph:
     """An immutable points-to graph over shared index maps.
 
-    ``PointsToGraph(var_edges, field_edges)`` and ``PointsToGraph.of`` build
-    the index from edges; the lattice operations below build graphs directly
-    from maps.  Both paths run ``__post_init__``.
+    ``PointsToGraph(var_edges, field_edges)`` and ``PointsToGraph.of`` add
+    the edges to the empty maps as ``edited`` does; the lattice operations
+    below build graphs directly from maps.  Every path runs
+    ``__post_init__`` once.
     """
 
-    __slots__ = ("_vars", "_heap", "_var_edges", "_field_edges", "_hash")
+    __slots__ = ("_vars", "_heap", "_hash")
 
     def __init__(self, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> None:
-        var_edges = frozenset(var_edges)
-        field_edges = frozenset(field_edges)
-        vars_: dict[VarId, set[ObjectId]] = {}
-        for v, o in var_edges:
-            vars_.setdefault(v, set()).add(o)
-        heap: dict[ObjectId, dict[str, set[ObjectId]]] = {}
-        for s, f, t in field_edges:
-            heap.setdefault(s, {}).setdefault(f, set()).add(t)
-        self._vars: VarIndex = {v: frozenset(objs) for v, objs in vars_.items()}
-        self._heap: HeapIndex = {
-            s: {f: frozenset(ts) for f, ts in fields.items()} for s, fields in heap.items()
-        }
-        self._var_edges: frozenset[VarEdge] | None = var_edges
-        self._field_edges: frozenset[FieldEdge] | None = field_edges
+        edits = [("+", (*e[:-1], frozenset(e[-1:]))) for edges in (var_edges, field_edges) for e in edges]
+        self._vars, self._heap = _edit({}, {}, edits)
         self._hash: int | None = None
         self.__post_init__()
 
@@ -161,17 +153,11 @@ class PointsToGraph:
 
     @property
     def var_edges(self) -> frozenset[VarEdge]:
-        if self._var_edges is None:
-            self._var_edges = frozenset(
-                (v, o) for v, objs in self._vars.items() for o in objs
-            )
-        return self._var_edges
+        return frozenset((v, o) for v, objs in self._vars.items() for o in objs)
 
     @property
     def field_edges(self) -> frozenset[FieldEdge]:
-        if self._field_edges is None:
-            self._field_edges = frozenset(_heap_edges(self._heap))
-        return self._field_edges
+        return frozenset(_heap_edges(self._heap))
 
     def pts(self, v: VarId) -> frozenset[ObjectId]:
         return self._vars.get(v, NO_OBJECTS)
@@ -214,7 +200,12 @@ class PointsToGraph:
         return h
 
     def __repr__(self) -> str:
-        return f"PointsToGraph(var_edges={self.var_edges!r}, field_edges={self.field_edges!r})"
+        """Edges in ``render_edges`` order, so equal graphs print alike."""
+        var_edges, field_edges = (
+            f"frozenset({{{', '.join(map(repr, sorted(edges, key=render_edge)))}}})" if edges else "frozenset()"
+            for edges in (self.var_edges, self.field_edges)
+        )
+        return f"PointsToGraph(var_edges={var_edges}, field_edges={field_edges})"
 
 
 def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
@@ -222,7 +213,7 @@ def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
     g = object.__new__(PointsToGraph)
     g._vars = vars_
     g._heap = heap
-    g._var_edges = g._field_edges = g._hash = None
+    g._hash = None
     g.__post_init__()
     return g
 
@@ -233,35 +224,54 @@ def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
 SetEdge = Union[tuple[VarId, Objects], tuple[ObjectId, str, Objects]]
 
 
-def graph_of_set_edges(edges: Iterable[SetEdge]) -> PointsToGraph:
-    """The graph of ``edges``, in any order and with repeats, built straight
-    into the index maps (no edge sets).  The given sets are shared where a
-    variable or an (object, field) pair occurs once; repeats are unioned in
-    one growing set, so the cost stays linear in the edges."""
-    vars_: VarIndex = {}
-    heap: HeapIndex = {}
-    grown: list[tuple[dict, object]] = []  # (map, key) holding a growing set
-    for edge in edges:
+def edited(g: PointsToGraph, edits: Iterable[tuple[str, SetEdge]]) -> PointsToGraph:
+    """``g`` with ``edits`` applied in order: ``('-', edge)`` removes the
+    edge's targets from its key, ``('+', edge)`` adds them.
+
+    The new maps are shallow copies of ``g``'s, so every target set and
+    field map no edit touches is shared.  An edit under a key that has no
+    set yet shares the edit's own set; a touched set is rebuilt once,
+    however many edits touch it, so the cost is linear in the edits plus
+    the touched sets.  A set or field map left empty is dropped only after
+    the last edit, so one call may empty and refill it."""
+    return _graph(*_edit(g._vars, g._heap, edits))
+
+
+def _edit(vars_: VarIndex, heap: HeapIndex, edits: Iterable[tuple[str, SetEdge]]) -> tuple[VarIndex, HeapIndex]:
+    """The maps of ``edited``, made from ``vars_`` and ``heap``."""
+    vars_ = dict(vars_)
+    heap = dict(heap)
+    copied: dict = {}  # source object -> its field map, copied for the new maps
+    grown: list[tuple[dict, object]] = []  # (map, key) holding a mutable set
+    for sign, edge in edits:
         if len(edge) == 2:
             key, objs = edge
             index = vars_
         else:
-            s, key, objs = edge
-            index = heap.get(s)
+            src, key, objs = edge
+            index = copied.get(src)
             if index is None:
-                heap[s] = {key: objs}
-                continue
+                index = copied[src] = heap[src] = dict(heap.get(src, ()))
         have = index.get(key)
-        if have is None:
-            index[key] = objs
-        elif have.__class__ is set:
-            have |= objs
-        else:
-            index[key] = set(have) | objs
+        if have.__class__ is not set:
+            if have is None and sign == "+":
+                index[key] = objs
+                continue
+            have = index[key] = set(have or ())
             grown.append((index, key))
+        if sign == "-":
+            have -= objs
+        else:
+            have |= objs
     for index, key in grown:
-        index[key] = frozenset(index[key])
-    return _graph(vars_, heap)
+        if index[key]:
+            index[key] = frozenset(index[key])
+        else:
+            del index[key]
+    for src, fields in copied.items():
+        if not fields:
+            del heap[src]
+    return vars_, heap
 
 
 def _heap_edges(heap: HeapIndex) -> Iterable[FieldEdge]:

@@ -37,6 +37,7 @@ from .ptg import (
     Site,
     VarEdge,
     VarId,
+    edited,
     render_edge,
     render_object,
 )
@@ -97,6 +98,11 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
+def _set_edge(e: VarEdge | FieldEdge) -> tuple:
+    """``e`` as ``ptg.edited`` takes it, its target in a singleton set."""
+    return (*e[:-1], frozenset(e[-1:]))
+
+
 def _sorted_edges(g: PointsToGraph) -> list[VarEdge | FieldEdge]:
     return sorted(g.var_edges, key=render_edge) + sorted(g.field_edges, key=render_edge)
 
@@ -115,10 +121,7 @@ def _remove_edge(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
     if not candidates:
         raise NothingToTamperError("no edges to remove")
     key, g, e = rng.choice(candidates)
-    if len(e) == 2:
-        mutated = PointsToGraph(g.var_edges - {e}, g.field_edges)
-    else:
-        mutated = PointsToGraph(g.var_edges, g.field_edges - {e})
+    mutated = edited(g, [("-", _set_edge(e))])
     return _with_entry(a, key, mutated), f"{_entry_name(key)} edge '{render_edge(e)}'"
 
 
@@ -132,13 +135,12 @@ def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
         raise NothingToTamperError("no nodes to remove")
     key, g, (node_kind, node) = rng.choice(candidates)
     if node_kind == "var":
-        mutated = PointsToGraph(g.kill_var(node), g.field_edges)
+        mutated = edited(g, [("-", (node, g.pts(node)))])
         label = f"{node.method}/{node.slot}"
     else:
-        mutated = PointsToGraph(
-            frozenset(e for e in g.var_edges if e[1] != node),
-            frozenset(e for e in g.field_edges if e[0] != node and e[2] != node),
-        )
+        touching = [e for e in g.var_edges if e[1] == node]
+        touching += [e for e in g.field_edges if node in (e[0], e[2])]
+        mutated = edited(g, [("-", _set_edge(e)) for e in touching])
         label = render_object(node)
     return _with_entry(a, key, mutated), f"{_entry_name(key)} node '{label}'"
 
@@ -155,10 +157,7 @@ def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
         raise NothingToTamperError("no points-to targets to replace")
     key, g, e, old = rng.choice(candidates)
     new = rng.choice([o for o in objects if o != old])
-    if len(e) == 2:
-        mutated = PointsToGraph(g.var_edges - {e} | {(e[0], new)}, g.field_edges)
-    else:
-        mutated = PointsToGraph(g.var_edges, g.field_edges - {e} | {(e[0], e[1], new)})
+    mutated = edited(g, [("-", _set_edge(e)), ("+", _set_edge((*e[:-1], new)))])
     return (
         _with_entry(a, key, mutated),
         f"{_entry_name(key)} edge '{render_edge(e)}' target -> {render_object(new)}",
@@ -170,34 +169,23 @@ def _shrink_set(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
     for key, g in _entries(a):
         for v in sorted({w for (w, _) in g.var_edges}, key=lambda w: (w.method, w.slot)):
             if len(g.pts(v)) >= 2:
-                candidates.append((key, g, ("var", v)))
+                candidates.append((key, g, (v,)))
         slots = sorted(
             {(s, f) for (s, f, _) in g.field_edges},
             key=lambda sf: (render_object(sf[0]), sf[1]),
         )
         for s, f in slots:
             if len(g.field_targets(s, f)) >= 2:
-                candidates.append((key, g, ("field", (s, f))))
+                candidates.append((key, g, (s, f)))
     if not candidates:
         raise NothingToTamperError("no points-to set with two or more targets")
-    key, g, (slot_kind, slot) = rng.choice(candidates)
-    if slot_kind == "var":
-        keep = min(g.pts(slot), key=render_object)
-        mutated = PointsToGraph(
-            frozenset(e for e in g.var_edges if e[0] != slot or e[1] == keep),
-            g.field_edges,
-        )
-        label = f"{slot.method}/{slot.slot}"
+    key, g, slot = rng.choice(candidates)  # (v,) or (s, f)
+    if len(slot) == 1:
+        targets, label = g.pts(*slot), f"{slot[0].method}/{slot[0].slot}"
     else:
-        s, f = slot
-        keep = min(g.field_targets(s, f), key=render_object)
-        mutated = PointsToGraph(
-            g.var_edges,
-            frozenset(
-                e for e in g.field_edges if e[0] != s or e[1] != f or e[2] == keep
-            ),
-        )
-        label = f"{render_object(s)}.{f}"
+        targets, label = g.field_targets(*slot), f"{render_object(slot[0])}.{slot[1]}"
+    keep = min(targets, key=render_object)
+    mutated = edited(g, [("-", (*slot, targets - {keep}))])
     return (
         _with_entry(a, key, mutated),
         f"{_entry_name(key)} set '{label}' kept {render_object(keep)}",
@@ -240,12 +228,12 @@ def _add_edge(
         if rng.random() < 0.5 and fields and sites:
             src = rng.choice(sites)
             edge = (src, rng.choice(fields), rng.choice(objects))
-            if edge in g.field_edges:
+            if edge[2] in g.field_targets(src, edge[1]):
                 edge = None
         elif m.var_count and objects:
             v = VarId(m.name, rng.randrange(m.var_count))
             edge = (v, rng.choice(objects))
-            if edge in g.var_edges:
+            if edge[1] in g.pts(v):
                 edge = None
         if edge is None:
             continue

@@ -221,3 +221,14 @@ def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
             h.update(len(data).to_bytes(8, "little"))
             h.update(data)
         assert h.hexdigest() == OPTIMIZED_CORPUS_SHA256, decoded
+
+
+def test_an_emitted_artwork_prints_as_its_decoded_copy(small_corpus):
+    # Emission and decode both fill the maps in key order, so an artwork
+    # and its decoded copy print alike, as they compare and encode alike.
+    from artpta import optimize_artwork
+
+    for _, p in small_corpus:
+        plain = emit_artwork(p, analyze_inter(p))
+        for a in (plain, optimize_artwork(p, plain)):
+            assert repr(decode(encode(a), p)) == repr(a)

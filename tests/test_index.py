@@ -129,3 +129,21 @@ def test_project_in_is_called_only_from_equations():
                 if name == "project_in":
                     callers.add(path.stem)
     assert callers == {"equations"}
+
+
+def test_only_ptg_reaches_a_graphs_maps():
+    # A graph's index maps are read and filled in ``ptg`` alone: no other
+    # module reads ``._vars`` or ``._heap`` or takes a private name of ``ptg``.
+    reached = set()
+    for path in sorted(pathlib.Path(artpta.__file__).parent.glob("*.py")):
+        if path.stem == "ptg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr in ("_vars", "_heap")
+                or (node.attr.startswith("_") and isinstance(node.value, ast.Name) and node.value.id == "ptg")
+            ):
+                reached.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ptg":
+                reached.update((path.stem, a.name) for a in node.names if a.name.startswith("_"))
+    assert reached == set()

@@ -54,7 +54,7 @@ from artpta.ir import (
 )
 from artpta.ptg import (
     NullObject,
-    graph_of_set_edges,
+    edited,
     parse_edge_line,
     parse_object,
     ret_var,
@@ -78,7 +78,7 @@ M = CTX.method("m")
 
 def _graph_of_lines(lines) -> PointsToGraph:
     """The graph of rendered edge lines, in any order."""
-    return graph_of_set_edges((*e[:-1], frozenset(e[-1:])) for e in map(parse_edge_line, lines))
+    return edited(EMPTY, [("+", (*e[:-1], frozenset(e[-1:]))) for e in map(parse_edge_line, lines)])
 
 VARS = [VarId("m", i) for i in range(5)]  # a, b, c, d and the return carrier
 SITES = [Site("m", 1), Site("m", 2), Site("main", 9)]
@@ -635,6 +635,71 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     data = f"ART/1\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
         decode(data, CTX)
+
+
+target_sets = st.frozensets(st.sampled_from(OBJS), min_size=1, max_size=3)
+set_edges = st.one_of(
+    st.tuples(st.sampled_from(VARS), target_sets),
+    st.tuples(st.sampled_from(SOURCES), st.sampled_from(FIELDS), target_sets),
+)
+edit_lists = st.lists(st.tuples(st.sampled_from("-+"), set_edges), max_size=8)
+
+
+def _edit_oracle(g, edits):
+    """The edge sets of ``edited(g, edits)``, each edit applied in order."""
+    var_edges, field_edges = set(g.var_edges), set(g.field_edges)
+    for sign, (*key, objs) in edits:
+        edges = var_edges if len(key) == 1 else field_edges
+        changed = {(*key, o) for o in objs}
+        if sign == "+":
+            edges |= changed
+        else:
+            edges -= changed
+    return var_edges, field_edges
+
+
+@settings(max_examples=300)
+@given(graphs, edit_lists, set_edges, target_sets)
+def test_edited_matches_an_edge_set_oracle(g, edits, e, refill):
+    before = render_edges(g)
+    sequences = [
+        edits,
+        [*edits, ("+", e), ("-", e)],  # add, then remove
+        [("-", e), ("+", e), *edits],  # remove, then add back
+    ]
+    # empty a variable's set, or an object's whole field map, then refill it
+    for v, objs in g._vars.items():
+        sequences.append([("-", (v, objs)), *edits, ("+", (v, refill))])
+    for src, fields in g._heap.items():
+        emptied = [("-", (src, f, ts)) for f, ts in fields.items()]
+        sequences.append([*emptied, *edits, ("+", (src, FIELDS[0], refill))])
+    for seq in sequences:
+        out = edited(g, seq)
+        oracle = PointsToGraph(*_edit_oracle(g, seq))
+        assert _edge_sets(out) == _edit_oracle(g, seq)
+        assert out == oracle and hash(out) == hash(oracle)
+        # nothing empty or mutable is stored
+        for objs in [*out._vars.values(), *(ts for fields in out._heap.values() for ts in fields.values())]:
+            assert objs and objs.__class__ is frozenset
+        assert all(out._heap.values())
+        # what no edit touches is shared, and a key added by one edit holds that edit's set
+        touched = [edge[:-1] for _, edge in seq]
+        for v, objs in g._vars.items():
+            if (v,) not in touched:
+                assert out._vars[v] is objs
+        for src, fields in g._heap.items():
+            if not any(len(key) == 2 and key[0] == src for key in touched):
+                assert out._heap[src] is fields
+            for f, ts in fields.items():
+                if (src, f) not in touched:
+                    assert out._heap[src][f] is ts
+        for sign, edge in seq:
+            key = edge[:-1]
+            had = g.pts(*key) if len(key) == 1 else g.field_targets(*key)
+            if sign == "+" and not had and touched.count(key) == 1:
+                stored = out._vars[key[0]] if len(key) == 1 else out._heap[key[0]][key[1]]
+                assert stored is edge[-1]
+    assert render_edges(g) == before  # the input's maps are untouched
 
 
 # ---------------------------------------------------------------------------
