@@ -48,14 +48,14 @@ object per identifier.  Every graph is then built by ``ptg.edited``: a
 block's as the empty graph with its lines added, an edit entry's as the
 previous entry's graph with its lines applied in order, so what it does not
 edit stays shared.  Edit lines are checked against one running set of the
-previous entry's parsed edges.  Once an entry is at fault, no more graphs are built, so the work
-stays linear in the file however many entries it holds.  Errors are reported
-deterministically: a syntax error anywhere wins, at its first line;
-otherwise the first entry at fault in [loop], [in], [out] order, its key
-before its graph, and within a graph the first bad edge line in file order,
-its left side before its right.  File order is the check order, so a bad
-line is reported at the first entry that holds it, never at a ``^`` after
-it.
+previous entry's parsed edges.  Once an entry is at fault, no more graphs
+are built, so the work stays linear in the file however many entries it
+holds.  Errors are reported deterministically: a syntax error anywhere
+wins, at its first line; otherwise the first entry at fault in [loop],
+[in], [out] order, its key before its graph, and within a graph the first
+bad edge line in file order, its left side before its right.  File order is
+the check order, so a bad line is reported at the first entry that holds
+it, never at a ``^`` after it.
 """
 
 from __future__ import annotations

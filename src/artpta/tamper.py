@@ -34,6 +34,7 @@ from .ptg import (
     FieldEdge,
     ObjectId,
     PointsToGraph,
+    SetEdge,
     Site,
     VarEdge,
     VarId,
@@ -98,7 +99,7 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
-def _set_edge(e: VarEdge | FieldEdge) -> tuple:
+def _set_edge(e: VarEdge | FieldEdge) -> SetEdge:
     """``e`` as ``ptg.edited`` takes it, its target in a singleton set."""
     return (*e[:-1], frozenset(e[-1:]))
 
