@@ -2,15 +2,19 @@
 agreement, exact regeneration from plain and optimized artifacts, and full
 campaign detection."""
 
+import hashlib
+
 import pytest
 
 from artpta import (
+    CorpusConfig,
     NothingToTamperError,
     analyze_inter,
     chaotic_oracle,
     decode,
     emit_artwork,
     encode,
+    generate_corpus,
     optimize_artwork,
     parse_program,
     regen_inter,
@@ -111,3 +115,56 @@ def test_recursive_return_summary_carries_return_edge():
     a = emit_artwork(p, analyze_inter(p))
     # dup's slots: p=0, q=1, return carrier=2
     assert "dup/2 -> main:1" in render_edges(a.i_out["dup"])
+
+
+# ---------------------------------------------------------------------------
+# Evaluation counts over both generated corpus shapes (the dominator tests'
+# corpora): the producer's summed ``iteration_count`` and, for the plain and
+# the ``-O`` artifacts, the consumer's summed ``transfer_applications`` and a
+# digest of every ``visits`` map, its key order included.  How an engine
+# walks the CFG may change; how many evaluations it makes, and where, may
+# not.
+# ---------------------------------------------------------------------------
+
+LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+
+# (iteration_count, plain applications, plain visits, -O applications, -O visits)
+PINNED_COUNTS = {
+    ("default", 1): (27277, 11684, "e3704ec19b473063", 11684, "e3704ec19b473063"),
+    ("default", 90917): (28520, 11636, "e2a988c36ffa0300", 11636, "e2a988c36ffa0300"),
+    ("roundtrip-large", 1): (8809, 6169, "62dfe341c04130be", 6169, "62dfe341c04130be"),
+    ("roundtrip-large", 90917): (8787, 6151, "f6edcf2d6733ab1d", 6151, "f6edcf2d6733ab1d"),
+}
+
+
+#: corpus shape -> (generator settings, program count)
+COUNTED_CORPORA = {"default": ({}, 200), "roundtrip-large": (LARGE_SHAPE, 20)}
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@pytest.mark.parametrize("shape", sorted(COUNTED_CORPORA))
+def test_evaluation_counts_are_pinned(shape, seed):
+    settings, count = COUNTED_CORPORA[shape]
+    evals = 0
+    applications = {"plain": 0, "optimized": 0}
+    visits = {"plain": hashlib.sha256(), "optimized": hashlib.sha256()}
+    for name, text in generate_corpus(CorpusConfig(program_count=count, seed=seed, **settings)):
+        p = parse_program(text)
+        r = analyze_inter(p)
+        evals += r.iteration_count
+        a = emit_artwork(p, r)
+        for kind, art in (("plain", a), ("optimized", optimize_artwork(p, a))):
+            out = regen_inter(p, art)
+            assert out.safe, (name, kind)
+            applications[kind] += out.transfer_applications
+            visits[kind].update(f"{name}\n".encode())
+            for (method, label), n in out.visits.items():
+                visits[kind].update(f"{method}:{label}={n}\n".encode())
+    found = (
+        evals,
+        applications["plain"],
+        visits["plain"].hexdigest()[:16],
+        applications["optimized"],
+        visits["optimized"].hexdigest()[:16],
+    )
+    assert found == PINNED_COUNTS[(shape, seed)]
