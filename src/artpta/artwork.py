@@ -67,7 +67,16 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import MalformedArtworkError, UnknownReferenceError
 from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifiers
-from .ptg import EMPTY, NULL_OBJECT, EdgeRenderer, PointsToGraph, SetEdge, edited, parse_edge_line
+from .ptg import (
+    EMPTY,
+    NULL_OBJECT,
+    EdgeRenderer,
+    PointsToGraph,
+    SetEdge,
+    edited,
+    parse_edge_line,
+    set_edge,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
@@ -213,13 +222,13 @@ class _EdgeLines(dict):
                 left, op, right = ids.get(parts[0]), parts[1], ids.get(parts[2])
                 if left is not None and right is not None and right.__class__ is not VarId:
                     if op == "->" and left.__class__ is VarId:
-                        parsed = self[line] = (left, frozenset((right,)))
+                        parsed = self[line] = set_edge((left, right))
                         return parsed
                     if (
                         len(op) > 3 and op[0] == "." and op.endswith("->") and op.isprintable()
                         and left.__class__ is not VarId and left is not NULL_OBJECT
                     ):
-                        parsed = self[line] = (left, op[1:-2], frozenset((right,)))
+                        parsed = self[line] = set_edge((left, op[1:-2], right))
                         return parsed
         if not line.startswith("  "):
             raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
@@ -235,7 +244,7 @@ class _EdgeLines(dict):
                 self.bad[line] = _unknown(edge[-1])
             else:
                 edge = (left, *edge[1:-1], right)
-        parsed = self[line] = (*edge[:-1], frozenset(edge[-1:]))  # (v, {o}) or (s, f, {t})
+        parsed = self[line] = set_edge(edge)  # (v, {o}) or (s, f, {t})
         return parsed
 
     def why(self, lines: list[str]) -> str | None:

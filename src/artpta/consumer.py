@@ -2,9 +2,12 @@
 artifact, proving it safe or reporting the tampered entry.
 
 Each method's blocks are visited in topological order (back-edges ignored)
-and each statement exactly once.  Loop headers take their OUT directly from
-the artifact (default: the meet of their forward predecessors when the entry
-was deleted); every other statement recomputes its flow equation.  Safety:
+and each statement exactly once.  Loop headers, which lead their blocks,
+take their OUT directly from the artifact (default: the meet of their
+forward predecessors when the entry was deleted); every other statement
+recomputes its flow equation, a block's leader from the meet of its
+predecessor blocks' OUTs (``equations.block_in``) and each later statement
+from the OUT just computed.  Safety:
 
 * loop invariants are recomputed over every predecessor, back-edges included,
   once the whole method is done, and must be unchanged (equality);
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .artwork import Artwork
-from .equations import AnalysisResult, PointKey, callee_in, eval_statement, in_value
+from .equations import AnalysisResult, PointKey, block_in, callee_in, eval_statement, meet_in
 from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex
 
 # ``project_in`` is not called here (``callee_in`` is); it stays bound
@@ -181,52 +184,54 @@ class _Regenerator:
             if v is not None:
                 self._fail(v)
 
-    def _eval(self, name: str, s: LabeledStatement, in_g: PointsToGraph) -> PointsToGraph:
-        g = eval_statement(s, in_g, self.index.methods[name], self._summary_of)
-        # Counted once evaluated: a callee regeneration that aborts leaves
-        # this call-site unevaluated (its generator is never resumed).
-        self.applications += 1
-        return g
-
-    def _forward_in(self, name: str, label: int) -> PointsToGraph:
-        cfg = self.index.cfgs[name]
-        preds = [
-            p
-            for p in cfg.pred[label]
-            if not (isinstance(p, int) and (p, label) in cfg.back_edges)
-        ]
-        return meet_all(self.out.get((name, p), EMPTY) for p in preds)
-
     def regen_method(self, name: str) -> Iterator[str]:
-        """Regenerate one method.  Before each call is evaluated, yield the
-        callees whose OUT summary it still needs; ``_regen`` regenerates each
-        one before resuming."""
+        """Regenerate one method, one block at a time in topological order.
+        Before each call is evaluated, yield the callees whose OUT summary
+        it still needs; ``_regen`` regenerates each one before resuming."""
         m = self.index.methods[name]
         cfg = self.index.cfgs[name]
+        blocks = cfg.blocks
+        headers = {v for _, v in cfg.back}
+        out, visits, summary_of = self.out, self.visits, self._summary_of
         self.analyzed.add(name)
-        self.out[(name, ENTRY)] = self._resolved_in(name, EMPTY)
-        for block in cfg.topo_order:
-            for s in block.statements:
-                self.visits[(name, s.label)] += 1
-                if s.label in cfg.loop_headers:
-                    in_fwd = self._forward_in(name, s.label)
-                    if isinstance(s.instr, Call):
-                        self._check_call_site(m, s, in_fwd)
-                    seeded = self.artwork.i_loop.get((name, s.label))
-                    if seeded is None:
-                        seeded = in_fwd  # deleted-entry default
-                    self.out[(name, s.label)] = seeded
-                else:
-                    in_g = in_value(self.index, self.out, name, s.label)
-                    if isinstance(s.instr, Call):
-                        self._check_call_site(m, s, in_g)
-                        yield from self._pending_callees(name, s)
-                    self.out[(name, s.label)] = self._eval(name, s, in_g)
-        self.out[(name, EXIT)] = in_value(self.index, self.out, name, EXIT)
-        self.regen_out_summary[name] = restrict_to_summary(self.out[(name, EXIT)], m)
-        for header in sorted(cfg.loop_headers):
-            stmt = self.index.stmts[name][header]
-            in_all = in_value(self.index, self.out, name, header)
+        out[(name, ENTRY)] = self._resolved_in(name, EMPTY)
+        for b in cfg.order:
+            stmts = blocks[b].statements
+            if b in headers:
+                # A loop header leads its block and takes its OUT from the
+                # artifact; the meet of its forward predecessors is the
+                # deleted-entry default.
+                s = stmts[0]
+                key = (name, s.label)
+                visits[key] += 1
+                in_fwd = meet_all([
+                    out.get((name, p), EMPTY)
+                    for p in cfg.inputs[b]
+                    if not (isinstance(p, int) and (p, s.label) in cfg.back_edges)
+                ])
+                if isinstance(s.instr, Call):
+                    self._check_call_site(m, s, in_fwd)
+                seeded = self.artwork.i_loop.get(key)
+                g = out[key] = in_fwd if seeded is None else seeded
+                stmts = stmts[1:]
+            else:
+                g = block_in(cfg, out, name, b)
+            for s in stmts:
+                key = (name, s.label)
+                visits[key] += 1
+                if s.instr.__class__ is Call:
+                    self._check_call_site(m, s, g)
+                    yield from self._pending_callees(name, s)
+                g = out[key] = eval_statement(s, g, m, summary_of)
+                # Counted once evaluated: a callee regeneration that aborts
+                # leaves this call-site unevaluated (its generator is never
+                # resumed).
+                self.applications += 1
+        out[(name, EXIT)] = meet_in(out, name, cfg.exit_inputs)
+        self.regen_out_summary[name] = restrict_to_summary(out[(name, EXIT)], m)
+        for header, b in sorted((blocks[b].leader, b) for b in headers):
+            stmt = blocks[b].statements[0]
+            in_all = meet_in(out, name, cfg.inputs[b])
             if isinstance(stmt.instr, Call):
                 # The main pass could only project the forward predecessors
                 # into the callee; re-check against the full meet now that the
@@ -234,8 +239,9 @@ class _Regenerator:
                 # arrive only around the loop would slip through.
                 self._check_call_site(m, stmt, in_all)
                 yield from self._pending_callees(name, stmt)
-            recomputed = self._eval(name, stmt, in_all)
-            v = check_intra_safety(stmt, m, recomputed, self.out[(name, header)])
+            recomputed = eval_statement(stmt, in_all, m, summary_of)
+            self.applications += 1
+            v = check_intra_safety(stmt, m, recomputed, out[(name, header)])
             if v is not None:
                 self._fail(v)
         if self.index.call_graph.is_recursive_method(name):

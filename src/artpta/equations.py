@@ -1,11 +1,19 @@
 """The flow equations every engine evaluates.
 
-The producer's worklist, the round-robin oracle, the equation check, the
-artifact optimizer and the consumer all evaluate a statement with
-``eval_statement``, the value flowing into a program point with ``in_value``
-and a call-site's contribution to a callee's IN summary with ``callee_in``;
-they differ only in where callee OUT summaries come from and in how often
-they evaluate.
+The producer's worklist, the equation check, the artifact optimizer and the
+consumer all evaluate a statement with ``eval_statement`` and a call-site's
+contribution to a callee's IN summary with ``callee_in``.  The three engines
+(``analyze_inter``'s worklist, ``validate_result`` and the consumer's
+``regen_method``) step through a method one basic block at a time: a
+leader's input is ``block_in``, the meet of its predecessor blocks' last
+OUTs (and Entry's, for the first block), and every later statement's input
+is the OUT just computed for the statement before it.  ``meet_in`` is the
+meet over any list of points (Exit's inputs, a loop header's), and
+``in_value`` the input of one point, for the optimizer's call-sites.  The
+engines differ only in where callee OUT summaries come from and in how often
+they evaluate.  The round-robin oracle evaluates the same statement
+equations over the statement-level predecessor relation instead, so it
+stays an independent check of the block step.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .ir import Call, LabeledStatement, Method, Node, ProgramIndex
+from .ir import EXIT, Call, ControlFlowGraph, LabeledStatement, Method, Node, ProgramIndex
 from .ptg import EMPTY, PointsToGraph, meet_all, project_in, project_out, transfer
 
 PointKey = tuple[str, Node]
@@ -42,16 +50,39 @@ class AnalysisResult:
         )
 
 
+def meet_in(out: Mapping[PointKey, PointsToGraph], name: str, points: tuple[Node, ...]) -> PointsToGraph:
+    """Meet of the OUT values of ``points`` in method ``name``: the one OUT
+    itself when there is one (as ``meet_all`` would return it)."""
+    if len(points) == 1:
+        return out.get((name, points[0]), EMPTY)
+    return meet_all([out.get((name, p), EMPTY) for p in points])
+
+
+def block_in(
+    cfg: ControlFlowGraph, out: Mapping[PointKey, PointsToGraph], name: str, b: int
+) -> PointsToGraph:
+    """The block step's one meet: the value flowing into block ``b``'s
+    leader, the meet of its predecessor blocks' last OUTs (and Entry's, for
+    block 0).  Every later statement of the block takes the OUT of the
+    statement before it."""
+    return meet_in(out, name, cfg.inputs[b])
+
+
 def in_value(
     index: ProgramIndex, out: Mapping[PointKey, PointsToGraph], name: str, node: Node
 ) -> PointsToGraph:
-    """Meet of the OUT values of every CFG predecessor of ``node``: the
-    predecessor's OUT itself when there is one (as ``meet_all`` would
-    return it)."""
-    preds = index.cfgs[name].pred.get(node, ())
-    if len(preds) == 1:
-        return out.get((name, preds[0]), EMPTY)
-    return meet_all(out.get((name, p), EMPTY) for p in preds)
+    """The value flowing into one point of method ``name``, as the block
+    step gives it: a leader's ``block_in``, a later statement's the OUT of
+    the statement before it, or Exit's meet."""
+    cfg = index.cfgs[name]
+    if node == EXIT:
+        points = cfg.exit_inputs
+    elif node in cfg.position:
+        b, k = cfg.position[node]
+        points = (cfg.blocks[b].statements[k - 1].label,) if k else cfg.inputs[b]
+    else:  # Entry, or no point of the method
+        points = ()
+    return meet_in(out, name, points)
 
 
 def eval_statement(

@@ -81,13 +81,19 @@ through statement and ``L`` as successors.  Call statements carry an explicit
 resolved target list, standing in for devirtualization.  The entry method is
 the method named ``main``; it must take no parameters.
 
-Control-flow graphs are built over maximal basic blocks with synthetic Entry
-and Exit nodes.  Back-edges are the edges a depth-first search from the
-entry block finds retreating; in a reducible graph these are exactly the
-dominator back-edges (edge ``u -> v`` with ``v`` dominating ``u``).  A graph
-is rejected as irreducible when a back-edge's natural loop reaches the entry
-without passing its header, or when the graph minus its back-edges keeps a
-cycle among unreachable blocks.
+A control-flow graph is a block graph: the maximal basic blocks, whose
+leaders are found from the control statements alone, their successor and
+predecessor blocks, and synthetic Entry and Exit points.  Inside a block
+each statement flows into the next one alone, so the engines step through
+whole blocks, and the statement-level successor and predecessor relations
+and a loop's statements are views derived from the block graph on demand
+(for the round-robin oracle, the optimizer and the tests).  Back-edges are
+the edges a depth-first search from the entry block finds retreating; in a
+reducible graph these are exactly the dominator back-edges (edge ``u -> v``
+with ``v`` dominating ``u``).  A graph is rejected as irreducible when a
+back-edge's natural loop reaches the entry block without passing its
+header, or when the graph minus its back-edges keeps a cycle among
+unreachable blocks.
 """
 
 from __future__ import annotations
@@ -97,6 +103,7 @@ import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Union
 
@@ -180,6 +187,9 @@ class Nop:
 
 
 Instr = Union[Alloc, Copy, AssignNull, FieldStore, FieldLoad, Call, Return, Branch, Goto, Nop]
+
+#: The instruction kinds that end a basic block.
+_CONTROL = frozenset((Branch, Goto, Return))
 
 #: Instruction kinds that can change a points-to graph.  Loops whose body has
 #: none of these carry no heap information and need no stored invariant.
@@ -804,8 +814,10 @@ def print_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(NamedTuple):
+    """A maximal run of statements that control enters only at the first
+    (the leader) and leaves only after the last."""
+
     statements: tuple[LabeledStatement, ...]
 
     @property
@@ -815,93 +827,162 @@ class BasicBlock:
 
 @dataclass(frozen=True)
 class ControlFlowGraph:
+    """A method's block graph.  Blocks are numbered in body order.  Entry
+    flows into block 0 alone, or straight to Exit when the body is empty;
+    inside a block each statement flows into the next one alone.
+
+    The statement-level relations (``succ``, ``pred``, ``loop_body``) are
+    views derived from the block graph on demand: the engines step through
+    whole blocks and never read them."""
+
     method: Method
+    #: the maximal basic blocks, in body order
     blocks: tuple[BasicBlock, ...]
-    #: statement-level successor relation, Entry/Exit included
-    succ: dict[Node, tuple[Node, ...]]
-    pred: dict[Node, tuple[Node, ...]]
+    #: per block, the blocks its last statement flows to, in the order the
+    #: statement names them (fall-through first), Exit left out
+    block_succ: tuple[tuple[int, ...], ...]
+    #: per block, the blocks that flow into it, in body order
+    block_pred: tuple[tuple[int, ...], ...]
+    #: the blocks in a topological order of the block graph minus back-edges
+    order: tuple[int, ...]
+    #: (source block, header block) back-edges of the block graph
+    back: frozenset[tuple[int, int]]
     #: (source statement label, header statement label) dominator back-edges
     back_edges: frozenset[tuple[int, int]]
-    #: blocks in a topological order of the block graph minus back-edges
-    topo_order: tuple[BasicBlock, ...]
     #: labels of natural-loop headers (back-edge targets)
     loop_headers: frozenset[int]
-    # header -> the sources of its back-edges, derived once with the CFG
-    _latches: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    #: per block, the points whose OUT flows into its leader: Entry for
+    #: block 0, then each predecessor block's last statement, in body order
+    inputs: tuple[tuple[Node, ...], ...] = field(repr=False, compare=False)
+    #: the points whose OUT flows into Exit: the exit blocks' last
+    #: statements, or Entry for an empty body
+    exit_inputs: tuple[Node, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        latches: dict[int, list[int]] = {}
-        for u, h in self.back_edges:
-            latches.setdefault(h, []).append(u)
-        object.__setattr__(self, "_latches", latches)
+    @property
+    def topo_order(self) -> tuple[BasicBlock, ...]:
+        """The blocks themselves, in ``order``."""
+        return tuple(map(self.blocks.__getitem__, self.order))
+
+    @cached_property
+    def position(self) -> dict[int, tuple[int, int]]:
+        """Statement label -> (its block, its offset in the block)."""
+        return {
+            s.label: (b, k) for b, block in enumerate(self.blocks) for k, s in enumerate(block.statements)
+        }
+
+    @cached_property
+    def succ(self) -> dict[Node, tuple[Node, ...]]:
+        """Statement-level successor relation, Entry included, keyed Entry
+        first, then in body order."""
+        blocks = self.blocks
+        succ: dict[Node, tuple[Node, ...]] = {ENTRY: (blocks[0].leader,) if blocks else (EXIT,)}
+        exits = set(self.exit_inputs)
+        for block, vs in zip(blocks, self.block_succ):
+            stmts = block.statements
+            for s, t in zip(stmts, stmts[1:]):
+                succ[s.label] = (t.label,)
+            s = stmts[-1]
+            succ[s.label] = ((EXIT,) if s.label in exits else ()) + tuple([blocks[v].leader for v in vs])
+        return succ
+
+    @cached_property
+    def pred(self) -> dict[Node, tuple[Node, ...]]:
+        """Statement-level predecessor relation, keyed Entry, Exit, then in
+        body order; each point's predecessors in body order after Entry."""
+        pred: dict[Node, tuple[Node, ...]] = {ENTRY: (), EXIT: self.exit_inputs}
+        for block, inputs in zip(self.blocks, self.inputs):
+            stmts = block.statements
+            pred[stmts[0].label] = inputs
+            for s, t in zip(stmts, stmts[1:]):
+                pred[t.label] = (s.label,)
+        return pred
 
     def loop_body(self, header: int) -> frozenset[int]:
         """Labels of all statements in the natural loop of ``header``
-        (union over its back-edges), header included."""
-        members: set[int] = {header}
-        stack = list(self._latches.get(header, ()))
-        while stack:
-            n = stack.pop()
-            if n in members:
-                continue
-            members.add(n)
-            for p in self.pred.get(n, ()):
-                if isinstance(p, int) and p not in members:
-                    stack.append(p)
-        return frozenset(members)
+        (union over its back-edges), header included; ``{header}`` for a
+        label that heads no loop."""
+        blocks = self.blocks
+        back = [(u, v) for u, v in self.back if blocks[v].leader == header]
+        if not back:
+            return frozenset((header,))
+        loop = _natural_loop(self.block_pred, back[0][1], [u for u, _ in back])
+        return frozenset(s.label for b in loop for s in blocks[b].statements)
+
+
+def _natural_loop(pred: tuple[tuple[int, ...], ...], h: int, latches: list[int]) -> set[int]:
+    """The blocks of a natural loop: header block ``h`` and every block that
+    reaches one of ``latches`` (the sources of its back-edges) without
+    passing ``h``."""
+    members = {h}
+    while latches:
+        u = latches.pop()
+        if u not in members:
+            members.add(u)
+            latches += pred[u]
+    return members
 
 
 def build_cfg(m: Method) -> ControlFlowGraph:
-    """Build the CFG: maximal basic blocks, back-edges and a deterministic
-    topological block order.
+    """Build the block graph: maximal basic blocks, their successors and
+    predecessors, back-edges and a deterministic topological block order.
 
-    One scan over the body finds every statement's successors and
-    predecessors and the block leaders.  One depth-first search from the
-    entry block finds the back-edges: the edges into a block on the current
-    search path.  In a reducible graph these are exactly the edges whose
-    target dominates their source, whatever order the search takes.  Raises
+    The leaders are the first statement, every jump target and every
+    statement after a control transfer; only the control statements are
+    read to find them.  One depth-first search from the entry block finds
+    the back-edges: the edges into a block on the current search path.  In
+    a reducible graph these are exactly the edges whose target dominates
+    their source, whatever order the search takes.  Raises
     IrreducibleCfgError when a back-edge's natural loop reaches the first
-    statement without passing its header (the header does not dominate the
+    block without passing its header (the header does not dominate the
     source), or when the graph minus its back-edges keeps a cycle among
     unreachable blocks."""
     body = m.body
-    labels = [s.label for s in body]
-    first: Node = labels[0] if labels else EXIT
-    succ: dict[Node, tuple[Node, ...]] = {ENTRY: (first,)}
-    pred: dict[Node, tuple[Node, ...]] = dict.fromkeys((ENTRY, EXIT, *labels), ())
-    pred[first] = (ENTRY,)
-    fan_in: dict[Node, list[Node]] = {}
-    # Leaders: the first statement, every jump target and every statement
-    # after a control transfer.
-    leaders: set[Node] = {first}
-    for s, fall in zip(body, labels[1:] + [EXIT]):
-        instr = s.instr
-        kind = instr.__class__
+    n = len(body)
+    at = {s.label: i for i, s in enumerate(body)}
+    starts = {0}
+    for i, s in enumerate(body):
+        kind = s.instr.__class__
+        if kind in _CONTROL:
+            starts.add(i + 1)
+            if kind is not Return:
+                starts.add(at[s.instr.target])
+    starts.discard(n)  # past the last statement (or an empty body)
+    starts = sorted(starts)
+    ends = starts[1:] + [n] if starts else []
+    block_at = dict(zip(starts, range(len(starts))))
+    blocks: list[BasicBlock] = []
+    leader: list[int] = []
+    last: list[int] = []
+    # Each block's successors, read off its last statement (which flows to
+    # leaders only), and the blocks that flow to Exit.
+    bsucc: list[tuple[int, ...]] = []
+    exits: list[int] = []
+    for b, (a, z) in enumerate(zip(starts, ends)):
+        stmts = body[a:z]
+        blocks.append(_tuple_new(BasicBlock, (stmts,)))
+        leader.append(stmts[0].label)
+        s = stmts[-1]
+        last.append(s.label)
+        kind = s.instr.__class__
         if kind is Goto:
-            out: tuple[Node, ...] = (instr.target,)
-        elif kind is Branch:
-            out = (fall,) if instr.target == fall else (fall, instr.target)
+            out: tuple[int, ...] = (block_at[at[s.instr.target]],)
         elif kind is Return:
-            out = (EXIT,)
-        else:
-            out = (fall,)
-        if kind is Goto or kind is Branch or kind is Return:
-            leaders.update(out)
-            leaders.add(fall)
-        succ[s.label] = out
-        for v in out:
-            if pred[v]:  # a join point: pred[v] keeps its first predecessor
-                fan_in.setdefault(v, [*pred[v]]).append(s.label)
-            else:
-                pred[v] = (s.label,)
-    for v, ps in fan_in.items():
-        pred[v] = tuple(ps)
-
-    starts = [i for i, s in enumerate(body) if s.label in leaders]
-    blocks = [BasicBlock(body[a:b]) for a, b in zip(starts, starts[1:] + [len(body)])]
-    # A block's last statement has only leaders as successors.
-    block_of = {b.leader: bi for bi, b in enumerate(blocks)}
-    bsucc = [[block_of[v] for v in succ[b.statements[-1].label] if v != EXIT] for b in blocks]
+            out = ()
+        else:  # the next block, or Exit after the last statement
+            out = (b + 1,) if z < n else ()
+            if kind is Branch and block_at[at[s.instr.target]] not in out:
+                out += (block_at[at[s.instr.target]],)
+        if kind is Return or (z == n and kind is not Goto):
+            exits.append(b)
+        bsucc.append(out)
+    bpred: list[list[int]] = [[] for _ in blocks]
+    inputs: list[list[Node]] = [[] for _ in blocks]
+    if blocks:
+        inputs[0].append(ENTRY)
+    for u, vs in enumerate(bsucc):
+        for v in vs:
+            bpred[v].append(u)
+            inputs[v].append(last[u])
 
     # Iterative depth-first search.  State: 0 unseen, 1 on the current
     # path, 2 finished.
@@ -926,39 +1007,42 @@ def build_cfg(m: Method) -> ControlFlowGraph:
 
     # Kahn's algorithm over the block graph minus its back-edges, smallest
     # leader first.
-    indeg = [0] * len(blocks)
-    fwd = [[v for v in vs if (u, v) not in back] for u, vs in enumerate(bsucc)]
-    for vs in fwd:
-        for v in vs:
-            indeg[v] += 1
-    heap = [(b.leader, bi) for bi, b in enumerate(blocks) if indeg[bi] == 0]
+    fwd = list(bsucc)
+    indeg = list(map(len, bpred))
+    for u, v in back:
+        fwd[u] = tuple([w for w in fwd[u] if w != v])
+        indeg[v] -= 1
+    heap = [(leader[b], b) for b, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
-    topo: list[BasicBlock] = []
+    order: list[int] = []
     while heap:
         _, u = heapq.heappop(heap)
-        topo.append(blocks[u])
+        order.append(u)
         for v in fwd[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(heap, (blocks[v].leader, v))
+                heapq.heappush(heap, (leader[v], v))
 
-    back_edges = frozenset((blocks[u].statements[-1].label, blocks[v].leader) for u, v in back)
-    cfg = ControlFlowGraph(
-        method=m,
-        blocks=tuple(blocks),
-        succ=succ,
-        pred=pred,
-        back_edges=back_edges,
-        topo_order=tuple(topo),
-        loop_headers=frozenset(h for _, h in back_edges),
-    )
-    if len(topo) != len(blocks) or any(
-        h != first and first in cfg.loop_body(h) for h in cfg.loop_headers
+    block_pred = tuple(map(tuple, bpred))
+    if len(order) != len(blocks) or any(
+        v and 0 in _natural_loop(block_pred, v, [u]) for u, v in back
     ):
         raise IrreducibleCfgError(
             f"method '{m.name}' has a cycle that is not a natural loop"
         )
-    return cfg
+    back_edges = frozenset([(last[u], leader[v]) for u, v in back])
+    return ControlFlowGraph(
+        method=m,
+        blocks=tuple(blocks),
+        block_succ=tuple(bsucc),
+        block_pred=block_pred,
+        order=tuple(order),
+        back=frozenset(back),
+        back_edges=back_edges,
+        loop_headers=frozenset([h for _, h in back_edges]),
+        inputs=tuple(map(tuple, inputs)),
+        exit_inputs=tuple([last[u] for u in exits]) if blocks else (ENTRY,),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1097,10 +1181,13 @@ class ProgramIndex:
         self.cfgs: dict[str, ControlFlowGraph] = {
             m.name: build_cfg(m) for m in program.methods
         }
-        self.stmts: dict[str, dict[int, LabeledStatement]] = {
-            m.name: {s.label: s for s in m.body} for m in program.methods
-        }
         self.call_graph: CallGraph = build_call_graph(program)
+
+    @cached_property
+    def stmts(self) -> dict[str, dict[int, LabeledStatement]]:
+        """Method name -> label -> statement, built on first use (by the
+        optimizer's lookups): the engines step through the CFGs' blocks."""
+        return {m.name: {s.label: s for s in m.body} for m in self.program.methods}
 
     @classmethod
     def of(cls, p: Program) -> "ProgramIndex":

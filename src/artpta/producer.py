@@ -1,15 +1,19 @@
 """Least fixed-point producer: flow-sensitive, context-insensitive points-to
 analysis, an independent chaotic-iteration oracle, and artifact emission.
 
-``analyze_inter`` runs a statement-level worklist (reverse post-order) inside
-a method-level worklist (call-graph SCCs bottom-up).  A method's first pass
-evaluates every statement.  A re-visit is difference-driven (Pearce, Kelly &
-Hankin, SCAM 2003): it evaluates only what a changed input reaches, starting
-from Entry's successors when the method's IN summary grew and from the call
-statements whose target's OUT summary grew, and afterwards re-projects into
-callees only the call-sites whose state before the call changed.
-``chaotic_oracle``
-computes the same least fixed point by plain round-robin sweeps and exists
+``analyze_inter`` runs a worklist of basic blocks (ranked in topological
+order) inside a method-level worklist (call-graph SCCs bottom-up).  It steps
+through a block as every engine does: the leader's input is the meet of its
+predecessor blocks' last OUTs (``equations.block_in``), and each later
+statement's the OUT just computed.  A method's first pass evaluates every
+statement.  A
+re-visit is difference-driven (Pearce, Kelly & Hankin, SCAM 2003): it
+evaluates only what a changed input reaches, starting from the first block
+when the method's IN summary grew and from the call statements whose
+target's OUT summary grew, and afterwards re-projects into callees only the
+call-sites whose state before the call changed.  ``chaotic_oracle``
+computes the same least fixed point by plain round-robin sweeps over the
+statement-level predecessor relation (``ControlFlowGraph.pred``) and exists
 only to cross-check the worklist engine.  Both evaluate the same flow
 equations from ``equations``: per-statement transfer functions,
 ``OUT[call] = project_out(meet of target summaries, call, IN[call])``,
@@ -30,9 +34,28 @@ import heapq
 
 from .artwork import Artwork
 from .consumer import regenerate
-from .equations import AnalysisResult, PointKey, callee_in, eval_statement, in_value
+from .equations import (
+    AnalysisResult,
+    PointKey,
+    block_in,
+    callee_in,
+    eval_statement,
+    in_value,
+    meet_in,
+)
 from .errors import ArtError
-from .ir import ENTRY, EXIT, REF_INSTRS, Call, Method, Node, Program, ProgramIndex
+from .ir import (
+    ENTRY,
+    EXIT,
+    REF_INSTRS,
+    Call,
+    ControlFlowGraph,
+    LabeledStatement,
+    Method,
+    Node,
+    Program,
+    ProgramIndex,
+)
 
 # ``transfer`` is not called here; it stays bound because the benchmark's
 # tracer self-test patches ``producer.transfer``.
@@ -41,72 +64,119 @@ from .ptg import (
     PointsToGraph,
     entry_graph,
     meet,
+    meet_all,
     restrict_to_summary,
     subsumes,
     transfer,
 )
 
 
+#: One method's plan, made on its first visit: its blocks in topological
+#: order, each block's rank in that order, and each call statement with the
+#: points whose OUT flows into it, in body order.
+Plan = tuple[tuple[int, ...], list[int], list[tuple[LabeledStatement, tuple[Node, ...]]]]
+
+
+def _plan(cfg: ControlFlowGraph) -> Plan:
+    rank = [0] * len(cfg.blocks)
+    for r, b in enumerate(cfg.order):
+        rank[b] = r
+    calls = []
+    for block, points in zip(cfg.blocks, cfg.inputs):
+        for s in block.statements:
+            if s.instr.__class__ is Call:
+                calls.append((s, points))
+            points = (s.label,)
+    return cfg.order, rank, calls
+
+
 def _method_pass(
     index: ProgramIndex,
     name: str,
-    plan: tuple[list[int], dict[int, int]],
+    plan: Plan,
     seeds: set[int] | None,
     entry_out: PointsToGraph,
     out_summary: dict[str, PointsToGraph],
     inj_loop: dict[tuple[str, int], PointsToGraph],
     out: dict[PointKey, PointsToGraph],
 ) -> tuple[int, set[Node]]:
-    """Run one method's statements to a local fixed point with a worklist in
-    reverse post-order (``plan`` is that order and each label's rank in it).
+    """Run one method's statements to a local fixed point with a worklist of
+    blocks in topological order (``plan`` gives each block's rank in it).
     A statement's OUT also holds its ``inj_loop`` seed.
 
     The first visit (``seeds`` is None) evaluates every statement.  A
     re-visit starts from the previous pass's values and evaluates only what
     changed inputs reach: ``seeds`` (call statements whose target's OUT
-    summary grew), Entry's successors when ``entry_out`` differs from the
-    Entry value of the last pass, and then the successors of every OUT that
-    changes.  Values only grow, so a statement none of whose inputs changed
-    would recompute its OUT unchanged.  Exit is refreshed when one of its
-    predecessors changed.  Returns the evaluation count and the points whose
-    OUT changed, Entry and Exit included."""
+    summary grew), the first block when ``entry_out`` differs from the
+    Entry value of the last pass, and then whatever follows an OUT that
+    changes: the next statement of its block, or, after a block's last
+    statement, the successor blocks.  Values only grow, so a statement none
+    of whose inputs changed would recompute its OUT unchanged.  A block is
+    stepped through in one go, so the statements evaluated, and their order,
+    are those of a worklist of statements ranked block by block.  Exit is
+    refreshed when one of its inputs changed.  Returns the evaluation count
+    and the points whose OUT changed, Entry and Exit included."""
     m = index.methods[name]
     cfg = index.cfgs[name]
-    stmts = index.stmts[name]
-    order, rank = plan
+    blocks, succ = cfg.blocks, cfg.block_succ
+    order, rank, _ = plan
+    summary_of = out_summary.__getitem__
     evals = 0
     changed: set[Node] = set()
     if out.get((name, ENTRY)) is not entry_out:  # IN summaries grow by replacement
         out[(name, ENTRY)] = entry_out
         changed.add(ENTRY)
+    # block rank -> the offsets evaluated whatever their input does (None:
+    # every statement of the block)
+    queued: dict[int, set[int] | None]
     if seeds is None:
-        queued = set(order)
+        queued = dict.fromkeys(range(len(order)))
     else:
-        queued = seeds
-        if changed:
-            queued.update(v for v in cfg.succ[ENTRY] if v != EXIT)
-    heap = [rank[label] for label in queued]
+        queued = {}
+        position = cfg.position
+        for label in seeds:
+            b, k = position[label]
+            queued.setdefault(rank[b], set()).add(k)
+        if changed and blocks:
+            queued.setdefault(rank[0], set()).add(0)
+    heap = list(queued)
     heapq.heapify(heap)
     while heap:
-        label = order[heapq.heappop(heap)]
-        if label not in queued:
-            continue
-        queued.discard(label)
-        in_g = in_value(index, out, name, label)
-        evals += 1
-        new = eval_statement(stmts[label], in_g, m, out_summary.__getitem__)
-        extra = inj_loop.get((name, label))
-        if extra is not None:
-            new = meet(new, extra)
-        if new != out.get((name, label)):
-            out[(name, label)] = new
-            changed.add(label)
-            for v in cfg.succ[label]:
-                if v != EXIT and v not in queued:
-                    queued.add(v)
-                    heapq.heappush(heap, rank[v])
-    if seeds is None or not changed.isdisjoint(cfg.pred[EXIT]):
-        out[(name, EXIT)] = in_value(index, out, name, EXIT)
+        r = heapq.heappop(heap)
+        todo = queued.pop(r)
+        b = order[r]
+        stmts = blocks[b].statements
+        start = 0 if todo is None else min(todo)
+        g = block_in(cfg, out, name, b) if start == 0 else None  # stmts[k]'s input, once read
+        grew = False  # the statement just evaluated changed its OUT
+        for k in range(start, len(stmts)):
+            s = stmts[k]
+            if not (grew or todo is None or k in todo):
+                g = None
+                continue
+            if g is None:
+                g = out[(name, stmts[k - 1].label)]
+            key = (name, s.label)
+            evals += 1
+            new = eval_statement(s, g, m, summary_of)
+            extra = inj_loop.get(key)
+            if extra is not None:
+                new = meet(new, extra)
+            g = out.get(key)
+            grew = new != g
+            if grew:
+                g = out[key] = new
+                changed.add(s.label)
+        if grew:  # the block's last statement changed
+            for v in succ[b]:
+                rv = rank[v]
+                if rv not in queued:
+                    queued[rv] = {0}
+                    heapq.heappush(heap, rv)
+                elif queued[rv] is not None:
+                    queued[rv].add(0)
+    if seeds is None or not changed.isdisjoint(cfg.exit_inputs):
+        out[(name, EXIT)] = meet_in(out, name, cfg.exit_inputs)
         changed.add(EXIT)
     return evals, changed
 
@@ -155,8 +225,8 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
             queued.add(name)
             heapq.heappush(heap, rank[name])
 
-    # each method's statement order and rank, built on its first visit
-    plans: dict[str, tuple[list[int], dict[int, int]]] = {}
+    # each method's plan, made on its first visit
+    plans: dict[str, Plan] = {}
     # per method, the call statements whose target's OUT summary grew since
     # the method's last pass
     dirty: dict[str, set[int]] = {}
@@ -167,14 +237,13 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
             continue
         queued.discard(name)
         m = index.methods[name]
-        cfg = index.cfgs[name]
         first = name not in plans
         if first:
-            labels = [s.label for b in cfg.topo_order for s in b.statements]
-            plans[name] = (labels, {label: i for i, label in enumerate(labels)})
+            plans[name] = _plan(index.cfgs[name])
+        plan = plans[name]
         seeds = dirty.pop(name, set())
         n, changed = _method_pass(
-            index, name, plans[name], None if first else seeds, in_summary[name], out_summary, inj_loop, out
+            index, name, plan, None if first else seeds, in_summary[name], out_summary, inj_loop, out
         )
         evals += n
 
@@ -186,12 +255,10 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
                     dirty.setdefault(caller, set()).add(label)
                     push(caller)
 
-        for s in m.body:
-            if not isinstance(s.instr, Call):
-                continue
-            if not first and changed.isdisjoint(cfg.pred[s.label]):
+        for s, points in plan[2]:
+            if not first and changed.isdisjoint(points):
                 continue  # the state before the call is as last projected
-            in_g = in_value(index, out, name, s.label)
+            in_g = meet_in(out, name, points)
             for t in s.instr.targets:
                 contrib = callee_in(index, name, s, in_g, t)
                 if not subsumes(in_summary[t], contrib):
@@ -212,6 +279,14 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
     ordering cleverness; must agree exactly with ``analyze_inter``."""
     index = ProgramIndex.of(program)
     out: dict[PointKey, PointsToGraph] = {}
+
+    def meet_of_preds(name: str, node: Node) -> PointsToGraph:
+        # over the statement-level predecessors, not the engines' block step
+        preds = index.cfgs[name].pred.get(node, ())
+        if len(preds) == 1:
+            return out.get((name, preds[0]), EMPTY)
+        return meet_all(out.get((name, p), EMPTY) for p in preds)
+
     for m in program.methods:
         out[(m.name, ENTRY)] = EMPTY
         out[(m.name, EXIT)] = EMPTY
@@ -230,13 +305,13 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
                 out[(name, ENTRY)] = in_summary[name]
                 changed = True
             for s in m.body:
-                in_g = in_value(index, out, name, s.label)
+                in_g = meet_of_preds(name, s.label)
                 evals += 1
                 new = eval_statement(s, in_g, m, out_summary.__getitem__)
                 if new != out[(name, s.label)]:
                     out[(name, s.label)] = new
                     changed = True
-            exit_g = in_value(index, out, name, EXIT)
+            exit_g = meet_of_preds(name, EXIT)
             if out[(name, EXIT)] != exit_g:
                 out[(name, EXIT)] = exit_g
                 changed = True
@@ -249,7 +324,7 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
             for s in m.body:
                 if not isinstance(s.instr, Call):
                     continue
-                in_g = in_value(index, out, m.name, s.label)
+                in_g = meet_of_preds(m.name, s.label)
                 for t in s.instr.targets:
                     new_in[t] = meet(new_in[t], callee_in(index, m.name, s, in_g, t))
         for name in index.methods:
@@ -284,17 +359,21 @@ def validate_result(
 
     for m in program.methods:
         name = m.name
+        cfg = index.cfgs[name]
         if result.out.get((name, ENTRY)) != result.in_summary.get(name):
             problems.append(f"{name}: entry value differs from IN summary")
-        for s in m.body:
-            in_g = in_value(index, result.out, name, s.label)
-            if isinstance(s.instr, Call):
-                for t in s.instr.targets:
-                    joined_in[t] = meet(joined_in[t], callee_in(index, name, s, in_g, t))
-            expect = eval_statement(s, in_g, m, summary_of)
-            if result.out.get((name, s.label)) != expect:
-                problems.append(f"{name}:{s.label}: OUT does not satisfy its equation")
-        exit_g = in_value(index, result.out, name, EXIT)
+        for b, block in enumerate(cfg.blocks):  # body order
+            in_g = block_in(cfg, result.out, name, b)
+            for s in block.statements:
+                if isinstance(s.instr, Call):
+                    for t in s.instr.targets:
+                        joined_in[t] = meet(joined_in[t], callee_in(index, name, s, in_g, t))
+                expect = eval_statement(s, in_g, m, summary_of)
+                have = result.out.get((name, s.label))
+                if have != expect:
+                    problems.append(f"{name}:{s.label}: OUT does not satisfy its equation")
+                in_g = EMPTY if have is None else have
+        exit_g = meet_in(result.out, name, cfg.exit_inputs)
         if result.out.get((name, EXIT)) != exit_g:
             problems.append(f"{name}: exit value differs from meet of predecessors")
         if result.out_summary.get(name) != restrict_to_summary(exit_g, m):

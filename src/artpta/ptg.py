@@ -133,7 +133,7 @@ class PointsToGraph:
     __slots__ = ("_vars", "_heap", "_hash")
 
     def __init__(self, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> None:
-        edits = [("+", (*e[:-1], frozenset(e[-1:]))) for edges in (var_edges, field_edges) for e in edges]
+        edits = [("+", set_edge(e)) for edges in (var_edges, field_edges) for e in edges]
         self._vars, self._heap = _edit({}, {}, edits)
         self._hash: int | None = None
         self.__post_init__()
@@ -165,11 +165,6 @@ class PointsToGraph:
     def field_targets(self, o: ObjectId, f: str) -> frozenset[ObjectId]:
         fields = self._heap.get(o)
         return NO_OBJECTS if fields is None else fields.get(f, NO_OBJECTS)
-
-    def kill_var(self, v: VarId) -> frozenset[VarEdge]:
-        return frozenset(
-            (w, o) for w, objs in self._vars.items() if w != v for o in objs
-        )
 
     def objects(self) -> frozenset[ObjectId]:
         objs: set[ObjectId] = set(self._heap)
@@ -222,6 +217,11 @@ def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
 # ``objs`` a non-empty frozenset; one parsed edge line is one with a
 # singleton set.
 SetEdge = Union[tuple[VarId, Objects], tuple[ObjectId, str, Objects]]
+
+
+def set_edge(e: VarEdge | FieldEdge) -> SetEdge:
+    """Edge ``e`` as ``edited`` takes it: its target in a singleton set."""
+    return (*e[:-1], frozenset(e[-1:]))
 
 
 def edited(g: PointsToGraph, edits: Iterable[tuple[str, SetEdge]]) -> PointsToGraph:

@@ -34,13 +34,13 @@ from .ptg import (
     FieldEdge,
     ObjectId,
     PointsToGraph,
-    SetEdge,
     Site,
     VarEdge,
     VarId,
     edited,
     render_edge,
     render_object,
+    set_edge,
 )
 from .producer import analyze_inter, emit_artwork, optimize_artwork
 
@@ -99,11 +99,6 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
-def _set_edge(e: VarEdge | FieldEdge) -> SetEdge:
-    """``e`` as ``ptg.edited`` takes it, its target in a singleton set."""
-    return (*e[:-1], frozenset(e[-1:]))
-
-
 def _sorted_edges(g: PointsToGraph) -> list[VarEdge | FieldEdge]:
     return sorted(g.var_edges, key=render_edge) + sorted(g.field_edges, key=render_edge)
 
@@ -122,7 +117,7 @@ def _remove_edge(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
     if not candidates:
         raise NothingToTamperError("no edges to remove")
     key, g, e = rng.choice(candidates)
-    mutated = edited(g, [("-", _set_edge(e))])
+    mutated = edited(g, [("-", set_edge(e))])
     return _with_entry(a, key, mutated), f"{_entry_name(key)} edge '{render_edge(e)}'"
 
 
@@ -141,7 +136,7 @@ def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
     else:
         touching = [e for e in g.var_edges if e[1] == node]
         touching += [e for e in g.field_edges if node in (e[0], e[2])]
-        mutated = edited(g, [("-", _set_edge(e)) for e in touching])
+        mutated = edited(g, [("-", set_edge(e)) for e in touching])
         label = render_object(node)
     return _with_entry(a, key, mutated), f"{_entry_name(key)} node '{label}'"
 
@@ -158,7 +153,7 @@ def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
         raise NothingToTamperError("no points-to targets to replace")
     key, g, e, old = rng.choice(candidates)
     new = rng.choice([o for o in objects if o != old])
-    mutated = edited(g, [("-", _set_edge(e)), ("+", _set_edge((*e[:-1], new)))])
+    mutated = edited(g, [("-", set_edge(e)), ("+", set_edge((*e[:-1], new)))])
     return (
         _with_entry(a, key, mutated),
         f"{_entry_name(key)} edge '{render_edge(e)}' target -> {render_object(new)}",

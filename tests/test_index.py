@@ -147,3 +147,36 @@ def test_only_ptg_reaches_a_graphs_maps():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ptg":
                 reached.update((path.stem, a.name) for a in node.names if a.name.startswith("_"))
     assert reached == set()
+
+
+def _attribute_readers(names):
+    """(module, function) for every read of an attribute in ``names``
+    anywhere in the package but ``ir``, ``function`` being the outermost
+    function or method around it (``Class.method``), or ``<module>``."""
+    found = set()
+    for path in sorted(pathlib.Path(artpta.__file__).parent.glob("*.py")):
+        if path.stem == "ir":
+            continue
+        owners = []
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef):
+                owners += [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+                owners += [(top.name, f) for f in top.body if not isinstance(f, ast.FunctionDef)]
+            elif isinstance(top, ast.FunctionDef):
+                owners.append((top.name, top))
+            else:
+                owners.append(("<module>", top))
+        for owner, tree in owners:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    found.add((path.stem, owner))
+    return found
+
+
+def test_only_ir_and_the_oracle_read_statement_level_edges():
+    # The engines step through whole basic blocks: a leader's input is the
+    # meet of its predecessor blocks' last OUTs and every later statement's
+    # is the OUT just computed.  No engine reads the statement-level
+    # ``succ`` / ``pred`` views of the CFG; ``ir`` derives them, and
+    # ``chaotic_oracle`` evaluates over them to cross-check the block step.
+    assert _attribute_readers({"succ", "pred"}) == {("producer", "chaotic_oracle")}

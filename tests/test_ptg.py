@@ -616,9 +616,10 @@ def test_equal_edges_by_any_path_are_equal_and_hash_equal(a, b, s):
     rebuilt = PointsToGraph(after.var_edges, after.field_edges)
     assert after == rebuilt and hash(after) == hash(rebuilt)
     # A strong update to an empty points-to set leaves no trace behind.
-    no_d = PointsToGraph(a.kill_var(var_id(M, "d")), a.field_edges)
+    c, d = var_id(M, "c"), var_id(M, "d")
+    no_d = edited(a, [("-", (d, a.pts(d)))])
     emptied = _transfer(_stmt(Copy("c", "d")), no_d)
-    expected = PointsToGraph(no_d.kill_var(var_id(M, "c")), a.field_edges)
+    expected = edited(no_d, [("-", (c, no_d.pts(c)))])
     assert emptied == expected and hash(emptied) == hash(expected)
 
 
