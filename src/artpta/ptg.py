@@ -221,7 +221,9 @@ SetEdge = Union[tuple[VarId, Objects], tuple[ObjectId, str, Objects]]
 
 def set_edge(e: VarEdge | FieldEdge) -> SetEdge:
     """Edge ``e`` as ``edited`` takes it: its target in a singleton set."""
-    return (*e[:-1], frozenset(e[-1:]))
+    if len(e) == 2:
+        return (e[0], frozenset((e[1],)))
+    return (e[0], e[1], frozenset((e[2],)))
 
 
 def edited(g: PointsToGraph, edits: Iterable[tuple[str, SetEdge]]) -> PointsToGraph:
