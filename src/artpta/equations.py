@@ -50,7 +50,9 @@ class AnalysisResult:
         )
 
 
-def meet_in(out: Mapping[PointKey, PointsToGraph], name: str, points: tuple[Node, ...]) -> PointsToGraph:
+def meet_in(
+    out: Mapping[PointKey, PointsToGraph], name: str, points: tuple[Node, ...]
+) -> PointsToGraph:
     """Meet of the OUT values of ``points`` in method ``name``: the one OUT
     itself when there is one (as ``meet_all`` would return it)."""
     if len(points) == 1:

@@ -867,7 +867,9 @@ class ControlFlowGraph:
     def position(self) -> dict[int, tuple[int, int]]:
         """Statement label -> (its block, its offset in the block)."""
         return {
-            s.label: (b, k) for b, block in enumerate(self.blocks) for k, s in enumerate(block.statements)
+            s.label: (b, k)
+            for b, block in enumerate(self.blocks)
+            for k, s in enumerate(block.statements)
         }
 
     @cached_property
@@ -882,7 +884,8 @@ class ControlFlowGraph:
             for s, t in zip(stmts, stmts[1:]):
                 succ[s.label] = (t.label,)
             s = stmts[-1]
-            succ[s.label] = ((EXIT,) if s.label in exits else ()) + tuple([blocks[v].leader for v in vs])
+            head = (EXIT,) if s.label in exits else ()
+            succ[s.label] = head + tuple([blocks[v].leader for v in vs])
         return succ
 
     @cached_property

@@ -31,6 +31,7 @@ never the reverse.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 from .artwork import Artwork
 from .consumer import regenerate
@@ -64,17 +65,21 @@ from .ptg import (
     PointsToGraph,
     entry_graph,
     meet,
-    meet_all,
     restrict_to_summary,
     subsumes,
     transfer,
 )
 
 
-#: One method's plan, made on its first visit: its blocks in topological
-#: order, each block's rank in that order, and each call statement with the
-#: points whose OUT flows into it, in body order.
-Plan = tuple[tuple[int, ...], list[int], list[tuple[LabeledStatement, tuple[Node, ...]]]]
+class Plan(NamedTuple):
+    """What ``analyze_inter`` reads off a method's CFG on its first visit."""
+
+    #: the blocks in topological order, and each block's rank in it
+    order: tuple[int, ...]
+    rank: list[int]
+    #: each call statement with the points whose OUT flows into it, in body
+    #: order
+    calls: list[tuple[LabeledStatement, tuple[Node, ...]]]
 
 
 def _plan(cfg: ControlFlowGraph) -> Plan:
@@ -87,7 +92,7 @@ def _plan(cfg: ControlFlowGraph) -> Plan:
             if s.instr.__class__ is Call:
                 calls.append((s, points))
             points = (s.label,)
-    return cfg.order, rank, calls
+    return Plan(cfg.order, rank, calls)
 
 
 def _method_pass(
@@ -119,7 +124,7 @@ def _method_pass(
     m = index.methods[name]
     cfg = index.cfgs[name]
     blocks, succ = cfg.blocks, cfg.block_succ
-    order, rank, _ = plan
+    order, rank = plan.order, plan.rank
     summary_of = out_summary.__getitem__
     evals = 0
     changed: set[Node] = set()
@@ -255,7 +260,7 @@ def analyze_inter(program: Program, _inject: Injection | None = None) -> Analysi
                     dirty.setdefault(caller, set()).add(label)
                     push(caller)
 
-        for s, points in plan[2]:
+        for s, points in plan.calls:
             if not first and changed.isdisjoint(points):
                 continue  # the state before the call is as last projected
             in_g = meet_in(out, name, points)
@@ -282,10 +287,7 @@ def chaotic_oracle(program: Program) -> AnalysisResult:
 
     def meet_of_preds(name: str, node: Node) -> PointsToGraph:
         # over the statement-level predecessors, not the engines' block step
-        preds = index.cfgs[name].pred.get(node, ())
-        if len(preds) == 1:
-            return out.get((name, preds[0]), EMPTY)
-        return meet_all(out.get((name, p), EMPTY) for p in preds)
+        return meet_in(out, name, index.cfgs[name].pred.get(node, ()))
 
     for m in program.methods:
         out[(m.name, ENTRY)] = EMPTY

@@ -32,7 +32,8 @@ checked on every construction.
 constructor adds its edges to the empty maps with it, the artifact decoder
 builds a block as ``edited(EMPTY, +lines)`` and an edit entry as
 ``edited(previous, edits)``, and ``tamper`` writes each reductive mutation
-as one call.
+as one call; each puts an edge ``(v, o)`` or ``(s, f, t)`` in the
+singleton-set form ``edited`` takes with ``set_edge``.
 
 Variables and objects are small values that hash and compare in C:
 ``VarId``, ``Site`` and ``Placeholder`` are named tuples whose last field is
