@@ -74,8 +74,7 @@ from .ptg import (
 class Plan(NamedTuple):
     """What ``analyze_inter`` reads off a method's CFG on its first visit."""
 
-    #: the blocks in topological order, and each block's rank in it
-    order: tuple[int, ...]
+    #: each block's rank in the CFG's topological order
     rank: list[int]
     #: each call statement with the points whose OUT flows into it, in body
     #: order
@@ -92,7 +91,7 @@ def _plan(cfg: ControlFlowGraph) -> Plan:
             if s.instr.__class__ is Call:
                 calls.append((s, points))
             points = (s.label,)
-    return Plan(cfg.order, rank, calls)
+    return Plan(rank, calls)
 
 
 def _method_pass(
@@ -124,7 +123,7 @@ def _method_pass(
     m = index.methods[name]
     cfg = index.cfgs[name]
     blocks, succ = cfg.blocks, cfg.block_succ
-    order, rank = plan.order, plan.rank
+    order, rank = cfg.order, plan.rank
     summary_of = out_summary.__getitem__
     evals = 0
     changed: set[Node] = set()
