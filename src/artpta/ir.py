@@ -18,6 +18,18 @@ tokens is insignificant)::
               | "goto" INT                                        # Goto
               | "nop"
 
+A statement is a ``LabeledStatement``, a frozen slotted dataclass of its
+label and its instruction.  Each instruction kind is a named tuple of its
+fields and a constant kind tag, so that kinds with equal fields differ; no
+statement or instruction has a ``__dict__``.  The line reader makes each
+instruction straight from its field tuple, and the builder fills each
+statement's two slots directly: a frozen dataclass's ``__init__`` costs about
+three times as much as the one and twice as much as the other.  Built by hand
+or by the token parser, through the constructors, a statement is equal to
+the line reader's, hashes equal and prints the same.  The engines read
+``s.label`` and ``s.instr`` on every evaluation, which a slot serves faster
+than a tuple field, so ``LabeledStatement`` is not a tuple.
+
 Two readers feed one builder.  The line reader takes the common case, a text
 of canonical lines, as ``print_program`` and ``generate_corpus`` write them:
 a method header, a lone ``}``, a blank line, or one whole statement with
@@ -128,65 +140,78 @@ KEYWORDS = frozenset({"method", "new", "null", "call", "return", "if", "goto", "
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Alloc:
+# Each instruction kind is a named tuple whose last field is a constant tag,
+# so that kinds with equal field values differ (``Branch(3) != Goto(3)``).
+# Every kind prints as ``Kind(field=value, ...)``, the tag left out.
+
+
+class Alloc(NamedTuple):
     x: str
     type_tag: str
+    kind: str = "alloc"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class Copy:
+class Copy(NamedTuple):
     x: str
     y: str
+    kind: str = "copy"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class AssignNull:
+class AssignNull(NamedTuple):
     x: str
+    kind: str = "assign_null"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class FieldStore:
+class FieldStore(NamedTuple):
     x: str
     f: str
     y: str
+    kind: str = "field_store"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class FieldLoad:
+class FieldLoad(NamedTuple):
     x: str
     y: str
     f: str
+    kind: str = "field_load"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     bind: str | None
     targets: tuple[str, ...]
     args: tuple[str, ...]
+    kind: str = "call"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(NamedTuple):
     x: str | None
+    kind: str = "return"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     target: int
+    kind: str = "branch"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class Goto:
+class Goto(NamedTuple):
     target: int
+    kind: str = "goto"  # constant tag: never pass it
 
 
-@dataclass(frozen=True)
-class Nop:
-    pass
+class Nop(NamedTuple):
+    kind: str = "nop"  # constant tag: never pass it
 
 
 Instr = Union[Alloc, Copy, AssignNull, FieldStore, FieldLoad, Call, Return, Branch, Goto, Nop]
+
+
+def _instr_repr(instr: Instr) -> str:
+    fields = zip(instr._fields[:-1], instr)
+    return f"{instr.__class__.__qualname__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
+
+
+for _kind in Instr.__args__:
+    _kind.__repr__ = _instr_repr
 
 #: The instruction kinds that end a basic block.
 _CONTROL = frozenset((Branch, Goto, Return))
@@ -196,10 +221,18 @@ _CONTROL = frozenset((Branch, Goto, Return))
 REF_INSTRS = (Alloc, Copy, AssignNull, FieldStore, FieldLoad, Call)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledStatement:
     label: int
     instr: Instr
+
+
+# ``_Builder.add`` makes each statement by setting its two slots, which skips
+# the frozen dataclass's ``__init__`` (it sets each field through
+# ``object.__setattr__``).
+_new_statement = object.__new__
+_set_label = LabeledStatement.label.__set__
+_set_instr = LabeledStatement.instr.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +275,9 @@ class Placeholder(NamedTuple):
         return f"Placeholder(method={self.method!r}, index={self.index!r})"
 
 
-# The builder, ``identifiers`` and the codec in ``ptg`` make identifiers
-# straight from their field tuple, the kind tag last, which skips the named
-# tuples' Python-level constructor.
+# The builder, ``identifiers`` and the codec in ``ptg`` make identifiers, and
+# the line reader makes instructions, straight from their field tuple, the
+# kind tag last, which skips the named tuples' Python-level constructor.
 _tuple_new = tuple.__new__
 
 
@@ -405,7 +438,9 @@ class _Builder:
         at fault, check its label, then resolve its operands: the variables
         it reads, in the order it names them, then the one it assigns.  A
         read of a variable no earlier statement assigns is a fault."""
-        s = LabeledStatement(label, instr)
+        s = _new_statement(LabeledStatement)
+        _set_label(s, label)
+        _set_instr(s, instr)
         self.body.append(s)
         items, at = self.items, self.at
         start = len(items)
@@ -562,25 +597,26 @@ def _read_lines(text: str) -> Program | None:
                 return None
             kind = m.lastgroup
             if kind == "alloc":
-                instr: Instr = Alloc(m["x"], m["tag"])
+                instr: Instr = _tuple_new(Alloc, (m["x"], m["tag"], "alloc"))
             elif kind == "store":
-                instr = FieldStore(m["x"], m["sf"], m["sy"])
+                instr = _tuple_new(FieldStore, (m["x"], m["sf"], m["sy"], "field_store"))
             elif kind == "nop":
-                instr = Nop()
+                instr = _tuple_new(Nop, ("nop",))
             elif kind == "branch":
-                instr = Branch(int(m["bt"]))
+                instr = _tuple_new(Branch, (int(m["bt"]), "branch"))
             elif kind == "goto":
-                instr = Goto(int(m["gt"]))
+                instr = _tuple_new(Goto, (int(m["gt"]), "goto"))
             elif kind == "call":
-                instr = Call(m["bind"], _split_names(m["targets"]), _split_names(m["args"]))
+                targets, args = _split_names(m["targets"]), _split_names(m["args"])
+                instr = _tuple_new(Call, (m["bind"], targets, args, "call"))
             elif kind == "load":
-                instr = FieldLoad(m["x"], m["y"], m["f"])
+                instr = _tuple_new(FieldLoad, (m["x"], m["y"], m["f"], "field_load"))
             elif kind == "ret":
-                instr = Return(m["rx"])
+                instr = _tuple_new(Return, (m["rx"], "return"))
             elif kind == "copy":
-                instr = Copy(m["x"], m["y"])
+                instr = _tuple_new(Copy, (m["x"], m["y"], "copy"))
             else:
-                instr = AssignNull(m["x"])
+                instr = _tuple_new(AssignNull, (m["x"], "assign_null"))
             add(int(m["label"]), instr)
     except ValueError:  # an integer past the interpreter's digit limit
         return None
@@ -1188,8 +1224,8 @@ class ProgramIndex:
 
     @cached_property
     def stmts(self) -> dict[str, dict[int, LabeledStatement]]:
-        """Method name -> label -> statement, built on first use (by the
-        optimizer's lookups): the engines step through the CFGs' blocks."""
+        """Method name -> label -> statement, built on first use: the
+        engines step through the CFGs' blocks and read it nowhere."""
         return {m.name: {s.label: s for s in m.body} for m in self.program.methods}
 
     @classmethod

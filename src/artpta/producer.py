@@ -419,6 +419,13 @@ def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     return a
 
 
+def _statement(cfg: ControlFlowGraph, label: int) -> LabeledStatement:
+    """The statement labelled ``label``, found through ``cfg.position``,
+    which re-visits and ``in_value`` build anyway."""
+    b, k = cfg.position[label]
+    return cfg.blocks[b].statements[k]
+
+
 def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: drop loop entries for heap-free loop bodies, IN entries whose
@@ -441,8 +448,9 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
 
     i_loop = dict(a.i_loop)
     for (name, header) in list(i_loop):
-        body = index.cfgs[name].loop_body(header)
-        if not any(isinstance(index.stmts[name][l].instr, REF_INSTRS) for l in body):
+        cfg = index.cfgs[name]
+        body = cfg.loop_body(header)
+        if not any(isinstance(_statement(cfg, l).instr, REF_INSTRS) for l in body):
             del i_loop[(name, header)]
 
     i_in = dict(a.i_in)
@@ -472,7 +480,7 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             callee_in(
                 index,
                 caller,
-                index.stmts[caller][label],
+                _statement(index.cfgs[caller], label),
                 in_value(index, fixed.out, caller, label),
                 name,
             )

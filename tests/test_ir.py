@@ -764,6 +764,78 @@ def test_canonical_text_is_never_scanned(monkeypatch):
     assert calls == [_SPLIT]
 
 
+_EVERY_KIND = (
+    "method main() {\n  1: a = new A\n  2: b = a\n  3: b = null\n  4: r = call [f](a)\n"
+    "  5: a.f = b\n  6: c = a.f\n  7: if goto 9\n  8: goto 9\n  9: nop\n  10: return c\n}\n"
+    "method f(p) {\n  1: return\n}\n"
+)
+#: The statements of ``_EVERY_KIND`` built by hand, each with its ``repr``.
+_EVERY_KIND_STATEMENTS = [
+    (LabeledStatement(1, Alloc("a", "A")), "LabeledStatement(label=1, instr=Alloc(x='a', type_tag='A'))"),
+    (LabeledStatement(2, Copy("b", "a")), "LabeledStatement(label=2, instr=Copy(x='b', y='a'))"),
+    (LabeledStatement(3, AssignNull("b")), "LabeledStatement(label=3, instr=AssignNull(x='b'))"),
+    (
+        LabeledStatement(4, Call(bind="r", targets=("f",), args=("a",))),
+        "LabeledStatement(label=4, instr=Call(bind='r', targets=('f',), args=('a',)))",
+    ),
+    (
+        LabeledStatement(5, FieldStore("a", "f", "b")),
+        "LabeledStatement(label=5, instr=FieldStore(x='a', f='f', y='b'))",
+    ),
+    (
+        LabeledStatement(6, FieldLoad("c", "a", "f")),
+        "LabeledStatement(label=6, instr=FieldLoad(x='c', y='a', f='f'))",
+    ),
+    (LabeledStatement(7, Branch(9)), "LabeledStatement(label=7, instr=Branch(target=9))"),
+    (LabeledStatement(8, Goto(9)), "LabeledStatement(label=8, instr=Goto(target=9))"),
+    (LabeledStatement(9, Nop()), "LabeledStatement(label=9, instr=Nop())"),
+    (LabeledStatement(10, Return("c")), "LabeledStatement(label=10, instr=Return(x='c'))"),
+    (LabeledStatement(1, Return(None)), "LabeledStatement(label=1, instr=Return(x=None))"),
+]
+
+
+def _statements(p):
+    return [s for m in p.methods for s in m.body]
+
+
+def test_every_kind_reads_as_built_by_hand_from_either_reader():
+    by_lines = ir._read_lines(_EVERY_KIND)
+    assert by_lines is not None
+    by_tokens = _token_parse(_EVERY_KIND)
+    assert {s.instr.__class__ for s, _ in _EVERY_KIND_STATEMENTS} == set(ir.Instr.__args__)
+    pairs = zip(_statements(by_lines), _statements(by_tokens), _EVERY_KIND_STATEMENTS, strict=True)
+    for read, parsed, (hand, text) in pairs:
+        assert read == parsed == hand
+        assert hash(read) == hash(parsed) == hash(hand)
+        assert repr(read) == repr(parsed) == repr(hand) == text
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Branch(3), Goto(3)),
+        (Return("x"), AssignNull("x")),
+        (Alloc("x", "y"), Copy("x", "y")),
+        (FieldStore("x", "f", "y"), FieldLoad("x", "f", "y")),
+    ],
+)
+def test_kinds_with_equal_field_values_differ(a, b):
+    assert a != b
+    assert LabeledStatement(1, a) != LabeledStatement(1, b)
+
+
+def test_statements_are_immutable_and_carry_no_dict():
+    hand = [s for s, _ in _EVERY_KIND_STATEMENTS]
+    for s in _statements(parse_program(_EVERY_KIND)) + hand:
+        for name in ("label", "instr"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+        for name in s.instr._fields:
+            with pytest.raises(AttributeError):
+                setattr(s.instr, name, getattr(s.instr, name))
+        assert not hasattr(s, "__dict__") and not hasattr(s.instr, "__dict__")
+
+
 def test_call_graph_lookups_match_edge_scans(small_corpus, rec, loopy):
     programs = [p for _, p in small_corpus] + [rec, loopy]
     for program in programs:
