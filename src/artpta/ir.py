@@ -140,11 +140,6 @@ KEYWORDS = frozenset({"method", "new", "null", "call", "return", "if", "goto", "
 # ---------------------------------------------------------------------------
 
 
-# Each instruction kind is a named tuple whose last field is a constant tag,
-# so that kinds with equal field values differ (``Branch(3) != Goto(3)``).
-# Every kind prints as ``Kind(field=value, ...)``, the tag left out.
-
-
 class Alloc(NamedTuple):
     x: str
     type_tag: str
@@ -206,6 +201,7 @@ Instr = Union[Alloc, Copy, AssignNull, FieldStore, FieldLoad, Call, Return, Bran
 
 
 def _instr_repr(instr: Instr) -> str:
+    """``Kind(field=value, ...)``, the kind tag left out."""
     fields = zip(instr._fields[:-1], instr)
     return f"{instr.__class__.__qualname__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
 
