@@ -4,10 +4,10 @@ artifact, proving it safe or reporting the tampered entry.
 Each method's blocks are visited in topological order (back-edges ignored)
 and each statement exactly once.  Loop headers, which lead their blocks,
 take their OUT directly from the artifact (default: the meet of their
-forward predecessors when the entry was deleted); every other statement
-recomputes its flow equation, a block's leader from the meet of its
-predecessor blocks' OUTs (``equations.block_in``) and each later statement
-from the OUT just computed.  Safety:
+forward predecessors, ``equations.forward_in``, when the entry was deleted);
+every other statement recomputes its flow equation, a block's leader from
+the meet of its predecessor blocks' OUTs (``equations.block_in``) and each
+later statement from the OUT just computed.  Safety:
 
 * loop invariants are recomputed over every predecessor, back-edges included,
   once the whole method is done, and must be unchanged (equality);
@@ -33,7 +33,8 @@ that of a depth-first descent, and call-chain depth costs no Python stack.
 ``regenerate`` works on a ``ProgramIndex``; ``regen_inter`` is the verifier's
 entry point over ``ProgramIndex.of(p)``, and the producer's
 ``optimize_artwork`` calls ``regenerate`` to read the fixed point of an
-artifact that does not carry it.  This module never imports the producer.
+artifact whose maps are not those of a fixed point it carries.  This module
+never imports the producer.
 """
 
 from __future__ import annotations
@@ -43,7 +44,15 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .artwork import Artwork
-from .equations import AnalysisResult, PointKey, block_in, callee_in, eval_statement, meet_in
+from .equations import (
+    AnalysisResult,
+    PointKey,
+    block_in,
+    callee_in,
+    eval_statement,
+    forward_in,
+    meet_in,
+)
 from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex
 
 # ``project_in`` is not called here (``callee_in`` is); it stays bound
@@ -52,7 +61,6 @@ from .ptg import (
     EMPTY,
     PointsToGraph,
     entry_graph,
-    meet_all,
     project_in,
     restrict_to_summary,
     subsumes,
@@ -191,7 +199,7 @@ class _Regenerator:
         m = self.index.methods[name]
         cfg = self.index.cfgs[name]
         blocks = cfg.blocks
-        headers = {v for _, v in cfg.back}
+        headers = cfg.forward_inputs
         out, visits, summary_of = self.out, self.visits, self._summary_of
         self.analyzed.add(name)
         out[(name, ENTRY)] = self._resolved_in(name, EMPTY)
@@ -199,16 +207,11 @@ class _Regenerator:
             stmts = blocks[b].statements
             if b in headers:
                 # A loop header leads its block and takes its OUT from the
-                # artifact; the meet of its forward predecessors is the
-                # deleted-entry default.
+                # artifact, or its forward meet when the entry was deleted.
                 s = stmts[0]
                 key = (name, s.label)
                 visits[key] += 1
-                in_fwd = meet_all([
-                    out.get((name, p), EMPTY)
-                    for p in cfg.inputs[b]
-                    if not (isinstance(p, int) and (p, s.label) in cfg.back_edges)
-                ])
+                in_fwd = forward_in(cfg, out, name, b)
                 if isinstance(s.instr, Call):
                     self._check_call_site(m, s, in_fwd)
                 seeded = self.artwork.i_loop.get(key)

@@ -9,11 +9,12 @@ leader's input is ``block_in``, the meet of its predecessor blocks' last
 OUTs (and Entry's, for the first block), and every later statement's input
 is the OUT just computed for the statement before it.  ``meet_in`` is the
 meet over any list of points (Exit's inputs, a loop header's), and
-``in_value`` the input of one point, for the optimizer's call-sites.  The
-engines differ only in where callee OUT summaries come from and in how often
-they evaluate.  The round-robin oracle evaluates the same statement
-equations over the statement-level predecessor relation instead, so it
-stays an independent check of the block step.
+``forward_in`` a loop header's meet over its forward inputs alone, which
+the consumer's pass has there; ``in_value`` is one point's input in that
+pass, for the optimizer.  The engines differ only in where callee OUT
+summaries come from and in how often they evaluate.  The round-robin oracle
+evaluates the same statement equations over the statement-level predecessor
+relation instead, so it stays an independent check of the block step.
 """
 
 from __future__ import annotations
@@ -70,18 +71,31 @@ def block_in(
     return meet_in(out, name, cfg.inputs[b])
 
 
+def forward_in(
+    cfg: ControlFlowGraph, out: Mapping[PointKey, PointsToGraph], name: str, b: int
+) -> PointsToGraph:
+    """The forward meet at loop-header block ``b``: the meet of the OUTs
+    that flow into its leader along edges that are not back-edges.  The
+    consumer's pass puts it in place of a header entry the artifact lacks."""
+    return meet_in(out, name, cfg.forward_inputs[b])
+
+
 def in_value(
     index: ProgramIndex, out: Mapping[PointKey, PointsToGraph], name: str, node: Node
 ) -> PointsToGraph:
-    """The value flowing into one point of method ``name``, as the block
-    step gives it: a leader's ``block_in``, a later statement's the OUT of
-    the statement before it, or Exit's meet."""
+    """The value flowing into one point of method ``name`` in the consumer's
+    pass: a loop header's ``forward_in``, any other leader's ``block_in``,
+    a later statement's the OUT of the statement before it, or Exit's
+    meet."""
     cfg = index.cfgs[name]
     if node == EXIT:
         points = cfg.exit_inputs
     elif node in cfg.position:
         b, k = cfg.position[node]
-        points = (cfg.blocks[b].statements[k - 1].label,) if k else cfg.inputs[b]
+        if k:
+            points = (cfg.blocks[b].statements[k - 1].label,)
+        else:
+            points = cfg.forward_inputs.get(b, cfg.inputs[b])
     else:  # Entry, or no point of the method
         points = ()
     return meet_in(out, name, points)

@@ -94,13 +94,14 @@ resolved target list, standing in for devirtualization.  The entry method is
 the method named ``main``; it must take no parameters.
 
 A control-flow graph is a block graph: the maximal basic blocks, whose
-leaders are found from the control statements alone, their successor and
-predecessor blocks, and synthetic Entry and Exit points.  Inside a block
-each statement flows into the next one alone, so the engines step through
-whole blocks, and the statement-level successor and predecessor relations
-and a loop's statements are views derived from the block graph on demand
-(for the round-robin oracle, the optimizer and the tests).  Back-edges are
-the edges a depth-first search from the entry block finds retreating; in a
+leaders are found from the control statements alone, their successor
+blocks, the points that flow into each (and, for a loop header, the forward
+ones among them, which ``equations.forward_in`` reads), and synthetic Entry
+and Exit points.  Inside a block each statement flows into the next one
+alone, so the engines step through whole blocks, and the statement-level
+successor and predecessor relations are views derived from the block graph
+on demand (for the round-robin oracle and the tests).  Back-edges are the
+edges a depth-first search from the entry block finds retreating; in a
 reducible graph these are exactly the dominator back-edges (edge ``u -> v``
 with ``v`` dominating ``u``).  A graph is rejected as irreducible when a
 back-edge's natural loop reaches the entry block without passing its
@@ -211,10 +212,6 @@ for _kind in Instr.__args__:
 
 #: The instruction kinds that end a basic block.
 _CONTROL = frozenset((Branch, Goto, Return))
-
-#: Instruction kinds that can change a points-to graph.  Loops whose body has
-#: none of these carry no heap information and need no stored invariant.
-REF_INSTRS = (Alloc, Copy, AssignNull, FieldStore, FieldLoad, Call)
 
 
 @dataclass(frozen=True, slots=True)
@@ -863,9 +860,9 @@ class ControlFlowGraph:
     flows into block 0 alone, or straight to Exit when the body is empty;
     inside a block each statement flows into the next one alone.
 
-    The statement-level relations (``succ``, ``pred``, ``loop_body``) are
-    views derived from the block graph on demand: the engines step through
-    whole blocks and never read them."""
+    The statement-level relations (``succ``, ``pred``) are views derived
+    from the block graph on demand: the engines step through whole blocks
+    and never read them."""
 
     method: Method
     #: the maximal basic blocks, in body order
@@ -873,12 +870,8 @@ class ControlFlowGraph:
     #: per block, the blocks its last statement flows to, in the order the
     #: statement names them (fall-through first), Exit left out
     block_succ: tuple[tuple[int, ...], ...]
-    #: per block, the blocks that flow into it, in body order
-    block_pred: tuple[tuple[int, ...], ...]
     #: the blocks in a topological order of the block graph minus back-edges
     order: tuple[int, ...]
-    #: (source block, header block) back-edges of the block graph
-    back: frozenset[tuple[int, int]]
     #: (source statement label, header statement label) dominator back-edges
     back_edges: frozenset[tuple[int, int]]
     #: labels of natural-loop headers (back-edge targets)
@@ -889,6 +882,9 @@ class ControlFlowGraph:
     #: the points whose OUT flows into Exit: the exit blocks' last
     #: statements, or Entry for an empty body
     exit_inputs: tuple[Node, ...] = field(repr=False, compare=False)
+    #: per loop-header block, the points of its ``inputs`` that flow in
+    #: along forward edges (back-edge sources left out)
+    forward_inputs: dict[int, tuple[Node, ...]] = field(repr=False, compare=False)
 
     @property
     def topo_order(self) -> tuple[BasicBlock, ...]:
@@ -932,19 +928,8 @@ class ControlFlowGraph:
                 pred[t.label] = (s.label,)
         return pred
 
-    def loop_body(self, header: int) -> frozenset[int]:
-        """Labels of all statements in the natural loop of ``header``
-        (union over its back-edges), header included; ``{header}`` for a
-        label that heads no loop."""
-        blocks = self.blocks
-        back = [(u, v) for u, v in self.back if blocks[v].leader == header]
-        if not back:
-            return frozenset((header,))
-        loop = _natural_loop(self.block_pred, back[0][1], [u for u, _ in back])
-        return frozenset(s.label for b in loop for s in blocks[b].statements)
 
-
-def _natural_loop(pred: tuple[tuple[int, ...], ...], h: int, latches: list[int]) -> set[int]:
+def _natural_loop(pred: list[list[int]], h: int, latches: list[int]) -> set[int]:
     """The blocks of a natural loop: header block ``h`` and every block that
     reaches one of ``latches`` (the sources of its back-edges) without
     passing ``h``."""
@@ -1058,10 +1043,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
             if indeg[v] == 0:
                 heapq.heappush(heap, (leader[v], v))
 
-    block_pred = tuple(map(tuple, bpred))
-    if len(order) != len(blocks) or any(
-        v and 0 in _natural_loop(block_pred, v, [u]) for u, v in back
-    ):
+    if len(order) != len(blocks) or any(v and 0 in _natural_loop(bpred, v, [u]) for u, v in back):
         raise IrreducibleCfgError(
             f"method '{m.name}' has a cycle that is not a natural loop"
         )
@@ -1070,13 +1052,15 @@ def build_cfg(m: Method) -> ControlFlowGraph:
         method=m,
         blocks=tuple(blocks),
         block_succ=tuple(bsucc),
-        block_pred=block_pred,
         order=tuple(order),
-        back=frozenset(back),
         back_edges=back_edges,
         loop_headers=frozenset([h for _, h in back_edges]),
         inputs=tuple(map(tuple, inputs)),
         exit_inputs=tuple([last[u] for u in exits]) if blocks else (ENTRY,),
+        forward_inputs={
+            v: tuple([p for p in inputs[v] if (p, leader[v]) not in back_edges])
+            for v in {v for _, v in back}
+        },
     )
 
 
@@ -1196,8 +1180,8 @@ def build_call_graph(p: Program) -> CallGraph:
 
 
 class ProgramIndex:
-    """What every engine derives from a parsed program: methods, CFGs and
-    statements by name, and the call graph.
+    """What every engine derives from a parsed program: methods and CFGs by
+    name, and the call graph.
 
     This is the one place CFGs and call graphs are built.  Engines ask
     ``ProgramIndex.of``, which remembers the index of the last program it was
@@ -1217,12 +1201,6 @@ class ProgramIndex:
             m.name: build_cfg(m) for m in program.methods
         }
         self.call_graph: CallGraph = build_call_graph(program)
-
-    @cached_property
-    def stmts(self) -> dict[str, dict[int, LabeledStatement]]:
-        """Method name -> label -> statement, built on first use: the
-        engines step through the CFGs' blocks and read it nowhere."""
-        return {m.name: {s.label: s for s in m.body} for m in self.program.methods}
 
     @classmethod
     def of(cls, p: Program) -> "ProgramIndex":

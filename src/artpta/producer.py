@@ -23,8 +23,9 @@ Exit value.
 
 A produce runs one fixed-point analysis and no regeneration: the artwork
 ``emit_artwork`` returns carries its result, off which ``optimize_artwork``
-reads the call-site values it needs; it regenerates (``consumer.regenerate``)
-only an artwork that carries none.  The producer depends on the consumer,
+reads the value the consumer would put in place of each entry; it
+regenerates (``consumer.regenerate``) only an artwork whose maps are not
+those of a fixed point it carries.  The producer depends on the consumer,
 never the reverse.
 """
 
@@ -48,7 +49,6 @@ from .errors import ArtError
 from .ir import (
     ENTRY,
     EXIT,
-    REF_INSTRS,
     Call,
     ControlFlowGraph,
     LabeledStatement,
@@ -428,69 +428,57 @@ def _statement(cfg: ControlFlowGraph, label: int) -> LabeledStatement:
 
 def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
-    regenerates: drop loop entries for heap-free loop bodies, IN entries whose
-    call-site projections are all identical (or absent), and OUT entries
-    equal to the IN entry: every entry the consumer re-derives.  (Writing an
-    entry as ``= ^`` and its edits from the one before it is ``encode``'s
-    rule, for every artifact.)
+    regenerates: keep an entry only when it differs from its stand-in, the
+    value the consumer puts in place of a deleted one.  (Writing an entry
+    as ``= ^`` and its edits from the one before it is ``encode``'s rule,
+    for every artifact.)  The stand-ins:
 
-    The call-site projections are read off the fixed point ``a`` encodes:
-    the one it carries (``a.fixed_point``, set by ``emit_artwork``) while
-    its maps still hold what emission wrote from it, which is one identity
-    test per entry when they are unchanged; else the consumer's
-    regeneration of ``a``, so no analysis is re-run.  Regeneration happens
-    only when some IN entry passes the loop-header and SCC filters below,
-    and an artifact the consumer rejects raises ``ArtError``."""
+    * a loop entry's is the forward meet at its header
+      (``equations.forward_in``); a ``[loop]`` key that names no loop header
+      has none and is always dropped, as the consumer ignores it;
+    * the IN entry of the entry method, or of a method with no call-site, is
+      the empty graph: the consumer's pass over the entry method comes first;
+    * any other IN entry takes the projection at the first call-site the
+      consumer checks.  It is dropped when some caller lies outside the
+      method's SCC, so that a call-site is checked before the method's own
+      pass, and every call-site projects the entry from the input the
+      consumer's pass has there (``equations.in_value``: at a loop header,
+      the forward meet);
+    * an OUT entry's is the IN summary.
+
+    The stand-ins are read off the fixed point ``a`` encodes: the one it
+    carries (``a.fixed_point``, set by ``emit_artwork``) while its maps
+    still hold what emission wrote from it, which is one identity test per
+    entry when they are unchanged; else the consumer's regeneration of
+    ``a``, once, up front, so no analysis is re-run.  An artifact the
+    consumer rejects raises ``ArtError``."""
     index = ProgramIndex.of(program)
-    fixed = a.fixed_point  # when None, regenerated on first need
-    if fixed is not None and (a.i_loop, a.i_in, a.i_out) != _entries(program, fixed):
-        fixed = None  # the maps were changed after emission
+    cfgs, graph = index.cfgs, index.call_graph
+    fixed = a.fixed_point
+    if fixed is None or (a.i_loop, a.i_in, a.i_out) != _entries(program, fixed):
+        outcome = regenerate(index, a)
+        if not outcome.safe:
+            raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
+        fixed = outcome.result
+    out = fixed.out
 
-    i_loop = dict(a.i_loop)
-    for (name, header) in list(i_loop):
-        cfg = index.cfgs[name]
-        body = cfg.loop_body(header)
-        if not any(isinstance(_statement(cfg, l).instr, REF_INSTRS) for l in body):
-            del i_loop[(name, header)]
-
-    i_in = dict(a.i_in)
-    for name in list(i_in):
-        sites = index.call_graph.call_sites_of(name)
-        if not sites:
-            if i_in[name].is_empty():
-                del i_in[name]
-            continue
-        # The consumer re-derives a dropped IN entry from the first call-site
-        # it encounters, so dropping is only sound when every call-site sees
-        # the full fixed-point value there: no call-site may be a loop header
-        # (checked against forward predecessors only), and at least one must
-        # lie outside the method's own SCC (a purely self-feeding IN summary
-        # cannot be bootstrapped without the stored value).
-        scc = index.call_graph.scc_of(name)
-        if any(label in index.cfgs[caller].loop_headers for caller, label in sites):
-            continue
-        if not any(caller not in scc for caller, _ in sites):
-            continue
-        if fixed is None:
-            outcome = regenerate(index, a)
-            if not outcome.safe:
-                raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
-            fixed = outcome.result
-        projections = [
-            callee_in(
-                index,
-                caller,
-                _statement(index.cfgs[caller], label),
-                in_value(index, fixed.out, caller, label),
-                name,
+    def redundant_in(name: str, g: PointsToGraph) -> bool:
+        sites = graph.call_sites_of(name)
+        if name == program.entry or not sites:
+            return g.is_empty()
+        scc = graph.scc_of(name)
+        return any(caller not in scc for caller, _ in sites) and all(
+            g == callee_in(
+                index, caller, _statement(cfgs[caller], label), in_value(index, out, caller, label), name
             )
             for caller, label in sites
-        ]
-        if all(p == projections[0] for p in projections) and projections[0] == i_in[name]:
-            del i_in[name]
+        )
 
-    i_out = dict(a.i_out)
-    for name in list(i_out):
-        if i_out[name] == a.i_in.get(name):
-            del i_out[name]
+    i_loop = {
+        (name, h): g
+        for (name, h), g in a.i_loop.items()
+        if name in cfgs and h in cfgs[name].loop_headers and g != in_value(index, out, name, h)
+    }
+    i_in = {name: g for name, g in a.i_in.items() if not redundant_in(name, g)}
+    i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)

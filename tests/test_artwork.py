@@ -207,7 +207,7 @@ def _optimized_corpus(small_corpus, decoded: bool) -> list[Artwork]:
     return optimized
 
 
-OPTIMIZED_CORPUS_SHA256 = "27fe7bfa8daef3705d776974d5697cc75b2602e25dc358d9fb6aedaa36933f14"
+OPTIMIZED_CORPUS_SHA256 = "f632ae1c90f474ee2b04aaa2fc493c220919a1b2a9b18dd34f6cc399f5cf4e9a"
 
 
 def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):

@@ -1023,46 +1023,24 @@ def test_cfg_matches_dominator_sets_on_random_methods():
     assert outcomes[True] > 100 and outcomes[False] > 100
 
 
-def _oracle_methods():
-    """The inputs of the dominator-set tests above: both generated corpus
-    shapes on both seeds, every method of at most four control statements,
-    and 3,000 seeded random methods of 5-9 statements."""
-    large = {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}
-    for seed in (1, 90917):
-        for shape, count in (({}, 200), (large, 20)):
-            for _, text in generate_corpus(CorpusConfig(program_count=count, seed=seed, **shape)):
-                yield from parse_program(text).methods
+def test_forward_inputs_are_a_header_s_inputs_without_its_back_edges():
+    """Per loop-header block, ``forward_inputs`` lists the predecessors of
+    its leader that are no back-edge's source, in the oracle's order."""
+    headers = 0
     for n in range(5):
         for instrs in itertools.product(_control_instrs(n), repeat=n):
-            yield _method(instrs)
-    rng = random.Random(90917)
-    for _ in range(3000):
-        n = rng.randint(5, 9)
-        kinds = _control_instrs(n) + [Alloc("a", "A")] * 4
-        yield _method(rng.choice(kinds) for _ in range(n))
-
-
-def test_loop_body_matches_a_walk_back_from_the_oracle_latches():
-    """``loop_body(h)`` is ``h`` plus every statement that reaches a source
-    of one of ``h``'s back-edges without passing ``h``, walked over the
-    oracle's predecessors and back-edges."""
-    headers = 0
-    for m in _oracle_methods():
-        try:
-            _, pred, back_edges, loop_headers, _ = _dominator_cfg(m)
-        except IrreducibleCfgError:
-            continue
-        cfg = build_cfg(m)
-        for h in loop_headers:
-            body, todo = {h}, [u for (u, v) in back_edges if v == h]
-            while todo:
-                n = todo.pop()
-                if n not in body:
-                    body.add(n)
-                    todo.extend(p for p in pred[n] if p != "entry")
-            assert cfg.loop_body(h) == body, (m.name, h)
-            headers += 1
-    assert headers > 10_000
+            m = _method(instrs)
+            try:
+                _, pred, back_edges, loop_headers, _ = _dominator_cfg(m)
+            except IrreducibleCfgError:
+                continue
+            cfg = build_cfg(m)
+            assert cfg.forward_inputs == {
+                cfg.position[h][0]: tuple(u for u in pred[h] if (u, h) not in back_edges)
+                for h in loop_headers
+            }, print_program(Program(methods=(m,), entry=m.name))
+            headers += len(loop_headers)
+    assert headers > 1000
 
 
 def test_build_cfg_scales_linearly_in_fan_in():

@@ -19,6 +19,7 @@ from artpta import (
     emit_artwork,
     encode,
     generate_corpus,
+    meet_all,
     naive_encode,
     optimize_artwork,
     parse_program,
@@ -27,7 +28,7 @@ from artpta import (
     validate_result,
 )
 from artpta import artwork
-from artpta.ir import ENTRY
+from artpta.ir import ENTRY, Alloc, AssignNull, Call, Copy, FieldLoad, FieldStore
 
 LOOPY_HEADER = PointsToGraph.of(
     var_edges=[
@@ -303,8 +304,9 @@ method solo(p) {
 
 
 def test_optimize_analyzes_only_when_an_in_entry_may_drop(monkeypatch):
-    # The only call-site of a lone self-recursive method lies in its own SCC,
-    # so no IN entry can be dropped and the analysis result is never needed.
+    # The stand-ins are read off the fixed point the emitted artwork carries,
+    # so no analysis runs; the self-recursive main's empty IN entry drops,
+    # as the entry method's stand-in is the empty graph.
     text = """\
 method main() {
   1: a = new A
@@ -331,9 +333,8 @@ method main() {
     assert calls == []
     assert encode(opt) == (
         b"ART/1\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main/1 -> main:1\n"
-        b"  main:1 .f-> main:1\n  main:1 .g-> main:1\n}\n[in]\nm:main = {\n}\n"
-        b"[out]\nm:main = ^\n+ main/3 -> main:1\n+ main:1 .f-> main:1\n"
-        b"+ main:1 .g-> main:1\n"
+        b"  main:1 .f-> main:1\n  main:1 .g-> main:1\n}\n[in]\n"
+        b"[out]\nm:main = ^\n- main/0 -> main:1\n- main/1 -> main:1\n+ main/3 -> main:1\n"
     )
 
 
@@ -346,6 +347,75 @@ def test_optimize_drops_out_equal_to_in():
     opt = optimize_artwork(p, a)
     assert "main" not in opt.i_out
     out = regen_inter(p, opt)
+    assert out.safe and out.result.same_values(r)
+
+
+def test_optimize_drops_the_empty_in_entry_of_a_self_recursive_main():
+    # The consumer's pass over the entry method comes first, from the empty
+    # graph, whatever call-sites the method has.
+    p = parse_program("method main() {\n  1: if goto 3\n  2: call [main]()\n  3: nop\n}\n")
+    r = analyze_inter(p)
+    opt = optimize_artwork(p, emit_artwork(p, r))
+    assert opt == Artwork(i_loop={}, i_in={}, i_out={})
+    out = regen_inter(p, decode(encode(opt), p))
+    assert out.safe and out.result.same_values(r)
+
+
+def test_optimize_drops_an_in_entry_its_loop_header_call_site_projects():
+    # f's only call-site heads a loop, and the forward meet there already
+    # holds everything the loop brings round: f's IN entry and the header's
+    # loop entry both equal what the consumer puts in their place.
+    text = """\
+method main() {
+  1: a = new A
+  2: call [f](a)
+  3: if goto 2
+  4: nop
+}
+method f(p) {
+  1: nop
+}
+"""
+    p = parse_program(text)
+    r = analyze_inter(p)
+    a = emit_artwork(p, r)
+    assert ("main", 2) in a.i_loop and not a.i_in["f"].is_empty()
+    opt = optimize_artwork(p, a)
+    assert opt == Artwork(i_loop={}, i_in={}, i_out={})
+    old = _optimize_by_shape(p, a)  # which kept both
+    assert set(old.i_loop) == {("main", 2)} and set(old.i_in) == {"f"}
+    out = regen_inter(p, decode(encode(opt), p))
+    assert out.safe and out.result.same_values(r)
+
+
+def test_optimize_drops_every_loop_key_at_a_statement_that_heads_no_loop():
+    # Decode accepts a [loop] key at any statement and the consumer reads
+    # nothing from one that heads no loop, at a nop as at an allocation.
+    text = """\
+method main() {
+  1: a = new A
+  2: nop
+  3: b = new B
+  4: a.f = b
+  5: if goto 3
+}
+"""
+    p = parse_program(text)
+    r = analyze_inter(p)
+    a = emit_artwork(p, r)
+    extra = {("main", 1): r.out[("main", 1)], ("main", 2): r.out[("main", 2)]}
+    decoded = decode(encode(Artwork({**a.i_loop, **extra}, a.i_in, a.i_out)), p)
+    assert regen_inter(p, decoded).ignored_loop_keys == (("main", 1), ("main", 2))
+    # the shape rule kept the key at the allocation
+    assert set(_optimize_by_shape(p, decoded).i_loop) == {("main", 1), ("main", 3)}
+    opt = optimize_artwork(p, decoded)
+    assert opt == optimize_artwork(p, a) and set(opt.i_loop) == {("main", 3)}
+    # decode rejects a method the program lacks; a hand-built key naming one
+    # is ignored by the consumer and dropped alike
+    ghost = Artwork({**a.i_loop, ("ghost", 1): EMPTY}, a.i_in, a.i_out)
+    assert regen_inter(p, ghost).ignored_loop_keys == (("ghost", 1),)
+    assert optimize_artwork(p, ghost) == opt
+    out = regen_inter(p, decode(encode(opt), p))
     assert out.safe and out.result.same_values(r)
 
 
@@ -362,29 +432,30 @@ def test_optimize_smaller_or_equal_and_regen_identical(small_corpus):
 
 
 def test_a_graph_equal_to_the_previous_entry_s_is_written_as_a_repeat():
-    # Force adjacent duplicates by giving two loops the same fixed point.
+    # Force adjacent duplicates by giving two loops the same fixed point,
+    # which the forward meet at neither header holds, so -O keeps both.
     text = """\
 method main() {
   1: a = new A
-  2: a.f = a
-  3: if goto 6
-  4: a.f = a
-  5: goto 3
-  6: if goto 9
-  7: a.f = a
-  8: goto 6
-  9: nop
+  2: c = null
+  3: nop
+  4: c = a
+  5: if goto 3
+  6: c = null
+  7: nop
+  8: c = a
+  9: if goto 7
 }
 """
     p = parse_program(text)
     a = emit_artwork(p, analyze_inter(p))
-    assert a.i_loop[("main", 3)] == a.i_loop[("main", 6)]
+    assert a.i_loop[("main", 3)] == a.i_loop[("main", 7)]
     for art in (a, optimize_artwork(p, a)):
         data = encode(art)
-        assert b"\nm:main l:6 = ^\n" in data and data.count(b" = ^\n") == 1
+        assert b"\nm:main l:7 = ^\n" in data and data.count(b" = ^\n") == 1
         decoded = decode(data, p)
         assert decoded == art
-        assert decoded.i_loop[("main", 6)] is decoded.i_loop[("main", 3)]
+        assert decoded.i_loop[("main", 7)] is decoded.i_loop[("main", 3)]
 
 
 def test_optimize_keeps_the_smaller_encoding_without_encoding(
@@ -408,44 +479,111 @@ def test_optimize_keeps_the_smaller_encoding_without_encoding(
     assert repeated_seen >= 6 and edited_seen >= 6
 
 
+def _statements(p: Program, name: str) -> dict:
+    return {s.label: s for s in p.method(name).body}
+
+
+def _pass_input(index, out, name: str, label: int) -> PointsToGraph:
+    """The input the consumer's pass has at statement ``label``: the meet of
+    its statement-level predecessors' OUTs, back-edges left out."""
+    cfg = index.cfgs[name]
+    return meet_all([out[(name, u)] for u in cfg.pred[label] if (u, label) not in cfg.back_edges])
+
+
 def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:
-    """Reference optimizer: the rules of ``optimize_artwork`` with the
-    call-site values taken from ``analyze_inter``'s least fixed point."""
-    from artpta.equations import in_value
-    from artpta.ir import REF_INSTRS, ProgramIndex
+    """Reference optimizer: the stand-ins of ``optimize_artwork`` computed
+    from ``analyze_inter``'s least fixed point over the statement-level
+    predecessors."""
+    from artpta.ir import ProgramIndex
     from artpta.ptg import project_in
 
     index = ProgramIndex(p)
-    result = analyze_inter(p)
+    graph = index.call_graph
+    out = analyze_inter(p).out
+    i_loop = {
+        (name, h): g
+        for (name, h), g in a.i_loop.items()
+        if h in index.cfgs[name].loop_headers and g != _pass_input(index, out, name, h)
+    }
+    i_in = {}
+    for name, g in a.i_in.items():
+        sites = graph.call_sites_of(name)
+        if name == p.entry or not sites:
+            keep = not g.is_empty()
+        else:
+            projections = {
+                project_in(
+                    _pass_input(index, out, caller, label),
+                    index.methods[caller],
+                    _statements(p, caller)[label],
+                    index.methods[name],
+                )
+                for caller, label in sites
+            }
+            keep = all(caller in graph.scc_of(name) for caller, _ in sites) or projections != {g}
+        if keep:
+            i_in[name] = g
+    i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
+    return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
+
+
+#: The instruction kinds the shape rule below counts as changing a graph.
+_REF_INSTRS = (Alloc, Copy, AssignNull, FieldStore, FieldLoad, Call)
+
+
+def _loop_body(cfg, h: int) -> set[int]:
+    """The labels of ``h``'s natural loop: ``h`` and every statement that
+    reaches a source of one of its back-edges without passing ``h``."""
+    body, todo = {h}, [u for u, v in cfg.back_edges if v == h]
+    while todo:
+        u = todo.pop()
+        if u not in body:
+            body.add(u)
+            todo.extend(x for x in cfg.pred[u] if x != ENTRY)
+    return body
+
+
+def _optimize_by_shape(p: Program, a: Artwork) -> Artwork:
+    """The rule ``optimize_artwork`` followed before it compared entries
+    with their stand-ins: drop a loop entry whose loop body has no
+    ``_REF_INSTRS``; drop the empty IN entry of a method with no call-site;
+    drop any other IN entry when none of its call-sites is a loop header,
+    some caller lies outside its SCC and every call-site projects it; drop
+    an OUT entry equal to the IN entry."""
+    from artpta.ir import ProgramIndex
+    from artpta.ptg import project_in
+
+    index = ProgramIndex(p)
+    graph = index.call_graph
+    out = analyze_inter(p).out
     i_loop = {
         (name, h): g
         for (name, h), g in a.i_loop.items()
         if any(
-            isinstance(index.stmts[name][l].instr, REF_INSTRS)
-            for l in index.cfgs[name].loop_body(h)
+            isinstance(_statements(p, name)[l].instr, _REF_INSTRS)
+            for l in _loop_body(index.cfgs[name], h)
         )
     }
     i_in = {}
     for name, g in a.i_in.items():
-        sites = index.call_graph.call_sites_of(name)
+        sites = graph.call_sites_of(name)
         if not sites:
             if not g.is_empty():
                 i_in[name] = g
             continue
-        scc = index.call_graph.scc_of(name)
-        projections = {
-            project_in(
-                in_value(index, result.out, caller, label),
-                index.methods[caller],
-                index.stmts[caller][label],
-                index.methods[name],
-            )
-            for caller, label in sites
-        }
         if (
             any(label in index.cfgs[caller].loop_headers for caller, label in sites)
-            or all(caller in scc for caller, _ in sites)
-            or projections != {g}
+            or all(caller in graph.scc_of(name) for caller, _ in sites)
+            or {
+                project_in(
+                    _pass_input(index, out, caller, label),
+                    index.methods[caller],
+                    _statements(p, caller)[label],
+                    index.methods[name],
+                )
+                for caller, label in sites
+            }
+            != {g}
         ):
             i_in[name] = g
     i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
@@ -498,28 +636,25 @@ def test_optimize_reads_the_regeneration_not_a_second_analysis(
 
 def test_optimize_regenerates_once_and_only_on_first_need(count_calls):
     # An emitted artwork carries its fixed point, so it regenerates never; a
-    # decoded copy carries none and regenerates once, at its first IN entry
-    # that passes the loop-header and SCC filters.
+    # decoded copy carries none and regenerates exactly once, up front.
     from artpta import consumer
 
     self_only = parse_program(
         "method main() {\n  1: nop\n}\n"
         "method solo(p) {\n  1: x = new A\n  2: if goto 4\n  3: call [solo](x)\n  4: return\n}\n"
     )
-    calls = count_calls(consumer, "regenerate")
-    a = emit_artwork(self_only, analyze_inter(self_only))
-    optimize_artwork(self_only, a)
-    optimize_artwork(self_only, decode(encode(a), self_only))
-    assert calls["regenerate"] == 0  # solo's one call-site is its own
     two_sites = parse_program(
         "method main() {\n  1: a = new A\n  2: call [f](a)\n  3: call [g](a)\n  4: call [f](a)\n}\n"
         "method f(p) {\n  1: nop\n}\nmethod g(p) {\n  1: nop\n}\n"
     )
-    a = emit_artwork(two_sites, analyze_inter(two_sites))
-    assert set(optimize_artwork(two_sites, a).i_in) == set()
-    assert calls["regenerate"] == 0
-    assert set(optimize_artwork(two_sites, decode(encode(a), two_sites)).i_in) == set()
-    assert calls["regenerate"] == 1
+    calls = count_calls(consumer, "regenerate")
+    for p, kept in ((self_only, {"solo"}), (two_sites, set())):
+        a = emit_artwork(p, analyze_inter(p))
+        before = calls["regenerate"]
+        assert set(optimize_artwork(p, a).i_in) == kept
+        assert calls["regenerate"] == before
+        assert set(optimize_artwork(p, decode(encode(a), p)).i_in) == kept
+        assert calls["regenerate"] == before + 1
 
 
 def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
@@ -534,7 +669,7 @@ def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
                 optimize_artwork(p, mutated)
 
 
-@pytest.mark.parametrize(
+SHAPES = pytest.mark.parametrize(
     "shape, count",
     [
         ({}, 60),
@@ -542,6 +677,27 @@ def test_optimize_rejects_a_reduced_artifact(rec_pipeline):
     ],
     ids=["default", "roundtrip-large"],
 )
+
+
+@SHAPES
+def test_optimize_keeps_a_subset_of_the_shape_rule_s_keys(shape, count):
+    # Every entry the shape rule dropped equals its stand-in, so the stand-in
+    # rule drops it too; what it drops besides, the consumer regenerates.
+    fewer = 0
+    for name, text in generate_corpus(CorpusConfig(program_count=count, seed=1, **shape)):
+        p = parse_program(text)
+        r = analyze_inter(p)
+        a = emit_artwork(p, r)
+        opt, old = optimize_artwork(p, a), _optimize_by_shape(p, a)
+        for section in ("i_loop", "i_in", "i_out"):
+            assert getattr(opt, section).keys() <= getattr(old, section).keys(), (name, section)
+        fewer += len(encode(opt)) < len(encode(old))
+        out = regen_inter(p, decode(encode(opt), p))
+        assert out.safe and out.result.same_values(r), name
+    assert fewer >= 1
+
+
+@SHAPES
 def test_optimize_with_the_result_equals_optimize_by_regeneration(shape, count, count_calls):
     # The emitted artwork is optimized with the fixed point it carries, its
     # decoded copy with the consumer's regeneration: the two agree.
