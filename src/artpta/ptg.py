@@ -20,11 +20,12 @@ map, a field store copies only the source objects it touches, and a meet
 whose second operand adds nothing returns the first operand itself.  A
 lookup (``pts``, ``field_targets``) is one or two dictionary probes, and
 the edge-set views ``var_edges`` / ``field_edges`` are built anew on each
-read and kept by no graph.  The hash is taken over the two maps (each value
-set caches its own hash) and kept in the graph, so hashing never builds the
-edge views.  Because the heap is keyed by source object, the one structural
-rule -- no field edge leaves the null object -- is a single key test,
-checked on every construction.
+read and kept by no graph; ``edge_count``, ``variables`` and
+``target_sets`` walk the maps without building them.  The hash is taken
+over the two maps (each value set caches its own hash) and kept in the
+graph, so hashing never builds the edge views.  Because the heap is keyed
+by source object, the one structural rule -- no field edge leaves the null
+object -- is a single key test, checked on every construction.
 
 ``edited`` is the one code that fills maps from edges: it applies ordered
 ``('-', edge)`` / ``('+', edge)`` edits, each edge ``(v, objs)`` or
@@ -70,7 +71,7 @@ by the intra-procedural entry convention).
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar, Union
+from typing import Iterable, Iterator, KeysView, TypeVar, Union
 
 from .errors import ArityMismatchError
 from .ir import (
@@ -166,6 +167,23 @@ class PointsToGraph:
     def field_targets(self, o: ObjectId, f: str) -> frozenset[ObjectId]:
         fields = self._heap.get(o)
         return NO_OBJECTS if fields is None else fields.get(f, NO_OBJECTS)
+
+    def variables(self) -> KeysView[VarId]:
+        """The variables with a non-empty points-to set (a view, no copy)."""
+        return self._vars.keys()
+
+    def target_sets(self) -> Iterator[tuple[tuple[VarId] | tuple[ObjectId, str], Objects]]:
+        """Every non-empty points-to set with its key, ``(v,)`` for a
+        variable's and ``(s, f)`` for an object field's, variables first;
+        no edge view is built."""
+        for v, objs in self._vars.items():
+            yield (v,), objs
+        for s, fields in self._heap.items():
+            for f, objs in fields.items():
+                yield (s, f), objs
+
+    def edge_count(self) -> int:
+        return sum(map(len, self._vars.values())) + _heap_size(self._heap)
 
     def objects(self) -> frozenset[ObjectId]:
         objs: set[ObjectId] = set(self._heap)

@@ -5,7 +5,12 @@ the consumer's default-value rules), and conservative edge addition.
 Reductive kinds remove or replace an element actually present in the source
 artifact.  Because the producer emits the least fixed point, the mutated
 entry lands strictly below it, cannot belong to any fixed point, and is
-therefore detectable.
+therefore detectable.  A draw is ``rng.choice`` over the candidates of every
+entry in entry order (edges, variables and objects, edges again, or sets of
+two or more targets), made from each entry's candidate count alone
+(``PointsToGraph.edge_count``, ``variables``, ``objects``, ``target_sets``):
+only the drawn entry's candidates are listed, sorted and rendered, and the
+generator is consumed as a choice from the whole list would consume it.
 
 AddEdge is different: an arbitrary insertion is almost never part of a fixed
 point (the extra edge cascades or fails to re-appear at a checked point), so
@@ -13,7 +18,12 @@ this kind injects the edge at its entry and re-closes the flow equations over
 the whole program, emitting the resulting non-least fixed point.  That is a
 genuinely conservative mutation: the consumer must accept it and regenerate a
 sound over-approximation.  It consequently needs the program, not just the
-artifact, and assumes the source artifact was producer-emitted.  When the
+artifact, and assumes the source artifact was producer-emitted.  The
+re-closure starts from the source's least fixed point
+(``analyze_inter(_above=...)``) while the source still holds the maps
+emission wrote from the fixed point it carries
+(``producer.carried_fixed_point``), and from the empty graph otherwise (a
+decoded or optimized source); both end at the same fixed point.  When the
 source lacks entries that emission writes (it was optimized), the emitted
 artifact is shrunk by ``optimize_artwork`` too, if the consumer accepts the
 shrunk one, so the mutation keeps its source's shape.
@@ -23,7 +33,10 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import Callable
 
 from .artwork import Artwork
 from .consumer import regen_inter
@@ -42,7 +55,7 @@ from .ptg import (
     render_object,
     set_edge,
 )
-from .producer import analyze_inter, emit_artwork, optimize_artwork
+from .producer import analyze_inter, carried_fixed_point, emit_artwork, optimize_artwork
 
 
 class TamperKind(enum.Enum):
@@ -99,6 +112,24 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
+def _draw(
+    a: Artwork, rng: random.Random, count: Callable[[PointsToGraph], int], nothing: str
+) -> tuple[EntryKey, PointsToGraph, int]:
+    """One candidate, drawn as ``rng.choice`` draws from the list of every
+    entry's candidates in entry order, with ``count(g)`` the number of
+    entry ``g``'s: the entry and the candidate's offset among its own, so
+    only that entry's candidates are listed and sorted.  Raises
+    ``NothingToTamperError(nothing)`` when no entry has one."""
+    entries = _entries(a)
+    ends = list(accumulate(count(g) for _, g in entries))
+    if not ends or not ends[-1]:
+        raise NothingToTamperError(nothing)
+    i = rng.choice(range(ends[-1]))  # consumes the generator as choice(candidates) does
+    j = bisect_right(ends, i)
+    key, g = entries[j]
+    return key, g, i - (ends[j - 1] if j else 0)
+
+
 def _sorted_edges(g: PointsToGraph) -> list[VarEdge | FieldEdge]:
     return sorted(g.var_edges, key=render_edge) + sorted(g.field_edges, key=render_edge)
 
@@ -111,29 +142,25 @@ def _all_objects(a: Artwork) -> list[ObjectId]:
 
 
 def _remove_edge(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    candidates = [
-        (key, g, e) for key, g in _entries(a) for e in _sorted_edges(g)
-    ]
-    if not candidates:
-        raise NothingToTamperError("no edges to remove")
-    key, g, e = rng.choice(candidates)
+    key, g, i = _draw(a, rng, PointsToGraph.edge_count, "no edges to remove")
+    e = _sorted_edges(g)[i]
     mutated = edited(g, [("-", set_edge(e))])
     return _with_entry(a, key, mutated), f"{_entry_name(key)} edge '{render_edge(e)}'"
 
 
+def _node_count(g: PointsToGraph) -> int:
+    return len(g.variables()) + len(g.objects())
+
+
 def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    candidates: list[tuple[EntryKey, PointsToGraph, object]] = []
-    for key, g in _entries(a):
-        variables = sorted({v for (v, _) in g.var_edges}, key=lambda v: (v.method, v.slot))
-        candidates.extend((key, g, ("var", v)) for v in variables)
-        candidates.extend((key, g, ("obj", o)) for o in sorted(g.objects(), key=render_object))
-    if not candidates:
-        raise NothingToTamperError("no nodes to remove")
-    key, g, (node_kind, node) = rng.choice(candidates)
-    if node_kind == "var":
+    key, g, i = _draw(a, rng, _node_count, "no nodes to remove")
+    variables = sorted(g.variables(), key=lambda v: (v.method, v.slot))
+    if i < len(variables):
+        node = variables[i]
         mutated = edited(g, [("-", (node, g.pts(node)))])
         label = f"{node.method}/{node.slot}"
     else:
+        node = sorted(g.objects(), key=render_object)[i - len(variables)]
         touching = [e for e in g.var_edges if e[1] == node]
         touching += [e for e in g.field_edges if node in (e[0], e[2])]
         mutated = edited(g, [("-", set_edge(e)) for e in touching])
@@ -142,16 +169,15 @@ def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
 
 
 def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
+    # every edge's target is one of the objects, so with two or more every
+    # edge is a candidate, and with fewer none is
     objects = _all_objects(a)
-    candidates = []
-    for key, g in _entries(a):
-        for e in _sorted_edges(g):
-            old = e[1] if len(e) == 2 else e[2]
-            if any(o != old for o in objects):
-                candidates.append((key, g, e, old))
-    if not candidates:
-        raise NothingToTamperError("no points-to targets to replace")
-    key, g, e, old = rng.choice(candidates)
+    nothing = "no points-to targets to replace"
+    if len(objects) < 2:
+        raise NothingToTamperError(nothing)
+    key, g, i = _draw(a, rng, PointsToGraph.edge_count, nothing)
+    e = _sorted_edges(g)[i]
+    old = e[-1]
     new = rng.choice([o for o in objects if o != old])
     mutated = edited(g, [("-", set_edge(e)), ("+", set_edge((*e[:-1], new)))])
     return (
@@ -160,26 +186,23 @@ def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
     )
 
 
+def _shared_count(g: PointsToGraph) -> int:
+    return sum(len(objs) >= 2 for _, objs in g.target_sets())
+
+
 def _shrink_set(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    candidates = []
-    for key, g in _entries(a):
-        for v in sorted({w for (w, _) in g.var_edges}, key=lambda w: (w.method, w.slot)):
-            if len(g.pts(v)) >= 2:
-                candidates.append((key, g, (v,)))
-        slots = sorted(
-            {(s, f) for (s, f, _) in g.field_edges},
-            key=lambda sf: (render_object(sf[0]), sf[1]),
-        )
-        for s, f in slots:
-            if len(g.field_targets(s, f)) >= 2:
-                candidates.append((key, g, (s, f)))
-    if not candidates:
-        raise NothingToTamperError("no points-to set with two or more targets")
-    key, g, slot = rng.choice(candidates)  # (v,) or (s, f)
+    key, g, i = _draw(a, rng, _shared_count, "no points-to set with two or more targets")
+    var_sets, field_sets = [], []
+    for slot, objs in g.target_sets():
+        if len(objs) >= 2:
+            (var_sets if len(slot) == 1 else field_sets).append((slot, objs))
+    var_sets.sort(key=lambda c: (c[0][0].method, c[0][0].slot))
+    field_sets.sort(key=lambda c: (render_object(c[0][0]), c[0][1]))
+    slot, targets = (var_sets + field_sets)[i]  # slot is (v,) or (s, f)
     if len(slot) == 1:
-        targets, label = g.pts(*slot), f"{slot[0].method}/{slot[0].slot}"
+        label = f"{slot[0].method}/{slot[0].slot}"
     else:
-        targets, label = g.field_targets(*slot), f"{render_object(slot[0])}.{slot[1]}"
+        label = f"{render_object(slot[0])}.{slot[1]}"
     keep = min(targets, key=render_object)
     mutated = edited(g, [("-", (*slot, targets - {keep}))])
     return (
@@ -208,6 +231,7 @@ def _add_edge(
     methods = {m.name: m for m in program.methods}
     sites: list[ObjectId] = [o for o in identifiers(program) if isinstance(o, Site)]
     objects: list[ObjectId] = sites + [NULL_OBJECT]
+    above = carried_fixed_point(program, a)  # None: re-close from the empty graph
     fields = sorted(
         {
             s.instr.f
@@ -239,7 +263,7 @@ def _add_edge(
             extra = PointsToGraph.of(field_edges=[edge])
         section = key[0]
         inject = {section: {key[1]: extra}}
-        closed = analyze_inter(program, _inject=inject)
+        closed = analyze_inter(program, _inject=inject, _above=above)
         try:
             mutated = emit_artwork(program, closed)
         except ArtError:

@@ -269,7 +269,9 @@ method h(p) {
     out = regen_inter(p, a)
     assert out.safe and out.result.same_values(r)
     assert all(n == 1 for n in out.visits.values())
-    # the optimizer must keep h's IN entry: its only call-site is a header
+    # the optimizer must keep h's IN entry: its stand-in is the projection
+    # from the header's forward meet, which lacks the edge main:1 .f-> h:1
+    # that a.f = x adds around the loop
     from artpta import optimize_artwork
 
     opt = optimize_artwork(p, a)

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,9 @@ from artpta import (
     subsumes,
     tamper,
 )
-from artpta import ir
+from artpta import ir, ptg
+from artpta.producer import carried_fixed_point
+from artpta.ptg import NULL_OBJECT, PointsToGraph, render_object
 from artpta.tamper import REDUCTIVE_KINDS
 
 
@@ -275,3 +278,88 @@ def test_tamper_outputs_are_pinned(small_corpus):
                     outputs += 1
     assert (len(programs), outputs) == (18, 1176)
     assert digest.hexdigest() == TAMPER_OUTPUTS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# add-edge's warm re-closure and the reductive kinds' per-entry draws
+# ---------------------------------------------------------------------------
+
+LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
+
+#: corpus shape -> (generator settings, program count)
+WARM_CORPORA = {"default": ({}, 12), "roundtrip-large": (LARGE_SHAPE, 2)}
+
+
+def _absent_edges(p, g, scope):
+    """One variable edge and one field edge that ``g`` lacks, over the
+    variables of method ``scope`` and the program's sites and fields, when
+    there are such edges."""
+    sites = [o for o in ir.identifiers(p) if isinstance(o, ir.Site)]
+    objects = sorted(sites, key=render_object) + [NULL_OBJECT]
+    fields = sorted({s.instr.f for m in p.methods for s in m.body if isinstance(s.instr, (ir.FieldStore, ir.FieldLoad))})
+    method = next(m for m in p.methods if m.name == scope)
+    variables = [ir.VarId(scope, k) for k in range(method.var_count)]
+    var_edges = ((v, o) for v in variables for o in objects if o not in g.pts(v))
+    field_edges = ((s, f, o) for s in sites for f in fields for o in objects if o not in g.field_targets(s, f))
+    return [e for edges in (var_edges, field_edges) for e in [next(edges, None)] if e is not None]
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@pytest.mark.parametrize("shape", sorted(WARM_CORPORA))
+def test_add_edge_closes_warm_to_the_cold_values_in_fewer_evaluations(shape, seed):
+    """An absent edge injected at a [loop], an [in] and an [out] entry,
+    closed from the least fixed point without it (``_above``), reaches the
+    values the run from the empty graph reaches, with fewer evaluations."""
+    settings, count = WARM_CORPORA[shape]
+    closed = Counter()
+    evals = {"warm": 0, "cold": 0}
+    for name, text in generate_corpus(CorpusConfig(program_count=count, seed=seed, **settings)):
+        p = parse_program(text)
+        least = analyze_inter(p)
+        a = emit_artwork(p, least)
+        for (section, key), g in _entry_maps(a).items():
+            scope = key[0] if section == "loop" else key
+            for edge in _absent_edges(p, g, scope):
+                extra = PointsToGraph.of(var_edges=[edge]) if len(edge) == 2 else PointsToGraph.of(field_edges=[edge])
+                inject = {section: {key: extra}}
+                warm = analyze_inter(p, _inject=inject, _above=least)
+                cold = analyze_inter(p, _inject=inject)
+                assert warm.same_values(cold), (name, section, key, edge)
+                evals["warm"] += warm.iteration_count
+                evals["cold"] += cold.iteration_count
+                closed[section] += 1
+    assert all(closed[section] for section in ("loop", "in", "out")), closed
+    assert evals["warm"] < evals["cold"], evals
+
+
+def test_carried_fixed_point_only_while_the_maps_are_emissions(loopy_pipeline, rec_pipeline):
+    """add-edge closes warm only from a fixed point the artwork carries and
+    still encodes; a decoded, mutated or other program's artwork closes
+    cold."""
+    loopy, r, a = loopy_pipeline
+    assert carried_fixed_point(loopy, a) is r
+    assert carried_fixed_point(loopy, decode(encode(a), loopy)) is None
+    mutated, _ = tamper(a, TamperKind.REMOVE_EDGE, seed=0)
+    object.__setattr__(mutated, "fixed_point", r)
+    assert carried_fixed_point(loopy, mutated) is None
+    rec, _, rec_a = rec_pipeline
+    assert carried_fixed_point(loopy, rec_a) is None
+    assert carried_fixed_point(rec, a) is None
+
+
+def test_a_remove_edge_draw_renders_only_the_drawn_entry(count_calls):
+    """One remove-edge draw renders each edge of the entry it draws from
+    once (to sort them) and the removed edge once more (for the target
+    string); no other entry's edges are rendered."""
+    large = generate_corpus(CorpusConfig(program_count=1, seed=1, **LARGE_SHAPE))
+    p = parse_program(dict(large)["gen000.ir"])
+    a = emit_artwork(p, analyze_inter(p))
+    before = _entry_maps(a)
+    edges = {k: len(g.var_edges) + len(g.field_edges) for k, g in before.items()}
+    calls = count_calls(ptg, "render_edge")
+    for seed in range(3):
+        calls.clear()
+        mutated, _ = tamper(a, TamperKind.REMOVE_EDGE, seed)
+        after = _entry_maps(mutated)
+        (drawn,) = [k for k in before if before[k] != after[k]]
+        assert calls["render_edge"] <= edges[drawn] + 1 < sum(edges.values())
