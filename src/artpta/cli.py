@@ -256,8 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--methods-min", type=int, default=1)
     p.add_argument("--methods-max", type=int, default=4)
-    p.add_argument("--stmts-min", type=int, default=8)
-    p.add_argument("--stmts-max", type=int, default=28)
+    p.add_argument(
+        "--stmts-min", type=int, default=8, help="least budget a method body grows to; no method is shorter"
+    )
+    p.add_argument(
+        "--stmts-max", type=int, default=28, help="most budget a method body grows to; a method may end longer"
+    )
     p.add_argument("--loop-prob", type=float, default=0.85)
     p.add_argument("--recursion-prob", type=float, default=0.5)
     p.set_defaults(func=_cmd_gen_corpus)
