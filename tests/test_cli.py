@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from artpta import LOOPY, REC
+from artpta import LOOPY, REC, Artwork, PointsToGraph, analyze_inter, emit_artwork, encode, parse_program
 from artpta.cli import main
 
 
@@ -78,6 +78,33 @@ def test_unsafe_report_shows_the_edge_difference(tmp_path, loopy_ir, capsys, kin
     captured = capsys.readouterr()
     assert captured.out == "UNSAFE\n"
     assert captured.err.splitlines() == ["LoopInvariant violation in 'main' at 5", *report]
+
+
+def test_keep_going_reports_every_summary_violation(tmp_path, rec_ir, capsys):
+    """With every entry one edge short, ``--keep-going`` reports the IN
+    summary check at the recursive call-site and the OUT summary check after
+    the pass, each with its edge difference; plain ``regen`` stops at the
+    first."""
+
+    def drop_first_edge(g: PointsToGraph) -> PointsToGraph:
+        if g.field_edges:
+            return PointsToGraph(g.var_edges, g.field_edges - {min(g.field_edges, key=repr)})
+        if g.var_edges:
+            return PointsToGraph(g.var_edges - {min(g.var_edges, key=repr)}, g.field_edges)
+        return g
+
+    p = parse_program(REC)
+    a = emit_artwork(p, analyze_inter(p))
+    reduced = Artwork(*({k: drop_first_edge(g) for k, g in m.items()} for m in (a.i_loop, a.i_in, a.i_out)))
+    bad = tmp_path / "bad.art"
+    bad.write_bytes(encode(reduced))
+    in_report = ["InSummary violation in 'foo' at foo:7", "  missing: foo:4 .f-> null", "  extra: foo/0 -> null"]
+    out_report = ["OutSummary violation in 'foo' at foo", "  missing: foo:4 .f-> null"]
+    for flags, report in (["--keep-going"], in_report + out_report), ([], in_report):
+        assert main(["regen", rec_ir, str(bad), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "UNSAFE\n"
+        assert captured.err.splitlines() == report
 
 
 def test_tamper_deterministic_bytes(tmp_path, loopy_ir):
