@@ -190,7 +190,6 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
         methods_max=args.methods_max,
         stmts_min=args.stmts_min,
         stmts_max=args.stmts_max,
-        loop_prob=args.loop_prob,
         recursion_prob=args.recursion_prob,
         seed=args.seed,
     )
@@ -262,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stmts-max", type=int, default=28, help="most budget a method body grows to; a method may end longer"
     )
-    p.add_argument("--loop-prob", type=float, default=0.85)
     p.add_argument("--recursion-prob", type=float, default=0.5)
     p.set_defaults(func=_cmd_gen_corpus)
 

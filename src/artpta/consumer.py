@@ -81,9 +81,7 @@ class Violation:
 
 @dataclass
 class RegenOutcome:
-    safe: bool
     result: AnalysisResult | None
-    violation: Violation | None
     violations: tuple[Violation, ...]
     visits: dict[tuple[str, int], int]
     methods_analyzed: frozenset[str]
@@ -92,44 +90,14 @@ class RegenOutcome:
     #: them, and regeneration reads no value from them
     ignored_loop_keys: tuple[tuple[str, int], ...]
 
+    @property
+    def safe(self) -> bool:
+        return self.result is not None
 
-def check_intra_safety(
-    header: LabeledStatement, m: Method, recomputed: PointsToGraph, seeded: PointsToGraph
-) -> Violation | None:
-    """Pass iff re-evaluating the header over all predecessors reproduces the
-    artifact-seeded value exactly."""
-    if recomputed == seeded:
-        return None
-    return Violation("LoopInvariant", m.name, header.label, expected=seeded, found=recomputed)
-
-
-def check_in_safety(
-    call: LabeledStatement,
-    caller: Method,
-    callee: Method,
-    projected: PointsToGraph,
-    claimed: PointsToGraph,
-) -> Violation | None:
-    """Pass iff the stored IN summary subsumes the projection at this
-    call-site (one-sided: the summary is the meet over all call-sites)."""
-    if subsumes(claimed, projected):
-        return None
-    return Violation(
-        "InSummary",
-        callee.name,
-        f"{caller.name}:{call.label}",
-        expected=claimed,
-        found=projected,
-    )
-
-
-def check_out_safety(
-    m: Method, regenerated: PointsToGraph, claimed: PointsToGraph
-) -> Violation | None:
-    """Pass iff the regenerated OUT summary equals the stored one."""
-    if regenerated == claimed:
-        return None
-    return Violation("OutSummary", m.name, m.name, expected=claimed, found=regenerated)
+    @property
+    def violation(self) -> Violation | None:
+        """The first violation, which decides the verdict."""
+        return self.violations[0] if self.violations else None
 
 
 class _Abort(Exception):
@@ -154,21 +122,10 @@ class _Regenerator:
         if not self.keep_going:
             raise _Abort
 
-    def _resolved_in(self, name: str, default: PointsToGraph) -> PointsToGraph:
-        if name not in self.effective_in:
-            self.effective_in[name] = default
-        return self.effective_in[name]
-
-    def _effective_out(self, name: str) -> PointsToGraph:
+    def _claimed_out(self, name: str) -> PointsToGraph:
+        """The stored OUT summary of ``name``, else its resolved IN summary."""
         claimed = self.artwork.i_out.get(name)
-        if claimed is None:
-            claimed = self._resolved_in(name, EMPTY)
-        return claimed
-
-    def _summary_of(self, target: str) -> PointsToGraph:
-        if target in self.regen_out_summary:
-            return self.regen_out_summary[target]
-        return self._effective_out(target)
+        return self.effective_in.setdefault(name, EMPTY) if claimed is None else claimed
 
     def _pending_callees(self, caller: str, s: LabeledStatement) -> Iterator[str]:
         """The plain (non-recursive) targets of ``s`` not yet regenerated, in
@@ -187,10 +144,10 @@ class _Regenerator:
         assert isinstance(s.instr, Call)
         for t in s.instr.targets:
             projected = callee_in(self.index, m.name, s, in_g, t)
-            claimed = self._resolved_in(t, default=projected)
-            v = check_in_safety(s, m, self.index.methods[t], projected, claimed)
-            if v is not None:
-                self._fail(v)
+            # One-sided: the summary is the meet over all call-sites.
+            claimed = self.effective_in.setdefault(t, projected)
+            if not subsumes(claimed, projected):
+                self._fail(Violation("InSummary", t, f"{m.name}:{s.label}", claimed, projected))
 
     def regen_method(self, name: str) -> Iterator[str]:
         """Regenerate one method, one block at a time in topological order.
@@ -200,9 +157,13 @@ class _Regenerator:
         cfg = self.index.cfgs[name]
         blocks = cfg.blocks
         headers = cfg.forward_inputs
-        out, visits, summary_of = self.out, self.visits, self._summary_of
+        out, visits, regen_out = self.out, self.visits, self.regen_out_summary
+
+        def summary_of(t: str) -> PointsToGraph:
+            return regen_out[t] if t in regen_out else self._claimed_out(t)
+
         self.analyzed.add(name)
-        out[(name, ENTRY)] = self._resolved_in(name, EMPTY)
+        out[(name, ENTRY)] = self.effective_in.setdefault(name, EMPTY)
         for b in cfg.order:
             stmts = blocks[b].statements
             if b in headers:
@@ -231,7 +192,7 @@ class _Regenerator:
                 # resumed).
                 self.applications += 1
         out[(name, EXIT)] = meet_in(out, name, cfg.exit_inputs)
-        self.regen_out_summary[name] = restrict_to_summary(out[(name, EXIT)], m)
+        regenerated = regen_out[name] = restrict_to_summary(out[(name, EXIT)], m)
         for header, b in sorted((blocks[b].leader, b) for b in headers):
             stmt = blocks[b].statements[0]
             in_all = meet_in(out, name, cfg.inputs[b])
@@ -244,13 +205,12 @@ class _Regenerator:
                 yield from self._pending_callees(name, stmt)
             recomputed = eval_statement(stmt, in_all, m, summary_of)
             self.applications += 1
-            v = check_intra_safety(stmt, m, recomputed, out[(name, header)])
-            if v is not None:
-                self._fail(v)
+            if recomputed != out[(name, header)]:
+                self._fail(Violation("LoopInvariant", name, header, out[(name, header)], recomputed))
         if self.index.call_graph.is_recursive_method(name):
-            v = check_out_safety(m, self.regen_out_summary[name], self._effective_out(name))
-            if v is not None:
-                self._fail(v)
+            claimed = self._claimed_out(name)
+            if regenerated != claimed:
+                self._fail(Violation("OutSummary", name, name, claimed, regenerated))
 
     def _regen(self, name: str) -> None:
         """Run ``regen_method(name)`` and every callee regeneration it asks
@@ -290,9 +250,7 @@ class _Regenerator:
             if name not in cfgs or label not in cfgs[name].loop_headers
         )
         return RegenOutcome(
-            safe=result is not None,
             result=result,
-            violation=self.violations[0] if self.violations else None,
             violations=tuple(self.violations),
             visits=dict(self.visits),
             methods_analyzed=frozenset(self.analyzed),

@@ -71,6 +71,8 @@ FIXTURES = (("loopy.ir", LOOPY), ("rec.ir", REC), ("arith.ir", ARITH))
 
 _TAGS = ("A", "B", "C", "D")
 _FIELDS = ("f", "g")
+# Scales the share of body segments that open a loop (``_LOOP_PROB * 0.35``).
+_LOOP_PROB = 0.85
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ class CorpusConfig:
     methods_max: int = 4
     stmts_min: int = 8
     stmts_max: int = 28
-    loop_prob: float = 0.85
     recursion_prob: float = 0.5
     seed: int = 0
 
@@ -101,9 +102,8 @@ class CorpusConfig:
             raise ValueError("empty methods range")
         if not (1 <= self.stmts_min <= self.stmts_max):
             raise ValueError("empty statements range")
-        for p in (self.loop_prob, self.recursion_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must be in [0, 1]")
+        if not 0.0 <= self.recursion_prob <= 1.0:
+            raise ValueError("recursion_prob must be in [0, 1]")
 
 
 class _MethodBuilder:
@@ -286,9 +286,9 @@ def _generate_program(rng: random.Random, cfg: CorpusConfig) -> str:
         budget = rng.randint(cfg.stmts_min, cfg.stmts_max)
         while len(b.rows) < budget:
             roll = rng.random()
-            if roll < cfg.loop_prob * 0.35:
+            if roll < _LOOP_PROB * 0.35:
                 b.loop(cfg, depth=1, target_groups=target_groups or None)
-            elif roll < cfg.loop_prob * 0.35 + 0.2 and target_groups:
+            elif roll < _LOOP_PROB * 0.35 + 0.2 and target_groups:
                 b.call(target_groups, bindable=True)
             else:
                 b.plain()

@@ -10,8 +10,8 @@ OUTs (and Entry's, for the first block), and every later statement's input
 is the OUT just computed for the statement before it.  ``meet_in`` is the
 meet over any list of points (Exit's inputs, a loop header's), and
 ``forward_in`` a loop header's meet over its forward inputs alone, which
-the consumer's pass has there; ``in_value`` is one point's input in that
-pass, for the optimizer.  The engines differ only in where callee OUT
+the consumer's pass has there; ``in_value`` is one statement's input in
+that pass, for the optimizer.  The engines differ only in where callee OUT
 summaries come from and in how often they evaluate.  The round-robin oracle
 evaluates the same statement equations over the statement-level predecessor
 relation instead, so it stays an independent check of the block step.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .ir import EXIT, Call, ControlFlowGraph, LabeledStatement, Method, Node, ProgramIndex
+from .ir import Call, ControlFlowGraph, LabeledStatement, Method, Node, ProgramIndex
 from .ptg import EMPTY, PointsToGraph, meet_all, project_in, project_out, transfer
 
 PointKey = tuple[str, Node]
@@ -81,24 +81,17 @@ def forward_in(
 
 
 def in_value(
-    index: ProgramIndex, out: Mapping[PointKey, PointsToGraph], name: str, node: Node
+    index: ProgramIndex, out: Mapping[PointKey, PointsToGraph], name: str, label: int
 ) -> PointsToGraph:
-    """The value flowing into one point of method ``name`` in the consumer's
-    pass: a loop header's ``forward_in``, any other leader's ``block_in``,
-    a later statement's the OUT of the statement before it, or Exit's
-    meet."""
+    """The value flowing into statement ``label`` of method ``name`` in the
+    consumer's pass: a loop header's ``forward_in``, any other leader's
+    ``block_in``, and a later statement's the OUT of the statement before
+    it."""
     cfg = index.cfgs[name]
-    if node == EXIT:
-        points = cfg.exit_inputs
-    elif node in cfg.position:
-        b, k = cfg.position[node]
-        if k:
-            points = (cfg.blocks[b].statements[k - 1].label,)
-        else:
-            points = cfg.forward_inputs.get(b, cfg.inputs[b])
-    else:  # Entry, or no point of the method
-        points = ()
-    return meet_in(out, name, points)
+    b, k = cfg.position[label]
+    if k:
+        return out.get((name, cfg.blocks[b].statements[k - 1].label), EMPTY)
+    return meet_in(out, name, cfg.forward_inputs.get(b, cfg.inputs[b]))
 
 
 def eval_statement(

@@ -22,10 +22,11 @@ lookup (``pts``, ``field_targets``) is one or two dictionary probes, and
 the edge-set views ``var_edges`` / ``field_edges`` are built anew on each
 read and kept by no graph; ``edge_count``, ``variables`` and
 ``target_sets`` walk the maps without building them.  The hash is taken
-over the two maps (each value set caches its own hash) and kept in the
-graph, so hashing never builds the edge views.  Because the heap is keyed
-by source object, the one structural rule -- no field edge leaves the null
-object -- is a single key test, checked on every construction.
+over the two maps on each call (each value set caches its own hash), so
+hashing never builds the edge views and no graph stores it.  Because the
+heap is keyed by source object, the one structural rule -- no field edge
+leaves the null object -- is a single key test, checked on every
+construction.
 
 ``edited`` is the one code that fills maps from edges: it applies ordered
 ``('-', edge)`` / ``('+', edge)`` edits, each edge ``(v, objs)`` or
@@ -132,12 +133,11 @@ class PointsToGraph:
     ``__post_init__`` once.
     """
 
-    __slots__ = ("_vars", "_heap", "_hash")
+    __slots__ = ("_vars", "_heap")
 
     def __init__(self, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> None:
         edits = [("+", set_edge(e)) for edges in (var_edges, field_edges) for e in edges]
         self._vars, self._heap = _edit({}, {}, edits)
-        self._hash: int | None = None
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -205,13 +205,10 @@ class PointsToGraph:
         return self._vars == other._vars and self._heap == other._heap
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((
-                frozenset(self._vars.items()),
-                frozenset((o, frozenset(fields.items())) for o, fields in self._heap.items()),
-            ))
-        return h
+        return hash((
+            frozenset(self._vars.items()),
+            frozenset((o, frozenset(fields.items())) for o, fields in self._heap.items()),
+        ))
 
     def __repr__(self) -> str:
         """Edges in ``render_edges`` order, so equal graphs print alike."""
@@ -227,7 +224,6 @@ def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
     g = object.__new__(PointsToGraph)
     g._vars = vars_
     g._heap = heap
-    g._hash = None
     g.__post_init__()
     return g
 

@@ -627,7 +627,7 @@ def test_accepted_artifacts_are_fixed_points_above_the_least(small_corpus):
                 if not out.safe:
                     continue
                 accepted += 1
-                assert validate_result(p, out.result, exact_in=False) == [], mutated
+                assert validate_result(p, out.result) == [], mutated
                 assert all(subsumes(out.result.out[k], oracle.out[k]) for k in oracle.out)
                 strictly_above += out.result.out != oracle.out
     # The trial set must exercise the theorem, not just the detector.
