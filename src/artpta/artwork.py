@@ -1,18 +1,19 @@
-"""The compact analysis artifact and its bit-exact text codec (format ART/1),
+"""The compact analysis artifact and its bit-exact text codec (format ART/2),
 plus the naive whole-dump baseline encoding and size statistics.
 
 File layout (UTF-8, LF line endings, all sections always present, entries
-and edges sorted)::
+sorted)::
 
-    ART/1
+    ART/2
     [loop]
     m:main l:5 = {
-      main/0 -> main:4
+      main/0 -> main:4 main:9
       main/1 -> main:4
+      main:4 .f-> main:9 null
     }
     m:main l:9 = ^
     - main/1 -> main:4
-    + main/1 -> null
+    + main/1 -> main:9 null
     [in]
     m:foo = {
       main:1 .f-> main:3
@@ -20,42 +21,50 @@ and edges sorted)::
     [out]
     m:foo = ^
 
-An entry written ``= ^`` holds the value of the entry before it in file
-order, across section headers, with the edges of the ``- `` lines after it
-removed and those of the ``+ `` lines added; with no such lines it is the
+Each edge line is one binding of a graph: a variable, or an object and a
+field, then all its targets, sorted as ``render_edges`` sorts them.  A
+block writes each binding once, variables first, each group sorted.  An
+entry written ``= ^`` holds the value of the entry before it in file order,
+across section headers, with the targets of each ``- `` line removed from
+its key and those of each ``+ `` line added; with no such lines it is the
 same graph.  The first entry of a file cannot be one.  ``encode`` writes
-each group of edit lines in ``render_edges`` order, removals first.
+the ``- `` lines first, one per key, then the ``+ `` lines, each group
+sorted.  A line has at least one target and names none twice.  There is no
+reader for ``ART/1``, the grammar of one edge per line that this one
+replaced.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
 but wrong values) is deliberately not detectable here and is the consumer's
-job.  An edit that removes an edge its entry's value lacks, or adds one it
-has, is a syntax error: decode applies the edit lines in order, and each
-must change the value.
+job.  An edit line that removes a target its key's value lacks, or adds one
+it has, is a syntax error: decode applies the edit lines in order, and each
+of their targets must change the value.
 
 The encoder and the decoder each handle a distinct thing once per artifact,
-because an artifact repeats most edge lines across entries.  The encoder
+because an artifact repeats most binding lines across entries.  The encoder
 renders graphs through one ``ptg.EdgeRenderer`` per call, which formats each
 object, each (variable, target set) binding and each per-object field map
 once; nothing outlives the call.  The decoder is one walk over the file's
-lines.  Each distinct edge line is parsed once per artifact, and both its
-sides are looked up in the program's table of identifiers
-(``ir.identifiers``, built once per ``decode`` call; a line written as the
-table renders its sides is looked up by its text, unparsed): a side the
-table lacks is a reference the program does not have, and a side it holds
-is replaced by the table's own object, so a decoded artifact holds one
-object per identifier.  Every graph is then built by ``ptg.edited``: a
+lines.  Each distinct line is parsed once per artifact into its key and
+one set of its targets, and every side is looked up in the program's table
+of identifiers (``ir.identifiers``, built once per ``decode`` call; a line
+written as the table renders its sides is looked up by its text,
+unparsed): a side the table lacks is a reference the program does not
+have, and a side it holds is replaced by the table's own object, so a
+decoded artifact holds one object per identifier.  Every graph is then
+built by ``ptg.edited``, which stores a line's set as it is: a
 block's as the empty graph with its lines added, an edit entry's as the
 previous entry's graph with its lines applied in order, so what it does not
-edit stays shared.  Edit lines are checked against one running set of the
-previous entry's parsed edges.  Once an entry is at fault, no more graphs
-are built, so the work stays linear in the file however many entries it
-holds.  Errors are reported deterministically: a syntax error anywhere
-wins, at its first line; otherwise the first entry at fault in [loop],
-[in], [out] order, its key before its graph, and within a graph the first
-bad edge line in file order, its left side before its right.  File order is
-the check order, so a bad line is reported at the first entry that holds
-it, never at a ``^`` after it.
+edit stays shared.  Edit lines are checked target by target against one
+running map, from each key of the previous entry's value to its targets.
+Once an entry is at fault, no more graphs are built, so the work stays
+linear in the file however many entries it holds.  Errors are reported
+deterministically: a syntax error anywhere wins, at its first line;
+otherwise the first entry at fault in [loop], [in], [out] order, its key
+before its graph, and within a graph the first bad line in file order, its
+key before its targets and its targets in line order.  File order is the
+check order, so a bad line is reported at the first entry that holds it,
+never at a ``^`` after it.
 """
 
 from __future__ import annotations
@@ -71,17 +80,17 @@ from .ptg import (
     EMPTY,
     NULL_OBJECT,
     EdgeRenderer,
+    Objects,
     PointsToGraph,
     SetEdge,
     edited,
-    parse_edge_line,
-    set_edge,
+    parse_binding_line,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
 
-MAGIC = "ART/1"
+MAGIC = "ART/2"
 NAIVE_MAGIC = "NAIVE/1"
 
 
@@ -133,11 +142,11 @@ def encode(a: Artwork) -> bytes:
     three maps alone, and ``decode(encode(a), p) == a``.  Each entry after
     the first is written ``= ^`` followed by its edits from the previous
     entry, in file order across sections, when those are no more lines than
-    the entry has edges (so at least one line fewer than its block); every
-    other entry is written as its block.  An entry equal to the previous
-    one is a bare ``= ^``.  Graphs are rendered by one ``EdgeRenderer`` that
-    lives as long as this call: the mirror of the decoder, which parses each
-    distinct edge line once."""
+    the entry has bindings (so at least one line fewer than its block);
+    every other entry is written as its block.  An entry equal to the
+    previous one is a bare ``= ^``.  Graphs are rendered by one
+    ``EdgeRenderer`` that lives as long as this call: the mirror of the
+    decoder, which parses each distinct line once."""
     renderer = EdgeRenderer()
     chunks = [MAGIC + "\n"]
     prev = None
@@ -199,52 +208,62 @@ def _unknown(o: Identifier) -> str:
 
 class _EdgeLines(dict):
     """The edge lines of one artifact, parsed: each whole line, with its
-    two-space indent, maps to its edge with a singleton target set, as
-    ``ptg.edited`` takes it.  An artifact repeats most of its edges
-    across entries, so each distinct line is parsed once.  When there is a
-    program, both sides of the line are replaced by their entries in the
-    program's table (``ir.identifiers``), so equal identifiers are one
-    object: a line written as the table renders its two sides is looked up
-    by text, any other is parsed and looked up by value.  A line with a side
-    the table lacks is kept in ``bad`` with the reason, its left side
-    first."""
+    two-space indent, maps to ``(key, objs, edge)``: its key (a variable
+    ``v``, or ``(s, f)``), its targets in one frozenset, and the two as the
+    edge ``(v, objs)`` or ``(s, f, objs)`` that ``ptg.edited`` takes and
+    stores as it is.  An artifact repeats most of its lines across
+    entries, so each distinct line is parsed once and its set is shared by
+    every graph that holds the binding.  When there is a program, every
+    side of the line is replaced by its entry in the program's table
+    (``ir.identifiers``), so equal identifiers are one object: a line
+    written as the table renders its sides is looked up by text, any other
+    is parsed and looked up by value.  A line with a side the table lacks
+    is kept in ``bad`` with the reason, for the first such side: its key
+    before its targets, targets in line order."""
 
     def __init__(self, ids: dict | None):
         super().__init__()
         self.ids = ids
         self.bad: dict[str, str] = {}
 
-    def __missing__(self, line: str) -> SetEdge:
+    def __missing__(self, line: str) -> tuple[Any, Objects, SetEdge]:
         ids = self.ids
         if ids is not None:
-            parts = line[2:].split(" ")
-            if len(parts) == 3 and line.startswith("  "):
-                left, op, right = ids.get(parts[0]), parts[1], ids.get(parts[2])
-                if left is not None and right is not None and right.__class__ is not VarId:
+            parts = line.split(" ", 4)  # the indent's two empty fields, key, op, targets
+            # only a variable's text holds a "/", and no target is a variable
+            if len(parts) == 5 and not parts[0] and not parts[1] and "/" not in parts[4]:
+                left, op = ids.get(parts[2]), parts[3]
+                texts = parts[4].split(" ")
+                objs = frozenset(map(ids.get, texts))
+                if left is not None and len(objs) == len(texts) and None not in objs:
                     if op == "->" and left.__class__ is VarId:
-                        parsed = self[line] = set_edge((left, right))
+                        parsed = self[line] = (left, objs, (left, objs))
                         return parsed
                     if (
                         len(op) > 3 and op[0] == "." and op.endswith("->") and op.isprintable()
                         and left.__class__ is not VarId and left is not NULL_OBJECT
                     ):
-                        parsed = self[line] = set_edge((left, op[1:-2], right))
+                        fname = op[1:-2]
+                        parsed = self[line] = ((left, fname), objs, (left, fname, objs))
                         return parsed
         if not line.startswith("  "):
             raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
         try:
-            edge = parse_edge_line(line[2:])
+            left, fname, targets = parse_binding_line(line[2:])
         except ValueError as exc:
             raise MalformedArtworkError(str(exc)) from exc
         if ids is not None:
-            left, right = ids.get(edge[0]), ids.get(edge[-1])
-            if left is None:
-                self.bad[line] = _unknown(edge[0])
-            elif right is None:
-                self.bad[line] = _unknown(edge[-1])
+            sides = [left, *targets]
+            found = [ids.get(o) for o in sides]
+            if None in found:
+                self.bad[line] = _unknown(sides[found.index(None)])
             else:
-                edge = (left, *edge[1:-1], right)
-        parsed = self[line] = set_edge(edge)  # (v, {o}) or (s, f, {t})
+                left, *targets = found
+        objs = frozenset(targets)
+        if fname is None:
+            parsed = self[line] = (left, objs, (left, objs))
+        else:
+            parsed = self[line] = ((left, fname), objs, (left, fname, objs))
         return parsed
 
     def why(self, lines: list[str]) -> str | None:
@@ -256,10 +275,21 @@ class _EdgeLines(dict):
         return None
 
 
+def _bad_edit(line: str, sign: str, have) -> MalformedArtworkError:
+    """The error for edit line ``sign + line[2:]``, one of whose targets
+    ``have`` holds (an addition) or lacks (a removal): the first such
+    target in line order, written as a one-target line."""
+    parts = line.split()
+    _, _, targets = parse_binding_line(line)
+    text = next(text for text, t in zip(parts[2:], targets) if (t in have) == (sign == "+"))
+    verb = "adds a present" if sign == "+" else "removes an absent"
+    return MalformedArtworkError(f"edit {verb} edge {' '.join([*parts[:2], text])!r}")
+
+
 def _read_artwork(
     data: bytes, ids: dict | None, check: Callable[[str, Any], str | None] | None = None
 ) -> tuple[Artwork, str | None]:
-    """Parse an ART/1 file in one walk over its lines.
+    """Parse an ART/2 file in one walk over its lines.
 
     Returns the artwork and why its first entry at fault is, or None.  An
     entry is at fault when ``check(section, key)`` (when given) says why its
@@ -267,14 +297,16 @@ def _read_artwork(
     (when given) lacks.  From the first such entry on, no graph is built:
     the artwork holds the entries before it, and that entry too when only
     its graph is at fault.  The rest of the file is still read, for its
-    syntax and its edits, against one running set of the previous entry's
-    edges, so the walk stays linear in the lines whatever the entries
-    are."""
+    syntax and its edits, against one running map from each key of the
+    previous entry's value to a mutable set of its targets, so the walk
+    stays linear in the lines whatever the entries are."""
     lines = _lines(data, MAGIC)
     n = len(lines)
     edges = _EdgeLines(ids)
     i = 1
-    live: set | None = None  # the edges of the previous entry's value
+    block: list | None = None  # the parsed lines of the last block
+    # the previous entry's value, key -> targets, made when an edit needs it
+    live: dict | None = None
     g = None  # the previous entry's graph, while graphs are built
     fault: str | None = None
     sections: list[dict] = []
@@ -308,24 +340,31 @@ def _read_artwork(
                 if end == n:
                     raise MalformedArtworkError("unterminated graph block")
                 i = end + 1
-                live = set(block)
+                live = None
             elif text != "^":
                 raise MalformedArtworkError(f"expected graph block or '^', got {text!r}")
-            elif live is None:
+            elif block is None:
                 raise MalformedArtworkError("'^' in the first entry")
             else:
-                own = []  # each edit's edge line, indented as in a block
+                own = []  # each edit's binding line, indented as in a block
                 edits = []
                 while i < n and lines[i].startswith(("- ", "+ ")):
                     sign, line = lines[i][0], "  " + lines[i][2:]
-                    edge = edges[line]
-                    if (edge in live) == (sign == "+"):
-                        verb = "adds a present" if sign == "+" else "removes an absent"
-                        raise MalformedArtworkError(f"edit {verb} edge {line[2:]!r}")
+                    binding, objs, edge = edges[line]
+                    if live is None:
+                        live = _live(block)
+                    have = live.get(binding)
                     if sign == "+":
-                        live.add(edge)
+                        if have is None:
+                            live[binding] = set(objs)
+                        elif have.isdisjoint(objs):
+                            have |= objs
+                        else:
+                            raise _bad_edit(line, sign, have)
+                    elif have is not None and objs <= have:
+                        have -= objs
                     else:
-                        live.remove(edge)
+                        raise _bad_edit(line, sign, have or ())
                     own.append(line)
                     edits.append((sign, edge))
                     i += 1
@@ -333,7 +372,7 @@ def _read_artwork(
                 later.add(key)
                 continue
             if text == "{":
-                g = edited(EMPTY, [("+", edge) for edge in block])
+                g = edited(EMPTY, [("+", edge) for _, _, edge in block])
             elif edits:
                 g = edited(g, edits)
             entries[key] = g
@@ -346,8 +385,21 @@ def _read_artwork(
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out), fault
 
 
+def _live(block: list) -> dict:
+    """A block's value as a map from each key to a mutable set of its
+    targets (the union of the key's lines, if it has several)."""
+    live: dict = {}
+    for key, objs, _ in block:
+        have = live.get(key)
+        if have is None:
+            live[key] = set(objs)
+        else:
+            have |= objs
+    return live
+
+
 def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/1 file (no program to validate against).
+    """Syntax-only parse of an ART/2 file (no program to validate against).
     Every entry's graph is built, an edit entry's over shallow copies of
     the previous entry's maps, so the cost is linear in the artwork it
     returns, which may be much larger than the file."""
@@ -357,11 +409,12 @@ def parse_artwork(data: bytes) -> Artwork:
 def decode(data: bytes, p: Program) -> Artwork:
     """Parse and validate an artifact against a program.
 
-    Raises MalformedArtworkError on syntax breakage, including an edit that
-    removes an edge its entry's value lacks or adds one it has, and
+    Raises MalformedArtworkError on syntax breakage, including a line with
+    no target or with a target twice and an edit line that removes a
+    target its key's value lacks or adds one it has, and
     UnknownReferenceError when a method, slot, label, or summary key does
     not exist in ``p`` (an OUT-summary key must name a method on a
-    call-graph cycle).  Edge lines are mapped through ``ir.identifiers(p)``,
+    call-graph cycle).  Binding lines are mapped through ``ir.identifiers(p)``,
     which this call builds once, plus the null object, which belongs to
     every program; the decoded graphs hold the table's objects.  A [loop]
     key must name a statement of its method, not necessarily a loop header;
@@ -369,7 +422,8 @@ def decode(data: bytes, p: Program) -> Artwork:
     syntax error anywhere wins; otherwise the first entry at fault is
     reported, in [loop], [in], [out] order, its key before its graph (so a
     bad line is reported at the first entry that holds it, not at a ``^``
-    entry after it).
+    entry after it), and within the graph the first bad line, its key
+    before its targets and its targets in line order.
 
     The cost is linear in the file's lines plus, for each entry the program
     has, a shallow copy of its two maps and a rebuild of each target set
@@ -410,7 +464,7 @@ def naive_encode(result: "AnalysisResult") -> bytes:
     by_method: dict[str, dict] = {}
     for (name, node), g in result.out.items():
         by_method.setdefault(name, {})[node] = g
-    renderer = EdgeRenderer()
+    renderer = EdgeRenderer(per_edge=True)
     chunks = [NAIVE_MAGIC + "\n"]
     for name in sorted(by_method):
         points = by_method[name]

@@ -38,7 +38,7 @@ class ArityMismatchError(ArtError):
 
 
 class MalformedArtworkError(ArtError):
-    """An artifact file violates the ART/1 syntax."""
+    """An artifact file violates the ART/2 syntax."""
 
 
 class UnknownReferenceError(ArtError):

@@ -33,9 +33,10 @@ construction.
 ``(s, f, objs)``, to shallow copies of a graph's maps.  The edge
 constructor adds its edges to the empty maps with it, the artifact decoder
 builds a block as ``edited(EMPTY, +lines)`` and an edit entry as
-``edited(previous, edits)``, and ``tamper`` writes each reductive mutation
-as one call; each puts an edge ``(v, o)`` or ``(s, f, t)`` in the
-singleton-set form ``edited`` takes with ``set_edge``.
+``edited(previous, edits)``, each line with all its targets in one set,
+and ``tamper`` writes each reductive mutation as one call; the constructor
+and ``tamper`` put an edge ``(v, o)`` or ``(s, f, t)`` in the singleton-set
+form with ``set_edge``.
 
 Variables and objects are small values that hash and compare in C:
 ``VarId``, ``Site`` and ``Placeholder`` are named tuples whose last field is
@@ -60,10 +61,15 @@ reject, with ValueError, a statement that is not one of the method's own,
 which is every statement of a method built by hand: such a method has no
 table.
 
-Canonical text rendering (also the artifact file's edge syntax)::
+Canonical text rendering, one line per edge (``render_edges``, the
+results dump and UNSAFE reports)::
 
     main/0 -> main:4          # variable (method/slot) -> object
     main:4 .f-> null          # object .field-> object
+
+The artifact writes one line per binding instead, a key and all its
+targets (``main/0 -> main:4 null``); ``EdgeRenderer`` writes both forms and
+``parse_binding_line`` reads a line of either.
 
 Objects render as ``method:label`` (allocation site), ``null`` (the one
 null object), or ``method?i`` (placeholder for reference parameter i, used
@@ -229,8 +235,8 @@ def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
 
 
 # An edge to a set of objects: ``(v, objs)`` or ``(s, f, objs)`` with
-# ``objs`` a non-empty frozenset; one parsed edge line is one with a
-# singleton set.
+# ``objs`` a non-empty frozenset; a parsed binding line is one with all its
+# targets.
 SetEdge = Union[tuple[VarId, Objects], tuple[ObjectId, str, Objects]]
 
 
@@ -613,24 +619,29 @@ def render_graph(g: PointsToGraph) -> str:
 
 
 class EdgeRenderer:
-    """Renders graphs as ``render_edges`` does, each object, each distinct
-    (variable, target set) binding and each per-object field map once, and
-    the edit lines that turn one graph into another.
+    """Renders graphs as binding lines, one per variable and one per
+    (object, field), each with its targets sorted as ``render_edges`` sorts
+    them (``main/0 -> main:4 null``), and the edit lines that turn one graph
+    into another.  With ``per_edge`` a block holds one line per edge
+    instead, as ``render_edges`` writes them (the ``NAIVE/1`` dump).
 
     Graphs at nearby program points share most target sets and field maps,
-    so a renderer that sees many of them formats little twice.  Bindings are
-    keyed by value; a field map is keyed by its source object and its
-    identity, and the renderer holds a reference to it so the identity stays
-    unique.  A renderer keeps everything it rendered: make one per artifact
-    (or dump), never one per process, as artifacts are untrusted input.
+    so a renderer that sees many of them formats little twice: each object,
+    each distinct (variable, target set) binding and each per-object field
+    map is formatted once.  Bindings are keyed by value; a field map is
+    keyed by its source object and its identity, and the renderer holds a
+    reference to it so the identity stays unique.  A renderer keeps
+    everything it rendered: make one per artifact (or dump), never one per
+    process, as artifacts are untrusted input.
 
-    A graph's lines are its bindings' sorted lines, bindings in order of
-    their first line, then its field maps' lines likewise.  That is
+    A block holds its variables' lines, sorted, then its field maps' lines,
+    each map's sorted and the maps in order of their first line.  That is
     ``render_edges``' order whenever no name holds whitespace (then every
     line starts with a space-terminated key, ``m/s ->`` or ``src .f->``, so
-    one key's lines sort together)."""
+    sorting the lines sorts the keys)."""
 
-    def __init__(self) -> None:
+    def __init__(self, per_edge: bool = False) -> None:
+        self._per_edge = per_edge
         self._objects: dict[ObjectId, str] = {}
         self._bindings: dict[tuple[VarId, Objects], str] = {}
         self._fields: dict[tuple[ObjectId, int], tuple[FieldIndex, str]] = {}
@@ -641,19 +652,30 @@ class EdgeRenderer:
             text = self._objects[o] = render_object(o)
         return text
 
+    def _names(self, objs: Objects) -> str:
+        """The rendered targets of a set, sorted and space-separated."""
+        if len(objs) == 1:
+            (o,) = objs
+            return self._object(o)
+        return " ".join(sorted(map(self._object, objs)))
+
+    def _block_lines(self, head: str, objs: Objects) -> str:
+        """The block lines of one key: its binding line, or for a
+        ``per_edge`` block one line per target."""
+        if self._per_edge:
+            return "".join([f"  {head}{name}\n" for name in sorted(map(self._object, objs))])
+        return f"  {head}{self._names(objs)}\n"
+
     def block(self, g: PointsToGraph) -> str:
-        """The lines of ``render_edges(g)``, each indented by two spaces and
-        ended by a newline."""
-        obj = self._object
+        """The lines of ``g``, each indented by two spaces and ended by a
+        newline."""
         bindings = self._bindings
         var_texts = []
         for binding in g._vars.items():
             text = bindings.get(binding)
             if text is None:
                 v, objs = binding
-                head = f"{v.method}/{v.slot} -> "
-                lines = sorted([head + obj(o) for o in objs])
-                text = bindings[binding] = "".join([f"  {line}\n" for line in lines])
+                text = bindings[binding] = self._block_lines(f"{v.method}/{v.slot} -> ", objs)
             var_texts.append(text)
         var_texts.sort()
         field_maps = self._fields
@@ -662,29 +684,29 @@ class EdgeRenderer:
             key = (s, id(fields))
             cached = field_maps.get(key)
             if cached is None:
-                head = obj(s) + " ."
-                lines = sorted([f"{head}{f}-> {obj(t)}" for f, ts in fields.items() for t in ts])
-                cached = field_maps[key] = (fields, "".join([f"  {line}\n" for line in lines]))
+                head = self._object(s) + " ."
+                lines = sorted([self._block_lines(f"{head}{f}-> ", ts) for f, ts in fields.items()])
+                cached = field_maps[key] = (fields, "".join(lines))
             heap_texts.append(cached[1])
         heap_texts.sort()
         return "".join(var_texts) + "".join(heap_texts)
 
     def edits(self, old: PointsToGraph, new: PointsToGraph) -> str | None:
-        """The lines that turn ``old`` into ``new``: ``- <edge>`` for each
-        edge only ``old`` has, then ``+ <edge>`` for each only ``new`` has,
-        each group sorted as ``render_edges`` sorts and each line ended by a
+        """The binding lines that turn ``old`` into ``new``: per key, ``- ``
+        and the targets only ``old`` has, then per key ``+ `` and the
+        targets only ``new`` has; each group sorted and each line ended by a
         newline.  None when there would be more lines than ``new`` has
-        edges.  A target set or field map the two graphs share is passed
+        bindings.  A target set or field map the two graphs share is passed
         over unread, and each line is written as the diff finds it, so the
-        work follows the keys of ``new`` and the edges that differ, with no
-        pass over either graph's items as a whole."""
+        work follows the keys of ``new`` and the bindings that differ, with
+        no pass over either graph's items as a whole."""
         old_vars, new_vars, old_heap, new_heap = old._vars, new._vars, old._heap, new._heap
         same_vars = old_vars == new_vars
         if same_vars and old_heap == new_heap:
             return ""
-        # No variable in common: every old variable edge is a "- " line.
+        # No variable in common: every old variable is a "- " line.
         if old_vars and old_vars.keys().isdisjoint(new_vars):
-            if sum(map(len, old_vars.values())) > _heap_size(new_heap):
+            if len(old_vars) > sum(map(len, new_heap.values())):
                 return None
         var_gone, var_came, heap_gone, heap_came = [], [], [], []
         if not same_vars:
@@ -700,9 +722,9 @@ class EdgeRenderer:
             for src in old_heap.keys() - new_heap.keys():
                 self._map_edits(old_heap[src], {}, self._object(src) + " .", heap_gone, heap_came)
         count = len(var_gone) + len(var_came) + len(heap_gone) + len(heap_came)
-        # every stored set holds an edge, so a count this low needs no sum
+        # every stored field map holds a binding, so a count this low needs no sum
         if count > len(new_vars) + len(new_heap):
-            if count > sum(map(len, new_vars.values())) + _heap_size(new_heap):
+            if count > len(new_vars) + sum(map(len, new_heap.values())):
                 return None
         for lines in (var_gone, heap_gone, var_came, heap_came):
             lines.sort()
@@ -711,11 +733,12 @@ class EdgeRenderer:
     def _map_edits(
         self, had: dict, has: dict, src_head: str | None, gone: list[str], came: list[str]
     ) -> None:
-        """Append to ``gone`` the edit line of each edge of the map ``had``
-        (key -> target set) that ``has`` lacks, and to ``came`` the reverse.
-        The keys are variables when ``src_head`` is None, and else the field
+        """Append to ``gone`` the ``- `` line of each key of the map ``had``
+        (key -> target set) with targets ``has`` lacks, and to ``came`` the
+        ``+ `` line of each key of ``has`` with targets ``had`` lacks.  The
+        keys are variables when ``src_head`` is None, and else the field
         names of the source object it renders."""
-        obj = self._object
+        names = self._names
         shared = 0
         for key, objs in has.items():
             was = had.get(key)
@@ -724,19 +747,19 @@ class EdgeRenderer:
                 continue
             head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
             if was is None:
-                for o in objs:
-                    came.append(f"+ {head}{obj(o)}\n")
+                came.append(f"+ {head}{names(objs)}\n")
                 continue
             shared += 1
-            for o in was - objs:
-                gone.append(f"- {head}{obj(o)}\n")
-            for o in objs - was:
-                came.append(f"+ {head}{obj(o)}\n")
+            diff = was - objs
+            if diff:
+                gone.append(f"- {head}{names(diff)}\n")
+            diff = objs - was
+            if diff:
+                came.append(f"+ {head}{names(diff)}\n")
         if shared < len(had):
             for key in had.keys() - has.keys():
                 head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
-                for o in had[key]:
-                    gone.append(f"- {head}{obj(o)}\n")
+                gone.append(f"- {head}{names(had[key])}\n")
 
 
 def _heap_size(heap: HeapIndex) -> int:
@@ -772,29 +795,48 @@ def parse_object(text: str) -> ObjectId:
         raise _too_long(label, "allocation site label") from None
 
 
-def parse_edge_line(line: str) -> VarEdge | FieldEdge:
-    """Parse one rendered edge line: a variable edge ``(v, o)`` or a field
-    edge ``(s, f, t)``.  A variable's slot is ``[0-9]+``, as an object's
-    integer is."""
+def parse_binding_line(line: str) -> tuple[VarId | ObjectId, str | None, list[ObjectId]]:
+    """Parse one rendered binding line: a variable ``m/s ->`` or an object
+    and a field ``src .f->``, then one or more targets, none twice.  Returns
+    the left side, the field name (None for a variable) and the targets in
+    line order.  A variable's slot is ``[0-9]+``, as an object's integer
+    is; the left side is parsed before the targets."""
     parts = line.split()
-    if len(parts) != 3:
+    if len(parts) < 3:
         raise ValueError(f"bad edge line {line!r}")
-    lhs, op, rhs = parts
+    lhs, op = parts[0], parts[1]
     if op == "->":
         method, sep, slot = lhs.partition("/")
         if not sep or not method or not (slot.isascii() and slot.isdigit()):
             raise ValueError(f"bad variable {lhs!r}")
         try:
-            v = _tuple_new(VarId, (method, int(slot), "var"))
+            left = _tuple_new(VarId, (method, int(slot), "var"))
         except ValueError:
             raise _too_long(slot, "variable slot") from None
-        return v, parse_object(rhs)
-    if op.startswith(".") and op.endswith("->"):
+        fname = None
+    elif op.startswith(".") and op.endswith("->"):
         fname = op[1:-2]
         if not fname:
             raise ValueError(f"bad field edge {line!r}")
-        src = parse_object(lhs)
-        if isinstance(src, NullObject):
+        left = parse_object(lhs)
+        if isinstance(left, NullObject):
             raise ValueError("field edge with null source")
-        return src, fname, parse_object(rhs)
-    raise ValueError(f"bad edge line {line!r}")
+    else:
+        raise ValueError(f"bad edge line {line!r}")
+    targets = [parse_object(text) for text in parts[2:]]
+    if len(set(targets)) < len(targets):
+        seen: set[ObjectId] = set()
+        for text, t in zip(parts[2:], targets):
+            if t in seen:
+                raise ValueError(f"repeated target {text} in edge line {line!r}")
+            seen.add(t)
+    return left, fname, targets
+
+
+def parse_edge_line(line: str) -> VarEdge | FieldEdge:
+    """Parse one rendered edge line, a binding line with one target: a
+    variable edge ``(v, o)`` or a field edge ``(s, f, t)``."""
+    if len(line.split()) != 3:
+        raise ValueError(f"bad edge line {line!r}")
+    left, fname, (target,) = parse_binding_line(line)
+    return (left, target) if fname is None else (left, fname, target)

@@ -75,8 +75,36 @@ def call_chain():
     return _call_chain
 
 
+def _bindings(g) -> dict[str, list[str]]:
+    """The binding lines of ``g``, read off ``render_edges``: each key
+    (``m/s ->`` or ``src .f->``) mapped to its targets in line order, the
+    keys in line order."""
+    out: dict[str, list[str]] = {}
+    for line in render_edges(g):
+        key, _, target = line.rpartition(" ")
+        out.setdefault(key, []).append(target)
+    return out
+
+
+def _edit_lines(old: dict, new: dict) -> tuple[list[str], list[str]]:
+    """The ``- `` lines (targets only ``old`` has) and ``+ `` lines (targets
+    only ``new`` has), one per key, variables before fields, each group in
+    key order."""
+    keys = sorted(old.keys() | new.keys(), key=lambda k: (k.split(" ")[1] != "->", k))
+    removed, added = [], []
+    for key in keys:
+        was, now = old.get(key, []), new.get(key, [])
+        gone = [t for t in was if t not in now]
+        came = [t for t in now if t not in was]
+        if gone:
+            removed.append(f"- {key} {' '.join(gone)}")
+        if came:
+            added.append(f"+ {key} {' '.join(came)}")
+    return removed, added
+
+
 def _reference_encode(a) -> bytes:
-    lines = ["ART/1"]
+    lines = ["ART/2"]
     sections = (
         ("[loop]", {f"m:{m} l:{l}": g for (m, l), g in sorted(a.i_loop.items())}),
         ("[in]", {f"m:{m}": g for m, g in sorted(a.i_in.items())}),
@@ -86,27 +114,26 @@ def _reference_encode(a) -> bytes:
     for header, entries in sections:
         lines.append(header)
         for key, g in entries.items():
-            new = render_edges(g)
-            old = None if previous is None else render_edges(previous)
-            if old is not None:
-                new_set, old_set = set(new), set(old)
-                removed = [e for e in old if e not in new_set]
-                added = [e for e in new if e not in old_set]
-            if old is not None and len(removed) + len(added) <= len(new):
-                lines += [f"{key} = ^", *("- " + e for e in removed), *("+ " + e for e in added)]
+            new = _bindings(g)
+            if previous is not None:
+                removed, added = _edit_lines(_bindings(previous), new)
+            if previous is not None and len(removed) + len(added) <= len(new):
+                lines += [f"{key} = ^", *removed, *added]
             else:
-                lines += [f"{key} = {{", *("  " + e for e in new), "}"]
+                lines += [f"{key} = {{", *(f"  {k} {' '.join(ts)}" for k, ts in new.items()), "}"]
             previous = g
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @pytest.fixture(scope="session")
 def reference_encode():
-    """``reference_encode(a)`` writes the ART/1 bytes of artwork ``a`` line
-    by line.  Each entry after the first whose edge lines differ from those
-    of the entry before it, in file order across sections, in no more lines
-    than it has is written ``= ^`` followed by the differences: ``- `` the
-    lines it lacks, then ``+ `` the lines it adds, each group in
+    """``reference_encode(a)`` writes the ART/2 bytes of artwork ``a`` line
+    by line, one line per binding: a key and its targets, as the lines of
+    ``render_edges`` that share the key list them.  Each entry after the
+    first whose bindings differ from those of the entry before it, in file
+    order across sections, in no more lines than it has bindings is written
+    ``= ^`` followed by the differences: per key, ``- `` and the targets it
+    lacks, then per key ``+ `` and the targets it adds, each group in
     ``render_edges`` order (so an equal entry is a bare ``= ^``).  Every
     other entry is written inline."""
     return _reference_encode

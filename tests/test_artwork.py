@@ -58,7 +58,7 @@ def _random_artwork(rng: random.Random) -> Artwork:
 
 def test_empty_artwork_encoding():
     data = encode(Artwork.empty())
-    assert data == b"ART/1\n[loop]\n[in]\n[out]\n"
+    assert data == b"ART/2\n[loop]\n[in]\n[out]\n"
     assert parse_artwork(data) == Artwork.empty()
 
 
@@ -89,9 +89,9 @@ def test_encode_injective_on_corpus(small_corpus):
 def test_rec_encoding_uses_slots_and_site_tuples(rec_pipeline):
     _, _, a = rec_pipeline
     text = encode(a).decode()
-    assert "foo/0 -> foo:4" in text  # variables as slot indices
-    assert "foo:5 .f-> foo:4" in text  # objects as method:label tuples
-    assert "foo/0 -> null" in text
+    assert "foo:5 .f-> foo:4\n" in text  # objects as method:label tuples
+    # variables as slot indices, one line per variable with its sorted targets
+    assert "  foo/0 -> foo:4 null\n" in text
 
 
 def test_truncated_file_rejected(rec_pipeline):
@@ -105,7 +105,7 @@ def test_truncated_file_rejected(rec_pipeline):
 @pytest.mark.parametrize(
     "mutation,exc",
     [
-        (lambda d: d.replace(b"ART/1", b"ART/2"), MalformedArtworkError),
+        (lambda d: d.replace(b"ART/2", b"ART/1"), MalformedArtworkError),  # the old grammar
         (lambda d: d.replace(b"[in]\n", b""), MalformedArtworkError),
         (lambda d: d.replace(b" .f-> ", b" .-> "), MalformedArtworkError),
         (lambda d: d.replace(b"m:foo = {", b"m:ghost = {", 1), UnknownReferenceError),
@@ -178,22 +178,23 @@ def test_stats_empty_program():
 
 
 def test_a_repeat_in_the_first_entry_rejected():
-    data = b"ART/1\n[loop]\n[in]\nm:foo = ^\n[out]\n"
+    data = b"ART/2\n[loop]\n[in]\nm:foo = ^\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
 
 def test_duplicate_entry_rejected():
-    data = b"ART/1\n[loop]\n[in]\nm:foo = {\n}\nm:foo = {\n}\n[out]\n"
+    data = b"ART/2\n[loop]\n[in]\nm:foo = {\n}\nm:foo = {\n}\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
 
-def _optimized_corpus(small_corpus, decoded: bool) -> list[Artwork]:
+def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwork]]:
     """``optimize_artwork(...)`` for the small corpus plus four programs of
     the benchmark's large shape (one self-recursive method of 300
-    statements): of each emitted artwork, which carries its fixed point, or
-    with ``decoded`` of its decoded copy, which is regenerated."""
+    statements), each with its program: of each emitted artwork, which
+    carries its fixed point, or with ``decoded`` of its decoded copy, which
+    is regenerated."""
     from artpta import CorpusConfig, generate_corpus, optimize_artwork, parse_program
 
     large = generate_corpus(
@@ -203,24 +204,34 @@ def _optimized_corpus(small_corpus, decoded: bool) -> list[Artwork]:
     optimized = []
     for p in programs:
         a = emit_artwork(p, analyze_inter(p))
-        optimized.append(optimize_artwork(p, decode(encode(a), p) if decoded else a))
+        optimized.append((p, optimize_artwork(p, decode(encode(a), p) if decoded else a)))
     return optimized
 
 
-OPTIMIZED_CORPUS_SHA256 = "f632ae1c90f474ee2b04aaa2fc493c220919a1b2a9b18dd34f6cc399f5cf4e9a"
+# The optimized artifacts' bytes, and the values they decode to: each entry's
+# section, key and ``render_graph`` lines, which do not depend on the codec.
+OPTIMIZED_CORPUS_SHA256 = "30570934d97d6f998a7339d9ec3d0b36d681b00fc36ef28766e950d3687ff6b7"
+OPTIMIZED_VALUES_SHA256 = "3c342ee0ab4106b743e2ced4436caaae6c4f8414ae504587d275eaa759141403"
 
 
 def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
     import hashlib
 
+    from artpta import render_graph
+
     for decoded in (False, True):
-        h = hashlib.sha256()
-        for a in _optimized_corpus(small_corpus, decoded):
+        h, values = hashlib.sha256(), hashlib.sha256()
+        for p, a in _optimized_corpus(small_corpus, decoded):
             data = encode(a)
             assert data == reference_encode(a)
             h.update(len(data).to_bytes(8, "little"))
             h.update(data)
+            back = decode(data, p)
+            for section, entries in (("loop", back.i_loop), ("in", back.i_in), ("out", back.i_out)):
+                for key, g in entries.items():
+                    values.update(f"{section} {key}\n{render_graph(g)}\n".encode())
         assert h.hexdigest() == OPTIMIZED_CORPUS_SHA256, decoded
+        assert values.hexdigest() == OPTIMIZED_VALUES_SHA256, decoded
 
 
 def test_an_emitted_artwork_prints_as_its_decoded_copy(small_corpus):

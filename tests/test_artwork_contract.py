@@ -33,7 +33,7 @@ method r(p) {
 """
 
 VALID = """\
-ART/1
+ART/2
 [loop]
 m:main l:2 = {
   main/0 -> main:1
@@ -55,7 +55,7 @@ m:r = {
 
 
 def _art(loop: str = "", in_: str = "", out: str = "") -> str:
-    return "ART/1\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
+    return "ART/2\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
 
 
 def _block(head: str, *edges: str) -> str:
@@ -63,16 +63,18 @@ def _block(head: str, *edges: str) -> str:
 
 
 MALFORMED = {
-    "not-utf8": (b"ART/1\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
-    "no-trailing-newline": (b"ART/1\n[loop]\n[in]\n[out]", "missing trailing newline"),
+    "not-utf8": (b"ART/2\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
+    "no-trailing-newline": (b"ART/2\n[loop]\n[in]\n[out]", "missing trailing newline"),
     "empty-file": (b"", "missing trailing newline"),
-    "bad-header": (b"ART/2\n[loop]\n[in]\n[out]\n", "missing ART/1 header"),
-    "blank-first-line": (b"\nART/1\n[loop]\n[in]\n[out]\n", "missing ART/1 header"),
-    "only-header": (b"ART/1\n", "unexpected end of file"),
-    "missing-loop": (b"ART/1\n[in]\n[out]\n", "expected [loop] section"),
-    "missing-in": (b"ART/1\n[loop]\n[out]\n", "bad [loop] entry"),
-    "missing-in-at-eof": (b"ART/1\n[loop]\n", "unexpected end of file"),
-    "missing-out": (b"ART/1\n[loop]\n[in]\n", "unexpected end of file"),
+    "bad-header": (b"ART/3\n[loop]\n[in]\n[out]\n", "missing ART/2 header"),
+    # the one-edge-per-line grammar this one replaced has no reader
+    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/2 header"),
+    "blank-first-line": (b"\nART/2\n[loop]\n[in]\n[out]\n", "missing ART/2 header"),
+    "only-header": (b"ART/2\n", "unexpected end of file"),
+    "missing-loop": (b"ART/2\n[in]\n[out]\n", "expected [loop] section"),
+    "missing-in": (b"ART/2\n[loop]\n[out]\n", "bad [loop] entry"),
+    "missing-in-at-eof": (b"ART/2\n[loop]\n", "unexpected end of file"),
+    "missing-out": (b"ART/2\n[loop]\n[in]\n", "unexpected end of file"),
     "bad-loop-entry": (_art(loop="m:main l:x = {\n}\n"), "bad [loop] entry"),
     "bad-in-entry": (_art(in_="main = {\n}\n"), "bad [in] entry"),
     "bad-out-entry": (_art(out="m:r={\n}\n"), "bad [out] entry"),
@@ -88,6 +90,23 @@ MALFORMED = {
         "bad edge line 'main/0 => main:1'",
     ),
     "edge-too-short": (_art(in_=_block("m:main", "main/0 ->")), "bad edge line 'main/0 ->'"),
+    # a binding line names one or more targets, none twice (by value)
+    "field-binding-with-no-targets": (
+        _art(in_=_block("m:main", "main:1 .f->")),
+        "bad edge line 'main:1 .f->'",
+    ),
+    "repeated-target": (
+        _art(in_=_block("m:main", "main/0 -> main:1 null main:1")),
+        "repeated target main:1 in edge line 'main/0 -> main:1 null main:1'",
+    ),
+    "repeated-target-written-two-ways": (
+        _art(in_=_block("m:main", "main:1 .f-> main:1 main:01")),
+        "repeated target main:01 in edge line 'main:1 .f-> main:1 main:01'",
+    ),
+    "repeated-target-in-an-edit": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> null null\n"),
+        "repeated target null in edge line 'r/0 -> null null'",
+    ),
     "bad-variable": (_art(in_=_block("m:main", "main/x -> main:1")), "bad variable 'main/x'"),
     "bad-object": (_art(in_=_block("m:main", "main/0 -> main")), "bad object 'main'"),
     "bad-placeholder": (_art(in_=_block("m:main", "main/0 -> main?x")), "bad object 'main?x'"),
@@ -123,6 +142,19 @@ MALFORMED = {
     ),
     "addition-written-twice": (
         _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> main:1\n+ r/0 -> main:1\n"),
+        "edit adds a present edge 'r/0 -> main:1'",
+    ),
+    # each target of an edit line is checked, in line order
+    "edit-removes-one-absent-target": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "m:r = ^\n- main/0 -> main:1 null\n"),
+        "edit removes an absent edge 'main/0 -> null'",
+    ),
+    "edit-adds-one-present-target": (
+        _art(in_=_block("m:main", "main/0 -> main:1") + "m:r = ^\n+ main/0 -> null main:1\n"),
+        "edit adds a present edge 'main/0 -> main:1'",
+    ),
+    "edit-adds-a-target-an-earlier-line-added": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> main:1\n+ r/0 -> null main:1\n"),
         "edit adds a present edge 'r/0 -> main:1'",
     ),
     "edits-in-first-entry": (
@@ -237,6 +269,10 @@ UNKNOWN = {
         _art(loop=_block("m:main l:2", "main:1 .f-> r:3")),
         "[loop] main:2: object r:3 is not an allocation site",
     ),
+    "unknown-second-target": (
+        _art(in_=_block("m:main", "main/0 -> main:1 main:3")),
+        "[in] main: object main:3 is not an allocation site",
+    ),
     # a bad graph is reported at the entry that writes it out, not at a repeat
     "repeat-of-a-graph-with-a-missing-slot": (
         _art(in_=_block("m:main", "main/2 -> main:1") + "m:r = ^\n"),
@@ -341,6 +377,23 @@ PRECEDENCE = {
         UnknownReferenceError,
         "[in] main: object main:3 is not an allocation site",
     ),
+    # A binding line's key before its targets, its targets in line order.
+    "key-before-targets": (
+        _art(in_=_block("m:main", "main/2 -> main:3 main:1")),
+        UnknownReferenceError,
+        "[in] main: unknown variable slot main/2",
+    ),
+    "targets-in-line-order": (
+        _art(in_=_block("m:main", "main/0 -> null main:4 main:1 main:3")),
+        UnknownReferenceError,
+        "[in] main: object main:4 is not an allocation site",
+    ),
+    # A repeated target is a syntax error, so it wins over an unknown one.
+    "repeated-target-before-an-unknown-one": (
+        _art(in_=_block("m:main", "main/0 -> main:3 main:3")),
+        MalformedArtworkError,
+        "repeated target main:3 in edge line 'main/0 -> main:3 main:3'",
+    ),
 }
 
 CASES = {
@@ -372,6 +425,29 @@ def test_the_valid_artifact_decodes(program):
     assert inline == repeat == edited
     assert repeat.i_out["r"] is repeat.i_in["r"] and edited.i_out["r"] is edited.i_in["r"]
     assert encode(inline) == EDITED.encode()
+
+
+def test_a_binding_line_holds_every_target_of_its_key(program):
+    from artpta import VarId
+
+    line = "r/0 -> main:1 null"
+    one = _art(
+        loop=_block("m:r l:1", line),
+        in_="m:r = ^\n+ main:1 .f-> main:1 r:2\n",
+        out="m:r = ^\n- main:1 .f-> main:1 r:2\n",
+    )
+    spread = _art(
+        loop=_block("m:r l:1", "r/0 -> null", "r/0 -> main:1"),
+        in_=_block("m:r", "r/0 -> null", "main:1 .f-> r:2", "r/0 -> main:1", "main:1 .f-> main:1"),
+        out=_block("m:r", "r/0 -> main:1 null"),
+    )
+    a = decode(one.encode(), program)
+    assert a == decode(spread.encode(), program)
+    assert encode(decode(spread.encode(), program)) == one.encode()
+    # a line's one set is stored as it is, by every block that holds it
+    blocks = decode(_art(loop=_block("m:r l:1", line), in_=_block("m:r", line)).encode(), program)
+    v = VarId("r", 0)
+    assert blocks.i_loop[("r", 1)]._vars[v] is blocks.i_in["r"]._vars[v]
 
 
 def _maps_are_canonical(a) -> bool:
@@ -533,7 +609,7 @@ import sys
 from artpta import UnknownReferenceError, decode, parse_program
 p = parse_program("method main() {\\n  1: x = new C\\n}\\n")
 for body in sys.argv[1:]:  # " = {", the edge lines, "}"
-    data = ("ART/1\\n[loop]\\n[in]\\nm:main" + body + "[out]\\n").encode()
+    data = ("ART/2\\n[loop]\\n[in]\\nm:main" + body + "[out]\\n").encode()
     try:
         decode(data, p)
         print("accepted")
@@ -608,7 +684,7 @@ def test_a_syntax_error_wins_over_a_program_the_index_rejects():
 
     p = parse_program("method main() {\n  1: return\n  2: nop\n  3: goto 2\n}\n")
     with pytest.raises(MalformedArtworkError) as info:
-        decode(b"ART/1\n[loop]\n[in]\nm:main = {\n", p)
+        decode(b"ART/2\n[loop]\n[in]\nm:main = {\n", p)
     assert str(info.value) == "unterminated graph block"
     with pytest.raises(IrreducibleCfgError):
-        decode(b"ART/1\n[loop]\n[in]\n[out]\n", p)
+        decode(b"ART/2\n[loop]\n[in]\n[out]\n", p)

@@ -1,12 +1,15 @@
 """Decoded graphs against a test-local oracle: every graph ``decode`` builds
 straight into the index maps equals ``PointsToGraph(var_edges,
-field_edges)`` built from the same edge lines, whatever their order and
-however often a line repeats."""
+field_edges)`` built from the same binding lines, each split into one edge
+per target, whatever their order and however often a line repeats.  And
+a round trip over random multi-target bindings and edit chains."""
 
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artpta import (
     Artwork,
@@ -21,13 +24,21 @@ from artpta import (
     parse_artwork,
     parse_program,
 )
-from artpta.ptg import parse_edge_line
+from artpta.ir import identifiers
+from artpta.ptg import NULL_OBJECT, VarId, edited, parse_edge_line
 
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
 
 
+def _line_edges(line: str) -> list:
+    """The edges of one binding line after its two-character prefix: the
+    line's key with each of its targets in turn."""
+    left, op, *targets = line[2:].split(" ")
+    return [parse_edge_line(f"{left} {op} {t}") for t in targets]
+
+
 def _oracle_edges(lines: list[str]) -> set:
-    return {parse_edge_line(line[2:]) for line in lines}
+    return {edge for line in lines for edge in _line_edges(line)}
 
 
 def _oracle_graph(lines: list[str]) -> PointsToGraph:
@@ -36,7 +47,7 @@ def _oracle_graph(lines: list[str]) -> PointsToGraph:
 
 
 def _oracle_decode(text: str) -> Artwork:
-    """A well-formed ART/1 text read line by line into edge-set graphs."""
+    """A well-formed ART/2 text read line by line into edge-set graphs."""
     lines = text.split("\n")[:-1]
     sections: dict[str, dict] = {}
     section = None
@@ -72,7 +83,8 @@ def _oracle_decode(text: str) -> Artwork:
 def _scramble(text: str, rng: random.Random) -> str:
     """``text`` with the edge lines of every graph shuffled, and some of them
     written twice, and the edit lines of every entry shuffled (``- `` and
-    ``+ `` lines mixed: an entry never removes and adds one edge)."""
+    ``+ `` lines mixed: an entry never removes and adds one edge, and a key
+    has at most one line of each sign)."""
     out: list[str] = []
     run: list[str] = []
     for line in text.split("\n"):
@@ -157,11 +169,11 @@ def test_decoded_graphs_equal_the_edge_set_oracle(artifacts):
                 continue
             old, new = graphs[k - 1], graphs[k]
             end = heads[k + 1] if k + 1 < len(heads) else len(lines)
-            edited = {parse_edge_line(e[2:])[0] for e in lines[at + 1 : end] if e[:2] in ("- ", "+ ")}
+            touched = {_line_edges(e)[0][0] for e in lines[at + 1 : end] if e[:2] in ("- ", "+ ")}
             for v, objs in new._vars.items():
-                assert (objs is old._vars.get(v)) == (v not in edited and v in old._vars)
+                assert (objs is old._vars.get(v)) == (v not in touched and v in old._vars)
             for src, fields in new._heap.items():
-                assert (fields is old._heap.get(src)) == (src not in edited and src in old._heap)
+                assert (fields is old._heap.get(src)) == (src not in touched and src in old._heap)
 
 
 def test_shuffled_and_repeated_edge_lines_decode_to_the_same_graphs(artifacts):
@@ -182,10 +194,57 @@ def test_one_variable_spread_over_a_block_decodes_to_one_set():
     body = [
         "main/0 -> main:1", "main:1 .f-> main:2", "main/0 -> main:2", "main/1 -> main:2",
         "main:1 .f-> main:1", "main/0 -> null", "main:1 .g-> null", "main/0 -> main:1",
-        "main:1 .f-> main:2",
+        "main:1 .f-> main:2", "main/0 -> main:1 null", "main:1 .f-> main:2 main:1",
     ]
-    text = "ART/1\n[loop]\n[in]\nm:main = {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
+    text = "ART/2\n[loop]\n[in]\nm:main = {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
     g = decode(text.encode(), p).i_in["main"]
     _assert_canonical_maps(g)
     assert g == _oracle_graph([f"  {e}" for e in body])
     assert len(g.var_edges) == 4 and len(g.field_edges) == 3
+
+
+# ---------------------------------------------------------------------------
+# Round trip over multi-target bindings and edit chains
+# ---------------------------------------------------------------------------
+
+ROUND_TRIP = parse_program(
+    "method main() {\n  1: x = new C\n  2: y = new D\n  3: z = new E\n  4: x.f = y\n"
+    "  5: y.g = z\n  6: call [r](x)\n}\n"
+    "method r(p) {\n  1: call [r](p)\n  2: q = new F\n  3: p.f = q\n}\n"
+)
+_IDS = [o for o in identifiers(ROUND_TRIP) if not isinstance(o, str)]
+_VARS = [o for o in _IDS if isinstance(o, VarId)]
+_OBJECTS = [o for o in _IDS if not isinstance(o, VarId)] + [NULL_OBJECT]
+_SOURCES = _OBJECTS[:-1]
+
+_targets = st.frozensets(st.sampled_from(_OBJECTS), min_size=1, max_size=4)
+_bindings = st.one_of(
+    st.tuples(st.sampled_from(_VARS), _targets),
+    st.tuples(st.sampled_from(_SOURCES), st.sampled_from(["f", "g"]), _targets),
+)
+# each step of the chain: edits to the graph before, or a fresh graph
+_steps = st.lists(
+    st.tuples(st.booleans(), st.lists(st.tuples(st.sampled_from("-+"), _bindings), max_size=6)),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps)
+def test_round_trip_over_multi_target_bindings_and_edit_chains(steps):
+    graphs, g = [], None
+    for fresh, edits in steps:
+        g = edited(PointsToGraph.of() if fresh or g is None else g, edits)
+        graphs.append(g)
+    keys = [("main", k) for k in range(1, 7)] + [("r", k) for k in range(1, 4)]
+    a = Artwork(
+        i_loop=dict(zip(keys, graphs[:-2])),
+        i_in={"main": graphs[-1], **({"r": graphs[-2]} if len(graphs) > 1 else {})},
+        i_out={"r": graphs[0]},
+    )
+    data = encode(a)
+    assert decode(data, ROUND_TRIP) == a
+    assert encode(decode(data, ROUND_TRIP)) == data
+    assert encode(parse_artwork(data)) == data
+    assert parse_artwork(data) == _oracle_decode(data.decode())

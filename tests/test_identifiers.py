@@ -7,12 +7,12 @@ placeholder when its method does and its index is below the method's
 parameter count; a site when its method has an allocation statement with
 that label.  Null belongs to every program.
 
-Valid artifacts of both corpus shapes get seeded edge lines inserted that
-name known and unknown variables and objects on either side, and every
-decode outcome (the exception's type and message, or the decoded maps) must
-equal what the reference predicts.  ``ir.identifiers`` must accept exactly
-what the rules accept, and a decoded artifact must hold one object per
-identifier."""
+Valid artifacts of both corpus shapes get seeded binding lines of one to
+three targets inserted that name known and unknown variables and objects on
+either side, and every decode outcome (the exception's type and message, or
+the decoded maps) must equal what the reference predicts.  ``ir.identifiers``
+must accept exactly what the rules accept, and a decoded artifact must hold
+one object per identifier."""
 
 import random
 import re
@@ -75,15 +75,23 @@ def _why_object(p: Program, text: str) -> str | None:
 
 
 def _why_line(p: Program, line: str) -> str | None:
-    """Why an edge line names something ``p`` lacks, its left side first."""
-    lhs, op, rhs = line.split()
-    left = _why_var(p, lhs) if op == "->" else _why_object(p, lhs)
-    return left if left is not None else _why_object(p, rhs)
+    """Why a binding line names something ``p`` lacks: its left side first,
+    then its targets in line order."""
+    lhs, op, *targets = line.split()
+    whys = [_why_var(p, lhs) if op == "->" else _why_object(p, lhs)]
+    whys += [_why_object(p, t) for t in targets]
+    return next((why for why in whys if why is not None), None)
+
+
+def _line_edges(line: str) -> list:
+    """The edges of a binding line: its key with each of its targets."""
+    lhs, op, *targets = line.split()
+    return [parse_edge_line(f"{lhs} {op} {t}") for t in targets]
 
 
 def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
     """What decoding ``text`` against ``p`` must give: the exception it
-    raises, or the artwork.  ``text`` is a valid artifact with edge lines
+    raises, or the artwork.  ``text`` is a valid artifact with binding lines
     inserted into its blocks, so its only possible syntax errors are a
     field edge out of null and an edit that adds an edge an inserted line
     put in the entry before.  ``memo`` keeps each line's verdict."""
@@ -107,16 +115,18 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
         if found[3] == "{":
             if any(e.startswith("  null .") for e in own):
                 return MalformedArtworkError("field edge with null source")
-            edges = {parse_edge_line(e[2:]) for e in own}
+            edges = {edge for e in own for edge in _line_edges(e[2:])}
             why = None
             i = j + 1  # the closing brace
         else:  # "^": the edges and the verdict of the entry before, then the edits
             for e in own:
-                edge = parse_edge_line(e[2:])
-                if (edge in edges) == (e[0] == "+"):
-                    verb = "adds a present" if e[0] == "+" else "removes an absent"
-                    return MalformedArtworkError(f"edit {verb} edge {e[2:]!r}")
-                edges ^= {edge}
+                lhs, op, *targets = e[2:].split()
+                changed = _line_edges(e[2:])
+                for edge, target in zip(changed, targets):  # each target in line order
+                    if (edge in edges) == (e[0] == "+"):
+                        verb = "adds a present" if e[0] == "+" else "removes an absent"
+                        return MalformedArtworkError(f"edit {verb} edge '{lhs} {op} {target}'")
+                edges ^= set(changed)
             i = j
         for e in own:
             if why is not None:
@@ -132,12 +142,12 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
 
 
 # ---------------------------------------------------------------------------
-# Seeded edge lines
+# Seeded binding lines
 # ---------------------------------------------------------------------------
 
 
 def _names(p: Program, rng: random.Random) -> tuple[list[str], list[str]]:
-    """Variables and objects, known and unknown, rendered as edge lines
+    """Variables and objects, known and unknown, rendered as binding lines
     write them."""
     variables: list[str] = []
     objects = ["null"]
@@ -156,12 +166,14 @@ def _names(p: Program, rng: random.Random) -> tuple[list[str], list[str]]:
 
 
 def _edge_line(variables: list[str], objects: list[str], rng: random.Random) -> str:
+    """A binding line with one to three distinct targets."""
+    targets = " ".join(rng.sample(objects, rng.choice((1, 1, 2, 3))))
     if rng.random() < 0.5:
-        return f"  {rng.choice(variables)} -> {rng.choice(objects)}"
+        return f"  {rng.choice(variables)} -> {targets}"
     src = rng.choice(objects)
     if src == "null" and rng.random() < 0.8:  # keep syntax errors rare
         src = rng.choice(objects)
-    return f"  {src} .{rng.choice(['f', 'g', 'next'])}-> {rng.choice(objects)}"
+    return f"  {src} .{rng.choice(['f', 'g', 'next'])}-> {targets}"
 
 
 def _insert(text: str, new_lines: list[str], rng: random.Random) -> str:
@@ -308,7 +320,7 @@ def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
         "method foo(p) {\n  1: return\n}\n"
     )
     text = (
-        "ART/1\n[loop]\nm:main l:1 = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n"
+        "ART/2\n[loop]\nm:main l:1 = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n"
         "m:main l:2 = ^\n[in]\nm:foo = {\n  foo/0 -> main:2\n  main/0 -> main:2\n  main:2 .f-> main:1\n}\n"
         "m:main = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n[out]\n"
     )

@@ -332,7 +332,7 @@ method main() {
     opt = optimize_artwork(p, a)
     assert calls == []
     assert encode(opt) == (
-        b"ART/1\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main/1 -> main:1\n"
+        b"ART/2\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main/1 -> main:1\n"
         b"  main:1 .f-> main:1\n  main:1 .g-> main:1\n}\n[in]\n"
         b"[out]\nm:main = ^\n- main/0 -> main:1\n- main/1 -> main:1\n+ main/3 -> main:1\n"
     )

@@ -633,7 +633,7 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     with pytest.raises(ValueError):
         _graph_of_lines([*render_edges(a), f"null .{f}-> m:1"])
     text = "\n".join(f"  {line}" for line in [*render_edges(a), f"null .{f}-> m:1"])
-    data = f"ART/1\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
+    data = f"ART/2\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
         decode(data, CTX)
 
@@ -764,20 +764,19 @@ def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
             assert _graph_of_lines(render_edges(graph)) == graph
 
 
-# The rendered lines and ART/1 bytes of the fixture artifacts, written out.
+# The binding lines and ART/2 bytes of the fixture artifacts, written out.
 _FIXTURE_ART = {
     "loopy": (
-        "ART/1\n[loop]\nm:main l:5 = {\n"
-        "  main/0 -> main:1\n  main/0 -> main:6\n  main/1 -> main:11\n  main/1 -> main:3\n"
-        "  main/1 -> main:9\n  main:1 .f-> main:3\n  main:6 .f-> main:11\n  main:6 .f-> main:3\n"
-        "  main:6 .f-> main:9\n}\n[in]\nm:main = {\n}\n[out]\n"
+        "ART/2\n[loop]\nm:main l:5 = {\n"
+        "  main/0 -> main:1 main:6\n  main/1 -> main:11 main:3 main:9\n  main:1 .f-> main:3\n"
+        "  main:6 .f-> main:11 main:3 main:9\n}\n[in]\nm:main = {\n}\n[out]\n"
     ),
     "rec": (
-        "ART/1\n[loop]\n[in]\nm:foo = {\n  foo/0 -> foo:4\n  foo/0 -> null\n  foo:4 .f-> null\n}\n"
+        "ART/2\n[loop]\n[in]\nm:foo = {\n  foo/0 -> foo:4 null\n  foo:4 .f-> null\n}\n"
         "m:main = {\n}\n[out]\nm:foo = ^\n+ foo:4 .f-> null\n+ foo:5 .f-> foo:4\n"
     ),
     "arith": (
-        "ART/1\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main:1 .f-> main:1\n}\n"
+        "ART/2\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main:1 .f-> main:1\n}\n"
         "[in]\nm:main = {\n}\n[out]\n"
     ),
 }
@@ -788,9 +787,14 @@ def test_fixture_artifact_rendering_and_bytes(fixture, request):
     p, _, a = request.getfixturevalue(f"{fixture}_pipeline")
     expected = _FIXTURE_ART[fixture]
     assert encode(a) == expected.encode()
+    # each binding line holds the render_edges lines of its key
+    lines = set()
+    for line in expected.split("\n"):
+        if line[:2] in ("  ", "+ "):
+            lhs, op, *targets = line[2:].split(" ")
+            lines |= {f"{lhs} {op} {t}" for t in targets}
     for graph in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]:
-        lines = [line[2:] for line in expected.split("\n") if line[:2] in ("  ", "+ ")]
-        assert set(render_edges(graph)) <= set(lines)
+        assert set(render_edges(graph)) <= lines
     assert decode(encode(a), p) == a
 
 
@@ -819,9 +823,9 @@ def test_repeated_graph_bytes_with_every_object_form():
     # After an empty graph, the edits are shorter than the block; an edit
     # entry removes, then adds, each group in render_edges order.
     assert encode(art) == (
-        b"ART/1\n[loop]\nm:m l:3 = {\n  m/0 -> m?0\n  m/1 -> m:2\n  m/1 -> null\n"
+        b"ART/2\n[loop]\nm:m l:3 = {\n  m/0 -> m?0\n  m/1 -> m:2 null\n"
         b"  m:1 .g-> m:2\n  m?1 .f-> null\n}\n[in]\nm:m = ^\nm:main = {\n}\nm:n = ^\n[out]\n"
-        b"m:m = ^\n+ m/0 -> m?0\n+ m/1 -> m:2\n+ m/1 -> null\n+ m:1 .g-> m:2\n+ m?1 .f-> null\n"
+        b"m:m = ^\n+ m/0 -> m?0\n+ m/1 -> m:2 null\n+ m:1 .g-> m:2\n+ m?1 .f-> null\n"
         b"m:n = ^\n- m/1 -> null\n- m?1 .f-> null\n+ m/4 -> m:1\n+ m:1 .f-> m?0\n"
     )
     assert parse_artwork(encode(art)) == art

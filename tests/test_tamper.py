@@ -248,9 +248,11 @@ def test_tampered_pooled_artifacts_encode_canonically(small_corpus, reference_en
     assert repeated >= 6 and mutated_repeated >= 6 * len(TamperKind)
 
 
-# The digest of every tamper output below: each spec's target string and its
-# mutated artwork's bytes, or the NothingToTamperError message, in order.
-TAMPER_OUTPUTS_SHA256 = "45096fc18f3fe7e55bbfccec352a28578a16c76a6f132d2244087b0339e01766"
+# The digests of every tamper output below, in order: each spec's target
+# string or the NothingToTamperError message (the draws, which do not
+# depend on the codec), and each mutated artwork's bytes.
+TAMPER_DRAWS_SHA256 = "19c5be6afcba894111a1c47e3149bca8f67059e9ce77b6d9c9f89abd3a270fd1"
+TAMPER_BYTES_SHA256 = "b9dde010e695f298f934d4e4641c9b6b5b95d14f90ddafc8c1d784be9e4f28ab"
 
 
 def test_tamper_outputs_are_pinned(small_corpus):
@@ -262,7 +264,7 @@ def test_tamper_outputs_are_pinned(small_corpus):
         CorpusConfig(program_count=2, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
     programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
-    digest = hashlib.sha256()
+    draws, data = hashlib.sha256(), hashlib.sha256()
     outputs = 0
     for p in programs:
         plain = emit_artwork(p, analyze_inter(p))
@@ -272,12 +274,15 @@ def test_tamper_outputs_are_pinned(small_corpus):
                     try:
                         mutated, spec = tamper(a, kind, seed, program=p)
                     except NothingToTamperError as exc:
-                        digest.update(f"refused {exc}\n".encode())
+                        draws.update(f"refused {exc}\n".encode())
                         continue
-                    digest.update(f"{spec.target}\n".encode() + encode(mutated))
+                    draws.update(f"{spec.target}\n".encode())
+                    out = encode(mutated)
+                    data.update(len(out).to_bytes(8, "little") + out)
                     outputs += 1
     assert (len(programs), outputs) == (18, 1176)
-    assert digest.hexdigest() == TAMPER_OUTPUTS_SHA256
+    assert draws.hexdigest() == TAMPER_DRAWS_SHA256
+    assert data.hexdigest() == TAMPER_BYTES_SHA256
 
 
 # ---------------------------------------------------------------------------
