@@ -1,19 +1,19 @@
-"""The compact analysis artifact and its bit-exact text codec (format ART/2),
+"""The compact analysis artifact and its bit-exact text codec (format ART/3),
 plus the naive whole-dump baseline encoding and size statistics.
 
 File layout (UTF-8, LF line endings, all sections always present, entries
 sorted)::
 
-    ART/2
+    ART/3
     [loop]
     m:main l:5 = {
-      main/0 -> main:4 main:9
-      main/1 -> main:4
-      main:4 .f-> main:9 null
+      /0 -> :4 :9
+      /1 -> :4
+      :4 .f-> :9 null
     }
     m:main l:9 = ^
-    - main/1 -> main:4
-    + main/1 -> main:9 null
+    - /1 -> :4
+    + /1 -> :9 null
     [in]
     m:foo = {
       main:1 .f-> main:3
@@ -22,16 +22,25 @@ sorted)::
     m:foo = ^
 
 Each edge line is one binding of a graph: a variable, or an object and a
-field, then all its targets, sorted as ``render_edges`` sorts them.  A
-block writes each binding once, variables first, each group sorted.  An
-entry written ``= ^`` holds the value of the entry before it in file order,
-across section headers, with the targets of each ``- `` line removed from
-its key and those of each ``+ `` line added; with no such lines it is the
-same graph.  The first entry of a file cannot be one.  ``encode`` writes
-the ``- `` lines first, one per key, then the ``+ `` lines, each group
-sorted.  A line has at least one target and names none twice.  There is no
-reader for ``ART/1``, the grammar of one edge per line that this one
-replaced.
+field, then all its targets.  Inside an entry of method M, an identifier of
+M is written without M's name: a variable slot as ``/k``, an allocation
+site as ``:label`` and a placeholder as ``?i``.  Every other identifier
+keeps its full text (``main:1`` in an entry of ``foo``, and the previous
+entry's variables in an edit across methods), as does ``null``; the full
+text of an identifier of M is also read, as the same identifier.  Targets
+and lines are sorted by their full text, as ``render_edges`` sorts them, so
+an ART/3 file is the ``ART/2`` file of the same artwork with, in each
+entry, the entry's method name dropped from the identifiers of that
+method.  A block writes each binding once, variables first, each group
+sorted.  An entry written ``= ^`` holds the value of the entry before it in
+file order, across section headers, with the targets of each ``- `` line
+removed from its key and those of each ``+ `` line added; with no such
+lines it is the same graph.  The first entry of a file cannot be one.
+``encode`` writes the ``- `` lines first, one per key, then the ``+ ``
+lines, each group sorted.  A line has at least one target and names none
+twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).
+There is no reader for ``ART/2`` (every identifier in full) or ``ART/1``
+(one edge per line), the grammars this one replaced.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
@@ -44,27 +53,33 @@ The encoder and the decoder each handle a distinct thing once per artifact,
 because an artifact repeats most binding lines across entries.  The encoder
 renders graphs through one ``ptg.EdgeRenderer`` per call, which formats each
 object, each (variable, target set) binding and each per-object field map
-once; nothing outlives the call.  The decoder is one walk over the file's
-lines.  Each distinct line is parsed once per artifact into its key and
-one set of its targets, and every side is looked up in the program's table
-of identifiers (``ir.identifiers``, built once per ``decode`` call; a line
-written as the table renders its sides is looked up by its text,
-unparsed): a side the table lacks is a reference the program does not
-have, and a side it holds is replaced by the table's own object, so a
-decoded artifact holds one object per identifier.  Every graph is then
-built by ``ptg.edited``, which stores a line's set as it is: a
-block's as the empty graph with its lines added, an edit entry's as the
-previous entry's graph with its lines applied in order, so what it does not
-edit stays shared.  Edit lines are checked target by target against one
-running map, from each key of the previous entry's value to its targets.
-Once an entry is at fault, no more graphs are built, so the work stays
-linear in the file however many entries it holds.  Errors are reported
-deterministically: a syntax error anywhere wins, at its first line;
-otherwise the first entry at fault in [loop], [in], [out] order, its key
-before its graph, and within a graph the first bad line in file order, its
-key before its targets and its targets in line order.  File order is the
-check order, so a bad line is reported at the first entry that holds it,
-never at a ``^`` after it.
+once, in full text; nothing outlives the call.  It then drops the entry's
+method name from the lines of each entry, a text replacement that every
+token allows because each is written after a space.  The decoder is one
+walk over the file's lines.  Each distinct line of an entry of method M is
+parsed once per artifact into its key and one set of its targets, and
+every side is looked up in the table an entry of M reads by: the program's
+identifiers keyed by full text, plus those of M keyed by scoped text
+(``ir.identifier_tables``, built once per ``decode`` call; a line written as
+the table renders its sides is looked up by its text, unparsed).  A side
+the table lacks is a reference the program does not have, and a side it
+holds is replaced by the table's own object, so a decoded artifact holds
+one object per identifier.  Every graph is then built by ``ptg.edited``,
+which stores a line's set as it is: a block's as the empty graph with its
+lines added, an edit entry's as the previous entry's graph with its lines
+applied in order, so what it does not edit stays shared.  Edit lines are
+checked target by target against one running map, from each key of the
+previous entry's value to its targets.  Once an entry is at fault, no more
+graphs are built, so the work stays linear in the file however many
+entries it holds.  Errors are reported deterministically: a syntax error
+anywhere wins, at its first line; otherwise the first entry at fault in
+[loop], [in], [out] order, its key before its graph, and within a graph the
+first bad line in file order, its key before its targets and its targets in
+line order.  File order is the check order, so a bad line is reported at
+the first entry that holds it, never at a ``^`` after it.  A syntax error
+quotes the line as written; an unknown reference, and an edit that removes
+an absent edge or adds a present one, name each identifier in full
+(``unknown variable slot main/9``).
 """
 
 from __future__ import annotations
@@ -75,7 +90,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import MalformedArtworkError, UnknownReferenceError
-from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifiers
+from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifier_tables
 from .ptg import (
     EMPTY,
     NULL_OBJECT,
@@ -90,7 +105,7 @@ from .ptg import (
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
 
-MAGIC = "ART/2"
+MAGIC = "ART/3"
 NAIVE_MAGIC = "NAIVE/1"
 
 
@@ -151,19 +166,26 @@ def encode(a: Artwork) -> bytes:
     chunks = [MAGIC + "\n"]
     prev = None
     for header, entries in (
-        ("[loop]", [(f"m:{m} l:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
-        ("[in]", [(f"m:{m}", g) for m, g in sorted(a.i_in.items())]),
-        ("[out]", [(f"m:{m}", g) for m, g in sorted(a.i_out.items())]),
+        ("[loop]", [(m, f"m:{m} l:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
+        ("[in]", [(m, f"m:{m}", g) for m, g in sorted(a.i_in.items())]),
+        ("[out]", [(m, f"m:{m}", g) for m, g in sorted(a.i_out.items())]),
     ):
         chunks.append(header + "\n")
-        for head, g in entries:
+        for method, head, g in entries:
             edits = None if prev is None else renderer.edits(prev, g)
             if edits is None:
-                chunks.append(f"{head} = {{\n{renderer.block(g)}}}\n")
+                chunks.append(f"{head} = {{\n{_scoped(renderer.block(g), method)}}}\n")
             else:
-                chunks.append(f"{head} = ^\n{edits}")
+                chunks.append(f"{head} = ^\n{_scoped(edits, method)}")
             prev = g
     return "".join(chunks).encode("utf-8")
+
+
+def _scoped(lines: str, method: str) -> str:
+    """Edge lines of an entry of ``method`` with that name dropped from each
+    of its identifiers: every token is written after a space, and a method
+    name holds no ``/``, ``:`` or ``?``."""
+    return lines.replace(f" {method}/", " /").replace(f" {method}:", " :").replace(f" {method}?", " ?")
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +228,46 @@ def _unknown(o: Identifier) -> str:
     return f"object {o.method}:{o.label} is not an allocation site"
 
 
+class _Table(dict):
+    """What an entry of one method looks its lines up in: the method's own
+    identifiers by scoped text (``/0``, ``:1``, ``?0``), and on a miss
+    whatever ``ids`` holds (a full text, or an identifier by value), kept
+    once found.  ``table[key]`` is None for a key neither holds.  It holds
+    what the file names, so a decode of many entry methods costs no copy of
+    ``ids`` per method."""
+
+    def __init__(self, own: dict, ids: dict):
+        super().__init__(own)
+        self.ids = ids
+
+    def __missing__(self, key):
+        found = self.ids.get(key)
+        if found is not None:
+            self[key] = found
+        return found
+
+
 class _EdgeLines(dict):
-    """The edge lines of one artifact, parsed: each whole line, with its
-    two-space indent, maps to ``(key, objs, edge)``: its key (a variable
-    ``v``, or ``(s, f)``), its targets in one frozenset, and the two as the
-    edge ``(v, objs)`` or ``(s, f, objs)`` that ``ptg.edited`` takes and
-    stores as it is.  An artifact repeats most of its lines across
-    entries, so each distinct line is parsed once and its set is shared by
-    every graph that holds the binding.  When there is a program, every
-    side of the line is replaced by its entry in the program's table
-    (``ir.identifiers``), so equal identifiers are one object: a line
+    """The edge lines of the entries of method ``scope`` in one artifact,
+    parsed: each whole line, with its two-space indent, maps to ``(key,
+    objs, edge)``: its key (a variable ``v``, or ``(s, f)``), its targets in
+    one frozenset, and the two as the edge ``(v, objs)`` or ``(s, f,
+    objs)`` that ``ptg.edited`` takes and stores as it is.  A scoped
+    identifier (``/0``, ``:1``, ``?0``) is one of ``scope``.  An artifact
+    repeats most of its lines across entries, so each distinct (scope,
+    line) is parsed once and its set is shared by every graph that holds
+    the binding.  When there is a program, every side of the line is
+    replaced by its entry in ``ids``, the table an entry of ``scope`` reads
+    by (see ``decode``), so equal identifiers are one object: a line
     written as the table renders its sides is looked up by text, any other
     is parsed and looked up by value.  A line with a side the table lacks
     is kept in ``bad`` with the reason, for the first such side: its key
     before its targets, targets in line order."""
 
-    def __init__(self, ids: dict | None):
+    def __init__(self, ids: _Table | None, scope: str):
         super().__init__()
         self.ids = ids
+        self.scope = scope
         self.bad: dict[str, str] = {}
 
     def __missing__(self, line: str) -> tuple[Any, Objects, SetEdge]:
@@ -232,9 +276,9 @@ class _EdgeLines(dict):
             parts = line.split(" ", 4)  # the indent's two empty fields, key, op, targets
             # only a variable's text holds a "/", and no target is a variable
             if len(parts) == 5 and not parts[0] and not parts[1] and "/" not in parts[4]:
-                left, op = ids.get(parts[2]), parts[3]
+                left, op = ids[parts[2]], parts[3]
                 texts = parts[4].split(" ")
-                objs = frozenset(map(ids.get, texts))
+                objs = frozenset(map(ids.__getitem__, texts))
                 if left is not None and len(objs) == len(texts) and None not in objs:
                     if op == "->" and left.__class__ is VarId:
                         parsed = self[line] = (left, objs, (left, objs))
@@ -249,12 +293,12 @@ class _EdgeLines(dict):
         if not line.startswith("  "):
             raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
         try:
-            left, fname, targets = parse_binding_line(line[2:])
+            left, fname, targets = parse_binding_line(line[2:], self.scope)
         except ValueError as exc:
             raise MalformedArtworkError(str(exc)) from exc
         if ids is not None:
             sides = [left, *targets]
-            found = [ids.get(o) for o in sides]
+            found = [ids[o] for o in sides]
             if None in found:
                 self.bad[line] = _unknown(sides[found.index(None)])
             else:
@@ -275,26 +319,37 @@ class _EdgeLines(dict):
         return None
 
 
-def _bad_edit(line: str, sign: str, have) -> MalformedArtworkError:
-    """The error for edit line ``sign + line[2:]``, one of whose targets
-    ``have`` holds (an addition) or lacks (a removal): the first such
-    target in line order, written as a one-target line."""
+def _bad_edit(line: str, sign: str, have, scope: str) -> MalformedArtworkError:
+    """The error for edit line ``sign + line[2:]`` of an entry of method
+    ``scope``, one of whose targets ``have`` holds (an addition) or lacks (a
+    removal): the first such target in line order, written as a one-target
+    line in full spelling."""
     parts = line.split()
-    _, _, targets = parse_binding_line(line)
+    _, _, targets = parse_binding_line(line, scope)
     text = next(text for text, t in zip(parts[2:], targets) if (t in have) == (sign == "+"))
     verb = "adds a present" if sign == "+" else "removes an absent"
-    return MalformedArtworkError(f"edit {verb} edge {' '.join([*parts[:2], text])!r}")
+    edge = " ".join([_full(parts[0], scope), parts[1], _full(text, scope)])
+    return MalformedArtworkError(f"edit {verb} edge {edge!r}")
+
+
+def _full(text: str, scope: str) -> str:
+    """A variable's or an object's text in an entry of method ``scope``, in
+    full spelling."""
+    return scope + text if text[0] in "/:?" else text
 
 
 def _read_artwork(
-    data: bytes, ids: dict | None, check: Callable[[str, Any], str | None] | None = None
+    data: bytes,
+    tables: Callable[[str], _Table] | None,
+    check: Callable[[str, Any], str | None] | None = None,
 ) -> tuple[Artwork, str | None]:
-    """Parse an ART/2 file in one walk over its lines.
+    """Parse an ART/3 file in one walk over its lines.
 
     Returns the artwork and why its first entry at fault is, or None.  An
     entry is at fault when ``check(section, key)`` (when given) says why its
-    key is bad, or when one of its own lines names an identifier ``ids``
-    (when given) lacks.  From the first such entry on, no graph is built:
+    key is bad, or when one of its own lines names an identifier that
+    ``tables(method)`` (when given), the table an entry of its method reads
+    by, lacks.  From the first such entry on, no graph is built:
     the artwork holds the entries before it, and that entry too when only
     its graph is at fault.  The rest of the file is still read, for its
     syntax and its edits, against one running map from each key of the
@@ -302,7 +357,7 @@ def _read_artwork(
     stays linear in the lines whatever the entries are."""
     lines = _lines(data, MAGIC)
     n = len(lines)
-    edges = _EdgeLines(ids)
+    by_scope: dict[str, _EdgeLines] = {}
     i = 1
     block: list | None = None  # the parsed lines of the last block
     # the previous entry's value, key -> targets, made when an edit needs it
@@ -329,6 +384,10 @@ def _read_artwork(
             if key in entries or key in later:
                 raise MalformedArtworkError(f"duplicate {name} entry {key}")
             i += 1
+            scope = m.group(1)
+            edges = by_scope.get(scope)
+            if edges is None:
+                edges = by_scope[scope] = _EdgeLines(None if tables is None else tables(scope), scope)
             text = m.group(m.lastindex)
             if text == "{":
                 try:
@@ -360,11 +419,11 @@ def _read_artwork(
                         elif have.isdisjoint(objs):
                             have |= objs
                         else:
-                            raise _bad_edit(line, sign, have)
+                            raise _bad_edit(line, sign, have, scope)
                     elif have is not None and objs <= have:
                         have -= objs
                     else:
-                        raise _bad_edit(line, sign, have or ())
+                        raise _bad_edit(line, sign, have or (), scope)
                     own.append(line)
                     edits.append((sign, edge))
                     i += 1
@@ -399,7 +458,7 @@ def _live(block: list) -> dict:
 
 
 def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/2 file (no program to validate against).
+    """Syntax-only parse of an ART/3 file (no program to validate against).
     Every entry's graph is built, an edit entry's over shallow copies of
     the previous entry's maps, so the cost is linear in the artwork it
     returns, which may be much larger than the file."""
@@ -414,9 +473,12 @@ def decode(data: bytes, p: Program) -> Artwork:
     target its key's value lacks or adds one it has, and
     UnknownReferenceError when a method, slot, label, or summary key does
     not exist in ``p`` (an OUT-summary key must name a method on a
-    call-graph cycle).  Binding lines are mapped through ``ir.identifiers(p)``,
-    which this call builds once, plus the null object, which belongs to
-    every program; the decoded graphs hold the table's objects.  A [loop]
+    call-graph cycle).  Binding lines are mapped through
+    ``ir.identifier_tables(p)``, which this call builds once, plus the null
+    object, which belongs to every program: an entry of method M reads the
+    identifiers of M by their scoped text and every identifier by its full
+    text (a ``_Table`` per method the file has entries of, holding what the
+    file names).  The decoded graphs hold the table's objects.  A [loop]
     key must name a statement of its method, not necessarily a loop header;
     the consumer reads only header keys and reports the rest as ignored.  A
     syntax error anywhere wins; otherwise the first entry at fault is
@@ -431,7 +493,7 @@ def decode(data: bytes, p: Program) -> Artwork:
     identifiers: graphs are built only until the first entry at fault (see
     ``_read_artwork``), and the program has each key at most once.
     """
-    ids: dict = identifiers(p)
+    ids, scoped = identifier_tables(p)
     ids[NULL_OBJECT] = ids["null"] = NULL_OBJECT
     labels = {m.name: {s.label for s in m.body} for m in p.methods}
 
@@ -443,7 +505,7 @@ def decode(data: bytes, p: Program) -> Artwork:
             return f"[loop]: no statement {name}:{label}"
         return None
 
-    a, fault = _read_artwork(data, ids, check)
+    a, fault = _read_artwork(data, lambda method: _Table(scoped.get(method, {}), ids), check)
     call_graph = ProgramIndex.of(p).call_graph
     for name in a.i_out:
         if not call_graph.is_recursive_method(name):

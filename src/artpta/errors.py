@@ -38,7 +38,8 @@ class ArityMismatchError(ArtError):
 
 
 class MalformedArtworkError(ArtError):
-    """An artifact file violates the ART/2 syntax."""
+    """An artifact file violates the ART/3 syntax (an ``ART/2`` file, whose
+    header is not ``ART/3``, among others)."""
 
 
 class UnknownReferenceError(ArtError):

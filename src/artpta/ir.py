@@ -354,29 +354,41 @@ def identifiers(p: Program) -> dict[Identifier | str, Identifier]:
     """Every variable and object of ``p``, each mapped to itself, in program
     order: per method, its slots 0 to ``var_count`` (the last is the return
     carrier), a ``Placeholder`` per parameter and a ``Site`` per allocation
-    statement.  Each is also keyed by its text as an edge line writes it
-    (``main/0``, ``main?0``, ``main:3``), all the texts after all the
+    statement.  Each is also keyed by its full text as an edge line writes
+    it (``main/0``, ``main?0``, ``main:3``), all the texts after all the
     identifiers.  The null object belongs to every program and is not here.
 
     This is the one place that says which identifiers a program has.  The
     table is made from ``p`` alone, on each call, and nothing else adds to
     it."""
+    return identifier_tables(p)[0]
+
+
+def identifier_tables(
+    p: Program,
+) -> tuple[dict[Identifier | str, Identifier], dict[str, dict[str, Identifier]]]:
+    """``identifiers(p)``, and per method name a table of its identifiers,
+    the same objects, keyed by their scoped text: the full text without the
+    method's name (``/0``, ``?0``, ``:3``), as an artifact entry of that
+    method writes them."""
     ids: list = []
     texts: list[str] = []
+    scoped: dict[str, dict[str, Identifier]] = {}
     for m in p.methods:
         name = m.name
         slots = range(m.var_count + 1)
         params = range(len(m.params))
         labels = [s.label for s in m.body if isinstance(s.instr, Alloc)]
-        ids += [_tuple_new(VarId, (name, k, "var")) for k in slots]
-        ids += [_tuple_new(Placeholder, (name, k, "placeholder")) for k in params]
-        ids += [_tuple_new(Site, (name, k, "site")) for k in labels]
-        texts += [f"{name}/{k}" for k in slots]
-        texts += [f"{name}?{k}" for k in params]
-        texts += [f"{name}:{k}" for k in labels]
+        own = [_tuple_new(VarId, (name, k, "var")) for k in slots]
+        own += [_tuple_new(Placeholder, (name, k, "placeholder")) for k in params]
+        own += [_tuple_new(Site, (name, k, "site")) for k in labels]
+        local = [f"/{k}" for k in slots] + [f"?{k}" for k in params] + [f":{k}" for k in labels]
+        ids += own
+        texts += [name + text for text in local]
+        scoped[name] = dict(zip(local, own))
     table: dict = dict(zip(ids, ids))
     table.update(zip(texts, ids))
-    return table
+    return table, scoped
 
 
 # ---------------------------------------------------------------------------

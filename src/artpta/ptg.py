@@ -69,7 +69,11 @@ results dump and UNSAFE reports)::
 
 The artifact writes one line per binding instead, a key and all its
 targets (``main/0 -> main:4 null``); ``EdgeRenderer`` writes both forms and
-``parse_binding_line`` reads a line of either.
+``parse_binding_line`` reads a line of either.  Inside an artifact entry of
+method ``main`` the identifiers of ``main`` lose the method's name (``/0 ->
+:4 null``); the artifact codec drops it from the renderer's lines, and
+``parse_binding_line`` and ``parse_object`` read such a scoped text when
+given the entry's method as ``scope``.
 
 Objects render as ``method:label`` (allocation site), ``null`` (the one
 null object), or ``method?i`` (placeholder for reference parameter i, used
@@ -772,14 +776,16 @@ def _too_long(digits: str, part: str) -> ValueError:
     return ValueError(f"{part} too long ({len(digits)} digits)")
 
 
-def parse_object(text: str) -> ObjectId:
-    """One rendered object.  Its integer is ``[0-9]+``: ``str.isdigit``
-    alone also takes other scripts' digits and superscripts, hence
-    ``isascii`` first."""
+def parse_object(text: str, scope: str | None = None) -> ObjectId:
+    """One rendered object; with a ``scope``, an object of that method may
+    be written without its name (``:3``, ``?0``).  Its integer is
+    ``[0-9]+``: ``str.isdigit`` alone also takes other scripts' digits and
+    superscripts, hence ``isascii`` first."""
     if text == "null":
         return NULL_OBJECT
     if "?" in text:
         method, _, idx = text.partition("?")
+        method = method or scope
         if not method or not (idx.isascii() and idx.isdigit()):
             raise ValueError(f"bad object {text!r}")
         try:
@@ -787,6 +793,7 @@ def parse_object(text: str) -> ObjectId:
         except ValueError:
             raise _too_long(idx, "placeholder index") from None
     method, sep, label = text.partition(":")
+    method = method or scope
     if not sep or not method or not (label.isascii() and label.isdigit()):
         raise ValueError(f"bad object {text!r}")
     try:
@@ -795,18 +802,23 @@ def parse_object(text: str) -> ObjectId:
         raise _too_long(label, "allocation site label") from None
 
 
-def parse_binding_line(line: str) -> tuple[VarId | ObjectId, str | None, list[ObjectId]]:
+def parse_binding_line(
+    line: str, scope: str | None = None
+) -> tuple[VarId | ObjectId, str | None, list[ObjectId]]:
     """Parse one rendered binding line: a variable ``m/s ->`` or an object
     and a field ``src .f->``, then one or more targets, none twice.  Returns
     the left side, the field name (None for a variable) and the targets in
     line order.  A variable's slot is ``[0-9]+``, as an object's integer
-    is; the left side is parsed before the targets."""
+    is; the left side is parsed before the targets.  With a ``scope``, a
+    variable or an object of that method may be written without its name
+    (``/0``, ``:3``, ``?0``); errors quote the line as written."""
     parts = line.split()
     if len(parts) < 3:
         raise ValueError(f"bad edge line {line!r}")
     lhs, op = parts[0], parts[1]
     if op == "->":
         method, sep, slot = lhs.partition("/")
+        method = method or scope
         if not sep or not method or not (slot.isascii() and slot.isdigit()):
             raise ValueError(f"bad variable {lhs!r}")
         try:
@@ -818,12 +830,12 @@ def parse_binding_line(line: str) -> tuple[VarId | ObjectId, str | None, list[Ob
         fname = op[1:-2]
         if not fname:
             raise ValueError(f"bad field edge {line!r}")
-        left = parse_object(lhs)
+        left = parse_object(lhs, scope)
         if isinstance(left, NullObject):
             raise ValueError("field edge with null source")
     else:
         raise ValueError(f"bad edge line {line!r}")
-    targets = [parse_object(text) for text in parts[2:]]
+    targets = [parse_object(text, scope) for text in parts[2:]]
     if len(set(targets)) < len(targets):
         seen: set[ObjectId] = set()
         for text, t in zip(parts[2:], targets):

@@ -103,33 +103,47 @@ def _edit_lines(old: dict, new: dict) -> tuple[list[str], list[str]]:
     return removed, added
 
 
+def _scoped_line(line: str, method: str) -> str:
+    """An edge line of an entry of ``method``: each token that names a
+    variable or an object of ``method`` without the method's name."""
+    head, *tokens = line.split(" ")
+    for k, token in enumerate(tokens):
+        for mark in "/:?":
+            if token.startswith(method + mark):
+                tokens[k] = token[len(method) :]
+    return " ".join([head, *tokens])
+
+
 def _reference_encode(a) -> bytes:
-    lines = ["ART/2"]
+    lines = ["ART/3"]
     sections = (
-        ("[loop]", {f"m:{m} l:{l}": g for (m, l), g in sorted(a.i_loop.items())}),
-        ("[in]", {f"m:{m}": g for m, g in sorted(a.i_in.items())}),
-        ("[out]", {f"m:{m}": g for m, g in sorted(a.i_out.items())}),
+        ("[loop]", {(m, f"m:{m} l:{l}"): g for (m, l), g in sorted(a.i_loop.items())}),
+        ("[in]", {(m, f"m:{m}"): g for m, g in sorted(a.i_in.items())}),
+        ("[out]", {(m, f"m:{m}"): g for m, g in sorted(a.i_out.items())}),
     )
     previous = None
     for header, entries in sections:
         lines.append(header)
-        for key, g in entries.items():
+        for (method, key), g in entries.items():
             new = _bindings(g)
             if previous is not None:
                 removed, added = _edit_lines(_bindings(previous), new)
             if previous is not None and len(removed) + len(added) <= len(new):
-                lines += [f"{key} = ^", *removed, *added]
+                own = [f"{key} = ^", *removed, *added]
             else:
-                lines += [f"{key} = {{", *(f"  {k} {' '.join(ts)}" for k, ts in new.items()), "}"]
+                own = [f"{key} = {{", *(f"  {k} {' '.join(ts)}" for k, ts in new.items()), "}"]
+            lines += [own[0], *(_scoped_line(line, method) for line in own[1:])]
             previous = g
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @pytest.fixture(scope="session")
 def reference_encode():
-    """``reference_encode(a)`` writes the ART/2 bytes of artwork ``a`` line
+    """``reference_encode(a)`` writes the ART/3 bytes of artwork ``a`` line
     by line, one line per binding: a key and its targets, as the lines of
-    ``render_edges`` that share the key list them.  Each entry after the
+    ``render_edges`` that share the key list them, in their order; in an
+    entry of method ``m``, every ``m/k``, ``m:label`` and ``m?i`` is then
+    written ``/k``, ``:label`` and ``?i``.  Each entry after the
     first whose bindings differ from those of the entry before it, in file
     order across sections, in no more lines than it has bindings is written
     ``= ^`` followed by the differences: per key, ``- `` and the targets it

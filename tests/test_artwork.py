@@ -58,7 +58,7 @@ def _random_artwork(rng: random.Random) -> Artwork:
 
 def test_empty_artwork_encoding():
     data = encode(Artwork.empty())
-    assert data == b"ART/2\n[loop]\n[in]\n[out]\n"
+    assert data == b"ART/3\n[loop]\n[in]\n[out]\n"
     assert parse_artwork(data) == Artwork.empty()
 
 
@@ -89,9 +89,10 @@ def test_encode_injective_on_corpus(small_corpus):
 def test_rec_encoding_uses_slots_and_site_tuples(rec_pipeline):
     _, _, a = rec_pipeline
     text = encode(a).decode()
-    assert "foo:5 .f-> foo:4\n" in text  # objects as method:label tuples
+    # objects as method:label tuples, written :label in their method's entry
+    assert "m:foo = ^\n+ :4 .f-> null\n+ :5 .f-> :4\n" in text
     # variables as slot indices, one line per variable with its sorted targets
-    assert "  foo/0 -> foo:4 null\n" in text
+    assert "m:foo = {\n  /0 -> :4 null\n" in text
 
 
 def test_truncated_file_rejected(rec_pipeline):
@@ -105,12 +106,12 @@ def test_truncated_file_rejected(rec_pipeline):
 @pytest.mark.parametrize(
     "mutation,exc",
     [
-        (lambda d: d.replace(b"ART/2", b"ART/1"), MalformedArtworkError),  # the old grammar
+        (lambda d: d.replace(b"ART/3", b"ART/1"), MalformedArtworkError),  # the old grammar
         (lambda d: d.replace(b"[in]\n", b""), MalformedArtworkError),
         (lambda d: d.replace(b" .f-> ", b" .-> "), MalformedArtworkError),
         (lambda d: d.replace(b"m:foo = {", b"m:ghost = {", 1), UnknownReferenceError),
-        (lambda d: d.replace(b"foo/0", b"foo/9"), UnknownReferenceError),
-        (lambda d: d.replace(b"foo:4", b"foo:1"), UnknownReferenceError),  # not an alloc
+        (lambda d: d.replace(b"  /0 ", b"  /9 "), UnknownReferenceError),
+        (lambda d: d.replace(b" :4", b" :1"), UnknownReferenceError),  # not an alloc
         (lambda d: d.replace(b"[out]\nm:foo", b"[out]\nm:main"), UnknownReferenceError),
     ],
 )
@@ -178,13 +179,13 @@ def test_stats_empty_program():
 
 
 def test_a_repeat_in_the_first_entry_rejected():
-    data = b"ART/2\n[loop]\n[in]\nm:foo = ^\n[out]\n"
+    data = b"ART/3\n[loop]\n[in]\nm:foo = ^\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
 
 def test_duplicate_entry_rejected():
-    data = b"ART/2\n[loop]\n[in]\nm:foo = {\n}\nm:foo = {\n}\n[out]\n"
+    data = b"ART/3\n[loop]\n[in]\nm:foo = {\n}\nm:foo = {\n}\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
@@ -210,7 +211,7 @@ def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwor
 
 # The optimized artifacts' bytes, and the values they decode to: each entry's
 # section, key and ``render_graph`` lines, which do not depend on the codec.
-OPTIMIZED_CORPUS_SHA256 = "30570934d97d6f998a7339d9ec3d0b36d681b00fc36ef28766e950d3687ff6b7"
+OPTIMIZED_CORPUS_SHA256 = "7a34227f79d91446102300a851459daaa6d9413ac05339336f6caf9f1aa2c3a3"
 OPTIMIZED_VALUES_SHA256 = "3c342ee0ab4106b743e2ced4436caaae6c4f8414ae504587d275eaa759141403"
 
 

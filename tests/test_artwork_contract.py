@@ -33,7 +33,7 @@ method r(p) {
 """
 
 VALID = """\
-ART/2
+ART/3
 [loop]
 m:main l:2 = {
   main/0 -> main:1
@@ -55,7 +55,7 @@ m:r = {
 
 
 def _art(loop: str = "", in_: str = "", out: str = "") -> str:
-    return "ART/2\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
+    return "ART/3\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
 
 
 def _block(head: str, *edges: str) -> str:
@@ -63,18 +63,19 @@ def _block(head: str, *edges: str) -> str:
 
 
 MALFORMED = {
-    "not-utf8": (b"ART/2\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
-    "no-trailing-newline": (b"ART/2\n[loop]\n[in]\n[out]", "missing trailing newline"),
+    "not-utf8": (b"ART/3\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
+    "no-trailing-newline": (b"ART/3\n[loop]\n[in]\n[out]", "missing trailing newline"),
     "empty-file": (b"", "missing trailing newline"),
-    "bad-header": (b"ART/3\n[loop]\n[in]\n[out]\n", "missing ART/2 header"),
-    # the one-edge-per-line grammar this one replaced has no reader
-    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/2 header"),
-    "blank-first-line": (b"\nART/2\n[loop]\n[in]\n[out]\n", "missing ART/2 header"),
-    "only-header": (b"ART/2\n", "unexpected end of file"),
-    "missing-loop": (b"ART/2\n[in]\n[out]\n", "expected [loop] section"),
-    "missing-in": (b"ART/2\n[loop]\n[out]\n", "bad [loop] entry"),
-    "missing-in-at-eof": (b"ART/2\n[loop]\n", "unexpected end of file"),
-    "missing-out": (b"ART/2\n[loop]\n[in]\n", "unexpected end of file"),
+    "bad-header": (b"ART/4\n[loop]\n[in]\n[out]\n", "missing ART/3 header"),
+    # the grammars this one replaced have no reader
+    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/3 header"),
+    "art2-header": (b"ART/2\n[loop]\n[in]\n[out]\n", "missing ART/3 header"),
+    "blank-first-line": (b"\nART/3\n[loop]\n[in]\n[out]\n", "missing ART/3 header"),
+    "only-header": (b"ART/3\n", "unexpected end of file"),
+    "missing-loop": (b"ART/3\n[in]\n[out]\n", "expected [loop] section"),
+    "missing-in": (b"ART/3\n[loop]\n[out]\n", "bad [loop] entry"),
+    "missing-in-at-eof": (b"ART/3\n[loop]\n", "unexpected end of file"),
+    "missing-out": (b"ART/3\n[loop]\n[in]\n", "unexpected end of file"),
     "bad-loop-entry": (_art(loop="m:main l:x = {\n}\n"), "bad [loop] entry"),
     "bad-in-entry": (_art(in_="main = {\n}\n"), "bad [in] entry"),
     "bad-out-entry": (_art(out="m:r={\n}\n"), "bad [out] entry"),
@@ -229,6 +230,31 @@ MALFORMED = {
         _art(out=_block("m:r", "r:\u00b2 .g-> r:2")),
         "bad object 'r:\u00b2'",
     ),
+    # A scoped identifier (``/0``, ``:1``, ``?0`` in an entry of main) is a
+    # mark and a number; a syntax error quotes it as written.
+    "scoped-variable-without-a-slot": (_art(in_=_block("m:main", "/ -> null")), "bad variable '/'"),
+    "scoped-variable-with-a-name": (_art(in_=_block("m:main", "/x -> null")), "bad variable '/x'"),
+    "scoped-site-without-a-label": (_art(in_=_block("m:main", "/0 -> :")), "bad object ':'"),
+    "scoped-placeholder-without-an-index": (_art(in_=_block("m:r", "/0 -> ?")), "bad object '?'"),
+    "scoped-field-source-without-a-label": (_art(in_=_block("m:main", ": .f-> null")), "bad object ':'"),
+    "scoped-variable-as-a-target": (_art(in_=_block("m:main", "/0 -> /0")), "bad object '/0'"),
+    "scoped-variable-as-an-edit-target": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ /0 -> /0\n"),
+        "bad object '/0'",
+    ),
+    "scoped-target-written-twice": (
+        _art(in_=_block("m:main", "/0 -> main:1 :1")),
+        "repeated target :1 in edge line '/0 -> main:1 :1'",
+    ),
+    # an edit error names the edge in full
+    "scoped-edit-removes-an-absent-edge": (
+        _art(in_=_block("m:r", "/0 -> main:1") + "m:main = ^\n- /0 -> :1\n"),
+        "edit removes an absent edge 'main/0 -> main:1'",
+    ),
+    "scoped-edit-adds-a-present-edge": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> :2\n+ /0 -> :2\n"),
+        "edit adds a present edge 'r/0 -> r:2'",
+    ),
 }
 
 UNKNOWN = {
@@ -290,6 +316,29 @@ UNKNOWN = {
     "edit-removing-a-bad-line": (
         _art(in_=_block("m:main", "main/2 -> main:1") + "m:r = ^\n- main/2 -> main:1\n"),
         "[in] main: unknown variable slot main/2",
+    ),
+    # A scoped identifier the entry's method lacks is named in full.
+    "unknown-scoped-slot": (_art(in_=_block("m:main", "/2 -> :1")), "[in] main: unknown variable slot main/2"),
+    "unknown-scoped-site": (
+        _art(in_=_block("m:main", "/0 -> :3")),
+        "[in] main: object main:3 is not an allocation site",
+    ),
+    "unknown-scoped-placeholder": (
+        _art(in_=_block("m:main", "/0 -> ?0")),
+        "[in] main: unknown placeholder main?0",
+    ),
+    "unknown-scoped-field-source": (
+        _art(out=_block("m:r", ":1 .g-> :2")),
+        "[out] r: object r:1 is not an allocation site",
+    ),
+    # scoped to the entry's method, not to the method of the entry before
+    "scoped-slot-of-the-edited-entry": (
+        _art(in_=_block("m:r", "/2 -> main:1") + "m:main = ^\n- r/2 -> main:1\n+ /2 -> :1\n"),
+        "[in] main: unknown variable slot main/2",
+    ),
+    "scoped-slot-in-an-entry-of-an-unknown-method": (
+        _art(in_=_block("m:main") + "m:ghost = ^\n+ /0 -> null\n"),
+        "[in]: unknown method 'ghost'",
     ),
 }
 
@@ -412,10 +461,11 @@ def _bytes(data) -> bytes:
     return data if isinstance(data, bytes) else data.encode()
 
 
-# The same artwork three times: every entry inline, a repeat, and an edit.
+# The same artwork three times: every entry inline, a repeat, and an edit
+# (as encode writes it: ``r/0`` is ``/0`` in an entry of ``r``).
 INLINE = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out=_block("m:r", "r/0 -> main:1"))
 REPEAT = _art(in_=_block("m:main") + _block("m:r", "r/0 -> main:1"), out="m:r = ^\n")
-EDITED = _art(in_=_block("m:main") + "m:r = ^\n+ r/0 -> main:1\n", out="m:r = ^\n")
+EDITED = _art(in_=_block("m:main") + "m:r = ^\n+ /0 -> main:1\n", out="m:r = ^\n")
 
 
 def test_the_valid_artifact_decodes(program):
@@ -427,14 +477,36 @@ def test_the_valid_artifact_decodes(program):
     assert encode(inline) == EDITED.encode()
 
 
+# The ART/3 bytes of the loopy fixture, and its ART/2 body: every identifier
+# in full, as the grammar before this one wrote it.
+LOOPY_ART3 = (
+    "ART/3\n[loop]\nm:main l:5 = {\n  /0 -> :1 :6\n  /1 -> :11 :3 :9\n  :1 .f-> :3\n"
+    "  :6 .f-> :11 :3 :9\n}\n[in]\nm:main = {\n}\n[out]\n"
+)
+LOOPY_ART2_BODY = (
+    "[loop]\nm:main l:5 = {\n  main/0 -> main:1 main:6\n  main/1 -> main:11 main:3 main:9\n"
+    "  main:1 .f-> main:3\n  main:6 .f-> main:11 main:3 main:9\n}\n[in]\nm:main = {\n}\n[out]\n"
+)
+
+
+def test_a_full_spelling_body_decodes_to_its_canonical_artwork(loopy_pipeline):
+    p, _, a = loopy_pipeline
+    assert encode(a) == LOOPY_ART3.encode()
+    full = decode(("ART/3\n" + LOOPY_ART2_BODY).encode(), p)
+    assert full == a == decode(LOOPY_ART3.encode(), p)
+    assert encode(full) == LOOPY_ART3.encode()
+    with pytest.raises(MalformedArtworkError, match="^missing ART/3 header$"):
+        decode(("ART/2\n" + LOOPY_ART2_BODY).encode(), p)
+
+
 def test_a_binding_line_holds_every_target_of_its_key(program):
     from artpta import VarId
 
     line = "r/0 -> main:1 null"
     one = _art(
-        loop=_block("m:r l:1", line),
-        in_="m:r = ^\n+ main:1 .f-> main:1 r:2\n",
-        out="m:r = ^\n- main:1 .f-> main:1 r:2\n",
+        loop=_block("m:r l:1", "/0 -> main:1 null"),
+        in_="m:r = ^\n+ main:1 .f-> main:1 :2\n",
+        out="m:r = ^\n- main:1 .f-> main:1 :2\n",
     )
     spread = _art(
         loop=_block("m:r l:1", "r/0 -> null", "r/0 -> main:1"),
@@ -461,12 +533,14 @@ def _maps_are_canonical(a) -> bool:
 def test_an_entry_may_empty_a_map_and_refill_it(program):
     # r/0's target set and main:1's field map are emptied by the removals,
     # then refilled by the additions; r:2's untouched field map is shared.
-    kept = ("main/0 -> main:1", "r:2 .f-> main:1", "r:2 .g-> r:2")
-    before = ("main/0 -> main:1", "r/0 -> main:1", "main:1 .f-> main:1", *kept[1:])  # sorted
-    after = ("r/0 -> null", "main:1 .f-> r:2", *kept)
+    # Lines are written as encode writes them in an entry of r: sorted by
+    # their full text, r's own identifiers without r's name.
+    kept = ("main/0 -> main:1", ":2 .f-> main:1", ":2 .g-> :2")
+    before = ("main/0 -> main:1", "/0 -> main:1", "main:1 .f-> main:1", *kept[1:])  # sorted in full
+    after = ("/0 -> null", "main:1 .f-> :2", *kept)
     data = _art(
         in_=_block("m:r", *before),
-        out="m:r = ^\n- r/0 -> main:1\n- main:1 .f-> main:1\n+ r/0 -> null\n+ main:1 .f-> r:2\n",
+        out="m:r = ^\n- /0 -> main:1\n- main:1 .f-> main:1\n+ /0 -> null\n+ main:1 .f-> :2\n",
     ).encode()
     a = decode(data, program)
     assert a == decode(_art(in_=_block("m:r", *before), out=_block("m:r", *after)).encode(), program)
@@ -474,7 +548,7 @@ def test_an_entry_may_empty_a_map_and_refill_it(program):
     assert a.i_out["r"]._heap[Site("r", 2)] is a.i_in["r"]._heap[Site("r", 2)]
     assert encode(a) == data
     # emptied and not refilled: nothing empty is kept
-    data = _art(in_=_block("m:r", *before), out="m:r = ^\n- r/0 -> main:1\n- main:1 .f-> main:1\n")
+    data = _art(in_=_block("m:r", *before), out="m:r = ^\n- /0 -> main:1\n- main:1 .f-> main:1\n")
     a = decode(data.encode(), program)
     assert _maps_are_canonical(a)
     assert a.i_out["r"] == decode(_art(in_=_block("m:r", *kept)).encode(), program).i_in["r"]
@@ -501,7 +575,7 @@ def test_edits_apply_to_the_entry_before_across_section_headers(program):
 def test_edit_lines_apply_in_order(program):
     # an edge added and removed again, and removed and added again, leaves
     # the value as it was; encode never writes either
-    base = _block("m:main", "main/0 -> main:1")
+    base = _block("m:main", "/0 -> :1")
     for edits in ("+ main/0 -> null\n- main/0 -> null\n", "- main/0 -> main:1\n+ main/0 -> main:1\n"):
         a = decode(_art(in_=base + "m:r = ^\n" + edits).encode(), program)
         assert a.i_in["r"] == a.i_in["main"]
@@ -609,7 +683,7 @@ import sys
 from artpta import UnknownReferenceError, decode, parse_program
 p = parse_program("method main() {\\n  1: x = new C\\n}\\n")
 for body in sys.argv[1:]:  # " = {", the edge lines, "}"
-    data = ("ART/2\\n[loop]\\n[in]\\nm:main" + body + "[out]\\n").encode()
+    data = ("ART/3\\n[loop]\\n[in]\\nm:main" + body + "[out]\\n").encode()
     try:
         decode(data, p)
         print("accepted")
@@ -684,7 +758,7 @@ def test_a_syntax_error_wins_over_a_program_the_index_rejects():
 
     p = parse_program("method main() {\n  1: return\n  2: nop\n  3: goto 2\n}\n")
     with pytest.raises(MalformedArtworkError) as info:
-        decode(b"ART/2\n[loop]\n[in]\nm:main = {\n", p)
+        decode(b"ART/3\n[loop]\n[in]\nm:main = {\n", p)
     assert str(info.value) == "unterminated graph block"
     with pytest.raises(IrreducibleCfgError):
-        decode(b"ART/2\n[loop]\n[in]\n[out]\n", p)
+        decode(b"ART/3\n[loop]\n[in]\n[out]\n", p)

@@ -30,15 +30,21 @@ from artpta.ptg import NULL_OBJECT, VarId, edited, parse_edge_line
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
 
 
-def _line_edges(line: str) -> list:
-    """The edges of one binding line after its two-character prefix: the
-    line's key with each of its targets in turn."""
-    left, op, *targets = line[2:].split(" ")
+def _full(token: str, method: str) -> str:
+    """A token of an entry of ``method`` in full spelling: a scoped variable
+    or object (``/k``, ``:label``, ``?i``) with the method's name before it."""
+    return method + token if token[0] in "/:?" else token
+
+
+def _line_edges(line: str, method: str = "") -> list:
+    """The edges of one binding line of an entry of ``method`` after its
+    two-character prefix: the line's key with each of its targets in turn."""
+    left, op, *targets = (_full(t, method) for t in line[2:].split(" "))
     return [parse_edge_line(f"{left} {op} {t}") for t in targets]
 
 
-def _oracle_edges(lines: list[str]) -> set:
-    return {edge for line in lines for edge in _line_edges(line)}
+def _oracle_edges(lines: list[str], method: str = "") -> set:
+    return {edge for line in lines for edge in _line_edges(line, method)}
 
 
 def _oracle_graph(lines: list[str]) -> PointsToGraph:
@@ -47,7 +53,8 @@ def _oracle_graph(lines: list[str]) -> PointsToGraph:
 
 
 def _oracle_decode(text: str) -> Artwork:
-    """A well-formed ART/2 text read line by line into edge-set graphs."""
+    """A well-formed ART/3 text read line by line into edge-set graphs, each
+    scoped token of an entry expanded with the entry's method."""
     lines = text.split("\n")[:-1]
     sections: dict[str, dict] = {}
     section = None
@@ -63,15 +70,16 @@ def _oracle_decode(text: str) -> Artwork:
         m = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
         assert m is not None, line
         key = (m.group(1), int(m.group(2))) if section == "loop" else m.group(1)
+        method = m.group(1)
         j = i
         while j < len(lines) and lines[j][:2] in ("  ", "- ", "+ "):
             j += 1
         if m.group(3) == "{":
-            edges = _oracle_edges(lines[i:j])
+            edges = _oracle_edges(lines[i:j], method)
             i = j + 1  # the closing brace
         else:  # "^": the entry before's edges, less the "- " lines, with the "+ " lines
-            edges = (edges - _oracle_edges([e for e in lines[i:j] if e[0] == "-"])) | _oracle_edges(
-                [e for e in lines[i:j] if e[0] == "+"]
+            edges = (edges - _oracle_edges([e for e in lines[i:j] if e[0] == "-"], method)) | _oracle_edges(
+                [e for e in lines[i:j] if e[0] == "+"], method
             )
             i = j
         sections[section][key] = PointsToGraph(
@@ -169,7 +177,8 @@ def test_decoded_graphs_equal_the_edge_set_oracle(artifacts):
                 continue
             old, new = graphs[k - 1], graphs[k]
             end = heads[k + 1] if k + 1 < len(heads) else len(lines)
-            touched = {_line_edges(e)[0][0] for e in lines[at + 1 : end] if e[:2] in ("- ", "+ ")}
+            method = lines[at][2:].split(" ")[0]
+            touched = {_line_edges(e, method)[0][0] for e in lines[at + 1 : end] if e[:2] in ("- ", "+ ")}
             for v, objs in new._vars.items():
                 assert (objs is old._vars.get(v)) == (v not in touched and v in old._vars)
             for src, fields in new._heap.items():
@@ -196,7 +205,7 @@ def test_one_variable_spread_over_a_block_decodes_to_one_set():
         "main:1 .f-> main:1", "main/0 -> null", "main:1 .g-> null", "main/0 -> main:1",
         "main:1 .f-> main:2", "main/0 -> main:1 null", "main:1 .f-> main:2 main:1",
     ]
-    text = "ART/2\n[loop]\n[in]\nm:main = {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
+    text = "ART/3\n[loop]\n[in]\nm:main = {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
     g = decode(text.encode(), p).i_in["main"]
     _assert_canonical_maps(g)
     assert g == _oracle_graph([f"  {e}" for e in body])
@@ -207,10 +216,14 @@ def test_one_variable_spread_over_a_block_decodes_to_one_set():
 # Round trip over multi-target bindings and edit chains
 # ---------------------------------------------------------------------------
 
+# Three methods, so that one file holds entries of each, every graph may
+# name any method's identifiers (scoped in an entry of their method, full in
+# any other) and a "^" entry may follow an entry of another method.
 ROUND_TRIP = parse_program(
     "method main() {\n  1: x = new C\n  2: y = new D\n  3: z = new E\n  4: x.f = y\n"
-    "  5: y.g = z\n  6: call [r](x)\n}\n"
+    "  5: y.g = z\n  6: call [r](x)\n  7: call [s](y, z)\n}\n"
     "method r(p) {\n  1: call [r](p)\n  2: q = new F\n  3: p.f = q\n}\n"
+    "method s(a, b) {\n  1: c = new G\n  2: a.f = c\n}\n"
 )
 _IDS = [o for o in identifiers(ROUND_TRIP) if not isinstance(o, str)]
 _VARS = [o for o in _IDS if isinstance(o, VarId)]
@@ -237,14 +250,49 @@ def test_round_trip_over_multi_target_bindings_and_edit_chains(steps):
     for fresh, edits in steps:
         g = edited(PointsToGraph.of() if fresh or g is None else g, edits)
         graphs.append(g)
-    keys = [("main", k) for k in range(1, 7)] + [("r", k) for k in range(1, 4)]
+    keys = [("main", k) for k in range(1, 8)] + [("r", k) for k in range(1, 4)] + [("s", 1)]
     a = Artwork(
-        i_loop=dict(zip(keys, graphs[:-2])),
-        i_in={"main": graphs[-1], **({"r": graphs[-2]} if len(graphs) > 1 else {})},
+        i_loop=dict(zip(keys, graphs[:-3])),
+        i_in={
+            "main": graphs[-1],
+            **({"r": graphs[-2]} if len(graphs) > 1 else {}),
+            **({"s": graphs[-3]} if len(graphs) > 2 else {}),
+        },
         i_out={"r": graphs[0]},
     )
+    _assert_round_trip(a)
+
+
+def _assert_round_trip(a: Artwork) -> bytes:
     data = encode(a)
     assert decode(data, ROUND_TRIP) == a
     assert encode(decode(data, ROUND_TRIP)) == data
     assert encode(parse_artwork(data)) == data
     assert parse_artwork(data) == _oracle_decode(data.decode())
+    # the same file with every token in full spelling is the same artwork
+    text, method, full = data.decode().split("\n"), None, []
+    for line in text:
+        if line.startswith("m:"):
+            method = line[2:].split(" ")[0]
+        elif line[:2] in ("  ", "- ", "+ "):
+            line = line[:2] + " ".join(_full(t, method) for t in line[2:].split(" "))
+        full.append(line)
+    assert decode("\n".join(full).encode(), ROUND_TRIP) == a
+    return data
+
+
+def test_a_round_trip_file_mixes_scoped_and_full_spellings():
+    ids = {(o.method, o.kind, o[1]): o for o in _IDS}
+    x, f = ids["main", "site", 1], ids["r", "site", 2]
+    main0, r0, s0 = ids["main", "var", 0], ids["r", "var", 0], ids["s", "var", 0]
+    g1 = edited(PointsToGraph.of(), [("+", (main0, frozenset({x, NULL_OBJECT}))), ("+", (x, "f", frozenset({f})))])
+    g2 = edited(g1, [("+", (r0, frozenset({x}))), ("+", (f, "g", frozenset({x})))])
+    g3 = edited(g2, [("-", (main0, frozenset({NULL_OBJECT}))), ("+", (s0, frozenset({f})))])
+    data = _assert_round_trip(Artwork(i_loop={("main", 6): g1}, i_in={"r": g2, "s": g3}, i_out={}))
+    assert data == (
+        b"ART/3\n[loop]\nm:main l:6 = {\n  /0 -> :1 null\n  :1 .f-> r:2\n}\n"
+        # an entry of r: its own identifiers scoped, main's in full, and a
+        # "^" after an entry of main
+        b"[in]\nm:r = ^\n+ /0 -> main:1\n+ :2 .g-> main:1\n"
+        b"m:s = ^\n- main/0 -> null\n+ /0 -> r:2\n[out]\n"
+    )

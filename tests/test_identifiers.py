@@ -9,7 +9,8 @@ that label.  Null belongs to every program.
 
 Valid artifacts of both corpus shapes get seeded binding lines of one to
 three targets inserted that name known and unknown variables and objects on
-either side, and every decode outcome (the exception's type and message, or
+either side, in full or scoped (``/0``, ``:1``, ``?0``: read against the
+method of the entry they land in), and every decode outcome (the exception's type and message, or
 the decoded maps) must equal what the reference predicts.  ``ir.identifiers``
 must accept exactly what the rules accept, and a decoded artifact must hold
 one object per identifier."""
@@ -32,7 +33,7 @@ from artpta import (
     parse_artwork,
     parse_program,
 )
-from artpta.ir import Alloc, Program, identifiers
+from artpta.ir import Alloc, Program, identifier_tables, identifiers
 from artpta.ptg import NULL_OBJECT, Site, parse_edge_line, parse_object, render_object
 
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
@@ -74,9 +75,16 @@ def _why_object(p: Program, text: str) -> str | None:
     return None
 
 
+def _full(line: str, method: str) -> str:
+    """A binding line of an entry of ``method`` in full spelling: each
+    scoped token (``/k``, ``:label``, ``?i``) with the method's name before
+    it."""
+    return " ".join(method + t if t[0] in "/:?" else t for t in line.split())
+
+
 def _why_line(p: Program, line: str) -> str | None:
-    """Why a binding line names something ``p`` lacks: its left side first,
-    then its targets in line order."""
+    """Why a binding line in full spelling names something ``p`` lacks: its
+    left side first, then its targets in line order."""
     lhs, op, *targets = line.split()
     whys = [_why_var(p, lhs) if op == "->" else _why_object(p, lhs)]
     whys += [_why_object(p, t) for t in targets]
@@ -84,7 +92,8 @@ def _why_line(p: Program, line: str) -> str | None:
 
 
 def _line_edges(line: str) -> list:
-    """The edges of a binding line: its key with each of its targets."""
+    """The edges of a binding line in full spelling: its key with each of
+    its targets."""
     lhs, op, *targets = line.split()
     return [parse_edge_line(f"{lhs} {op} {t}") for t in targets]
 
@@ -93,8 +102,8 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
     """What decoding ``text`` against ``p`` must give: the exception it
     raises, or the artwork.  ``text`` is a valid artifact with binding lines
     inserted into its blocks, so its only possible syntax errors are a
-    field edge out of null and an edit that adds an edge an inserted line
-    put in the entry before.  ``memo`` keeps each line's verdict."""
+    field edge out of null, a target written twice (in full and scoped) and
+    an edit that adds an edge an inserted line put in the entry before.  ``memo`` keeps each line's verdict."""
     lines = text.split("\n")[:-1]
     entries: list[tuple[str, str | None]] = []  # (where, why), in file order
     section = why = None
@@ -111,10 +120,17 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
         j = i
         while j < len(lines) and lines[j][:2] in ("  ", "- ", "+ "):
             j += 1
-        own = lines[i:j]
+        own = [e[:2] + _full(e[2:], found[1]) for e in lines[i:j]]
         if found[3] == "{":
-            if any(e.startswith("  null .") for e in own):
-                return MalformedArtworkError("field edge with null source")
+            for e, written in zip(own, lines[i:j]):  # the first line at fault
+                if e.startswith("  null ."):
+                    return MalformedArtworkError("field edge with null source")
+                targets = e.split()[2:]
+                for k, target in enumerate(targets):
+                    if target in targets[:k]:  # written two ways: m:1 and :1
+                        return MalformedArtworkError(
+                            f"repeated target {written.split()[2 + k]} in edge line {written[2:]!r}"
+                        )
             edges = {edge for e in own for edge in _line_edges(e[2:])}
             why = None
             i = j + 1  # the closing brace
@@ -233,6 +249,9 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
     kinds = set()
     for p, text in artifacts:
         variables, objects = _names(p, rng)
+        # scoped texts, read against the method of the entry they land in
+        variables += ["/0", "/1", "/9999"]
+        objects += [":1", ":2", ":9999", "?0", "?1"]
         memo: dict[str, str | None] = {}
         for _ in range(TRIALS_PER_ARTIFACT):
             new = [_edge_line(variables, objects, rng) for _ in range(rng.choice((1, 1, 2, 3)))]
@@ -247,7 +266,7 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
     # every verdict the rules can give came up
     assert kinds == {
         "ok", "unknown variable slot", "unknown placeholder", "object", "field edge with null source",
-        "edit adds a present edge",
+        "edit adds a present edge", "repeated target",
     }
 
 
@@ -283,6 +302,13 @@ def test_the_table_accepts_exactly_what_the_rules_accept(artifacts):
         for o in ids:  # every entry is one the rules accept
             text = f"{o.method}/{o.slot}" if o.kind == "var" else render_object(o)
             assert (_why_var if o.kind == "var" else _why_object)(p, text) is None
+        # the scoped tables hold each identifier once, under its method, by
+        # its full text without the method's name
+        full, scoped = identifier_tables(p)
+        assert full == table and scoped.keys() == {m.name for m in p.methods}
+        assert sum(map(len, scoped.values())) == len(ids)
+        for name, own in scoped.items():
+            assert all(full[name + text] is o and o.method == name for text, o in own.items())
 
 
 def test_the_table_lists_sites_in_the_order_tamper_draws_them(artifacts):
@@ -320,7 +346,7 @@ def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
         "method foo(p) {\n  1: return\n}\n"
     )
     text = (
-        "ART/2\n[loop]\nm:main l:1 = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n"
+        "ART/3\n[loop]\nm:main l:1 = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n"
         "m:main l:2 = ^\n[in]\nm:foo = {\n  foo/0 -> main:2\n  main/0 -> main:2\n  main:2 .f-> main:1\n}\n"
         "m:main = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n[out]\n"
     )

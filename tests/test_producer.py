@@ -332,9 +332,9 @@ method main() {
     opt = optimize_artwork(p, a)
     assert calls == []
     assert encode(opt) == (
-        b"ART/2\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main/1 -> main:1\n"
-        b"  main:1 .f-> main:1\n  main:1 .g-> main:1\n}\n[in]\n"
-        b"[out]\nm:main = ^\n- main/0 -> main:1\n- main/1 -> main:1\n+ main/3 -> main:1\n"
+        b"ART/3\n[loop]\nm:main l:3 = {\n  /0 -> :1\n  /1 -> :1\n"
+        b"  :1 .f-> :1\n  :1 .g-> :1\n}\n[in]\n"
+        b"[out]\nm:main = ^\n- /0 -> :1\n- /1 -> :1\n+ /3 -> :1\n"
     )
 
 

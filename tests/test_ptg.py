@@ -633,7 +633,7 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     with pytest.raises(ValueError):
         _graph_of_lines([*render_edges(a), f"null .{f}-> m:1"])
     text = "\n".join(f"  {line}" for line in [*render_edges(a), f"null .{f}-> m:1"])
-    data = f"ART/2\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
+    data = f"ART/3\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
         decode(data, CTX)
 
@@ -764,19 +764,21 @@ def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
             assert _graph_of_lines(render_edges(graph)) == graph
 
 
-# The binding lines and ART/2 bytes of the fixture artifacts, written out.
+# The binding lines and ART/3 bytes of the fixture artifacts, written out:
+# in an entry of a method, that method's identifiers are written without its
+# name.
 _FIXTURE_ART = {
     "loopy": (
-        "ART/2\n[loop]\nm:main l:5 = {\n"
-        "  main/0 -> main:1 main:6\n  main/1 -> main:11 main:3 main:9\n  main:1 .f-> main:3\n"
-        "  main:6 .f-> main:11 main:3 main:9\n}\n[in]\nm:main = {\n}\n[out]\n"
+        "ART/3\n[loop]\nm:main l:5 = {\n"
+        "  /0 -> :1 :6\n  /1 -> :11 :3 :9\n  :1 .f-> :3\n"
+        "  :6 .f-> :11 :3 :9\n}\n[in]\nm:main = {\n}\n[out]\n"
     ),
     "rec": (
-        "ART/2\n[loop]\n[in]\nm:foo = {\n  foo/0 -> foo:4 null\n  foo:4 .f-> null\n}\n"
-        "m:main = {\n}\n[out]\nm:foo = ^\n+ foo:4 .f-> null\n+ foo:5 .f-> foo:4\n"
+        "ART/3\n[loop]\n[in]\nm:foo = {\n  /0 -> :4 null\n  :4 .f-> null\n}\n"
+        "m:main = {\n}\n[out]\nm:foo = ^\n+ :4 .f-> null\n+ :5 .f-> :4\n"
     ),
     "arith": (
-        "ART/2\n[loop]\nm:main l:3 = {\n  main/0 -> main:1\n  main:1 .f-> main:1\n}\n"
+        "ART/3\n[loop]\nm:main l:3 = {\n  /0 -> :1\n  :1 .f-> :1\n}\n"
         "[in]\nm:main = {\n}\n[out]\n"
     ),
 }
@@ -787,11 +789,14 @@ def test_fixture_artifact_rendering_and_bytes(fixture, request):
     p, _, a = request.getfixturevalue(f"{fixture}_pipeline")
     expected = _FIXTURE_ART[fixture]
     assert encode(a) == expected.encode()
-    # each binding line holds the render_edges lines of its key
+    # each binding line holds the render_edges lines of its key, once the
+    # entry's method is written before each scoped identifier
     lines = set()
     for line in expected.split("\n"):
-        if line[:2] in ("  ", "+ "):
-            lhs, op, *targets = line[2:].split(" ")
+        if line.startswith("m:"):
+            method = line[2:].split(" ")[0]
+        elif line[:2] in ("  ", "+ "):
+            lhs, op, *targets = (method + t if t[0] in "/:?" else t for t in line[2:].split(" "))
             lines |= {f"{lhs} {op} {t}" for t in targets}
     for graph in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]:
         assert set(render_edges(graph)) <= lines
@@ -821,11 +826,12 @@ def test_repeated_graph_bytes_with_every_object_form():
     )
     # A repeat crosses section headers, and an empty graph repeats too.
     # After an empty graph, the edits are shorter than the block; an edit
-    # entry removes, then adds, each group in render_edges order.
+    # entry removes, then adds, each group in render_edges order.  The
+    # identifiers of m are scoped in m's entries and in full in n's.
     assert encode(art) == (
-        b"ART/2\n[loop]\nm:m l:3 = {\n  m/0 -> m?0\n  m/1 -> m:2 null\n"
-        b"  m:1 .g-> m:2\n  m?1 .f-> null\n}\n[in]\nm:m = ^\nm:main = {\n}\nm:n = ^\n[out]\n"
-        b"m:m = ^\n+ m/0 -> m?0\n+ m/1 -> m:2 null\n+ m:1 .g-> m:2\n+ m?1 .f-> null\n"
+        b"ART/3\n[loop]\nm:m l:3 = {\n  /0 -> ?0\n  /1 -> :2 null\n"
+        b"  :1 .g-> :2\n  ?1 .f-> null\n}\n[in]\nm:m = ^\nm:main = {\n}\nm:n = ^\n[out]\n"
+        b"m:m = ^\n+ /0 -> ?0\n+ /1 -> :2 null\n+ :1 .g-> :2\n+ ?1 .f-> null\n"
         b"m:n = ^\n- m/1 -> null\n- m?1 .f-> null\n+ m/4 -> m:1\n+ m:1 .f-> m?0\n"
     )
     assert parse_artwork(encode(art)) == art

@@ -252,7 +252,7 @@ def test_tampered_pooled_artifacts_encode_canonically(small_corpus, reference_en
 # string or the NothingToTamperError message (the draws, which do not
 # depend on the codec), and each mutated artwork's bytes.
 TAMPER_DRAWS_SHA256 = "19c5be6afcba894111a1c47e3149bca8f67059e9ce77b6d9c9f89abd3a270fd1"
-TAMPER_BYTES_SHA256 = "b9dde010e695f298f934d4e4641c9b6b5b95d14f90ddafc8c1d784be9e4f28ab"
+TAMPER_BYTES_SHA256 = "08e22fadb6ce25784a80047aeced62bf42388610841bd8f3850efff51d99325c"
 
 
 def test_tamper_outputs_are_pinned(small_corpus):
