@@ -38,7 +38,9 @@ removed from its key and those of each ``+ `` line added; with no such
 lines it is the same graph.  The first entry of a file cannot be one.
 ``encode`` writes the ``- `` lines first, one per key, then the ``+ ``
 lines, each group sorted.  A line has at least one target and names none
-twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).
+twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).  A
+field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
+any other is a syntax error, whichever path below reads it.
 There is no reader for ``ART/2`` (every identifier in full) or ``ART/1``
 (one edge per line), the grammars this one replaced.
 
@@ -283,11 +285,12 @@ class _EdgeLines(dict):
                     if op == "->" and left.__class__ is VarId:
                         parsed = self[line] = (left, objs, (left, objs))
                         return parsed
+                    fname = op[1:-2]
                     if (
-                        len(op) > 3 and op[0] == "." and op.endswith("->") and op.isprintable()
+                        op.startswith(".") and op.endswith("->")
+                        and fname.isascii() and fname.isidentifier()
                         and left.__class__ is not VarId and left is not NULL_OBJECT
                     ):
-                        fname = op[1:-2]
                         parsed = self[line] = ((left, fname), objs, (left, fname, objs))
                         return parsed
         if not line.startswith("  "):

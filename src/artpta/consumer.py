@@ -1,13 +1,14 @@
 """Single-pass consumer: regenerate full per-statement results from a compact
 artifact, proving it safe or reporting the tampered entry.
 
-Each method's blocks are visited in topological order (back-edges ignored)
-and each statement exactly once.  Loop headers, which lead their blocks,
-take their OUT directly from the artifact (default: the meet of their
-forward predecessors, ``equations.forward_in``, when the entry was deleted);
-every other statement recomputes its flow equation, a block's leader from
-the meet of its predecessor blocks' OUTs (``equations.block_in``) and each
-later statement from the OUT just computed.  Safety:
+Each method's blocks are visited in the order the CFG numbers them, a
+topological order (back-edges ignored), and each statement exactly once.
+Loop headers, which lead their blocks, take their OUT directly from the
+artifact (default: the meet of their forward predecessors,
+``equations.forward_in``, when the entry was deleted); every other
+statement recomputes its flow equation, a block's leader from the meet of
+its predecessor blocks' OUTs (``equations.block_in``) and each later
+statement from the OUT just computed.  Safety:
 
 * loop invariants are recomputed over every predecessor, back-edges included,
   once the whole method is done, and must be unchanged (equality);
@@ -150,9 +151,10 @@ class _Regenerator:
                 self._fail(Violation("InSummary", t, f"{m.name}:{s.label}", claimed, projected))
 
     def regen_method(self, name: str) -> Iterator[str]:
-        """Regenerate one method, one block at a time in topological order.
-        Before each call is evaluated, yield the callees whose OUT summary
-        it still needs; ``_regen`` regenerates each one before resuming."""
+        """Regenerate one method, one block at a time in the CFG's block
+        order, a topological order.  Before each call is evaluated, yield
+        the callees whose OUT summary it still needs; ``_regen``
+        regenerates each one before resuming."""
         m = self.index.methods[name]
         cfg = self.index.cfgs[name]
         blocks = cfg.blocks
@@ -164,8 +166,7 @@ class _Regenerator:
 
         self.analyzed.add(name)
         out[(name, ENTRY)] = self.effective_in.setdefault(name, EMPTY)
-        for b in cfg.order:
-            stmts = blocks[b].statements
+        for b, stmts in enumerate(blocks):
             if b in headers:
                 # A loop header leads its block and takes its OUT from the
                 # artifact, or its forward meet when the entry was deleted.
@@ -193,8 +194,8 @@ class _Regenerator:
                 self.applications += 1
         out[(name, EXIT)] = meet_in(out, name, cfg.exit_inputs)
         regenerated = regen_out[name] = restrict_to_summary(out[(name, EXIT)], m)
-        for header, b in sorted((blocks[b].leader, b) for b in headers):
-            stmt = blocks[b].statements[0]
+        for header, b in sorted((blocks[b][0].label, b) for b in headers):
+            stmt = blocks[b][0]
             in_all = meet_in(out, name, cfg.inputs[b])
             if isinstance(stmt.instr, Call):
                 # The main pass could only project the forward predecessors

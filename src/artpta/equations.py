@@ -6,8 +6,8 @@ contribution to a callee's IN summary with ``callee_in``.  The three engines
 (``analyze_inter``'s worklist, ``validate_result`` and the consumer's
 ``regen_method``) step through a method one basic block at a time: a
 leader's input is ``block_in``, the meet of its predecessor blocks' last
-OUTs (and Entry's, for the first block), and every later statement's input
-is the OUT just computed for the statement before it.  ``meet_in`` is the
+OUTs (and Entry's, for Entry's block), and every later statement's input is
+the OUT just computed for the statement before it.  ``meet_in`` is the
 meet over any list of points (Exit's inputs, a loop header's), and
 ``forward_in`` a loop header's meet over its forward inputs alone, which
 the consumer's pass has there; ``in_value`` is one statement's input in
@@ -66,6 +66,7 @@ def block_in(
 ) -> PointsToGraph:
     """The block step's one meet: the value flowing into block ``b``'s
     leader, the meet of its predecessor blocks' last OUTs (and Entry's, for
+    the block that holds the body's first statement, which need not be
     block 0).  Every later statement of the block takes the OUT of the
     statement before it."""
     return meet_in(out, name, cfg.inputs[b])
@@ -90,7 +91,7 @@ def in_value(
     cfg = index.cfgs[name]
     b, k = cfg.position[label]
     if k:
-        return out.get((name, cfg.blocks[b].statements[k - 1].label), EMPTY)
+        return out.get((name, cfg.blocks[b][k - 1].label), EMPTY)
     return meet_in(out, name, cfg.forward_inputs.get(b, cfg.inputs[b]))
 
 

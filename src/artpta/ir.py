@@ -97,16 +97,18 @@ A control-flow graph is a block graph: the maximal basic blocks, whose
 leaders are found from the control statements alone, their successor
 blocks, the points that flow into each (and, for a loop header, the forward
 ones among them, which ``equations.forward_in`` reads), and synthetic Entry
-and Exit points.  Inside a block each statement flows into the next one
-alone, so the engines step through whole blocks, and the statement-level
-successor and predecessor relations are views derived from the block graph
-on demand (for the round-robin oracle and the tests).  Back-edges are the
-edges a depth-first search from the entry block finds retreating; in a
-reducible graph these are exactly the dominator back-edges (edge ``u -> v``
-with ``v`` dominating ``u``).  A graph is rejected as irreducible when a
-back-edge's natural loop reaches the entry block without passing its
-header, or when the graph minus its back-edges keeps a cycle among
-unreachable blocks.
+and Exit points.  A block is its tuple of statements.  The blocks are
+numbered in the order every engine walks them, a topological order of the
+graph minus its back-edges, so Entry's block need not be block 0.  Inside a
+block each statement flows into the next one alone, so the engines step
+through whole blocks; the statement-level predecessor relation ``pred`` is
+the one view derived from the block graph on demand, kept for the
+round-robin oracle.  Back-edges are the edges a depth-first search from
+the entry block finds retreating; in a reducible graph these are exactly
+the dominator back-edges (edge ``u -> v`` with ``v`` dominating ``u``).  A
+graph is rejected as irreducible when a back-edge's natural loop reaches
+the entry block without passing its header, or when the graph minus its
+back-edges keeps a cycle among unreachable blocks.
 """
 
 from __future__ import annotations
@@ -855,41 +857,33 @@ def print_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 
 
-class BasicBlock(NamedTuple):
-    """A maximal run of statements that control enters only at the first
-    (the leader) and leaves only after the last."""
-
-    statements: tuple[LabeledStatement, ...]
-
-    @property
-    def leader(self) -> int:
-        return self.statements[0].label
-
-
 @dataclass(frozen=True)
 class ControlFlowGraph:
-    """A method's block graph.  Blocks are numbered in body order.  Entry
-    flows into block 0 alone, or straight to Exit when the body is empty;
-    inside a block each statement flows into the next one alone.
+    """A method's block graph.  A block is a maximal run of statements that
+    control enters only at the first (the leader, ``block[0].label``) and
+    leaves only after the last; inside a block each statement flows into
+    the next one alone.
 
-    The statement-level relations (``succ``, ``pred``) are views derived
-    from the block graph on demand: the engines step through whole blocks
-    and never read them."""
+    Blocks are numbered in the order every engine walks them: a topological
+    order of the graph minus its back-edges, smallest leader first.  So an
+    edge that is no back-edge goes to a higher-numbered block, and block 0
+    need not be the block Entry flows into (an unreachable block can come
+    first).  The statement-level predecessor relation ``pred`` is a view
+    derived on demand for the round-robin oracle; the engines never read
+    it."""
 
-    method: Method
-    #: the maximal basic blocks, in body order
-    blocks: tuple[BasicBlock, ...]
+    #: the maximal basic blocks, each a tuple of statements, in walk order
+    blocks: tuple[tuple[LabeledStatement, ...], ...]
     #: per block, the blocks its last statement flows to, in the order the
     #: statement names them (fall-through first), Exit left out
     block_succ: tuple[tuple[int, ...], ...]
-    #: the blocks in a topological order of the block graph minus back-edges
-    order: tuple[int, ...]
     #: (source statement label, header statement label) dominator back-edges
     back_edges: frozenset[tuple[int, int]]
     #: labels of natural-loop headers (back-edge targets)
     loop_headers: frozenset[int]
-    #: per block, the points whose OUT flows into its leader: Entry for
-    #: block 0, then each predecessor block's last statement, in body order
+    #: per block, the points whose OUT flows into its leader: Entry for the
+    #: block that holds the body's first statement, then each predecessor
+    #: block's last statement, in body order
     inputs: tuple[tuple[Node, ...], ...] = field(repr=False, compare=False)
     #: the points whose OUT flows into Exit: the exit blocks' last
     #: statements, or Entry for an empty body
@@ -898,43 +892,18 @@ class ControlFlowGraph:
     #: along forward edges (back-edge sources left out)
     forward_inputs: dict[int, tuple[Node, ...]] = field(repr=False, compare=False)
 
-    @property
-    def topo_order(self) -> tuple[BasicBlock, ...]:
-        """The blocks themselves, in ``order``."""
-        return tuple(map(self.blocks.__getitem__, self.order))
-
     @cached_property
     def position(self) -> dict[int, tuple[int, int]]:
         """Statement label -> (its block, its offset in the block)."""
-        return {
-            s.label: (b, k)
-            for b, block in enumerate(self.blocks)
-            for k, s in enumerate(block.statements)
-        }
-
-    @cached_property
-    def succ(self) -> dict[Node, tuple[Node, ...]]:
-        """Statement-level successor relation, Entry included, keyed Entry
-        first, then in body order."""
-        blocks = self.blocks
-        succ: dict[Node, tuple[Node, ...]] = {ENTRY: (blocks[0].leader,) if blocks else (EXIT,)}
-        exits = set(self.exit_inputs)
-        for block, vs in zip(blocks, self.block_succ):
-            stmts = block.statements
-            for s, t in zip(stmts, stmts[1:]):
-                succ[s.label] = (t.label,)
-            s = stmts[-1]
-            head = (EXIT,) if s.label in exits else ()
-            succ[s.label] = head + tuple([blocks[v].leader for v in vs])
-        return succ
+        return {s.label: (b, k) for b, block in enumerate(self.blocks) for k, s in enumerate(block)}
 
     @cached_property
     def pred(self) -> dict[Node, tuple[Node, ...]]:
-        """Statement-level predecessor relation, keyed Entry, Exit, then in
-        body order; each point's predecessors in body order after Entry."""
+        """Statement-level predecessor relation, keyed Entry, Exit, then
+        block by block; each point's predecessors in body order after
+        Entry."""
         pred: dict[Node, tuple[Node, ...]] = {ENTRY: (), EXIT: self.exit_inputs}
-        for block, inputs in zip(self.blocks, self.inputs):
-            stmts = block.statements
+        for stmts, inputs in zip(self.blocks, self.inputs):
             pred[stmts[0].label] = inputs
             for s, t in zip(stmts, stmts[1:]):
                 pred[t.label] = (s.label,)
@@ -955,8 +924,9 @@ def _natural_loop(pred: list[list[int]], h: int, latches: list[int]) -> set[int]
 
 
 def build_cfg(m: Method) -> ControlFlowGraph:
-    """Build the block graph: maximal basic blocks, their successors and
-    predecessors, back-edges and a deterministic topological block order.
+    """Build the block graph: maximal basic blocks, numbered in a
+    deterministic topological order, their successors and predecessors, and
+    the back-edges.
 
     The leaders are the first statement, every jump target and every
     statement after a control transfer; only the control statements are
@@ -964,7 +934,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     the back-edges: the edges into a block on the current search path.  In
     a reducible graph these are exactly the edges whose target dominates
     their source, whatever order the search takes.  Raises
-    IrreducibleCfgError when a back-edge's natural loop reaches the first
+    IrreducibleCfgError when a back-edge's natural loop reaches the entry
     block without passing its header (the header does not dominate the
     source), or when the graph minus its back-edges keeps a cycle among
     unreachable blocks."""
@@ -982,7 +952,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     starts = sorted(starts)
     ends = starts[1:] + [n] if starts else []
     block_at = dict(zip(starts, range(len(starts))))
-    blocks: list[BasicBlock] = []
+    blocks: list[tuple[LabeledStatement, ...]] = []
     leader: list[int] = []
     last: list[int] = []
     # Each block's successors, read off its last statement (which flows to
@@ -991,7 +961,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     exits: list[int] = []
     for b, (a, z) in enumerate(zip(starts, ends)):
         stmts = body[a:z]
-        blocks.append(_tuple_new(BasicBlock, (stmts,)))
+        blocks.append(stmts)
         leader.append(stmts[0].label)
         s = stmts[-1]
         last.append(s.label)
@@ -1038,7 +1008,7 @@ def build_cfg(m: Method) -> ControlFlowGraph:
             stack.pop()
 
     # Kahn's algorithm over the block graph minus its back-edges, smallest
-    # leader first.
+    # leader first: the order the blocks are numbered in.
     fwd = list(bsucc)
     indeg = list(map(len, bpred))
     for u, v in back:
@@ -1060,17 +1030,18 @@ def build_cfg(m: Method) -> ControlFlowGraph:
             f"method '{m.name}' has a cycle that is not a natural loop"
         )
     back_edges = frozenset([(last[u], leader[v]) for u, v in back])
+    num = [0] * len(order)  # body-order block -> its number
+    for r, b in enumerate(order):
+        num[b] = r
     return ControlFlowGraph(
-        method=m,
-        blocks=tuple(blocks),
-        block_succ=tuple(bsucc),
-        order=tuple(order),
+        blocks=tuple([blocks[b] for b in order]),
+        block_succ=tuple([tuple([num[v] for v in bsucc[b]]) for b in order]),
         back_edges=back_edges,
         loop_headers=frozenset([h for _, h in back_edges]),
-        inputs=tuple(map(tuple, inputs)),
+        inputs=tuple([tuple(inputs[b]) for b in order]),
         exit_inputs=tuple([last[u] for u in exits]) if blocks else (ENTRY,),
         forward_inputs={
-            v: tuple([p for p in inputs[v] if (p, leader[v]) not in back_edges])
+            num[v]: tuple([p for p in inputs[v] if (p, leader[v]) not in back_edges])
             for v in {v for _, v in back}
         },
     )

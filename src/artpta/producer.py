@@ -1,17 +1,17 @@
 """Least fixed-point producer: flow-sensitive, context-insensitive points-to
 analysis, an independent chaotic-iteration oracle, and artifact emission.
 
-``analyze_inter`` runs a worklist of basic blocks (ranked in topological
-order) inside a method-level worklist (call-graph SCCs bottom-up).  It steps
-through a block as every engine does: the leader's input is the meet of its
-predecessor blocks' last OUTs (``equations.block_in``), and each later
-statement's the OUT just computed.  A method's first pass evaluates every
-statement.  A
+``analyze_inter`` runs a worklist of basic blocks, smallest block number
+first (the CFG numbers its blocks in topological order), inside a
+method-level worklist (call-graph SCCs bottom-up).  It steps through a block
+as every engine does: the leader's input is the meet of its predecessor
+blocks' last OUTs (``equations.block_in``), and each later statement's the
+OUT just computed.  A method's first pass evaluates every statement.  A
 re-visit is difference-driven (Pearce, Kelly & Hankin, SCAM 2003): it
-evaluates only what a changed input reaches, starting from the first block
-when the method's IN summary grew and from the call statements whose
-target's OUT summary grew, and afterwards re-projects into callees only the
-call-sites whose state before the call changed.  ``chaotic_oracle``
+evaluates only what a changed input reaches, starting from the block Entry
+flows into when the method's IN summary grew and from the call statements
+whose target's OUT summary grew, and afterwards re-projects into callees
+only the call-sites whose state before the call changed.  ``chaotic_oracle``
 computes the same least fixed point by plain round-robin sweeps over the
 statement-level predecessor relation (``ControlFlowGraph.pred``) and exists
 only to cross-check the worklist engine.  Both evaluate the same flow
@@ -33,7 +33,6 @@ producer depends on the consumer, never the reverse.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
 from .artwork import Artwork
 from .consumer import regenerate
@@ -72,33 +71,21 @@ from .ptg import (
 )
 
 
-class Plan(NamedTuple):
-    """What ``analyze_inter`` reads off a method's CFG on its first visit."""
-
-    #: each block's rank in the CFG's topological order
-    rank: list[int]
-    #: each call statement with the points whose OUT flows into it, in body
-    #: order
-    calls: list[tuple[LabeledStatement, tuple[Node, ...]]]
-
-
-def _plan(cfg: ControlFlowGraph) -> Plan:
-    rank = [0] * len(cfg.blocks)
-    for r, b in enumerate(cfg.order):
-        rank[b] = r
+def _call_inputs(cfg: ControlFlowGraph) -> list[tuple[LabeledStatement, tuple[Node, ...]]]:
+    """Each call statement of ``cfg`` with the points whose OUT flows into
+    it, block by block."""
     calls = []
     for block, points in zip(cfg.blocks, cfg.inputs):
-        for s in block.statements:
+        for s in block:
             if s.instr.__class__ is Call:
                 calls.append((s, points))
             points = (s.label,)
-    return Plan(rank, calls)
+    return calls
 
 
 def _method_pass(
     index: ProgramIndex,
     name: str,
-    plan: Plan,
     seeds: set[int] | None,
     entry_out: PointsToGraph,
     out_summary: dict[str, PointsToGraph],
@@ -106,51 +93,50 @@ def _method_pass(
     out: dict[PointKey, PointsToGraph],
 ) -> tuple[int, set[Node]]:
     """Run one method's statements to a local fixed point with a worklist of
-    blocks in topological order (``plan`` gives each block's rank in it).
+    blocks, smallest number first: the CFG's walk order, a topological order.
     A statement's OUT also holds its ``inj_loop`` seed.
 
     The first visit (``seeds`` is None) evaluates every statement.  A
     re-visit starts from the previous pass's values and evaluates only what
     changed inputs reach: ``seeds`` (call statements whose target's OUT
-    summary grew), the first block when ``entry_out`` differs from the
-    Entry value of the last pass, and then whatever follows an OUT that
-    changes: the next statement of its block, or, after a block's last
-    statement, the successor blocks.  Values only grow, so a statement none
-    of whose inputs changed would recompute its OUT unchanged.  A block is
-    stepped through in one go, so the statements evaluated, and their order,
-    are those of a worklist of statements ranked block by block.  Exit is
+    summary grew), the block that holds the body's first statement when
+    ``entry_out`` differs from the Entry value of the last pass (that block
+    need not be block 0), and then whatever follows an OUT that changes:
+    the next statement of its block, or, after a block's last statement,
+    the successor blocks.  Values only grow, so a statement none of whose
+    inputs changed would recompute its OUT unchanged.  A block is stepped
+    through in one go, so the statements evaluated, and their order, are
+    those of a worklist of statements ordered block by block.  Exit is
     refreshed when one of its inputs changed.  Returns the evaluation count
     and the points whose OUT changed, Entry and Exit included."""
     m = index.methods[name]
     cfg = index.cfgs[name]
     blocks, succ = cfg.blocks, cfg.block_succ
-    order, rank = cfg.order, plan.rank
     summary_of = out_summary.__getitem__
     evals = 0
     changed: set[Node] = set()
     if out.get((name, ENTRY)) is not entry_out:  # IN summaries grow by replacement
         out[(name, ENTRY)] = entry_out
         changed.add(ENTRY)
-    # block rank -> the offsets evaluated whatever their input does (None:
-    # every statement of the block)
+    # block -> the offsets evaluated whatever their input does (None: every
+    # statement of the block)
     queued: dict[int, set[int] | None]
     if seeds is None:
-        queued = dict.fromkeys(range(len(order)))
+        queued = dict.fromkeys(range(len(blocks)))
     else:
         queued = {}
         position = cfg.position
         for label in seeds:
             b, k = position[label]
-            queued.setdefault(rank[b], set()).add(k)
-        if changed and blocks:
-            queued.setdefault(rank[0], set()).add(0)
+            queued.setdefault(b, set()).add(k)
+        if changed and m.body:
+            queued.setdefault(position[m.body[0].label][0], set()).add(0)
     heap = list(queued)
     heapq.heapify(heap)
     while heap:
-        r = heapq.heappop(heap)
-        todo = queued.pop(r)
-        b = order[r]
-        stmts = blocks[b].statements
+        b = heapq.heappop(heap)
+        todo = queued.pop(b)
+        stmts = blocks[b]
         start = 0 if todo is None else min(todo)
         g = block_in(cfg, out, name, b) if start == 0 else None  # stmts[k]'s input, once read
         grew = False  # the statement just evaluated changed its OUT
@@ -174,12 +160,11 @@ def _method_pass(
                 changed.add(s.label)
         if grew:  # the block's last statement changed
             for v in succ[b]:
-                rv = rank[v]
-                if rv not in queued:
-                    queued[rv] = {0}
-                    heapq.heappush(heap, rv)
-                elif queued[rv] is not None:
-                    queued[rv].add(0)
+                if v not in queued:
+                    queued[v] = {0}
+                    heapq.heappush(heap, v)
+                elif queued[v] is not None:
+                    queued[v].add(0)
     if seeds is None or not changed.isdisjoint(cfg.exit_inputs):
         out[(name, EXIT)] = meet_in(out, name, cfg.exit_inputs)
         changed.add(EXIT)
@@ -238,8 +223,9 @@ def analyze_inter(
             queued.add(name)
             heapq.heappush(heap, rank[name])
 
-    # each method's plan, made on its first visit
-    plans: dict[str, Plan] = {}
+    # per method, each call statement with its input points, read off the
+    # CFG on the method's first visit
+    calls_of: dict[str, list[tuple[LabeledStatement, tuple[Node, ...]]]] = {}
     # per method, the call statements whose target's OUT summary grew since
     # the method's last pass (and, warm, the statements of its [loop] seeds)
     dirty: dict[str, set[int]] = {}
@@ -273,13 +259,13 @@ def analyze_inter(
             continue
         queued.discard(name)
         m = index.methods[name]
-        plan = plans.get(name)
-        first = plan is None and _above is None
-        if plan is None:
-            plan = plans[name] = _plan(index.cfgs[name])
+        calls = calls_of.get(name)
+        first = calls is None and _above is None
+        if calls is None:
+            calls = calls_of[name] = _call_inputs(index.cfgs[name])
         seeds = dirty.pop(name, set())
         n, changed = _method_pass(
-            index, name, plan, None if first else seeds, in_summary[name], out_summary, inj_loop, out
+            index, name, None if first else seeds, in_summary[name], out_summary, inj_loop, out
         )
         evals += n
 
@@ -291,7 +277,7 @@ def analyze_inter(
                     dirty.setdefault(caller, set()).add(label)
                     push(caller)
 
-        for s, points in plan.calls:
+        for s, points in calls:
             if not first and changed.isdisjoint(points):
                 continue  # the state before the call is as last projected
             in_g = meet_in(out, name, points)
@@ -394,9 +380,9 @@ def validate_result(program: Program, result: AnalysisResult) -> list[str]:
         cfg = index.cfgs[name]
         if result.out.get((name, ENTRY)) != result.in_summary.get(name):
             problems.append(f"{name}: entry value differs from IN summary")
-        for b, block in enumerate(cfg.blocks):  # body order
+        for b, block in enumerate(cfg.blocks):
             in_g = block_in(cfg, result.out, name, b)
-            for s in block.statements:
+            for s in block:
                 if isinstance(s.instr, Call):
                     for t in s.instr.targets:
                         joined_in[t] = meet(joined_in[t], callee_in(index, name, s, in_g, t))
@@ -450,7 +436,7 @@ def _statement(cfg: ControlFlowGraph, label: int) -> LabeledStatement:
     """The statement labelled ``label``, found through ``cfg.position``,
     which re-visits and ``in_value`` build anyway."""
     b, k = cfg.position[label]
-    return cfg.blocks[b].statements[k]
+    return cfg.blocks[b][k]
 
 
 def carried_fixed_point(program: Program, a: Artwork) -> AnalysisResult | None:

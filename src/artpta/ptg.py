@@ -808,7 +808,7 @@ def parse_binding_line(
     """Parse one rendered binding line: a variable ``m/s ->`` or an object
     and a field ``src .f->``, then one or more targets, none twice.  Returns
     the left side, the field name (None for a variable) and the targets in
-    line order.  A variable's slot is ``[0-9]+``, as an object's integer
+    line order.  A field name is an ASCII identifier.  A variable's slot is ``[0-9]+``, as an object's integer
     is; the left side is parsed before the targets.  With a ``scope``, a
     variable or an object of that method may be written without its name
     (``/0``, ``:3``, ``?0``); errors quote the line as written."""
@@ -828,7 +828,7 @@ def parse_binding_line(
         fname = None
     elif op.startswith(".") and op.endswith("->"):
         fname = op[1:-2]
-        if not fname:
+        if not (fname.isascii() and fname.isidentifier()):
             raise ValueError(f"bad field edge {line!r}")
         left = parse_object(lhs, scope)
         if isinstance(left, NullObject):

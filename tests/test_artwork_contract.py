@@ -116,6 +116,24 @@ MALFORMED = {
         "bad field edge 'main:1 .-> null'",
     ),
     "null-source": (_art(in_=_block("m:main", "null .f-> main:1")), "field edge with null source"),
+    # A field name is an ASCII identifier, and the error quotes the line by
+    # ``repr``, so no control character reaches the terminal.
+    "escape-in-field-name": (
+        _art(in_=_block("m:main", "main:1 .\x1b[31mEVIL\x1b[0m-> null")),
+        "bad field edge 'main:1 .\\x1b[31mEVIL\\x1b[0m-> null'",
+    ),
+    "bell-in-field-name": (
+        _art(in_=_block("m:main", "main:1 .f\x07-> null")),
+        "bad field edge 'main:1 .f\\x07-> null'",
+    ),
+    "non-ascii-field-name": (
+        _art(in_=_block("m:main", "main:1 .\u00e9-> null")),
+        "bad field edge 'main:1 .\u00e9-> null'",
+    ),
+    "arrow-in-field-name": (
+        _art(in_=_block("m:main", "main:1 .a->b-> null")),
+        "bad field edge 'main:1 .a->b-> null'",
+    ),
     "bad-edge-before-good": (
         _art(in_=_block("m:main", "main/0 -> main:1", "main/0 -> ", "main/0 -> null")),
         "bad edge line 'main/0 -> '",
@@ -589,6 +607,32 @@ def test_decode_rejection_message(program, name):
         decode(_bytes(data), program)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def _verdict(program, text: str):
+    """The artwork ``text`` decodes to, or the type of its error."""
+    try:
+        return decode(text.encode(), program)
+    except (MalformedArtworkError, UnknownReferenceError) as exc:
+        return type(exc)
+
+
+def test_an_edge_line_gets_one_verdict_on_either_path(program):
+    # Decode reads a canonical edge line by splitting it at single spaces
+    # (the text path) and any other through ``ptg.parse_binding_line``; a
+    # doubled space after the key sends the same line down the second path.
+    texts = [data for data, _, _ in CASES.values() if isinstance(data, str)]
+    checked = 0
+    for text in [VALID, INLINE, REPEAT, EDITED, *texts]:
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            head, rest = line[:2], line[2:]
+            if head not in ("  ", "+ ", "- ") or " " not in rest:
+                continue
+            spaced = [*lines[:i], head + rest.replace(" ", "  ", 1), *lines[i + 1 :]]
+            assert _verdict(program, text) == _verdict(program, "\n".join(spaced)), line
+            checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("cut", range(1, len(VALID)))

@@ -177,6 +177,7 @@ def test_only_ir_and_the_oracle_read_statement_level_edges():
     # The engines step through whole basic blocks: a leader's input is the
     # meet of its predecessor blocks' last OUTs and every later statement's
     # is the OUT just computed.  No engine reads the statement-level
-    # ``succ`` / ``pred`` views of the CFG; ``ir`` derives them, and
-    # ``chaotic_oracle`` evaluates over them to cross-check the block step.
+    # ``pred`` view of the CFG (which has no ``succ`` view); ``ir`` derives
+    # it, and ``chaotic_oracle`` evaluates over it to cross-check the block
+    # step.
     assert _attribute_readers({"succ", "pred"}) == {("producer", "chaotic_oracle")}

@@ -51,7 +51,7 @@ def test_loopy_parses_with_one_back_edge(loopy):
     assert header == 5  # the loop's first statement
     assert header in cfg.loop_headers
     # the header's block is a key block: its leader is the header itself
-    assert any(b.leader == header for b in cfg.blocks)
+    assert any(b[0].label == header for b in cfg.blocks)
 
 
 def test_rec_call_graph_cyclic(rec):
@@ -262,7 +262,7 @@ def test_straight_line_cfg():
     cfg = build_cfg(p.method("main"))
     assert len(cfg.blocks) == 1
     assert cfg.back_edges == frozenset()
-    assert len(cfg.topo_order) == 1
+    assert cfg.block_succ == ((),)
 
 
 def test_irreducible_two_header_loop_rejected():
@@ -288,14 +288,14 @@ method main() {
 def test_return_has_exit_successor():
     p = parse_program("method main() {\n  1: return\n  2: nop\n}")
     cfg = build_cfg(p.method("main"))
-    assert cfg.succ[1] == ("exit",)
-    assert "exit" not in cfg.succ[2] or cfg.succ[2] == ("exit",)
+    assert cfg.pred["exit"] == (1, 2)
+    assert cfg.pred[2] == ()
 
 
 def test_unreachable_straight_line_code_allowed():
     p = parse_program("method main() {\n  1: goto 3\n  2: nop\n  3: nop\n}")
     cfg = build_cfg(p.method("main"))
-    assert len(cfg.topo_order) == len(cfg.blocks) == 3
+    assert [b[0].label for b in cfg.blocks] == [1, 2, 3]
 
 
 def test_unreachable_cycle_rejected():
@@ -349,45 +349,27 @@ def test_corpus_round_trip_and_reducible():
             build_cfg(m)  # raises on irreducible
 
 
+def _walk_order_edges(cfg) -> tuple[int, int]:
+    """Check that every block edge of ``cfg`` that is no back-edge goes to a
+    higher-numbered block, and every back-edge to a block numbered no
+    higher than its source: the engines walk the blocks by number.  Returns
+    the counts of edges and of back-edges."""
+    edges = back = 0
+    for u, vs in enumerate(cfg.block_succ):
+        for v in vs:
+            edges += 1
+            if (cfg.blocks[u][-1].label, cfg.blocks[v][0].label) in cfg.back_edges:
+                back += 1
+                assert v <= u
+            else:
+                assert v > u
+    return edges, back
+
+
 def test_back_edges_and_topo_are_consistent(small_corpus):
     for _, program in small_corpus:
         for m in program.methods:
-            cfg = build_cfg(m)
-            pos = {b.leader: i for i, b in enumerate(cfg.topo_order)}
-            block_leader = {}
-            for b in cfg.blocks:
-                for s in b.statements:
-                    block_leader[s.label] = b.leader
-            for u, vs in cfg.succ.items():
-                if not isinstance(u, int):
-                    continue
-                for v in vs:
-                    if not isinstance(v, int) or block_leader[v] != v:
-                        continue  # only block-to-block edges
-                    if (u, v) in cfg.back_edges:
-                        assert pos[v] <= pos[block_leader[u]]
-                    else:
-                        assert pos[block_leader[u]] < pos[v] or block_leader[u] == v
-            # removing back-edges leaves an acyclic block graph
-            reduced = {b.leader: [] for b in cfg.blocks}
-            for b in cfg.blocks:
-                u = b.statements[-1].label
-                for v in cfg.succ[u]:
-                    if isinstance(v, int) and (u, v) not in cfg.back_edges:
-                        reduced[b.leader].append(block_leader[v])
-            state = {}
-
-            def acyclic(n):
-                if state.get(n) == 1:
-                    return False
-                if state.get(n) == 2:
-                    return True
-                state[n] = 1
-                ok = all(acyclic(w) for w in reduced[n])
-                state[n] = 2
-                return ok
-
-            assert all(acyclic(b.leader) for b in cfg.blocks)
+            _walk_order_edges(build_cfg(m))
 
 
 def test_print_preserves_method_order():
@@ -869,7 +851,7 @@ def _dominator_cfg(m):
     dominators as frozenset intersections iterated to a fixed point,
     back-edges as the block edges whose target dominates their source, and
     Kahn's order (smallest leader first) over the other edges.  Returns
-    ``(succ, pred, back_edges, loop_headers, topo_leaders)``; raises
+    ``(pred, back_edges, loop_headers, topo_leaders)``; raises
     IrreducibleCfgError when the edges left after removing the back-edges
     still close a cycle."""
     body = m.body
@@ -945,7 +927,6 @@ def _dominator_cfg(m):
         raise IrreducibleCfgError(f"method '{m.name}' has a cycle that is not a natural loop")
     back_edges = frozenset((blocks[u][-1], blocks[v][0]) for u, v in back)
     return (
-        succ,
         {n: tuple(ps) for n, ps in pred.items()},
         back_edges,
         frozenset(h for _, h in back_edges),
@@ -964,13 +945,7 @@ def _matches_dominator_cfg(m) -> bool:
         assert str(info.value) == str(oracle_error)
         return False
     cfg = build_cfg(m)
-    found = (
-        cfg.succ,
-        cfg.pred,
-        cfg.back_edges,
-        cfg.loop_headers,
-        tuple(b.leader for b in cfg.topo_order),
-    )
+    found = (cfg.pred, cfg.back_edges, cfg.loop_headers, tuple(b[0].label for b in cfg.blocks))
     assert found == expected, print_program(Program(methods=(m,), entry=m.name))
     return True
 
@@ -988,8 +963,7 @@ def _control_instrs(n):
     return [Nop(), Return(None)] + [k(t) for t in range(1, n + 1) for k in (Goto, Branch)]
 
 
-@pytest.mark.parametrize("seed", [1, 90917])
-@pytest.mark.parametrize(
+CORPUS_SHAPES = pytest.mark.parametrize(
     "shape, count",
     [
         ({}, 200),
@@ -997,11 +971,26 @@ def _control_instrs(n):
     ],
     ids=["default", "roundtrip-large"],
 )
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@CORPUS_SHAPES
 def test_cfg_matches_dominator_sets_over_generated_corpus(shape, count, seed):
     files = generate_corpus(CorpusConfig(program_count=count, seed=seed, **shape))
     for _, text in files:
         for m in parse_program(text).methods:
             assert _matches_dominator_cfg(m)
+
+
+@pytest.mark.parametrize("seed", [1, 90917])
+@CORPUS_SHAPES
+def test_blocks_are_numbered_in_walk_order(shape, count, seed):
+    edges = back = 0
+    for _, text in generate_corpus(CorpusConfig(program_count=count, seed=seed, **shape)):
+        for m in parse_program(text).methods:
+            e, b = _walk_order_edges(build_cfg(m))
+            edges, back = edges + e, back + b
+    assert edges > back > 0
 
 
 def test_cfg_matches_dominator_sets_on_every_small_method():
@@ -1031,7 +1020,7 @@ def test_forward_inputs_are_a_header_s_inputs_without_its_back_edges():
         for instrs in itertools.product(_control_instrs(n), repeat=n):
             m = _method(instrs)
             try:
-                _, pred, back_edges, loop_headers, _ = _dominator_cfg(m)
+                pred, back_edges, loop_headers, _ = _dominator_cfg(m)
             except IrreducibleCfgError:
                 continue
             cfg = build_cfg(m)

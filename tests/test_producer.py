@@ -243,6 +243,61 @@ def test_emit_is_deterministic(loopy):
     assert one == two
 
 
+# A CFG numbers its blocks in walk order, where an unreachable block can come
+# before the block Entry flows into: in A, main's block [1]; in B, main's
+# block [3] and f's block [4], so that f's re-visit, once main's call grows
+# its IN summary, seeds a block other than block 0.
+ENTRY_NOT_BLOCK_0 = {
+    "A": (
+        """\
+method main() {
+  5: a = new A
+  2: goto 9
+  1: a.f = a
+  9: b = a.f
+  3: if goto 5
+}
+""",
+        6,
+    ),
+    "B": (
+        """\
+method main() {
+  1: x = new A
+  2: goto 4
+  3: goto 1
+  4: call [f](x)
+  5: if goto 1
+}
+method f(p) {
+  1: q = new B
+  2: p.g = q
+  3: goto 5
+  4: goto 1
+  5: return
+}
+""",
+        22,
+    ),
+}
+
+
+@pytest.mark.parametrize("text, evals", ENTRY_NOT_BLOCK_0.values(), ids=ENTRY_NOT_BLOCK_0)
+def test_entry_block_need_not_be_block_zero(text, evals):
+    from artpta.ir import ProgramIndex
+
+    p = parse_program(text)
+    cfgs = ProgramIndex.of(p).cfgs
+    assert all(cfgs[m.name].blocks[0][0] != m.body[0] for m in p.methods)
+    r = analyze_inter(p)
+    assert r.same_values(chaotic_oracle(p))
+    assert r.iteration_count == evals
+    a = emit_artwork(p, r)
+    for art in (a, optimize_artwork(p, a)):
+        out = regen_inter(p, decode(encode(art), p))
+        assert out.safe and out.result.same_values(r)
+
+
 # ---------------------------------------------------------------------------
 # optimize_artwork
 # ---------------------------------------------------------------------------
