@@ -190,20 +190,25 @@ def test_duplicate_entry_rejected():
         parse_artwork(data)
 
 
-def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwork]]:
-    """``optimize_artwork(...)`` for the small corpus plus four programs of
-    the benchmark's large shape (one self-recursive method of 300
-    statements), each with its program: of each emitted artwork, which
-    carries its fixed point, or with ``decoded`` of its decoded copy, which
-    is regenerated."""
-    from artpta import CorpusConfig, generate_corpus, optimize_artwork, parse_program
+def _pinned_programs(small_corpus) -> list[Program]:
+    """The small corpus plus four programs of the benchmark's large shape
+    (one self-recursive method of 300 statements)."""
+    from artpta import CorpusConfig, generate_corpus, parse_program
 
     large = generate_corpus(
         CorpusConfig(program_count=4, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
-    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    return [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+
+
+def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwork]]:
+    """``optimize_artwork(...)`` for each of ``_pinned_programs``, with its
+    program: of each emitted artwork, which carries its fixed point, or
+    with ``decoded`` of its decoded copy, which is regenerated."""
+    from artpta import optimize_artwork
+
     optimized = []
-    for p in programs:
+    for p in _pinned_programs(small_corpus):
         a = emit_artwork(p, analyze_inter(p))
         optimized.append((p, optimize_artwork(p, decode(encode(a), p) if decoded else a)))
     return optimized
@@ -233,6 +238,25 @@ def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
                     values.update(f"{section} {key}\n{render_graph(g)}\n".encode())
         assert h.hexdigest() == OPTIMIZED_CORPUS_SHA256, decoded
         assert values.hexdigest() == OPTIMIZED_VALUES_SHA256, decoded
+
+
+# Over the same programs, the plain artifacts' bytes and the ``NAIVE/1``
+# dumps of the least fixed points, each length-prefixed.
+PLAIN_CORPUS_SHA256 = "6d057a6f901a04ac65dd16f00a86e306259d7b4d5a1293177ed2f7f7a5f2bd2e"
+NAIVE_CORPUS_SHA256 = "c0c23a063cfebbc5aed62a1ccf6ae54bde83ad88a1de0e5462bf98f03450e930"
+
+
+def test_plain_artifact_and_dump_bytes_are_pinned(small_corpus):
+    import hashlib
+
+    plain, naive = hashlib.sha256(), hashlib.sha256()
+    for p in _pinned_programs(small_corpus):
+        result = analyze_inter(p)
+        for h, data in ((plain, encode(emit_artwork(p, result))), (naive, naive_encode(result))):
+            h.update(len(data).to_bytes(8, "little"))
+            h.update(data)
+    assert plain.hexdigest() == PLAIN_CORPUS_SHA256
+    assert naive.hexdigest() == NAIVE_CORPUS_SHA256
 
 
 def test_an_emitted_artwork_prints_as_its_decoded_copy(small_corpus):
