@@ -40,7 +40,9 @@ lines it is the same graph.  The first entry of a file cannot be one.
 lines, each group sorted.  A line has at least one target and names none
 twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).  A
 field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
-any other is a syntax error, whichever path below reads it.
+any other is a syntax error, whichever path below reads it.  Only spaces
+(U+0020) separate a line's tokens: a tab, ``\x1c`` or any other whitespace
+between two tokens is a syntax error too.
 There is no reader for ``ART/2`` (every identifier in full) or ``ART/1``
 (one edge per line), the grammars this one replaced.
 
@@ -51,17 +53,15 @@ job.  An edit line that removes a target its key's value lacks, or adds one
 it has, is a syntax error: decode applies the edit lines in order, and each
 of their targets must change the value.
 
-The encoder and the decoder each handle a distinct thing once per artifact,
-because an artifact repeats most binding lines across entries.  The encoder
-renders graphs through one ``ptg.EdgeRenderer`` per call, which formats each
-object, each (variable, target set) binding and each per-object field map
-once, in full text; nothing outlives the call.  It then drops the entry's
-method name from the lines of each entry, a text replacement that every
-token allows because each is written after a space.  The decoder is one
-walk over the file's lines.  Each distinct line of an entry of method M is
-parsed once per artifact into its key and one set of its targets, and
-every side is looked up in the table an entry of M reads by: the program's
-identifiers keyed by full text, plus those of M keyed by scoped text
+The encoder writes each entry's lines in full text with ``ptg.render_block``
+or ``ptg.render_edits``, which keep nothing between calls, then drops the
+entry's method name from them, a text replacement that every token allows
+because each is written after a space.  The decoder is one walk over the
+file's lines.  An artifact repeats most binding lines across entries, so
+each distinct line of an entry of method M is parsed once per artifact into
+its key and one set of its targets, and every side is looked up in the
+table an entry of M reads by: the program's identifiers keyed by full
+text, plus those of M keyed by scoped text
 (``ir.identifier_tables``, built once per ``decode`` call; a line written as
 the table renders its sides is looked up by its text, unparsed).  A side
 the table lacks is a reference the program does not have, and a side it
@@ -96,12 +96,15 @@ from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, Var
 from .ptg import (
     EMPTY,
     NULL_OBJECT,
-    EdgeRenderer,
     Objects,
     PointsToGraph,
     SetEdge,
     edited,
     parse_binding_line,
+    render_block,
+    render_edge,
+    render_edges,
+    render_edits,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -161,10 +164,9 @@ def encode(a: Artwork) -> bytes:
     entry, in file order across sections, when those are no more lines than
     the entry has bindings (so at least one line fewer than its block);
     every other entry is written as its block.  An entry equal to the
-    previous one is a bare ``= ^``.  Graphs are rendered by one
-    ``EdgeRenderer`` that lives as long as this call: the mirror of the
-    decoder, which parses each distinct line once."""
-    renderer = EdgeRenderer()
+    previous one is a bare ``= ^``.  Lines are written by
+    ``ptg.render_block`` and ``ptg.render_edits`` in full text, then scoped
+    to the entry's method."""
     chunks = [MAGIC + "\n"]
     prev = None
     for header, entries in (
@@ -174,9 +176,9 @@ def encode(a: Artwork) -> bytes:
     ):
         chunks.append(header + "\n")
         for method, head, g in entries:
-            edits = None if prev is None else renderer.edits(prev, g)
+            edits = None if prev is None else render_edits(prev, g)
             if edits is None:
-                chunks.append(f"{head} = {{\n{_scoped(renderer.block(g), method)}}}\n")
+                chunks.append(f"{head} = {{\n{_scoped(render_block(g), method)}}}\n")
             else:
                 chunks.append(f"{head} = ^\n{_scoped(edits, method)}")
             prev = g
@@ -325,20 +327,13 @@ class _EdgeLines(dict):
 def _bad_edit(line: str, sign: str, have, scope: str) -> MalformedArtworkError:
     """The error for edit line ``sign + line[2:]`` of an entry of method
     ``scope``, one of whose targets ``have`` holds (an addition) or lacks (a
-    removal): the first such target in line order, written as a one-target
-    line in full spelling."""
-    parts = line.split()
-    _, _, targets = parse_binding_line(line, scope)
-    text = next(text for text, t in zip(parts[2:], targets) if (t in have) == (sign == "+"))
+    removal): the first such target in line order, as ``render_edge``
+    writes that one edge."""
+    left, fname, targets = parse_binding_line(line, scope)
+    t = next(t for t in targets if (t in have) == (sign == "+"))
     verb = "adds a present" if sign == "+" else "removes an absent"
-    edge = " ".join([_full(parts[0], scope), parts[1], _full(text, scope)])
+    edge = render_edge((left, t) if fname is None else (left, fname, t))
     return MalformedArtworkError(f"edit {verb} edge {edge!r}")
-
-
-def _full(text: str, scope: str) -> str:
-    """A variable's or an object's text in an entry of method ``scope``, in
-    full spelling."""
-    return scope + text if text[0] in "/:?" else text
 
 
 def _read_artwork(
@@ -524,12 +519,12 @@ def decode(data: bytes, p: Program) -> Artwork:
 
 
 def naive_encode(result: "AnalysisResult") -> bytes:
-    """Dump the OUT value of every program point; the storage baseline the
-    compact artifact is measured against, and the ``--dump-results`` format."""
+    """Dump the OUT value of every program point, one ``render_edges`` line
+    per edge; the storage baseline the compact artifact is measured
+    against, and the ``--dump-results`` format."""
     by_method: dict[str, dict] = {}
     for (name, node), g in result.out.items():
         by_method.setdefault(name, {})[node] = g
-    renderer = EdgeRenderer(per_edge=True)
     chunks = [NAIVE_MAGIC + "\n"]
     for name in sorted(by_method):
         points = by_method[name]
@@ -539,7 +534,8 @@ def naive_encode(result: "AnalysisResult") -> bytes:
         heads += [EXIT] if EXIT in points else []
         for k in heads:
             head = f"l:{k}" if isinstance(k, int) else k
-            chunks.append(f"{head} = {{\n{renderer.block(points[k])}}}\n")
+            lines = "".join([f"  {line}\n" for line in render_edges(points[k])])
+            chunks.append(f"{head} = {{\n{lines}}}\n")
     return "".join(chunks).encode("utf-8")
 
 

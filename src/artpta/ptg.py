@@ -68,12 +68,15 @@ results dump and UNSAFE reports)::
     main:4 .f-> null          # object .field-> object
 
 The artifact writes one line per binding instead, a key and all its
-targets (``main/0 -> main:4 null``); ``EdgeRenderer`` writes both forms and
-``parse_binding_line`` reads a line of either.  Inside an artifact entry of
-method ``main`` the identifiers of ``main`` lose the method's name (``/0 ->
-:4 null``); the artifact codec drops it from the renderer's lines, and
-``parse_binding_line`` and ``parse_object`` read such a scoped text when
-given the entry's method as ``scope``.
+targets (``main/0 -> main:4 null``): ``render_block`` writes a graph's, and
+``render_edits`` the ``- `` / ``+ `` lines that turn one graph into another.
+They stay in this module because only it reads a graph's maps.  Only U+0020
+separates the tokens of a line, and ``parse_binding_line`` reads a line of
+either form.  Inside an artifact entry of method ``main`` the identifiers of
+``main`` lose the method's name (``/0 -> :4 null``); the artifact codec
+drops it from the written lines, and ``parse_binding_line`` and
+``parse_object`` read such a scoped text when given the entry's method as
+``scope``.
 
 Objects render as ``method:label`` (allocation site), ``null`` (the one
 null object), or ``method?i`` (placeholder for reference parameter i, used
@@ -622,148 +625,99 @@ def render_graph(g: PointsToGraph) -> str:
     return "\n".join(render_edges(g))
 
 
-class EdgeRenderer:
-    """Renders graphs as binding lines, one per variable and one per
-    (object, field), each with its targets sorted as ``render_edges`` sorts
-    them (``main/0 -> main:4 null``), and the edit lines that turn one graph
-    into another.  With ``per_edge`` a block holds one line per edge
-    instead, as ``render_edges`` writes them (the ``NAIVE/1`` dump).
+def _names(objs: Objects) -> str:
+    """The rendered targets of a set, sorted and space-separated."""
+    if len(objs) == 1:
+        (o,) = objs
+        return render_object(o)
+    return " ".join(sorted(map(render_object, objs)))
 
-    Graphs at nearby program points share most target sets and field maps,
-    so a renderer that sees many of them formats little twice: each object,
-    each distinct (variable, target set) binding and each per-object field
-    map is formatted once.  Bindings are keyed by value; a field map is
-    keyed by its source object and its identity, and the renderer holds a
-    reference to it so the identity stays unique.  A renderer keeps
-    everything it rendered: make one per artifact (or dump), never one per
-    process, as artifacts are untrusted input.
 
-    A block holds its variables' lines, sorted, then its field maps' lines,
-    each map's sorted and the maps in order of their first line.  That is
-    ``render_edges``' order whenever no name holds whitespace (then every
-    line starts with a space-terminated key, ``m/s ->`` or ``src .f->``, so
-    sorting the lines sorts the keys)."""
+def render_block(g: PointsToGraph) -> str:
+    """The binding lines of ``g``, one per variable and one per (object,
+    field), each with its targets sorted as ``render_edges`` sorts them
+    (``main/0 -> main:4 null``), indented by two spaces and ended by a
+    newline: the variables' lines sorted, then the field lines sorted.
+    That is ``render_edges``' order, because every line starts with its
+    space-terminated key (``m/s ->`` or ``src .f->``)."""
+    var_lines = sorted([f"  {v.method}/{v.slot} -> {_names(objs)}\n" for v, objs in g._vars.items()])
+    field_lines = sorted(
+        [
+            f"  {render_object(s)} .{f}-> {_names(ts)}\n"
+            for s, fields in g._heap.items()
+            for f, ts in fields.items()
+        ]
+    )
+    return "".join(var_lines) + "".join(field_lines)
 
-    def __init__(self, per_edge: bool = False) -> None:
-        self._per_edge = per_edge
-        self._objects: dict[ObjectId, str] = {}
-        self._bindings: dict[tuple[VarId, Objects], str] = {}
-        self._fields: dict[tuple[ObjectId, int], tuple[FieldIndex, str]] = {}
 
-    def _object(self, o: ObjectId) -> str:
-        text = self._objects.get(o)
-        if text is None:
-            text = self._objects[o] = render_object(o)
-        return text
-
-    def _names(self, objs: Objects) -> str:
-        """The rendered targets of a set, sorted and space-separated."""
-        if len(objs) == 1:
-            (o,) = objs
-            return self._object(o)
-        return " ".join(sorted(map(self._object, objs)))
-
-    def _block_lines(self, head: str, objs: Objects) -> str:
-        """The block lines of one key: its binding line, or for a
-        ``per_edge`` block one line per target."""
-        if self._per_edge:
-            return "".join([f"  {head}{name}\n" for name in sorted(map(self._object, objs))])
-        return f"  {head}{self._names(objs)}\n"
-
-    def block(self, g: PointsToGraph) -> str:
-        """The lines of ``g``, each indented by two spaces and ended by a
-        newline."""
-        bindings = self._bindings
-        var_texts = []
-        for binding in g._vars.items():
-            text = bindings.get(binding)
-            if text is None:
-                v, objs = binding
-                text = bindings[binding] = self._block_lines(f"{v.method}/{v.slot} -> ", objs)
-            var_texts.append(text)
-        var_texts.sort()
-        field_maps = self._fields
-        heap_texts = []
-        for s, fields in g._heap.items():
-            key = (s, id(fields))
-            cached = field_maps.get(key)
-            if cached is None:
-                head = self._object(s) + " ."
-                lines = sorted([self._block_lines(f"{head}{f}-> ", ts) for f, ts in fields.items()])
-                cached = field_maps[key] = (fields, "".join(lines))
-            heap_texts.append(cached[1])
-        heap_texts.sort()
-        return "".join(var_texts) + "".join(heap_texts)
-
-    def edits(self, old: PointsToGraph, new: PointsToGraph) -> str | None:
-        """The binding lines that turn ``old`` into ``new``: per key, ``- ``
-        and the targets only ``old`` has, then per key ``+ `` and the
-        targets only ``new`` has; each group sorted and each line ended by a
-        newline.  None when there would be more lines than ``new`` has
-        bindings.  A target set or field map the two graphs share is passed
-        over unread, and each line is written as the diff finds it, so the
-        work follows the keys of ``new`` and the bindings that differ, with
-        no pass over either graph's items as a whole."""
-        old_vars, new_vars, old_heap, new_heap = old._vars, new._vars, old._heap, new._heap
-        same_vars = old_vars == new_vars
-        if same_vars and old_heap == new_heap:
-            return ""
-        # No variable in common: every old variable is a "- " line.
-        if old_vars and old_vars.keys().isdisjoint(new_vars):
-            if len(old_vars) > sum(map(len, new_heap.values())):
-                return None
-        var_gone, var_came, heap_gone, heap_came = [], [], [], []
-        if not same_vars:
-            self._map_edits(old_vars, new_vars, None, var_gone, var_came)
-        shared = 0
-        for src, fields in new_heap.items():
-            had = old_heap.get(src)
-            if had is not None:
-                shared += 1
-            if had is not fields:
-                self._map_edits(had or {}, fields, self._object(src) + " .", heap_gone, heap_came)
-        if shared < len(old_heap):
-            for src in old_heap.keys() - new_heap.keys():
-                self._map_edits(old_heap[src], {}, self._object(src) + " .", heap_gone, heap_came)
-        count = len(var_gone) + len(var_came) + len(heap_gone) + len(heap_came)
-        # every stored field map holds a binding, so a count this low needs no sum
-        if count > len(new_vars) + len(new_heap):
-            if count > len(new_vars) + sum(map(len, new_heap.values())):
-                return None
-        for lines in (var_gone, heap_gone, var_came, heap_came):
-            lines.sort()
-        return "".join(var_gone) + "".join(heap_gone) + "".join(var_came) + "".join(heap_came)
-
-    def _map_edits(
-        self, had: dict, has: dict, src_head: str | None, gone: list[str], came: list[str]
-    ) -> None:
-        """Append to ``gone`` the ``- `` line of each key of the map ``had``
-        (key -> target set) with targets ``has`` lacks, and to ``came`` the
-        ``+ `` line of each key of ``has`` with targets ``had`` lacks.  The
-        keys are variables when ``src_head`` is None, and else the field
-        names of the source object it renders."""
-        names = self._names
-        shared = 0
-        for key, objs in has.items():
-            was = had.get(key)
-            if was is objs:
-                shared += 1
-                continue
-            head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
-            if was is None:
-                came.append(f"+ {head}{names(objs)}\n")
-                continue
+def render_edits(old: PointsToGraph, new: PointsToGraph) -> str | None:
+    """The binding lines that turn ``old`` into ``new``: per key, ``- `` and
+    the targets only ``old`` has, then per key ``+ `` and the targets only
+    ``new`` has; each group sorted and each line ended by a newline.  None
+    when there would be more lines than ``new`` has bindings.  A target set
+    or field map the two graphs share is passed over unread, and each line
+    is written as the diff finds it, so the work follows the keys of
+    ``new`` and the bindings that differ, with no pass over either graph's
+    items as a whole."""
+    old_vars, new_vars, old_heap, new_heap = old._vars, new._vars, old._heap, new._heap
+    same_vars = old_vars == new_vars
+    if same_vars and old_heap == new_heap:
+        return ""
+    # No variable in common: every old variable is a "- " line.
+    if old_vars and old_vars.keys().isdisjoint(new_vars):
+        if len(old_vars) > sum(map(len, new_heap.values())):
+            return None
+    var_gone, var_came, heap_gone, heap_came = [], [], [], []
+    if not same_vars:
+        _map_edits(old_vars, new_vars, None, var_gone, var_came)
+    shared = 0
+    for src, fields in new_heap.items():
+        had = old_heap.get(src)
+        if had is not None:
             shared += 1
-            diff = was - objs
-            if diff:
-                gone.append(f"- {head}{names(diff)}\n")
-            diff = objs - was
-            if diff:
-                came.append(f"+ {head}{names(diff)}\n")
-        if shared < len(had):
-            for key in had.keys() - has.keys():
-                head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
-                gone.append(f"- {head}{names(had[key])}\n")
+        if had is not fields:
+            _map_edits(had or {}, fields, render_object(src) + " .", heap_gone, heap_came)
+    if shared < len(old_heap):
+        for src in old_heap.keys() - new_heap.keys():
+            _map_edits(old_heap[src], {}, render_object(src) + " .", heap_gone, heap_came)
+    count = len(var_gone) + len(var_came) + len(heap_gone) + len(heap_came)
+    # every stored field map holds a binding, so a count this low needs no sum
+    if count > len(new_vars) + len(new_heap):
+        if count > len(new_vars) + sum(map(len, new_heap.values())):
+            return None
+    for lines in (var_gone, heap_gone, var_came, heap_came):
+        lines.sort()
+    return "".join(var_gone) + "".join(heap_gone) + "".join(var_came) + "".join(heap_came)
+
+
+def _map_edits(had: dict, has: dict, src_head: str | None, gone: list[str], came: list[str]) -> None:
+    """Append to ``gone`` the ``- `` line of each key of the map ``had``
+    (key -> target set) with targets ``has`` lacks, and to ``came`` the
+    ``+ `` line of each key of ``has`` with targets ``had`` lacks.  The keys
+    are variables when ``src_head`` is None, and else the field names of
+    the source object it renders."""
+    shared = 0
+    for key, objs in has.items():
+        was = had.get(key)
+        if was is objs:
+            shared += 1
+            continue
+        head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
+        if was is None:
+            came.append(f"+ {head}{_names(objs)}\n")
+            continue
+        shared += 1
+        diff = was - objs
+        if diff:
+            gone.append(f"- {head}{_names(diff)}\n")
+        diff = objs - was
+        if diff:
+            came.append(f"+ {head}{_names(diff)}\n")
+    if shared < len(had):
+        for key in had.keys() - has.keys():
+            head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
+            gone.append(f"- {head}{_names(had[key])}\n")
 
 
 def _heap_size(heap: HeapIndex) -> int:
@@ -808,11 +762,14 @@ def parse_binding_line(
     """Parse one rendered binding line: a variable ``m/s ->`` or an object
     and a field ``src .f->``, then one or more targets, none twice.  Returns
     the left side, the field name (None for a variable) and the targets in
-    line order.  A field name is an ASCII identifier.  A variable's slot is ``[0-9]+``, as an object's integer
-    is; the left side is parsed before the targets.  With a ``scope``, a
-    variable or an object of that method may be written without its name
-    (``/0``, ``:3``, ``?0``); errors quote the line as written."""
-    parts = line.split()
+    line order.  Tokens are separated by one or more U+0020 spaces, and no
+    other whitespace: a tab or ``\x1c`` stays inside its token, which is
+    then a syntax error.  A field name is an ASCII identifier.  A variable's
+    slot is ``[0-9]+``, as an object's integer is; the left side is parsed
+    before the targets.  With a ``scope``, a variable or an object of that
+    method may be written without its name (``/0``, ``:3``, ``?0``); errors
+    quote the line as written."""
+    parts = [part for part in line.split(" ") if part]
     if len(parts) < 3:
         raise ValueError(f"bad edge line {line!r}")
     lhs, op = parts[0], parts[1]
@@ -848,7 +805,7 @@ def parse_binding_line(
 def parse_edge_line(line: str) -> VarEdge | FieldEdge:
     """Parse one rendered edge line, a binding line with one target: a
     variable edge ``(v, o)`` or a field edge ``(s, f, t)``."""
-    if len(line.split()) != 3:
+    left, fname, targets = parse_binding_line(line)
+    if len(targets) != 1:
         raise ValueError(f"bad edge line {line!r}")
-    left, fname, (target,) = parse_binding_line(line)
-    return (left, target) if fname is None else (left, fname, target)
+    return (left, targets[0]) if fname is None else (left, fname, targets[0])

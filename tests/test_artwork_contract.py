@@ -138,6 +138,56 @@ MALFORMED = {
         _art(in_=_block("m:main", "main/0 -> main:1", "main/0 -> ", "main/0 -> null")),
         "bad edge line 'main/0 -> '",
     ),
+    # Only U+0020 separates the tokens of an edge line: any other whitespace
+    # joins the tokens beside it into one, and the error quotes it by ``repr``.
+    "tab-after-a-variable": (
+        _art(in_=_block("m:main", "main/0\t-> main:1")),
+        "bad edge line 'main/0\\t-> main:1'",
+    ),
+    "tab-among-targets": (
+        _art(in_=_block("m:main", "main/0 -> main:1\tnull")),
+        "bad object 'main:1\\tnull'",
+    ),
+    "vertical-tab-after-an-arrow": (
+        _art(in_=_block("m:main", "main/0 ->\x0bmain:1")),
+        "bad edge line 'main/0 ->\\x0bmain:1'",
+    ),
+    "form-feed-after-a-field-source": (
+        _art(in_=_block("m:main", "main:1\x0c.f-> null")),
+        "bad edge line 'main:1\\x0c.f-> null'",
+    ),
+    "file-separator-after-a-scoped-variable": (
+        _art(in_=_block("m:main", "/0\x1c-> :1")),
+        "bad edge line '/0\\x1c-> :1'",
+    ),
+    "group-separator-after-a-variable": (
+        _art(in_=_block("m:main", "main/0\x1d-> main:1")),
+        "bad edge line 'main/0\\x1d-> main:1'",
+    ),
+    "record-separator-after-a-variable": (
+        _art(in_=_block("m:main", "main/0\x1e-> main:1")),
+        "bad edge line 'main/0\\x1e-> main:1'",
+    ),
+    "unit-separator-in-an-edit": (
+        _art(in_=_block("m:main") + "m:r = ^\n+ /0\x1f-> null\n"),
+        "bad edge line '/0\\x1f-> null'",
+    ),
+    "next-line-after-a-variable": (
+        _art(in_=_block("m:main", "main/0\x85-> main:1")),
+        "bad edge line 'main/0\\x85-> main:1'",
+    ),
+    "no-break-space-after-a-variable": (
+        _art(in_=_block("m:main", "main/0\xa0-> main:1")),
+        "bad edge line 'main/0\\xa0-> main:1'",
+    ),
+    "em-space-after-a-variable": (
+        _art(in_=_block("m:main", "main/0\u2003-> main:1")),
+        "bad edge line 'main/0\\u2003-> main:1'",
+    ),
+    "ideographic-space-among-targets": (
+        _art(in_=_block("m:main", "main/0 -> main:1\u3000null")),
+        "bad object 'main:1\\u3000null'",
+    ),
     # ``^`` is the graph of the entry before, in the file, not in the section
     "repeat-in-first-entry": (_art(loop="m:main l:2 = ^\n"), "'^' in the first entry"),
     "repeat-first-in-a-later-section": (_art(in_="m:main = ^\n"), "'^' in the first entry"),
@@ -620,8 +670,10 @@ def _verdict(program, text: str):
 def test_an_edge_line_gets_one_verdict_on_either_path(program):
     # Decode reads a canonical edge line by splitting it at single spaces
     # (the text path) and any other through ``ptg.parse_binding_line``; a
-    # doubled space after the key sends the same line down the second path.
+    # doubled space after the key, a trailing space or a third space of
+    # indent sends the same line down the second path.
     texts = [data for data, _, _ in CASES.values() if isinstance(data, str)]
+    respaced = (lambda rest: rest.replace(" ", "  ", 1), lambda rest: rest + " ", lambda rest: " " + rest)
     checked = 0
     for text in [VALID, INLINE, REPEAT, EDITED, *texts]:
         lines = text.split("\n")
@@ -629,10 +681,11 @@ def test_an_edge_line_gets_one_verdict_on_either_path(program):
             head, rest = line[:2], line[2:]
             if head not in ("  ", "+ ", "- ") or " " not in rest:
                 continue
-            spaced = [*lines[:i], head + rest.replace(" ", "  ", 1), *lines[i + 1 :]]
-            assert _verdict(program, text) == _verdict(program, "\n".join(spaced)), line
-            checked += 1
-    assert checked > 100
+            for respace in respaced:
+                spaced = [*lines[:i], head + respace(rest), *lines[i + 1 :]]
+                assert _verdict(program, text) == _verdict(program, "\n".join(spaced)), line
+                checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("cut", range(1, len(VALID)))
