@@ -92,7 +92,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import MalformedArtworkError, UnknownReferenceError
-from .ir import ENTRY, EXIT, Identifier, Placeholder, Program, ProgramIndex, VarId, identifier_tables
+from .ir import (
+    ENTRY,
+    EXIT,
+    Identifier,
+    Placeholder,
+    Program,
+    ProgramIndex,
+    VarId,
+    gc_paused,
+    identifier_tables,
+)
 from .ptg import (
     EMPTY,
     NULL_OBJECT,
@@ -157,6 +167,7 @@ class ArtworkStats:
 # ---------------------------------------------------------------------------
 
 
+@gc_paused
 def encode(a: Artwork) -> bytes:
     """Canonical, deterministic encoding: the bytes are a function of the
     three maps alone, and ``decode(encode(a), p) == a``.  Each entry after
@@ -455,6 +466,7 @@ def _live(block: list) -> dict:
     return live
 
 
+@gc_paused
 def parse_artwork(data: bytes) -> Artwork:
     """Syntax-only parse of an ART/3 file (no program to validate against).
     Every entry's graph is built, an edit entry's over shallow copies of
@@ -463,6 +475,7 @@ def parse_artwork(data: bytes) -> Artwork:
     return _read_artwork(data, None)[0]
 
 
+@gc_paused
 def decode(data: bytes, p: Program) -> Artwork:
     """Parse and validate an artifact against a program.
 

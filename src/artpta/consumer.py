@@ -54,7 +54,7 @@ from .equations import (
     forward_in,
     meet_in,
 )
-from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex
+from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex, gc_paused
 
 # ``project_in`` is not called here (``callee_in`` is); it stays bound
 # because the benchmark's tracer self-test patches ``consumer.project_in``.
@@ -266,6 +266,7 @@ def regenerate(index: ProgramIndex, a: Artwork, keep_going: bool = False) -> Reg
     return _Regenerator(index, a, keep_going=keep_going).run(index.program.entry)
 
 
+@gc_paused
 def regen_inter(p: Program, a: Artwork, keep_going: bool = False) -> RegenOutcome:
     """``regenerate`` over the program's index: the verifier's entry point."""
     return regenerate(ProgramIndex.of(p), a, keep_going=keep_going)

@@ -114,13 +114,14 @@ back-edges keeps a cycle among unreachable blocks.
 from __future__ import annotations
 
 import bisect
+import gc
 import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, TypeVar, Union
 
 from .errors import (
     ArtError,
@@ -394,8 +395,54 @@ def identifier_tables(
 
 
 # ---------------------------------------------------------------------------
+# The collector pause around the entry points
+# ---------------------------------------------------------------------------
+
+_F = TypeVar("_F", bound=Callable[..., object])
+
+
+def gc_paused(fn: _F) -> _F:
+    """Run ``fn`` with the cyclic garbage collector off, and turn it back on
+    when ``fn`` returns or raises if it was on when the call began, so a
+    nested call, or a caller that turned it off, keeps its state.
+
+    The entry points a caller of the package reaches are guarded:
+    ``parse_program``, ``analyze_inter``, ``emit_artwork``,
+    ``optimize_artwork``, ``encode``, ``decode``, ``parse_artwork``,
+    ``regen_inter``, ``tamper`` and ``rq2_campaign`` (``analyze_intra`` and
+    ``regen_intra`` go through them; ``generate_corpus`` is not guarded).
+    The premise is that the package makes no reference cycles, on any path,
+    a rejected input's included (pinned in ``tests/test_no_cycles.py``):
+    reference counting frees everything these calls build, so a collector
+    pass inside one only traverses live objects and frees nothing.
+
+    The switch is process-wide.  Another thread that runs while a guarded
+    call is in progress runs without the collector too, and if it turns the
+    collector on, the rest of the guarded call runs with it; either way only
+    speed changes, never a result.  Cyclic garbage made anywhere during a
+    guarded call is collected at the next pass after it."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused  # type: ignore[return-value]
+
+
+# ---------------------------------------------------------------------------
 # Builder, line reader, scanner / parser
 # ---------------------------------------------------------------------------
+
+
+#: A fault the builder keeps until the whole text is read: the error class
+#: and its message.
+_Fault = tuple[type[ArtError], str]
 
 
 class _Builder:
@@ -404,12 +451,17 @@ class _Builder:
     which assigns the slots, and keeps each method's first statement at
     fault; it checks the jump targets at the end of the method, once every
     label is known.  It raises the faults in the order the module docstring
-    gives."""
+    gives.
+
+    A fault is kept as its error class and message, and the error is made
+    only when it is raised: a kept error object would make a cycle (error,
+    traceback, frame, builder, error) that holds the builder alive until a
+    collector pass."""
 
     def __init__(self) -> None:
         self.methods: list[Method] = []
         #: per method: its first statement at fault (or None) and its calls
-        self.deferred: list[tuple[ArtError | None, list[LabeledStatement]]] = []
+        self.deferred: list[tuple[_Fault | None, list[LabeledStatement]]] = []
 
     def begin(self, name: str, params: tuple[str, ...]) -> None:
         """Start a method; its statements follow through ``add``."""
@@ -430,7 +482,7 @@ class _Builder:
         self.returns: list[int] = []
         #: the first statement at fault: a bad label or a read before any
         #: assignment; nothing after it is resolved
-        self.fault: ArtError | None = None
+        self.fault: _Fault | None = None
 
     def assign(self, x: str) -> VarId:
         """The identifier of the variable ``x`` a statement assigns; a new
@@ -453,9 +505,9 @@ class _Builder:
         start = len(items)
         if self.fault is None:
             if label <= 0:
-                self.fault = ParseError(f"label {label} in method '{self.name}' must be positive")
+                self.fault = ParseError, f"label {label} in method '{self.name}' must be positive"
             elif label in at:
-                self.fault = DuplicateNameError(f"duplicate label {label} in method '{self.name}'")
+                self.fault = DuplicateNameError, f"duplicate label {label} in method '{self.name}'"
             else:
                 vars_ = self.vars
                 kind = instr.__class__
@@ -487,8 +539,9 @@ class _Builder:
                             self.jumps.append(s)
                         items += (s, kind, None, None, None)
                 except KeyError as exc:
-                    self.fault = ResolutionError(
-                        f"variable '{exc.args[0]}' used at {self.name}:{label} before any assignment"
+                    self.fault = (
+                        ResolutionError,
+                        f"variable '{exc.args[0]}' used at {self.name}:{label} before any assignment",
                     )
         at[label] = start
 
@@ -505,7 +558,7 @@ class _Builder:
         for s in self.jumps:
             target = s.instr.target
             if target not in at:
-                fault = ResolutionError(f"unknown branch label {target} at {name}:{s.label}")
+                fault = ResolutionError, f"unknown branch label {target} at {name}:{s.label}"
                 break
         self.deferred.append((fault, self.calls))
         vars_ = self.vars
@@ -536,7 +589,8 @@ class _Builder:
             raise ResolutionError(f"entry method '{program.entry}' must take no parameters")
         for m, (fault, calls) in zip(program.methods, self.deferred):
             if fault is not None:
-                raise fault
+                error, message = fault
+                raise error(message)
             for s in calls:
                 for t in s.instr.targets:
                     if t not in names:
@@ -800,6 +854,7 @@ class _Parser:
         return Call(bind=bind, targets=targets, args=args), self.expect(")", i)
 
 
+@gc_paused
 def parse_program(text: str) -> Program:
     """Parse IR text into a Program with all invariants established.
 

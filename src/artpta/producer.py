@@ -56,6 +56,7 @@ from .ir import (
     Node,
     Program,
     ProgramIndex,
+    gc_paused,
 )
 
 # ``transfer`` is not called here; it stays bound because the benchmark's
@@ -184,6 +185,7 @@ def analyze_intra(m: Method) -> AnalysisResult:
 Injection = dict[str, dict]
 
 
+@gc_paused
 def analyze_inter(
     program: Program, _inject: Injection | None = None, _above: AnalysisResult | None = None
 ) -> AnalysisResult:
@@ -419,6 +421,7 @@ def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict
     )
 
 
+@gc_paused
 def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     """Encode the compact artifact: fixed-point OUT of every natural-loop
     header, the IN summary of every method, and the OUT summary of every
@@ -454,6 +457,7 @@ def carried_fixed_point(program: Program, a: Artwork) -> AnalysisResult | None:
     return fixed if (a.i_loop, a.i_in, a.i_out) == written else None
 
 
+@gc_paused
 def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: keep an entry only when it differs from its stand-in, the

@@ -41,7 +41,7 @@ from typing import Callable
 from .artwork import Artwork
 from .consumer import regen_inter
 from .errors import ArtError, NothingToTamperError
-from .ir import FieldLoad, FieldStore, Program, identifiers
+from .ir import FieldLoad, FieldStore, Program, gc_paused, identifiers
 from .ptg import (
     NULL_OBJECT,
     FieldEdge,
@@ -287,6 +287,7 @@ def _has_more_entries(a: Artwork, b: Artwork) -> bool:
     )
 
 
+@gc_paused
 def tamper(
     a: Artwork,
     kind: TamperKind,
@@ -346,6 +347,7 @@ class CampaignReport:
         return lines
 
 
+@gc_paused
 def rq2_campaign(p: Program, a: Artwork, n: int, seed: int) -> CampaignReport:
     """Run ``n`` independent reductive tamperings against the consumer and
     report per-trial verdicts; every trial must be detected for a least
