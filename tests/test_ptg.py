@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -449,6 +451,66 @@ def test_field_edge_with_null_source_rejected():
 
 def test_meet_all_empty_is_empty():
     assert meet_all([]) == EMPTY
+
+
+# ---------------------------------------------------------------------------
+# Value semantics: copies, pickles, the null-source test and repr
+# ---------------------------------------------------------------------------
+
+FIXED = g(
+    [(VARS[0], SITES[0]), (VARS[0], NULL_OBJECT), (VARS[1], Placeholder("m", 0))],
+    [(SITES[0], "f", SITES[1]), (Placeholder("m", 0), "g", NULL_OBJECT)],
+)
+
+
+def _graphs_by_maker():
+    """A non-empty graph made by each of the paths that build graphs."""
+    other = g([(VARS[2], SITES[1])], [(SITES[1], "f", SITES[0])])
+    data = b"ART/3\n[loop]\n[in]\nm:m = {\n  /0 -> :1 null\n  :1 .f-> :2\n}\n[out]\n"
+    return {
+        "of": FIXED,
+        "edited": edited(FIXED, [("-", (VARS[0], frozenset({NULL_OBJECT}))), ("+", (SITES[1], "g", frozenset({SITES[2]})))]),
+        "meet": meet(FIXED, other),
+        "transfer": _transfer(_stmt(FieldStore("a", "g", "b")), FIXED),
+        "decode": decode(data, CTX).i_in["m"],
+        "empty": EMPTY,
+    }
+
+
+@pytest.mark.parametrize("maker", sorted(_graphs_by_maker()))
+def test_copies_and_pickles_are_equal_graphs(maker):
+    graph = _graphs_by_maker()[maker]
+    copies = [copy.copy(graph), copy.deepcopy(graph)]
+    copies += [pickle.loads(pickle.dumps(graph, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is PointsToGraph
+        assert other == graph and not other != graph
+        assert hash(other) == hash(graph)
+        assert render_edges(other) == render_edges(graph)
+
+
+def test_every_constructor_keeps_the_null_source_test():
+    bad = (NULL_OBJECT, "f", SITES[0])
+    exact = "^field edge with null source$"
+    with pytest.raises(ValueError, match=exact):
+        PointsToGraph((), [bad])
+    with pytest.raises(ValueError, match=exact):
+        PointsToGraph.of(FIXED.var_edges, [*FIXED.field_edges, bad])
+    with pytest.raises(ValueError, match=exact):
+        edited(FIXED, [("+", (NULL_OBJECT, "f", frozenset({SITES[0]})))])
+
+
+def test_repr_lists_edges_in_render_order():
+    assert repr(FIXED) == (
+        "PointsToGraph(var_edges=frozenset({"
+        "(VarId(method='m', slot=0), Site(method='m', label=1)), "
+        "(VarId(method='m', slot=0), NullObject()), "
+        "(VarId(method='m', slot=1), Placeholder(method='m', index=0))}), "
+        "field_edges=frozenset({"
+        "(Site(method='m', label=1), 'f', Site(method='m', label=2)), "
+        "(Placeholder(method='m', index=0), 'g', NullObject())}))"
+    )
+    assert repr(EMPTY) == "PointsToGraph(var_edges=frozenset(), field_edges=frozenset())"
 
 
 # ---------------------------------------------------------------------------
