@@ -116,6 +116,7 @@ from __future__ import annotations
 import bisect
 import gc
 import heapq
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -988,7 +989,13 @@ def build_cfg(m: Method) -> ControlFlowGraph:
     read to find them.  One depth-first search from the entry block finds
     the back-edges: the edges into a block on the current search path.  In
     a reducible graph these are exactly the edges whose target dominates
-    their source, whatever order the search takes.  Raises
+    their source, whatever order the search takes.
+
+    The blocks keep their body order, with no sort, when that is already
+    the walk order: the leaders' labels rise in body order and every edge
+    that is no back-edge goes to a later block, as in every body the
+    corpus generator writes.  Any other body is numbered by Kahn's
+    algorithm over a heap keyed by leader label, then renumbered.  Raises
     IrreducibleCfgError when a back-edge's natural loop reaches the entry
     block without passing its header (the header does not dominate the
     source), or when the graph minus its back-edges keeps a cycle among
@@ -1062,44 +1069,60 @@ def build_cfg(m: Method) -> ControlFlowGraph:
             state[u] = 2
             stack.pop()
 
-    # Kahn's algorithm over the block graph minus its back-edges, smallest
-    # leader first: the order the blocks are numbered in.
-    fwd = list(bsucc)
-    indeg = list(map(len, bpred))
-    for u, v in back:
-        fwd[u] = tuple([w for w in fwd[u] if w != v])
-        indeg[v] -= 1
-    heap = [(leader[b], b) for b, d in enumerate(indeg) if d == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, u = heapq.heappop(heap)
-        order.append(u)
-        for v in fwd[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, (leader[v], v))
-
-    if len(order) != len(blocks) or any(v and 0 in _natural_loop(bpred, v, [u]) for u, v in back):
-        raise IrreducibleCfgError(
-            f"method '{m.name}' has a cycle that is not a natural loop"
-        )
+    if any(v and 0 in _natural_loop(bpred, v, [u]) for u, v in back):
+        raise _not_natural(m)
     back_edges = frozenset([(last[u], leader[v]) for u, v in back])
-    num = [0] * len(order)  # body-order block -> its number
-    for r, b in enumerate(order):
-        num[b] = r
+    forward_inputs = {
+        v: tuple([p for p in inputs[v] if (p, leader[v]) not in back_edges])
+        for v in {v for _, v in back}
+    }
+    # Body order is the walk order when the leaders rise and every edge
+    # that is no back-edge goes to a later block: Kahn's rule below then
+    # takes the blocks in body order, as each one's forward predecessors
+    # come before it and every other ready block has a larger leader.
+    if not (
+        all(map(operator.lt, leader, leader[1:]))
+        and all([u < v or (u, v) in back for u, vs in enumerate(bsucc) for v in vs])
+    ):
+        # Kahn's algorithm over the block graph minus its back-edges,
+        # smallest leader first: the order the blocks are numbered in.
+        fwd = list(bsucc)
+        indeg = list(map(len, bpred))
+        for u, v in back:
+            fwd[u] = tuple([w for w in fwd[u] if w != v])
+            indeg[v] -= 1
+        heap = [(leader[b], b) for b, d in enumerate(indeg) if d == 0]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            _, u = heapq.heappop(heap)
+            order.append(u)
+            for v in fwd[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(heap, (leader[v], v))
+        if len(order) != len(blocks):
+            raise _not_natural(m)
+        num = [0] * len(order)  # body-order block -> its number
+        for r, b in enumerate(order):
+            num[b] = r
+        blocks = [blocks[b] for b in order]
+        bsucc = [tuple([num[v] for v in bsucc[b]]) for b in order]
+        inputs = [inputs[b] for b in order]
+        forward_inputs = {num[v]: ins for v, ins in forward_inputs.items()}
     return ControlFlowGraph(
-        blocks=tuple([blocks[b] for b in order]),
-        block_succ=tuple([tuple([num[v] for v in bsucc[b]]) for b in order]),
+        blocks=tuple(blocks),
+        block_succ=tuple(bsucc),
         back_edges=back_edges,
         loop_headers=frozenset([h for _, h in back_edges]),
-        inputs=tuple([tuple(inputs[b]) for b in order]),
+        inputs=tuple([tuple(ins) for ins in inputs]),
         exit_inputs=tuple([last[u] for u in exits]) if blocks else (ENTRY,),
-        forward_inputs={
-            num[v]: tuple([p for p in inputs[v] if (p, leader[v]) not in back_edges])
-            for v in {v for _, v in back}
-        },
+        forward_inputs=forward_inputs,
     )
+
+
+def _not_natural(m: Method) -> IrreducibleCfgError:
+    return IrreducibleCfgError(f"method '{m.name}' has a cycle that is not a natural loop")
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,7 @@ by the intra-procedural entry convention).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, KeysView, TypeVar, Union
 
 from .errors import ArityMismatchError
@@ -134,24 +135,31 @@ FieldIndex = dict[str, Objects]
 HeapIndex = dict[ObjectId, FieldIndex]
 
 NO_OBJECTS: Objects = frozenset()
+_NO_FIELDS: FieldIndex = {}
 _NULL_ONLY: Objects = frozenset((NULL_OBJECT,))
 
 
-class PointsToGraph:
-    """An immutable points-to graph over shared index maps.
+class PointsToGraph(tuple):
+    """An immutable points-to graph: the pair of its shared index maps.
 
-    ``PointsToGraph(var_edges, field_edges)`` and ``PointsToGraph.of`` add
-    the edges to the empty maps as ``edited`` does; the lattice operations
-    below build graphs directly from maps.  Every path runs
-    ``__post_init__`` once.
+    The pair is a ``tuple``, so ``==`` and ``!=`` are tuple comparison in
+    C, which is map equality.  ``_vars`` and ``_heap`` are the only readers
+    of the maps; a graph has no other accessor.  ``PointsToGraph(var_edges,
+    field_edges)`` and ``PointsToGraph.of`` add the edges to the empty maps
+    as ``edited`` does; the lattice operations below build graphs directly
+    from maps with ``_graph``, and so do ``copy`` and ``pickle``
+    (``__reduce__``).  Every path runs ``__post_init__`` once, through the
+    class.
     """
 
-    __slots__ = ("_vars", "_heap")
+    __slots__ = ()
 
-    def __init__(self, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> None:
+    def __new__(cls, var_edges: Iterable[VarEdge], field_edges: Iterable[FieldEdge]) -> PointsToGraph:
         edits = [("+", set_edge(e)) for edges in (var_edges, field_edges) for e in edges]
-        self._vars, self._heap = _edit({}, {}, edits)
-        self.__post_init__()
+        return _graph(*_edit({}, {}, edits))
+
+    _vars = property(itemgetter(0), doc="The variable map.")
+    _heap = property(itemgetter(1), doc="The heap map.")
 
     def __post_init__(self) -> None:
         """The structural check, run on every construction: no field edge
@@ -159,6 +167,9 @@ class PointsToGraph:
         object)."""
         if NULL_OBJECT in self._heap:
             raise ValueError("field edge with null source")
+
+    def __reduce__(self) -> tuple:
+        return _graph, (self._vars, self._heap)
 
     @staticmethod
     def of(
@@ -178,8 +189,7 @@ class PointsToGraph:
         return self._vars.get(v, NO_OBJECTS)
 
     def field_targets(self, o: ObjectId, f: str) -> frozenset[ObjectId]:
-        fields = self._heap.get(o)
-        return NO_OBJECTS if fields is None else fields.get(f, NO_OBJECTS)
+        return self._heap.get(o, _NO_FIELDS).get(f, NO_OBJECTS)
 
     def variables(self) -> KeysView[VarId]:
         """The variables with a non-empty points-to set (a view, no copy)."""
@@ -199,23 +209,17 @@ class PointsToGraph:
         return sum(map(len, self._vars.values())) + _heap_size(self._heap)
 
     def objects(self) -> frozenset[ObjectId]:
-        objs: set[ObjectId] = set(self._heap)
+        heap = self._heap
+        objs: set[ObjectId] = set(heap)
         for targets in self._vars.values():
             objs |= targets
-        for fields in self._heap.values():
+        for fields in heap.values():
             for targets in fields.values():
                 objs |= targets
         return frozenset(objs)
 
     def is_empty(self) -> bool:
         return not self._vars and not self._heap
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PointsToGraph):
-            return NotImplemented
-        return self._vars == other._vars and self._heap == other._heap
 
     def __hash__(self) -> int:
         return hash((
@@ -234,9 +238,7 @@ class PointsToGraph:
 
 def _graph(vars_: VarIndex, heap: HeapIndex) -> PointsToGraph:
     """A graph over existing index maps (which it then shares)."""
-    g = object.__new__(PointsToGraph)
-    g._vars = vars_
-    g._heap = heap
+    g = _tuple_new(PointsToGraph, (vars_, heap))
     g.__post_init__()
     return g
 
@@ -395,12 +397,13 @@ def _union_graphs(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
     result: PointsToGraph | None = next(it, EMPTY)
     vars_, heap = result._vars, result._heap
     for g in it:
-        new_vars = _union_sets(vars_, g._vars)
-        new_heap = _union_heaps(heap, g._heap)
+        g_vars, g_heap = g._vars, g._heap
+        new_vars = _union_sets(vars_, g_vars)
+        new_heap = _union_heaps(heap, g_heap)
         if new_vars is vars_ and new_heap is heap:
             continue  # g adds nothing
         vars_, heap = new_vars, new_heap
-        result = g if new_vars is g._vars and new_heap is g._heap else None
+        result = g if new_vars is g_vars and new_heap is g_heap else None
     return _graph(vars_, heap) if result is None else result
 
 
@@ -427,22 +430,19 @@ def entry_graph(m: Method) -> PointsToGraph:
     )
 
 
-def _with_heap(g: PointsToGraph, heap: HeapIndex) -> PointsToGraph:
-    return g if heap is g._heap else _graph(g._vars, heap)
-
-
-def _rebind(g: PointsToGraph, x: VarId, objs: Objects, heap: HeapIndex) -> PointsToGraph:
-    """Strong update: ``x`` points to exactly ``objs`` over ``heap``; shares
-    every other binding with ``g`` (and is ``g`` itself when nothing moves)."""
-    old = g._vars.get(x, NO_OBJECTS)
+def _rebound(vars_: VarIndex, x: VarId, objs: Objects) -> VarIndex:
+    """Strong update: the variable map ``vars_`` with ``x`` pointing to
+    exactly ``objs``; shares every other binding (and is ``vars_`` itself
+    when nothing moves)."""
+    old = vars_.get(x, NO_OBJECTS)
     if old is objs or old == objs:
-        return _with_heap(g, heap)
-    vars_ = dict(g._vars)
+        return vars_
+    vars_ = dict(vars_)
     if objs:
         vars_[x] = objs
     else:
         del vars_[x]
-    return _graph(vars_, heap)
+    return vars_
 
 
 _NO_CALL_TRANSFER = "call statements are handled by the analysis engines"
@@ -475,40 +475,45 @@ def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     if at is None or items[at] is not s:
         raise _not_own(s, m)
     _, kind, x, y, f = items[at : at + 5]
+    # each map is read once: a read goes through a property
     vars_ = g._vars
     if kind is Alloc:
-        return _rebind(g, x, y, g._heap)
-    if kind is FieldStore:
+        new = _rebound(vars_, x, y)
+    elif kind is FieldStore:
         targets = vars_.get(y, NO_OBJECTS)
         if not targets:
             return g
-        heap = g._heap
+        old = heap = g._heap
         for o in vars_.get(x, NO_OBJECTS):
             if o is NULL_OBJECT:
                 continue
-            fields = heap.get(o)
-            new_fields = _union_sets(fields or {}, {f: targets})
+            fields = old.get(o)
+            new_fields = _union_sets(fields or _NO_FIELDS, {f: targets})
             if new_fields is fields:
                 continue
-            if heap is g._heap:
-                heap = dict(heap)
+            if heap is old:
+                heap = dict(old)
             heap[o] = new_fields
-        return _with_heap(g, heap)
-    if kind is FieldLoad:
-        sources = [g.field_targets(o, f) for o in vars_.get(y, NO_OBJECTS)]
+        return g if heap is old else _graph(vars_, heap)
+    elif kind is FieldLoad:
+        heap = g._heap
+        sources = [heap.get(o, _NO_FIELDS).get(f, NO_OBJECTS) for o in vars_.get(y, NO_OBJECTS)]
         loaded = sources[0] if len(sources) == 1 else NO_OBJECTS.union(*sources)
-        return _rebind(g, x, loaded, g._heap)
-    if kind is Copy:
-        return _rebind(g, x, vars_.get(y, NO_OBJECTS), g._heap)
-    if kind is AssignNull:
-        return _rebind(g, x, _NULL_ONLY, g._heap)
-    if kind is Return:
+        new = _rebound(vars_, x, loaded)
+        return g if new is vars_ else _graph(new, heap)
+    elif kind is Copy:
+        new = _rebound(vars_, x, vars_.get(y, NO_OBJECTS))
+    elif kind is AssignNull:
+        new = _rebound(vars_, x, _NULL_ONLY)
+    elif kind is Return:
         if x is None:
             return g
-        return _rebind(g, y, vars_.get(x, NO_OBJECTS), g._heap)
-    if kind is Call:
+        new = _rebound(vars_, y, vars_.get(x, NO_OBJECTS))
+    elif kind is Call:
         raise ValueError(_NO_CALL_TRANSFER)
-    return g  # Branch / Goto / Nop
+    else:
+        return g  # Branch / Goto / Nop
+    return g if new is vars_ else _graph(new, g._heap)
 
 
 def reachable_field_edges(g: PointsToGraph, roots: Iterable[ObjectId]) -> PointsToGraph:
@@ -547,9 +552,10 @@ def project_in(
             f"call at {caller.name}:{s.label} passes {len(args)} argument(s) "
             f"to '{callee.name}' which takes {len(callee.params)}"
         )
+    vars_ = g_at_callsite._vars
     formals: VarIndex = {}
     for i, arg in enumerate(args):
-        objs = g_at_callsite.pts(arg)
+        objs = vars_.get(arg)
         if objs:
             formals[VarId(callee.name, i)] = objs
     reachable = reachable_field_edges(g_at_callsite, NO_OBJECTS.union(*formals.values()))
@@ -567,21 +573,24 @@ def project_out(
     summary's return edges when the call binds one."""
     assert isinstance(s.instr, Call)
     bind = _operands(s, caller)[2]
-    heap = _union_heaps(g_at_callsite._heap, summary._heap)
+    vars_, old = g_at_callsite._vars, g_at_callsite._heap
+    heap = _union_heaps(old, summary._heap)
     if bind is None:
-        return _with_heap(g_at_callsite, heap)
-    # A well-formed summary's variable edges are exactly its return edges.
-    returned = NO_OBJECTS.union(*summary._vars.values())
-    return _rebind(g_at_callsite, bind, returned, heap)
+        new = vars_
+    else:
+        # A well-formed summary's variable edges are exactly its return edges.
+        new = _rebound(vars_, bind, NO_OBJECTS.union(*summary._vars.values()))
+    return g_at_callsite if new is vars_ and heap is old else _graph(new, heap)
 
 
 def restrict_to_summary(exit_graph: PointsToGraph, m: Method) -> PointsToGraph:
     """OUT-summary of a method: drop every variable edge except the return
     carrier's, keep the whole heap."""
     r = ret_var(m)
-    returned = exit_graph._vars.get(r)
+    old = exit_graph._vars
+    returned = old.get(r)
     vars_ = {} if returned is None else {r: returned}
-    if len(vars_) == len(exit_graph._vars):
+    if len(vars_) == len(old):
         return exit_graph
     return _graph(vars_, exit_graph._heap)
 

@@ -993,23 +993,74 @@ def test_blocks_are_numbered_in_walk_order(shape, count, seed):
     assert edges > back > 0
 
 
-def test_cfg_matches_dominator_sets_on_every_small_method():
-    outcomes = Counter()
+def _small_methods():
+    """Every method of at most four control statements."""
     for n in range(5):
         for instrs in itertools.product(_control_instrs(n), repeat=n):
-            outcomes[_matches_dominator_cfg(_method(instrs))] += 1
+            yield _method(instrs)
+
+
+def _random_methods():
+    rng = random.Random(90917)
+    for _ in range(3000):
+        n = rng.randint(5, 9)
+        kinds = _control_instrs(n) + [Alloc("a", "A")] * 4
+        yield _method(rng.choice(kinds) for _ in range(n))
+
+
+def _relabeled(m, labels):
+    """``m`` with its statements labeled ``labels`` in body order; each
+    jump still goes to the statement it went to."""
+    new = {s.label: label for s, label in zip(m.body, labels)}
+
+    def moved(instr):
+        return instr.__class__(new[instr.target]) if isinstance(instr, (Goto, Branch)) else instr
+
+    return Method(
+        name=m.name,
+        params=m.params,
+        body=tuple(LabeledStatement(new[s.label], moved(s.instr)) for s in m.body),
+    )
+
+
+# Labels that fall in body order, or rise and fall at random (a seeded
+# shuffle of a range with gaps), so that Kahn's rule and body order differ.
+RELABELINGS = {
+    "reversed": lambda n, rng: range(n, 0, -1),
+    "shuffled": lambda n, rng: rng.sample(range(1, 3 * n + 1), n),
+}
+
+
+def _numbering(m) -> str:
+    """How ``build_cfg`` numbers ``m``'s blocks once checked against the
+    dominator-set construction: in body order, renumbered, or not at all
+    (``"irreducible"``)."""
+    if not _matches_dominator_cfg(m):
+        return "irreducible"
+    leaders = [b[0].label for b in build_cfg(m).blocks]
+    return "body order" if leaders == [s.label for s in m.body if s.label in set(leaders)] else "renumbered"
+
+
+def test_cfg_matches_dominator_sets_on_every_small_method():
+    outcomes = Counter(map(_matches_dominator_cfg, _small_methods()))
     assert sum(outcomes.values()) == 1 + 4 + 6**2 + 8**3 + 10**4
     assert outcomes[True] and outcomes[False]
 
 
 def test_cfg_matches_dominator_sets_on_random_methods():
-    rng = random.Random(90917)
-    outcomes = Counter()
-    for _ in range(3000):
-        n = rng.randint(5, 9)
-        kinds = _control_instrs(n) + [Alloc("a", "A")] * 4
-        outcomes[_matches_dominator_cfg(_method(rng.choice(kinds) for _ in range(n)))] += 1
+    outcomes = Counter(map(_matches_dominator_cfg, _random_methods()))
     assert outcomes[True] > 100 and outcomes[False] > 100
+
+
+@pytest.mark.parametrize("labeling", sorted(RELABELINGS))
+@pytest.mark.parametrize("methods", [_small_methods, _random_methods], ids=["every_small", "random"])
+def test_cfg_matches_dominator_sets_with_labels_out_of_body_order(methods, labeling):
+    rng = random.Random(35)
+    outcomes = Counter(
+        _numbering(_relabeled(m, RELABELINGS[labeling](len(m.body), rng))) for m in methods()
+    )
+    # both the body-order numbering and Kahn's renumbering are checked
+    assert outcomes["body order"] > 100 and outcomes["renumbered"] > 100 and outcomes["irreducible"] > 100
 
 
 def test_forward_inputs_are_a_header_s_inputs_without_its_back_edges():
