@@ -12,21 +12,26 @@ A graph is stored as two index maps rather than as edge sets:
 * ``VarId -> frozenset[ObjectId]`` (the variable's points-to set), and
 * ``ObjectId -> {field -> frozenset[ObjectId]}`` (the heap).
 
-No empty set or empty field map is ever stored, so two graphs with the same
-edges have equal maps and ``==`` is plain map equality.  The maps are never
-mutated once a graph holds them, so graphs share them freely: a strong
-update copies the variable map and rebinds one key while sharing the heap
-map, a field store copies only the source objects it touches, and a meet
-whose second operand adds nothing returns the first operand itself.  A
-lookup (``pts``, ``field_targets``) is one or two dictionary probes, and
-the edge-set views ``var_edges`` / ``field_edges`` are built anew on each
-read and kept by no graph; ``edge_count``, ``variables`` and
-``target_sets`` walk the maps without building them.  The hash is taken
-over the two maps on each call (each value set caches its own hash), so
-hashing never builds the edge views and no graph stores it.  Because the
-heap is keyed by source object, the one structural rule -- no field edge
-leaves the null object -- is a single key test, checked on every
-construction.
+``PointsToGraph`` is a ``tuple`` of the two maps, read only through its
+``_vars`` and ``_heap`` properties, and only in this module.  No empty set
+or empty field map is ever stored, so two graphs with the same edges have
+equal maps, and ``==`` and ``!=`` are tuple comparison in C, which is map
+equality.  The maps are never mutated once a graph holds them, so graphs
+share them freely: a strong update copies the variable map and rebinds one
+key while sharing the heap map, a field store copies only the source
+objects it touches, and a meet whose second operand adds nothing returns
+the first operand itself.  A flow function or meet reads each map of a
+graph once, as a property read costs more than a slot's.  A lookup
+(``pts``, ``field_targets``) is one or two dictionary probes, and the
+edge-set views ``var_edges`` / ``field_edges`` are built anew on each read
+and kept by no graph; ``edge_count``, ``variables`` and ``target_sets`` walk
+the maps without building them.  ``__hash__`` hashes the two maps on each
+call (each value set caches its own hash), so hashing never builds the edge
+views and no graph stores it.  Because the heap is keyed by source object,
+the one structural rule -- no field edge leaves the null object -- is a
+single key test, ``__post_init__``, which every construction calls through
+the class: ``_graph``, the edge constructor and ``copy`` / ``pickle``,
+which rebuild a graph with ``_graph``.
 
 ``edited`` is the one code that fills maps from edges: it applies ordered
 ``('-', edge)`` / ``('+', edge)`` edits, each edge ``(v, objs)`` or
@@ -143,8 +148,8 @@ class PointsToGraph(tuple):
     """An immutable points-to graph: the pair of its shared index maps.
 
     The pair is a ``tuple``, so ``==`` and ``!=`` are tuple comparison in
-    C, which is map equality.  ``_vars`` and ``_heap`` are the only readers
-    of the maps; a graph has no other accessor.  ``PointsToGraph(var_edges,
+    C, which is map equality.  The package reads the maps through
+    ``_vars`` and ``_heap`` alone, in this module.  ``PointsToGraph(var_edges,
     field_edges)`` and ``PointsToGraph.of`` add the edges to the empty maps
     as ``edited`` does; the lattice operations below build graphs directly
     from maps with ``_graph``, and so do ``copy`` and ``pickle``
