@@ -1038,7 +1038,8 @@ def _numbering(m) -> str:
     if not _matches_dominator_cfg(m):
         return "irreducible"
     leaders = [b[0].label for b in build_cfg(m).blocks]
-    return "body order" if leaders == [s.label for s in m.body if s.label in set(leaders)] else "renumbered"
+    starts = set(leaders)
+    return "body order" if leaders == [s.label for s in m.body if s.label in starts] else "renumbered"
 
 
 def test_cfg_matches_dominator_sets_on_every_small_method():
