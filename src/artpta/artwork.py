@@ -41,7 +41,7 @@ lines, each group sorted.  A line has at least one target and names none
 twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).  A
 field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
 any other is a syntax error, whichever path below reads it.  Only spaces
-(U+0020) separate a line's tokens: a tab, ``\x1c`` or any other whitespace
+(U+0020) separate a line's tokens: a tab, ``\\x1c`` or any other whitespace
 between two tokens is a syntax error too.
 There is no reader for ``ART/2`` (every identifier in full) or ``ART/1``
 (one edge per line), the grammars this one replaced.

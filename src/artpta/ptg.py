@@ -777,7 +777,7 @@ def parse_binding_line(
     and a field ``src .f->``, then one or more targets, none twice.  Returns
     the left side, the field name (None for a variable) and the targets in
     line order.  Tokens are separated by one or more U+0020 spaces, and no
-    other whitespace: a tab or ``\x1c`` stays inside its token, which is
+    other whitespace: a tab or ``\\x1c`` stays inside its token, which is
     then a syntax error.  A field name is an ASCII identifier.  A variable's
     slot is ``[0-9]+``, as an object's integer is; the left side is parsed
     before the targets.  With a ``scope``, a variable or an object of that
