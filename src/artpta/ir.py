@@ -19,16 +19,16 @@ tokens is insignificant)::
               | "nop"
 
 A statement is a ``LabeledStatement``, a frozen slotted dataclass of its
-label and its instruction.  Each instruction kind is a named tuple of its
-fields and a constant kind tag, so that kinds with equal fields differ; no
-statement or instruction has a ``__dict__``.  The line reader makes each
-instruction straight from its field tuple, and the builder fills each
-statement's two slots directly, at about a third and a half of the cost of a
-frozen dataclass's ``__init__``.  Built by hand or by the token parser,
-through the constructors, a statement is equal to the line reader's, hashes
-equal and prints the same.  The engines read
-``s.label`` and ``s.instr`` on every evaluation, which a slot serves faster
-than a tuple field, so ``LabeledStatement`` is not a tuple.
+label, its instruction and its resolved operands.  Each instruction kind is
+a named tuple of its fields and a constant kind tag, so that kinds with
+equal fields differ; no statement or instruction has a ``__dict__``.  The
+line reader makes each instruction straight from its field tuple, and the
+builder fills each statement's slots directly, at about a third and a half
+of the cost of a frozen dataclass's ``__init__``.  Built by hand or by the
+token parser, through the constructors, a statement is equal to the line
+reader's, hashes equal and prints the same.  The engines read ``s.label``,
+``s.instr`` and ``s.operands`` on every evaluation, which a slot serves
+faster than a tuple field, so ``LabeledStatement`` is not a tuple.
 
 Two readers feed one builder.  The line reader takes the common case, a text
 of canonical lines, as ``print_program`` and ``generate_corpus`` write them:
@@ -77,16 +77,18 @@ place that says which of them a program has: a table, built from the
 program on each call, that maps each to itself and its rendered text to it.
 Decode looks every artifact edge line up in it, and ``tamper`` draws its
 sites from it.
-A parsed method's operand table (``operands`` and ``operands_at``) holds
-every body statement's resolved operands (see ``Operands``): the variables
-it writes and reads, one ``VarId`` per variable, made when its slot is
-assigned; its field name; an allocation site's singleton object set, which
-every evaluation shares; a call's arguments and receiver; and a return's
-carrier, filled in once the method's slots are all known.  The flow
+Each statement of a parsed method carries its resolved operands
+(``LabeledStatement.operands``, see ``Operands``): the variables it writes
+and reads, one ``VarId`` per variable, made when its slot is assigned; its
+field name; an allocation site's singleton object set, which every
+evaluation shares; a call's arguments and receiver; and a return's carrier,
+filled in once the method's slots are all known.  The tuple starts with the
+method's ``mark``, an object the builder makes for each method.  The flow
 functions in ``ptg`` read these instead of looking each name up on every
-evaluation, and reject a statement that is not one of the method's own.  A
-method built by hand has no table.  The table is derived from the method,
-so it takes no part in equality, hashing or ``repr``.
+evaluation, and reject a statement whose operands do not start with the
+method's mark.  A statement or method built by hand, or by
+``dataclasses.replace``, has neither.  Both are derived, so they take no
+part in equality, hashing or ``repr``.
 
 Branch conditions are nondeterministic: ``if goto L`` has both the fall
 through statement and ``L`` as successors.  Call statements carry an explicit
@@ -222,14 +224,18 @@ _CONTROL = frozenset((Branch, Goto, Return))
 class LabeledStatement:
     label: int
     instr: Instr
+    #: The resolved ``Operands``, which the builder records; None for a
+    #: statement built by hand.
+    operands: Operands | None = field(default=None, init=False, repr=False, compare=False)
 
 
-# ``_Builder.add`` makes each statement by setting its two slots, which skips
-# the frozen dataclass's ``__init__`` (it sets each field through
+# ``_Builder.add`` makes each statement by setting its slots, which skips the
+# frozen dataclass's ``__init__`` (it sets each field through
 # ``object.__setattr__``).
 _new_statement = object.__new__
 _set_label = LabeledStatement.label.__set__
 _set_instr = LabeledStatement.instr.__set__
+_set_operands = LabeledStatement.operands.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +284,8 @@ class Placeholder(NamedTuple):
 _tuple_new = tuple.__new__
 
 
-#: A statement's resolved operands, five items ``statement, kind, a, b, c``:
-#: the statement itself, its instruction's class, and by kind
+#: A statement's resolved operands, five items ``mark, kind, a, b, c``: its
+#: method's ``Method.mark``, its instruction's class, and by kind
 #:
 #: ============  =========================  ==================  =====
 #: kind          a                          b                   c
@@ -295,9 +301,8 @@ _tuple_new = tuple.__new__
 #: ============  =========================  ==================  =====
 #:
 #: with every variable a ``VarId`` and ``{Site}`` the allocation site's
-#: singleton object set.  ``Method.operands`` holds its statements' operands
-#: in one tuple rather than a tuple per statement, so that the table adds
-#: few objects for the garbage collector to track.
+#: singleton object set.  The mark is neither the statement nor the method,
+#: either of which would make a reference cycle.
 Operands = tuple
 
 
@@ -314,16 +319,11 @@ class Method:
     #: variable name -> dense 0-based stack slot; params first, then locals
     #: in order of first assignment.  Derived deterministically from the body.
     slot_of: dict[str, int] = field(default_factory=dict, compare=False)
-    #: The resolved operands of the body's statements, one ``Operands``
-    #: after another in one tuple, and label -> the index in that tuple of
-    #: the statement's first item.  The builder records both as it reads
-    #: the method; they are empty for a method built by hand.  They are
-    #: derived from the fields above, so they take no part in equality,
-    #: hashing or ``repr``, and ``dataclasses.replace`` drops them.
-    operands: tuple = field(default=(), init=False, repr=False, compare=False)
-    operands_at: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    #: The object that starts each of the body's statements' ``Operands``,
+    #: which the builder makes for the method; None for a method built by
+    #: hand.  It is derived, so it takes no part in equality, hashing or
+    #: ``repr``, and ``dataclasses.replace`` drops it.
+    mark: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def var_count(self) -> int:
@@ -472,15 +472,14 @@ class _Builder:
         #: variable name -> identifier, in slot order: the parameters, then
         #: the locals in order of first assignment
         self.vars = {p: _tuple_new(VarId, (name, k, "var")) for k, p in enumerate(params)}
-        #: the resolved statements' operands, one ``Operands`` after another,
-        #: and every statement's label -> where its operands start
-        self.items: list = []
-        self.at: dict[int, int] = {}
-        #: the resolved jumps and calls, and where each resolved return's
-        #: ``Operands`` start: its carrier is known only at the end
+        #: what starts each of the method's statements' ``Operands``
+        self.mark = object()
+        self.labels: set[int] = set()
+        #: the resolved jumps and calls, and each resolved return with the
+        #: variable it returns: its carrier is known only at the end
         self.jumps: list[LabeledStatement] = []
         self.calls: list[LabeledStatement] = []
-        self.returns: list[int] = []
+        self.returns: list[tuple[LabeledStatement, VarId | None]] = []
         #: the first statement at fault: a bad label or a read before any
         #: assignment; nothing after it is resolved
         self.fault: _Fault | None = None
@@ -502,49 +501,46 @@ class _Builder:
         _set_label(s, label)
         _set_instr(s, instr)
         self.body.append(s)
-        items, at = self.items, self.at
-        start = len(items)
+        labels = self.labels
         if self.fault is None:
             if label <= 0:
                 self.fault = ParseError, f"label {label} in method '{self.name}' must be positive"
-            elif label in at:
+            elif label in labels:
                 self.fault = DuplicateNameError, f"duplicate label {label} in method '{self.name}'"
             else:
-                vars_ = self.vars
+                vars_, mark = self.vars, self.mark
                 kind = instr.__class__
                 try:
                     if kind is Alloc:
                         site = _tuple_new(Site, (self.name, label, "site"))
-                        items += (s, kind, self.assign(instr.x), frozenset((site,)), None)
+                        _set_operands(s, (mark, kind, self.assign(instr.x), frozenset((site,)), None))
                     elif kind is FieldStore:
-                        items += (s, kind, vars_[instr.x], vars_[instr.y], instr.f)
+                        _set_operands(s, (mark, kind, vars_[instr.x], vars_[instr.y], instr.f))
                     elif kind is FieldLoad:
                         y = vars_[instr.y]
-                        items += (s, kind, self.assign(instr.x), y, instr.f)
+                        _set_operands(s, (mark, kind, self.assign(instr.x), y, instr.f))
                     elif kind is Copy:
                         y = vars_[instr.y]
-                        items += (s, kind, self.assign(instr.x), y, None)
+                        _set_operands(s, (mark, kind, self.assign(instr.x), y, None))
                     elif kind is AssignNull:
-                        items += (s, kind, self.assign(instr.x), None, None)
+                        _set_operands(s, (mark, kind, self.assign(instr.x), None, None))
                     elif kind is Call:
                         args = tuple([vars_[a] for a in instr.args])
                         bind = instr.bind
-                        items += (s, kind, None if bind is None else self.assign(bind), args, None)
+                        _set_operands(s, (mark, kind, None if bind is None else self.assign(bind), args, None))
                         self.calls.append(s)
                     elif kind is Return:
-                        x = None if instr.x is None else vars_[instr.x]
-                        self.returns.append(start)
-                        items += (s, kind, x, None, None)
+                        self.returns.append((s, None if instr.x is None else vars_[instr.x]))
                     else:
                         if kind is Branch or kind is Goto:
                             self.jumps.append(s)
-                        items += (s, kind, None, None, None)
+                        _set_operands(s, (mark, kind, None, None, None))
                 except KeyError as exc:
                     self.fault = (
                         ResolutionError,
                         f"variable '{exc.args[0]}' used at {self.name}:{label} before any assignment",
                     )
-        at[label] = start
+        labels.add(label)
 
     def end(self) -> None:
         """Close the method: a duplicate parameter is raised here, at the
@@ -555,10 +551,10 @@ class _Builder:
                 raise DuplicateNameError(f"duplicate parameter '{p}' in method '{name}'")
         # The jumps before the first statement at fault, checked against
         # every label.
-        fault, at = self.fault, self.at
+        fault, labels = self.fault, self.labels
         for s in self.jumps:
             target = s.instr.target
-            if target not in at:
+            if target not in labels:
                 fault = ResolutionError, f"unknown branch label {target} at {name}:{s.label}"
                 break
         self.deferred.append((fault, self.calls))
@@ -566,12 +562,11 @@ class _Builder:
         slot_of = dict(zip(vars_, range(len(vars_))))
         m = Method(name=name, params=params, body=tuple(self.body), slot_of=slot_of)
         if fault is None:
-            items = self.items
+            mark = self.mark
             ret = _tuple_new(VarId, (name, len(vars_), "var"))
-            for i in self.returns:
-                items[i + 3] = ret
-            object.__setattr__(m, "operands", tuple(items))
-            object.__setattr__(m, "operands_at", at)
+            for s, x in self.returns:
+                _set_operands(s, (mark, Return, x, ret, None))
+            object.__setattr__(m, "mark", mark)
         self.methods.append(m)
 
     def program(self) -> Program:

@@ -59,12 +59,13 @@ edge lines up in it, so no artifact text ever adds to it and it dies with
 the call.
 
 The flow functions (``transfer``, ``project_in``, ``project_out``) take a
-statement's operands from the table the builder resolved for its method
-(``Method.operands``): its variables' ``VarId``s, its field name and an
-allocation site's object set, shared by every evaluation of that site.  They
-reject, with ValueError, a statement that is not one of the method's own,
-which is every statement of a method built by hand: such a method has no
-table.
+statement's operands from the statement itself, as the builder resolved
+them (``LabeledStatement.operands``): its variables' ``VarId``s, its field
+name and an allocation site's object set, shared by every evaluation of that
+site.  They reject, with ValueError, a statement that is not one of the
+method's own: one whose operands do not start with the method's ``mark``.
+That is every statement built by hand and every statement of a method built
+by hand, which has no mark.
 
 Canonical text rendering, one line per edge (``render_edges``, the
 results dump and UNSAFE reports)::
@@ -459,11 +460,10 @@ def _not_own(s: LabeledStatement, m: Method) -> ValueError:
 
 def _operands(s: LabeledStatement, m: Method) -> Operands:
     """The resolved operands of ``s``, one of ``m``'s statements."""
-    at = m.operands_at.get(s.label)
-    items = m.operands
-    if at is None or items[at] is not s:
+    ops = s.operands
+    if ops is None or ops[0] is not m.mark:
         raise _not_own(s, m)
-    return items[at : at + 5]
+    return ops
 
 
 def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
@@ -475,11 +475,10 @@ def transfer(s: LabeledStatement, g: PointsToGraph, m: Method) -> PointsToGraph:
     Dereferencing null or an empty points-to set contributes nothing.
     """
     # ``_operands``, inlined: this is the engines' most frequent call
-    at = m.operands_at.get(s.label)
-    items = m.operands
-    if at is None or items[at] is not s:
+    ops = s.operands
+    if ops is None or ops[0] is not m.mark:
         raise _not_own(s, m)
-    _, kind, x, y, f = items[at : at + 5]
+    _, kind, x, y, f = ops
     # each map is read once: a read goes through a property
     vars_ = g._vars
     if kind is Alloc:

@@ -538,7 +538,7 @@ def test_print_parse_round_trip_over_generated_corpus(shape):
 
 def _by_hand(p):
     """``p`` rebuilt from its fields, as by hand: the same statements and
-    slots, and no resolved operands."""
+    slots, and no mark."""
     methods = tuple(Method(m.name, m.params, m.body, slot_of=dict(m.slot_of)) for m in p.methods)
     return Program(methods=methods, entry=p.entry)
 
@@ -548,17 +548,23 @@ def test_resolved_operands_leave_equality_hashing_printing_alone(shape):
     for name, text in generate_corpus(CorpusConfig(program_count=6, seed=5, **shape)):
         p = parse_program(text)
         plain = _by_hand(p)
-        assert all(len(m.operands) == 5 * len(m.body) for m in p.methods), name
-        assert all(list(m.operands_at) == [s.label for s in m.body] for m in p.methods), name
-        assert not any(m.operands or m.operands_at for m in plain.methods)
+        marks = [m.mark for m in p.methods]
+        assert len(set(map(id, marks))) == len(marks) and None not in marks, name
+        assert not any(isinstance(mark, (Method, LabeledStatement)) for mark in marks), name
+        assert all(s.operands[0] is m.mark for m in p.methods for s in m.body), name
+        assert all(m.mark is None for m in plain.methods)
         assert p == plain and hash(p) == hash(plain), name
         assert repr(p) == repr(plain) and "operands" not in repr(p), name
         assert print_program(p) == print_program(plain) == text, name
         again = parse_program(print_program(plain))
         assert again == p and hash(again) == hash(p) and repr(again) == repr(p), name
         for m in p.methods:
-            copy = dataclasses.replace(m)  # the table is derived: replace drops it
-            assert copy == m and copy.operands == () and copy.operands_at == {}
+            copy = dataclasses.replace(m)  # the mark is derived: replace drops it
+            assert copy == m and copy.mark is None
+            for s in m.body:
+                bare = dataclasses.replace(s)  # and so are a statement's operands
+                assert bare == s and hash(bare) == hash(s) and repr(bare) == repr(s), name
+                assert bare.operands is None and "operands" not in repr(s), name
 
 
 def _variables(ops):
@@ -583,7 +589,8 @@ def _slots(m):
 
 
 def _by_name(s, m):
-    """The operands of ``s`` looked up by name, through ``m.slot_of``."""
+    """The operands of ``s`` looked up by name, through ``m.slot_of``, after
+    ``m``'s mark."""
 
     def var(x):
         return ir.VarId(m.name, m.slot_of[x])
@@ -591,20 +598,20 @@ def _by_name(s, m):
     instr = s.instr
     kind = instr.__class__
     if kind is Alloc:
-        return s, kind, var(instr.x), frozenset({ir.Site(m.name, s.label)}), None
+        return m.mark, kind, var(instr.x), frozenset({ir.Site(m.name, s.label)}), None
     if kind is Copy:
-        return s, kind, var(instr.x), var(instr.y), None
+        return m.mark, kind, var(instr.x), var(instr.y), None
     if kind is AssignNull:
-        return s, kind, var(instr.x), None, None
+        return m.mark, kind, var(instr.x), None, None
     if kind is FieldStore or kind is FieldLoad:
-        return s, kind, var(instr.x), var(instr.y), instr.f
+        return m.mark, kind, var(instr.x), var(instr.y), instr.f
     if kind is Return:
         x = None if instr.x is None else var(instr.x)
-        return s, kind, x, ir.VarId(m.name, m.ret_slot), None
+        return m.mark, kind, x, ir.VarId(m.name, m.ret_slot), None
     if kind is Call:
         bind = None if instr.bind is None else var(instr.bind)
-        return s, kind, bind, tuple(map(var, instr.args)), None
-    return s, kind, None, None, None
+        return m.mark, kind, bind, tuple(map(var, instr.args)), None
+    return m.mark, kind, None, None, None
 
 
 @pytest.mark.parametrize("seed", [1, 90917])
@@ -615,9 +622,8 @@ def test_the_builder_resolves_each_statement_as_by_name(shape, seed):
             assert m.slot_of == _slots(m), (name, m.name)
             made: dict = {}
             for s in m.body:
-                at = m.operands_at[s.label]
-                ops = m.operands[at : at + 5]
-                assert ops[0] is s and ops[1] is s.instr.__class__
+                ops = s.operands
+                assert ops[0] is m.mark and ops[1] is s.instr.__class__
                 assert ops == _by_name(s, m), (name, m.name, s.label)
                 for v in _variables(ops):
                     # one identifier per variable, the carrier included

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import pickle
 
@@ -941,7 +942,7 @@ def test_flow_functions_take_only_a_methods_own_statements():
                 project_in(EMPTY, CALLER, s, k)
             with pytest.raises(ValueError, match=not_own):
                 project_out(EMPTY, CALLER, s, EMPTY)
-    # A method built by hand has no operand table: no statement is its own.
+    # A method built by hand has no mark: no statement is its own.
     by_hand = Method(CALLER.name, CALLER.params, CALLER.body, slot_of=CALLER.slot_of)
     for s in CALLER.body:
         with pytest.raises(ValueError, match=not_own):
@@ -951,3 +952,32 @@ def test_flow_functions_take_only_a_methods_own_statements():
             project_in(EMPTY, by_hand, s, CALLS.method(s.instr.targets[0]))
         with pytest.raises(ValueError, match=not_own):
             project_out(EMPTY, by_hand, s, EMPTY)
+
+
+def test_flow_functions_reject_copies_reparses_and_replaced_methods():
+    # A statement's operands start with its method's mark.  A replaced
+    # statement has no operands, a second parse of the same text makes new
+    # marks, and a replaced method has no mark.
+    not_own = "not a statement of method 'm'"
+    again = parse_program(print_program(CALLS)).method("m")
+    replaced = dataclasses.replace(CALLER)
+    cases = [(dataclasses.replace(s), CALLER) for s in CALLER.body]
+    cases += [(s, CALLER) for s in again.body]
+    cases += [(s, replaced) for s in replaced.body]
+    assert len(cases) == 3 * len(CALLER.body)
+    for s, m in cases:
+        assert s in CALLER.body  # equal to one of the method's own
+        with pytest.raises(ValueError, match=not_own):
+            transfer(s, EMPTY, m)
+        if isinstance(s.instr, Call):
+            with pytest.raises(ValueError, match=not_own):
+                project_in(EMPTY, m, s, CALLS.method(s.instr.targets[0]))
+            with pytest.raises(ValueError, match=not_own):
+                project_out(EMPTY, m, s, EMPTY)
+    # The second parse's statements are its own method's.
+    for s in again.body:
+        if isinstance(s.instr, Call):
+            project_in(EMPTY, again, s, CALLS.method(s.instr.targets[0]))
+            project_out(EMPTY, again, s, EMPTY)
+        else:
+            transfer(s, EMPTY, again)
