@@ -3,16 +3,22 @@ ships without the producer."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
 from artpta import (
+    EMPTY,
     REC,
+    CorpusConfig,
+    NothingToTamperError,
+    PointsToGraph,
     TamperKind,
     analyze_inter,
     decode,
     emit_artwork,
     encode,
+    generate_corpus,
     optimize_artwork,
     parse_program,
     regen_inter,
@@ -147,6 +153,72 @@ def test_only_ptg_reaches_a_graphs_maps():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ptg":
                 reached.update((path.stem, a.name) for a in node.names if a.name.startswith("_"))
     assert reached == set()
+
+
+#: What a graph inherits from ``tuple`` that reaches its maps past ``_vars``
+#: and ``_heap`` (an index, an unpacking, a membership test) or makes a
+#: plain tuple of them (``+``); ``len`` is there too.
+_TUPLE_PROTOCOL = ("__getitem__", "__iter__", "__len__", "__contains__", "__add__")
+_LARGE = {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}
+
+
+def _every_pipeline_path(p):
+    """Produce, ``-O``, encode and decode, SAFE, UNSAFE and ``keep_going``
+    regeneration, every tampering kind and an rq2 campaign over ``p``;
+    returns the verdicts."""
+    a = emit_artwork(p, analyze_inter(p))
+    arts = [a, optimize_artwork(p, a)]
+    for kind in TamperKind:
+        try:
+            arts.append(tamper(a, kind, 1, program=p)[0])
+        except NothingToTamperError:
+            pass
+    verdicts = []
+    for art in arts:
+        decoded = decode(encode(art), p)
+        verdicts.append(regen_inter(p, decoded).safe)
+        regen_inter(p, decoded, keep_going=True)
+    rq2_campaign(p, a, 2, 1)
+    return verdicts
+
+
+def test_only_ptg_uses_a_graphs_tuple_protocol(monkeypatch):
+    # A graph is a ``tuple``, so outside ``ptg`` an index or an unpacking
+    # would read its maps and ``test_only_ptg_reaches_a_graphs_maps``, which
+    # reads attribute names, would not see it.  Here every call of the
+    # inherited protocol is recorded with its calling module while the
+    # pipeline runs; ``ptg`` reads the maps through it (``_vars`` and
+    # ``_heap`` are ``itemgetter`` properties).
+    reached = set()
+
+    def recording(name):
+        inherited = getattr(tuple, name)
+
+        def method(*args):
+            caller = sys._getframe(1).f_globals["__name__"]
+            if caller != "artpta.ptg":
+                reached.add((name, caller))
+            return inherited(*args)
+
+        return method
+
+    # the fixtures, three default-shape programs and one of roundtrip-large
+    texts = [text for _, text in generate_corpus(CorpusConfig(program_count=3, seed=1))]
+    texts.append(generate_corpus(CorpusConfig(program_count=1, seed=1, **_LARGE))[-1][1])
+    verdicts = []
+    with monkeypatch.context() as patch:
+        for name in _TUPLE_PROTOCOL:
+            patch.setattr(PointsToGraph, name, recording(name))
+        for text in texts:
+            verdicts += _every_pipeline_path(parse_program(text))
+        found = set(reached)
+        # the instrument sees a call from outside ``ptg``
+        len(EMPTY)
+        _, _ = EMPTY
+        assert reached == found | {("__len__", __name__), ("__iter__", __name__)}
+    assert not set(_TUPLE_PROTOCOL) & set(vars(PointsToGraph))  # restored
+    assert True in verdicts and False in verdicts
+    assert found == set()
 
 
 def _attribute_readers(names):
