@@ -37,10 +37,10 @@ spaces only between its tokens, read by one ``fullmatch`` of a compiled
 regular expression whose ``lastgroup`` names the instruction kind.  At the
 first line that is none of these (a statement spanning lines, a ``}`` after
 a statement, a comment, a tab, a keyword where a name goes, an integer
-``int`` rejects, any syntax error) it gives up, and the token reader parses
-the whole text again, so every error message, position and precedence is
-the token reader's.  The token reader is also the reference the line reader
-is tested against.
+``int`` rejects, any syntax error), or at a repeated parameter, it gives
+up, and the token reader parses the whole text again, so every error
+message, position and precedence is the token reader's.  The token reader
+is also the reference the line reader is tested against.
 
 The token reader's scanner splits the text with ``str.splitlines``, drops
 each line's ``#`` comment and runs one compiled regular expression over the
@@ -60,14 +60,15 @@ operands, the reads first and then the assignment, which assigns the slots
 (parameters first, then locals in order of first assignment) and finds a
 variable read before any assignment.  At the end of each method it checks
 the jumps it resolved against every label; it keeps each method's first
-statement at fault and resolves nothing after it.  The faults are raised once
-the whole text has been read, in this order: a syntax error (the
-scanner's, then the parser's); a duplicate parameter, at the end of its
-method; a duplicate method name; a missing entry method; an entry method
-with parameters; then per method, its first statement at fault (a label
-that is not positive or repeats, a variable read before any assignment, an
-unknown jump target: by statement, and in that order within one) and then
-its first unknown call target.
+statement at fault and resolves nothing after it.  A scanner error anywhere
+comes first.  Then parsing stops at the first parser error or duplicate
+parameter in text order, a duplicate parameter being found at the end of
+its method.  Then come the whole program's faults: a duplicate method
+name, a missing entry method, an entry method with parameters, and per
+method its first statement at fault (a label that is not positive or
+repeats, a variable read before any assignment, an unknown jump target: by
+statement, and in that order within one) and then its first unknown call
+target.
 
 Variables and abstract objects are identified by ``VarId`` (method, slot),
 ``Site`` (method, allocation label) and ``Placeholder`` (method, parameter
@@ -627,8 +628,10 @@ def _read_lines(text: str) -> Program | None:
     """The program of ``text`` read line by line, or None when a line is not
     canonical: a method header, a statement, a lone ``}`` or a blank line,
     each whole (a label or jump target ``int`` rejects counts as not
-    canonical).  Every canonical line is read exactly as the token parser
-    reads it, so a None leaves every message and position to that parser."""
+    canonical), or when a method repeats a parameter, as a later line may
+    hold a scanner error.  Every canonical line is read exactly as the token
+    parser reads it, so a None leaves every message and position to that
+    parser."""
     b = _Builder()
     add = b.add
     statement = _STMT_RE.fullmatch
@@ -675,7 +678,7 @@ def _read_lines(text: str) -> Program | None:
             else:
                 instr = _tuple_new(AssignNull, (m["x"], "assign_null"))
             add(int(m["label"]), instr)
-    except ValueError:  # an integer past the interpreter's digit limit
+    except (ValueError, DuplicateNameError):  # a huge integer; a repeated parameter
         return None
     if open_method:
         return None
@@ -1178,53 +1181,41 @@ def build_call_graph(p: Program) -> CallGraph:
                     edges.append(((m.name, s.label), m.name, t))
                     callees[m.name].add(t)
 
-    # Tarjan's algorithm, iterative, with sorted adjacency for determinism.
+    # Tarjan's algorithm, with iterator frames as in build_cfg's search and
+    # sorted roots and children for determinism.  Tarjan's stack is
+    # ``on_stack``, a dict kept as an ordered set: its key test is the
+    # on-stack test, and ``popitem`` pops the latest node.
     adjacency = {n: sorted(ts) for n, ts in callees.items()}
     index_of: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    on_stack: dict[str, None] = {}
     sccs: list[frozenset[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work: list[tuple[str, int]] = [(root, 0)]
+    for root in sorted(adjacency):
+        if root in index_of:
+            continue
+        index_of[root] = low[root] = len(index_of)
+        on_stack[root] = None
+        work = [(root, iter(adjacency[root]))]
         while work:
-            node, pi = work.pop()
-            if pi == 0:
-                index_of[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            children = adjacency[node]
-            for j in range(pi, len(children)):
-                w = children[j]
+            u, children = work[-1]
+            for w in children:
                 if w not in index_of:
-                    work.append((node, j + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    index_of[w] = low[w] = len(index_of)
+                    on_stack[w] = None
+                    work.append((w, iter(adjacency[w])))
                     break
                 if w in on_stack:
-                    low[node] = min(low[node], index_of[w])
-            if recurse:
-                continue
-            if low[node] == index_of[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for name in sorted(adjacency):
-        if name not in index_of:
-            strongconnect(name)
+                    low[u] = min(low[u], index_of[w])
+            else:
+                work.pop()
+                if work:
+                    v = work[-1][0]
+                    low[v] = min(low[v], low[u])
+                if low[u] == index_of[u]:
+                    comp: set[str] = set()
+                    while u not in comp:
+                        comp.add(on_stack.popitem()[0])
+                    sccs.append(frozenset(comp))
 
     cyclic = frozenset(
         n

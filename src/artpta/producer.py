@@ -272,9 +272,9 @@ def analyze_inter(
         evals += n
 
         if EXIT in changed:
-            new_sum = restrict_to_summary(out[(name, EXIT)], m)
-            if not subsumes(out_summary[name], new_sum):
-                out_summary[name] = meet(out_summary[name], new_sum)
+            old = out_summary[name]
+            out_summary[name] = meet(old, restrict_to_summary(out[(name, EXIT)], m))
+            if out_summary[name] is not old:
                 for caller, label in index.call_graph.call_sites_of(name):
                     dirty.setdefault(caller, set()).add(label)
                     push(caller)
@@ -284,9 +284,9 @@ def analyze_inter(
                 continue  # the state before the call is as last projected
             in_g = meet_in(out, name, points)
             for t in s.instr.targets:
-                contrib = callee_in(index, name, s, in_g, t)
-                if not subsumes(in_summary[t], contrib):
-                    in_summary[t] = meet(in_summary[t], contrib)
+                old = in_summary[t]
+                in_summary[t] = meet(old, callee_in(index, name, s, in_g, t))
+                if in_summary[t] is not old:
                     push(t)
 
     return AnalysisResult(

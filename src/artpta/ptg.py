@@ -3,9 +3,11 @@ project-in / project-out call macros.
 
 A graph holds variable edges ``(VarId, ObjectId)`` and heap edges
 ``(ObjectId, field, ObjectId)``; the meet of the analysis is set union and
-``subsumes`` is componentwise containment.  Variables get strong updates,
-object fields get weak updates (an abstract object may summarize many
-concrete ones).  All values are immutable and safe to share.
+``subsumes`` is componentwise containment, which the meet decides: it
+returns its first operand itself exactly when the second adds nothing.
+Variables get strong updates, object fields get weak updates (an abstract
+object may summarize many concrete ones).  All values are immutable and
+safe to share.
 
 A graph is stored as two index maps rather than as edge sets:
 
@@ -363,30 +365,6 @@ def _union_heaps(a: HeapIndex, b: HeapIndex) -> HeapIndex:
     return a if out is None else out
 
 
-def _covers_sets(big: dict[K, Objects], small: dict[K, Objects]) -> bool:
-    if big is small:
-        return True
-    if len(small) > len(big):
-        return False
-    for k, objs in small.items():
-        have = big.get(k)
-        if have is None or (have is not objs and not objs <= have):
-            return False
-    return True
-
-
-def _covers_heaps(big: HeapIndex, small: HeapIndex) -> bool:
-    if big is small:
-        return True
-    if len(small) > len(big):
-        return False
-    for o, fields in small.items():
-        have = big.get(o)
-        if have is None or not _covers_sets(have, fields):
-            return False
-    return True
-
-
 def meet(g1: PointsToGraph, g2: PointsToGraph) -> PointsToGraph:
     """The analysis meet: componentwise set union."""
     return _union_graphs((g1, g2))
@@ -398,7 +376,8 @@ def meet_all(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
 
 def _union_graphs(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
     """Meet of any number of graphs (EMPTY for none).  Returns the first
-    input itself when the others add nothing to it."""
+    input itself exactly when the others add nothing to it, which is how
+    ``subsumes`` decides."""
     it = iter(graphs)
     result: PointsToGraph | None = next(it, EMPTY)
     vars_, heap = result._vars, result._heap
@@ -414,10 +393,8 @@ def _union_graphs(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
 
 
 def subsumes(g1: PointsToGraph, g2: PointsToGraph) -> bool:
-    """True iff g2 is a subgraph of g1."""
-    return g1 is g2 or (
-        _covers_sets(g1._vars, g2._vars) and _covers_heaps(g1._heap, g2._heap)
-    )
+    """True iff g2 is a subgraph of g1: exactly when their meet is g1 itself."""
+    return _union_graphs((g1, g2)) is g1
 
 
 def var_id(m: Method, name: str) -> VarId:

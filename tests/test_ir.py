@@ -182,6 +182,18 @@ def test_parse_error_carries_position():
             "5:11: expected integer, found 'x'",
         ),
         ("method main() {\n}\nmethod f(a, b, b, a) {\n}\n", DuplicateNameError, "duplicate parameter 'b' in method 'f'"),
+        # a scanner error in a later method still beats a duplicate
+        # parameter, on canonical lines and after a comment line
+        (
+            "method f(a, a) {\n}\nmethod main() {\n  1: x = $\n}\n",
+            ParseError,
+            "4:10: unexpected character '$'",
+        ),
+        (
+            "method f(a, a) {\n}\n# a comment\nmethod main() {\n  1: x = $\n}\n",
+            ParseError,
+            "5:10: unexpected character '$'",
+        ),
         # then a duplicate method name, the missing entry, entry parameters
         (
             "method main() {\n  0: call [ghost]()\n}\nmethod main() {\n  1: nop\n}\n",
@@ -845,6 +857,34 @@ def test_call_graph_lookups_match_edge_scans(small_corpus, rec, loopy):
                 assert cg.is_recursive_edge(name, other) == (
                     other in scc and name in cg.recursive_methods
                 )
+
+
+#: Methods out of sorted order: two two-method SCCs ({eta, theta} and
+#: {alpha, beta}), two self-calls (zeta, delta) and edges between SCCs.
+_SCC_PROGRAM = (
+    "method main() {\n  1: call [zeta, beta]()\n  2: call [delta]()\n}\n"
+    "method zeta() {\n  1: call [eta]()\n  2: call [zeta]()\n}\n"
+    "method eta() {\n  1: call [theta]()\n}\n"
+    "method theta() {\n  1: call [eta, gamma]()\n}\n"
+    "method beta() {\n  1: call [alpha]()\n  2: call [gamma]()\n}\n"
+    "method alpha() {\n  1: call [beta]()\n  2: call [theta]()\n}\n"
+    "method gamma() {\n  1: nop\n}\n"
+    "method delta() {\n  1: call [delta, gamma]()\n}\n"
+)
+
+
+def test_call_graph_scc_order_is_pinned():
+    cg = build_call_graph(parse_program(_SCC_PROGRAM))
+    assert cg.sccs == (
+        frozenset({"gamma"}),
+        frozenset({"eta", "theta"}),
+        frozenset({"alpha", "beta"}),
+        frozenset({"delta"}),
+        frozenset({"zeta"}),
+        frozenset({"main"}),
+    )
+    assert cg.bottom_up_order() == ("gamma", "eta", "theta", "alpha", "beta", "delta", "zeta", "main")
+    assert cg.recursive_methods == {"alpha", "beta", "delta", "eta", "theta", "zeta"}
 
 
 # ---------------------------------------------------------------------------

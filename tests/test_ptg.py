@@ -647,6 +647,23 @@ def test_meet_subsumes_restrict_match_oracles(a, b, c):
     assert [render_edges(x) for x in (a, b, c)] == before
 
 
+@given(graphs, graphs, st.data())
+def test_meet_returns_its_first_operand_exactly_when_it_subsumes(a, b, data):
+    # ``b`` as drawn, and subgraphs of ``a`` rebuilt through the constructor,
+    # so that equal but distinct target sets and field maps are compared
+    var_edges = sorted(a.var_edges, key=repr)
+    field_edges = sorted(a.field_edges, key=repr)
+    n = len(var_edges) + len(field_edges)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    part = PointsToGraph(
+        [e for e, k in zip(var_edges, keep) if k],
+        [e for e, k in zip(field_edges, keep[len(var_edges) :]) if k],
+    )
+    for other in (b, part, PointsToGraph(var_edges, field_edges)):
+        assert (meet(a, other) is a) == _subsumes_oracle(a, other) == subsumes(a, other)
+    assert subsumes(a, part)
+
+
 @settings(max_examples=200)
 @given(calls, graphs, graphs)
 def test_projections_match_oracles(s, a, summary):
