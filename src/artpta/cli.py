@@ -2,11 +2,11 @@
 gen-corpus.
 
 Exit codes are a contract: 0 for success or a SAFE verdict, 1 for an UNSAFE
-verdict (from ``regen``, or from ``stats``, which sizes only artifacts that
-regenerate; or differing results / undetected tamperings), 2 for usage, IO, and
-format errors and for any internal error.  Output files are written
-atomically (write then rename).  ANSI color is used only on a terminal and
-is disabled by ART_COLOR=0.
+verdict (from ``regen``, or from ``stats`` and ``rq2``, which size or tamper
+only artifacts that regenerate; or differing results / undetected
+tamperings), 2 for usage, IO, and format errors and for any internal error.
+Output files are written atomically (write then rename).  ANSI color is used
+only on a terminal and is disabled by ART_COLOR=0.
 """
 
 from __future__ import annotations
@@ -82,17 +82,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_regen(args: argparse.Namespace) -> int:
+def _regenerate(args: argparse.Namespace, keep_going: bool = False):
+    """The program, the artifact decoded against it, and the consumer's
+    outcome on them: what ``regen``, ``stats`` and ``rq2`` start from."""
     program = _load_program(args.program)
     artwork = decode(_read(args.artwork), program)
-    outcome = regen_inter(program, artwork, keep_going=args.keep_going)
+    return program, artwork, regen_inter(program, artwork, keep_going=keep_going)
+
+
+def _cmd_regen(args: argparse.Namespace) -> int:
+    _, _, outcome = _regenerate(args, keep_going=args.keep_going)
     for name, label in outcome.ignored_loop_keys:
         print(f"warning: [loop] {name}:{label} is not a loop header; ignored", file=sys.stderr)
     if not outcome.safe:
         return _report_unsafe(outcome)
-    print(_style("SAFE", "32"))
     if args.dump_results:
         _write_atomic(args.dump_results, naive_encode(outcome.result))
+    print(_style("SAFE", "32"))
     return 0
 
 
@@ -129,8 +135,11 @@ def _cmd_tamper(args: argparse.Namespace) -> int:
 
 
 def _cmd_rq2(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
-    artwork = decode(_read(args.artwork), program)
+    # A campaign against an artifact the consumer rejects would count its
+    # trials as detected; no trial runs on one.
+    program, artwork, outcome = _regenerate(args)
+    if not outcome.safe:
+        return _report_unsafe(outcome)
     report = rq2_campaign(program, artwork, args.count, args.seed)
     for line in report.to_lines():
         print(line)
@@ -163,11 +172,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
-    artwork = decode(_read(args.artwork), program)
     # The naive dump is sized from the results the artifact encodes; an
     # artifact that does not regenerate has none to size.
-    outcome = regen_inter(program, artwork)
+    program, artwork, outcome = _regenerate(args)
     if not outcome.safe:
         return _report_unsafe(outcome)
     st = stats(program, artwork, outcome.result)

@@ -3,11 +3,14 @@ kinds that the consumer must detect, whole-entry deletion (possibly safe via
 the consumer's default-value rules), and conservative edge addition.
 
 Reductive kinds remove or replace an element actually present in the source
-artifact.  Because the producer emits the least fixed point, the mutated
-entry lands strictly below it, cannot belong to any fixed point, and is
-therefore detectable.  A draw is ``rng.choice`` over the candidates of every
-entry in entry order (edges, variables and objects, edges again, or sets of
-two or more targets), made from each entry's candidate count alone
+artifact.  The producer emits the least fixed point, so the changed entry
+lacks an element the least fixed point holds there; every fixed point lies
+above the least one, so the entry belongs to no fixed point and the
+consumer must detect it.  Each kind is one step (``_reduce``): draw an
+element, build the drawn entry's new graph, replace the entry.  A draw is
+``rng.choice`` over the candidates of every entry in entry order (edges,
+variables and objects, edges again, or sets of two or more targets), made
+from each entry's candidate count alone
 (``PointsToGraph.edge_count``, ``variables``, ``objects``, ``target_sets``):
 only the drawn entry's candidates are listed, sorted and rendered, and the
 generator is consumed as a choice from the whole list would consume it.
@@ -35,6 +38,7 @@ import enum
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -42,19 +46,8 @@ from .artwork import Artwork
 from .consumer import regen_inter
 from .errors import ArtError, NothingToTamperError
 from .ir import FieldLoad, FieldStore, Program, gc_paused, identifiers
-from .ptg import (
-    NULL_OBJECT,
-    FieldEdge,
-    ObjectId,
-    PointsToGraph,
-    Site,
-    VarEdge,
-    VarId,
-    edited,
-    render_edge,
-    render_object,
-    set_edge,
-)
+from .ptg import EMPTY, NULL_OBJECT, FieldEdge, ObjectId, PointsToGraph, Site, VarEdge, VarId
+from .ptg import edited, render_edge, render_object, set_edge
 from .producer import analyze_inter, carried_fixed_point, emit_artwork, optimize_artwork
 
 
@@ -112,24 +105,6 @@ def _with_entry(a: Artwork, key: EntryKey, g: PointsToGraph | None) -> Artwork:
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)
 
 
-def _draw(
-    a: Artwork, rng: random.Random, count: Callable[[PointsToGraph], int], nothing: str
-) -> tuple[EntryKey, PointsToGraph, int]:
-    """One candidate, drawn as ``rng.choice`` draws from the list of every
-    entry's candidates in entry order, with ``count(g)`` the number of
-    entry ``g``'s: the entry and the candidate's offset among its own, so
-    only that entry's candidates are listed and sorted.  Raises
-    ``NothingToTamperError(nothing)`` when no entry has one."""
-    entries = _entries(a)
-    ends = list(accumulate(count(g) for _, g in entries))
-    if not ends or not ends[-1]:
-        raise NothingToTamperError(nothing)
-    i = rng.choice(range(ends[-1]))  # consumes the generator as choice(candidates) does
-    j = bisect_right(ends, i)
-    key, g = entries[j]
-    return key, g, i - (ends[j - 1] if j else 0)
-
-
 def _sorted_edges(g: PointsToGraph) -> list[VarEdge | FieldEdge]:
     return sorted(g.var_edges, key=render_edge) + sorted(g.field_edges, key=render_edge)
 
@@ -141,57 +116,69 @@ def _all_objects(a: Artwork) -> list[ObjectId]:
     return sorted(objs, key=render_object)
 
 
-def _remove_edge(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    key, g, i = _draw(a, rng, PointsToGraph.edge_count, "no edges to remove")
+Change = Callable[[Artwork, random.Random, PointsToGraph, int], tuple[PointsToGraph, str]]
+
+
+def _reduce(
+    count: Callable[[PointsToGraph], int], nothing: str, change: Change,
+    a: Artwork, rng: random.Random, program: Program | None,
+) -> tuple[Artwork, str]:
+    """The reductive kinds' one step.  Draw a candidate as ``rng.choice``
+    draws from the list of every entry's candidates in entry order, with
+    ``count(g)`` the number of entry ``g``'s, so only the drawn entry's are
+    listed and sorted (``NothingToTamperError(nothing)`` when no entry has
+    one); ``change(a, rng, g, i)`` builds that entry's new graph from its
+    ``i``-th candidate and says what changed; the entry is replaced."""
+    entries = _entries(a)
+    ends = list(accumulate(count(g) for _, g in entries))
+    if not ends or not ends[-1]:
+        raise NothingToTamperError(nothing)
+    i = rng.choice(range(ends[-1]))  # consumes the generator as choice(candidates) does
+    j = bisect_right(ends, i)
+    key, g = entries[j]
+    mutated, what = change(a, rng, g, i - (ends[j - 1] if j else 0))
+    return _with_entry(a, key, mutated), f"{_entry_name(key)} {what}"
+
+
+def _remove_edge(a: Artwork, rng: random.Random, g: PointsToGraph, i: int) -> tuple[PointsToGraph, str]:
     e = _sorted_edges(g)[i]
-    mutated = edited(g, [("-", set_edge(e))])
-    return _with_entry(a, key, mutated), f"{_entry_name(key)} edge '{render_edge(e)}'"
+    return edited(g, [("-", set_edge(e))]), f"edge '{render_edge(e)}'"
 
 
 def _node_count(g: PointsToGraph) -> int:
     return len(g.variables()) + len(g.objects())
 
 
-def _remove_node(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    key, g, i = _draw(a, rng, _node_count, "no nodes to remove")
+def _remove_node(a: Artwork, rng: random.Random, g: PointsToGraph, i: int) -> tuple[PointsToGraph, str]:
     variables = sorted(g.variables(), key=lambda v: (v.method, v.slot))
     if i < len(variables):
-        node = variables[i]
-        mutated = edited(g, [("-", (node, g.pts(node)))])
-        label = f"{node.method}/{node.slot}"
-    else:
-        node = sorted(g.objects(), key=render_object)[i - len(variables)]
-        touching = [e for e in g.var_edges if e[1] == node]
-        touching += [e for e in g.field_edges if node in (e[0], e[2])]
-        mutated = edited(g, [("-", set_edge(e)) for e in touching])
-        label = render_object(node)
-    return _with_entry(a, key, mutated), f"{_entry_name(key)} node '{label}'"
+        v = variables[i]
+        return edited(g, [("-", (v, g.pts(v)))]), f"node '{v.method}/{v.slot}'"
+    node = sorted(g.objects(), key=render_object)[i - len(variables)]
+    touching = [e for e in g.var_edges if e[1] == node]
+    touching += [e for e in g.field_edges if node in (e[0], e[2])]
+    return edited(g, [("-", set_edge(e)) for e in touching]), f"node '{render_object(node)}'"
 
 
-def _replace_object(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    # every edge's target is one of the objects, so with two or more every
-    # edge is a candidate, and with fewer none is
+_NO_TARGETS = "no points-to targets to replace"
+
+
+def _replace_object(a: Artwork, rng: random.Random, g: PointsToGraph, i: int) -> tuple[PointsToGraph, str]:
+    # every edge's target is one of the objects: with fewer than two, none has another
     objects = _all_objects(a)
-    nothing = "no points-to targets to replace"
     if len(objects) < 2:
-        raise NothingToTamperError(nothing)
-    key, g, i = _draw(a, rng, PointsToGraph.edge_count, nothing)
+        raise NothingToTamperError(_NO_TARGETS)
     e = _sorted_edges(g)[i]
-    old = e[-1]
-    new = rng.choice([o for o in objects if o != old])
+    new = rng.choice([o for o in objects if o != e[-1]])
     mutated = edited(g, [("-", set_edge(e)), ("+", set_edge((*e[:-1], new)))])
-    return (
-        _with_entry(a, key, mutated),
-        f"{_entry_name(key)} edge '{render_edge(e)}' target -> {render_object(new)}",
-    )
+    return mutated, f"edge '{render_edge(e)}' target -> {render_object(new)}"
 
 
 def _shared_count(g: PointsToGraph) -> int:
     return sum(len(objs) >= 2 for _, objs in g.target_sets())
 
 
-def _shrink_set(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
-    key, g, i = _draw(a, rng, _shared_count, "no points-to set with two or more targets")
+def _shrink_set(a: Artwork, rng: random.Random, g: PointsToGraph, i: int) -> tuple[PointsToGraph, str]:
     var_sets, field_sets = [], []
     for slot, objs in g.target_sets():
         if len(objs) >= 2:
@@ -204,14 +191,10 @@ def _shrink_set(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
     else:
         label = f"{render_object(slot[0])}.{slot[1]}"
     keep = min(targets, key=render_object)
-    mutated = edited(g, [("-", (*slot, targets - {keep}))])
-    return (
-        _with_entry(a, key, mutated),
-        f"{_entry_name(key)} set '{label}' kept {render_object(keep)}",
-    )
+    return edited(g, [("-", (*slot, targets - {keep}))]), f"set '{label}' kept {render_object(keep)}"
 
 
-def _delete_entry(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
+def _delete_entry(a: Artwork, rng: random.Random, program: Program | None) -> tuple[Artwork, str]:
     entries = _entries(a)
     if not entries:
         raise NothingToTamperError("no entries to delete")
@@ -222,9 +205,9 @@ def _delete_entry(a: Artwork, rng: random.Random) -> tuple[Artwork, str]:
 _ADD_EDGE_TRIES = 64
 
 
-def _add_edge(
-    a: Artwork, rng: random.Random, program: Program
-) -> tuple[Artwork, str]:
+def _add_edge(a: Artwork, rng: random.Random, program: Program | None) -> tuple[Artwork, str]:
+    if program is None:
+        raise ValueError("add-edge tampering requires the program")
     entries = _entries(a)
     if not entries:
         raise NothingToTamperError("no entries to extend")
@@ -232,14 +215,8 @@ def _add_edge(
     sites: list[ObjectId] = [o for o in identifiers(program) if isinstance(o, Site)]
     objects: list[ObjectId] = sites + [NULL_OBJECT]
     above = carried_fixed_point(program, a)  # None: re-close from the empty graph
-    fields = sorted(
-        {
-            s.instr.f
-            for m in program.methods
-            for s in m.body
-            if isinstance(s.instr, (FieldStore, FieldLoad))
-        }
-    )
+    instrs = (s.instr for m in program.methods for s in m.body)
+    fields = sorted({i.f for i in instrs if isinstance(i, (FieldStore, FieldLoad))})
     for _ in range(_ADD_EDGE_TRIES):
         key, g = rng.choice(entries)
         scope = key[1][0] if key[0] == "loop" else key[1]
@@ -250,19 +227,14 @@ def _add_edge(
             edge = (src, rng.choice(fields), rng.choice(objects))
             if edge[2] in g.field_targets(src, edge[1]):
                 edge = None
-        elif m.var_count and objects:
+        elif m.var_count:
             v = VarId(m.name, rng.randrange(m.var_count))
             edge = (v, rng.choice(objects))
             if edge[1] in g.pts(v):
                 edge = None
         if edge is None:
             continue
-        if len(edge) == 2:
-            extra = PointsToGraph.of(var_edges=[edge])
-        else:
-            extra = PointsToGraph.of(field_edges=[edge])
-        section = key[0]
-        inject = {section: {key[1]: extra}}
+        inject = {key[0]: {key[1]: edited(EMPTY, [("+", set_edge(edge))])}}
         closed = analyze_inter(program, _inject=inject, _above=above)
         try:
             mutated = emit_artwork(program, closed)
@@ -287,12 +259,21 @@ def _has_more_entries(a: Artwork, b: Artwork) -> bool:
     )
 
 
+_KINDS: dict[TamperKind, Callable[[Artwork, random.Random, Program | None], tuple[Artwork, str]]] = {
+    TamperKind.REMOVE_EDGE: partial(_reduce, PointsToGraph.edge_count, "no edges to remove", _remove_edge),
+    TamperKind.REMOVE_NODE: partial(_reduce, _node_count, "no nodes to remove", _remove_node),
+    TamperKind.REPLACE_OBJECT: partial(_reduce, PointsToGraph.edge_count, _NO_TARGETS, _replace_object),
+    TamperKind.SHRINK_SET: partial(
+        _reduce, _shared_count, "no points-to set with two or more targets", _shrink_set
+    ),
+    TamperKind.DELETE_ENTRY: _delete_entry,
+    TamperKind.ADD_EDGE: _add_edge,
+}
+
+
 @gc_paused
 def tamper(
-    a: Artwork,
-    kind: TamperKind,
-    seed: int,
-    program: Program | None = None,
+    a: Artwork, kind: TamperKind, seed: int, program: Program | None = None
 ) -> tuple[Artwork, TamperSpec]:
     """Apply one seeded mutation; deterministic given (artifact, kind, seed).
 
@@ -300,23 +281,9 @@ def tamper(
     every other kind works on the artifact alone.  The mutated artifact
     always remains structurally valid (it decodes successfully).
     """
-    rng = random.Random(seed)
-    if kind is TamperKind.ADD_EDGE:
-        if program is None:
-            raise ValueError("add-edge tampering requires the program")
-        mutated, target = _add_edge(a, rng, program)
-    elif kind is TamperKind.REMOVE_EDGE:
-        mutated, target = _remove_edge(a, rng)
-    elif kind is TamperKind.REMOVE_NODE:
-        mutated, target = _remove_node(a, rng)
-    elif kind is TamperKind.REPLACE_OBJECT:
-        mutated, target = _replace_object(a, rng)
-    elif kind is TamperKind.SHRINK_SET:
-        mutated, target = _shrink_set(a, rng)
-    elif kind is TamperKind.DELETE_ENTRY:
-        mutated, target = _delete_entry(a, rng)
-    else:  # pragma: no cover - exhaustive enum
+    if not isinstance(kind, TamperKind):
         raise ValueError(kind)
+    mutated, target = _KINDS[kind](a, random.Random(seed), program)
     return mutated, TamperSpec(seed=seed, kind=kind, target=target)
 
 
@@ -358,16 +325,14 @@ def rq2_campaign(p: Program, a: Artwork, n: int, seed: int) -> CampaignReport:
     trials: list[CampaignTrial] = []
     for i in range(n):
         trial_seed = rng.getrandbits(63)
-        mutated = None
-        spec = None
         for j in range(len(REDUCTIVE_KINDS)):
             kind = REDUCTIVE_KINDS[(i + j) % len(REDUCTIVE_KINDS)]
             try:
                 mutated, spec = tamper(a, kind, trial_seed)
                 break
             except NothingToTamperError:
-                continue
-        if mutated is None or spec is None:
+                pass
+        else:
             raise NothingToTamperError("artwork has no non-trivial element")
         outcome = regen_inter(p, mutated)
         trials.append(

@@ -182,6 +182,20 @@ def test_rq2_full_detection(tmp_path, rec_ir, capsys):
     assert len(lines) == 11
 
 
+def test_rq2_runs_no_trial_on_a_base_the_consumer_rejects(tmp_path, loopy_ir, capsys):
+    """A campaign against a rejected artifact reports the consumer's
+    verdict, as ``regen`` and ``stats`` do, instead of counting trials."""
+    art = str(tmp_path / "loopy.art")
+    bad = str(tmp_path / "bad.art")
+    main(["analyze", loopy_ir, "-o", art])
+    main(["tamper", art, "--kind", "remove-edge", "--seed", "7", "-o", bad])
+    capsys.readouterr()
+    assert main(["rq2", loopy_ir, bad, "-n", "10", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "UNSAFE\n"
+    assert captured.err.splitlines() == ["LoopInvariant violation in 'main' at 5", "  missing: main:1 .f-> main:3"]
+
+
 def test_rq2_rejects_a_negative_trial_count(tmp_path, loopy_ir, capsys):
     art = str(tmp_path / "loopy.art")
     main(["analyze", loopy_ir, "-o", art])
@@ -225,6 +239,18 @@ def test_operational_errors_exit_2(tmp_path, loopy_ir, capsys):
     assert main(["analyze", str(bad_ir), "-o", str(tmp_path / "x.art")]) == 2
     assert main(["bogus-subcommand"]) == 2
     capsys.readouterr()
+
+
+def test_regen_writes_its_dump_before_its_verdict(tmp_path, loopy_ir, capsys):
+    """A dump that cannot be written is an IO error, with no SAFE printed."""
+    art = str(tmp_path / "loopy.art")
+    main(["analyze", loopy_ir, "-o", art])
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "x.dump"
+    assert main(["regen", loopy_ir, art, "--dump-results", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_an_output_error_names_the_output_path(tmp_path, loopy_ir, capsys, monkeypatch):

@@ -43,7 +43,7 @@ GUARDED = {
     "decode": (artwork, "identifier_tables", lambda: decode(DATA, P)),
     "parse_artwork": (artwork, "_read_artwork", lambda: parse_artwork(DATA)),
     "regen_inter": (consumer, "regenerate", lambda: regen_inter(P, A)),
-    "tamper": (tamper_module, "_remove_edge", lambda: tamper(A, TamperKind.REMOVE_EDGE, 7)),
+    "tamper": (tamper_module, "_with_entry", lambda: tamper(A, TamperKind.REMOVE_EDGE, 7)),
     "rq2_campaign": (tamper_module, "tamper", lambda: rq2_campaign(P, A, 2, 1)),
 }
 

@@ -61,6 +61,35 @@ def test_reductive_kinds_strictly_reduce_an_entry(loopy_pipeline, kind):
         assert subsumes(before[k], after[k]) and before[k] != after[k]
 
 
+def test_every_reductive_draw_takes_an_element_of_its_entry_away(small_corpus):
+    """Every reductive kind, seeds 0-5, on the plain and ``-O`` artworks of
+    the programs ``test_tamper_outputs_are_pinned`` draws from: one entry
+    changes, and it no longer holds all of its source, which the consumer's
+    detection of every such draw rests on; every kind but replace-object
+    also adds nothing to it."""
+    large = generate_corpus(CorpusConfig(program_count=2, seed=1, **LARGE_SHAPE))
+    programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
+    checked = Counter()
+    for p in programs:
+        plain = emit_artwork(p, analyze_inter(p))
+        for a in (plain, optimize_artwork(p, plain)):
+            before = _entry_maps(a)
+            for kind in REDUCTIVE_KINDS:
+                for seed in range(6):
+                    try:
+                        mutated, spec = tamper(a, kind, seed)
+                    except NothingToTamperError:
+                        continue
+                    after = _entry_maps(mutated)
+                    assert set(after) == set(before), spec
+                    (k,) = [k for k in before if before[k] != after[k]]
+                    assert not subsumes(after[k], before[k]), spec
+                    if kind is not TamperKind.REPLACE_OBJECT:
+                        assert subsumes(before[k], after[k]), spec
+                    checked[kind] += 1
+    assert [checked[kind] for kind in REDUCTIVE_KINDS] == [204, 204, 192, 168]
+
+
 @pytest.mark.parametrize("kind", REDUCTIVE_KINDS)
 def test_reductive_tampering_detected(loopy_pipeline, rec_pipeline, kind):
     for p, _, a in (loopy_pipeline, rec_pipeline):
