@@ -1,50 +1,53 @@
-"""The compact analysis artifact and its bit-exact text codec (format ART/3),
+"""The compact analysis artifact and its bit-exact text codec (format ART/4),
 plus the naive whole-dump baseline encoding and size statistics.
 
 File layout (UTF-8, LF line endings, all sections always present, entries
 sorted)::
 
-    ART/3
+    ART/4
     [loop]
-    m:main l:5 = {
-      /0 -> :4 :9
-      /1 -> :4
-      :4 .f-> :9 null
+    main:5 {
+      /0 :4 :9
+      /1 :4
+      :4 .f :9 null
     }
-    m:main l:9 = ^
-    - /1 -> :4
-    + /1 -> :9 null
+    main:9 ^
+    - /1 :4
+    + /1 :9 null
     [in]
-    m:foo = {
-      main:1 .f-> main:3
+    foo {
+      main:1 .f main:3
     }
     [out]
-    m:foo = ^
+    foo ^
 
-Each edge line is one binding of a graph: a variable, or an object and a
-field, then all its targets.  Inside an entry of method M, an identifier of
+An entry header is its key, then ``{`` or ``^``: ``M:L`` for the loop
+header at label L of method M, and ``M`` for the IN or OUT summary of M.
+Each edge line is one binding of a graph, with no arrow: a variable and all
+its targets, or an object, a field token ``.f`` and all its targets; a key
+with a ``/`` is a variable.  Inside an entry of method M, an identifier of
 M is written without M's name: a variable slot as ``/k``, an allocation
 site as ``:label`` and a placeholder as ``?i``.  Every other identifier
 keeps its full text (``main:1`` in an entry of ``foo``, and the previous
 entry's variables in an edit across methods), as does ``null``; the full
 text of an identifier of M is also read, as the same identifier.  Targets
 and lines are sorted by their full text, as ``render_edges`` sorts them, so
-an ART/3 file is the ``ART/2`` file of the same artwork with, in each
-entry, the entry's method name dropped from the identifiers of that
-method.  A block writes each binding once, variables first, each group
-sorted.  An entry written ``= ^`` holds the value of the entry before it in
-file order, across section headers, with the targets of each ``- `` line
-removed from its key and those of each ``+ `` line added; with no such
-lines it is the same graph.  The first entry of a file cannot be one.
+an ART/4 file is the ``ART/3`` file of the same artwork with ``m:M l:L =``
+written ``M:L``, ``m:M =`` written ``M`` and each binding line's arrow
+(`` -> `` or ``-> ``) dropped.  A block writes each binding once, variables
+first, each group sorted.  An entry written ``^`` holds the value of the
+entry before it in file order, across section headers, with the targets of
+each ``- `` line removed from its key and those of each ``+ `` line added;
+with no such lines it is the same graph.  The first entry cannot be one.
 ``encode`` writes the ``- `` lines first, one per key, then the ``+ ``
 lines, each group sorted.  A line has at least one target and names none
 twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).  A
 field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
-any other is a syntax error, whichever path below reads it.  Only spaces
-(U+0020) separate a line's tokens: a tab, ``\\x1c`` or any other whitespace
-between two tokens is a syntax error too.
-There is no reader for ``ART/2`` (every identifier in full) or ``ART/1``
-(one edge per line), the grammars this one replaced.
+any other is a syntax error, whichever path below reads it, and so is an
+arrow.  Only spaces (U+0020) separate a line's tokens: a tab, ``\\x1c`` or
+any other whitespace between two tokens is a syntax error too.  There is
+no reader for ``ART/3``, ``ART/2`` or ``ART/1``, the grammars this one
+replaced.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
@@ -120,7 +123,7 @@ from .ptg import (
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
 
-MAGIC = "ART/3"
+MAGIC = "ART/4"
 NAIVE_MAGIC = "NAIVE/1"
 
 
@@ -129,7 +132,7 @@ class Artwork:
     """Three invariant maps: loop-header OUT values keyed by (method, label),
     IN summaries keyed by method, and OUT summaries of recursive methods.
 
-    The maps are the whole value: which entries are written ``= ^``, with
+    The maps are the whole value: which entries are written ``^``, with
     or without edits, is ``encode``'s rule, so equal maps always have the
     same bytes.  A decoded
     artwork may violate program-level expectations only through values,
@@ -171,27 +174,27 @@ class ArtworkStats:
 def encode(a: Artwork) -> bytes:
     """Canonical, deterministic encoding: the bytes are a function of the
     three maps alone, and ``decode(encode(a), p) == a``.  Each entry after
-    the first is written ``= ^`` followed by its edits from the previous
+    the first is written ``^`` followed by its edits from the previous
     entry, in file order across sections, when those are no more lines than
     the entry has bindings (so at least one line fewer than its block);
     every other entry is written as its block.  An entry equal to the
-    previous one is a bare ``= ^``.  Lines are written by
+    previous one is a bare ``^``.  Lines are written by
     ``ptg.render_block`` and ``ptg.render_edits`` in full text, then scoped
     to the entry's method."""
     chunks = [MAGIC + "\n"]
     prev = None
     for header, entries in (
-        ("[loop]", [(m, f"m:{m} l:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
-        ("[in]", [(m, f"m:{m}", g) for m, g in sorted(a.i_in.items())]),
-        ("[out]", [(m, f"m:{m}", g) for m, g in sorted(a.i_out.items())]),
+        ("[loop]", [(m, f"{m}:{l}", g) for (m, l), g in sorted(a.i_loop.items())]),
+        ("[in]", [(m, m, g) for m, g in sorted(a.i_in.items())]),
+        ("[out]", [(m, m, g) for m, g in sorted(a.i_out.items())]),
     ):
         chunks.append(header + "\n")
         for method, head, g in entries:
             edits = None if prev is None else render_edits(prev, g)
             if edits is None:
-                chunks.append(f"{head} = {{\n{_scoped(render_block(g), method)}}}\n")
+                chunks.append(f"{head} {{\n{_scoped(render_block(g), method)}}}\n")
             else:
-                chunks.append(f"{head} = ^\n{_scoped(edits, method)}")
+                chunks.append(f"{head} ^\n{_scoped(edits, method)}")
             prev = g
     return "".join(chunks).encode("utf-8")
 
@@ -207,8 +210,8 @@ def _scoped(lines: str, method: str) -> str:
 # Decoding
 # ---------------------------------------------------------------------------
 
-_LOOP_KEY_RE = re.compile(r"^m:([A-Za-z_][A-Za-z0-9_]*) l:([0-9]+) = (.+)$")
-_METHOD_KEY_RE = re.compile(r"^m:([A-Za-z_][A-Za-z0-9_]*) = (.+)$")
+_LOOP_KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):([0-9]+) (.+)$")
+_METHOD_KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*) (.+)$")
 
 # (section, entry key pattern, the line that ends the section)
 _SECTIONS = (
@@ -286,40 +289,36 @@ class _EdgeLines(dict):
         self.bad: dict[str, str] = {}
 
     def __missing__(self, line: str) -> tuple[Any, Objects, SetEdge]:
-        ids = self.ids
-        if ids is not None:
-            parts = line.split(" ", 4)  # the indent's two empty fields, key, op, targets
+        ids, objs = self.ids, None
+        parts = line.split(" ", 3)  # the indent's two empty fields, the key, the rest
+        if ids is not None and len(parts) == 4 and not parts[0] and not parts[1]:
+            left, rest, fname = ids[parts[2]], parts[3], None
+            if left.__class__ is not VarId:  # an object's key: its field token next
+                token, _, rest = rest.partition(" ")
+                fname = token[1:]
+                if token[:1] != "." or not (fname.isascii() and fname.isidentifier()) or left is NULL_OBJECT:
+                    left = None
             # only a variable's text holds a "/", and no target is a variable
-            if len(parts) == 5 and not parts[0] and not parts[1] and "/" not in parts[4]:
-                left, op = ids[parts[2]], parts[3]
-                texts = parts[4].split(" ")
+            if left is not None and "/" not in rest:
+                texts = rest.split(" ")
                 objs = frozenset(map(ids.__getitem__, texts))
-                if left is not None and len(objs) == len(texts) and None not in objs:
-                    if op == "->" and left.__class__ is VarId:
-                        parsed = self[line] = (left, objs, (left, objs))
-                        return parsed
-                    fname = op[1:-2]
-                    if (
-                        op.startswith(".") and op.endswith("->")
-                        and fname.isascii() and fname.isidentifier()
-                        and left.__class__ is not VarId and left is not NULL_OBJECT
-                    ):
-                        parsed = self[line] = ((left, fname), objs, (left, fname, objs))
-                        return parsed
-        if not line.startswith("  "):
-            raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
-        try:
-            left, fname, targets = parse_binding_line(line[2:], self.scope)
-        except ValueError as exc:
-            raise MalformedArtworkError(str(exc)) from exc
-        if ids is not None:
-            sides = [left, *targets]
-            found = [ids[o] for o in sides]
-            if None in found:
-                self.bad[line] = _unknown(sides[found.index(None)])
-            else:
-                left, *targets = found
-        objs = frozenset(targets)
+                if len(objs) < len(texts) or None in objs:
+                    objs = None
+        if objs is None:
+            if not line.startswith("  "):
+                raise MalformedArtworkError(f"expected edge line or '}}', got {line!r}")
+            try:
+                left, fname, targets = parse_binding_line(line[2:], self.scope)
+            except ValueError as exc:
+                raise MalformedArtworkError(str(exc)) from exc
+            if ids is not None:
+                sides = [left, *targets]
+                found = [ids[o] for o in sides]
+                if None in found:
+                    self.bad[line] = _unknown(sides[found.index(None)])
+                else:
+                    left, *targets = found
+            objs = frozenset(targets)
         if fname is None:
             parsed = self[line] = (left, objs, (left, objs))
         else:
@@ -352,7 +351,7 @@ def _read_artwork(
     tables: Callable[[str], _Table] | None,
     check: Callable[[str, Any], str | None] | None = None,
 ) -> tuple[Artwork, str | None]:
-    """Parse an ART/3 file in one walk over its lines.
+    """Parse an ART/4 file in one walk over its lines.
 
     Returns the artwork and why its first entry at fault is, or None.  An
     entry is at fault when ``check(section, key)`` (when given) says why its
@@ -468,7 +467,7 @@ def _live(block: list) -> dict:
 
 @gc_paused
 def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/3 file (no program to validate against).
+    """Syntax-only parse of an ART/4 file (no program to validate against).
     Every entry's graph is built, an edit entry's over shallow copies of
     the previous entry's maps, so the cost is linear in the artwork it
     returns, which may be much larger than the file."""

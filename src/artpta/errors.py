@@ -38,8 +38,8 @@ class ArityMismatchError(ArtError):
 
 
 class MalformedArtworkError(ArtError):
-    """An artifact file violates the ART/3 syntax (an ``ART/2`` file, whose
-    header is not ``ART/3``, among others)."""
+    """An artifact file violates the ART/4 syntax (an ``ART/3`` file, whose
+    header is not ``ART/4``, among others)."""
 
 
 class UnknownReferenceError(ArtError):

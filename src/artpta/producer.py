@@ -462,7 +462,7 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     """Shrink a producer-emitted artifact without changing what the consumer
     regenerates: keep an entry only when it differs from its stand-in, the
     value the consumer puts in place of a deleted one.  (Writing an entry
-    as ``= ^`` and its edits from the one before it is ``encode``'s rule,
+    as ``^`` and its edits from the one before it is ``encode``'s rule,
     for every artifact.)  The stand-ins:
 
     * a loop entry's is the forward meet at its header

@@ -75,16 +75,17 @@ results dump and UNSAFE reports)::
     main/0 -> main:4          # variable (method/slot) -> object
     main:4 .f-> null          # object .field-> object
 
-The artifact writes one line per binding instead, a key and all its
-targets (``main/0 -> main:4 null``): ``render_block`` writes a graph's, and
-``render_edits`` the ``- `` / ``+ `` lines that turn one graph into another.
-They stay in this module because only it reads a graph's maps.  Only U+0020
-separates the tokens of a line, and ``parse_binding_line`` reads a line of
-either form.  Inside an artifact entry of method ``main`` the identifiers of
-``main`` lose the method's name (``/0 -> :4 null``); the artifact codec
-drops it from the written lines, and ``parse_binding_line`` and
-``parse_object`` read such a scoped text when given the entry's method as
-``scope``.
+The artifact writes one line per binding instead, with no arrow: a variable
+and all its targets (``main/0 main:4 null``), or an object, a field token
+and all its targets (``main:4 .f null``).  ``render_block`` writes a
+graph's, and ``render_edits`` the ``- `` / ``+ `` lines that turn one graph
+into another; they stay here because only this module reads a graph's maps.
+Only U+0020 separates a line's tokens.  ``parse_binding_line`` reads a
+binding line, and ``parse_edge_line`` a ``render_edge`` line by dropping
+its arrow.  Inside an artifact entry of method ``main`` the identifiers of
+``main`` lose the method's name (``/0 :4 null``); the codec drops it from
+the written lines, and ``parse_binding_line`` and ``parse_object`` read
+such a scoped text when given the entry's method as ``scope``.
 
 Objects render as ``method:label`` (allocation site), ``null`` (the one
 null object), or ``method?i`` (placeholder for reference parameter i, used
@@ -626,14 +627,15 @@ def _names(objs: Objects) -> str:
 def render_block(g: PointsToGraph) -> str:
     """The binding lines of ``g``, one per variable and one per (object,
     field), each with its targets sorted as ``render_edges`` sorts them
-    (``main/0 -> main:4 null``), indented by two spaces and ended by a
+    (``main/0 main:4 null``), indented by two spaces and ended by a
     newline: the variables' lines sorted, then the field lines sorted.
     That is ``render_edges``' order, because every line starts with its
-    space-terminated key (``m/s ->`` or ``src .f->``)."""
-    var_lines = sorted([f"  {v.method}/{v.slot} -> {_names(objs)}\n" for v, objs in g._vars.items()])
+    space-terminated key (``m/s`` or ``src .f``), and a space sorts below
+    every character of an identifier, as the arrow's ``-`` does."""
+    var_lines = sorted([f"  {v.method}/{v.slot} {_names(objs)}\n" for v, objs in g._vars.items()])
     field_lines = sorted(
         [
-            f"  {render_object(s)} .{f}-> {_names(ts)}\n"
+            f"  {render_object(s)} .{f} {_names(ts)}\n"
             for s, fields in g._heap.items()
             for f, ts in fields.items()
         ]
@@ -693,7 +695,7 @@ def _map_edits(had: dict, has: dict, src_head: str | None, gone: list[str], came
         if was is objs:
             shared += 1
             continue
-        head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
+        head = f"{key.method}/{key.slot} " if src_head is None else f"{src_head}{key} "
         if was is None:
             came.append(f"+ {head}{_names(objs)}\n")
             continue
@@ -706,7 +708,7 @@ def _map_edits(had: dict, has: dict, src_head: str | None, gone: list[str], came
             came.append(f"+ {head}{_names(diff)}\n")
     if shared < len(had):
         for key in had.keys() - has.keys():
-            head = f"{key.method}/{key.slot} -> " if src_head is None else f"{src_head}{key}-> "
+            head = f"{key.method}/{key.slot} " if src_head is None else f"{src_head}{key} "
             gone.append(f"- {head}{_names(had[key])}\n")
 
 
@@ -749,32 +751,32 @@ def parse_object(text: str, scope: str | None = None) -> ObjectId:
 def parse_binding_line(
     line: str, scope: str | None = None
 ) -> tuple[VarId | ObjectId, str | None, list[ObjectId]]:
-    """Parse one rendered binding line: a variable ``m/s ->`` or an object
-    and a field ``src .f->``, then one or more targets, none twice.  Returns
-    the left side, the field name (None for a variable) and the targets in
-    line order.  Tokens are separated by one or more U+0020 spaces, and no
-    other whitespace: a tab or ``\\x1c`` stays inside its token, which is
-    then a syntax error.  A field name is an ASCII identifier.  A variable's
-    slot is ``[0-9]+``, as an object's integer is; the left side is parsed
-    before the targets.  With a ``scope``, a variable or an object of that
-    method may be written without its name (``/0``, ``:3``, ``?0``); errors
-    quote the line as written."""
-    parts = [part for part in line.split(" ") if part]
-    if len(parts) < 3:
+    """Parse one binding line: a variable ``m/s``, or an object and a field
+    token ``src .f``, then one or more targets, none twice.  Returns the
+    left side, the field name (None for a variable) and the targets in line
+    order.  A key with a ``/`` is a variable, and any other an object.
+    Tokens are separated by one or more U+0020 spaces, and no other
+    whitespace: a tab or ``\\x1c`` stays inside its token, which is then a
+    syntax error, and so is an arrow.  A field name is an ASCII identifier.
+    A variable's slot is ``[0-9]+``, as an object's integer is; the left
+    side is parsed before the targets.  With a ``scope``, a variable or an
+    object of that method may be written without its name (``/0``, ``:3``,
+    ``?0``); errors quote the line as written."""
+    lhs, *texts = [part for part in line.split(" ") if part] or [""]
+    if not texts:
         raise ValueError(f"bad edge line {line!r}")
-    lhs, op = parts[0], parts[1]
-    if op == "->":
-        method, sep, slot = lhs.partition("/")
+    fname = None
+    if "/" in lhs:
+        method, _, slot = lhs.partition("/")
         method = method or scope
-        if not sep or not method or not (slot.isascii() and slot.isdigit()):
+        if not method or not (slot.isascii() and slot.isdigit()):
             raise ValueError(f"bad variable {lhs!r}")
         try:
             left = _tuple_new(VarId, (method, int(slot), "var"))
         except ValueError:
             raise _too_long(slot, "variable slot") from None
-        fname = None
-    elif op.startswith(".") and op.endswith("->"):
-        fname = op[1:-2]
+    elif len(texts) > 1 and texts[0].startswith("."):
+        fname = texts.pop(0)[1:]
         if not (fname.isascii() and fname.isidentifier()):
             raise ValueError(f"bad field edge {line!r}")
         left = parse_object(lhs, scope)
@@ -782,10 +784,10 @@ def parse_binding_line(
             raise ValueError("field edge with null source")
     else:
         raise ValueError(f"bad edge line {line!r}")
-    targets = [parse_object(text, scope) for text in parts[2:]]
+    targets = [parse_object(text, scope) for text in texts]
     if len(set(targets)) < len(targets):
         seen: set[ObjectId] = set()
-        for text, t in zip(parts[2:], targets):
+        for text, t in zip(texts, targets):
             if t in seen:
                 raise ValueError(f"repeated target {text} in edge line {line!r}")
             seen.add(t)
@@ -793,9 +795,17 @@ def parse_binding_line(
 
 
 def parse_edge_line(line: str) -> VarEdge | FieldEdge:
-    """Parse one rendered edge line, a binding line with one target: a
-    variable edge ``(v, o)`` or a field edge ``(s, f, t)``."""
-    left, fname, targets = parse_binding_line(line)
-    if len(targets) != 1:
-        raise ValueError(f"bad edge line {line!r}")
-    return (left, targets[0]) if fname is None else (left, fname, targets[0])
+    """Parse one line as ``render_edge`` writes it, a key, its arrow and one
+    target: a variable edge ``(v, o)`` (``m/s -> o``) or a field edge ``(s,
+    f, t)`` (``s .f-> t``).  Without its arrow it is a binding line of one
+    target, which ``parse_binding_line`` reads; errors quote ``line``."""
+    parts = [part for part in line.split(" ") if part]
+    if len(parts) == 3 and parts[1].endswith("->"):
+        text = f"{parts[0]} {parts[1][:-2]} {parts[2]}"
+        try:
+            left, fname, targets = parse_binding_line(text)
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(repr(text), repr(line))) from None
+        if len(targets) == 1:
+            return (left, targets[0]) if fname is None else (left, fname, targets[0])
+    raise ValueError(f"bad edge line {line!r}")

@@ -77,12 +77,12 @@ def call_chain():
 
 def _bindings(g) -> dict[str, list[str]]:
     """The binding lines of ``g``, read off ``render_edges``: each key
-    (``m/s ->`` or ``src .f->``) mapped to its targets in line order, the
-    keys in line order."""
+    (``m/s`` or ``src .f``, the line's text before its arrow) mapped to its
+    targets in line order, the keys in line order."""
     out: dict[str, list[str]] = {}
     for line in render_edges(g):
         key, _, target = line.rpartition(" ")
-        out.setdefault(key, []).append(target)
+        out.setdefault(key.removesuffix(" ->").removesuffix("->"), []).append(target)
     return out
 
 
@@ -90,7 +90,7 @@ def _edit_lines(old: dict, new: dict) -> tuple[list[str], list[str]]:
     """The ``- `` lines (targets only ``old`` has) and ``+ `` lines (targets
     only ``new`` has), one per key, variables before fields, each group in
     key order."""
-    keys = sorted(old.keys() | new.keys(), key=lambda k: (k.split(" ")[1] != "->", k))
+    keys = sorted(old.keys() | new.keys(), key=lambda k: (" " in k, k))
     removed, added = [], []
     for key in keys:
         was, now = old.get(key, []), new.get(key, [])
@@ -115,11 +115,11 @@ def _scoped_line(line: str, method: str) -> str:
 
 
 def _reference_encode(a) -> bytes:
-    lines = ["ART/3"]
+    lines = ["ART/4"]
     sections = (
-        ("[loop]", {(m, f"m:{m} l:{l}"): g for (m, l), g in sorted(a.i_loop.items())}),
-        ("[in]", {(m, f"m:{m}"): g for m, g in sorted(a.i_in.items())}),
-        ("[out]", {(m, f"m:{m}"): g for m, g in sorted(a.i_out.items())}),
+        ("[loop]", {(m, f"{m}:{l}"): g for (m, l), g in sorted(a.i_loop.items())}),
+        ("[in]", {(m, m): g for m, g in sorted(a.i_in.items())}),
+        ("[out]", {(m, m): g for m, g in sorted(a.i_out.items())}),
     )
     previous = None
     for header, entries in sections:
@@ -129,9 +129,9 @@ def _reference_encode(a) -> bytes:
             if previous is not None:
                 removed, added = _edit_lines(_bindings(previous), new)
             if previous is not None and len(removed) + len(added) <= len(new):
-                own = [f"{key} = ^", *removed, *added]
+                own = [f"{key} ^", *removed, *added]
             else:
-                own = [f"{key} = {{", *(f"  {k} {' '.join(ts)}" for k, ts in new.items()), "}"]
+                own = [f"{key} {{", *(f"  {k} {' '.join(ts)}" for k, ts in new.items()), "}"]
             lines += [own[0], *(_scoped_line(line, method) for line in own[1:])]
             previous = g
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -139,16 +139,16 @@ def _reference_encode(a) -> bytes:
 
 @pytest.fixture(scope="session")
 def reference_encode():
-    """``reference_encode(a)`` writes the ART/3 bytes of artwork ``a`` line
-    by line, one line per binding: a key and its targets, as the lines of
-    ``render_edges`` that share the key list them, in their order; in an
-    entry of method ``m``, every ``m/k``, ``m:label`` and ``m?i`` is then
-    written ``/k``, ``:label`` and ``?i``.  Each entry after the
+    """``reference_encode(a)`` writes the ART/4 bytes of artwork ``a`` line
+    by line, one line per binding: a key and its targets with no arrow, as
+    the lines of ``render_edges`` that share the key list them, in their
+    order; in an entry of method ``m``, every ``m/k``, ``m:label`` and
+    ``m?i`` is then written ``/k``, ``:label`` and ``?i``.  Each entry after the
     first whose bindings differ from those of the entry before it, in file
     order across sections, in no more lines than it has bindings is written
-    ``= ^`` followed by the differences: per key, ``- `` and the targets it
+    ``^`` followed by the differences: per key, ``- `` and the targets it
     lacks, then per key ``+ `` and the targets it adds, each group in
-    ``render_edges`` order (so an equal entry is a bare ``= ^``).  Every
+    ``render_edges`` order (so an equal entry is a bare ``^``).  Every
     other entry is written inline."""
     return _reference_encode
 

@@ -58,7 +58,7 @@ def _random_artwork(rng: random.Random) -> Artwork:
 
 def test_empty_artwork_encoding():
     data = encode(Artwork.empty())
-    assert data == b"ART/3\n[loop]\n[in]\n[out]\n"
+    assert data == b"ART/4\n[loop]\n[in]\n[out]\n"
     assert parse_artwork(data) == Artwork.empty()
 
 
@@ -90,9 +90,9 @@ def test_rec_encoding_uses_slots_and_site_tuples(rec_pipeline):
     _, _, a = rec_pipeline
     text = encode(a).decode()
     # objects as method:label tuples, written :label in their method's entry
-    assert "m:foo = ^\n+ :4 .f-> null\n+ :5 .f-> :4\n" in text
+    assert "foo ^\n+ :4 .f null\n+ :5 .f :4\n" in text
     # variables as slot indices, one line per variable with its sorted targets
-    assert "m:foo = {\n  /0 -> :4 null\n" in text
+    assert "foo {\n  /0 :4 null\n" in text
 
 
 def test_truncated_file_rejected(rec_pipeline):
@@ -106,13 +106,13 @@ def test_truncated_file_rejected(rec_pipeline):
 @pytest.mark.parametrize(
     "mutation,exc",
     [
-        (lambda d: d.replace(b"ART/3", b"ART/1"), MalformedArtworkError),  # the old grammar
+        (lambda d: d.replace(b"ART/4", b"ART/1"), MalformedArtworkError),  # the old grammar
         (lambda d: d.replace(b"[in]\n", b""), MalformedArtworkError),
-        (lambda d: d.replace(b" .f-> ", b" .-> "), MalformedArtworkError),
-        (lambda d: d.replace(b"m:foo = {", b"m:ghost = {", 1), UnknownReferenceError),
+        (lambda d: d.replace(b" .f ", b" . "), MalformedArtworkError),
+        (lambda d: d.replace(b"foo {", b"ghost {", 1), UnknownReferenceError),
         (lambda d: d.replace(b"  /0 ", b"  /9 "), UnknownReferenceError),
         (lambda d: d.replace(b" :4", b" :1"), UnknownReferenceError),  # not an alloc
-        (lambda d: d.replace(b"[out]\nm:foo", b"[out]\nm:main"), UnknownReferenceError),
+        (lambda d: d.replace(b"[out]\nfoo", b"[out]\nmain"), UnknownReferenceError),
     ],
 )
 def test_decode_rejections(rec_pipeline, mutation, exc):
@@ -179,13 +179,13 @@ def test_stats_empty_program():
 
 
 def test_a_repeat_in_the_first_entry_rejected():
-    data = b"ART/3\n[loop]\n[in]\nm:foo = ^\n[out]\n"
+    data = b"ART/4\n[loop]\n[in]\nfoo ^\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
 
 def test_duplicate_entry_rejected():
-    data = b"ART/3\n[loop]\n[in]\nm:foo = {\n}\nm:foo = {\n}\n[out]\n"
+    data = b"ART/4\n[loop]\n[in]\nfoo {\n}\nfoo {\n}\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
@@ -216,7 +216,7 @@ def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwor
 
 # The optimized artifacts' bytes, and the values they decode to: each entry's
 # section, key and ``render_graph`` lines, which do not depend on the codec.
-OPTIMIZED_CORPUS_SHA256 = "7a34227f79d91446102300a851459daaa6d9413ac05339336f6caf9f1aa2c3a3"
+OPTIMIZED_CORPUS_SHA256 = "55089df4184c9151d6c1344a792bf3182f7edc42f6b6de84f0913719f0aade9a"
 OPTIMIZED_VALUES_SHA256 = "3c342ee0ab4106b743e2ced4436caaae6c4f8414ae504587d275eaa759141403"
 
 
@@ -242,7 +242,7 @@ def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
 
 # Over the same programs, the plain artifacts' bytes and the ``NAIVE/1``
 # dumps of the least fixed points, each length-prefixed.
-PLAIN_CORPUS_SHA256 = "6d057a6f901a04ac65dd16f00a86e306259d7b4d5a1293177ed2f7f7a5f2bd2e"
+PLAIN_CORPUS_SHA256 = "4a6a613b7cc0ae2093cfacc49e0b97b0b60906eeae2cf9796a4d3dc5a42689a8"
 NAIVE_CORPUS_SHA256 = "c0c23a063cfebbc5aed62a1ccf6ae54bde83ad88a1de0e5462bf98f03450e930"
 
 

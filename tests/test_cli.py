@@ -370,7 +370,7 @@ def test_deep_call_chain_optimizes_to_an_empty_artifact(tmp_path, capsys, call_c
     prog.write_text(call_chain(1500))
     art = tmp_path / "chain.art"
     assert main(["analyze", str(prog), "-O", "-o", str(art)]) == 0
-    assert art.read_bytes() == b"ART/3\n[loop]\n[in]\n[out]\n"
+    assert art.read_bytes() == b"ART/4\n[loop]\n[in]\n[out]\n"
     capsys.readouterr()
     assert main(["regen", str(prog), str(art)]) == 0
     assert capsys.readouterr().out == "SAFE\n"

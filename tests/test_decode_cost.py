@@ -30,12 +30,12 @@ def _chain(k: int, n: int, valid_keys: int = 1) -> bytes:
     line's target; the first ``valid_keys`` entries name statements of
     ``main``, the rest statements it lacks.  Every entry is one of
     ``main``, so its identifiers are written as encode writes them, scoped
-    (``/0 -> :1``)."""
-    edges = [f"/{v} -> :{v + 1}" for v in sorted(range(k), key=str)]
-    lines = ["ART/3", "[loop]", "m:main l:1 = {", *(f"  {e}" for e in edges), "}"]
+    (``/0 :1``)."""
+    edges = [f"/{v} :{v + 1}" for v in sorted(range(k), key=str)]
+    lines = ["ART/4", "[loop]", "main:1 {", *(f"  {e}" for e in edges), "}"]
     for j in range(n):
         label = j + 2 if j + 1 < valid_keys else 1_000_000 + j
-        lines += [f"m:main l:{label} = ^", f"{'-+'[j % 2]} {edges[0]}"]
+        lines += [f"main:{label} ^", f"{'-+'[j % 2]} {edges[0]}"]
     return ("\n".join(lines + ["[in]", "[out]"]) + "\n").encode()
 
 

@@ -39,8 +39,9 @@ def _full(token: str, method: str) -> str:
 def _line_edges(line: str, method: str = "") -> list:
     """The edges of one binding line of an entry of ``method`` after its
     two-character prefix: the line's key with each of its targets in turn."""
-    left, op, *targets = (_full(t, method) for t in line[2:].split(" "))
-    return [parse_edge_line(f"{left} {op} {t}") for t in targets]
+    key, *targets = (_full(t, method) for t in line[2:].split(" "))
+    head = f"{key} ->" if "/" in key else f"{key} {targets.pop(0)}->"
+    return [parse_edge_line(f"{head} {t}") for t in targets]
 
 
 def _oracle_edges(lines: list[str], method: str = "") -> set:
@@ -53,7 +54,7 @@ def _oracle_graph(lines: list[str]) -> PointsToGraph:
 
 
 def _oracle_decode(text: str) -> Artwork:
-    """A well-formed ART/3 text read line by line into edge-set graphs, each
+    """A well-formed ART/4 text read line by line into edge-set graphs, each
     scoped token of an entry expanded with the entry's method."""
     lines = text.split("\n")[:-1]
     sections: dict[str, dict] = {}
@@ -67,7 +68,7 @@ def _oracle_decode(text: str) -> Artwork:
             section = line[1:-1]
             sections[section] = {}
             continue
-        m = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
+        m = re.fullmatch(r"(\w+)(?::(\d+))? (\{|\^)", line)
         assert m is not None, line
         key = (m.group(1), int(m.group(2))) if section == "loop" else m.group(1)
         method = m.group(1)
@@ -142,7 +143,7 @@ def artifacts(small_corpus):
 
 def test_the_corpus_includes_repeated_and_large_artifacts(artifacts):
     for large in (False, True):
-        for form in (b" = ^\n", b"\n- ", b"\n+ "):
+        for form in (b" ^\n", b"\n- ", b"\n+ "):
             assert any(
                 form in data
                 for p, data in artifacts
@@ -168,16 +169,16 @@ def test_decoded_graphs_equal_the_edge_set_oracle(artifacts):
         # before it; one with edits shares every map it does not edit
         graphs = _graphs(decoded)
         lines = data.decode().split("\n")
-        heads = [k for k, line in enumerate(lines) if line.startswith("m:")]
+        heads = [k for k, line in enumerate(lines) if line.endswith((" {", " ^"))]
         for k, at in enumerate(heads):
-            if not lines[at].endswith(" = ^"):
+            if not lines[at].endswith(" ^"):
                 continue
             if not lines[at + 1].startswith(("- ", "+ ")):
                 assert graphs[k] is graphs[k - 1]
                 continue
             old, new = graphs[k - 1], graphs[k]
             end = heads[k + 1] if k + 1 < len(heads) else len(lines)
-            method = lines[at][2:].split(" ")[0]
+            method = lines[at].split(" ")[0].split(":")[0]
             touched = {_line_edges(e, method)[0][0] for e in lines[at + 1 : end] if e[:2] in ("- ", "+ ")}
             for v, objs in new._vars.items():
                 assert (objs is old._vars.get(v)) == (v not in touched and v in old._vars)
@@ -201,11 +202,11 @@ def test_shuffled_and_repeated_edge_lines_decode_to_the_same_graphs(artifacts):
 def test_one_variable_spread_over_a_block_decodes_to_one_set():
     p = parse_program("method main() {\n  1: x = new C\n  2: y = new D\n  3: x.f = y\n}\n")
     body = [
-        "main/0 -> main:1", "main:1 .f-> main:2", "main/0 -> main:2", "main/1 -> main:2",
-        "main:1 .f-> main:1", "main/0 -> null", "main:1 .g-> null", "main/0 -> main:1",
-        "main:1 .f-> main:2", "main/0 -> main:1 null", "main:1 .f-> main:2 main:1",
+        "main/0 main:1", "main:1 .f main:2", "main/0 main:2", "main/1 main:2",
+        "main:1 .f main:1", "main/0 null", "main:1 .g null", "main/0 main:1",
+        "main:1 .f main:2", "main/0 main:1 null", "main:1 .f main:2 main:1",
     ]
-    text = "ART/3\n[loop]\n[in]\nm:main = {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
+    text = "ART/4\n[loop]\n[in]\nmain {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
     g = decode(text.encode(), p).i_in["main"]
     _assert_canonical_maps(g)
     assert g == _oracle_graph([f"  {e}" for e in body])
@@ -272,8 +273,8 @@ def _assert_round_trip(a: Artwork) -> bytes:
     # the same file with every token in full spelling is the same artwork
     text, method, full = data.decode().split("\n"), None, []
     for line in text:
-        if line.startswith("m:"):
-            method = line[2:].split(" ")[0]
+        if line.endswith((" {", " ^")):
+            method = line.split(" ")[0].split(":")[0]
         elif line[:2] in ("  ", "- ", "+ "):
             line = line[:2] + " ".join(_full(t, method) for t in line[2:].split(" "))
         full.append(line)
@@ -290,9 +291,9 @@ def test_a_round_trip_file_mixes_scoped_and_full_spellings():
     g3 = edited(g2, [("-", (main0, frozenset({NULL_OBJECT}))), ("+", (s0, frozenset({f})))])
     data = _assert_round_trip(Artwork(i_loop={("main", 6): g1}, i_in={"r": g2, "s": g3}, i_out={}))
     assert data == (
-        b"ART/3\n[loop]\nm:main l:6 = {\n  /0 -> :1 null\n  :1 .f-> r:2\n}\n"
+        b"ART/4\n[loop]\nmain:6 {\n  /0 :1 null\n  :1 .f r:2\n}\n"
         # an entry of r: its own identifiers scoped, main's in full, and a
         # "^" after an entry of main
-        b"[in]\nm:r = ^\n+ /0 -> main:1\n+ :2 .g-> main:1\n"
-        b"m:s = ^\n- main/0 -> null\n+ /0 -> r:2\n[out]\n"
+        b"[in]\nr ^\n+ /0 main:1\n+ :2 .g main:1\n"
+        b"s ^\n- main/0 null\n+ /0 r:2\n[out]\n"
     )

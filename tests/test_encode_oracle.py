@@ -82,12 +82,12 @@ def test_encode_matches_the_line_by_line_reference(reference_encode):
         expected = reference_encode(a)
         lines = expected.decode().split("\n")
         seen["bare repeat"] += any(
-            line.endswith(" = ^") and not after.startswith(("- ", "+ "))
+            line.endswith(" ^") and not after.startswith(("- ", "+ "))
             for line, after in zip(lines, lines[1:])
         )
         seen["removal"] += "\n- " in expected.decode()
         seen["addition"] += "\n+ " in expected.decode()
-        seen["blocks only"] += b" = ^\n" not in expected
+        seen["blocks only"] += b" ^\n" not in expected
         assert encode(a) == expected
         assert parse_artwork(expected) == a
     assert min(seen.values()) > 50, seen

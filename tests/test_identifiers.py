@@ -85,17 +85,31 @@ def _full(line: str, method: str) -> str:
 def _why_line(p: Program, line: str) -> str | None:
     """Why a binding line in full spelling names something ``p`` lacks: its
     left side first, then its targets in line order."""
-    lhs, op, *targets = line.split()
-    whys = [_why_var(p, lhs) if op == "->" else _why_object(p, lhs)]
-    whys += [_why_object(p, t) for t in targets]
+    lhs = line.split()[0]
+    whys = [_why_var(p, lhs) if "/" in lhs else _why_object(p, lhs)]
+    whys += [_why_object(p, t) for t in _targets(line)]
     return next((why for why in whys if why is not None), None)
+
+
+def _targets(line: str) -> list[str]:
+    """The target tokens of a binding line: those after a variable, or after
+    an object and its field token."""
+    tokens = line.split()
+    return tokens[1:] if "/" in tokens[0] else tokens[2:]
+
+
+def _edge_texts(line: str) -> list[str]:
+    """The edges of a binding line in full spelling, its key with each of
+    its targets, as ``render_edge`` writes them."""
+    key, *targets = line.split()
+    head = f"{key} ->" if "/" in key else f"{key} {targets.pop(0)}->"
+    return [f"{head} {t}" for t in targets]
 
 
 def _line_edges(line: str) -> list:
     """The edges of a binding line in full spelling: its key with each of
     its targets."""
-    lhs, op, *targets = line.split()
-    return [parse_edge_line(f"{lhs} {op} {t}") for t in targets]
+    return [parse_edge_line(text) for text in _edge_texts(line)]
 
 
 def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
@@ -115,7 +129,7 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
         if line in ("[loop]", "[in]", "[out]"):
             section = line[1:-1]
             continue
-        found = re.fullmatch(r"m:(\w+)(?: l:(\d+))? = (\{|\^)", line)
+        found = re.fullmatch(r"(\w+)(?::(\d+))? (\{|\^)", line)
         where = f"[{section}] {found[1]}" + ("" if found[2] is None else f":{found[2]}")
         j = i
         while j < len(lines) and lines[j][:2] in ("  ", "- ", "+ "):
@@ -125,23 +139,23 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
             for e, written in zip(own, lines[i:j]):  # the first line at fault
                 if e.startswith("  null ."):
                     return MalformedArtworkError("field edge with null source")
-                targets = e.split()[2:]
+                targets = _targets(e[2:])
                 for k, target in enumerate(targets):
                     if target in targets[:k]:  # written two ways: m:1 and :1
                         return MalformedArtworkError(
-                            f"repeated target {written.split()[2 + k]} in edge line {written[2:]!r}"
+                            f"repeated target {_targets(written[2:])[k]} in edge line {written[2:]!r}"
                         )
             edges = {edge for e in own for edge in _line_edges(e[2:])}
             why = None
             i = j + 1  # the closing brace
         else:  # "^": the edges and the verdict of the entry before, then the edits
             for e in own:
-                lhs, op, *targets = e[2:].split()
-                changed = _line_edges(e[2:])
-                for edge, target in zip(changed, targets):  # each target in line order
+                edge_texts = _edge_texts(e[2:])
+                changed = [parse_edge_line(t) for t in edge_texts]
+                for edge, edge_text in zip(changed, edge_texts):  # each target in line order
                     if (edge in edges) == (e[0] == "+"):
                         verb = "adds a present" if e[0] == "+" else "removes an absent"
-                        return MalformedArtworkError(f"edit {verb} edge '{lhs} {op} {target}'")
+                        return MalformedArtworkError(f"edit {verb} edge '{edge_text}'")
                 edges ^= set(changed)
             i = j
         for e in own:
@@ -185,11 +199,11 @@ def _edge_line(variables: list[str], objects: list[str], rng: random.Random) -> 
     """A binding line with one to three distinct targets."""
     targets = " ".join(rng.sample(objects, rng.choice((1, 1, 2, 3))))
     if rng.random() < 0.5:
-        return f"  {rng.choice(variables)} -> {targets}"
+        return f"  {rng.choice(variables)} {targets}"
     src = rng.choice(objects)
     if src == "null" and rng.random() < 0.8:  # keep syntax errors rare
         src = rng.choice(objects)
-    return f"  {src} .{rng.choice(['f', 'g', 'next'])}-> {targets}"
+    return f"  {src} .{rng.choice(['f', 'g', 'next'])} {targets}"
 
 
 def _insert(text: str, new_lines: list[str], rng: random.Random) -> str:
@@ -197,7 +211,7 @@ def _insert(text: str, new_lines: list[str], rng: random.Random) -> str:
     random: an entry's block, at any position in it."""
     lines = text.split("\n")
     for new in new_lines:
-        head = rng.choice([k for k, line in enumerate(lines) if line.endswith(" = {")])
+        head = rng.choice([k for k, line in enumerate(lines) if line.endswith(" {")])
         end = head + 1
         while lines[end].startswith("  "):
             end += 1
@@ -217,7 +231,7 @@ def artifacts():
             p = parse_program(text)
             a = emit_artwork(p, analyze_inter(p))
             for data in (encode(a), encode(optimize_artwork(p, a))):
-                if b" = {\n" in data:  # a graph to insert into
+                if b" {\n" in data:  # a graph to insert into
                     out.append((p, data.decode()))
     return out
 
@@ -238,7 +252,7 @@ def _same(got, want) -> bool:
 def test_the_artifacts_cover_repeats_in_both_shapes(artifacts):
     for large in (False, True):
         assert any(
-            " = ^\n" in text
+            " ^\n" in text
             for p, text in artifacts
             if (len(p.methods) == 1 and len(p.methods[0].body) > 200) == large
         )
@@ -346,9 +360,9 @@ def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
         "method foo(p) {\n  1: return\n}\n"
     )
     text = (
-        "ART/3\n[loop]\nm:main l:1 = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n"
-        "m:main l:2 = ^\n[in]\nm:foo = {\n  foo/0 -> main:2\n  main/0 -> main:2\n  main:2 .f-> main:1\n}\n"
-        "m:main = {\n  main/0 -> main:1\n  main:1 .f-> main:2\n}\n[out]\n"
+        "ART/4\n[loop]\nmain:1 {\n  main/0 main:1\n  main:1 .f main:2\n}\n"
+        "main:2 ^\n[in]\nfoo {\n  foo/0 main:2\n  main/0 main:2\n  main:2 .f main:1\n}\n"
+        "main {\n  main/0 main:1\n  main:1 .f main:2\n}\n[out]\n"
     )
     a = decode(text.encode(), p)
     _assert_one_object_per_identifier(a)

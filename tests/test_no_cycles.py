@@ -110,9 +110,9 @@ def test_the_pipeline_makes_no_cycles(text):
     _no_garbage("rq2")
 
     _rejected("decode truncated", decode, data[: len(data) // 2], p)
-    _rejected("decode unknown reference", decode, b"ART/3\n[loop]\n[in]\nm:main = {\n  /999 -> null\n}\n[out]\n", p)
+    _rejected("decode unknown reference", decode, b"ART/4\n[loop]\n[in]\nmain {\n  /999 null\n}\n[out]\n", p)
     _rejected("decode junk line", decode, data.replace(b"\n", b"\njunk\n", 1), p)
-    _rejected("decode old header", decode, data.replace(b"ART/3", b"ART/2", 1), p)
+    _rejected("decode old header", decode, data.replace(b"ART/4", b"ART/2", 1), p)
 
 
 BUILDER_FAULTS = {

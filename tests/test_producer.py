@@ -387,9 +387,9 @@ method main() {
     opt = optimize_artwork(p, a)
     assert calls == []
     assert encode(opt) == (
-        b"ART/3\n[loop]\nm:main l:3 = {\n  /0 -> :1\n  /1 -> :1\n"
-        b"  :1 .f-> :1\n  :1 .g-> :1\n}\n[in]\n"
-        b"[out]\nm:main = ^\n- /0 -> :1\n- /1 -> :1\n+ /3 -> :1\n"
+        b"ART/4\n[loop]\nmain:3 {\n  /0 :1\n  /1 :1\n"
+        b"  :1 .f :1\n  :1 .g :1\n}\n[in]\n"
+        b"[out]\nmain ^\n- /0 :1\n- /1 :1\n+ /3 :1\n"
     )
 
 
@@ -507,7 +507,7 @@ method main() {
     assert a.i_loop[("main", 3)] == a.i_loop[("main", 7)]
     for art in (a, optimize_artwork(p, a)):
         data = encode(art)
-        assert b"\nm:main l:7 = ^\n" in data and data.count(b" = ^\n") == 1
+        assert b"\nmain:7 ^\n" in data and data.count(b" ^\n") == 1
         decoded = decode(data, p)
         assert decoded == art
         assert decoded.i_loop[("main", 7)] is decoded.i_loop[("main", 3)]
@@ -528,7 +528,7 @@ def test_optimize_keeps_the_smaller_encoding_without_encoding(
         assert calls["encode"] == 0
         for art in (a, opt):
             expected = reference_encode(art)
-            repeated_seen += b" = ^\n" in expected
+            repeated_seen += b" ^\n" in expected
             edited_seen += b"\n- " in expected and b"\n+ " in expected
             assert encode(art) == expected
     assert repeated_seen >= 6 and edited_seen >= 6

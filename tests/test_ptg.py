@@ -467,7 +467,7 @@ FIXED = g(
 def _graphs_by_maker():
     """A non-empty graph made by each of the paths that build graphs."""
     other = g([(VARS[2], SITES[1])], [(SITES[1], "f", SITES[0])])
-    data = b"ART/3\n[loop]\n[in]\nm:m = {\n  /0 -> :1 null\n  :1 .f-> :2\n}\n[out]\n"
+    data = b"ART/4\n[loop]\n[in]\nm {\n  /0 :1 null\n  :1 .f :2\n}\n[out]\n"
     return {
         "of": FIXED,
         "edited": edited(FIXED, [("-", (VARS[0], frozenset({NULL_OBJECT}))), ("+", (SITES[1], "g", frozenset({SITES[2]})))]),
@@ -713,7 +713,7 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     with pytest.raises(ValueError):
         _graph_of_lines([*render_edges(a), f"null .{f}-> m:1"])
     text = "\n".join(f"  {line}" for line in [*render_edges(a), f"null .{f}-> m:1"])
-    data = f"ART/3\n[loop]\n[in]\nm:m = {{\n{text}\n}}\n[out]\n".encode()
+    data = f"ART/4\n[loop]\n[in]\nm {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
         decode(data, CTX)
 
@@ -844,22 +844,22 @@ def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
             assert _graph_of_lines(render_edges(graph)) == graph
 
 
-# The binding lines and ART/3 bytes of the fixture artifacts, written out:
+# The binding lines and ART/4 bytes of the fixture artifacts, written out:
 # in an entry of a method, that method's identifiers are written without its
 # name.
 _FIXTURE_ART = {
     "loopy": (
-        "ART/3\n[loop]\nm:main l:5 = {\n"
-        "  /0 -> :1 :6\n  /1 -> :11 :3 :9\n  :1 .f-> :3\n"
-        "  :6 .f-> :11 :3 :9\n}\n[in]\nm:main = {\n}\n[out]\n"
+        "ART/4\n[loop]\nmain:5 {\n"
+        "  /0 :1 :6\n  /1 :11 :3 :9\n  :1 .f :3\n"
+        "  :6 .f :11 :3 :9\n}\n[in]\nmain {\n}\n[out]\n"
     ),
     "rec": (
-        "ART/3\n[loop]\n[in]\nm:foo = {\n  /0 -> :4 null\n  :4 .f-> null\n}\n"
-        "m:main = {\n}\n[out]\nm:foo = ^\n+ :4 .f-> null\n+ :5 .f-> :4\n"
+        "ART/4\n[loop]\n[in]\nfoo {\n  /0 :4 null\n  :4 .f null\n}\n"
+        "main {\n}\n[out]\nfoo ^\n+ :4 .f null\n+ :5 .f :4\n"
     ),
     "arith": (
-        "ART/3\n[loop]\nm:main l:3 = {\n  /0 -> :1\n  :1 .f-> :1\n}\n"
-        "[in]\nm:main = {\n}\n[out]\n"
+        "ART/4\n[loop]\nmain:3 {\n  /0 :1\n  :1 .f :1\n}\n"
+        "[in]\nmain {\n}\n[out]\n"
     ),
 }
 
@@ -873,11 +873,12 @@ def test_fixture_artifact_rendering_and_bytes(fixture, request):
     # entry's method is written before each scoped identifier
     lines = set()
     for line in expected.split("\n"):
-        if line.startswith("m:"):
-            method = line[2:].split(" ")[0]
+        if line.endswith((" {", " ^")):
+            method = line.split(" ")[0].split(":")[0]
         elif line[:2] in ("  ", "+ "):
-            lhs, op, *targets = (method + t if t[0] in "/:?" else t for t in line[2:].split(" "))
-            lines |= {f"{lhs} {op} {t}" for t in targets}
+            tokens = [method + t if t[0] in "/:?" else t for t in line[2:].split(" ")]
+            head = f"{tokens[0]} ->" if "/" in tokens[0] else f"{tokens[0]} {tokens.pop(1)}->"
+            lines |= {f"{head} {t}" for t in tokens[1:]}
     for graph in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]:
         assert set(render_edges(graph)) <= lines
     assert decode(encode(a), p) == a
@@ -909,10 +910,10 @@ def test_repeated_graph_bytes_with_every_object_form():
     # entry removes, then adds, each group in render_edges order.  The
     # identifiers of m are scoped in m's entries and in full in n's.
     assert encode(art) == (
-        b"ART/3\n[loop]\nm:m l:3 = {\n  /0 -> ?0\n  /1 -> :2 null\n"
-        b"  :1 .g-> :2\n  ?1 .f-> null\n}\n[in]\nm:m = ^\nm:main = {\n}\nm:n = ^\n[out]\n"
-        b"m:m = ^\n+ /0 -> ?0\n+ /1 -> :2 null\n+ :1 .g-> :2\n+ ?1 .f-> null\n"
-        b"m:n = ^\n- m/1 -> null\n- m?1 .f-> null\n+ m/4 -> m:1\n+ m:1 .f-> m?0\n"
+        b"ART/4\n[loop]\nm:3 {\n  /0 ?0\n  /1 :2 null\n"
+        b"  :1 .g :2\n  ?1 .f null\n}\n[in]\nm ^\nmain {\n}\nn ^\n[out]\n"
+        b"m ^\n+ /0 ?0\n+ /1 :2 null\n+ :1 .g :2\n+ ?1 .f null\n"
+        b"n ^\n- m/1 null\n- m?1 .f null\n+ m/4 m:1\n+ m:1 .f m?0\n"
     )
     assert parse_artwork(encode(art)) == art
 
