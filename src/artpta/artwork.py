@@ -1,10 +1,10 @@
-"""The compact analysis artifact and its bit-exact text codec (format ART/4),
+"""The compact analysis artifact and its bit-exact text codec (format ART/5),
 plus the naive whole-dump baseline encoding and size statistics.
 
 File layout (UTF-8, LF line endings, all sections always present, entries
 sorted)::
 
-    ART/4
+    ART/5
     [loop]
     main:5 {
       /0 :4 :9
@@ -22,19 +22,26 @@ sorted)::
     foo ^
 
 An entry header is its key, then ``{`` or ``^``: ``M:L`` for the loop
-header at label L of method M, and ``M`` for the IN or OUT summary of M.
-Each edge line is one binding of a graph, with no arrow: a variable and all
-its targets, or an object, a field token ``.f`` and all its targets; a key
-with a ``/`` is a variable.  Inside an entry of method M, an identifier of
-M is written without M's name: a variable slot as ``/k``, an allocation
-site as ``:label`` and a placeholder as ``?i``.  Every other identifier
-keeps its full text (``main:1`` in an entry of ``foo``, and the previous
-entry's variables in an edit across methods), as does ``null``; the full
-text of an identifier of M is also read, as the same identifier.  Targets
-and lines are sorted by their full text, as ``render_edges`` sorts them, so
-an ART/4 file is the ``ART/3`` file of the same artwork with ``m:M l:L =``
-written ``M:L``, ``m:M =`` written ``M`` and each binding line's arrow
-(`` -> `` or ``-> ``) dropped.  A block writes each binding once, variables
+header at label L of method M, and ``M`` for the IN or OUT summary of M. A
+``[loop]`` entry holds what the loop adds at its header: the consumer
+applies the header's flow equation ``f_h`` to the header's forward meet
+``F`` (``equations.forward_in``), which it has computed when it reaches the
+header, and the header's OUT is ``meet(f_h(F), entry)``.  Emission writes
+the header's fixed-point OUT less ``f_h(F)``, which every fixed point's OUT
+holds, ``f_h`` being monotone; a deleted entry reads as the empty graph.
+The codec does not read this meaning: decode builds a ``[loop]`` entry as a
+plain graph, as it builds every other.  Each edge line is one binding of a
+graph, with no arrow: a variable and all its targets, or an object, a field
+token ``.f`` and all its targets; a key with a ``/`` is a variable.  Inside
+an entry of method M, an identifier of M is written without M's name: a
+variable slot as ``/k``, an allocation site as ``:label`` and a placeholder
+as ``?i``.  Every other identifier keeps its full text (``main:1`` in an
+entry of ``foo``, and the previous entry's variables in an edit across
+methods), as does ``null``; the full text of an identifier of M is also
+read, as the same identifier.  Targets and lines are sorted by their full
+text, as ``render_edges`` sorts them.  The syntax is ``ART/4``'s; only the
+meaning of a ``[loop]`` entry changed, from the header's whole OUT to what
+the loop adds to ``f_h(F)``.  A block writes each binding once, variables
 first, each group sorted.  An entry written ``^`` holds the value of the
 entry before it in file order, across section headers, with the targets of
 each ``- `` line removed from its key and those of each ``+ `` line added;
@@ -45,9 +52,9 @@ twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).  A
 field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
 any other is a syntax error, whichever path below reads it, and so is an
 arrow.  Only spaces (U+0020) separate a line's tokens: a tab, ``\\x1c`` or
-any other whitespace between two tokens is a syntax error too.  There is
-no reader for ``ART/3``, ``ART/2`` or ``ART/1``, the grammars this one
-replaced.
+any other whitespace between two tokens is a syntax error too.  There is no
+reader for ``ART/4``, ``ART/3``, ``ART/2`` or ``ART/1``, the formats this
+one replaced.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
@@ -123,14 +130,15 @@ from .ptg import (
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
 
-MAGIC = "ART/4"
+MAGIC = "ART/5"
 NAIVE_MAGIC = "NAIVE/1"
 
 
 @dataclass(frozen=True)
 class Artwork:
-    """Three invariant maps: loop-header OUT values keyed by (method, label),
-    IN summaries keyed by method, and OUT summaries of recursive methods.
+    """Three invariant maps: what each loop adds at its header, keyed by
+    (method, label) (see the module docstring), IN summaries keyed by
+    method, and OUT summaries of recursive methods.
 
     The maps are the whole value: which entries are written ``^``, with
     or without edits, is ``encode``'s rule, so equal maps always have the
@@ -140,14 +148,17 @@ class Artwork:
 
     ``fixed_point``, set only by ``producer.emit_artwork``, is the validated
     result the maps were written from, and it keeps every value of that
-    result alive.  It is not part of the value: equality and ``repr`` skip
-    it and ``dataclasses.replace`` drops it.
+    result alive; ``written`` is what emission wrote from it: the program,
+    then per map one tuple of its keys and values, interleaved in order.
+    Neither is part of the value: equality and ``repr`` skip them and
+    ``dataclasses.replace`` drops them.
     """
 
     i_loop: dict[tuple[str, int], PointsToGraph]
     i_in: dict[str, PointsToGraph]
     i_out: dict[str, PointsToGraph]
     fixed_point: AnalysisResult | None = field(default=None, init=False, repr=False, compare=False)
+    written: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def empty() -> "Artwork":
@@ -351,7 +362,7 @@ def _read_artwork(
     tables: Callable[[str], _Table] | None,
     check: Callable[[str, Any], str | None] | None = None,
 ) -> tuple[Artwork, str | None]:
-    """Parse an ART/4 file in one walk over its lines.
+    """Parse an ART/5 file in one walk over its lines.
 
     Returns the artwork and why its first entry at fault is, or None.  An
     entry is at fault when ``check(section, key)`` (when given) says why its
@@ -467,7 +478,7 @@ def _live(block: list) -> dict:
 
 @gc_paused
 def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/4 file (no program to validate against).
+    """Syntax-only parse of an ART/5 file (no program to validate against).
     Every entry's graph is built, an edit entry's over shallow copies of
     the previous entry's maps, so the cost is linear in the artwork it
     returns, which may be much larger than the file."""

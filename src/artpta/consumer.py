@@ -2,16 +2,20 @@
 artifact, proving it safe or reporting the tampered entry.
 
 Each method's blocks are visited in the order the CFG numbers them, a
-topological order (back-edges ignored), and each statement exactly once.
-Loop headers, which lead their blocks, take their OUT directly from the
-artifact (default: the meet of their forward predecessors,
-``equations.forward_in``, when the entry was deleted); every other
-statement recomputes its flow equation, a block's leader from the meet of
-its predecessor blocks' OUTs (``equations.block_in``) and each later
-statement from the OUT just computed.  Safety:
+topological order (back-edges ignored), and each statement is evaluated
+exactly once: a block's leader from the meet of its predecessor blocks'
+OUTs (``equations.block_in``) and each later statement from the OUT just
+computed.  A loop header leads its block, and its back-edges' OUTs do not
+exist yet when the pass reaches it, so it is evaluated on the meet of its
+forward predecessors (``equations.forward_in``), and its ``[loop]`` entry,
+what the loop adds there, is met into the result; a deleted entry adds
+nothing.  A call at a header is evaluated like any other call, its plain
+callees regenerated first.  Safety:
 
 * loop invariants are recomputed over every predecessor, back-edges included,
-  once the whole method is done, and must be unchanged (equality);
+  once the whole method is done, and must be unchanged (equality): an entry
+  that lacks an edge the loop adds gives the header a value below every
+  fixed point's, and the recomputation finds it;
 * at every call-site, the callee's stored IN summary must subsume the
   projected-in caller state (subsumption; a missing entry defaults to the
   projection at the first call-site encountered);
@@ -62,6 +66,7 @@ from .ptg import (
     EMPTY,
     PointsToGraph,
     entry_graph,
+    meet,
     project_in,
     restrict_to_summary,
     subsumes,
@@ -160,6 +165,7 @@ class _Regenerator:
         blocks = cfg.blocks
         headers = cfg.forward_inputs
         out, visits, regen_out = self.out, self.visits, self.regen_out_summary
+        loops = self.artwork.i_loop
 
         def summary_of(t: str) -> PointsToGraph:
             return regen_out[t] if t in regen_out else self._claimed_out(t)
@@ -167,18 +173,13 @@ class _Regenerator:
         self.analyzed.add(name)
         out[(name, ENTRY)] = self.effective_in.setdefault(name, EMPTY)
         for b, stmts in enumerate(blocks):
+            carried = None  # what the artifact says the loop adds at this block's header
             if b in headers:
-                # A loop header leads its block and takes its OUT from the
-                # artifact, or its forward meet when the entry was deleted.
-                s = stmts[0]
-                key = (name, s.label)
-                visits[key] += 1
-                in_fwd = forward_in(cfg, out, name, b)
-                if isinstance(s.instr, Call):
-                    self._check_call_site(m, s, in_fwd)
-                seeded = self.artwork.i_loop.get(key)
-                g = out[key] = in_fwd if seeded is None else seeded
-                stmts = stmts[1:]
+                # A loop header leads its block.  Its back-edges' OUTs do not
+                # exist yet, so it is evaluated on its forward meet, and its
+                # [loop] entry, if any, is met into the OUT.
+                g = forward_in(cfg, out, name, b)
+                carried = loops.get((name, stmts[0].label))
             else:
                 g = block_in(cfg, out, name, b)
             for s in stmts:
@@ -187,11 +188,15 @@ class _Regenerator:
                 if s.instr.__class__ is Call:
                     self._check_call_site(m, s, g)
                     yield from self._pending_callees(name, s)
-                g = out[key] = eval_statement(s, g, m, summary_of)
+                g = eval_statement(s, g, m, summary_of)
                 # Counted once evaluated: a callee regeneration that aborts
                 # leaves this call-site unevaluated (its generator is never
                 # resumed).
                 self.applications += 1
+                if carried is not None:
+                    g = meet(g, carried)
+                    carried = None
+                out[key] = g
         out[(name, EXIT)] = meet_in(out, name, cfg.exit_inputs)
         regenerated = regen_out[name] = restrict_to_summary(out[(name, EXIT)], m)
         for header, b in sorted((blocks[b][0].label, b) for b in headers):
@@ -201,9 +206,9 @@ class _Regenerator:
                 # The main pass could only project the forward predecessors
                 # into the callee; re-check against the full meet now that the
                 # back-edge values exist, or a reduction whose extra objects
-                # arrive only around the loop would slip through.
+                # arrive only around the loop would slip through.  The pass
+                # has regenerated the call's plain callees already.
                 self._check_call_site(m, stmt, in_all)
-                yield from self._pending_callees(name, stmt)
             recomputed = eval_statement(stmt, in_all, m, summary_of)
             self.applications += 1
             if recomputed != out[(name, header)]:

@@ -7,7 +7,7 @@ field ``f`` of variable ``c`` reaches three allocation sites of two type
 tags.  REC: ``main`` calls ``foo`` which calls itself; ``foo``'s IN summary
 carries the argument object and its null-valued field, and its OUT summary
 carries a heap edge created only after the recursive call.  ARITH: a loop
-whose body touches no references, so its stored invariant is redundant.
+whose body touches no references, so its ``[loop]`` entry is empty.
 
 Generated programs are built from structured segments only (straight runs,
 properly nested loops, guarded calls), which keeps every CFG reducible.  A

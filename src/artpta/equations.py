@@ -2,19 +2,22 @@
 
 The producer's worklist, the equation check, the artifact optimizer and the
 consumer all evaluate a statement with ``eval_statement`` and a call-site's
-contribution to a callee's IN summary with ``callee_in``.  The three engines
-(``analyze_inter``'s worklist, ``validate_result`` and the consumer's
-``regen_method``) step through a method one basic block at a time: a
-leader's input is ``block_in``, the meet of its predecessor blocks' last
-OUTs (and Entry's, for Entry's block), and every later statement's input is
-the OUT just computed for the statement before it.  ``meet_in`` is the
-meet over any list of points (Exit's inputs, a loop header's), and
+contribution to a callee's IN summary with ``callee_in``.  The three
+engines (``analyze_inter``'s worklist, ``validate_result`` and the
+consumer's ``regen_method``) step through a method one basic block at a
+time: a leader's input is ``block_in``, the meet of its predecessor blocks'
+last OUTs (and Entry's, for Entry's block), and every later statement's
+input is the OUT just computed for the statement before it.  ``meet_in`` is
+the meet over any list of points (Exit's inputs, a loop header's), and
 ``forward_in`` a loop header's meet over its forward inputs alone, which
-the consumer's pass has there; ``in_value`` is one statement's input in
-that pass, for the optimizer.  The engines differ only in where callee OUT
-summaries come from and in how often they evaluate.  The round-robin oracle
-evaluates the same statement equations over the statement-level predecessor
-relation instead, so it stays an independent check of the block step.
+the consumer's pass has there: the consumer evaluates the header on it and
+meets in the header's ``[loop]`` entry, and emission writes that entry as
+the header's fixed-point OUT less the same evaluation.  ``in_value`` is one
+statement's input in that pass, for the optimizer's IN entries.  The
+engines differ only in where callee OUT summaries come from and in how
+often they evaluate.  The round-robin oracle evaluates the same statement
+equations over the statement-level predecessor relation instead, so it
+stays an independent check of the block step.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ def forward_in(
     cfg: ControlFlowGraph, out: Mapping[PointKey, PointsToGraph], name: str, b: int
 ) -> PointsToGraph:
     """The forward meet at loop-header block ``b``: the meet of the OUTs
-    that flow into its leader along edges that are not back-edges.  The
-    consumer's pass puts it in place of a header entry the artifact lacks."""
+    that flow into its leader along edges that are not back-edges, which
+    the consumer's pass has when it reaches the header and evaluates it
+    on."""
     return meet_in(out, name, cfg.forward_inputs[b])
 
 

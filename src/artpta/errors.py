@@ -38,8 +38,9 @@ class ArityMismatchError(ArtError):
 
 
 class MalformedArtworkError(ArtError):
-    """An artifact file violates the ART/4 syntax (an ``ART/3`` file, whose
-    header is not ``ART/4``, among others)."""
+    """An artifact file violates the ART/5 syntax.  That includes every
+    ``ART/4`` file: its header is not ``ART/5``, and its ``[loop]`` entries
+    held each header's whole value, not what the loop adds there."""
 
 
 class UnknownReferenceError(ArtError):

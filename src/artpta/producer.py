@@ -33,6 +33,7 @@ producer depends on the consumer, never the reverse.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 
 from .artwork import Artwork
 from .consumer import regenerate
@@ -42,6 +43,7 @@ from .equations import (
     block_in,
     callee_in,
     eval_statement,
+    forward_in,
     in_value,
     meet_in,
 )
@@ -64,6 +66,7 @@ from .ir import (
 from .ptg import (
     EMPTY,
     PointsToGraph,
+    difference,
     entry_graph,
     meet,
     restrict_to_summary,
@@ -411,11 +414,21 @@ def validate_result(program: Program, result: AnalysisResult) -> list[str]:
 
 def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict]:
     """The three maps ``emit_artwork`` writes for ``result``, each filled in
-    key order as decode fills them, so the two print alike."""
+    key order as decode fills them, so the two print alike.  A loop entry
+    is what the loop adds at its header: the header's OUT less ``f_h(F)``,
+    its flow equation applied to its forward meet (``equations.forward_in``),
+    which the consumer's pass computes there itself."""
     index = ProgramIndex.of(program)
     names, cfgs = sorted(m.name for m in program.methods), index.cfgs
+    out, summary_of = result.out, result.out_summary.__getitem__
+    i_loop = {}
+    for n in names:
+        cfg, m = cfgs[n], index.methods[n]
+        for h, b in sorted((cfg.blocks[b][0].label, b) for b in cfg.forward_inputs):
+            image = eval_statement(cfg.blocks[b][0], forward_in(cfg, out, n, b), m, summary_of)
+            i_loop[(n, h)] = difference(out[(n, h)], image)
     return (
-        {(n, h): result.out[(n, h)] for n in names for h in sorted(cfgs[n].loop_headers)},
+        i_loop,
         {n: result.in_summary[n] for n in names},
         {n: result.out_summary[n] for n in names if index.call_graph.is_recursive_method(n)},
     )
@@ -423,15 +436,19 @@ def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict
 
 @gc_paused
 def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
-    """Encode the compact artifact: fixed-point OUT of every natural-loop
-    header, the IN summary of every method, and the OUT summary of every
-    method on a call-graph cycle.  It carries ``result`` as its
-    ``fixed_point`` and keeps it alive; do not change ``result`` afterwards."""
+    """Encode the compact artifact: what each natural loop adds at its
+    header (see ``_entries``), the IN summary of every method, and the OUT
+    summary of every method on a call-graph cycle.  It carries ``result``
+    as its ``fixed_point`` and keeps it alive, with the program and the
+    entries it wrote; do not change ``result`` afterwards."""
     problems = validate_result(program, result)
     if problems:
         raise ArtError("result does not satisfy the flow equations: " + problems[0])
-    a = Artwork(*_entries(program, result))
+    maps = _entries(program, result)
+    a = Artwork(*maps)
     object.__setattr__(a, "fixed_point", result)
+    # each map's keys and values, interleaved in one tuple
+    object.__setattr__(a, "written", (program, *(tuple(chain.from_iterable(m.items())) for m in maps)))
     return a
 
 
@@ -444,17 +461,17 @@ def _statement(cfg: ControlFlowGraph, label: int) -> LabeledStatement:
 
 def carried_fixed_point(program: Program, a: Artwork) -> AnalysisResult | None:
     """The fixed point ``a`` carries (``a.fixed_point``, set by
-    ``emit_artwork``) while its maps still hold what emission wrote from it
-    for ``program``, which is one identity test per entry when they are
-    unchanged; None otherwise, and never an error."""
-    fixed = a.fixed_point
-    if fixed is None:
+    ``emit_artwork``) while ``program`` is the one emission read and ``a``'s
+    maps still hold the very graphs it wrote under the same keys, one
+    identity test per entry; None otherwise, and never an error."""
+    written = a.written
+    if a.fixed_point is None or written is None or written[0] is not program:
         return None
-    try:
-        written = _entries(program, fixed)
-    except KeyError:  # the fixed point of another program
-        return None
-    return fixed if (a.i_loop, a.i_in, a.i_out) == written else None
+    for entries, flat in zip((a.i_loop, a.i_in, a.i_out), written[1:]):
+        pairs = iter(flat)
+        if 2 * len(entries) != len(flat) or any(entries.get(k) is not g for k, g in zip(pairs, pairs)):
+            return None
+    return a.fixed_point
 
 
 @gc_paused
@@ -465,9 +482,12 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     as ``^`` and its edits from the one before it is ``encode``'s rule,
     for every artifact.)  The stand-ins:
 
-    * a loop entry's is the forward meet at its header
-      (``equations.forward_in``); a ``[loop]`` key that names no loop header
-      has none and is always dropped, as the consumer ignores it;
+    * a loop entry's is the empty graph, since the consumer meets the entry
+      into the header's flow equation applied to its forward meet, which it
+      computes anyway; so a loop entry is dropped exactly when it is empty,
+      as emission writes it when the loop adds nothing at its header.  A
+      ``[loop]`` key that names no loop header is always dropped, as the
+      consumer ignores it;
     * the IN entry of the entry method, or of a method with no call-site, is
       the empty graph: the consumer's pass over the entry method comes first;
     * any other IN entry takes the projection at the first call-site the
@@ -507,7 +527,7 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
     i_loop = {
         (name, h): g
         for (name, h), g in a.i_loop.items()
-        if name in cfgs and h in cfgs[name].loop_headers and g != in_value(index, out, name, h)
+        if name in cfgs and h in cfgs[name].loop_headers and not g.is_empty()
     }
     i_in = {name: g for name, g in a.i_in.items() if not redundant_in(name, g)}
     i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}

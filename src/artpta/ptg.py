@@ -81,8 +81,7 @@ and all its targets (``main:4 .f null``).  ``render_block`` writes a
 graph's, and ``render_edits`` the ``- `` / ``+ `` lines that turn one graph
 into another; they stay here because only this module reads a graph's maps.
 Only U+0020 separates a line's tokens.  ``parse_binding_line`` reads a
-binding line, and ``parse_edge_line`` a ``render_edge`` line by dropping
-its arrow.  Inside an artifact entry of method ``main`` the identifiers of
+binding line.  Inside an artifact entry of method ``main`` the identifiers of
 ``main`` lose the method's name (``/0 :4 null``); the codec drops it from
 the written lines, and ``parse_binding_line`` and ``parse_object`` read
 such a scoped text when given the entry's method as ``scope``.
@@ -396,6 +395,39 @@ def _union_graphs(graphs: Iterable[PointsToGraph]) -> PointsToGraph:
 def subsumes(g1: PointsToGraph, g2: PointsToGraph) -> bool:
     """True iff g2 is a subgraph of g1: exactly when their meet is g1 itself."""
     return _union_graphs((g1, g2)) is g1
+
+
+def _minus_sets(a: dict[K, Objects], b: dict[K, Objects]) -> dict[K, Objects]:
+    """Key-wise difference of two set-valued maps, with no empty set; a
+    set ``b`` holds under the same key is passed over unread."""
+    out = {}
+    get = b.get
+    for k, objs in a.items():
+        have = get(k)
+        if have is not objs:
+            rest = objs if have is None else objs - have
+            if rest:
+                out[k] = rest
+    return out
+
+
+def difference(g: PointsToGraph, base: PointsToGraph) -> PointsToGraph:
+    """The edges of ``g`` that ``base`` lacks (EMPTY when ``base`` subsumes
+    ``g``), so ``meet(base, difference(g, base))`` is ``meet(base, g)``.
+    Equal graphs are told apart in C; otherwise a target set or field map
+    the two share is passed over unread, and every set or field map of
+    ``g`` that ``base`` lacks is shared."""
+    if g == base:
+        return EMPTY
+    vars_, heap = _minus_sets(g._vars, base._vars), {}
+    get = base._heap.get
+    for o, fields in g._heap.items():
+        had = get(o)
+        if had is not fields:
+            rest = fields if had is None else _minus_sets(fields, had)
+            if rest:
+                heap[o] = rest
+    return _graph(vars_, heap) if vars_ or heap else EMPTY
 
 
 def var_id(m: Method, name: str) -> VarId:
@@ -792,20 +824,3 @@ def parse_binding_line(
                 raise ValueError(f"repeated target {text} in edge line {line!r}")
             seen.add(t)
     return left, fname, targets
-
-
-def parse_edge_line(line: str) -> VarEdge | FieldEdge:
-    """Parse one line as ``render_edge`` writes it, a key, its arrow and one
-    target: a variable edge ``(v, o)`` (``m/s -> o``) or a field edge ``(s,
-    f, t)`` (``s .f-> t``).  Without its arrow it is a binding line of one
-    target, which ``parse_binding_line`` reads; errors quote ``line``."""
-    parts = [part for part in line.split(" ") if part]
-    if len(parts) == 3 and parts[1].endswith("->"):
-        text = f"{parts[0]} {parts[1][:-2]} {parts[2]}"
-        try:
-            left, fname, targets = parse_binding_line(text)
-        except ValueError as exc:
-            raise ValueError(str(exc).replace(repr(text), repr(line))) from None
-        if len(targets) == 1:
-            return (left, targets[0]) if fname is None else (left, fname, targets[0])
-    raise ValueError(f"bad edge line {line!r}")

@@ -4,16 +4,19 @@ the consumer's default-value rules), and conservative edge addition.
 
 Reductive kinds remove or replace an element actually present in the source
 artifact.  The producer emits the least fixed point, so the changed entry
-lacks an element the least fixed point holds there; every fixed point lies
-above the least one, so the entry belongs to no fixed point and the
-consumer must detect it.  Each kind is one step (``_reduce``): draw an
-element, build the drawn entry's new graph, replace the entry.  A draw is
-``rng.choice`` over the candidates of every entry in entry order (edges,
-variables and objects, edges again, or sets of two or more targets), made
-from each entry's candidate count alone
-(``PointsToGraph.edge_count``, ``variables``, ``objects``, ``target_sets``):
-only the drawn entry's candidates are listed, sorted and rendered, and the
-generator is consumed as a choice from the whole list would consume it.
+lacks an element the least fixed point holds there (for a ``[loop]`` entry,
+one the header's flow equation does not derive from its forward value, so
+the header's value lacks it too); every fixed point lies above the least
+one, so the entry belongs to no fixed point and the consumer must detect
+it.  An artwork whose entries are all empty has nothing to reduce.  Each
+kind is one step (``_reduce``): draw an element, build the drawn entry's
+new graph, replace the entry.  A draw is ``rng.choice`` over the candidates
+of every entry in entry order (edges, variables and objects, edges again,
+or sets of two or more targets), made from each entry's candidate count
+alone (``PointsToGraph.edge_count``, ``variables``, ``objects``,
+``target_sets``): only the drawn entry's candidates are listed, sorted and
+rendered, and the generator is consumed as a choice from the whole list
+would consume it.
 
 AddEdge is different: an arbitrary insertion is almost never part of a fixed
 point (the extra edge cascades or fails to re-appear at a checked point), so
@@ -29,7 +32,10 @@ emission wrote from the fixed point it carries
 decoded or optimized source); both end at the same fixed point.  When the
 source lacks entries that emission writes (it was optimized), the emitted
 artifact is shrunk by ``optimize_artwork`` too, if the consumer accepts the
-shrunk one, so the mutation keeps its source's shape.
+shrunk one, so the mutation keeps its source's shape.  A ``[loop]`` entry
+holds only what the loop adds at its header, so an edge it lacks may be
+one the header's flow equation already derives; the re-closed artwork then
+equals its source, and the draw is made again.
 """
 
 from __future__ import annotations
@@ -246,6 +252,8 @@ def _add_edge(a: Artwork, rng: random.Random, program: Program | None) -> tuple[
             shrunk = optimize_artwork(program, mutated)
             if regen_inter(program, shrunk).safe:
                 mutated = shrunk
+        if mutated == a:
+            continue  # the header's flow equation already derives the edge; retry
         return replace(mutated), f"{_entry_name(key)} edge '{render_edge(edge)}'"  # drops the fixed point
     raise NothingToTamperError("no conservative edge addition found")
 

@@ -115,7 +115,7 @@ def _scoped_line(line: str, method: str) -> str:
 
 
 def _reference_encode(a) -> bytes:
-    lines = ["ART/4"]
+    lines = ["ART/5"]
     sections = (
         ("[loop]", {(m, f"{m}:{l}"): g for (m, l), g in sorted(a.i_loop.items())}),
         ("[in]", {(m, m): g for m, g in sorted(a.i_in.items())}),
@@ -139,7 +139,7 @@ def _reference_encode(a) -> bytes:
 
 @pytest.fixture(scope="session")
 def reference_encode():
-    """``reference_encode(a)`` writes the ART/4 bytes of artwork ``a`` line
+    """``reference_encode(a)`` writes the ART/5 bytes of artwork ``a`` line
     by line, one line per binding: a key and its targets with no arrow, as
     the lines of ``render_edges`` that share the key list them, in their
     order; in an entry of method ``m``, every ``m/k``, ``m:label`` and

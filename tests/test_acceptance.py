@@ -44,6 +44,8 @@ from artpta import (
 from artpta.ir import LabeledStatement, Alloc, AssignNull, Copy, FieldLoad, FieldStore, Nop, Return
 from artpta.ir import Method, Program, ProgramIndex
 from artpta.ptg import var_id
+from artpta.errors import NothingToTamperError
+from helpers import only_empty_entries
 
 SEED = 2024
 CORPUS_SIZE = 50
@@ -97,15 +99,23 @@ def test_criterion_2_oracle_equivalence(corpus):
 
 def test_criterion_3_tamper_detection(corpus):
     total = detected = 0
-    for i, (_, p, _, a) in enumerate(corpus):
-        report_ = rq2_campaign(p, a, 10, seed=1000 + i)
+    skipped = []
+    for i, (name, p, _, a) in enumerate(corpus):
+        try:
+            report_ = rq2_campaign(p, a, 10, seed=1000 + i)
+        except NothingToTamperError:
+            # Every entry is empty (each loop adds nothing its header's
+            # flow equation does not derive): no reduction exists.
+            assert only_empty_entries(a), name
+            skipped.append(name)
+            continue
         total += report_.n
         detected += report_.detected
     report(
         3,
         "every reductive tampering detected (10 trials per program)",
-        detected == total and total >= 500,
-        f"{detected}/{total} detected",
+        detected == total and total >= 500 and len(skipped) == 2,
+        f"{detected}/{total} detected; {len(skipped)} programs with only empty entries: {', '.join(skipped)}",
     )
 
 

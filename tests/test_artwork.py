@@ -58,7 +58,7 @@ def _random_artwork(rng: random.Random) -> Artwork:
 
 def test_empty_artwork_encoding():
     data = encode(Artwork.empty())
-    assert data == b"ART/4\n[loop]\n[in]\n[out]\n"
+    assert data == b"ART/5\n[loop]\n[in]\n[out]\n"
     assert parse_artwork(data) == Artwork.empty()
 
 
@@ -106,7 +106,7 @@ def test_truncated_file_rejected(rec_pipeline):
 @pytest.mark.parametrize(
     "mutation,exc",
     [
-        (lambda d: d.replace(b"ART/4", b"ART/1"), MalformedArtworkError),  # the old grammar
+        (lambda d: d.replace(b"ART/5", b"ART/1"), MalformedArtworkError),  # the old grammar
         (lambda d: d.replace(b"[in]\n", b""), MalformedArtworkError),
         (lambda d: d.replace(b" .f ", b" . "), MalformedArtworkError),
         (lambda d: d.replace(b"foo {", b"ghost {", 1), UnknownReferenceError),
@@ -179,13 +179,13 @@ def test_stats_empty_program():
 
 
 def test_a_repeat_in_the_first_entry_rejected():
-    data = b"ART/4\n[loop]\n[in]\nfoo ^\n[out]\n"
+    data = b"ART/5\n[loop]\n[in]\nfoo ^\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
 
 def test_duplicate_entry_rejected():
-    data = b"ART/4\n[loop]\n[in]\nfoo {\n}\nfoo {\n}\n[out]\n"
+    data = b"ART/5\n[loop]\n[in]\nfoo {\n}\nfoo {\n}\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
@@ -216,8 +216,8 @@ def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwor
 
 # The optimized artifacts' bytes, and the values they decode to: each entry's
 # section, key and ``render_graph`` lines, which do not depend on the codec.
-OPTIMIZED_CORPUS_SHA256 = "55089df4184c9151d6c1344a792bf3182f7edc42f6b6de84f0913719f0aade9a"
-OPTIMIZED_VALUES_SHA256 = "3c342ee0ab4106b743e2ced4436caaae6c4f8414ae504587d275eaa759141403"
+OPTIMIZED_CORPUS_SHA256 = "b492897a1c5e014738e460a259719ca9f97b343573039e7210b011a05385e7c5"
+OPTIMIZED_VALUES_SHA256 = "f07bebefc38b268f6624692dc70df9bc0b8dbd6d69be86c6741a8722d71f1492"
 
 
 def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
@@ -242,7 +242,7 @@ def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
 
 # Over the same programs, the plain artifacts' bytes and the ``NAIVE/1``
 # dumps of the least fixed points, each length-prefixed.
-PLAIN_CORPUS_SHA256 = "4a6a613b7cc0ae2093cfacc49e0b97b0b60906eeae2cf9796a4d3dc5a42689a8"
+PLAIN_CORPUS_SHA256 = "b904d4d8322895069ba84e0ad6486c7ca8705b8b4767c153e1cc1b0daa0819e0"
 NAIVE_CORPUS_SHA256 = "c0c23a063cfebbc5aed62a1ccf6ae54bde83ad88a1de0e5462bf98f03450e930"
 
 

@@ -44,7 +44,7 @@ method r(p) {
 # repeats keep VALID at least as long as its ``ART/3`` form (190 bytes), so
 # the truncation test below keeps every cut it had.
 VALID = """\
-ART/4
+ART/5
 [loop]
 main:2 {
   main/0 main:1
@@ -68,7 +68,7 @@ r {
 
 
 def _art(loop: str = "", in_: str = "", out: str = "") -> str:
-    return "ART/4\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
+    return "ART/5\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
 
 
 def _block(head: str, *edges: str) -> str:
@@ -76,21 +76,23 @@ def _block(head: str, *edges: str) -> str:
 
 
 MALFORMED = {
-    "not-utf8": (b"ART/4\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
-    "no-trailing-newline": (b"ART/4\n[loop]\n[in]\n[out]", "missing trailing newline"),
+    "not-utf8": (b"ART/5\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
+    "no-trailing-newline": (b"ART/5\n[loop]\n[in]\n[out]", "missing trailing newline"),
     "empty-file": (b"", "missing trailing newline"),
-    "bad-header": (b"ART/5\n[loop]\n[in]\n[out]\n", "missing ART/4 header"),
+    "bad-header": (b"ART/6\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
     # the grammars this one replaced have no reader
-    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/4 header"),
-    "art2-header": (b"ART/2\n[loop]\n[in]\n[out]\n", "missing ART/4 header"),
-    "art3-header": (b"ART/3\n[loop]\n[in]\n[out]\n", "missing ART/4 header"),
+    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    "art2-header": (b"ART/2\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    "art3-header": (b"ART/3\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    # an ART/4 file: its [loop] entries held the whole header value
+    "art4-header": (b"ART/4\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
     "art3-entry-header": (_art(in_="m:main = {\n}\n"), "bad [in] entry"),
-    "blank-first-line": (b"\nART/4\n[loop]\n[in]\n[out]\n", "missing ART/4 header"),
-    "only-header": (b"ART/4\n", "unexpected end of file"),
-    "missing-loop": (b"ART/4\n[in]\n[out]\n", "expected [loop] section"),
-    "missing-in": (b"ART/4\n[loop]\n[out]\n", "bad [loop] entry"),
-    "missing-in-at-eof": (b"ART/4\n[loop]\n", "unexpected end of file"),
-    "missing-out": (b"ART/4\n[loop]\n[in]\n", "unexpected end of file"),
+    "blank-first-line": (b"\nART/5\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    "only-header": (b"ART/5\n", "unexpected end of file"),
+    "missing-loop": (b"ART/5\n[in]\n[out]\n", "expected [loop] section"),
+    "missing-in": (b"ART/5\n[loop]\n[out]\n", "bad [loop] entry"),
+    "missing-in-at-eof": (b"ART/5\n[loop]\n", "unexpected end of file"),
+    "missing-out": (b"ART/5\n[loop]\n[in]\n", "unexpected end of file"),
     "bad-loop-entry": (_art(loop="main:x {\n}\n"), "bad [loop] entry"),
     "bad-in-entry": (_art(in_="9main {\n}\n"), "bad [in] entry"),
     "bad-out-entry": (_art(out="r{\n}\n"), "bad [out] entry"),
@@ -565,25 +567,27 @@ def test_the_valid_artifact_decodes(program):
     assert encode(inline) == EDITED.encode()
 
 
-# The ART/4 bytes of the loopy fixture, and its body with every identifier
-# in full, as the ``ART/2`` grammar wrote them.
-LOOPY_ART4 = (
-    "ART/4\n[loop]\nmain:5 {\n  /0 :1 :6\n  /1 :11 :3 :9\n  :1 .f :3\n"
+# The ART/5 bytes of the loopy fixture, and its body with every identifier
+# in full, as the ``ART/2`` grammar wrote them.  The [loop] entry holds what
+# the loop adds at header 5 to the OUT of statement 4, which the header
+# passes on unchanged.
+LOOPY_ART5 = (
+    "ART/5\n[loop]\nmain:5 {\n  /0 :6\n  /1 :11 :9\n"
     "  :6 .f :11 :3 :9\n}\n[in]\nmain {\n}\n[out]\n"
 )
 LOOPY_FULL_BODY = (
-    "[loop]\nmain:5 {\n  main/0 main:1 main:6\n  main/1 main:11 main:3 main:9\n"
-    "  main:1 .f main:3\n  main:6 .f main:11 main:3 main:9\n}\n[in]\nmain {\n}\n[out]\n"
+    "[loop]\nmain:5 {\n  main/0 main:6\n  main/1 main:11 main:9\n"
+    "  main:6 .f main:11 main:3 main:9\n}\n[in]\nmain {\n}\n[out]\n"
 )
 
 
 def test_a_full_spelling_body_decodes_to_its_canonical_artwork(loopy_pipeline):
     p, _, a = loopy_pipeline
-    assert encode(a) == LOOPY_ART4.encode()
-    full = decode(("ART/4\n" + LOOPY_FULL_BODY).encode(), p)
-    assert full == a == decode(LOOPY_ART4.encode(), p)
-    assert encode(full) == LOOPY_ART4.encode()
-    with pytest.raises(MalformedArtworkError, match="^missing ART/4 header$"):
+    assert encode(a) == LOOPY_ART5.encode()
+    full = decode(("ART/5\n" + LOOPY_FULL_BODY).encode(), p)
+    assert full == a == decode(LOOPY_ART5.encode(), p)
+    assert encode(full) == LOOPY_ART5.encode()
+    with pytest.raises(MalformedArtworkError, match="^missing ART/5 header$"):
         decode(("ART/3\n" + LOOPY_FULL_BODY).encode(), p)
 
 
@@ -701,7 +705,7 @@ def test_every_line_of_a_corpus_artifact_is_an_art4_line(small_corpus):
         plain = emit_artwork(p, analyze_inter(p))
         for a in (plain, optimize_artwork(p, plain)):
             first, *lines, last = encode(a).decode().split("\n")
-            assert first == "ART/4" and last == ""
+            assert first == "ART/5" and last == ""
             section = None
             for line in lines:
                 if line in _ENTRY_HEADERS:
@@ -833,7 +837,7 @@ import sys
 from artpta import UnknownReferenceError, decode, parse_program
 p = parse_program("method main() {\\n  1: x = new C\\n}\\n")
 for body in sys.argv[1:]:  # " {", the edge lines, "}"
-    data = ("ART/4\\n[loop]\\n[in]\\nmain" + body + "[out]\\n").encode()
+    data = ("ART/5\\n[loop]\\n[in]\\nmain" + body + "[out]\\n").encode()
     try:
         decode(data, p)
         print("accepted")
@@ -908,7 +912,7 @@ def test_a_syntax_error_wins_over_a_program_the_index_rejects():
 
     p = parse_program("method main() {\n  1: return\n  2: nop\n  3: goto 2\n}\n")
     with pytest.raises(MalformedArtworkError) as info:
-        decode(b"ART/4\n[loop]\n[in]\nmain {\n", p)
+        decode(b"ART/5\n[loop]\n[in]\nmain {\n", p)
     assert str(info.value) == "unterminated graph block"
     with pytest.raises(IrreducibleCfgError):
-        decode(b"ART/4\n[loop]\n[in]\n[out]\n", p)
+        decode(b"ART/5\n[loop]\n[in]\n[out]\n", p)

@@ -1,4 +1,4 @@
-"""A seeded byte-level campaign on valid ART/4 artifacts, through the CLI.
+"""A seeded byte-level campaign on valid ART/5 artifacts, through the CLI.
 
 Bytes are flipped, inserted and deleted, and lines duplicated and deleted,
 in plain and ``-O`` artifacts of both corpus shapes (the default one and

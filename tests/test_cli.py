@@ -57,12 +57,10 @@ def test_tamper_then_regen_detects(tmp_path, loopy_ir, capsys):
 @pytest.mark.parametrize(
     "kind, seed, report",
     [
-        ("remove-edge", 7, ["  missing: main:1 .f-> main:3"]),
-        (
-            "replace-object",
-            1,
-            ["  missing: main/1 -> main:11", "  missing: main:6 .f-> main:1", "  extra: main/1 -> main:1"],
-        ),
+        ("remove-edge", 7, ["  missing: main/1 -> main:9"]),
+        # main:9 is already a target of main/1 at the header
+        ("replace-object", 1, ["  missing: main/1 -> main:11"]),
+        ("replace-object", 2, ["  missing: main/0 -> main:6", "  extra: main/0 -> main:11"]),
     ],
 )
 def test_unsafe_report_shows_the_edge_difference(tmp_path, loopy_ir, capsys, kind, seed, report):
@@ -193,7 +191,7 @@ def test_rq2_runs_no_trial_on_a_base_the_consumer_rejects(tmp_path, loopy_ir, ca
     assert main(["rq2", loopy_ir, bad, "-n", "10", "--seed", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "UNSAFE\n"
-    assert captured.err.splitlines() == ["LoopInvariant violation in 'main' at 5", "  missing: main:1 .f-> main:3"]
+    assert captured.err.splitlines() == ["LoopInvariant violation in 'main' at 5", "  missing: main/1 -> main:9"]
 
 
 def test_rq2_rejects_a_negative_trial_count(tmp_path, loopy_ir, capsys):
@@ -370,7 +368,7 @@ def test_deep_call_chain_optimizes_to_an_empty_artifact(tmp_path, capsys, call_c
     prog.write_text(call_chain(1500))
     art = tmp_path / "chain.art"
     assert main(["analyze", str(prog), "-O", "-o", str(art)]) == 0
-    assert art.read_bytes() == b"ART/4\n[loop]\n[in]\n[out]\n"
+    assert art.read_bytes() == b"ART/5\n[loop]\n[in]\n[out]\n"
     capsys.readouterr()
     assert main(["regen", str(prog), str(art)]) == 0
     assert capsys.readouterr().out == "SAFE\n"
@@ -416,5 +414,5 @@ def test_stats_reports_an_unsafe_artifact_instead_of_sizing_it(tmp_path, loopy_i
     assert main(["stats", loopy_ir, bad]) == 1
     captured = capsys.readouterr()
     assert captured.out == "UNSAFE\n"
-    assert "LoopInvariant" in captured.err and "  missing: main:1 .f-> main:3" in captured.err
+    assert "LoopInvariant" in captured.err and "  missing: main/1 -> main:9" in captured.err
     assert "bytes" not in captured.err

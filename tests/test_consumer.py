@@ -529,17 +529,19 @@ def _trace(out) -> tuple:
         (MIXED, None, False, (
             [("main", 1), ("main", 2), ("main", 3), ("h", 1), ("h", 2), ("main", 4)],
             [], 6, {"main", "h"})),
-        (NEST, None, False, (NEST_VISITS, [], 16, {"main", "left", "right", "leaf"})),
-        (NEST, "optimize", False, (NEST_VISITS, [], 16, {"main", "left", "right", "leaf"})),
+        (NEST, None, False, (NEST_VISITS, [], 17, {"main", "left", "right", "leaf"})),
+        (NEST, "optimize", False, (NEST_VISITS, [], 17, {"main", "left", "right", "leaf"})),
         (NEST, _reduced, True, (
             NEST_VISITS,
             [("InSummary", "right", "main:4"), ("InSummary", "leaf", "left:2"),
              ("LoopInvariant", "main", 3)],
-            16, {"main", "left", "right", "leaf"})),
+            17, {"main", "left", "right", "leaf"})),
         (NEST, _reduced, False, (
-            NEST_VISITS[:4], [("InSummary", "right", "main:4")], 2, {"main"})),
+            NEST_VISITS[:4], [("InSummary", "right", "main:4")], 3, {"main"})),
+        # the header call is evaluated in the pass, so its callee comes first
         (HEADER_CALL, None, False, (
-            [("main", i) for i in range(1, 7)] + [("h", 1), ("h", 2)], [], 8, {"main", "h"})),
+            [("main", 1), ("main", 2), ("h", 1), ("h", 2)] + [("main", i) for i in range(3, 7)],
+            [], 9, {"main", "h"})),
     ],
     ids=[
         "rec", "rec-reduced-keep-going", "rec-reduced", "mixed", "nest", "nest-optimized",

@@ -25,7 +25,8 @@ from artpta import (
     parse_program,
 )
 from artpta.ir import identifiers
-from artpta.ptg import NULL_OBJECT, VarId, edited, parse_edge_line
+from artpta.ptg import NULL_OBJECT, VarId, edited
+from helpers import parse_edge_line
 
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
 
@@ -54,7 +55,7 @@ def _oracle_graph(lines: list[str]) -> PointsToGraph:
 
 
 def _oracle_decode(text: str) -> Artwork:
-    """A well-formed ART/4 text read line by line into edge-set graphs, each
+    """A well-formed ART/5 text read line by line into edge-set graphs, each
     scoped token of an entry expanded with the entry's method."""
     lines = text.split("\n")[:-1]
     sections: dict[str, dict] = {}
@@ -127,7 +128,10 @@ def _assert_canonical_maps(g: PointsToGraph) -> None:
 @pytest.fixture(scope="module")
 def artifacts(small_corpus):
     """(program, artifact bytes): plain and optimized artifacts of
-    ``small_corpus`` and of four roundtrip-large-shape programs."""
+    ``small_corpus`` and of four roundtrip-large-shape programs, and each
+    plain one with every ``[loop]`` entry holding the header's whole
+    value, which the consumer reads alike and which gives the codec
+    larger graphs."""
     large = [
         (name, parse_program(text))
         for name, text in generate_corpus(CorpusConfig(program_count=4, seed=11, **LARGE_SHAPE))
@@ -135,9 +139,11 @@ def artifacts(small_corpus):
     ]
     out = []
     for _, p in [*small_corpus, *large]:
-        a = emit_artwork(p, analyze_inter(p))
+        r = analyze_inter(p)
+        a = emit_artwork(p, r)
         out.append((p, encode(a)))
         out.append((p, encode(optimize_artwork(p, a))))
+        out.append((p, encode(Artwork({key: r.out[key] for key in a.i_loop}, a.i_in, a.i_out))))
     return out
 
 
@@ -206,7 +212,7 @@ def test_one_variable_spread_over_a_block_decodes_to_one_set():
         "main:1 .f main:1", "main/0 null", "main:1 .g null", "main/0 main:1",
         "main:1 .f main:2", "main/0 main:1 null", "main:1 .f main:2 main:1",
     ]
-    text = "ART/4\n[loop]\n[in]\nmain {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
+    text = "ART/5\n[loop]\n[in]\nmain {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
     g = decode(text.encode(), p).i_in["main"]
     _assert_canonical_maps(g)
     assert g == _oracle_graph([f"  {e}" for e in body])
@@ -291,7 +297,7 @@ def test_a_round_trip_file_mixes_scoped_and_full_spellings():
     g3 = edited(g2, [("-", (main0, frozenset({NULL_OBJECT}))), ("+", (s0, frozenset({f})))])
     data = _assert_round_trip(Artwork(i_loop={("main", 6): g1}, i_in={"r": g2, "s": g3}, i_out={}))
     assert data == (
-        b"ART/4\n[loop]\nmain:6 {\n  /0 :1 null\n  :1 .f r:2\n}\n"
+        b"ART/5\n[loop]\nmain:6 {\n  /0 :1 null\n  :1 .f r:2\n}\n"
         # an entry of r: its own identifiers scoped, main's in full, and a
         # "^" after an entry of main
         b"[in]\nr ^\n+ /0 main:1\n+ :2 .g main:1\n"

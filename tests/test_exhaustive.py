@@ -9,10 +9,10 @@ decode back to itself, and ``regen_inter`` must reject the decoded copy:
 the artifact holds values of the least fixed point, so a value with fewer
 edges is below it, and a consumer that accepts one is unsound.
 
-The slice is the fixtures and ``PROGRAMS`` generated programs: 7,411
-mutations, about 7 s of CPU for the module on a 2-core x86-64 machine with
-CPython 3.11 (the first 40 programs, 18,220 mutations, took 16 s).  The
-mutation kinds are not sampled.
+The slice is the fixtures and ``PROGRAMS`` generated programs: 1,715
+mutations (7,411 while a ``[loop]`` entry held the header's whole value,
+about 7 s of CPU for the module on a 2-core x86-64 machine with CPython
+3.11).  The mutation kinds are not sampled.
 
 Over the same slice, each entry of each plain artifact is deleted alone:
 the consumer may accept a deletion (it puts a stand-in in the entry's
@@ -25,7 +25,8 @@ through a field the program uses, to a site or ``null``.  Re-closed as
 add-edge tampering re-closes it, the consumer must accept the maps
 emission would write exactly when the re-closure satisfies the flow
 equations; added as is, every artifact the consumer accepts must
-regenerate a fixed point."""
+regenerate a fixed point (an edge the header's flow equation already
+derives, added to a ``[loop]`` entry, changes nothing)."""
 
 import itertools
 
@@ -122,7 +123,7 @@ def test_the_slice_is_the_fixtures_and_the_first_programs():
         p = parse_program(SOURCES[name])
         plain = emit_artwork(p, analyze_inter(p))
         total += sum(1 for a in (plain, optimize_artwork(p, plain)) for _ in _mutations(a))
-    assert total == 7411
+    assert total == 1715
 
 
 def _round_trip(p, a: Artwork) -> Artwork:
@@ -199,4 +200,4 @@ def test_every_single_edge_addition_gets_the_verdict_of_the_flow_equations():
             if outcome.safe:
                 raw_accepted += 1
                 assert validate_result(p, outcome.result) == [], where
-    assert (additions, closed_ok, raw_accepted) == (162, 140, 90)
+    assert (additions, closed_ok, raw_accepted) == (167, 145, 138)

@@ -34,7 +34,8 @@ from artpta import (
     parse_program,
 )
 from artpta.ir import Alloc, Program, identifier_tables, identifiers
-from artpta.ptg import NULL_OBJECT, Site, parse_edge_line, parse_object, render_object
+from artpta.ptg import NULL_OBJECT, Site, parse_object, render_object
+from helpers import parse_edge_line
 
 LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
 SEEDS = (1, 90917)
@@ -360,7 +361,7 @@ def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
         "method foo(p) {\n  1: return\n}\n"
     )
     text = (
-        "ART/4\n[loop]\nmain:1 {\n  main/0 main:1\n  main:1 .f main:2\n}\n"
+        "ART/5\n[loop]\nmain:1 {\n  main/0 main:1\n  main:1 .f main:2\n}\n"
         "main:2 ^\n[in]\nfoo {\n  foo/0 main:2\n  main/0 main:2\n  main:2 .f main:1\n}\n"
         "main {\n  main/0 main:1\n  main:1 .f main:2\n}\n[out]\n"
     )

@@ -28,6 +28,7 @@ from artpta import (
 import artpta
 from artpta import consumer, ir
 from artpta.ir import ProgramIndex
+from helpers import only_empty_entries
 
 
 @pytest.fixture
@@ -165,7 +166,7 @@ _LARGE = {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300
 def _every_pipeline_path(p):
     """Produce, ``-O``, encode and decode, SAFE, UNSAFE and ``keep_going``
     regeneration, every tampering kind and an rq2 campaign over ``p``;
-    returns the verdicts."""
+    returns the verdicts, and whether the artwork has nothing to reduce."""
     a = emit_artwork(p, analyze_inter(p))
     arts = [a, optimize_artwork(p, a)]
     for kind in TamperKind:
@@ -178,8 +179,13 @@ def _every_pipeline_path(p):
         decoded = decode(encode(art), p)
         verdicts.append(regen_inter(p, decoded).safe)
         regen_inter(p, decoded, keep_going=True)
-    rq2_campaign(p, a, 2, 1)
-    return verdicts
+    nothing_to_reduce = only_empty_entries(a)
+    if nothing_to_reduce:  # rq2 runs no trial
+        with pytest.raises(NothingToTamperError):
+            rq2_campaign(p, a, 2, 1)
+    else:
+        rq2_campaign(p, a, 2, 1)
+    return verdicts, nothing_to_reduce
 
 
 def test_only_ptg_uses_a_graphs_tuple_protocol(monkeypatch):
@@ -205,12 +211,14 @@ def test_only_ptg_uses_a_graphs_tuple_protocol(monkeypatch):
     # the fixtures, three default-shape programs and one of roundtrip-large
     texts = [text for _, text in generate_corpus(CorpusConfig(program_count=3, seed=1))]
     texts.append(generate_corpus(CorpusConfig(program_count=1, seed=1, **_LARGE))[-1][1])
-    verdicts = []
+    verdicts, empty = [], 0
     with monkeypatch.context() as patch:
         for name in _TUPLE_PROTOCOL:
             patch.setattr(PointsToGraph, name, recording(name))
         for text in texts:
-            verdicts += _every_pipeline_path(parse_program(text))
+            path_verdicts, nothing_to_reduce = _every_pipeline_path(parse_program(text))
+            verdicts += path_verdicts
+            empty += nothing_to_reduce
         found = set(reached)
         # the instrument sees a call from outside ``ptg``
         len(EMPTY)
@@ -218,6 +226,7 @@ def test_only_ptg_uses_a_graphs_tuple_protocol(monkeypatch):
         assert reached == found | {("__len__", __name__), ("__iter__", __name__)}
     assert not set(_TUPLE_PROTOCOL) & set(vars(PointsToGraph))  # restored
     assert True in verdicts and False in verdicts
+    assert empty == 1  # the ARITH fixture
     assert found == set()
 
 

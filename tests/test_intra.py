@@ -46,7 +46,7 @@ def test_loopy_main_empty_artwork_is_unsafe(loopy):
     v = out.violation
     assert (v.kind, v.method, v.location) == ("LoopInvariant", "main", 5)
     assert out.visits == _once_each(m)
-    assert out.transfer_applications == 13
+    assert out.transfer_applications == 14
 
 
 def test_arith_main_empty_artwork_is_safe(arith):
@@ -56,7 +56,7 @@ def test_arith_main_empty_artwork_is_safe(arith):
     out = regen_intra(m, Artwork.empty())
     assert out.safe
     assert out.visits == _once_each(m)
-    assert out.transfer_applications == 6
+    assert out.transfer_applications == 7
     assert out.result.same_values(analyze_intra(m))
 
 
@@ -75,7 +75,7 @@ def test_loopy_main_dropped_field_edge_is_unsafe(loopy):
     assert (out.safe, v.kind, v.method, v.location) == (False, "LoopInvariant", "main", 5)
     assert edge in v.found.field_edges and edge not in v.expected.field_edges
     assert out.visits == _once_each(m)
-    assert out.transfer_applications == 13
+    assert out.transfer_applications == 14
 
 
 def test_a_stored_in_entry_is_replaced_by_the_placeholder_entry(small_corpus):
@@ -90,28 +90,30 @@ def test_a_stored_in_entry_is_replaced_by_the_placeholder_entry(small_corpus):
         out = regen_intra(m, Artwork(i_loop=a.i_loop, i_in=i_in, i_out=a.i_out))
         assert out.safe and out.result.same_values(r)
         assert out.result.in_summary == {"h3": r.in_summary["h3"]}
-        assert out.transfer_applications == 32
+        assert out.transfer_applications == 35
 
 
 # Call-free methods of ``small_corpus`` (``loopy.ir`` and ``arith.ir`` are
 # LOOPY and ARITH), keyed (program, method):
 # (param count, iteration_count, value digest, regen transfer_applications
 #  on the clean artifact, then per reductive kind with seed 7 either None
-#  (nothing to tamper) or (violated loop header, transfer_applications)).
+#  (nothing to tamper), "in" (the draw takes from the IN entry, which
+#  ``regen_intra`` replaces by the placeholder entry) or (violated loop
+#  header, transfer_applications)).
 CORPUS = {
-    ("loopy.ir", "main"): (0, 24, "7fd2c0da195d5c4f", 13, [(5, 13), (5, 13), (5, 13), (5, 13)]),
-    ("arith.ir", "main"): (0, 7, "90794fe64f352e48", 6, [(3, 6), (3, 6), None, None]),
-    ("gen001.ir", "main"): (0, 17, "69c0ca1847d404a5", 14, [(10, 14), (10, 14), (10, 14), None]),
-    ("gen002.ir", "main"): (0, 31, "02bff4963ad2a0e2", 26, [(14, 25), (14, 25), (14, 25), None]),
-    ("gen003.ir", "h3"): (2, 58, "f745469536ff90a6", 32, [(19, 31), (19, 31), (19, 31), (19, 31)]),
-    ("gen004.ir", "h1"): (0, 10, "03b7db3273334738", 9, [(3, 9), (3, 9), None, None]),
-    ("gen004.ir", "h2"): (2, 17, "13edb71823ea9932", 14, [(6, 14), (6, 14), (6, 14), None]),
-    ("gen005.ir", "h2"): (2, 49, "e2a2e712654d68cd", 32, [(17, 31), (17, 31), (17, 31), (25, 32)]),
-    ("gen006.ir", "h2"): (2, 25, "9ba683d72b972046", 19, [(12, 19), (7, 18), (7, 18), (7, 18)]),
-    ("gen007.ir", "h2"): (2, 50, "daaeb4998201dbd9", 37, [(15, 35), (29, 36), (15, 35), (32, 37)]),
-    ("gen008.ir", "h3"): (1, 36, "1ba951e4903cceed", 25, [(9, 24), (9, 24), (5, 23), (5, 23)]),
-    ("gen009.ir", "main"): (0, 25, "468026a871f2818c", 18, [(5, 17), (13, 18), (5, 17), None]),
-    ("gen009.ir", "h3"): (1, 20, "cd3b8e1fbe13cf5f", 16, [(10, 16), (10, 16), (10, 16), None]),
+    ("loopy.ir", "main"): (0, 24, "7fd2c0da195d5c4f", 14, [(5, 14), (5, 14), (5, 14), (5, 14)]),
+    ("arith.ir", "main"): (0, 7, "90794fe64f352e48", 7, [None, None, None, None]),
+    ("gen001.ir", "main"): (0, 17, "69c0ca1847d404a5", 15, [(10, 15), (10, 15), (10, 15), None]),
+    ("gen002.ir", "main"): (0, 31, "02bff4963ad2a0e2", 29, [(8, 27), (8, 27), (8, 27), None]),
+    ("gen003.ir", "h3"): (2, 58, "f745469536ff90a6", 35, [(19, 34), (25, 35), (19, 34), (8, 33)]),
+    ("gen004.ir", "h1"): (0, 10, "03b7db3273334738", 10, [None, None, None, None]),
+    ("gen004.ir", "h2"): (2, 17, "13edb71823ea9932", 15, ["in", (6, 15), "in", None]),
+    ("gen005.ir", "h2"): (2, 49, "e2a2e712654d68cd", 35, [(17, 34), (25, 35), (17, 34), None]),
+    ("gen006.ir", "h2"): (2, 25, "9ba683d72b972046", 21, [(7, 20), (7, 20), (7, 20), None]),
+    ("gen007.ir", "h2"): (2, 50, "daaeb4998201dbd9", 41, [(15, 39), (15, 39), (15, 39), None]),
+    ("gen008.ir", "h3"): (1, 36, "1ba951e4903cceed", 28, [(9, 27), (5, 26), (9, 27), (9, 27)]),
+    ("gen009.ir", "main"): (0, 25, "468026a871f2818c", 20, [(5, 19), (13, 20), (5, 19), None]),
+    ("gen009.ir", "h3"): (1, 20, "cd3b8e1fbe13cf5f", 18, [(10, 18), (10, 18), (10, 18), None]),
 }
 
 
@@ -148,8 +150,11 @@ def test_corpus_method_analyze_and_regen(call_free, key):
             with pytest.raises(NothingToTamperError):
                 tamper(a, kind, 7)
             continue
-        mutated, _ = tamper(a, kind, 7)
+        mutated, spec = tamper(a, kind, 7)
         out = regen_intra(m, mutated)
+        if expect == "in":
+            assert spec.target.startswith("in ") and out.safe, kind
+            continue
         v = out.violation
         assert (out.safe, v.kind, v.method) == (False, "LoopInvariant", m.name), kind
         assert (v.location, out.transfer_applications) == expect, kind

@@ -28,6 +28,7 @@ from artpta import (
     tamper,
 )
 from artpta.tamper import REDUCTIVE_KINDS
+from helpers import only_empty_entries
 
 LARGE = {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}
 
@@ -102,17 +103,33 @@ def test_the_pipeline_makes_no_cycles(text):
         _no_garbage(f"tamper {kind.value}")
         if kind in REDUCTIVE_KINDS:
             unsafe = mutated
-    assert not regen_inter(p, unsafe).safe
-    _no_garbage("regen UNSAFE")
-    assert not regen_inter(p, unsafe, keep_going=True).safe
-    _no_garbage("regen keep_going")
-    rq2_campaign(p, a, 4, 1)
-    _no_garbage("rq2")
+    if unsafe is None:
+        # only empty entries: no reduction exists, and rq2 says so
+        assert only_empty_entries(a)
+        _rejected("rq2 with nothing to reduce", rq2_campaign, p, a, 4, 1)
+    else:
+        assert not regen_inter(p, unsafe).safe
+        _no_garbage("regen UNSAFE")
+        assert not regen_inter(p, unsafe, keep_going=True).safe
+        _no_garbage("regen keep_going")
+        rq2_campaign(p, a, 4, 1)
+        _no_garbage("rq2")
 
     _rejected("decode truncated", decode, data[: len(data) // 2], p)
-    _rejected("decode unknown reference", decode, b"ART/4\n[loop]\n[in]\nmain {\n  /999 null\n}\n[out]\n", p)
+    _rejected("decode unknown reference", decode, b"ART/5\n[loop]\n[in]\nmain {\n  /999 null\n}\n[out]\n", p)
     _rejected("decode junk line", decode, data.replace(b"\n", b"\njunk\n", 1), p)
-    _rejected("decode old header", decode, data.replace(b"ART/4", b"ART/2", 1), p)
+    _rejected("decode old header", decode, data.replace(b"ART/5", b"ART/2", 1), p)
+
+
+def test_only_arith_has_nothing_to_reduce():
+    # the programs above whose artifacts hold only empty entries, which
+    # the test above checks without a reduced artifact
+    empty = []
+    for name, text in PROGRAMS:
+        p = parse_program(text)
+        if only_empty_entries(emit_artwork(p, analyze_inter(p))):
+            empty.append(name)
+    assert empty == ["arith"]
 
 
 BUILDER_FAULTS = {

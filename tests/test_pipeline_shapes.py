@@ -130,10 +130,10 @@ LARGE_SHAPE = dict(methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, r
 
 # (iteration_count, plain applications, plain visits, -O applications, -O visits)
 PINNED_COUNTS = {
-    ("default", 1): (27277, 11684, "e3704ec19b473063", 11684, "e3704ec19b473063"),
-    ("default", 90917): (28520, 11636, "e2a988c36ffa0300", 11636, "e2a988c36ffa0300"),
-    ("roundtrip-large", 1): (8809, 6169, "62dfe341c04130be", 6169, "62dfe341c04130be"),
-    ("roundtrip-large", 90917): (8787, 6151, "f6edcf2d6733ab1d", 6151, "f6edcf2d6733ab1d"),
+    ("default", 1): (27277, 12838, "4b05aa91b9868fbb", 12838, "4b05aa91b9868fbb"),
+    ("default", 90917): (28520, 12770, "a65edf134bd67877", 12770, "a65edf134bd67877"),
+    ("roundtrip-large", 1): (8809, 6888, "62dfe341c04130be", 6888, "62dfe341c04130be"),
+    ("roundtrip-large", 90917): (8787, 6856, "f6edcf2d6733ab1d", 6856, "f6edcf2d6733ab1d"),
 }
 
 

@@ -19,12 +19,14 @@ from artpta import (
     emit_artwork,
     encode,
     generate_corpus,
+    meet,
     meet_all,
     naive_encode,
     optimize_artwork,
     parse_program,
     regen_inter,
     render_edges,
+    subsumes,
     validate_result,
 )
 from artpta import artwork
@@ -220,9 +222,21 @@ def test_emit_loop_free_call_free():
 
 
 def test_emit_loopy_single_loop_entry(loopy_pipeline):
-    _, _, a = loopy_pipeline
+    # The entry holds what the loop adds at header 5 (a branch, so its flow
+    # equation is the identity) to the OUT of statement 4, its one forward
+    # predecessor.
+    _, r, a = loopy_pipeline
     assert set(a.i_loop) == {("main", 5)}
-    assert a.i_loop[("main", 5)] == LOOPY_HEADER
+    entry = a.i_loop[("main", 5)]
+    assert entry == PointsToGraph.of(
+        var_edges=[
+            (VarId("main", 0), Site("main", 6)),
+            (VarId("main", 1), Site("main", 9)),
+            (VarId("main", 1), Site("main", 11)),
+        ],
+        field_edges=[(Site("main", 6), "f", Site("main", t)) for t in (3, 9, 11)],
+    )
+    assert meet(r.out[("main", 4)], entry) == LOOPY_HEADER
 
 
 def test_emit_rec_out_keys(rec_pipeline):
@@ -387,9 +401,8 @@ method main() {
     opt = optimize_artwork(p, a)
     assert calls == []
     assert encode(opt) == (
-        b"ART/4\n[loop]\nmain:3 {\n  /0 :1\n  /1 :1\n"
-        b"  :1 .f :1\n  :1 .g :1\n}\n[in]\n"
-        b"[out]\nmain ^\n- /0 :1\n- /1 :1\n+ /3 :1\n"
+        b"ART/5\n[loop]\nmain:3 {\n  /1 :1\n  :1 .g :1\n}\n[in]\n"
+        b"[out]\nmain ^\n- /1 :1\n+ /3 :1\n+ :1 .f :1\n"
     )
 
 
@@ -552,13 +565,22 @@ def _optimize_from_analysis(p: Program, a: Artwork) -> Artwork:
     from artpta.ir import ProgramIndex
     from artpta.ptg import project_in
 
+    from artpta.equations import eval_statement
+
     index = ProgramIndex(p)
     graph = index.call_graph
-    out = analyze_inter(p).out
+    lfp = analyze_inter(p)
+    out = lfp.out
+
+    def header_image(name: str, h: int) -> PointsToGraph:
+        # the header's flow equation applied to the input the pass has there
+        s, m = _statements(p, name)[h], index.methods[name]
+        return eval_statement(s, _pass_input(index, out, name, h), m, lfp.out_summary.__getitem__)
+
     i_loop = {
         (name, h): g
         for (name, h), g in a.i_loop.items()
-        if h in index.cfgs[name].loop_headers and g != _pass_input(index, out, name, h)
+        if h in index.cfgs[name].loop_headers and not subsumes(header_image(name, h), g)
     }
     i_in = {}
     for name, g in a.i_in.items():

@@ -87,7 +87,8 @@ def test_every_reductive_draw_takes_an_element_of_its_entry_away(small_corpus):
                     if kind is not TamperKind.REPLACE_OBJECT:
                         assert subsumes(before[k], after[k]), spec
                     checked[kind] += 1
-    assert [checked[kind] for kind in REDUCTIVE_KINDS] == [204, 204, 192, 168]
+    # ARITH's artworks hold only empty entries: nothing to draw
+    assert [checked[kind] for kind in REDUCTIVE_KINDS] == [192, 192, 192, 168]
 
 
 @pytest.mark.parametrize("kind", REDUCTIVE_KINDS)
@@ -280,8 +281,8 @@ def test_tampered_pooled_artifacts_encode_canonically(small_corpus, reference_en
 # The digests of every tamper output below, in order: each spec's target
 # string or the NothingToTamperError message (the draws, which do not
 # depend on the codec), and each mutated artwork's bytes.
-TAMPER_DRAWS_SHA256 = "19c5be6afcba894111a1c47e3149bca8f67059e9ce77b6d9c9f89abd3a270fd1"
-TAMPER_BYTES_SHA256 = "46ef8897dda630cfac0b7cad2b2309ce9f92e55e7fd89c252af57fa7d307a85f"
+TAMPER_DRAWS_SHA256 = "e02d0078bf1108490604811e5b9d65acfe3100b1b00283ddec3e009f6b8088d4"
+TAMPER_BYTES_SHA256 = "58119648628f1431dbcc4c3d6c58b629868db81c96639288da5f3e67f40a66d8"
 
 
 def test_tamper_outputs_are_pinned(small_corpus):
@@ -309,7 +310,7 @@ def test_tamper_outputs_are_pinned(small_corpus):
                     out = encode(mutated)
                     data.update(len(out).to_bytes(8, "little") + out)
                     outputs += 1
-    assert (len(programs), outputs) == (18, 1176)
+    assert (len(programs), outputs) == (18, 1152)
     assert draws.hexdigest() == TAMPER_DRAWS_SHA256
     assert data.hexdigest() == TAMPER_BYTES_SHA256
 
