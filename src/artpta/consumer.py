@@ -45,7 +45,7 @@ never imports the producer.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .artwork import Artwork
@@ -65,7 +65,6 @@ from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramInd
 from .ptg import (
     EMPTY,
     PointsToGraph,
-    entry_graph,
     meet,
     project_in,
     restrict_to_summary,
@@ -275,12 +274,3 @@ def regenerate(index: ProgramIndex, a: Artwork, keep_going: bool = False) -> Reg
 def regen_inter(p: Program, a: Artwork, keep_going: bool = False) -> RegenOutcome:
     """``regenerate`` over the program's index: the verifier's entry point."""
     return regenerate(ProgramIndex.of(p), a, keep_going=keep_going)
-
-
-def regen_intra(m: Method, a: Artwork, keep_going: bool = False) -> RegenOutcome:
-    """Regenerate one call-free method; the entry value maps each parameter
-    to its placeholder object, mirroring the intra-procedural producer."""
-    if any(isinstance(s.instr, Call) for s in m.body):
-        raise ValueError(f"method '{m.name}' contains calls; use regen_inter")
-    a = replace(a, i_in={**a.i_in, m.name: entry_graph(m)})
-    return regen_inter(Program((m,), m.name), a, keep_going=keep_going)

@@ -268,8 +268,8 @@ class Site(NamedTuple):
 
 
 class Placeholder(NamedTuple):
-    """Stand-in object for reference parameter ``index`` of ``method`` in
-    intra-procedural analysis, where no caller heap is available."""
+    """Stand-in object for reference parameter ``index`` of ``method``: the
+    artifact grammar keeps it (``method?i``), but no analysis makes one."""
 
     method: str
     index: int
@@ -411,8 +411,8 @@ def gc_paused(fn: _F) -> _F:
     The entry points a caller of the package reaches are guarded:
     ``parse_program``, ``analyze_inter``, ``emit_artwork``,
     ``optimize_artwork``, ``encode``, ``decode``, ``parse_artwork``,
-    ``regen_inter``, ``tamper`` and ``rq2_campaign`` (``analyze_intra`` and
-    ``regen_intra`` go through them; ``generate_corpus`` is not guarded).
+    ``regen_inter``, ``tamper`` and ``rq2_campaign`` (``generate_corpus``
+    is not guarded).
     The premise is that the package makes no reference cycles, on any path,
     a rejected input's included (pinned in ``tests/test_no_cycles.py``):
     reference counting frees everything these calls build, so a collector

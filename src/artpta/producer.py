@@ -54,7 +54,6 @@ from .ir import (
     Call,
     ControlFlowGraph,
     LabeledStatement,
-    Method,
     Node,
     Program,
     ProgramIndex,
@@ -67,7 +66,6 @@ from .ptg import (
     EMPTY,
     PointsToGraph,
     difference,
-    entry_graph,
     meet,
     restrict_to_summary,
     subsumes,
@@ -175,16 +173,6 @@ def _method_pass(
     return evals, changed
 
 
-def analyze_intra(m: Method) -> AnalysisResult:
-    """Intra-procedural least fixed point for a call-free method.
-
-    The Entry value maps each reference parameter to its placeholder object.
-    """
-    if any(isinstance(s.instr, Call) for s in m.body):
-        raise ValueError(f"method '{m.name}' contains calls; use analyze_inter")
-    return analyze_inter(Program((m,), m.name), _inject={"in": {m.name: entry_graph(m)}})
-
-
 Injection = dict[str, dict]
 
 
@@ -197,8 +185,7 @@ def analyze_inter(
     ``_inject`` seeds extra graph content at specific result locations
     ({"loop": {(m, label): g}, "in": {m: g}, "out": {m: g}}) and computes the
     least fixed point above those seeds; it exists for conservative artifact
-    mutation and for ``analyze_intra``'s placeholder Entry value, and is not
-    part of the analysis proper.
+    mutation and is not part of the analysis proper.
 
     ``_above``, the same program's least fixed point without the seeds, is
     where such a re-closure starts instead of the empty graph: every value
@@ -412,23 +399,28 @@ def validate_result(program: Program, result: AnalysisResult) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict]:
-    """The three maps ``emit_artwork`` writes for ``result``, each filled in
-    key order as decode fills them, so the two print alike.  A loop entry
-    is what the loop adds at its header: the header's OUT less ``f_h(F)``,
-    its flow equation applied to its forward meet (``equations.forward_in``),
-    which the consumer's pass computes there itself."""
-    index = ProgramIndex.of(program)
-    names, cfgs = sorted(m.name for m in program.methods), index.cfgs
-    out, summary_of = result.out, result.out_summary.__getitem__
+def _loop_entries(index: ProgramIndex, fixed: AnalysisResult) -> dict:
+    """What each natural loop adds at its header in ``fixed``, in key order:
+    the header's OUT less ``f_h(F)``, its flow equation applied to its
+    forward meet (``equations.forward_in``), which the consumer's pass
+    computes there itself."""
+    out, summary_of = fixed.out, fixed.out_summary.__getitem__
     i_loop = {}
-    for n in names:
-        cfg, m = cfgs[n], index.methods[n]
+    for n in sorted(index.methods):
+        cfg, m = index.cfgs[n], index.methods[n]
         for h, b in sorted((cfg.blocks[b][0].label, b) for b in cfg.forward_inputs):
             image = eval_statement(cfg.blocks[b][0], forward_in(cfg, out, n, b), m, summary_of)
             i_loop[(n, h)] = difference(out[(n, h)], image)
+    return i_loop
+
+
+def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict]:
+    """The three maps ``emit_artwork`` writes for ``result``, each filled in
+    key order as decode fills them, so the two print alike."""
+    index = ProgramIndex.of(program)
+    names = sorted(index.methods)
     return (
-        i_loop,
+        _loop_entries(index, result),
         {n: result.in_summary[n] for n in names},
         {n: result.out_summary[n] for n in names if index.call_graph.is_recursive_method(n)},
     )
@@ -437,7 +429,7 @@ def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict
 @gc_paused
 def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     """Encode the compact artifact: what each natural loop adds at its
-    header (see ``_entries``), the IN summary of every method, and the OUT
+    header (``_loop_entries``), the IN summary of every method, and the OUT
     summary of every method on a call-graph cycle.  It carries ``result``
     as its ``fixed_point`` and keeps it alive, with the program and the
     entries it wrote; do not change ``result`` afterwards."""
@@ -484,10 +476,10 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
 
     * a loop entry's is the empty graph, since the consumer meets the entry
       into the header's flow equation applied to its forward meet, which it
-      computes anyway; so a loop entry is dropped exactly when it is empty,
-      as emission writes it when the loop adds nothing at its header.  A
-      ``[loop]`` key that names no loop header is always dropped, as the
-      consumer ignores it;
+      computes anyway; so a loop entry is dropped exactly when it is empty.
+      The entries are those emission writes for the fixed point
+      (``_loop_entries``): none holds an edge the header's equation derives
+      or names a statement that heads no loop, which the consumer ignores;
     * the IN entry of the entry method, or of a method with no call-site, is
       the empty graph: the consumer's pass over the entry method comes first;
     * any other IN entry takes the projection at the first call-site the
@@ -498,10 +490,10 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
       the forward meet);
     * an OUT entry's is the IN summary.
 
-    The stand-ins are read off the fixed point ``a`` encodes: the one it
-    carries (``carried_fixed_point``); else the consumer's regeneration of
-    ``a``, once, up front, so no analysis is re-run.  An artifact the
-    consumer rejects raises ``ArtError``."""
+    Stand-ins and loop entries come from the fixed point ``a`` encodes: the
+    one it carries (``carried_fixed_point``), whose loop entries ``a`` holds
+    as written; else the consumer's regeneration of ``a``, once, up front,
+    so no analysis is re-run.  An artifact the consumer rejects raises ``ArtError``."""
     index = ProgramIndex.of(program)
     cfgs, graph = index.cfgs, index.call_graph
     fixed = carried_fixed_point(program, a)
@@ -510,6 +502,9 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
         if not outcome.safe:
             raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
         fixed = outcome.result
+        loops = _loop_entries(index, fixed)
+    else:
+        loops = a.i_loop
     out = fixed.out
 
     def redundant_in(name: str, g: PointsToGraph) -> bool:
@@ -524,11 +519,7 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             for caller, label in sites
         )
 
-    i_loop = {
-        (name, h): g
-        for (name, h), g in a.i_loop.items()
-        if name in cfgs and h in cfgs[name].loop_headers and not g.is_empty()
-    }
+    i_loop = {key: g for key, g in loops.items() if not g.is_empty()}
     i_in = {name: g for name, g in a.i_in.items() if not redundant_in(name, g)}
     i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)

@@ -87,8 +87,8 @@ the written lines, and ``parse_binding_line`` and ``parse_object`` read
 such a scoped text when given the entry's method as ``scope``.
 
 Objects render as ``method:label`` (allocation site), ``null`` (the one
-null object), or ``method?i`` (placeholder for reference parameter i, used
-by the intra-procedural entry convention).
+null object), or ``method?i`` (placeholder for reference parameter i: the
+artifact grammar keeps it, but no analysis writes one).
 """
 
 from __future__ import annotations
@@ -436,14 +436,6 @@ def var_id(m: Method, name: str) -> VarId:
 
 def ret_var(m: Method) -> VarId:
     return VarId(m.name, m.ret_slot)
-
-
-def entry_graph(m: Method) -> PointsToGraph:
-    """Intra-procedural entry value: each reference parameter points to its
-    own placeholder object; no heap edges."""
-    return PointsToGraph.of(
-        (VarId(m.name, i), Placeholder(m.name, i)) for i in range(len(m.params))
-    )
 
 
 def _rebound(vars_: VarIndex, x: VarId, objs: Objects) -> VarIndex:

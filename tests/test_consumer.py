@@ -10,12 +10,10 @@ from artpta import (
     Site,
     VarId,
     analyze_inter,
-    analyze_intra,
     chaotic_oracle,
     emit_artwork,
     parse_program,
     regen_inter,
-    regen_intra,
     subsumes,
 )
 
@@ -43,30 +41,27 @@ def replace(a: Artwork, *, i_loop=None, i_in=None, i_out=None) -> Artwork:
 
 
 # ---------------------------------------------------------------------------
-# regen_intra
+# one-method programs
 # ---------------------------------------------------------------------------
 
 
 def test_loop_free_method_with_empty_artwork():
     p = parse_program("method main() {\n  1: a = new A\n  2: a.f = a\n  3: b = a.f\n}")
-    m = p.method("main")
-    out = regen_intra(m, Artwork.empty())
+    out = regen_inter(p, Artwork.empty())
     assert out.safe
-    assert out.result.same_values(analyze_intra(m))
+    assert out.result.same_values(analyze_inter(p))
 
 
 def test_loopy_intra_untampered(loopy):
-    m = loopy.method("main")
-    r = analyze_intra(m)
+    r = analyze_inter(loopy)
     a = emit_artwork(loopy, r)
-    out = regen_intra(m, a)
+    out = regen_inter(loopy, a)
     assert out.safe
     assert out.result.out == r.out  # per-statement values match exactly
 
 
 def test_loopy_missing_loop_entry_detected(loopy):
-    m = loopy.method("main")
-    out = regen_intra(m, Artwork.empty())
+    out = regen_inter(loopy, Artwork.empty())
     assert not out.safe
     assert out.violation.kind == "LoopInvariant"
     # the default (the header's IN) is strictly below the fixed point
@@ -104,11 +99,6 @@ def test_loopy_conservative_self_edge_admitted(loopy_pipeline):
     assert extra in out.result.out[("main", 13)].field_edges
 
 
-def test_regen_intra_rejects_calls(rec):
-    with pytest.raises(ValueError):
-        regen_intra(rec.method("foo"), Artwork.empty())
-
-
 def test_irreducible_propagates():
     text = "method main() {\n  1: if goto 4\n  2: nop\n  3: goto 4\n  4: nop\n  5: if goto 2\n  6: nop\n}"
     with pytest.raises(IrreducibleCfgError):
@@ -126,11 +116,6 @@ def test_call_free_program_matches_per_method_regen():
     a = emit_artwork(p, r)
     out = regen_inter(p, a)
     assert out.safe and out.result.same_values(r)
-    # parameter-free methods make the whole-program and per-method entry
-    # conventions coincide, so the intra regeneration agrees statement-wise
-    intra = regen_intra(p.method("main"), a)
-    assert intra.safe
-    assert intra.result.out == out.result.out
 
 
 def test_rec_untampered(rec_pipeline):

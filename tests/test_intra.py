@@ -1,7 +1,8 @@
-"""Pinned behaviour of the intra-procedural entry points, ``analyze_intra``
-and ``regen_intra``: exact evaluation counts, values, visit maps and verdicts
-on the call-free methods of the fixtures and of ``small_corpus``, with clean
-artifacts and with tampered ones."""
+"""Pinned behaviour of ``analyze_inter`` and ``regen_inter`` on call-free
+methods, each taken alone as a one-method program (``_analyze_alone``):
+exact evaluation counts, values, visit maps and verdicts on the call-free
+methods of the fixtures and of ``small_corpus``, with clean artifacts and
+with tampered ones."""
 
 import hashlib
 
@@ -9,13 +10,15 @@ import pytest
 
 from artpta import (
     Artwork,
+    Placeholder,
     PointsToGraph,
     Program,
     Site,
-    analyze_intra,
+    VarId,
+    analyze_inter,
     emit_artwork,
     naive_encode,
-    regen_intra,
+    regen_inter,
     render_graph,
 )
 from artpta.errors import NothingToTamperError
@@ -35,13 +38,23 @@ def _digest(r) -> str:
     return hashlib.sha256(naive_encode(r) + "\n".join(summaries).encode()).hexdigest()[:16]
 
 
+def _analyze_alone(m):
+    """``m`` as a one-method program, and its least fixed point with each
+    reference parameter pointing to its own placeholder object at Entry
+    (seeded as the IN summary, which an artifact emitted from the result
+    stores and ``regen_inter`` starts the entry method from)."""
+    p = Program((m,), m.name)
+    entry = PointsToGraph.of((VarId(m.name, i), Placeholder(m.name, i)) for i in range(len(m.params)))
+    return p, analyze_inter(p, _inject={"in": {m.name: entry}})
+
+
 def _once_each(m) -> dict:
     return {(m.name, s.label): 1 for s in m.body}
 
 
 def test_loopy_main_empty_artwork_is_unsafe(loopy):
     m = loopy.method("main")
-    out = regen_intra(m, Artwork.empty())
+    out = regen_inter(loopy, Artwork.empty())
     assert not out.safe and out.result is None
     v = out.violation
     assert (v.kind, v.method, v.location) == ("LoopInvariant", "main", 5)
@@ -53,16 +66,16 @@ def test_arith_main_empty_artwork_is_safe(arith):
     # ARITH's loop body touches no reference: the deleted-entry default is
     # already the invariant.
     m = arith.method("main")
-    out = regen_intra(m, Artwork.empty())
+    out = regen_inter(arith, Artwork.empty())
     assert out.safe
     assert out.visits == _once_each(m)
     assert out.transfer_applications == 7
-    assert out.result.same_values(analyze_intra(m))
+    assert out.result.same_values(analyze_inter(arith))
 
 
 def test_loopy_main_dropped_field_edge_is_unsafe(loopy):
     m = loopy.method("main")
-    a = emit_artwork(loopy, analyze_intra(m))
+    a = emit_artwork(loopy, analyze_inter(loopy))
     g = a.i_loop[("main", 5)]
     edge = (Site("main", 6), "f", Site("main", 3))
     tampered = Artwork(
@@ -70,7 +83,7 @@ def test_loopy_main_dropped_field_edge_is_unsafe(loopy):
         i_in=a.i_in,
         i_out=a.i_out,
     )
-    out = regen_intra(m, tampered)
+    out = regen_inter(loopy, tampered)
     v = out.violation
     assert (out.safe, v.kind, v.method, v.location) == (False, "LoopInvariant", "main", 5)
     assert edge in v.found.field_edges and edge not in v.expected.field_edges
@@ -78,28 +91,14 @@ def test_loopy_main_dropped_field_edge_is_unsafe(loopy):
     assert out.transfer_applications == 14
 
 
-def test_a_stored_in_entry_is_replaced_by_the_placeholder_entry(small_corpus):
-    # ``regen_intra`` regenerates from each parameter's placeholder, whatever
-    # the artifact stores as the method's IN summary.
-    p = dict(small_corpus)["gen003.ir"]
-    m = p.method("h3")
-    r = analyze_intra(m)
-    a = emit_artwork(Program(methods=(m,), entry=m.name), r)
-    assert not a.i_in["h3"].is_empty()
-    for i_in in ({}, {"h3": PointsToGraph.of()}):
-        out = regen_intra(m, Artwork(i_loop=a.i_loop, i_in=i_in, i_out=a.i_out))
-        assert out.safe and out.result.same_values(r)
-        assert out.result.in_summary == {"h3": r.in_summary["h3"]}
-        assert out.transfer_applications == 35
-
-
 # Call-free methods of ``small_corpus`` (``loopy.ir`` and ``arith.ir`` are
 # LOOPY and ARITH), keyed (program, method):
 # (param count, iteration_count, value digest, regen transfer_applications
 #  on the clean artifact, then per reductive kind with seed 7 either None
-#  (nothing to tamper), "in" (the draw takes from the IN entry, which
-#  ``regen_intra`` replaces by the placeholder entry) or (violated loop
-#  header, transfer_applications)).
+#  (nothing to tamper), "in" (the draw takes from the IN entry of the
+#  entry method, which the consumer takes as the method's input: the
+#  artifact regenerates the fixed point above that smaller input) or
+#  (violated loop header, transfer_applications)).
 CORPUS = {
     ("loopy.ir", "main"): (0, 24, "7fd2c0da195d5c4f", 14, [(5, 14), (5, 14), (5, 14), (5, 14)]),
     ("arith.ir", "main"): (0, 7, "90794fe64f352e48", 7, [None, None, None, None]),
@@ -136,10 +135,10 @@ def test_corpus_method_analyze_and_regen(call_free, key):
     params, evals, digest, applications, tampered = CORPUS[key]
     m = call_free[key]
     assert len(m.params) == params
-    r = analyze_intra(m)
+    p, r = _analyze_alone(m)
     assert (r.iteration_count, _digest(r)) == (evals, digest)
-    a = emit_artwork(Program(methods=(m,), entry=m.name), r)
-    out = regen_intra(m, a)
+    a = emit_artwork(p, r)
+    out = regen_inter(p, a)
     assert out.safe and out.violation is None and out.violations == ()
     assert out.visits == _once_each(m)
     assert out.transfer_applications == out.result.iteration_count == applications
@@ -151,9 +150,10 @@ def test_corpus_method_analyze_and_regen(call_free, key):
                 tamper(a, kind, 7)
             continue
         mutated, spec = tamper(a, kind, 7)
-        out = regen_intra(m, mutated)
+        out = regen_inter(p, mutated)
         if expect == "in":
             assert spec.target.startswith("in ") and out.safe, kind
+            assert out.result.in_summary == dict(mutated.i_in), kind
             continue
         v = out.violation
         assert (out.safe, v.kind, v.method) == (False, "LoopInvariant", m.name), kind

@@ -88,16 +88,19 @@ def test_a_loop_entry_is_what_the_loop_adds_at_its_header(name):
 def test_whole_header_values_as_entries_regenerate_alike(name):
     # An entry that holds the whole header value (the meaning a [loop] entry
     # had in ART/4) adds only edges f_h(F) already has: the verdict and
-    # every regenerated value stay the same.
+    # every regenerated value stay the same, and -O writes such an artifact
+    # as it writes the canonical one.
     p = parse_program(SOURCES[name])
     lfp = analyze_inter(p)
     plain = emit_artwork(p, lfp)
+    optimized = encode(optimize_artwork(p, plain))
     for a in (plain, optimize_artwork(p, plain)):
         whole = Artwork(i_loop={key: lfp.out[key] for key in a.i_loop}, i_in=a.i_in, i_out=a.i_out)
         canonical, full = regen_inter(p, a), regen_inter(p, decode(encode(whole), p))
         assert canonical.safe and full.safe
         assert canonical.result.same_values(full.result)
         assert canonical.result.same_values(lfp)
+        assert encode(optimize_artwork(p, decode(encode(whole), p))) == optimized
 
 
 def test_an_art4_file_is_rejected(tmp_path, capsys):

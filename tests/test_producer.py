@@ -13,7 +13,6 @@ from artpta import (
     Site,
     VarId,
     analyze_inter,
-    analyze_intra,
     chaotic_oracle,
     decode,
     emit_artwork,
@@ -65,23 +64,18 @@ def test_straight_line_iteration_count_is_statement_count():
     p = parse_program(
         "method main() {\n  1: a = new A\n  2: b = a\n  3: b.f = a\n  4: c = b.f\n}"
     )
-    r = analyze_intra(p.method("main"))
+    r = analyze_inter(p)
     assert r.iteration_count == 4
 
 
 def test_loopy_header_fixed_point(loopy):
-    r = analyze_intra(loopy.method("main"))
+    r = analyze_inter(loopy)
     assert r.out[("main", 5)] == LOOPY_HEADER
 
 
 def test_loopy_intra_equals_oracle(loopy):
-    r = analyze_intra(loopy.method("main"))
+    r = analyze_inter(loopy)
     assert r.same_values(chaotic_oracle(loopy))
-
-
-def test_intra_rejects_calls(rec):
-    with pytest.raises(ValueError):
-        analyze_intra(rec.method("foo"))
 
 
 def test_random_single_loop_method_equals_oracle():
@@ -119,7 +113,7 @@ def test_random_single_loop_method_equals_oracle():
     ]
     p = parse_program("\n".join(lines))
     assert len(p.method("main").body) == 30
-    r = analyze_intra(p.method("main"))
+    r = analyze_inter(p)
     assert r.same_values(chaotic_oracle(p))
     assert r.iteration_count > 30  # the loop forced re-evaluation
 
@@ -138,11 +132,11 @@ method side() {
     p = parse_program(text)
     r = analyze_inter(p)
     for m in p.methods:
-        intra = analyze_intra(m)
+        alone = analyze_inter(Program((m,), m.name))
         for s in m.body:
-            assert r.out[(m.name, s.label)] == intra.out[(m.name, s.label)]
+            assert r.out[(m.name, s.label)] == alone.out[(m.name, s.label)]
         assert r.in_summary[m.name] == EMPTY
-        assert r.out_summary[m.name] == intra.out_summary[m.name]
+        assert r.out_summary[m.name] == alone.out_summary[m.name]
 
 
 def test_inter_empty_entry_for_parameterized_methods():
