@@ -64,7 +64,9 @@ it has, is a syntax error: decode applies the edit lines in order, and each
 of their targets must change the value.
 
 The encoder writes each entry's lines in full text with ``ptg.render_block``
-or ``ptg.render_edits``, which keep nothing between calls, then drops the
+or ``ptg.render_edits``, which keep nothing between calls (an edit entry's
+``- `` lines are the bindings of ``ptg.difference(previous, g)``, and its
+``+ `` lines those of ``ptg.difference(g, previous)``), then drops the
 entry's method name from them, a text replacement that every token allows
 because each is written after a space.  The decoder is one walk over the
 file's lines.  An artifact repeats most binding lines across entries, so

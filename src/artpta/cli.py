@@ -22,7 +22,7 @@ from .corpus import CorpusConfig, generate_corpus
 from .errors import ArtError
 from .ir import parse_program
 from .producer import analyze_inter, emit_artwork, optimize_artwork
-from .ptg import render_edges
+from .ptg import difference, render_edges
 from .tamper import TamperKind, rq2_campaign, tamper
 
 
@@ -117,7 +117,8 @@ def _report_unsafe(outcome: RegenOutcome) -> int:
     print(_style("UNSAFE", "31"))
     for v in outcome.violations:
         print(v.describe(), file=sys.stderr)
-        _print_difference(render_edges(v.found), render_edges(v.expected), "missing:", "extra:")
+        missing, extra = difference(v.found, v.expected), difference(v.expected, v.found)
+        _print_difference(render_edges(missing), render_edges(extra), "missing:", "extra:")
     return 1
 
 

@@ -79,7 +79,9 @@ The artifact writes one line per binding instead, with no arrow: a variable
 and all its targets (``main/0 main:4 null``), or an object, a field token
 and all its targets (``main:4 .f null``).  ``render_block`` writes a
 graph's, and ``render_edits`` the ``- `` / ``+ `` lines that turn one graph
-into another; they stay here because only this module reads a graph's maps.
+into another: the bindings of the two ``difference``s, each written as
+``render_block`` writes a graph's.  They stay here because only this module
+reads a graph's maps.
 Only U+0020 separates a line's tokens.  ``parse_binding_line`` reads a
 binding line.  Inside an artifact entry of method ``main`` the identifiers of
 ``main`` lose the method's name (``/0 :4 null``); the codec drops it from
@@ -656,10 +658,15 @@ def render_block(g: PointsToGraph) -> str:
     That is ``render_edges``' order, because every line starts with its
     space-terminated key (``m/s`` or ``src .f``), and a space sorts below
     every character of an identifier, as the arrow's ``-`` does."""
-    var_lines = sorted([f"  {v.method}/{v.slot} {_names(objs)}\n" for v, objs in g._vars.items()])
+    return _binding_lines(g, "  ")
+
+
+def _binding_lines(g: PointsToGraph, head: str) -> str:
+    """``render_block``'s lines of ``g``, each starting with ``head``."""
+    var_lines = sorted([f"{head}{v.method}/{v.slot} {_names(objs)}\n" for v, objs in g._vars.items()])
     field_lines = sorted(
         [
-            f"  {render_object(s)} .{f} {_names(ts)}\n"
+            f"{head}{render_object(s)} .{f} {_names(ts)}\n"
             for s, fields in g._heap.items()
             for f, ts in fields.items()
         ]
@@ -667,73 +674,21 @@ def render_block(g: PointsToGraph) -> str:
     return "".join(var_lines) + "".join(field_lines)
 
 
+def _bindings(g: PointsToGraph) -> int:
+    """The binding lines of ``g``: variables plus (object, field) keys."""
+    return len(g._vars) + sum(map(len, g._heap.values()))
+
+
 def render_edits(old: PointsToGraph, new: PointsToGraph) -> str | None:
-    """The binding lines that turn ``old`` into ``new``: per key, ``- `` and
-    the targets only ``old`` has, then per key ``+ `` and the targets only
-    ``new`` has; each group sorted and each line ended by a newline.  None
-    when there would be more lines than ``new`` has bindings.  A target set
-    or field map the two graphs share is passed over unread, and each line
-    is written as the diff finds it, so the work follows the keys of
-    ``new`` and the bindings that differ, with no pass over either graph's
-    items as a whole."""
-    old_vars, new_vars, old_heap, new_heap = old._vars, new._vars, old._heap, new._heap
-    same_vars = old_vars == new_vars
-    if same_vars and old_heap == new_heap:
-        return ""
-    # No variable in common: every old variable is a "- " line.
-    if old_vars and old_vars.keys().isdisjoint(new_vars):
-        if len(old_vars) > sum(map(len, new_heap.values())):
-            return None
-    var_gone, var_came, heap_gone, heap_came = [], [], [], []
-    if not same_vars:
-        _map_edits(old_vars, new_vars, None, var_gone, var_came)
-    shared = 0
-    for src, fields in new_heap.items():
-        had = old_heap.get(src)
-        if had is not None:
-            shared += 1
-        if had is not fields:
-            _map_edits(had or {}, fields, render_object(src) + " .", heap_gone, heap_came)
-    if shared < len(old_heap):
-        for src in old_heap.keys() - new_heap.keys():
-            _map_edits(old_heap[src], {}, render_object(src) + " .", heap_gone, heap_came)
-    count = len(var_gone) + len(var_came) + len(heap_gone) + len(heap_came)
-    # every stored field map holds a binding, so a count this low needs no sum
-    if count > len(new_vars) + len(new_heap):
-        if count > len(new_vars) + sum(map(len, new_heap.values())):
-            return None
-    for lines in (var_gone, heap_gone, var_came, heap_came):
-        lines.sort()
-    return "".join(var_gone) + "".join(heap_gone) + "".join(var_came) + "".join(heap_came)
-
-
-def _map_edits(had: dict, has: dict, src_head: str | None, gone: list[str], came: list[str]) -> None:
-    """Append to ``gone`` the ``- `` line of each key of the map ``had``
-    (key -> target set) with targets ``has`` lacks, and to ``came`` the
-    ``+ `` line of each key of ``has`` with targets ``had`` lacks.  The keys
-    are variables when ``src_head`` is None, and else the field names of
-    the source object it renders."""
-    shared = 0
-    for key, objs in has.items():
-        was = had.get(key)
-        if was is objs:
-            shared += 1
-            continue
-        head = f"{key.method}/{key.slot} " if src_head is None else f"{src_head}{key} "
-        if was is None:
-            came.append(f"+ {head}{_names(objs)}\n")
-            continue
-        shared += 1
-        diff = was - objs
-        if diff:
-            gone.append(f"- {head}{_names(diff)}\n")
-        diff = objs - was
-        if diff:
-            came.append(f"+ {head}{_names(diff)}\n")
-    if shared < len(had):
-        for key in had.keys() - has.keys():
-            head = f"{key.method}/{key.slot} " if src_head is None else f"{src_head}{key} "
-            gone.append(f"- {head}{_names(had[key])}\n")
+    """The binding lines that turn ``old`` into ``new``: those of
+    ``difference(old, new)`` after ``- ``, then those of ``difference(new,
+    old)`` after ``+ ``, each written as ``render_block`` writes a graph's.
+    None when the two differences have more bindings than ``new``; they
+    are counted before any line is written."""
+    gone, came = difference(old, new), difference(new, old)
+    if _bindings(gone) + _bindings(came) > _bindings(new):
+        return None
+    return _binding_lines(gone, "- ") + _binding_lines(came, "+ ")
 
 
 def _heap_size(heap: HeapIndex) -> int:

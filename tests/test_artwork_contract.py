@@ -217,7 +217,7 @@ MALFORMED = {
         _art(in_="main {\n}\nr ^ \n"),
         "expected graph block or '^', got '^ '",
     ),
-    # An entry "= ^" with edit lines: the entry before's value, the "- "
+    # An entry "^" with edit lines: the entry before's value, the "- "
     # edges removed and the "+ " edges added, one line after another.
     "edit-removes-an-absent-edge": (
         _art(in_=_block("main", "main/0 main:1") + "r ^\n- main/0 null\n"),

@@ -1,5 +1,5 @@
 """Encoded bytes against test-local oracles: ``encode`` equals conftest's
-line-by-line ``reference_encode`` (``= ^`` and the lines it removes and
+line-by-line ``reference_encode`` (``^`` and the lines it removes and
 adds for an entry that differs from the entry before it in no more lines
 than it has) and ``naive_encode`` equals a dump
 written with ``render_edges``, on seeded random graphs whose names collide on
@@ -74,6 +74,19 @@ def _random_artwork(rng: random.Random) -> Artwork:
     )
 
 
+def _edits_over_bindings(a: Artwork):
+    """For each entry after the first that differs from the entry before
+    it, in file order: the number of its edit lines from that entry less its
+    number of bindings."""
+    graphs = [g for entries in (a.i_loop, a.i_in, a.i_out) for _, g in sorted(entries.items())]
+    for old, new in zip(graphs, graphs[1:]):
+        was, now = dict(old.target_sets()), dict(new.target_sets())
+        edits = sum(bool(ts - now.get(k, frozenset())) for k, ts in was.items())
+        edits += sum(bool(ts - was.get(k, frozenset())) for k, ts in now.items())
+        if edits:
+            yield edits - len(now)
+
+
 def test_encode_matches_the_line_by_line_reference(reference_encode):
     rng = random.Random(2024)
     seen = Counter()
@@ -88,6 +101,9 @@ def test_encode_matches_the_line_by_line_reference(reference_encode):
         seen["removal"] += "\n- " in expected.decode()
         seen["addition"] += "\n+ " in expected.decode()
         seen["blocks only"] += b" ^\n" not in expected
+        margins = set(_edits_over_bindings(a))
+        seen["edits as many as bindings (^)"] += 0 in margins
+        seen["edits one past bindings (block)"] += 1 in margins
         assert encode(a) == expected
         assert parse_artwork(expected) == a
     assert min(seen.values()) > 50, seen

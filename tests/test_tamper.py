@@ -249,7 +249,7 @@ def test_campaign_on_an_indexed_program_builds_no_cfg(loopy_pipeline, rec_pipeli
 
 def test_tampered_pooled_artifacts_encode_canonically(small_corpus, reference_encode):
     """``encode`` writes a mutated ``-O`` artifact as the reference encoder
-    does, so every ``= ^`` stands for a graph equal to the entry before it,
+    does, so every bare ``^`` stands for a graph equal to the entry before it,
     and decoding any artifact ``encode`` wrote and encoding it again gives
     the same bytes."""
     large = generate_corpus(
