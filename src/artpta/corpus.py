@@ -235,8 +235,6 @@ class _MethodBuilder:
             self.emit(f"return {self.pick()}")
         elif self.rng.random() < 0.5:
             self.emit("return")
-        if self.pending:
-            self.emit("nop")
         for row, mark in self.jumps:
             self.rows[row] += str(self.marks[mark] + 1)
         lines = [f"method {self.name}({', '.join(self.params)}) {{"]

@@ -45,14 +45,12 @@ is also the reference the line reader is tested against.
 The token reader's scanner splits the text with ``str.splitlines``, drops
 each line's ``#`` comment and runs one compiled regular expression over the
 rest: a match is either a token (a name, an integer or a punctuation mark)
-or, through a catch-all alternative, a character no token starts with, which
-is reported with its line and column.  Tokens are kept as plain strings in a
-list, with a parallel list of their line numbers.  The recursive-descent
-parser then indexes those lists directly and reads a token's kind off its
-first character.  Only the end-of-line check after each statement looks at
-line numbers, so a statement may span lines.  Columns appear only in error
-messages, so the parser finds a token's column by scanning its line again
-when it reports an error there.
+or, in the expression's one group, a character no token starts with, which
+is reported at its line and column.  Each token is kept as a plain string,
+with its line and column in a parallel list, when it is scanned; nothing is
+scanned again.  The recursive-descent parser indexes those lists directly
+and reads a token's kind off its first character.  Only the end-of-line
+check after each statement looks at lines, so a statement may span lines.
 
 The builder is where the rules live, so both readers share them.  It
 takes each statement as it arrives: it checks the label, then resolves the
@@ -116,7 +114,6 @@ back-edges keeps a cycle among unreachable blocks.
 
 from __future__ import annotations
 
-import bisect
 import gc
 import heapq
 import operator
@@ -124,7 +121,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import repeat
 from typing import Callable, NamedTuple, TypeVar, Union
 
 from .errors import (
@@ -685,10 +681,10 @@ def _read_lines(text: str) -> Program | None:
     return b.program()
 
 
-#: One token (the group: a name, an integer or a punctuation mark) or, where
-#: no token starts, the offending character (the catch-all, which leaves the
-#: group empty).  Matching skips the whitespace between tokens.
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(){}\[\],:.=])|\S")
+#: One token (a name, an integer or a punctuation mark) or, in the group,
+#: a character no token starts with.  Matching skips the whitespace between
+#: tokens.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(){}\[\],:.=]|(\S)")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
 #: Stands for the token past the last one: it equals no expected text and
@@ -696,54 +692,35 @@ _DIGITS = frozenset("0123456789")
 _END = " "
 
 
-def _scan(text: str) -> tuple[list[str], list[int], list[str]]:
-    """The tokens of ``text``, the 1-based line of each, and the text of
-    every line with its comment cut off (columns are recomputed from it when
-    an error needs one)."""
+def _scan(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The tokens of ``text`` and the 1-based line and column of each."""
     toks: list[str] = []
-    lines: list[int] = []
-    texts: list[str] = []
+    where: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        cut = line.find("#")
-        if cut >= 0:
-            line = line[:cut]
-        texts.append(line)
-        found = _TOKEN_RE.findall(line)
-        if "" in found:
-            bad = next(m for m in _TOKEN_RE.finditer(line) if m[1] is None)
-            raise ParseError(f"unexpected character {bad[0]!r}", lineno, bad.start() + 1)
-        toks += found
-        lines += repeat(lineno, len(found))
-    return toks, lines, texts
+        for m in _TOKEN_RE.finditer(line.partition("#")[0]):
+            if m[1] is not None:
+                raise ParseError(f"unexpected character {m[1]!r}", lineno, m.start() + 1)
+            toks.append(m[0])
+            where.append((lineno, m.start() + 1))
+    return toks, where
 
 
 class _Parser:
-    """Recursive descent over the scanned token arrays, handing each method
-    and statement to a builder.  Each rule takes the index of its first token
+    """Recursive descent over the scanned tokens, handing each method and
+    statement to a builder.  Each rule takes the index of its first token
     and returns what it parsed with the index after it; a token's kind is
     read off its first character."""
 
-    def __init__(self, toks: list[str], lines: list[int], texts: list[str], builder: _Builder):
+    def __init__(self, toks: list[str], where: list[tuple[int, int]], builder: _Builder):
         self.n = len(toks)
         self.toks = toks + [_END]
-        self.lines = lines + [0]
-        self.texts = texts
+        self.where = where + [(0, 0)]  # line 0 is no token's line
         self.builder = builder
-
-    def position(self, i: int) -> tuple[int, int]:
-        """Line and column of token ``i``: the column is found by scanning
-        the token's line again."""
-        line = self.lines[i]
-        nth = i - bisect.bisect_left(self.lines, line, 0, self.n)
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.texts[line - 1])]
-        return line, starts[nth] + 1
 
     def error(self, message: str, i: int) -> ParseError:
         if i < self.n:
-            return ParseError(f"{message}, found {self.toks[i]!r}", *self.position(i))
-        if not self.n:
-            return ParseError(f"{message}, found end of input", 0, 0)
-        return ParseError(f"{message}, found end of input", *self.position(self.n - 1))
+            return ParseError(f"{message}, found {self.toks[i]!r}", *self.where[i])
+        return ParseError(f"{message}, found end of input", *self.where[self.n - 1])
 
     def expect(self, text: str, i: int) -> int:
         if self.toks[i] != text:
@@ -763,7 +740,7 @@ class _Parser:
         try:
             return int(t)
         except ValueError:  # past the interpreter's digit limit
-            raise ParseError(f"integer too long ({len(t)} digits)", *self.position(i)) from None
+            raise ParseError(f"integer too long ({len(t)} digits)", *self.where[i]) from None
 
     def names(self, i: int) -> tuple[tuple[str, ...], int]:
         """``NAME ("," NAME)*``"""
@@ -782,7 +759,7 @@ class _Parser:
 
     def method(self, i: int) -> int:
         toks = self.toks
-        lines = self.lines
+        where = self.where
         i = self.expect("method", i)
         name = self.name(i)
         i = self.expect("(", i + 1)
@@ -799,10 +776,10 @@ class _Parser:
             if toks[i + 1] != ":":
                 raise self.error("expected ':'", i + 1)
             label = self.integer(i)
-            line = lines[i]
+            line = where[i][0]
             instr, i = self.instr(i + 2)
-            if toks[i] != "}" and lines[i] == line:
-                raise ParseError("expected end of line after statement", *self.position(i))
+            if toks[i] != "}" and where[i][0] == line:
+                raise ParseError("expected end of line after statement", *where[i])
             add(label, instr)
         self.builder.end()
         return i + 1

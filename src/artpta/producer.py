@@ -247,8 +247,6 @@ def analyze_inter(
 
     while heap:
         name = order[heapq.heappop(heap)]
-        if name not in queued:
-            continue
         queued.discard(name)
         m = index.methods[name]
         calls = calls_of.get(name)

@@ -684,9 +684,14 @@ def render_edits(old: PointsToGraph, new: PointsToGraph) -> str | None:
     ``difference(old, new)`` after ``- ``, then those of ``difference(new,
     old)`` after ``+ ``, each written as ``render_block`` writes a graph's.
     None when the two differences have more bindings than ``new``; they
-    are counted before any line is written."""
-    gone, came = difference(old, new), difference(new, old)
-    if _bindings(gone) + _bindings(came) > _bindings(new):
+    are counted before any line is written, and ``difference(new, old)`` is
+    built only when ``difference(old, new)`` alone leaves room for it."""
+    gone = difference(old, new)
+    room = _bindings(new) - _bindings(gone)
+    if room < 0:
+        return None
+    came = difference(new, old)
+    if _bindings(came) > room:
         return None
     return _binding_lines(gone, "- ") + _binding_lines(came, "+ ")
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import heapq
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -762,6 +764,77 @@ def test_canonical_text_is_never_scanned(monkeypatch):
     assert calls == []
     assert parse_program(_SPLIT) == parse_program(_PLAIN)
     assert calls == [_SPLIT]
+
+
+#: Where a token or a stray character starts, written apart from the
+#: scanner: every character that is not whitespace starts one or continues
+#: a name or an integer.
+_TOKEN_START = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S")
+
+
+def _token_starts(text):
+    """``(line, column)`` of every token of ``text``, comments cut, in order."""
+    return [
+        (n, m.start() + 1)
+        for n, line in enumerate(text.splitlines(), start=1)
+        for m in _TOKEN_START.finditer(line.partition("#")[0])
+    ]
+
+
+def _check_error_position(text):
+    """The kind of ``ParseError`` ``text`` raises at a position, after
+    checking that the position points at what the message names; None when
+    ``text`` raises none with a position."""
+    try:
+        parse_program(text)
+    except ParseError as exc:
+        line, col, message = exc.line, exc.col, str(exc)
+    except ArtError:
+        return None
+    else:
+        return None
+    if not line:
+        return None
+    message = message.removeprefix(f"{line}:{col}: ")
+    starts = _token_starts(text)
+    where = (line, col)
+    assert where in starts, (text, message)
+    rest = text.splitlines()[line - 1].partition("#")[0][col - 1 :]
+    if message.endswith(", found end of input"):
+        assert where == starts[-1], (text, message)
+        return "end of input"
+    quoted = re.fullmatch(r"(?:unexpected character|.*, found) ('.*'|\".*\")", message)
+    if quoted:
+        assert rest.startswith(ast.literal_eval(quoted[1])), (text, message)
+        return message.partition(" ")[0] if message.startswith("unexpected") else "found"
+    digits = re.fullmatch(r"integer too long \(([0-9]+) digits\)", message)
+    if digits:
+        assert re.match(r"[0-9]+", rest)[0] == rest[: int(digits[1])], (text, message)
+        return "integer too long"
+    assert message == "expected end of line after statement", (text, message)
+    return "end of line"
+
+
+def test_every_parse_error_position_points_at_its_token():
+    rng = random.Random(12)
+    bases = [text for _, text in generate_corpus(CorpusConfig(program_count=12, seed=5))]
+    bases += [_PLAIN, _CALLS] * 6
+    texts = [_mutate(rng.choice(bases), rng) for _ in range(1500)]
+    # a tab before the bad token and a comment after it; a comment that
+    # hides the rest of a statement; a stray character after a tab; two
+    # statements on one line
+    cases = {
+        "method main() {\n\t1: x = new A  # a\n\t2: y = x.\t7  # b\n}\n": "3:12: expected identifier, found '7'",
+        "method main() {  # (\n  1: x = new A # $\n  2: x.f = # y\n}\n": "4:1: expected identifier, found '}'",
+        "method main() {\n  1: x = new A\t$ # $\n}\n": "2:16: unexpected character '$'",
+        "method main() {\n  1: nop 2: nop\n}\n": "2:10: expected end of line after statement",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_program(text)
+    kinds = Counter(_check_error_position(text) for text in texts + list(cases))
+    assert {"found", "unexpected", "integer too long", "end of input", "end of line"} <= set(kinds)
+    assert sum(kinds.values()) - kinds[None] > 250
 
 
 _EVERY_KIND = (

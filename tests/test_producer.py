@@ -5,6 +5,7 @@ import pytest
 
 from artpta import (
     EMPTY,
+    ArtError,
     Artwork,
     CorpusConfig,
     NULL_OBJECT,
@@ -29,7 +30,7 @@ from artpta import (
     validate_result,
 )
 from artpta import artwork
-from artpta.ir import ENTRY, Alloc, AssignNull, Call, Copy, FieldLoad, FieldStore
+from artpta.ir import ENTRY, EXIT, Alloc, AssignNull, Call, Copy, FieldLoad, FieldStore
 
 LOOPY_HEADER = PointsToGraph.of(
     var_edges=[
@@ -243,6 +244,37 @@ def test_emit_rejects_broken_result(loopy):
     r.out[("main", 5)] = EMPTY  # no longer satisfies the flow equations
     with pytest.raises(Exception):
         emit_artwork(loopy, r)
+
+
+def _break_entry(r):
+    r.out[("main", ENTRY)] = REC_IN_FOO
+
+
+def _break_exit(r):
+    r.out[("main", EXIT)] = EMPTY
+
+
+def _break_in_summary(r):
+    r.in_summary["foo"] = EMPTY
+    r.out[("foo", ENTRY)] = EMPTY
+
+
+@pytest.mark.parametrize(
+    "broken, problem",
+    [
+        (_break_entry, "main: entry value differs from IN summary"),
+        (_break_exit, "main: exit value differs from meet of predecessors"),
+        (_break_in_summary, "foo: IN summary does not cover call-site meet"),
+    ],
+    ids=["entry", "exit", "in-summary"],
+)
+def test_validate_result_names_each_broken_equation(rec, broken, problem):
+    r = analyze_inter(rec)
+    assert validate_result(rec, r) == []
+    broken(r)
+    assert problem in validate_result(rec, r)
+    with pytest.raises(ArtError):
+        emit_artwork(rec, r)
 
 
 def test_emit_is_deterministic(loopy):
