@@ -3,14 +3,14 @@ artifact, proving it safe or reporting the tampered entry.
 
 Each method's blocks are visited in the order the CFG numbers them, a
 topological order (back-edges ignored), and each statement is evaluated
-exactly once: a block's leader from the meet of its predecessor blocks'
-OUTs (``equations.block_in``) and each later statement from the OUT just
-computed.  A loop header leads its block, and its back-edges' OUTs do not
-exist yet when the pass reaches it, so it is evaluated on the meet of its
-forward predecessors (``equations.forward_in``), and its ``[loop]`` entry,
-what the loop adds there, is met into the result; a deleted entry adds
-nothing.  A call at a header is evaluated like any other call, its plain
-callees regenerated first.  Safety:
+exactly once: a block's leader on the meet of the OUTs that reach it along
+forward edges (``equations.forward_in``) and each later statement on the
+OUT just computed.  Only a loop header, which leads its block, has other
+inputs, its back-edges', and their OUTs do not exist yet when the pass
+reaches it; its ``[loop]`` entry, what the loop adds there, is met into
+its result, and a deleted entry adds nothing.  A call at a header is
+evaluated like any other call, its plain callees regenerated first.
+Safety:
 
 * loop invariants are recomputed over every predecessor, back-edges included,
   once the whole method is done, and must be unchanged (equality): an entry
@@ -52,7 +52,6 @@ from .artwork import Artwork
 from .equations import (
     AnalysisResult,
     PointKey,
-    block_in,
     callee_in,
     eval_statement,
     forward_in,
@@ -172,15 +171,11 @@ class _Regenerator:
         self.analyzed.add(name)
         out[(name, ENTRY)] = self.effective_in.setdefault(name, EMPTY)
         for b, stmts in enumerate(blocks):
-            carried = None  # what the artifact says the loop adds at this block's header
-            if b in headers:
-                # A loop header leads its block.  Its back-edges' OUTs do not
-                # exist yet, so it is evaluated on its forward meet, and its
-                # [loop] entry, if any, is met into the OUT.
-                g = forward_in(cfg, out, name, b)
-                carried = loops.get((name, stmts[0].label))
-            else:
-                g = block_in(cfg, out, name, b)
+            # Every leader is evaluated on its forward meet; a loop header's
+            # back-edge OUTs do not exist yet, and its [loop] entry, what the
+            # artifact says the loop adds there, is met into its OUT.
+            g = forward_in(cfg, out, name, b)
+            carried = loops.get((name, stmts[0].label)) if b in headers else None
             for s in stmts:
                 key = (name, s.label)
                 visits[key] += 1

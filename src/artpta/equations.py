@@ -5,16 +5,17 @@ consumer all evaluate a statement with ``eval_statement`` and a call-site's
 contribution to a callee's IN summary with ``callee_in``.  The three
 engines (``analyze_inter``'s worklist, ``validate_result`` and the
 consumer's ``regen_method``) step through a method one basic block at a
-time: a leader's input is ``block_in``, the meet of its predecessor blocks'
-last OUTs (and Entry's, for Entry's block), and every later statement's
-input is the OUT just computed for the statement before it.  ``meet_in`` is
-the meet over any list of points (Exit's inputs, a loop header's), and
-``forward_in`` a loop header's meet over its forward inputs alone, which
-the consumer's pass has there: the consumer evaluates the header on it and
-meets in the header's ``[loop]`` entry, and emission writes that entry as
-the header's fixed-point OUT less the same evaluation.  ``in_value`` is one
-statement's input in that pass, for the optimizer's IN entries.  The
-engines differ only in where callee OUT summaries come from and in how
+time: a leader's input is a meet of predecessor blocks' last OUTs (and
+Entry's, for Entry's block), and every later statement's input is the OUT
+just computed for the statement before it.  The worklist and the equation
+check meet every input (``block_in``).  The consumer's one pass, and the
+optimizer that reads its inputs, meet a block's forward inputs alone
+(``forward_in``): at a loop header the back-edges' OUTs do not exist yet,
+so the consumer evaluates the header on that meet and meets in the
+header's ``[loop]`` entry, and emission writes that entry as the header's
+fixed-point OUT less the same evaluation; any other block has only forward
+inputs.  ``meet_in`` is the meet over any list of points (Exit's inputs).
+The engines differ only in where callee OUT summaries come from and in how
 often they evaluate.  The round-robin oracle evaluates the same statement
 equations over the statement-level predecessor relation instead, so it
 stays an independent check of the block step.
@@ -78,24 +79,10 @@ def block_in(
 def forward_in(
     cfg: ControlFlowGraph, out: Mapping[PointKey, PointsToGraph], name: str, b: int
 ) -> PointsToGraph:
-    """The forward meet at loop-header block ``b``: the meet of the OUTs
-    that flow into its leader along edges that are not back-edges, which
-    the consumer's pass has when it reaches the header and evaluates it
-    on."""
-    return meet_in(out, name, cfg.forward_inputs[b])
-
-
-def in_value(
-    index: ProgramIndex, out: Mapping[PointKey, PointsToGraph], name: str, label: int
-) -> PointsToGraph:
-    """The value flowing into statement ``label`` of method ``name`` in the
-    consumer's pass: a loop header's ``forward_in``, any other leader's
-    ``block_in``, and a later statement's the OUT of the statement before
-    it."""
-    cfg = index.cfgs[name]
-    b, k = cfg.position[label]
-    if k:
-        return out.get((name, cfg.blocks[b][k - 1].label), EMPTY)
+    """The consumer's meet at block ``b``: the meet of the OUTs that flow
+    into its leader along edges that are not back-edges.  That is
+    ``block_in`` except at a loop header, where the consumer's pass has only
+    these OUTs when it reaches the header."""
     return meet_in(out, name, cfg.forward_inputs.get(b, cfg.inputs[b]))
 
 

@@ -44,7 +44,6 @@ from .equations import (
     callee_in,
     eval_statement,
     forward_in,
-    in_value,
     meet_in,
 )
 from .errors import ArtError
@@ -442,13 +441,6 @@ def emit_artwork(program: Program, result: AnalysisResult) -> Artwork:
     return a
 
 
-def _statement(cfg: ControlFlowGraph, label: int) -> LabeledStatement:
-    """The statement labelled ``label``, found through ``cfg.position``,
-    which re-visits and ``in_value`` build anyway."""
-    b, k = cfg.position[label]
-    return cfg.blocks[b][k]
-
-
 def carried_fixed_point(program: Program, a: Artwork) -> AnalysisResult | None:
     """The fixed point ``a`` carries (``a.fixed_point``, set by
     ``emit_artwork``) while ``program`` is the one emission read and ``a``'s
@@ -484,8 +476,8 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
       consumer checks.  It is dropped when some caller lies outside the
       method's SCC, so that a call-site is checked before the method's own
       pass, and every call-site projects the entry from the input the
-      consumer's pass has there (``equations.in_value``: at a loop header,
-      the forward meet);
+      consumer's pass has there: the OUT of the statement before it, or at a
+      block's leader its forward meet (``equations.forward_in``);
     * an OUT entry's is the IN summary.
 
     Stand-ins and loop entries come from the fixed point ``a`` encodes: the
@@ -505,16 +497,20 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
         loops = a.i_loop
     out = fixed.out
 
+    def call_site(caller: str, label: int) -> tuple[LabeledStatement, PointsToGraph]:
+        # the call statement and the input the consumer's pass has there
+        cfg = cfgs[caller]
+        b, k = cfg.position[label]
+        stmts = cfg.blocks[b]
+        return stmts[k], out[(caller, stmts[k - 1].label)] if k else forward_in(cfg, out, caller, b)
+
     def redundant_in(name: str, g: PointsToGraph) -> bool:
         sites = graph.call_sites_of(name)
         if name == program.entry or not sites:
             return g.is_empty()
         scc = graph.scc_of(name)
         return any(caller not in scc for caller, _ in sites) and all(
-            g == callee_in(
-                index, caller, _statement(cfgs[caller], label), in_value(index, out, caller, label), name
-            )
-            for caller, label in sites
+            g == callee_in(index, caller, *call_site(caller, label), name) for caller, label in sites
         )
 
     i_loop = {key: g for key, g in loops.items() if not g.is_empty()}

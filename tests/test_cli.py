@@ -216,6 +216,18 @@ def test_diff_reports_structural_difference(tmp_path, loopy_ir, rec_ir, capsys):
     assert "+" in captured.err or "-" in captured.err
 
 
+def test_diff_of_two_files_that_are_not_dumps(tmp_path, capsys):
+    """Two differing files that are not results dumps still compare: exit 1,
+    ``different``, and a note that no structural diff can be shown."""
+    one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+    one.write_text("a\n")
+    two.write_text("b\n")
+    assert main(["diff", str(one), str(two)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "different\n"
+    assert captured.err == "(structural diff unavailable: not a results dump)\n"
+
+
 def test_stats_output(tmp_path, rec_ir, capsys):
     art = str(tmp_path / "rec.art")
     main(["analyze", rec_ir, "-o", art])
@@ -307,6 +319,27 @@ def test_gen_corpus_deterministic(tmp_path, capsys):
     assert "loopy.ir" in names and "rec.ir" in names and "arith.ir" in names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--methods-min", "0"], "empty methods range"),
+        (["--methods-min", "3", "--methods-max", "2"], "empty methods range"),
+        (["--stmts-min", "0"], "empty statements range"),
+        (["--recursion-prob", "1.5"], "recursion_prob must be in [0, 1]"),
+        (["--count", "-1"], "program_count must be non-negative"),
+    ],
+)
+def test_gen_corpus_rejects_an_empty_shape(tmp_path, capsys, args, message):
+    """A shape the generator cannot draw from is an input error: exit 2,
+    one line naming the fault, and no corpus written."""
+    out = tmp_path / "bad"
+    assert main(["gen-corpus", "--seed", "1", "--out", str(out), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_recursion_prob_one_always_cyclic(tmp_path, capsys):

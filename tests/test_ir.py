@@ -150,6 +150,11 @@ def test_duplicate_method_error_names_the_first_repeated_name():
         parse_program(text)
 
 
+def test_program_method_of_an_unknown_name_is_a_key_error(rec):
+    with pytest.raises(KeyError):
+        rec.method("ghost")
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_program("method main() {\n  1: a = new A\n  2: b ~ c\n}")
@@ -835,6 +840,33 @@ def test_every_parse_error_position_points_at_its_token():
     kinds = Counter(_check_error_position(text) for text in texts + list(cases))
     assert {"found", "unexpected", "integer too long", "end of input", "end of line"} <= set(kinds)
     assert sum(kinds.values()) - kinds[None] > 250
+
+
+def _break_statement(text, rng):
+    """``text`` with one statement line broken: a character that starts no
+    token put into it, or the line after it joined to it with a space."""
+    lines = text.splitlines()
+    i = rng.choice([i for i, line in enumerate(lines[:-1]) if re.match(r"\s*[0-9]+:", line)])
+    if rng.random() < 0.5:
+        j = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:j] + rng.choice("$@;") + lines[i][j:]
+    else:
+        lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
+    return "\n".join(lines) + "\n"
+
+
+def test_stray_characters_and_joined_statements_read_alike_and_point_at_their_token():
+    """The scanner's error and the error after a statement's last token,
+    which ``_mutate``'s draws never reach: on these draws the two readers
+    agree, and each error's position points at what its message names."""
+    rng = random.Random(93)
+    bases = [text for _, text in generate_corpus(CorpusConfig(program_count=12, seed=5))]
+    bases += [_PLAIN, _CALLS] * 6
+    texts = [_break_statement(rng.choice(bases), rng) for _ in range(300)]
+    for text in texts:
+        _check_readers_agree(text)
+    kinds = Counter(_check_error_position(text) for text in texts)
+    assert kinds["unexpected"] >= 20 and kinds["end of line"] >= 20, kinds
 
 
 _EVERY_KIND = (

@@ -207,6 +207,14 @@ def test_transfer_nop_identity():
     assert _transfer(_stmt(Nop()), a) == a
 
 
+def test_transfer_rejects_a_call_statement(rec):
+    """A call's OUT is the engines' business (``equations.eval_statement``);
+    ``transfer`` refuses one."""
+    m, s = next((m, s) for m in rec.methods for s in m.body if isinstance(s.instr, Call))
+    with pytest.raises(ValueError, match="^call statements are handled by the analysis engines$"):
+        transfer(s, EMPTY, m)
+
+
 def test_transfer_alloc_strong_update():
     before = g([(var_id(M, "a"), Site("m", 2))])
     after = _transfer(LabeledStatement(5, Alloc("a", "T")), before)

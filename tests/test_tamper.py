@@ -192,6 +192,20 @@ def test_nothing_to_tamper_on_empty_artwork():
             tamper(Artwork.empty(), kind, seed=0)
 
 
+def test_tamper_kind_must_be_a_tamper_kind(rec_pipeline):
+    """The kind's name alone is not a kind."""
+    _, _, a = rec_pipeline
+    with pytest.raises(ValueError):
+        tamper(a, "remove-edge", 1)
+
+
+def test_add_edge_finds_nothing_to_add_to_a_program_without_objects():
+    p = parse_program("method main() {\n  1: nop\n}\n")
+    a = emit_artwork(p, analyze_inter(p))
+    with pytest.raises(NothingToTamperError, match="^no conservative edge addition found$"):
+        tamper(a, TamperKind.ADD_EDGE, seed=0, program=p)
+
+
 def test_shrink_requires_multi_target_set():
     # REC's entries happen to have multi-target sets; build one without any
     p = parse_program("method main() {\n  1: a = new A\n  2: a.f = a\n}")
