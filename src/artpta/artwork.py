@@ -1,10 +1,10 @@
-"""The compact analysis artifact and its bit-exact text codec (format ART/5),
+"""The compact analysis artifact and its bit-exact text codec (format ART/6),
 plus the naive whole-dump baseline encoding and size statistics.
 
 File layout (UTF-8, LF line endings, all sections always present, entries
 sorted)::
 
-    ART/5
+    ART/6
     [loop]
     main:5 {
       /0 :4 :9
@@ -29,8 +29,16 @@ applies the header's flow equation ``f_h`` to the header's forward meet
 header, and the header's OUT is ``meet(f_h(F), entry)``.  Emission writes
 the header's fixed-point OUT less ``f_h(F)``, which every fixed point's OUT
 holds, ``f_h`` being monotone; a deleted entry reads as the empty graph.
-The codec does not read this meaning: decode builds a ``[loop]`` entry as a
-plain graph, as it builds every other.  Each edge line is one binding of a
+An ``[out]`` entry of a recursive method M holds what M's OUT summary adds
+to M's base ``B``: when M forms a call-graph SCC on its own, the field edges
+of the consumer's pass input at M's first self-call in block order
+(``equations.self_call``), provided that call's block reaches an exit, and
+the empty graph otherwise.  The consumer claims ``meet(B, entry)`` as M's
+OUT summary.  No transfer removes a heap edge, so every fixed point's OUT
+summary holds ``B``, and emission writes only the rest, the OUT summary
+less ``B``; a deleted entry reads as the empty graph.  The codec reads
+neither meaning: decode builds a ``[loop]`` or ``[out]`` entry as a plain
+graph, as it builds every other.  Each edge line is one binding of a
 graph, with no arrow: a variable and all its targets, or an object, a field
 token ``.f`` and all its targets; a key with a ``/`` is a variable.  Inside
 an entry of method M, an identifier of M is written without M's name: a
@@ -39,10 +47,12 @@ as ``?i``.  Every other identifier keeps its full text (``main:1`` in an
 entry of ``foo``, and the previous entry's variables in an edit across
 methods), as does ``null``; the full text of an identifier of M is also
 read, as the same identifier.  Targets and lines are sorted by their full
-text, as ``render_edges`` sorts them.  The syntax is ``ART/4``'s; only the
-meaning of a ``[loop]`` entry changed, from the header's whole OUT to what
-the loop adds to ``f_h(F)``.  A block writes each binding once, variables
-first, each group sorted.  An entry written ``^`` holds the value of the
+text, as ``render_edges`` sorts them.  The syntax is ``ART/4``'s; ``ART/5``
+changed the meaning of a ``[loop]`` entry, from the header's whole OUT to
+what the loop adds to ``f_h(F)``, and ``ART/6`` that of an ``[out]`` entry,
+from the whole OUT summary to what it adds to the base.  A block writes
+each binding once, variables first, each group sorted.  An entry written
+``^`` holds the value of the
 entry before it in file order, across section headers, with the targets of
 each ``- `` line removed from its key and those of each ``+ `` line added;
 with no such lines it is the same graph.  The first entry cannot be one.
@@ -53,8 +63,8 @@ field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
 any other is a syntax error, whichever path below reads it, and so is an
 arrow.  Only spaces (U+0020) separate a line's tokens: a tab, ``\\x1c`` or
 any other whitespace between two tokens is a syntax error too.  There is no
-reader for ``ART/4``, ``ART/3``, ``ART/2`` or ``ART/1``, the formats this
-one replaced.
+reader for ``ART/5``, ``ART/4``, ``ART/3``, ``ART/2`` or ``ART/1``, the
+formats this one replaced.
 
 Decoding validates syntax and that every referenced method, slot, label, and
 allocation site exists in the program; semantic tampering (structurally valid
@@ -132,15 +142,16 @@ from .ptg import (
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .equations import AnalysisResult
 
-MAGIC = "ART/5"
+MAGIC = "ART/6"
 NAIVE_MAGIC = "NAIVE/1"
 
 
 @dataclass(frozen=True)
 class Artwork:
     """Three invariant maps: what each loop adds at its header, keyed by
-    (method, label) (see the module docstring), IN summaries keyed by
-    method, and OUT summaries of recursive methods.
+    (method, label), IN summaries keyed by method, and what the OUT
+    summaries of recursive methods add to their bases (see the module
+    docstring).
 
     The maps are the whole value: which entries are written ``^``, with
     or without edits, is ``encode``'s rule, so equal maps always have the
@@ -364,7 +375,7 @@ def _read_artwork(
     tables: Callable[[str], _Table] | None,
     check: Callable[[str, Any], str | None] | None = None,
 ) -> tuple[Artwork, str | None]:
-    """Parse an ART/5 file in one walk over its lines.
+    """Parse an ART/6 file in one walk over its lines.
 
     Returns the artwork and why its first entry at fault is, or None.  An
     entry is at fault when ``check(section, key)`` (when given) says why its
@@ -480,7 +491,7 @@ def _live(block: list) -> dict:
 
 @gc_paused
 def parse_artwork(data: bytes) -> Artwork:
-    """Syntax-only parse of an ART/5 file (no program to validate against).
+    """Syntax-only parse of an ART/6 file (no program to validate against).
     Every entry's graph is built, an edit entry's over shallow copies of
     the previous entry's maps, so the cost is linear in the artwork it
     returns, which may be much larger than the file."""

@@ -19,8 +19,13 @@ Safety:
 * at every call-site, the callee's stored IN summary must subsume the
   projected-in caller state (subsumption; a missing entry defaults to the
   projection at the first call-site encountered);
-* a recursive method's regenerated OUT summary must equal its stored one
-  (a missing entry defaults to the method's IN summary).
+* a recursive method's regenerated OUT summary must equal the one the
+  artifact claims (equality), ``meet(B, entry)``, resolved once.  A method
+  that forms a call-graph SCC on its own has its base ``B`` at its first
+  self-call (``equations.self_call``), where the pass resolves the claim
+  before it evaluates the call: the field edges of the pass input there.
+  Any other recursive method's ``B`` is the empty graph, and its claim is
+  resolved at first need.  A missing entry reads as the empty graph.
 
 Intra-procedural loop checks run after the method's pass rather than after
 each statement so that every predecessor OUT exists when a header has
@@ -56,6 +61,7 @@ from .equations import (
     eval_statement,
     forward_in,
     meet_in,
+    self_call,
 )
 from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramIndex, gc_paused
 
@@ -64,6 +70,7 @@ from .ir import ENTRY, EXIT, Call, LabeledStatement, Method, Program, ProgramInd
 from .ptg import (
     EMPTY,
     PointsToGraph,
+    heap_of,
     meet,
     project_in,
     restrict_to_summary,
@@ -118,6 +125,7 @@ class _Regenerator:
         self.analyzed: set[str] = set()
         self.effective_in: dict[str, PointsToGraph] = dict(artwork.i_in)
         self.regen_out_summary: dict[str, PointsToGraph] = {}
+        self.claimed_out: dict[str, PointsToGraph] = {}
         self.violations: list[Violation] = []
         self.applications = 0
 
@@ -127,9 +135,14 @@ class _Regenerator:
             raise _Abort
 
     def _claimed_out(self, name: str) -> PointsToGraph:
-        """The stored OUT summary of ``name``, else its resolved IN summary."""
-        claimed = self.artwork.i_out.get(name)
-        return self.effective_in.setdefault(name, EMPTY) if claimed is None else claimed
+        """The OUT summary the artifact claims for ``name``, resolved once:
+        its ``[out]`` entry, the empty graph when there is none.  A method
+        with a base (``equations.self_call``) resolves it earlier, at its
+        first self-call, and this reads that claim."""
+        claimed = self.claimed_out.get(name)
+        if claimed is None:
+            claimed = self.claimed_out[name] = self.artwork.i_out.get(name, EMPTY)
+        return claimed
 
     def _pending_callees(self, caller: str, s: LabeledStatement) -> Iterator[str]:
         """The plain (non-recursive) targets of ``s`` not yet regenerated, in
@@ -164,6 +177,7 @@ class _Regenerator:
         headers = cfg.forward_inputs
         out, visits, regen_out = self.out, self.visits, self.regen_out_summary
         loops = self.artwork.i_loop
+        first_self_call = self_call(self.index, name)
 
         def summary_of(t: str) -> PointsToGraph:
             return regen_out[t] if t in regen_out else self._claimed_out(t)
@@ -182,6 +196,10 @@ class _Regenerator:
                 if s.instr.__class__ is Call:
                     self._check_call_site(m, s, g)
                     yield from self._pending_callees(name, s)
+                    if s.label == first_self_call:
+                        # the claim is the entry met with the heap this
+                        # pass holds here, its base
+                        self.claimed_out[name] = meet(heap_of(g), self.artwork.i_out.get(name, EMPTY))
                 g = eval_statement(s, g, m, summary_of)
                 # Counted once evaluated: a callee regeneration that aborts
                 # leaves this call-site unevaluated (its generator is never

@@ -15,8 +15,10 @@ so the consumer evaluates the header on that meet and meets in the
 header's ``[loop]`` entry, and emission writes that entry as the header's
 fixed-point OUT less the same evaluation; any other block has only forward
 inputs.  ``meet_in`` is the meet over any list of points (Exit's inputs).
-The engines differ only in where callee OUT summaries come from and in how
-often they evaluate.  The round-robin oracle evaluates the same statement
+``self_call`` names the statement whose pass input gives a self-recursive
+method's ``[out]`` entry its base, which the consumer meets into the entry
+and emission leaves out of it.  The engines differ only in where callee
+OUT summaries come from and in how often they evaluate.  The round-robin oracle evaluates the same statement
 equations over the statement-level predecessor relation instead, so it
 stays an independent check of the block step.
 """
@@ -84,6 +86,43 @@ def forward_in(
     ``block_in`` except at a loop header, where the consumer's pass has only
     these OUTs when it reaches the header."""
     return meet_in(out, name, cfg.forward_inputs.get(b, cfg.inputs[b]))
+
+
+def self_call(index: ProgramIndex, name: str) -> int | None:
+    """The label of the statement whose pass input gives method ``name``'s
+    OUT entry its base, or None when the base is the empty graph.
+
+    ``name`` has a base when it forms a call-graph SCC on its own and calls
+    itself.  The statement is its first self-call: the first statement, in
+    block order (the consumer's pass order), that calls it.  It counts only
+    when its block reaches an exit block along CFG edges.  No transfer
+    removes a heap edge, so at any fixed point the heap there is contained
+    in Exit's, which the OUT summary keeps whole; a self-call that reaches
+    no exit gives no such bound."""
+    graph = index.call_graph
+    if len(graph.scc_of(name)) != 1 or not graph.is_recursive_method(name):
+        return None
+    cfg = index.cfgs[name]
+    b, s = next(
+        (b, s) for b, stmts in enumerate(cfg.blocks) for s in stmts if s.instr.__class__ is Call and name in s.instr.targets
+    )
+    return s.label if _reaches_exit(cfg, b) else None
+
+
+def _reaches_exit(cfg: ControlFlowGraph, b: int) -> bool:
+    """True when block ``b`` reaches, along ``block_succ``, a block whose
+    last statement flows into Exit (``b`` itself included)."""
+    exits = cfg.exit_inputs
+    seen, todo = {b}, [b]
+    while todo:
+        u = todo.pop()
+        if cfg.blocks[u][-1].label in exits:
+            return True
+        for v in cfg.block_succ[u]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return False
 
 
 def eval_statement(

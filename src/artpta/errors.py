@@ -38,9 +38,10 @@ class ArityMismatchError(ArtError):
 
 
 class MalformedArtworkError(ArtError):
-    """An artifact file violates the ART/5 syntax.  That includes every
-    ``ART/4`` file: its header is not ``ART/5``, and its ``[loop]`` entries
-    held each header's whole value, not what the loop adds there."""
+    """An artifact file violates the ART/6 syntax.  That includes every
+    ``ART/4`` and ``ART/5`` file: its header is not ``ART/6``, and its
+    ``[loop]`` entries (``ART/4``) or ``[out]`` entries (both) held whole
+    values, not what the consumer's pass does not derive itself."""
 
 
 class UnknownReferenceError(ArtError):

@@ -45,6 +45,7 @@ from .equations import (
     eval_statement,
     forward_in,
     meet_in,
+    self_call,
 )
 from .errors import ArtError
 from .ir import (
@@ -65,6 +66,7 @@ from .ptg import (
     EMPTY,
     PointsToGraph,
     difference,
+    heap_of,
     meet,
     restrict_to_summary,
     subsumes,
@@ -411,6 +413,34 @@ def _loop_entries(index: ProgramIndex, fixed: AnalysisResult) -> dict:
     return i_loop
 
 
+def call_site(
+    index: ProgramIndex, out: dict[PointKey, PointsToGraph], caller: str, label: int
+) -> tuple[LabeledStatement, PointsToGraph]:
+    """The statement at ``label`` of ``caller`` and its input in the
+    consumer's pass over ``out``: the OUT of the statement before it, or at
+    a block's leader its forward meet (``equations.forward_in``)."""
+    cfg = index.cfgs[caller]
+    b, k = cfg.position[label]
+    stmts = cfg.blocks[b]
+    return stmts[k], out[(caller, stmts[k - 1].label)] if k else forward_in(cfg, out, caller, b)
+
+
+def _out_entries(index: ProgramIndex, fixed: AnalysisResult) -> dict:
+    """Each recursive method's OUT summary in ``fixed`` less its base, in
+    key order: the field edges of the pass input at its first self-call
+    (``equations.self_call``), which the consumer meets into the entry; a
+    method with no base keeps its whole OUT summary."""
+    i_out = {}
+    for n in sorted(index.methods):
+        if index.call_graph.is_recursive_method(n):
+            label = self_call(index, n)
+            summary = fixed.out_summary[n]
+            if label is not None:
+                summary = difference(summary, heap_of(call_site(index, fixed.out, n, label)[1]))
+            i_out[n] = summary
+    return i_out
+
+
 def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict]:
     """The three maps ``emit_artwork`` writes for ``result``, each filled in
     key order as decode fills them, so the two print alike."""
@@ -419,7 +449,7 @@ def _entries(program: Program, result: AnalysisResult) -> tuple[dict, dict, dict
     return (
         _loop_entries(index, result),
         {n: result.in_summary[n] for n in names},
-        {n: result.out_summary[n] for n in names if index.call_graph.is_recursive_method(n)},
+        _out_entries(index, result),
     )
 
 
@@ -477,32 +507,30 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
       method's SCC, so that a call-site is checked before the method's own
       pass, and every call-site projects the entry from the input the
       consumer's pass has there: the OUT of the statement before it, or at a
-      block's leader its forward meet (``equations.forward_in``);
-    * an OUT entry's is the IN summary.
+      block's leader its forward meet (``call_site``);
+    * an OUT entry's is the empty graph, since the consumer meets the entry
+      into the method's base (``equations.self_call``), which its pass
+      holds anyway; so an OUT entry is dropped exactly when it is empty.
+      The entries are those emission writes for the fixed point
+      (``_out_entries``), so none holds an edge of the base.
 
-    Stand-ins and loop entries come from the fixed point ``a`` encodes: the
-    one it carries (``carried_fixed_point``), whose loop entries ``a`` holds
-    as written; else the consumer's regeneration of ``a``, once, up front,
-    so no analysis is re-run.  An artifact the consumer rejects raises ``ArtError``."""
+    Stand-ins and loop and OUT entries come from the fixed point ``a``
+    encodes: the one it carries (``carried_fixed_point``), whose loop and
+    OUT entries ``a`` holds as written; else the consumer's regeneration of
+    ``a``, once, up front, so no analysis is re-run.  An artifact the
+    consumer rejects raises ``ArtError``."""
     index = ProgramIndex.of(program)
-    cfgs, graph = index.cfgs, index.call_graph
+    graph = index.call_graph
     fixed = carried_fixed_point(program, a)
     if fixed is None:
         outcome = regenerate(index, a)
         if not outcome.safe:
             raise ArtError("artifact does not regenerate: " + outcome.violation.describe())
         fixed = outcome.result
-        loops = _loop_entries(index, fixed)
+        loops, outs = _loop_entries(index, fixed), _out_entries(index, fixed)
     else:
-        loops = a.i_loop
+        loops, outs = a.i_loop, a.i_out
     out = fixed.out
-
-    def call_site(caller: str, label: int) -> tuple[LabeledStatement, PointsToGraph]:
-        # the call statement and the input the consumer's pass has there
-        cfg = cfgs[caller]
-        b, k = cfg.position[label]
-        stmts = cfg.blocks[b]
-        return stmts[k], out[(caller, stmts[k - 1].label)] if k else forward_in(cfg, out, caller, b)
 
     def redundant_in(name: str, g: PointsToGraph) -> bool:
         sites = graph.call_sites_of(name)
@@ -510,10 +538,11 @@ def optimize_artwork(program: Program, a: Artwork) -> Artwork:
             return g.is_empty()
         scc = graph.scc_of(name)
         return any(caller not in scc for caller, _ in sites) and all(
-            g == callee_in(index, caller, *call_site(caller, label), name) for caller, label in sites
+            g == callee_in(index, caller, *call_site(index, out, caller, label), name)
+            for caller, label in sites
         )
 
     i_loop = {key: g for key, g in loops.items() if not g.is_empty()}
     i_in = {name: g for name, g in a.i_in.items() if not redundant_in(name, g)}
-    i_out = {name: g for name, g in a.i_out.items() if g != a.i_in.get(name)}
+    i_out = {name: g for name, g in outs.items() if not g.is_empty()}
     return Artwork(i_loop=i_loop, i_in=i_in, i_out=i_out)

@@ -432,6 +432,14 @@ def difference(g: PointsToGraph, base: PointsToGraph) -> PointsToGraph:
     return _graph(vars_, heap) if vars_ or heap else EMPTY
 
 
+def heap_of(g: PointsToGraph) -> PointsToGraph:
+    """The field edges of ``g`` and no variable edge: ``g`` itself when it
+    has no variable edge, else a graph that shares its heap map."""
+    if not g._vars:
+        return g
+    return _graph({}, g._heap) if g._heap else EMPTY
+
+
 def var_id(m: Method, name: str) -> VarId:
     return VarId(m.name, m.slot_of[name])
 

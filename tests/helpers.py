@@ -1,6 +1,6 @@
 """Helpers shared by several test modules (not a test module itself)."""
 
-from artpta import Artwork
+from artpta import ARITH, LOOPY, REC, Artwork, CorpusConfig, generate_corpus
 from artpta.ptg import FieldEdge, VarEdge, parse_binding_line
 
 
@@ -25,3 +25,21 @@ def only_empty_entries(a: Artwork) -> bool:
     """True when every entry of ``a`` is the empty graph, so no reductive
     tampering has an element to take away."""
     return all(g.is_empty() for entries in (a.i_loop, a.i_in, a.i_out) for g in entries.values())
+
+
+#: one self-recursive method of 300 statements, the benchmark's roundtrip-large shape
+LARGE = {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}
+
+
+def entry_sources() -> dict[str, str]:
+    """The programs the entry-meaning tests check, by name: the three
+    fixtures, the first 20 seed-1 default-shape programs and the first two
+    seed-1 programs of the ``LARGE`` shape."""
+    sources = {"loopy": LOOPY, "rec": REC, "arith": ARITH}
+    for name, text in generate_corpus(CorpusConfig(program_count=20, seed=1)):
+        if name.startswith("gen"):
+            sources[f"default-{name}"] = text
+    for name, text in generate_corpus(CorpusConfig(program_count=2, seed=1, **LARGE)):
+        if name.startswith("gen"):
+            sources[f"large-{name}"] = text
+    return sources

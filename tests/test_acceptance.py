@@ -105,7 +105,9 @@ def test_criterion_3_tamper_detection(corpus):
             report_ = rq2_campaign(p, a, 10, seed=1000 + i)
         except NothingToTamperError:
             # Every entry is empty (each loop adds nothing its header's
-            # flow equation does not derive): no reduction exists.
+            # flow equation does not derive, each self-recursive method
+            # nothing to the heap at its first self-call): no reduction
+            # exists.
             assert only_empty_entries(a), name
             skipped.append(name)
             continue
@@ -114,7 +116,7 @@ def test_criterion_3_tamper_detection(corpus):
     report(
         3,
         "every reductive tampering detected (10 trials per program)",
-        detected == total and total >= 500 and len(skipped) == 2,
+        detected == total and total >= 500 and len(skipped) == 3,
         f"{detected}/{total} detected; {len(skipped)} programs with only empty entries: {', '.join(skipped)}",
     )
 

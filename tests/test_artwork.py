@@ -58,7 +58,7 @@ def _random_artwork(rng: random.Random) -> Artwork:
 
 def test_empty_artwork_encoding():
     data = encode(Artwork.empty())
-    assert data == b"ART/5\n[loop]\n[in]\n[out]\n"
+    assert data == b"ART/6\n[loop]\n[in]\n[out]\n"
     assert parse_artwork(data) == Artwork.empty()
 
 
@@ -89,8 +89,9 @@ def test_encode_injective_on_corpus(small_corpus):
 def test_rec_encoding_uses_slots_and_site_tuples(rec_pipeline):
     _, _, a = rec_pipeline
     text = encode(a).decode()
-    # objects as method:label tuples, written :label in their method's entry
-    assert "foo ^\n+ :4 .f null\n+ :5 .f :4\n" in text
+    # objects as method:label tuples, written :label in their method's
+    # entry; foo's [out] entry is the one store after its self-call
+    assert "[out]\nfoo ^\n+ :5 .f :4\n" in text
     # variables as slot indices, one line per variable with its sorted targets
     assert "foo {\n  /0 :4 null\n" in text
 
@@ -106,7 +107,7 @@ def test_truncated_file_rejected(rec_pipeline):
 @pytest.mark.parametrize(
     "mutation,exc",
     [
-        (lambda d: d.replace(b"ART/5", b"ART/1"), MalformedArtworkError),  # the old grammar
+        (lambda d: d.replace(b"ART/6", b"ART/1"), MalformedArtworkError),  # the old grammar
         (lambda d: d.replace(b"[in]\n", b""), MalformedArtworkError),
         (lambda d: d.replace(b" .f ", b" . "), MalformedArtworkError),
         (lambda d: d.replace(b"foo {", b"ghost {", 1), UnknownReferenceError),
@@ -179,13 +180,13 @@ def test_stats_empty_program():
 
 
 def test_a_repeat_in_the_first_entry_rejected():
-    data = b"ART/5\n[loop]\n[in]\nfoo ^\n[out]\n"
+    data = b"ART/6\n[loop]\n[in]\nfoo ^\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
 
 def test_duplicate_entry_rejected():
-    data = b"ART/5\n[loop]\n[in]\nfoo {\n}\nfoo {\n}\n[out]\n"
+    data = b"ART/6\n[loop]\n[in]\nfoo {\n}\nfoo {\n}\n[out]\n"
     with pytest.raises(MalformedArtworkError):
         parse_artwork(data)
 
@@ -216,8 +217,8 @@ def _optimized_corpus(small_corpus, decoded: bool) -> list[tuple[Program, Artwor
 
 # The optimized artifacts' bytes, and the values they decode to: each entry's
 # section, key and ``render_graph`` lines, which do not depend on the codec.
-OPTIMIZED_CORPUS_SHA256 = "b492897a1c5e014738e460a259719ca9f97b343573039e7210b011a05385e7c5"
-OPTIMIZED_VALUES_SHA256 = "f07bebefc38b268f6624692dc70df9bc0b8dbd6d69be86c6741a8722d71f1492"
+OPTIMIZED_CORPUS_SHA256 = "2afb00d9515435fe4a57e9d4e4bd0050ff8042b33c1af54fe788dce6f468167e"
+OPTIMIZED_VALUES_SHA256 = "b2c46f90787d0bd8b58eb1d6abdd42e1e805232ce54194db59a37d91111fe00b"
 
 
 def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
@@ -242,7 +243,7 @@ def test_optimized_artifact_bytes_are_pinned(small_corpus, reference_encode):
 
 # Over the same programs, the plain artifacts' bytes and the ``NAIVE/1``
 # dumps of the least fixed points, each length-prefixed.
-PLAIN_CORPUS_SHA256 = "b904d4d8322895069ba84e0ad6486c7ca8705b8b4767c153e1cc1b0daa0819e0"
+PLAIN_CORPUS_SHA256 = "ee67478c42daef05c73b1ed29c8032e9e980cb0f34a273bacc67ec020f7af532"
 NAIVE_CORPUS_SHA256 = "c0c23a063cfebbc5aed62a1ccf6ae54bde83ad88a1de0e5462bf98f03450e930"
 
 

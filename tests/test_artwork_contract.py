@@ -7,6 +7,7 @@ import re
 import pytest
 
 from artpta import (
+    Artwork,
     CorpusConfig,
     MalformedArtworkError,
     Site,
@@ -44,7 +45,7 @@ method r(p) {
 # repeats keep VALID at least as long as its ``ART/3`` form (190 bytes), so
 # the truncation test below keeps every cut it had.
 VALID = """\
-ART/5
+ART/6
 [loop]
 main:2 {
   main/0 main:1
@@ -68,7 +69,7 @@ r {
 
 
 def _art(loop: str = "", in_: str = "", out: str = "") -> str:
-    return "ART/5\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
+    return "ART/6\n[loop]\n" + loop + "[in]\n" + in_ + "[out]\n" + out
 
 
 def _block(head: str, *edges: str) -> str:
@@ -76,23 +77,25 @@ def _block(head: str, *edges: str) -> str:
 
 
 MALFORMED = {
-    "not-utf8": (b"ART/5\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
-    "no-trailing-newline": (b"ART/5\n[loop]\n[in]\n[out]", "missing trailing newline"),
+    "not-utf8": (b"ART/6\n\xff\n[loop]\n[in]\n[out]\n", "not valid UTF-8"),
+    "no-trailing-newline": (b"ART/6\n[loop]\n[in]\n[out]", "missing trailing newline"),
     "empty-file": (b"", "missing trailing newline"),
-    "bad-header": (b"ART/6\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    "bad-header": (b"ART/7\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
     # the grammars this one replaced have no reader
-    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
-    "art2-header": (b"ART/2\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
-    "art3-header": (b"ART/3\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    "art1-header": (b"ART/1\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
+    "art2-header": (b"ART/2\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
+    "art3-header": (b"ART/3\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
     # an ART/4 file: its [loop] entries held the whole header value
-    "art4-header": (b"ART/4\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
+    "art4-header": (b"ART/4\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
+    # an ART/5 file: its [out] entries held the whole OUT summary
+    "art5-header": (b"ART/5\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
     "art3-entry-header": (_art(in_="m:main = {\n}\n"), "bad [in] entry"),
-    "blank-first-line": (b"\nART/5\n[loop]\n[in]\n[out]\n", "missing ART/5 header"),
-    "only-header": (b"ART/5\n", "unexpected end of file"),
-    "missing-loop": (b"ART/5\n[in]\n[out]\n", "expected [loop] section"),
-    "missing-in": (b"ART/5\n[loop]\n[out]\n", "bad [loop] entry"),
-    "missing-in-at-eof": (b"ART/5\n[loop]\n", "unexpected end of file"),
-    "missing-out": (b"ART/5\n[loop]\n[in]\n", "unexpected end of file"),
+    "blank-first-line": (b"\nART/6\n[loop]\n[in]\n[out]\n", "missing ART/6 header"),
+    "only-header": (b"ART/6\n", "unexpected end of file"),
+    "missing-loop": (b"ART/6\n[in]\n[out]\n", "expected [loop] section"),
+    "missing-in": (b"ART/6\n[loop]\n[out]\n", "bad [loop] entry"),
+    "missing-in-at-eof": (b"ART/6\n[loop]\n", "unexpected end of file"),
+    "missing-out": (b"ART/6\n[loop]\n[in]\n", "unexpected end of file"),
     "bad-loop-entry": (_art(loop="main:x {\n}\n"), "bad [loop] entry"),
     "bad-in-entry": (_art(in_="9main {\n}\n"), "bad [in] entry"),
     "bad-out-entry": (_art(out="r{\n}\n"), "bad [out] entry"),
@@ -567,12 +570,12 @@ def test_the_valid_artifact_decodes(program):
     assert encode(inline) == EDITED.encode()
 
 
-# The ART/5 bytes of the loopy fixture, and its body with every identifier
+# The ART/6 bytes of the loopy fixture, and its body with every identifier
 # in full, as the ``ART/2`` grammar wrote them.  The [loop] entry holds what
 # the loop adds at header 5 to the OUT of statement 4, which the header
 # passes on unchanged.
 LOOPY_ART5 = (
-    "ART/5\n[loop]\nmain:5 {\n  /0 :6\n  /1 :11 :9\n"
+    "ART/6\n[loop]\nmain:5 {\n  /0 :6\n  /1 :11 :9\n"
     "  :6 .f :11 :3 :9\n}\n[in]\nmain {\n}\n[out]\n"
 )
 LOOPY_FULL_BODY = (
@@ -584,10 +587,10 @@ LOOPY_FULL_BODY = (
 def test_a_full_spelling_body_decodes_to_its_canonical_artwork(loopy_pipeline):
     p, _, a = loopy_pipeline
     assert encode(a) == LOOPY_ART5.encode()
-    full = decode(("ART/5\n" + LOOPY_FULL_BODY).encode(), p)
+    full = decode(("ART/6\n" + LOOPY_FULL_BODY).encode(), p)
     assert full == a == decode(LOOPY_ART5.encode(), p)
     assert encode(full) == LOOPY_ART5.encode()
-    with pytest.raises(MalformedArtworkError, match="^missing ART/5 header$"):
+    with pytest.raises(MalformedArtworkError, match="^missing ART/6 header$"):
         decode(("ART/3\n" + LOOPY_FULL_BODY).encode(), p)
 
 
@@ -695,17 +698,21 @@ _BINDING_LINE = re.compile(rf"(  |- |\+ )([^ ]*/[0-9]+|[^ /]+ \.{_NAME})( [^ /]+
 
 def test_every_line_of_a_corpus_artifact_is_an_art4_line(small_corpus):
     # the plain and -O artifacts of the small corpus and of two programs of
-    # the roundtrip-large shape (one self-recursive method of 300 statements)
+    # the roundtrip-large shape (one self-recursive method of 300 statements),
+    # and each plain artifact with whole OUT summaries as its [out] entries
+    # (valid ART/6: the entries hold their bases too)
     large = generate_corpus(
         CorpusConfig(program_count=2, seed=1, methods_min=1, methods_max=1, stmts_min=300, stmts_max=300, recursion_prob=1.0)
     )
     programs = [p for _, p in small_corpus] + [parse_program(text) for _, text in large]
     checked = 0
     for p in programs:
-        plain = emit_artwork(p, analyze_inter(p))
-        for a in (plain, optimize_artwork(p, plain)):
+        lfp = analyze_inter(p)
+        plain = emit_artwork(p, lfp)
+        whole = Artwork(plain.i_loop, plain.i_in, {n: lfp.out_summary[n] for n in plain.i_out})
+        for a in (plain, optimize_artwork(p, plain), whole):
             first, *lines, last = encode(a).decode().split("\n")
-            assert first == "ART/5" and last == ""
+            assert first == "ART/6" and last == ""
             section = None
             for line in lines:
                 if line in _ENTRY_HEADERS:
@@ -837,7 +844,7 @@ import sys
 from artpta import UnknownReferenceError, decode, parse_program
 p = parse_program("method main() {\\n  1: x = new C\\n}\\n")
 for body in sys.argv[1:]:  # " {", the edge lines, "}"
-    data = ("ART/5\\n[loop]\\n[in]\\nmain" + body + "[out]\\n").encode()
+    data = ("ART/6\\n[loop]\\n[in]\\nmain" + body + "[out]\\n").encode()
     try:
         decode(data, p)
         print("accepted")
@@ -912,7 +919,7 @@ def test_a_syntax_error_wins_over_a_program_the_index_rejects():
 
     p = parse_program("method main() {\n  1: return\n  2: nop\n  3: goto 2\n}\n")
     with pytest.raises(MalformedArtworkError) as info:
-        decode(b"ART/5\n[loop]\n[in]\nmain {\n", p)
+        decode(b"ART/6\n[loop]\n[in]\nmain {\n", p)
     assert str(info.value) == "unterminated graph block"
     with pytest.raises(IrreducibleCfgError):
-        decode(b"ART/5\n[loop]\n[in]\n[out]\n", p)
+        decode(b"ART/6\n[loop]\n[in]\n[out]\n", p)

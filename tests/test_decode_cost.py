@@ -32,7 +32,7 @@ def _chain(k: int, n: int, valid_keys: int = 1) -> bytes:
     ``main``, so its identifiers are written as encode writes them, scoped
     (``/0 :1``)."""
     edges = [f"/{v} :{v + 1}" for v in sorted(range(k), key=str)]
-    lines = ["ART/5", "[loop]", "main:1 {", *(f"  {e}" for e in edges), "}"]
+    lines = ["ART/6", "[loop]", "main:1 {", *(f"  {e}" for e in edges), "}"]
     for j in range(n):
         label = j + 2 if j + 1 < valid_keys else 1_000_000 + j
         lines += [f"main:{label} ^", f"{'-+'[j % 2]} {edges[0]}"]

@@ -55,7 +55,7 @@ def _oracle_graph(lines: list[str]) -> PointsToGraph:
 
 
 def _oracle_decode(text: str) -> Artwork:
-    """A well-formed ART/5 text read line by line into edge-set graphs, each
+    """A well-formed ART/6 text read line by line into edge-set graphs, each
     scoped token of an entry expanded with the entry's method."""
     lines = text.split("\n")[:-1]
     sections: dict[str, dict] = {}
@@ -212,7 +212,7 @@ def test_one_variable_spread_over_a_block_decodes_to_one_set():
         "main:1 .f main:1", "main/0 null", "main:1 .g null", "main/0 main:1",
         "main:1 .f main:2", "main/0 main:1 null", "main:1 .f main:2 main:1",
     ]
-    text = "ART/5\n[loop]\n[in]\nmain {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
+    text = "ART/6\n[loop]\n[in]\nmain {\n" + "".join(f"  {e}\n" for e in body) + "}\n[out]\n"
     g = decode(text.encode(), p).i_in["main"]
     _assert_canonical_maps(g)
     assert g == _oracle_graph([f"  {e}" for e in body])
@@ -297,7 +297,7 @@ def test_a_round_trip_file_mixes_scoped_and_full_spellings():
     g3 = edited(g2, [("-", (main0, frozenset({NULL_OBJECT}))), ("+", (s0, frozenset({f})))])
     data = _assert_round_trip(Artwork(i_loop={("main", 6): g1}, i_in={"r": g2, "s": g3}, i_out={}))
     assert data == (
-        b"ART/5\n[loop]\nmain:6 {\n  /0 :1 null\n  :1 .f r:2\n}\n"
+        b"ART/6\n[loop]\nmain:6 {\n  /0 :1 null\n  :1 .f r:2\n}\n"
         # an entry of r: its own identifiers scoped, main's in full, and a
         # "^" after an entry of main
         b"[in]\nr ^\n+ /0 main:1\n+ :2 .g main:1\n"

@@ -21,6 +21,7 @@ import re
 import pytest
 
 from artpta import (
+    Artwork,
     CorpusConfig,
     MalformedArtworkError,
     UnknownReferenceError,
@@ -223,15 +224,19 @@ def _insert(text: str, new_lines: list[str], rng: random.Random) -> str:
 @pytest.fixture(scope="module")
 def artifacts():
     """(program, artifact text): plain and optimized artifacts of default- and
-    roundtrip-large-shape programs at seeds 1 and 90917."""
+    roundtrip-large-shape programs at seeds 1 and 90917, and each plain
+    artifact with whole OUT summaries as its ``[out]`` entries (valid
+    ``ART/6``, as ``ART/5`` wrote them), whose ``^`` edits add more."""
     out = []
     for seed in SEEDS:
-        small = generate_corpus(CorpusConfig(program_count=8, seed=seed))
+        small = generate_corpus(CorpusConfig(program_count=16, seed=seed))
         large = generate_corpus(CorpusConfig(program_count=2, seed=seed, **LARGE_SHAPE))
         for name, text in [*small, *(f for f in large if f[0].startswith("gen"))]:
             p = parse_program(text)
-            a = emit_artwork(p, analyze_inter(p))
-            for data in (encode(a), encode(optimize_artwork(p, a))):
+            lfp = analyze_inter(p)
+            a = emit_artwork(p, lfp)
+            whole = Artwork(a.i_loop, a.i_in, {n: lfp.out_summary[n] for n in a.i_out})
+            for data in (encode(a), encode(optimize_artwork(p, a)), encode(whole)):
                 if b" {\n" in data:  # a graph to insert into
                     out.append((p, data.decode()))
     return out
@@ -361,7 +366,7 @@ def test_a_decoded_artifact_holds_one_object_per_identifier(artifacts):
         "method foo(p) {\n  1: return\n}\n"
     )
     text = (
-        "ART/5\n[loop]\nmain:1 {\n  main/0 main:1\n  main:1 .f main:2\n}\n"
+        "ART/6\n[loop]\nmain:1 {\n  main/0 main:1\n  main:1 .f main:2\n}\n"
         "main:2 ^\n[in]\nfoo {\n  foo/0 main:2\n  main/0 main:2\n  main:2 .f main:1\n}\n"
         "main {\n  main/0 main:1\n  main:1 .f main:2\n}\n[out]\n"
     )

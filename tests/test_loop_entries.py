@@ -10,17 +10,13 @@ default-shape programs and two programs of the roundtrip-large shape."""
 import pytest
 
 from artpta import (
-    ARITH,
     LOOPY,
-    REC,
     EMPTY,
     Artwork,
-    CorpusConfig,
     analyze_inter,
     decode,
     emit_artwork,
     encode,
-    generate_corpus,
     meet,
     optimize_artwork,
     parse_program,
@@ -30,22 +26,9 @@ from artpta import (
 from artpta.cli import main
 from artpta.equations import eval_statement, forward_in
 from artpta.ir import ProgramIndex
+from helpers import entry_sources
 
-LARGE = {"methods_min": 1, "methods_max": 1, "stmts_min": 300, "stmts_max": 300, "recursion_prob": 1.0}
-
-
-def _sources() -> dict[str, str]:
-    sources = {"loopy": LOOPY, "rec": REC, "arith": ARITH}
-    for name, text in generate_corpus(CorpusConfig(program_count=20, seed=1)):
-        if name.startswith("gen"):
-            sources[f"default-{name}"] = text
-    for name, text in generate_corpus(CorpusConfig(program_count=2, seed=1, **LARGE)):
-        if name.startswith("gen"):
-            sources[f"large-{name}"] = text
-    return sources
-
-
-SOURCES = _sources()
+SOURCES = entry_sources()
 
 
 def _header_images(p, result) -> dict:
@@ -109,7 +92,7 @@ def test_an_art4_file_is_rejected(tmp_path, capsys):
     art = tmp_path / "loopy.art"
     assert main(["analyze", str(ir), "-o", str(art)]) == 0
     old = tmp_path / "old.art"
-    old.write_bytes(art.read_bytes().replace(b"ART/5", b"ART/4", 1))
+    old.write_bytes(art.read_bytes().replace(b"ART/6", b"ART/4", 1))
     capsys.readouterr()
     assert main(["regen", str(ir), str(old)]) == 2
-    assert capsys.readouterr().err.strip() == "error: missing ART/5 header"
+    assert capsys.readouterr().err.strip() == "error: missing ART/6 header"

@@ -116,9 +116,9 @@ def test_the_pipeline_makes_no_cycles(text):
         _no_garbage("rq2")
 
     _rejected("decode truncated", decode, data[: len(data) // 2], p)
-    _rejected("decode unknown reference", decode, b"ART/5\n[loop]\n[in]\nmain {\n  /999 null\n}\n[out]\n", p)
+    _rejected("decode unknown reference", decode, b"ART/6\n[loop]\n[in]\nmain {\n  /999 null\n}\n[out]\n", p)
     _rejected("decode junk line", decode, data.replace(b"\n", b"\njunk\n", 1), p)
-    _rejected("decode old header", decode, data.replace(b"ART/5", b"ART/2", 1), p)
+    _rejected("decode old header", decode, data.replace(b"ART/6", b"ART/2", 1), p)
 
 
 def test_only_arith_has_nothing_to_reduce():

@@ -476,7 +476,7 @@ FIXED = g(
 def _graphs_by_maker():
     """A non-empty graph made by each of the paths that build graphs."""
     other = g([(VARS[2], SITES[1])], [(SITES[1], "f", SITES[0])])
-    data = b"ART/5\n[loop]\n[in]\nm {\n  /0 :1 null\n  :1 .f :2\n}\n[out]\n"
+    data = b"ART/6\n[loop]\n[in]\nm {\n  /0 :1 null\n  :1 .f :2\n}\n[out]\n"
     return {
         "of": FIXED,
         "edited": edited(FIXED, [("-", (VARS[0], frozenset({NULL_OBJECT}))), ("+", (SITES[1], "g", frozenset({SITES[2]})))]),
@@ -722,7 +722,7 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
     with pytest.raises(ValueError):
         _graph_of_lines([*render_edges(a), f"null .{f}-> m:1"])
     text = "\n".join(f"  {line}" for line in [*render_edges(a), f"null .{f}-> m:1"])
-    data = f"ART/5\n[loop]\n[in]\nm {{\n{text}\n}}\n[out]\n".encode()
+    data = f"ART/6\n[loop]\n[in]\nm {{\n{text}\n}}\n[out]\n".encode()
     with pytest.raises(MalformedArtworkError):
         decode(data, CTX)
 
@@ -853,22 +853,22 @@ def test_identifiers_from_tamper_and_analysis_match_parsed_ones(rec_pipeline):
             assert _graph_of_lines(render_edges(graph)) == graph
 
 
-# The binding lines and ART/5 bytes of the fixture artifacts, written out:
+# The binding lines and ART/6 bytes of the fixture artifacts, written out:
 # in an entry of a method, that method's identifiers are written without its
 # name.
 _FIXTURE_ART = {
     "loopy": (
-        "ART/5\n[loop]\nmain:5 {\n"
+        "ART/6\n[loop]\nmain:5 {\n"
         "  /0 :6\n  /1 :11 :9\n"
         "  :6 .f :11 :3 :9\n}\n[in]\nmain {\n}\n[out]\n"
     ),
     "rec": (
-        "ART/5\n[loop]\n[in]\nfoo {\n  /0 :4 null\n  :4 .f null\n}\n"
-        "main {\n}\n[out]\nfoo ^\n+ :4 .f null\n+ :5 .f :4\n"
+        "ART/6\n[loop]\n[in]\nfoo {\n  /0 :4 null\n  :4 .f null\n}\n"
+        "main {\n}\n[out]\nfoo ^\n+ :5 .f :4\n"
     ),
     # the loop adds nothing at its header, so both entries are empty and
     # the second repeats the first
-    "arith": "ART/5\n[loop]\nmain:3 {\n}\n[in]\nmain ^\n[out]\n",
+    "arith": "ART/6\n[loop]\nmain:3 {\n}\n[in]\nmain ^\n[out]\n",
 }
 
 
@@ -918,7 +918,7 @@ def test_repeated_graph_bytes_with_every_object_form():
     # entry removes, then adds, each group in render_edges order.  The
     # identifiers of m are scoped in m's entries and in full in n's.
     assert encode(art) == (
-        b"ART/5\n[loop]\nm:3 {\n  /0 ?0\n  /1 :2 null\n"
+        b"ART/6\n[loop]\nm:3 {\n  /0 ?0\n  /1 :2 null\n"
         b"  :1 .g :2\n  ?1 .f null\n}\n[in]\nm ^\nmain {\n}\nn ^\n[out]\n"
         b"m ^\n+ /0 ?0\n+ /1 :2 null\n+ :1 .g :2\n+ ?1 .f null\n"
         b"n ^\n- m/1 null\n- m?1 .f null\n+ m/4 m:1\n+ m:1 .f m?0\n"

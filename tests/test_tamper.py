@@ -87,8 +87,10 @@ def test_every_reductive_draw_takes_an_element_of_its_entry_away(small_corpus):
                     if kind is not TamperKind.REPLACE_OBJECT:
                         assert subsumes(before[k], after[k]), spec
                     checked[kind] += 1
-    # ARITH's artworks hold only empty entries: nothing to draw
-    assert [checked[kind] for kind in REDUCTIVE_KINDS] == [192, 192, 192, 168]
+    # ARITH's artworks hold only empty entries: nothing to draw; and no
+    # shrink-set on the first roundtrip-large program, whose artworks hold no
+    # set of two or more targets now that its [out] entry lacks its base
+    assert [checked[kind] for kind in REDUCTIVE_KINDS] == [192, 192, 192, 156]
 
 
 @pytest.mark.parametrize("kind", REDUCTIVE_KINDS)
@@ -295,8 +297,8 @@ def test_tampered_pooled_artifacts_encode_canonically(small_corpus, reference_en
 # The digests of every tamper output below, in order: each spec's target
 # string or the NothingToTamperError message (the draws, which do not
 # depend on the codec), and each mutated artwork's bytes.
-TAMPER_DRAWS_SHA256 = "e02d0078bf1108490604811e5b9d65acfe3100b1b00283ddec3e009f6b8088d4"
-TAMPER_BYTES_SHA256 = "58119648628f1431dbcc4c3d6c58b629868db81c96639288da5f3e67f40a66d8"
+TAMPER_DRAWS_SHA256 = "1130de43b6feecfa9e9eb1b75221062c95e7efac130e5b78c51798abe2c4191e"
+TAMPER_BYTES_SHA256 = "dc758e09ef4ced065da8342b3c7a14d9b004beca100b1ded97d61f2b35d94cae"
 
 
 def test_tamper_outputs_are_pinned(small_corpus):
@@ -324,7 +326,7 @@ def test_tamper_outputs_are_pinned(small_corpus):
                     out = encode(mutated)
                     data.update(len(out).to_bytes(8, "little") + out)
                     outputs += 1
-    assert (len(programs), outputs) == (18, 1152)
+    assert (len(programs), outputs) == (18, 1140)
     assert draws.hexdigest() == TAMPER_DRAWS_SHA256
     assert data.hexdigest() == TAMPER_BYTES_SHA256
 
