@@ -40,17 +40,18 @@ less ``B``; a deleted entry reads as the empty graph.  The codec reads
 neither meaning: decode builds a ``[loop]`` or ``[out]`` entry as a plain
 graph, as it builds every other.  Each edge line is one binding of a
 graph, with no arrow: a variable and all its targets, or an object, a field
-token ``.f`` and all its targets; a key with a ``/`` is a variable.  Inside
-an entry of method M, an identifier of M is written without M's name: a
-variable slot as ``/k``, an allocation site as ``:label`` and a placeholder
-as ``?i``.  Every other identifier keeps its full text (``main:1`` in an
-entry of ``foo``, and the previous entry's variables in an edit across
-methods), as does ``null``; the full text of an identifier of M is also
-read, as the same identifier.  Targets and lines are sorted by their full
-text, as ``render_edges`` sorts them.  The syntax is ``ART/4``'s; ``ART/5``
-changed the meaning of a ``[loop]`` entry, from the header's whole OUT to
-what the loop adds to ``f_h(F)``, and ``ART/6`` that of an ``[out]`` entry,
-from the whole OUT summary to what it adds to the base.  A block writes
+token ``.f`` and all its targets; a key with a ``/`` is a variable.  An
+object is an allocation site or ``null``.  Inside an entry of method M, an
+identifier of M is written without M's name: a variable slot as ``/k`` and
+an allocation site as ``:label``.  Every other identifier keeps its full
+text (``main:1`` in an entry of ``foo``, and the previous entry's variables
+in an edit across methods), as does ``null``; the full text of an
+identifier of M is also read, as the same identifier.  Targets and lines
+are sorted by their full text, as ``render_edges`` sorts them.  The syntax
+is ``ART/4``'s; ``ART/5`` changed the meaning of a ``[loop]`` entry, from
+the header's whole OUT to what the loop adds to ``f_h(F)``, and ``ART/6``
+that of an ``[out]`` entry, from the whole OUT summary to what it adds to
+the base.  A block writes
 each binding once, variables first, each group sorted.  An entry written
 ``^`` holds the value of the
 entry before it in file order, across section headers, with the targets of
@@ -59,9 +60,9 @@ with no such lines it is the same graph.  The first entry cannot be one.
 ``encode`` writes the ``- `` lines first, one per key, then the ``+ ``
 lines, each group sorted.  A line has at least one target and names none
 twice (``main:1`` and ``:1`` in an entry of ``main`` are one target).  A
-field name is an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; a line with
-any other is a syntax error, whichever path below reads it, and so is an
-arrow.  Only spaces (U+0020) separate a line's tokens: a tab, ``\\x1c`` or
+field name, and the method name of an identifier, is an ASCII identifier,
+``[A-Za-z_][A-Za-z0-9_]*``; a line with any other is a syntax error,
+whichever path below reads it, and so is an arrow.  Only spaces (U+0020) separate a line's tokens: a tab, ``\\x1c`` or
 any other whitespace between two tokens is a syntax error too.  There is no
 reader for ``ART/5``, ``ART/4``, ``ART/3``, ``ART/2`` or ``ART/1``, the
 formats this one replaced.
@@ -118,7 +119,6 @@ from .ir import (
     ENTRY,
     EXIT,
     Identifier,
-    Placeholder,
     Program,
     ProgramIndex,
     VarId,
@@ -226,8 +226,8 @@ def encode(a: Artwork) -> bytes:
 def _scoped(lines: str, method: str) -> str:
     """Edge lines of an entry of ``method`` with that name dropped from each
     of its identifiers: every token is written after a space, and a method
-    name holds no ``/``, ``:`` or ``?``."""
-    return lines.replace(f" {method}/", " /").replace(f" {method}:", " :").replace(f" {method}?", " ?")
+    name holds no ``/`` or ``:``."""
+    return lines.replace(f" {method}/", " /").replace(f" {method}:", " :")
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +265,16 @@ def _unknown(o: Identifier) -> str:
     """Why an identifier the program lacks is bad, by its type."""
     if isinstance(o, VarId):
         return f"unknown variable slot {o.method}/{o.slot}"
-    if isinstance(o, Placeholder):
-        return f"unknown placeholder {o.method}?{o.index}"
     return f"object {o.method}:{o.label} is not an allocation site"
 
 
 class _Table(dict):
     """What an entry of one method looks its lines up in: the method's own
-    identifiers by scoped text (``/0``, ``:1``, ``?0``), and on a miss
-    whatever ``ids`` holds (a full text, or an identifier by value), kept
-    once found.  ``table[key]`` is None for a key neither holds.  It holds
-    what the file names, so a decode of many entry methods costs no copy of
-    ``ids`` per method."""
+    identifiers by scoped text (``/0``, ``:1``), and on a miss whatever
+    ``ids`` holds (a full text, or an identifier by value), kept once found.
+    ``table[key]`` is None for a key neither holds.  It holds what the file
+    names, so a decode of many entry methods costs no copy of ``ids`` per
+    method."""
 
     def __init__(self, own: dict, ids: dict):
         super().__init__(own)
@@ -295,10 +293,10 @@ class _EdgeLines(dict):
     objs, edge)``: its key (a variable ``v``, or ``(s, f)``), its targets in
     one frozenset, and the two as the edge ``(v, objs)`` or ``(s, f,
     objs)`` that ``ptg.edited`` takes and stores as it is.  A scoped
-    identifier (``/0``, ``:1``, ``?0``) is one of ``scope``.  An artifact
-    repeats most of its lines across entries, so each distinct (scope,
-    line) is parsed once and its set is shared by every graph that holds
-    the binding.  When there is a program, every side of the line is
+    identifier (``/0``, ``:1``) is one of ``scope``.  An artifact repeats
+    most of its lines across entries, so each distinct (scope, line) is
+    parsed once and its set is shared by every graph that holds the
+    binding.  When there is a program, every side of the line is
     replaced by its entry in ``ids``, the table an entry of ``scope`` reads
     by (see ``decode``), so equal identifiers are one object: a line
     written as the table renders its sides is looked up by text, any other

@@ -68,14 +68,13 @@ repeats, a variable read before any assignment, an unknown jump target: by
 statement, and in that order within one) and then its first unknown call
 target.
 
-Variables and abstract objects are identified by ``VarId`` (method, slot),
-``Site`` (method, allocation label) and ``Placeholder`` (method, parameter
-index), tagged named tuples defined here so that the builder can make them;
-``ptg`` and the package re-export them.  ``identifiers(p)`` is the one
-place that says which of them a program has: a table, built from the
-program on each call, that maps each to itself and its rendered text to it.
-Decode looks every artifact edge line up in it, and ``tamper`` draws its
-sites from it.
+Variables and abstract objects are identified by ``VarId`` (method, slot)
+and ``Site`` (method, allocation label), tagged named tuples defined here so
+that the builder can make them; ``ptg`` and the package re-export them.
+``identifiers(p)`` is the one place that says which of them a program has:
+a table, built from the program on each call, that maps each to itself and
+its rendered text to it.  Decode looks every artifact edge line up in it,
+and ``tamper`` draws its sites from it.
 Each statement of a parsed method carries its resolved operands
 (``LabeledStatement.operands``, see ``Operands``): the variables it writes
 and reads, one ``VarId`` per variable, made when its slot is assigned; its
@@ -263,18 +262,6 @@ class Site(NamedTuple):
         return f"Site(method={self.method!r}, label={self.label!r})"
 
 
-class Placeholder(NamedTuple):
-    """Stand-in object for reference parameter ``index`` of ``method``: the
-    artifact grammar keeps it (``method?i``), but no analysis makes one."""
-
-    method: str
-    index: int
-    kind: str = "placeholder"  # constant tag: never pass it
-
-    def __repr__(self) -> str:
-        return f"Placeholder(method={self.method!r}, index={self.index!r})"
-
-
 # The builder, ``identifiers`` and the codec in ``ptg`` make identifiers, and
 # the line reader makes instructions, straight from their field tuple, the
 # kind tag last, which skips the named tuples' Python-level constructor.
@@ -348,16 +335,16 @@ class Program:
         return tuple(m.name for m in self.methods)
 
 
-Identifier = Union[VarId, Placeholder, Site]
+Identifier = Union[VarId, Site]
 
 
 def identifiers(p: Program) -> dict[Identifier | str, Identifier]:
     """Every variable and object of ``p``, each mapped to itself, in program
     order: per method, its slots 0 to ``var_count`` (the last is the return
-    carrier), a ``Placeholder`` per parameter and a ``Site`` per allocation
-    statement.  Each is also keyed by its full text as an edge line writes
-    it (``main/0``, ``main?0``, ``main:3``), all the texts after all the
-    identifiers.  The null object belongs to every program and is not here.
+    carrier), and a ``Site`` per allocation statement.  Each is also keyed
+    by its full text as an edge line writes it (``main/0``, ``main:3``), all
+    the texts after all the identifiers.  The null object belongs to every
+    program and is not here.
 
     This is the one place that says which identifiers a program has.  The
     table is made from ``p`` alone, on each call, and nothing else adds to
@@ -370,20 +357,18 @@ def identifier_tables(
 ) -> tuple[dict[Identifier | str, Identifier], dict[str, dict[str, Identifier]]]:
     """``identifiers(p)``, and per method name a table of its identifiers,
     the same objects, keyed by their scoped text: the full text without the
-    method's name (``/0``, ``?0``, ``:3``), as an artifact entry of that
-    method writes them."""
+    method's name (``/0``, ``:3``), as an artifact entry of that method
+    writes them."""
     ids: list = []
     texts: list[str] = []
     scoped: dict[str, dict[str, Identifier]] = {}
     for m in p.methods:
         name = m.name
         slots = range(m.var_count + 1)
-        params = range(len(m.params))
         labels = [s.label for s in m.body if isinstance(s.instr, Alloc)]
         own = [_tuple_new(VarId, (name, k, "var")) for k in slots]
-        own += [_tuple_new(Placeholder, (name, k, "placeholder")) for k in params]
         own += [_tuple_new(Site, (name, k, "site")) for k in labels]
-        local = [f"/{k}" for k in slots] + [f"?{k}" for k in params] + [f":{k}" for k in labels]
+        local = [f"/{k}" for k in slots] + [f":{k}" for k in labels]
         ids += own
         texts += [name + text for text in local]
         scoped[name] = dict(zip(local, own))

@@ -46,19 +46,17 @@ and ``tamper`` put an edge ``(v, o)`` or ``(s, f, t)`` in the singleton-set
 form with ``set_edge``.
 
 Variables and objects are small values that hash and compare in C:
-``VarId``, ``Site`` and ``Placeholder`` are named tuples whose last field is
-a constant kind tag, so ``VarId("m", 1)``, ``Site("m", 1)`` and
-``Placeholder("m", 1)`` differ while each keeps its ``method`` /
-``slot`` / ``label`` / ``index`` attributes; the tag is never rendered.
-``VarId``, ``Site`` and ``Placeholder`` are defined in ``ir``, whose builder
-makes them, and re-exported here.  ``NULL_OBJECT`` is the one ``NullObject``
-and hashes by identity.  Equal identifiers built anywhere (by the builder,
-parsed from an artifact, by ``tamper``) are equal values, so there is no
-intern table: a process-wide table would let untrusted artifacts grow memory
-without bound, and the tuples are already cheap to hash.  ``ir.identifiers``
-is no such table: decode builds it from the program on each call and looks
-edge lines up in it, so no artifact text ever adds to it and it dies with
-the call.
+``VarId`` and ``Site`` are named tuples whose last field is a constant kind
+tag, so ``VarId("m", 1)`` and ``Site("m", 1)`` differ while each keeps its
+``method`` / ``slot`` / ``label`` attributes; the tag is never rendered.
+``VarId`` and ``Site`` are defined in ``ir``, whose builder makes them, and
+re-exported here.  ``NULL_OBJECT`` is the one ``NullObject`` and hashes by
+identity.  Equal identifiers built anywhere (by the builder, parsed from an
+artifact, by ``tamper``) are equal values, so there is no intern table: a
+process-wide table would let untrusted artifacts grow memory without bound,
+and the tuples are already cheap to hash.  ``ir.identifiers`` is no such
+table: decode builds it from the program on each call and looks edge lines
+up in it, so no artifact text ever adds to it and it dies with the call.
 
 The flow functions (``transfer``, ``project_in``, ``project_out``) take a
 statement's operands from the statement itself, as the builder resolved
@@ -88,9 +86,8 @@ binding line.  Inside an artifact entry of method ``main`` the identifiers of
 the written lines, and ``parse_binding_line`` and ``parse_object`` read
 such a scoped text when given the entry's method as ``scope``.
 
-Objects render as ``method:label`` (allocation site), ``null`` (the one
-null object), or ``method?i`` (placeholder for reference parameter i: the
-artifact grammar keeps it, but no analysis writes one).
+Objects render as ``method:label`` (allocation site) or ``null`` (the one
+null object).
 """
 
 from __future__ import annotations
@@ -109,7 +106,6 @@ from .ir import (
     LabeledStatement,
     Method,
     Operands,
-    Placeholder,
     Return,
     Site,
     VarId,
@@ -132,7 +128,7 @@ class NullObject:
 
 NULL_OBJECT: NullObject = object.__new__(NullObject)
 
-ObjectId = Union[Site, NullObject, Placeholder]
+ObjectId = Union[Site, NullObject]
 
 VarEdge = tuple[VarId, ObjectId]
 FieldEdge = tuple[ObjectId, str, ObjectId]
@@ -619,8 +615,6 @@ def restrict_to_summary(exit_graph: PointsToGraph, m: Method) -> PointsToGraph:
 def render_object(o: ObjectId) -> str:
     if isinstance(o, Site):
         return f"{o.method}:{o.label}"
-    if isinstance(o, Placeholder):
-        return f"{o.method}?{o.index}"
     return "null"
 
 
@@ -716,23 +710,14 @@ def _too_long(digits: str, part: str) -> ValueError:
 
 def parse_object(text: str, scope: str | None = None) -> ObjectId:
     """One rendered object; with a ``scope``, an object of that method may
-    be written without its name (``:3``, ``?0``).  Its integer is
-    ``[0-9]+``: ``str.isdigit`` alone also takes other scripts' digits and
-    superscripts, hence ``isascii`` first."""
+    be written without its name (``:3``).  Its method is an ASCII identifier
+    and its integer is ``[0-9]+``: ``str.isdigit`` alone also takes other
+    scripts' digits and superscripts, hence ``isascii`` first."""
     if text == "null":
         return NULL_OBJECT
-    if "?" in text:
-        method, _, idx = text.partition("?")
-        method = method or scope
-        if not method or not (idx.isascii() and idx.isdigit()):
-            raise ValueError(f"bad object {text!r}")
-        try:
-            return _tuple_new(Placeholder, (method, int(idx), "placeholder"))
-        except ValueError:
-            raise _too_long(idx, "placeholder index") from None
     method, sep, label = text.partition(":")
-    method = method or scope
-    if not sep or not method or not (label.isascii() and label.isdigit()):
+    method = method or scope or ""
+    if not (sep and method.isascii() and method.isidentifier() and label.isascii() and label.isdigit()):
         raise ValueError(f"bad object {text!r}")
     try:
         return _tuple_new(Site, (method, int(label), "site"))
@@ -749,19 +734,19 @@ def parse_binding_line(
     order.  A key with a ``/`` is a variable, and any other an object.
     Tokens are separated by one or more U+0020 spaces, and no other
     whitespace: a tab or ``\\x1c`` stays inside its token, which is then a
-    syntax error, and so is an arrow.  A field name is an ASCII identifier.
-    A variable's slot is ``[0-9]+``, as an object's integer is; the left
-    side is parsed before the targets.  With a ``scope``, a variable or an
-    object of that method may be written without its name (``/0``, ``:3``,
-    ``?0``); errors quote the line as written."""
+    syntax error, and so is an arrow.  A field name is an ASCII identifier,
+    as a method name is.  A variable's slot is ``[0-9]+``, as an object's
+    integer is; the left side is parsed before the targets.  With a ``scope``, a variable or an
+    object of that method may be written without its name (``/0``, ``:3``);
+    errors quote the line as written."""
     lhs, *texts = [part for part in line.split(" ") if part] or [""]
     if not texts:
         raise ValueError(f"bad edge line {line!r}")
     fname = None
     if "/" in lhs:
         method, _, slot = lhs.partition("/")
-        method = method or scope
-        if not method or not (slot.isascii() and slot.isdigit()):
+        method = method or scope or ""
+        if not (method.isascii() and method.isidentifier() and slot.isascii() and slot.isdigit()):
             raise ValueError(f"bad variable {lhs!r}")
         try:
             left = _tuple_new(VarId, (method, int(slot), "var"))

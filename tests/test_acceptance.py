@@ -16,7 +16,6 @@ from artpta import (
     NULL_OBJECT,
     Artwork,
     CorpusConfig,
-    Placeholder,
     PointsToGraph,
     Site,
     TamperKind,
@@ -332,7 +331,7 @@ def test_criterion_9_property_suite():
         return m.body[-1], m
 
     vars_ = [VarId("m", i) for i in range(4)]
-    sources = [Site("m", 1), Site("m", 2), Placeholder("m", 0)]
+    sources = [Site("m", 1), Site("m", 2), Site("m", 8)]
     objects = sources + [NULL_OBJECT]
     fields = ["f", "g"]
     names = ["a", "b", "c", "d"]
@@ -386,7 +385,7 @@ def test_criterion_9_property_suite():
             break
     rec = parse_program(REC)
     rec_vars = [VarId("main", 0), VarId("foo", 0), VarId("foo", 3), VarId("foo", 4)]
-    rec_sources = [Site("foo", 4), Site("foo", 5), Placeholder("foo", 0)]
+    rec_sources = [Site("foo", 4), Site("foo", 5)]
     rec_objects = rec_sources + [NULL_OBJECT]
     for i in range(1000):  # codec round-trip
         art = Artwork(

@@ -6,7 +6,6 @@ from artpta import (
     NULL_OBJECT,
     Artwork,
     MalformedArtworkError,
-    Placeholder,
     PointsToGraph,
     Program,
     Site,
@@ -26,7 +25,7 @@ from artpta import (
 from artpta.artwork import parse_naive
 
 REC_SITES = [Site("foo", 4), Site("foo", 5)]
-REC_OBJS = REC_SITES + [NULL_OBJECT, Placeholder("foo", 0)]
+REC_OBJS = REC_SITES + [NULL_OBJECT]
 REC_VARS = [VarId("main", 0), VarId("main", 1), VarId("foo", 0), VarId("foo", 3), VarId("foo", 4)]
 FIELDS = ["f", "g", "zz"]
 
@@ -36,7 +35,7 @@ def _random_graph(rng: random.Random) -> PointsToGraph:
         (rng.choice(REC_VARS), rng.choice(REC_OBJS)) for _ in range(rng.randrange(4))
     }
     field_edges = {
-        (rng.choice(REC_SITES + [Placeholder("foo", 0)]), rng.choice(FIELDS), rng.choice(REC_OBJS))
+        (rng.choice(REC_SITES), rng.choice(FIELDS), rng.choice(REC_OBJS))
         for _ in range(rng.randrange(4))
     }
     return PointsToGraph(frozenset(var_edges), frozenset(field_edges))

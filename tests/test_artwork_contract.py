@@ -135,7 +135,18 @@ MALFORMED = {
     ),
     "bad-variable": (_art(in_=_block("main", "main/x main:1")), "bad variable 'main/x'"),
     "bad-object": (_art(in_=_block("main", "main/0 main")), "bad object 'main'"),
+    # An object is an allocation site or null: a "?" token is a syntax
+    # error, even one that would name a real parameter of its method.
     "bad-placeholder": (_art(in_=_block("main", "main/0 main?x")), "bad object 'main?x'"),
+    "unknown-placeholder": (_art(in_=_block("main", "main/0 main?0")), "bad object 'main?0'"),
+    "placeholder-of-unknown-method": (_art(in_=_block("r", "r/0 ghost?0")), "bad object 'ghost?0'"),
+    "placeholder-of-a-real-parameter": (_art(in_=_block("r", "r/0 r?0")), "bad object 'r?0'"),
+    "unknown-scoped-placeholder": (_art(in_=_block("main", "/0 ?0")), "bad object '?0'"),
+    # An identifier's method is an ASCII identifier, as an entry's is.
+    "placeholder-before-a-site-label": (_art(in_=_block("r", "r/0 r?0:1")), "bad object 'r?0:1'"),
+    "placeholder-before-a-variable-slot": (_art(in_=_block("r", "r?0/0 null")), "bad variable 'r?0/0'"),
+    "site-of-a-method-that-is-no-name": (_art(in_=_block("main", "/0 a-b:1")), "bad object 'a-b:1'"),
+    "slot-of-a-method-that-is-no-name": (_art(in_=_block("main", "a-b/0 null")), "bad variable 'a-b/0'"),
     "empty-field-name": (
         _art(in_=_block("main", "main:1 . null")),
         "bad field edge 'main:1 . null'",
@@ -300,7 +311,7 @@ MALFORMED = {
     ),
     "huge-placeholder-index": (
         _art(in_=_block("r", "r/0 r?" + "9" * 5000)),
-        "placeholder index too long (5000 digits)",
+        "bad object 'r?" + "9" * 5000 + "'",
     ),
     # Integers are ASCII digits only: no other script's digits, no superscripts.
     "arabic-indic-site-label": (
@@ -323,8 +334,8 @@ MALFORMED = {
         _art(out=_block("r", "r:\u00b2 .g r:2")),
         "bad object 'r:\u00b2'",
     ),
-    # A scoped identifier (``/0``, ``:1``, ``?0`` in an entry of main) is a
-    # mark and a number; a syntax error quotes it as written.
+    # A scoped identifier (``/0``, ``:1`` in an entry of main) is a mark and
+    # a number; a syntax error quotes it as written.
     "scoped-variable-without-a-slot": (_art(in_=_block("main", "/ null")), "bad variable '/'"),
     "scoped-variable-with-a-name": (_art(in_=_block("main", "/x null")), "bad variable '/x'"),
     "scoped-site-without-a-label": (_art(in_=_block("main", "/0 :")), "bad object ':'"),
@@ -363,14 +374,6 @@ UNKNOWN = {
     "slot-of-unknown-method": (
         _art(in_=_block("main", "ghost/0 main:1")),
         "[in] main: unknown variable slot ghost/0",
-    ),
-    "unknown-placeholder": (
-        _art(in_=_block("main", "main/0 main?0")),
-        "[in] main: unknown placeholder main?0",
-    ),
-    "placeholder-of-unknown-method": (
-        _art(in_=_block("r", "r/0 ghost?0")),
-        "[in] r: unknown placeholder ghost?0",
     ),
     "not-an-allocation": (
         _art(in_=_block("main", "main/0 main:3")),
@@ -415,10 +418,6 @@ UNKNOWN = {
     "unknown-scoped-site": (
         _art(in_=_block("main", "/0 :3")),
         "[in] main: object main:3 is not an allocation site",
-    ),
-    "unknown-scoped-placeholder": (
-        _art(in_=_block("main", "/0 ?0")),
-        "[in] main: unknown placeholder main?0",
     ),
     "unknown-scoped-field-source": (
         _art(out=_block("r", ":1 .g :2")),

@@ -12,7 +12,6 @@ from artpta import (
     NULL_OBJECT,
     AnalysisResult,
     Artwork,
-    Placeholder,
     PointsToGraph,
     Site,
     VarId,
@@ -29,10 +28,7 @@ METHODS = ["a", "a_b", "ab", "a1"]
 SLOTS = [1, 10, 100]
 FIELDS = ["f", "f_", "fg", "f1"]
 VARS = [VarId(m, s) for m in METHODS for s in SLOTS]
-# a placeholder next to the site with the same method and number
-OBJECTS = [Site(m, s) for m in METHODS for s in SLOTS] + [
-    Placeholder(m, s) for m in METHODS for s in SLOTS
-] + [NULL_OBJECT]
+OBJECTS = [Site(m, s) for m in METHODS for s in SLOTS] + [NULL_OBJECT]
 SOURCES = [o for o in OBJECTS if o is not NULL_OBJECT]
 
 

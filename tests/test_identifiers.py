@@ -3,17 +3,18 @@ reference rules decode checks edge lines by.
 
 The rules: a variable slot exists when its method does and the slot is at
 most the method's ``var_count`` (the last slot is the return carrier); a
-placeholder when its method does and its index is below the method's
-parameter count; a site when its method has an allocation statement with
-that label.  Null belongs to every program.
+site when its method has an allocation statement with that label.  Null
+belongs to every program.  An object is a site or null, so a ``?`` token
+(``?0``, ``main?0``) is a syntax error.
 
 Valid artifacts of both corpus shapes get seeded binding lines of one to
 three targets inserted that name known and unknown variables and objects on
-either side, in full or scoped (``/0``, ``:1``, ``?0``: read against the
-method of the entry they land in), and every decode outcome (the exception's type and message, or
-the decoded maps) must equal what the reference predicts.  ``ir.identifiers``
-must accept exactly what the rules accept, and a decoded artifact must hold
-one object per identifier."""
+either side, in full or scoped (``/0``, ``:1``: read against the method of
+the entry they land in), or a copy of a ``^`` entry's ``+ `` line inserted
+into the block before it, and every decode outcome (the exception's type
+and message, or the decoded maps) must equal what the reference predicts.
+``ir.identifiers`` must accept exactly what the rules accept, and a decoded
+artifact must hold one object per identifier."""
 
 import random
 import re
@@ -48,7 +49,6 @@ TRIALS_PER_ARTIFACT = 25
 # ---------------------------------------------------------------------------
 
 _VAR_RE = re.compile(r"(.+)/([0-9]+)")
-_PLACEHOLDER_RE = re.compile(r"(.+)\?([0-9]+)")
 _SITE_RE = re.compile(r"(.+):([0-9]+)")
 
 
@@ -63,13 +63,6 @@ def _why_var(p: Program, text: str) -> str | None:
 def _why_object(p: Program, text: str) -> str | None:
     if text == "null":
         return None
-    found = _PLACEHOLDER_RE.fullmatch(text)
-    if found is not None:
-        method, index = found.groups()
-        m = next((m for m in p.methods if m.name == method), None)
-        if m is None or int(index) >= len(m.params):
-            return f"unknown placeholder {method}?{int(index)}"
-        return None
     method, label = _SITE_RE.fullmatch(text).groups()
     m = next((m for m in p.methods if m.name == method), None)
     if m is None or not any(s.label == int(label) and isinstance(s.instr, Alloc) for s in m.body):
@@ -79,9 +72,8 @@ def _why_object(p: Program, text: str) -> str | None:
 
 def _full(line: str, method: str) -> str:
     """A binding line of an entry of ``method`` in full spelling: each
-    scoped token (``/k``, ``:label``, ``?i``) with the method's name before
-    it."""
-    return " ".join(method + t if t[0] in "/:?" else t for t in line.split())
+    scoped token (``/k``, ``:label``) with the method's name before it."""
+    return " ".join(method + t if t[0] in "/:" else t for t in line.split())
 
 
 def _why_line(p: Program, line: str) -> str | None:
@@ -118,8 +110,9 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
     """What decoding ``text`` against ``p`` must give: the exception it
     raises, or the artwork.  ``text`` is a valid artifact with binding lines
     inserted into its blocks, so its only possible syntax errors are a
-    field edge out of null, a target written twice (in full and scoped) and
-    an edit that adds an edge an inserted line put in the entry before.  ``memo`` keeps each line's verdict."""
+    ``?`` token, a field edge out of null, a target written twice (in full
+    and scoped) and an edit that adds an edge an inserted line put in the
+    entry before.  ``memo`` keeps each line's verdict."""
     lines = text.split("\n")[:-1]
     entries: list[tuple[str, str | None]] = []  # (where, why), in file order
     section = why = None
@@ -139,8 +132,14 @@ def _reference_outcome(p: Program, text: str, memo: dict[str, str | None]):
         own = [e[:2] + _full(e[2:], found[1]) for e in lines[i:j]]
         if found[3] == "{":
             for e, written in zip(own, lines[i:j]):  # the first line at fault
+                key = written.split()[0]
+                if "?" in key:
+                    return MalformedArtworkError(f"bad object {key!r}")
                 if e.startswith("  null ."):
                     return MalformedArtworkError("field edge with null source")
+                bad = [t for t in _targets(written[2:]) if "?" in t]
+                if bad:
+                    return MalformedArtworkError(f"bad object {bad[0]!r}")
                 targets = _targets(e[2:])
                 for k, target in enumerate(targets):
                     if target in targets[:k]:  # written two ways: m:1 and :1
@@ -186,14 +185,13 @@ def _names(p: Program, rng: random.Random) -> tuple[list[str], list[str]]:
     for m in p.methods:
         variables += [f"{m.name}/0", f"{m.name}/{m.var_count}", f"{m.name}/{m.var_count + 1}"]
         variables.append(f"{m.name}/{rng.randrange(m.var_count + 1)}")
-        objects += [f"{m.name}?{k}" for k in range(len(m.params) + 1)]
         allocs = [s.label for s in m.body if isinstance(s.instr, Alloc)]
         others = [s.label for s in m.body if not isinstance(s.instr, Alloc)]
         objects += [f"{m.name}:{label}" for label in rng.sample(allocs, min(3, len(allocs)))]
         objects += [f"{m.name}:{label}" for label in rng.sample(others, min(2, len(others)))]
         objects.append(f"{m.name}:{max((s.label for s in m.body), default=0) + 1}")
     variables += ["nosuch/0", "nosuch/1"]
-    objects += ["nosuch?0", "nosuch:1"]
+    objects.append("nosuch:1")
     return variables, objects
 
 
@@ -218,6 +216,32 @@ def _insert(text: str, new_lines: list[str], rng: random.Random) -> str:
         while lines[end].startswith("  "):
             end += 1
         lines.insert(rng.randint(head + 1, end), new)
+    return "\n".join(lines)
+
+
+def _additions(text: str) -> list[tuple[int, str]]:
+    """Each ``+ `` line of a ``^`` entry that follows a block, in full
+    spelling, with the index of that block's closing brace."""
+    lines = text.split("\n")
+    out = []
+    for k, line in enumerate(lines):
+        if line.endswith(" ^") and lines[k - 1] == "}":
+            method = line.split(" ")[0].split(":")[0]
+            j = k + 1
+            while lines[j].startswith(("- ", "+ ")):
+                if lines[j].startswith("+ "):
+                    out.append((k - 1, _full(lines[j][2:], method)))
+                j += 1
+    return out
+
+
+def _insert_addition(text: str, addition: tuple[int, str], rng: random.Random) -> str:
+    """``text`` with the line of ``addition`` inserted into the block its
+    brace closes, so the edit that adds it adds a present edge."""
+    lines = text.split("\n")
+    end, line = addition
+    head = max(k for k in range(end) if lines[k].endswith(" {"))
+    lines.insert(rng.randint(head + 1, end), "  " + line)
     return "\n".join(lines)
 
 
@@ -272,10 +296,15 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
         # scoped texts, read against the method of the entry they land in
         variables += ["/0", "/1", "/9999"]
         objects += [":1", ":2", ":9999", "?0", "?1"]
+        additions = _additions(text)
         memo: dict[str, str | None] = {}
         for _ in range(TRIALS_PER_ARTIFACT):
-            new = [_edge_line(variables, objects, rng) for _ in range(rng.choice((1, 1, 2, 3)))]
-            mutated = _insert(text, new, rng)
+            if additions and rng.random() < 0.1:
+                new = [rng.choice(additions)]
+                mutated = _insert_addition(text, new[0], rng)
+            else:
+                new = [_edge_line(variables, objects, rng) for _ in range(rng.choice((1, 1, 2, 3)))]
+                mutated = _insert(text, new, rng)
             want = _reference_outcome(p, mutated, memo)
             got = _outcome(p, mutated)
             assert _same(got, want), (new, got, want)
@@ -285,7 +314,7 @@ def test_decode_agrees_with_the_reference_rules_on_inserted_edge_lines(artifacts
                 kinds.add("ok")
     # every verdict the rules can give came up
     assert kinds == {
-        "ok", "unknown variable slot", "unknown placeholder", "object", "field edge with null source",
+        "ok", "unknown variable slot", "bad object", "object", "field edge with null source",
         "edit adds a present edge", "repeated target",
     }
 
@@ -304,7 +333,7 @@ def test_the_table_accepts_exactly_what_the_rules_accept(artifacts):
         assert all(k is o for k, o in ids.items())
         assert NULL_OBJECT not in ids and "null" not in table
         assert len(ids) == sum(
-            m.var_count + 1 + len(m.params) + sum(isinstance(s.instr, Alloc) for s in m.body)
+            m.var_count + 1 + sum(isinstance(s.instr, Alloc) for s in m.body)
             for m in p.methods
         )
         # each identifier is keyed by its rendered text too, and only so

@@ -14,7 +14,6 @@ from artpta import (
     Artwork,
     CorpusConfig,
     MalformedArtworkError,
-    Placeholder,
     PointsToGraph,
     Site,
     VarId,
@@ -86,8 +85,7 @@ def _graph_of_lines(lines) -> PointsToGraph:
 
 VARS = [VarId("m", i) for i in range(5)]  # a, b, c, d and the return carrier
 SITES = [Site("m", 1), Site("m", 2), Site("main", 9)]
-SOURCES = SITES + [Placeholder("m", 0)]
-OBJS = SOURCES + [NULL_OBJECT]
+OBJS = SITES + [NULL_OBJECT]
 NAMES = ["a", "b", "c", "d"]
 FIELDS = ["f", "g"]
 
@@ -95,7 +93,7 @@ graphs = st.builds(
     PointsToGraph,
     st.frozensets(st.tuples(st.sampled_from(VARS), st.sampled_from(OBJS)), max_size=6),
     st.frozensets(
-        st.tuples(st.sampled_from(SOURCES), st.sampled_from(FIELDS), st.sampled_from(OBJS)),
+        st.tuples(st.sampled_from(SITES), st.sampled_from(FIELDS), st.sampled_from(OBJS)),
         max_size=6,
     ),
 )
@@ -431,7 +429,7 @@ def test_rec_out_summary_contains_rediscovered_edge(rec_pipeline):
 
 def test_render_sections_sorted_and_parseable():
     a = g(
-        [(VARS[1], SITES[0]), (VARS[0], NULL_OBJECT), (VARS[0], Placeholder("m", 0))],
+        [(VARS[1], SITES[0]), (VARS[0], NULL_OBJECT), (VARS[0], SITES[2])],
         [(SITES[0], "g", SITES[1]), (SITES[0], "f", NULL_OBJECT)],
     )
     lines = render_edges(a)
@@ -442,11 +440,11 @@ def test_render_sections_sorted_and_parseable():
 
 
 def test_render_object_forms():
-    a = g([(VarId("m", 0), Site("m", 4)), (VarId("m", 1), NULL_OBJECT), (VarId("m", 2), Placeholder("m", 1))])
+    a = g([(VarId("m", 0), Site("m", 4)), (VarId("m", 1), NULL_OBJECT), (VarId("m", 2), Site("main", 9))])
     text = render_graph(a)
     assert "m/0 -> m:4" in text
     assert "m/1 -> null" in text
-    assert "m/2 -> m?1" in text
+    assert "m/2 -> main:9" in text
 
 
 @given(graphs)
@@ -468,8 +466,8 @@ def test_meet_all_empty_is_empty():
 # ---------------------------------------------------------------------------
 
 FIXED = g(
-    [(VARS[0], SITES[0]), (VARS[0], NULL_OBJECT), (VARS[1], Placeholder("m", 0))],
-    [(SITES[0], "f", SITES[1]), (Placeholder("m", 0), "g", NULL_OBJECT)],
+    [(VARS[0], SITES[0]), (VARS[0], NULL_OBJECT), (VARS[1], SITES[2])],
+    [(SITES[0], "f", SITES[1]), (SITES[2], "g", NULL_OBJECT)],
 )
 
 
@@ -515,10 +513,10 @@ def test_repr_lists_edges_in_render_order():
         "PointsToGraph(var_edges=frozenset({"
         "(VarId(method='m', slot=0), Site(method='m', label=1)), "
         "(VarId(method='m', slot=0), NullObject()), "
-        "(VarId(method='m', slot=1), Placeholder(method='m', index=0))}), "
+        "(VarId(method='m', slot=1), Site(method='main', label=9))}), "
         "field_edges=frozenset({"
         "(Site(method='m', label=1), 'f', Site(method='m', label=2)), "
-        "(Placeholder(method='m', index=0), 'g', NullObject())}))"
+        "(Site(method='main', label=9), 'g', NullObject())}))"
     )
     assert repr(EMPTY) == "PointsToGraph(var_edges=frozenset(), field_edges=frozenset())"
 
@@ -730,7 +728,7 @@ def test_null_source_rejected_wherever_edges_enter(a, f, t):
 target_sets = st.frozensets(st.sampled_from(OBJS), min_size=1, max_size=3)
 set_edges = st.one_of(
     st.tuples(st.sampled_from(VARS), target_sets),
-    st.tuples(st.sampled_from(SOURCES), st.sampled_from(FIELDS), target_sets),
+    st.tuples(st.sampled_from(SITES), st.sampled_from(FIELDS), target_sets),
 )
 edit_lists = st.lists(st.tuples(st.sampled_from("-+"), set_edges), max_size=8)
 
@@ -798,28 +796,27 @@ def test_edited_matches_an_edge_set_oracle(g, edits, e, refill):
 
 
 def test_same_field_identifiers_of_different_kinds_are_distinct():
-    ids = [VarId("m", 1), Site("m", 1), Placeholder("m", 1), NULL_OBJECT]
+    ids = [VarId("m", 1), Site("m", 1), NULL_OBJECT]
     for i, x in enumerate(ids):
         for y in ids[i + 1 :]:
             assert x != y and y != x
             assert not (x == y)
-    assert len(set(ids)) == 4
+    assert len(set(ids)) == 3
     table = {x: k for k, x in enumerate(ids)}
-    assert [table[x] for x in ids] == [0, 1, 2, 3]
+    assert [table[x] for x in ids] == [0, 1, 2]
     assert len({VarId("m", 1), VarId("m", 1), Site("m", 1), Site("m", 1)}) == 2
     # as graph keys: a variable and an object of the same fields never merge
-    a = g([(VarId("m", 1), Site("m", 1)), (VarId("m", 1), Placeholder("m", 1))])
-    assert len(a.var_edges) == 2 and a.pts(VarId("m", 1)) == {Site("m", 1), Placeholder("m", 1)}
+    a = g([(VarId("m", 1), Site("m", 1))], [(Site("m", 1), "f", Site("m", 1))])
+    assert a.var_edges == {(VarId("m", 1), Site("m", 1))}
+    assert a.field_edges == {(Site("m", 1), "f", Site("m", 1))}
 
 
 def test_identifier_fields_and_repr():
-    v, s, ph = VarId("m", 3), Site("main", 9), Placeholder("f", 0)
+    v, s = VarId("m", 3), Site("main", 9)
     assert (v.method, v.slot) == ("m", 3)
     assert (s.method, s.label) == ("main", 9)
-    assert (ph.method, ph.index) == ("f", 0)
     assert repr(v) == "VarId(method='m', slot=3)"
     assert repr(s) == "Site(method='main', label=9)"
-    assert repr(ph) == "Placeholder(method='f', index=0)"
     assert repr(NULL_OBJECT) == "NullObject()"
     assert NullObject() == NULL_OBJECT and hash(NullObject()) == hash(NULL_OBJECT)
 
@@ -827,10 +824,9 @@ def test_identifier_fields_and_repr():
 def test_identifiers_built_by_different_paths_are_equal_and_hash_equal():
     pairs = [
         (parse_object("m:1"), Site("m", 1)),
-        (parse_object("m?0"), Placeholder("m", 0)),
         (parse_object("null"), NULL_OBJECT),
         (parse_edge_line("m/2 -> m:1")[0], var_id(M, "c")),
-        (parse_edge_line("m/4 -> m?1"), (ret_var(M), Placeholder("m", 1))),
+        (parse_edge_line("m/4 -> main:9"), (ret_var(M), Site("main", 9))),
         (parse_edge_line("m:2 .f-> null"), (Site("m", 2), "f", NULL_OBJECT)),
         (_transfer(_stmt(Alloc("d", "T")), EMPTY).var_edges, frozenset({(var_id(M, "d"), Site("m", 7))})),
     ]
@@ -884,7 +880,7 @@ def test_fixture_artifact_rendering_and_bytes(fixture, request):
         if line.endswith((" {", " ^")):
             method = line.split(" ")[0].split(":")[0]
         elif line[:2] in ("  ", "+ "):
-            tokens = [method + t if t[0] in "/:?" else t for t in line[2:].split(" ")]
+            tokens = [method + t if t[0] in "/:" else t for t in line[2:].split(" ")]
             head = f"{tokens[0]} ->" if "/" in tokens[0] else f"{tokens[0]} {tokens.pop(1)}->"
             lines |= {f"{head} {t}" for t in tokens[1:]}
     for graph in [*a.i_loop.values(), *a.i_in.values(), *a.i_out.values()]:
@@ -894,19 +890,19 @@ def test_fixture_artifact_rendering_and_bytes(fixture, request):
 
 def test_repeated_graph_bytes_with_every_object_form():
     shared = g(
-        [(VarId("m", 0), Placeholder("m", 0)), (VarId("m", 1), NULL_OBJECT), (VarId("m", 1), Site("m", 2))],
-        [(Site("m", 1), "g", Site("m", 2)), (Placeholder("m", 1), "f", NULL_OBJECT)],
+        [(VarId("m", 0), Site("main", 9)), (VarId("m", 1), NULL_OBJECT), (VarId("m", 1), Site("m", 2))],
+        [(Site("m", 1), "g", Site("m", 2)), (Site("main", 9), "f", NULL_OBJECT)],
     )
     assert render_edges(shared) == [
-        "m/0 -> m?0",
+        "m/0 -> main:9",
         "m/1 -> m:2",
         "m/1 -> null",
         "m:1 .g-> m:2",
-        "m?1 .f-> null",
+        "main:9 .f-> null",
     ]
     edited = g(
-        [(VarId("m", 0), Placeholder("m", 0)), (VarId("m", 1), Site("m", 2)), (VarId("m", 4), Site("m", 1))],
-        [(Site("m", 1), "g", Site("m", 2)), (Site("m", 1), "f", Placeholder("m", 0))],
+        [(VarId("m", 0), Site("main", 9)), (VarId("m", 1), Site("m", 2)), (VarId("m", 4), Site("m", 1))],
+        [(Site("m", 1), "g", Site("m", 2)), (Site("m", 1), "f", Site("main", 9))],
     )
     art = Artwork(
         i_loop={("m", 3): shared},
@@ -918,10 +914,10 @@ def test_repeated_graph_bytes_with_every_object_form():
     # entry removes, then adds, each group in render_edges order.  The
     # identifiers of m are scoped in m's entries and in full in n's.
     assert encode(art) == (
-        b"ART/6\n[loop]\nm:3 {\n  /0 ?0\n  /1 :2 null\n"
-        b"  :1 .g :2\n  ?1 .f null\n}\n[in]\nm ^\nmain {\n}\nn ^\n[out]\n"
-        b"m ^\n+ /0 ?0\n+ /1 :2 null\n+ :1 .g :2\n+ ?1 .f null\n"
-        b"n ^\n- m/1 null\n- m?1 .f null\n+ m/4 m:1\n+ m:1 .f m?0\n"
+        b"ART/6\n[loop]\nm:3 {\n  /0 main:9\n  /1 :2 null\n"
+        b"  :1 .g :2\n  main:9 .f null\n}\n[in]\nm ^\nmain {\n}\nn ^\n[out]\n"
+        b"m ^\n+ /0 main:9\n+ /1 :2 null\n+ :1 .g :2\n+ main:9 .f null\n"
+        b"n ^\n- m/1 null\n- main:9 .f null\n+ m/4 m:1\n+ m:1 .f main:9\n"
     )
     assert parse_artwork(encode(art)) == art
 

@@ -19,6 +19,9 @@ as a draw, never counted as UNSAFE.  On the rest:
   fixed point it carries;
 * every single-edge reduction of the plain artifact is rejected.
 
+The first draw ``ProgramIndex`` rejects goes through ``artpta regen`` with
+the empty artifact: an input error, exit 2, never UNSAFE (exit 1).
+
 The draws include self-recursive methods whose first self-call, in block
 order, reaches no exit, heads a loop, or follows a ``return``, and
 self-calls in blocks Entry does not reach: the cases that decide an
@@ -43,6 +46,7 @@ from artpta import (
     parse_program,
     regen_inter,
 )
+from artpta.cli import main
 from artpta.equations import self_call
 from artpta.ir import ENTRY, EXIT, Call, Return
 from artpta.ptg import edited, render_edge, set_edge
@@ -268,3 +272,28 @@ def test_unstructured_programs_analyze_like_the_oracle_and_round_trip():
     assert seen["first self-call heads a loop"] >= 10, seen
     assert seen["return before the first self-call"] > 0, seen
     assert seen["self-call in an unreachable block"] > 0, seen
+
+
+def test_regen_of_the_first_irreducible_draw_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ART_COLOR", "0")
+    empty = tmp_path / "empty.art"
+    empty.write_bytes(encode(Artwork.empty()))
+    prog = tmp_path / "irreducible.ir"
+    ran = []
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(programs())
+    def first(text):
+        if ran:
+            return
+        try:
+            ProgramIndex.of(parse_program(text))
+        except IrreducibleCfgError as exc:
+            prog.write_text(text)
+            capsys.readouterr()
+            assert main(["regen", str(prog), str(empty)]) == 2
+            assert capsys.readouterr() == ("", f"error: {exc}\n")
+            ran.append(text)
+
+    first()
+    assert ran
